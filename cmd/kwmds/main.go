@@ -169,7 +169,6 @@ func benchMain(args []string) error {
 		return nil
 	})
 	fs.StringVar(&cfg.Out, "out", "BENCH_kwbench.json", "unified report path (results merge by scenario name)")
-	fs.StringVar(&cfg.Legacy, "legacy", "", "also export http-serve results in the BENCH_serve.json row shape to this path")
 	fs.BoolVar(&cfg.Quick, "quick", false, "shrink the load for a smoke run (graphs unchanged)")
 	fs.StringVar(&cfg.Validate, "validate", "", "validate an existing report file against the kwbench schema and exit")
 	fs.StringVar(&cfg.CPUProfile, "cpuprofile", "", "write a CPU profile covering the scenario runs to this file")

@@ -60,16 +60,16 @@
 //     phase-parallel on a worker pool, zero steady-state allocations via
 //     pooled solvers. Selected by Options.Sequential, by the serve
 //     subsystem for every cold solve (request engine "fast", the
-//     default), and by the million-vertex benchmark tier. Round and
-//     message statistics are zero on this backend.
+//     default). Round and message statistics are zero on this backend.
 //
 // The contract is enforced by cross-backend determinism tests (multiple
 // workloads × algorithms × seeds × worker counts, under the race
 // detector) and a differential fuzzer with a checked-in corpus
-// (internal/fastpath). BENCH_solve.json records the backend timings:
-// the fastpath runs the full pipeline on a million-vertex unit-disk
-// graph in ~0.5 s, a 2M-vertex G(n,p) in ~1.2 s, and serves uncached
-// 10k-vertex solves at interactive latency (~30 ms).
+// (internal/fastpath). BENCH_kwbench.json records the timings, each row
+// with the host it ran on: on a 1-CPU host the fastpath runs the full
+// pipeline on a 100k-vertex unit-disk graph at p50 23.3 ms
+// (solve-cold-udg100k) and serves uncached 10k-vertex solves at p50
+// 7.9 ms under eight concurrent clients (serve-uncached-udg10k).
 //
 // The `kwmds serve` subcommand (internal/server) runs the pipelines as a
 // long-lived HTTP JSON service: clients POST a graph (inline edge list or a
@@ -82,8 +82,8 @@
 // an atomic epoch batch of edge/vertex/weight mutations through the
 // dynamic-graph engine (internal/dyngraph), invalidating the cache entries
 // the old topology held; solve requests may pin an epoch for optimistic
-// concurrency. See the README for the JSON schema and BENCH_serve.json for
-// throughput and latency under load.
+// concurrency. See the README for the JSON schema and the serve-* rows of
+// BENCH_kwbench.json for throughput and latency under load.
 //
 // The `kwmds bench` subcommand (internal/kwbench) is the measurement
 // layer: declarative scenario specs (JSON/TOML files under scenarios/)

@@ -85,15 +85,3 @@ func Large(quick bool) []Workload {
 		{"gnp-200k", mustG(gen.GNP(200000, 8.0/199999.0, 110))},
 	}
 }
-
-// XL returns the million-vertex scenarios of the fastpath solve benchmark —
-// the scale the CONGEST follow-up work (Deurer–Kuhn–Maus 2019; Heydt et
-// al. 2022) evaluates on, reachable only through the frontier-driven
-// flat-CSR backend. There is deliberately no quick tier: smoke runs use
-// the solve benchmark's own small workloads instead.
-func XL() []Workload {
-	return []Workload{
-		{"udg-1M", mustG(gen.UnitDisk(1_000_000, 0.002, 111))},
-		{"gnp-2M", mustG(gen.GNP(2_000_000, 7.0/1_999_999.0, 112))},
-	}
-}

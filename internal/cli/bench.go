@@ -16,9 +16,6 @@ type BenchConfig struct {
 	Scenarios []string
 	// Out is the unified report path results merge into.
 	Out string
-	// Legacy, when set, additionally exports http-serve closed-loop
-	// results in the BENCH_serve.json row shape.
-	Legacy string
 	// Quick shrinks the load for smoke runs (the graphs are untouched).
 	Quick bool
 	// Validate, when set, validates an existing report file against the
@@ -104,16 +101,6 @@ func RunBench(cfg BenchConfig, w io.Writer) error {
 	}
 	if violated > 0 {
 		return fmt.Errorf("%d SLO violation(s) across %d scenario(s)", violated, len(results))
-	}
-	if cfg.Legacy != "" {
-		runs := kwbench.LegacyServeRuns(results)
-		if len(runs) == 0 {
-			fmt.Fprintf(w, "no http-serve closed-loop results; skipping %s\n", cfg.Legacy)
-		} else if err := kwbench.WriteLegacyServe(cfg.Legacy, runs); err != nil {
-			return err
-		} else {
-			fmt.Fprintf(w, "wrote %s (%d legacy row(s))\n", cfg.Legacy, len(runs))
-		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"kwmds/internal/gen"
@@ -125,6 +126,51 @@ func TestCrossEngineDeterminismRounding(t *testing.T) {
 							t.Fatalf("%s seed %d variant %v workers %d: InDS[%d] = %v, want %v",
 								w.name, seed, variant, workers, v, got.InDS[v], ref.InDS[v])
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInstrumentLeavesOutputUnchanged pins that the proof bookkeeping is
+// observation only: both references, run with and without Instrument, give
+// the same X bits and round to the same dominating set.
+func TestInstrumentLeavesOutputUnchanged(t *testing.T) {
+	refs := []struct {
+		name string
+		run  func(*graph.Graph, int, ...RefOption) (*RefResult, error)
+	}{
+		{"Reference", Reference},
+		{"ReferenceKnownDelta", ReferenceKnownDelta},
+	}
+	for _, w := range determinismWorkloads(t) {
+		for _, k := range []int{1, 2, 3} {
+			for _, ref := range refs {
+				ctx := fmt.Sprintf("%s %s k=%d", w.name, ref.name, k)
+				plain, err := ref.run(w.g, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				instr, err := ref.run(w.g, k, Instrument())
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameX(t, ctx, instr.X, plain.X)
+				want, err := rounding.Reference(w.g, plain.X, rounding.Options{Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := rounding.Reference(w.g, instr.X, rounding.Options{Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Size != want.Size {
+					t.Fatalf("%s: instrumented |DS| = %d, want %d", ctx, got.Size, want.Size)
+				}
+				for v := range want.InDS {
+					if got.InDS[v] != want.InDS[v] {
+						t.Fatalf("%s: instrumented InDS[%d] = %v, want %v", ctx, v, got.InDS[v], want.InDS[v])
 					}
 				}
 			}

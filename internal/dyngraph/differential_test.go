@@ -283,14 +283,11 @@ func TestDifferentialChurn(t *testing.T) {
 							// (Resolve itself rejects Relab — a relabeling is
 							// per-topology and churn invalidates it — so the
 							// reordered run rides the oracle side only.)
-							// Epoch parity alternates the chunk scheduler so
-							// both arms see churned topologies.
 							rl := graph.Relabel(fresh)
 							for _, workers := range []int{1, 3, 8} {
 								ropt := opt
 								ropt.Workers = workers
 								ropt.Relab = rl
-								ropt.FixedChunks = epoch%2 == 1
 								reord, err := fastpath.New().Solve(fresh, ropt)
 								if err != nil {
 									t.Fatalf("%s reordered workers %d: %v", ctx, workers, err)

@@ -1,0 +1,58 @@
+package fastpath
+
+import (
+	"testing"
+
+	"kwmds/internal/core"
+	"kwmds/internal/gen"
+	"kwmds/internal/graph"
+	"kwmds/internal/rounding"
+)
+
+// benchUDG is the benchmarks' workload: the 20k-vertex unit-disk graph of
+// the experiment harness's quick Large tier.
+func benchUDG(b *testing.B) *graph.Graph {
+	b.Helper()
+	g, err := gen.UnitDisk(20000, 0.014, 109)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
+// BenchmarkSolveFastpath is the perf-regression tripwire CI runs with
+// -benchtime 1x: one full pooled-solver pipeline run on a 20k-vertex
+// unit-disk graph. b.ReportAllocs keeps the zero-steady-state-allocation
+// property visible in the output.
+func BenchmarkSolveFastpath(b *testing.B) {
+	g := benchUDG(b)
+	s := Acquire(g.N())
+	defer Release(s)
+	opt := Options{K: 3, Seed: 1, Workers: 1}
+	if _, err := s.Solve(g, opt); err != nil { // warm the buffers
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Solve(g, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSolveReference is the matching baseline row: the sequential
+// reference (instrumentation gated off) on the same workload.
+func BenchmarkSolveReference(b *testing.B) {
+	g := benchUDG(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ref, err := core.Reference(g, 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rounding.Reference(g, ref.X, rounding.Options{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -155,16 +155,15 @@ func FuzzDifferential(f *testing.F) {
 			}
 		}
 
-		// Reorder/scheduler differential: the degree-ordered permuted sweep
-		// and both phase-scheduling modes must reproduce the same solve bit
-		// for bit at a fuzz-derived worker count.
+		// Reorder/worker-count differential: the degree-ordered permuted
+		// sweep and the phase scheduler at a fuzz-derived worker count must
+		// reproduce the same solve bit for bit.
 		rl := graph.Relabel(g)
 		workers := 1 + int(nRaw^kRaw)%4
 		for _, arm := range []Options{
 			{Relab: rl},
-			{Relab: rl, FixedChunks: true, Workers: workers},
 			{Relab: rl, Workers: workers},
-			{FixedChunks: true, Workers: workers},
+			{Workers: workers},
 		} {
 			arm.K, arm.Algorithm, arm.Seed, arm.Variant = opt.K, opt.Algorithm, opt.Seed, opt.Variant
 			got, err := s.Solve(g, arm)
@@ -173,8 +172,8 @@ func FuzzDifferential(f *testing.F) {
 			}
 			for v := 0; v < n; v++ {
 				if got.X[v] != wantX[v] || got.InDS[v] != wantDS[v] {
-					t.Fatalf("reorder=%v fixed=%v workers=%d: vertex %d diverges (x %v vs %v, inDS %v vs %v)",
-						arm.Relab != nil, arm.FixedChunks, arm.Workers, v, got.X[v], wantX[v], got.InDS[v], wantDS[v])
+					t.Fatalf("reorder=%v workers=%d: vertex %d diverges (x %v vs %v, inDS %v vs %v)",
+						arm.Relab != nil, arm.Workers, v, got.X[v], wantX[v], got.InDS[v], wantDS[v])
 				}
 			}
 		}

@@ -9,11 +9,10 @@ import (
 	"kwmds/internal/shard"
 )
 
-// The memory-locality features — the degree-ordered permuted sweep
-// (Options.Relab) and the guided chunk scheduler vs its fixed-split control
-// arm (Options.FixedChunks) — are pure execution-order knobs: every
-// combination, at every worker count, must reproduce the plain solve bit
-// for bit. CI runs this file under -race and at GOMAXPROCS=4.
+// The degree-ordered permuted sweep (Options.Relab) and the phase
+// scheduler's worker count are pure execution-order knobs: every
+// combination must reproduce the plain one-worker solve bit for bit. CI
+// runs this file under -race and at GOMAXPROCS=4.
 
 func TestRelabeledAndScheduledDeterminism(t *testing.T) {
 	for _, w := range workloads(t) {
@@ -38,25 +37,23 @@ func TestRelabeledAndScheduledDeterminism(t *testing.T) {
 			s := New()
 			for _, workers := range workerCounts {
 				for _, relab := range []*graph.Relabeled{nil, rl} {
-					for _, fixed := range []bool{false, true} {
-						opt := alg.opt
-						opt.Workers, opt.Relab, opt.FixedChunks = workers, relab, fixed
-						got, err := s.Solve(w.g, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got.Size != want.Size || got.JoinedRandom != want.JoinedRandom || got.JoinedFixup != want.JoinedFixup {
-							t.Fatalf("%s %s workers=%d reorder=%v fixed=%v: counts (%d,%d,%d), want (%d,%d,%d)",
-								w.name, alg.name, workers, relab != nil, fixed,
-								got.Size, got.JoinedRandom, got.JoinedFixup,
-								want.Size, want.JoinedRandom, want.JoinedFixup)
-						}
-						for v := range wantX {
-							if got.X[v] != wantX[v] || got.InDS[v] != wantDS[v] {
-								t.Fatalf("%s %s workers=%d reorder=%v fixed=%v: vertex %d diverges (x %v vs %v, inDS %v vs %v)",
-									w.name, alg.name, workers, relab != nil, fixed,
-									v, got.X[v], wantX[v], got.InDS[v], wantDS[v])
-							}
+					opt := alg.opt
+					opt.Workers, opt.Relab = workers, relab
+					got, err := s.Solve(w.g, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Size != want.Size || got.JoinedRandom != want.JoinedRandom || got.JoinedFixup != want.JoinedFixup {
+						t.Fatalf("%s %s workers=%d reorder=%v: counts (%d,%d,%d), want (%d,%d,%d)",
+							w.name, alg.name, workers, relab != nil,
+							got.Size, got.JoinedRandom, got.JoinedFixup,
+							want.Size, want.JoinedRandom, want.JoinedFixup)
+					}
+					for v := range wantX {
+						if got.X[v] != wantX[v] || got.InDS[v] != wantDS[v] {
+							t.Fatalf("%s %s workers=%d reorder=%v: vertex %d diverges (x %v vs %v, inDS %v vs %v)",
+								w.name, alg.name, workers, relab != nil,
+								v, got.X[v], wantX[v], got.InDS[v], wantDS[v])
 						}
 					}
 				}
@@ -179,28 +176,5 @@ func TestRelabValidation(t *testing.T) {
 	err = s.SolveMany(g1, []Options{{K: 2, Relab: rl1}, {K: 2, Relab: rlAgain}}, func(int, Result) {})
 	if err == nil {
 		t.Error("SolveMany accepted mixed Relab pointers")
-	}
-}
-
-// TestFixedChunksZeroAllocSteadyState extends the zero-alloc pin to the
-// scheduler's control arm: chunk bookkeeping must come from the solver's
-// reused buffers in both modes.
-func TestFixedChunksZeroAllocSteadyState(t *testing.T) {
-	g, err := gen.UnitDisk(2000, 0.04, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New()
-	opt := Options{K: 3, Seed: 7, Workers: 1, FixedChunks: true}
-	if _, err := s.Solve(g, opt); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := s.Solve(g, opt); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state fixed-chunk Solve allocates %.1f objects per run, want 0", allocs)
 	}
 }

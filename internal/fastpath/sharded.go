@@ -370,9 +370,8 @@ func (s *Solver) prepareShard(sc *graph.ShardedCSR, sh *graph.ShardCSR, opt Opti
 	s.off, s.adj = sh.Off, sh.Adj
 	s.maxDeg = sc.MaxDeg
 	s.relab, s.drawID = nil, nil
-	// Re-chunk over the shard's word range instead of [0, nw). chunkify
-	// reads s.off for the mass weighting, so it must follow the CSR install.
-	s.chunkify(sh.W0, sh.W1, opt.FixedChunks)
+	// Re-chunk over the shard's word range instead of [0, nw).
+	s.chunkify(sh.W0, sh.W1)
 	s.whiteCount = n // global: kept in sync via the exchanged counters
 	for v := 0; v < n; v++ {
 		s.x[v] = 0

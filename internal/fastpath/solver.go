@@ -59,11 +59,6 @@ type Options struct {
 	// from the graph passed to Solve/Fractional/Round. Resolve and
 	// SolveShard reject it.
 	Relab *graph.Relabeled
-	// FixedChunks disables the self-scheduled chunk claiming and restores
-	// the one-equal-word-range-per-worker split — the benchmark control
-	// arm for measuring the scheduler win. Output is bit-identical either
-	// way.
-	FixedChunks bool
 }
 
 // ErrCanceled reports that a solve was abandoned because Options.Cancel
@@ -95,8 +90,8 @@ type Solver struct {
 	// cancel, when non-nil, aborts the LP drivers at the next iteration
 	// boundary (see Options.Cancel). Set per solve, cleared on return.
 	cancel <-chan struct{}
-	off     []int32
-	adj     []int32
+	off    []int32
+	adj    []int32
 
 	// per-vertex state (re-sliced to n each solve)
 	x      []float64
@@ -139,20 +134,16 @@ type Solver struct {
 	permCosts []float64 // AlgWeighted costs gathered into permuted order
 	roundX    []float64 // standalone Round's gathered x input
 
-	// Phase chunking: the word range is cut into nchunks disjoint chunks
-	// (c0[c] ≤ word < c1[c], ascending and contiguous). With one worker
-	// there is exactly one chunk; with several, workers claim chunks off
-	// the nextChunk counter (guided self-scheduling), or — under
-	// Options.FixedChunks — exactly one equal-split chunk per worker.
-	// Every per-chunk result list below is merged in chunk order, so the
-	// output is independent of which worker ran which chunk.
-	nchunks   int
-	c0, c1    []int // word-range bounds per chunk
-	nextChunk atomic.Int64
-	changed   [][]int32
-	newGray   [][]int32
-	zeroed    []int32  // applyNewGray scratch: vertices whose δ̃ hit zero
-	joinCnt   [][2]int // per-chunk {random, fixup} join counters
+	// Phase chunking: the word range is cut into one equal chunk per
+	// worker (c0[c] ≤ word < c1[c], ascending and contiguous), and worker
+	// c runs chunk c. Every per-chunk result list below is merged in chunk
+	// order, so the output is independent of the worker count.
+	nchunks int
+	c0, c1  []int // word-range bounds per chunk
+	changed [][]int32
+	newGray [][]int32
+	zeroed  []int32  // applyNewGray scratch: vertices whose δ̃ hit zero
+	joinCnt [][2]int // per-chunk {random, fixup} join counters
 
 	// Memoized derived tables, keyed by the inputs that produced them.
 	// Each holds the exact floats the direct computation yields (same
@@ -265,7 +256,7 @@ func (s *Solver) prepare(g *graph.Graph, opt Options, resetLP bool) error {
 	s.ensure(n, workers)
 	s.off, s.adj = off, adj
 	s.maxDeg = g.MaxDegree()
-	s.chunkify(0, s.nw, opt.FixedChunks)
+	s.chunkify(0, s.nw)
 	if resetLP {
 		s.whiteCount = n
 		for v := 0; v < n; v++ {
@@ -346,32 +337,13 @@ func (s *Solver) ensure(n, workers int) {
 	}
 }
 
-// chunksPerWorker is the self-scheduling granularity: more chunks than
-// workers so a worker that drew a light chunk claims another instead of
-// idling at the phase barrier. 8 keeps the claim-counter traffic negligible
-// while bounding the straggler tail at ~1/8 of one worker's share.
-const chunksPerWorker = 8
-
-// chunkify cuts the word range [wLo, wHi) into the phase chunks. With one
-// worker or fixed mode the split is the historical equal word split (one
-// chunk per worker); otherwise boundaries are mass-weighted — equal shares
-// of adjacency entries plus vertices, the actual per-word kernel cost — so
-// heavy-tailed degree distributions cannot concentrate work in one chunk.
-// Chunks are always ascending, disjoint and contiguous; every merge of
+// chunkify cuts the word range [wLo, wHi) into one equal chunk per
+// worker. Chunks are ascending, disjoint and contiguous; every merge of
 // per-chunk results walks them in index order, which is what keeps the
-// output independent of chunk count and claim order.
-func (s *Solver) chunkify(wLo, wHi int, fixed bool) {
+// output independent of the worker count.
+func (s *Solver) chunkify(wLo, wHi int) {
 	nw := wHi - wLo
 	nchunks := s.workers
-	if !fixed && s.workers > 1 {
-		nchunks = s.workers * chunksPerWorker
-	}
-	if nchunks > nw {
-		nchunks = nw
-	}
-	if nchunks < 1 {
-		nchunks = 1
-	}
 	s.nchunks = nchunks
 	if cap(s.c0) < nchunks {
 		s.c0 = make([]int, nchunks)
@@ -380,7 +352,7 @@ func (s *Solver) chunkify(wLo, wHi int, fixed bool) {
 	s.c0, s.c1 = s.c0[:nchunks], s.c1[:nchunks]
 	// Re-slicing down keeps the retired entries' backing arrays inside the
 	// outer slice's capacity, so a later growth finds them again — pooled
-	// solvers stay allocation-free across chunk-count changes.
+	// solvers stay allocation-free across worker-count changes.
 	for len(s.changed) < nchunks {
 		s.changed = append(s.changed, nil)
 		s.newGray = append(s.newGray, nil)
@@ -389,51 +361,15 @@ func (s *Solver) chunkify(wLo, wHi int, fixed bool) {
 	s.changed = s.changed[:nchunks]
 	s.newGray = s.newGray[:nchunks]
 	s.joinCnt = s.joinCnt[:nchunks]
-
-	if fixed || s.workers == 1 || nchunks == 1 {
-		for c := 0; c < nchunks; c++ {
-			s.c0[c] = wLo + c*nw/nchunks
-			s.c1[c] = wLo + (c+1)*nw/nchunks
-		}
-		return
+	for c := 0; c < nchunks; c++ {
+		s.c0[c] = wLo + c*nw/nchunks
+		s.c1[c] = wLo + (c+1)*nw/nchunks
 	}
-	// massAt(w) = adjacency entries plus vertices below word w within the
-	// range — monotone because offsets are. Boundaries are the smallest
-	// words reaching each equal share, found by binary search.
-	vLo := wLo << 6
-	vCap := wHi << 6
-	if vCap > s.n {
-		vCap = s.n
-	}
-	base := int64(s.off[vLo]) + int64(vLo)
-	massAt := func(w int) int64 {
-		v := w << 6
-		if v > vCap {
-			v = vCap
-		}
-		return int64(s.off[v]) + int64(v) - base
-	}
-	total := massAt(wHi)
-	s.c0[0] = wLo
-	for c := 1; c < nchunks; c++ {
-		target := total * int64(c) / int64(nchunks)
-		lo, hi := s.c0[c-1], wHi
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if massAt(mid) < target {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		s.c0[c] = lo
-		s.c1[c-1] = lo
-	}
-	s.c1[nchunks-1] = wHi
 }
 
 // startWorkers launches the pool for one solve. Workers live only for the
-// duration of the run — a pooled Solver parks no goroutines.
+// duration of the run — a pooled Solver parks no goroutines. Worker w runs
+// chunk w of every dispatched phase; the caller runs chunk 0.
 func (s *Solver) startWorkers() {
 	if s.workers <= 1 {
 		return
@@ -445,23 +381,10 @@ func (s *Solver) startWorkers() {
 					s.wg.Done()
 					return
 				}
-				s.runChunks()
+				s.phaseFn(w)
 				s.wg.Done()
 			}
 		}(w)
-	}
-}
-
-// runChunks claims chunks off the shared counter until none remain. Which
-// worker runs which chunk varies run to run; nothing downstream can tell,
-// because per-chunk state is indexed by chunk and merged in chunk order.
-func (s *Solver) runChunks() {
-	for {
-		c := int(s.nextChunk.Add(1)) - 1
-		if c >= s.nchunks {
-			return
-		}
-		s.phaseFn(c)
 	}
 }
 
@@ -480,20 +403,19 @@ func (s *Solver) stopWorkers() {
 
 // dispatch runs one phase across all workers and blocks until every chunk
 // is done. The channel send/receive pairs give each worker a happens-before
-// edge on phaseFn, the chunk counter and all state written by earlier
-// phases; wg.Wait gives the caller one on every chunk's writes.
+// edge on phaseFn and all state written by earlier phases; wg.Wait gives
+// the caller one on every chunk's writes.
 func (s *Solver) dispatch(fn func(int)) {
 	if s.workers == 1 {
 		fn(0) // one worker always means exactly one chunk
 		return
 	}
 	s.phaseFn = fn
-	s.nextChunk.Store(0)
 	s.wg.Add(s.workers - 1)
 	for w := 1; w < s.workers; w++ {
 		s.sig[w] <- struct{}{}
 	}
-	s.runChunks()
+	fn(0)
 	s.wg.Wait()
 }
 

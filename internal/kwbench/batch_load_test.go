@@ -75,7 +75,7 @@ func TestRunLoad(t *testing.T) {
 		t.Errorf("missing file sizes: %+v", lc)
 	}
 	// The result must survive report validation (the "load" loop shape).
-	rep := &Report{Schema: SchemaVersion, Description: "x", Environment: CurrentEnvironment(), Scenarios: []ScenarioResult{*res}}
+	rep := &Report{Schema: SchemaVersion, Description: "x", Scenarios: []ScenarioResult{*res}}
 	if err := ValidateReport(rep); err != nil {
 		t.Errorf("load result fails report validation: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestBatchAndLoadSpecValidation(t *testing.T) {
 		{"load with cross_check", func(sc *Scenario) {
 			sc.Load = &LoadSpec{Gen: "udg:100:0.2:1", Ops: 1}
 			sc.Graphs, sc.Closed, sc.CrossCheck = nil, nil, true
-		}, "no batch_size, cross_check, shards, http, reorder or sched"},
+		}, "no batch_size, cross_check, shards, http or reorder"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

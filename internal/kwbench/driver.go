@@ -81,7 +81,6 @@ func newDriver(sc *Scenario, concurrency, shards int) (Driver, error) {
 			concurrency: concurrency,
 			shards:      shards,
 			reorder:     sc.Reorder,
-			fixedChunks: sc.Sched == "fixed",
 		}, nil
 	case DriverInprocSim:
 		return &inprocDriver{sequential: false, concurrency: concurrency}, nil
@@ -116,7 +115,6 @@ type inprocDriver struct {
 	concurrency int
 	shards      int
 	reorder     bool
-	fixedChunks bool
 	graphs      []LoadedGraph
 	// parts are the per-graph partitions for sharded arms (shards > 1):
 	// built once in Prepare so the measured operations solve through
@@ -169,7 +167,6 @@ func (d *inprocDriver) options(req Request) kwmds.Options {
 		// solver gets its share of GOMAXPROCS instead of a full-width
 		// phase pool.
 		opts.SolverWorkers = max(1, runtime.GOMAXPROCS(0)/max(1, d.concurrency))
-		opts.FixedChunks = d.fixedChunks
 		if d.reorder && req.Algo != "kwcds" {
 			opts.Reordered = d.relabs[req.Graph]
 		}

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"kwmds/internal/hdr"
 )
 
 // Operation kinds a mixed workload draws from. An empty Request.Kind is the
@@ -276,7 +278,7 @@ func (o *OpenLoop) dispatchTicks(duration time.Duration) []time.Duration {
 // bucketStats is one latency/outcome split of the collector (per kind, per
 // tenant).
 type bucketStats struct {
-	hist   *Histogram
+	hist   *hdr.Histogram
 	ops    int
 	errors int
 	sheds  int
@@ -290,7 +292,7 @@ type bucketStats struct {
 // errored op has no meaningful latency and would poison the percentiles.
 type collector struct {
 	mu       sync.Mutex
-	total    *Histogram
+	total    *hdr.Histogram
 	sizes    []int
 	ok       []bool
 	errors   int
@@ -306,7 +308,7 @@ type collector struct {
 
 func newCollector(sc *Scenario, n int) *collector {
 	c := &collector{
-		total:    &Histogram{},
+		total:    &hdr.Histogram{},
 		sizes:    make([]int, n),
 		ok:       make([]bool, n),
 		tolerate: sc.SLO != nil && sc.SLO.ErrorRate != nil,
@@ -317,7 +319,7 @@ func newCollector(sc *Scenario, n int) *collector {
 	if sc.Tenants > 1 {
 		c.tenants = make([]*bucketStats, sc.Tenants)
 		for i := range c.tenants {
-			c.tenants[i] = &bucketStats{hist: &Histogram{}}
+			c.tenants[i] = &bucketStats{hist: &hdr.Histogram{}}
 		}
 	}
 	return c
@@ -379,7 +381,7 @@ func (c *collector) kindBucket(req Request) *bucketStats {
 	}
 	b := c.byKind[k]
 	if b == nil {
-		b = &bucketStats{hist: &Histogram{}}
+		b = &bucketStats{hist: &hdr.Histogram{}}
 		c.byKind[k] = b
 	}
 	return b

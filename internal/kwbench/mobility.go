@@ -10,6 +10,7 @@ import (
 	"kwmds/internal/fastpath"
 	"kwmds/internal/gen"
 	"kwmds/internal/graph"
+	"kwmds/internal/hdr"
 	"kwmds/internal/mobility"
 	"kwmds/internal/rounding"
 )
@@ -77,7 +78,7 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	prev := make([][]bool, len(combos))
 	sizes := make([]int, epochs*len(combos))
 	var kept, added, removed, transitions int
-	hist := &Histogram{}
+	hist := &hdr.Histogram{}
 	measuredOps := 0
 	var elapsed time.Duration
 	var msBefore, msAfter runtime.MemStats
@@ -227,7 +228,7 @@ func runMobilityDynamic(sc *Scenario, epochs int, trace *mobility.Trace) (*Scena
 	var prev []bool
 	sizes := make([]int, epochs)
 	var kept, added, removed, transitions int
-	hist := &Histogram{}
+	hist := &hdr.Histogram{}
 	measuredOps := 0
 	var elapsed, commitTotal time.Duration
 	var deltaEvents, repaired int

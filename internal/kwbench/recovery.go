@@ -9,6 +9,7 @@ import (
 
 	"kwmds"
 	"kwmds/internal/graphio"
+	"kwmds/internal/hdr"
 	"kwmds/internal/mobility"
 	"kwmds/internal/wal"
 )
@@ -129,7 +130,7 @@ func runRecovery(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 		WarmupOps:   sc.WarmupOps,
 	}
 
-	hist := &Histogram{}
+	hist := &hdr.Histogram{}
 	var stats wal.RecoveryStats
 	measuredOps := 0
 	var elapsed time.Duration

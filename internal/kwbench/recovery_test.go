@@ -94,7 +94,6 @@ func TestRunRecovery(t *testing.T) {
 	rep := &Report{
 		Schema:      SchemaVersion,
 		Description: "test",
-		Environment: CurrentEnvironment(),
 		Scenarios:   []ScenarioResult{*res},
 	}
 	if err := ValidateReport(rep); err != nil {

@@ -5,31 +5,28 @@ import (
 	"testing"
 )
 
-// TestRunReorderSched runs the memory-locality knobs end to end: a reordered
-// closed loop under both scheduler modes, with the per-op sim cross-check on
-// — the harness-level enforcement that relabeling and scheduling never change
-// an output.
+// TestRunReorderSched runs the memory-locality knob end to end: a reordered
+// closed loop of two concurrent operations, with the per-op sim cross-check
+// on — the harness-level enforcement that relabeling never changes an
+// output.
 func TestRunReorderSched(t *testing.T) {
-	for _, sched := range []string{"steal", "fixed"} {
-		sc := &Scenario{
-			Name:       "test-reorder-" + sched,
-			Driver:     DriverInprocFast,
-			Graphs:     []GraphSpec{{Gen: "ba:300:3:9", Name: "ba-300"}},
-			Matrix:     Matrix{Algos: []string{"kw", "kw2"}},
-			Closed:     &ClosedLoop{Concurrency: 2, Ops: 16},
-			Seeds:      4,
-			Reorder:    true,
-			Sched:      sched,
-			CrossCheck: true,
-		}
-		res, err := Run(sc, RunOptions{})
-		if err != nil {
-			t.Fatalf("sched=%s: %v", sched, err)
-		}
-		checkCommon(t, res, 16)
-		if res.CrossChecked != 16 || res.Mismatches != 0 {
-			t.Errorf("sched=%s: cross-checked %d with %d mismatches", sched, res.CrossChecked, res.Mismatches)
-		}
+	sc := &Scenario{
+		Name:       "test-reorder",
+		Driver:     DriverInprocFast,
+		Graphs:     []GraphSpec{{Gen: "ba:300:3:9", Name: "ba-300"}},
+		Matrix:     Matrix{Algos: []string{"kw", "kw2"}},
+		Closed:     &ClosedLoop{Concurrency: 2, Ops: 16},
+		Seeds:      4,
+		Reorder:    true,
+		CrossCheck: true,
+	}
+	res, err := Run(sc, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCommon(t, res, 16)
+	if res.CrossChecked != 16 || res.Mismatches != 0 {
+		t.Errorf("cross-checked %d with %d mismatches", res.CrossChecked, res.Mismatches)
 	}
 }
 
@@ -47,9 +44,7 @@ func TestReorderSchedSpecValidation(t *testing.T) {
 		mut  func(*Scenario)
 		want string
 	}{
-		{"bad sched", func(sc *Scenario) { sc.Sched = "guided" }, "unknown sched"},
-		{"sched on sim driver", func(sc *Scenario) { sc.Driver = DriverInprocSim; sc.Sched = "fixed" }, "require the inproc-fast driver"},
-		{"reorder on http driver", func(sc *Scenario) { sc.Driver = DriverHTTPServe; sc.Reorder = true }, "require the inproc-fast driver"},
+		{"reorder on http driver", func(sc *Scenario) { sc.Driver = DriverHTTPServe; sc.Reorder = true }, "requires the inproc-fast driver"},
 		{"reorder with shards", func(sc *Scenario) { sc.Reorder = true; sc.Shards = []int{2} }, "mutually exclusive"},
 		{"reorder with kwcds", func(sc *Scenario) { sc.Reorder = true; sc.Matrix.Algos = []string{"kwcds"} }, "kw|kw2|frac"},
 	}
@@ -64,8 +59,14 @@ func TestReorderSchedSpecValidation(t *testing.T) {
 		})
 	}
 	good := base()
-	good.Reorder, good.Sched = true, "steal"
+	good.Reorder = true
 	if err := good.Validate(); err != nil {
-		t.Fatalf("valid reorder+steal spec rejected: %v", err)
+		t.Fatalf("valid reorder spec rejected: %v", err)
+	}
+	// sched is not a spec field: a stale spec that sets it must fail at
+	// load, not run silently.
+	spec := "name = \"v\"\ndriver = \"inproc-fast\"\nsched = \"steal\"\n[[graphs]]\ngen = \"ba:100:2:1\"\n[closed]\nconcurrency = 1\nops = 4\n"
+	if _, err := Decode([]byte(spec), true); err == nil || !strings.Contains(err.Error(), "sched") {
+		t.Fatalf("spec with a sched key: err = %v, want an unknown-field refusal", err)
 	}
 }

@@ -7,32 +7,34 @@ import (
 	"os"
 	"runtime"
 	"sort"
+
+	"kwmds/internal/hdr"
 )
 
 // SchemaVersion identifies the BENCH_kwbench.json layout. Bump only with a
 // migration note in docs/BENCHMARKS.md.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Report is the unified BENCH_kwbench.json document. Scenario results are
 // keyed by name: re-running a scenario replaces its earlier entry and
 // leaves the rest untouched, so one file accumulates the whole trajectory.
+// Each entry carries the environment it was recorded in, so rows from
+// different hosts can share one file without being relabeled.
 type Report struct {
 	Schema      int              `json:"kwbench_schema"`
 	Description string           `json:"description"`
-	Environment Environment      `json:"environment"`
 	Scenarios   []ScenarioResult `json:"scenarios"`
 }
 
-// Environment records where the numbers were produced.
+// Environment records where a scenario's numbers were produced.
 type Environment struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
 	GoVersion  string `json:"go"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	// NumCPU is the hardware parallelism of the recording host. Read it
-	// before interpreting scheduler or shard comparisons: when GOMAXPROCS
-	// exceeds it the parallel arms timeshare and the rows record only
-	// scheduling overhead, not the imbalance win.
+	// before interpreting any parallel or shard comparison: when GOMAXPROCS
+	// exceeds it the parallel arms timeshare the same cores.
 	NumCPU int `json:"num_cpu"`
 }
 
@@ -45,6 +47,16 @@ type LatencySummary struct {
 	Min  float64 `json:"min_ms"`
 	Max  float64 `json:"max_ms"`
 	Mean float64 `json:"mean_ms"`
+}
+
+// latencySummary converts the histogram's percentile block into the
+// report-schema shape.
+func latencySummary(h *hdr.Histogram) LatencySummary {
+	s := h.Summary()
+	return LatencySummary{
+		P50: s.P50, P90: s.P90, P99: s.P99, P999: s.P999,
+		Min: s.Min, Max: s.Max, Mean: s.Mean,
+	}
 }
 
 // GraphInfo identifies one member of a scenario's graph set.
@@ -156,8 +168,10 @@ type ShardRun struct {
 
 // ScenarioResult is one scenario's measured outcome.
 type ScenarioResult struct {
-	Name        string      `json:"name"`
-	Description string      `json:"description,omitempty"`
+	Name        string `json:"name"`
+	Description string `json:"description,omitempty"`
+	// Environment is the host the row was recorded on, stamped by Run.
+	Environment Environment `json:"environment"`
 	Driver      string      `json:"driver"`
 	Loop        string      `json:"loop"` // closed | open | replay | load
 	Graphs      []GraphInfo `json:"graphs"`
@@ -178,11 +192,6 @@ type ScenarioResult struct {
 	// to the plain path, so the field only marks which memory layout was
 	// measured.
 	Reorder bool `json:"reorder,omitempty"`
-	// Sched is the fastpath chunk-scheduler arm: "steal" (guided
-	// self-scheduling, the default behavior) or "fixed" (the historical
-	// equal word split, the control arm of a skew pair). Absent when the
-	// spec left the scheduler at its default.
-	Sched string `json:"sched,omitempty"`
 
 	WarmupOps int `json:"warmup_ops"`
 	// Ops counts successful measured operations only: errored and shed
@@ -304,18 +313,19 @@ func CurrentEnvironment() Environment {
 const reportDescription = "Unified kwbench scenario results (kwmds bench). Each entry is one scenario run: a declarative spec (scenarios/*.json|*.toml) selecting graphs, a pipeline matrix, a driver (inproc-fast | inproc-sim | http-serve) and a loop mode (closed concurrency, open target-rate, or mobility replay). Latencies are HDR-histogram percentiles over the measured phase; open-loop latency is measured from the scheduled dispatch time, so queueing delay is included. See docs/BENCHMARKS.md for the methodology and field-by-field schema."
 
 // MergeInto folds results into the report at path: existing scenario
-// entries with matching names are replaced, others preserved, and the
-// environment block refreshed. A missing or unreadable-as-report file is
-// started fresh.
+// entries with matching names are replaced and the others preserved, each
+// keeping the environment it was recorded in. A missing or
+// unreadable-as-report file is started fresh; a report of another schema
+// version is refused rather than overwritten.
 func MergeInto(path string, results []ScenarioResult) (*Report, error) {
-	rep := &Report{
-		Schema:      SchemaVersion,
-		Description: reportDescription,
-		Environment: CurrentEnvironment(),
-	}
+	rep := &Report{Schema: SchemaVersion, Description: reportDescription}
 	if data, err := os.ReadFile(path); err == nil {
 		var old Report
-		if json.Unmarshal(data, &old) == nil && old.Schema == SchemaVersion {
+		if json.Unmarshal(data, &old) == nil && old.Schema != 0 {
+			if old.Schema != SchemaVersion {
+				return nil, fmt.Errorf("kwbench: %s holds a schema %d report, want %d (see the migration notes in docs/BENCHMARKS.md)",
+					path, old.Schema, SchemaVersion)
+			}
 			rep.Scenarios = old.Scenarios
 		}
 	}
@@ -373,9 +383,6 @@ func ValidateReport(rep *Report) error {
 	if rep.Description == "" {
 		return fmt.Errorf("kwbench: report missing description")
 	}
-	if rep.Environment.GoVersion == "" || rep.Environment.GOOS == "" {
-		return fmt.Errorf("kwbench: report missing environment block")
-	}
 	if len(rep.Scenarios) == 0 {
 		return fmt.Errorf("kwbench: report has no scenarios")
 	}
@@ -391,6 +398,9 @@ func ValidateReport(rep *Report) error {
 			return fail("duplicate scenario name")
 		}
 		seen[s.Name] = true
+		if s.Environment.GoVersion == "" || s.Environment.GOOS == "" || s.Environment.NumCPU < 1 {
+			return fail("missing environment block")
+		}
 		switch s.Driver {
 		case DriverInprocFast, DriverInprocSim, DriverHTTPServe:
 		default:
@@ -524,63 +534,4 @@ func ValidateReportFile(path string) error {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil
-}
-
-// LegacyServeRun mirrors one row of the pre-kwbench BENCH_serve.json shape
-// ("mode" + the serve load-generator report fields), so serve-driver
-// scenario results can also be exported where existing tooling reads them.
-type LegacyServeRun struct {
-	Mode         string  `json:"mode"`
-	Workload     string  `json:"workload"`
-	N            int     `json:"n"`
-	M            int     `json:"m"`
-	Concurrency  int     `json:"concurrency"`
-	Requests     int     `json:"requests"`
-	Seeds        int     `json:"seeds"`
-	ElapsedSec   float64 `json:"elapsed_sec"`
-	ReqPerSec    float64 `json:"req_per_sec"`
-	ColdMS       float64 `json:"cold_ms"`
-	P50MS        float64 `json:"p50_ms"`
-	P99MS        float64 `json:"p99_ms"`
-	HitRate      float64 `json:"hit_rate"`
-	AllocsPerReq float64 `json:"allocs_per_req"`
-}
-
-// LegacyServeRuns converts http-serve closed-loop scenario results into the
-// legacy BENCH_serve.json row shape (one row per scenario, first graph's
-// identity). Non-serve and open-loop scenarios are skipped: the legacy
-// shape cannot express them.
-func LegacyServeRuns(results []ScenarioResult) []LegacyServeRun {
-	var runs []LegacyServeRun
-	for _, s := range results {
-		if s.Driver != DriverHTTPServe || s.Loop != "closed" || len(s.Graphs) == 0 {
-			continue
-		}
-		mode := "uncached"
-		hit := 0.0
-		if s.HitRate != nil {
-			hit = *s.HitRate
-			if hit > 0.5 {
-				mode = "cached"
-			}
-		}
-		runs = append(runs, LegacyServeRun{
-			Mode: mode, Workload: s.Graphs[0].Name,
-			N: s.Graphs[0].N, M: s.Graphs[0].M,
-			Concurrency: s.Concurrency, Requests: s.Ops, Seeds: s.Seeds,
-			ElapsedSec: s.ElapsedSec, ReqPerSec: s.OpsPerSec,
-			ColdMS: s.ColdMS, P50MS: s.Latency.P50, P99MS: s.Latency.P99,
-			HitRate: hit, AllocsPerReq: s.AllocsPerOp,
-		})
-	}
-	return runs
-}
-
-// WriteLegacyServe writes runs in the BENCH_serve.json document shape.
-func WriteLegacyServe(path string, runs []LegacyServeRun) error {
-	return WriteJSONFile(path, map[string]any{
-		"description": "Legacy-shaped serve rows exported by kwmds bench (see BENCH_kwbench.json for the full results).",
-		"environment": CurrentEnvironment(),
-		"runs":        runs,
-	})
 }

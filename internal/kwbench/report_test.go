@@ -1,7 +1,6 @@
 package kwbench
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,7 +15,8 @@ func sampleResult(name string) ScenarioResult {
 		Graphs: []GraphInfo{{Name: "g", N: 10, M: 9}},
 		Combos: 1, Seeds: 1, Concurrency: 2,
 		Ops: 10, ElapsedSec: 0.5, OpsPerSec: 20,
-		Latency: LatencySummary{P50: 1, P90: 2, P99: 3, P999: 4, Min: 0.5, Max: 5, Mean: 1.5},
+		Latency:     LatencySummary{P50: 1, P90: 2, P99: 3, P999: 4, Min: 0.5, Max: 5, Mean: 1.5},
+		Environment: CurrentEnvironment(),
 	}
 }
 
@@ -47,12 +47,57 @@ func TestMergeIntoReplacesByName(t *testing.T) {
 	}
 }
 
+// TestMergeIntoKeepsEachRowsEnvironment: merging a row recorded on another
+// host must not relabel the rows already in the file.
+func TestMergeIntoKeepsEachRowsEnvironment(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_kwbench.json")
+	older := sampleResult("older")
+	older.Environment = Environment{GOOS: "linux", GOARCH: "amd64", GoVersion: "go1.0", GOMAXPROCS: 1, NumCPU: 1}
+	if _, err := MergeInto(path, []ScenarioResult{older}); err != nil {
+		t.Fatal(err)
+	}
+	newer := sampleResult("newer")
+	newer.Environment.GOMAXPROCS, newer.Environment.NumCPU = 64, 64
+	rep, err := MergeInto(path, []ScenarioResult{newer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]Environment{}
+	for _, s := range rep.Scenarios {
+		got[s.Name] = s.Environment
+	}
+	if got["older"] != older.Environment {
+		t.Errorf("older row's environment = %+v, want %+v", got["older"], older.Environment)
+	}
+	if got["newer"] != newer.Environment {
+		t.Errorf("newer row's environment = %+v, want %+v", got["newer"], newer.Environment)
+	}
+	if err := ValidateReportFile(path); err != nil {
+		t.Fatalf("written report fails validation: %v", err)
+	}
+}
+
+// TestMergeIntoRefusesOtherSchema: a report of another schema version is
+// neither overwritten nor silently emptied.
+func TestMergeIntoRefusesOtherSchema(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_kwbench.json")
+	old := []byte(`{"kwbench_schema": 1, "description": "d", "environment": {"goos": "linux"}, "scenarios": []}`)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MergeInto(path, []ScenarioResult{sampleResult("a")}); err == nil || !strings.Contains(err.Error(), "schema 1") {
+		t.Fatalf("merge into a schema-1 report: err = %v, want a schema refusal", err)
+	}
+	if data, _ := os.ReadFile(path); string(data) != string(old) {
+		t.Error("the schema-1 report was rewritten")
+	}
+}
+
 func TestValidateReportCatchesCorruption(t *testing.T) {
 	base := func() *Report {
 		return &Report{
 			Schema:      SchemaVersion,
 			Description: "d",
-			Environment: CurrentEnvironment(),
 			Scenarios:   []ScenarioResult{sampleResult("a")},
 		}
 	}
@@ -63,7 +108,7 @@ func TestValidateReportCatchesCorruption(t *testing.T) {
 	}{
 		{"wrong schema", func(r *Report) { r.Schema = 99 }, "schema"},
 		{"no scenarios", func(r *Report) { r.Scenarios = nil }, "no scenarios"},
-		{"missing env", func(r *Report) { r.Environment = Environment{} }, "environment"},
+		{"missing env", func(r *Report) { r.Scenarios[0].Environment = Environment{} }, "environment"},
 		{"unnamed scenario", func(r *Report) { r.Scenarios[0].Name = "" }, "missing name"},
 		{"duplicate names", func(r *Report) {
 			r.Scenarios = append(r.Scenarios, sampleResult("a"))
@@ -108,48 +153,5 @@ func TestValidateReportFileRejectsGarbage(t *testing.T) {
 	}
 	if err := ValidateReportFile(path); err == nil {
 		t.Fatal("non-JSON document validated")
-	}
-}
-
-func TestLegacyServeRuns(t *testing.T) {
-	serve := sampleResult("serve")
-	serve.Driver = DriverHTTPServe
-	hit := 0.97
-	serve.HitRate = &hit
-	inproc := sampleResult("inproc")
-	open := sampleResult("open-serve")
-	open.Driver = DriverHTTPServe
-	open.Loop = "open"
-
-	runs := LegacyServeRuns([]ScenarioResult{serve, inproc, open})
-	if len(runs) != 1 {
-		t.Fatalf("legacy rows = %d, want 1 (only closed http-serve qualifies)", len(runs))
-	}
-	r := runs[0]
-	if r.Mode != "cached" || r.Workload != "g" || r.ReqPerSec != 20 || r.Concurrency != 2 {
-		t.Errorf("legacy row mismatch: %+v", r)
-	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	if err := WriteLegacyServe(path, runs); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Runs []map[string]any `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Runs) != 1 {
-		t.Fatalf("written legacy doc has %d runs", len(doc.Runs))
-	}
-	for _, field := range []string{"mode", "workload", "req_per_sec", "p50_ms", "p99_ms", "hit_rate", "allocs_per_req"} {
-		if _, ok := doc.Runs[0][field]; !ok {
-			t.Errorf("legacy row missing field %q", field)
-		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"kwmds/internal/gen"
 	"kwmds/internal/graph"
 	"kwmds/internal/graphio"
+	"kwmds/internal/hdr"
 )
 
 // RunOptions tune an execution without touching the spec.
@@ -25,13 +26,23 @@ type RunOptions struct {
 	Quick bool
 }
 
-// Run executes one validated scenario and returns its result. The request
-// schedule (graph choices, matrix combos, seeds) is precomputed from the
-// spec, so two runs of the same scenario issue identical operations.
+// Run executes one validated scenario and returns its result, stamped with
+// the running process's environment. The request schedule (graph choices,
+// matrix combos, seeds) is precomputed from the spec, so two runs of the
+// same scenario issue identical operations.
 func Run(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
+	res, err := runScenario(sc, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Environment = CurrentEnvironment()
+	return res, nil
+}
+
+func runScenario(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	if sc.Load != nil {
 		return runLoad(sc, opts)
 	}
@@ -114,7 +125,6 @@ func runArm(sc *Scenario, opts RunOptions, graphs []LoadedGraph, concurrency, sh
 		Seeds:       effectiveSeeds(sc),
 		WarmupOps:   sc.WarmupOps,
 		Reorder:     sc.Reorder,
-		Sched:       sc.Sched,
 	}
 	if sc.Tenants > 1 {
 		res.Tenants = sc.Tenants
@@ -530,7 +540,7 @@ func runOpen(sc *Scenario, opts RunOptions, driver Driver, graphs []LoadedGraph,
 
 // fillCommon computes the shared result block from a merged histogram and
 // the mem-stats window.
-func fillCommon(res *ScenarioResult, h *Histogram, ops int, elapsed time.Duration, before, after *runtime.MemStats) {
+func fillCommon(res *ScenarioResult, h *hdr.Histogram, ops int, elapsed time.Duration, before, after *runtime.MemStats) {
 	res.Ops = ops
 	res.ElapsedSec = elapsed.Seconds()
 	if res.ElapsedSec > 0 {
@@ -599,8 +609,8 @@ func runLoad(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 		ops, textOps = quickOps(ops), 1
 	}
 
-	timeLoads := func(path string, n int, read func(*os.File) (*graph.Graph, error)) (*Histogram, error) {
-		h := &Histogram{}
+	timeLoads := func(path string, n int, read func(*os.File) (*graph.Graph, error)) (*hdr.Histogram, error) {
+		h := &hdr.Histogram{}
 		// Start each arm with a clean heap: a load allocates on the order
 		// of the file size, and GC debt from the previous arm must not be
 		// charged to this one.
@@ -664,7 +674,7 @@ func runLoad(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	// startup). Both checks run here OUTSIDE the timing, like every other
 	// arm's digest check: they touch all pages and prove each op really
 	// mapped the right graph rather than deferring the whole cost forever.
-	mappedHist := &Histogram{}
+	mappedHist := &hdr.Histogram{}
 	runtime.GC()
 	for i := 0; i < ops; i++ {
 		t0 := time.Now()

@@ -40,7 +40,7 @@ func TestRunShardSweepInproc(t *testing.T) {
 		t.Errorf("cross-check %d/%d (sharded arm diverged from the 1-shard path)", res.Mismatches, res.CrossChecked)
 	}
 	// The result must survive report validation with its sweep block.
-	rep := &Report{Schema: SchemaVersion, Description: "x", Environment: CurrentEnvironment(), Scenarios: []ScenarioResult{*res}}
+	rep := &Report{Schema: SchemaVersion, Description: "x", Scenarios: []ScenarioResult{*res}}
 	if err := ValidateReport(rep); err != nil {
 		t.Errorf("sharded result fails report validation: %v", err)
 	}

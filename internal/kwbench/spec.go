@@ -4,9 +4,9 @@
 // configuration matrix, a driver and a load shape; the runner executes the
 // scenario through warmup and measure phases and exports latency
 // percentiles, throughput and allocation counts into the unified
-// BENCH_kwbench.json. It replaces the bespoke servebench/solvebench mains
-// with one harness whose knobs compose: every driver accepts every loop
-// mode, graph selection and matrix.
+// BENCH_kwbench.json. It is the repository's one scenario harness, and its
+// knobs compose: every driver accepts every loop mode, graph selection and
+// matrix.
 //
 // See docs/BENCHMARKS.md for the methodology and the scenario file format.
 package kwbench
@@ -172,11 +172,6 @@ type Scenario struct {
 	// Requires the inproc-fast driver and kw|kw2|frac algos; incompatible
 	// with shards and mobility.
 	Reorder bool `json:"reorder,omitempty"`
-	// Sched selects the fastpath phase scheduler: "" or "steal" is the
-	// guided self-scheduling chunk queue (the engine default), "fixed"
-	// forces the one-chunk-per-worker equal split — the control arm for
-	// measuring what stealing buys on skewed graphs. inproc-fast only.
-	Sched string `json:"sched,omitempty"`
 }
 
 // LoadSpec parameterizes a format-comparison scenario. Exactly one of Tier
@@ -356,7 +351,7 @@ type HTTPSpec struct {
 // Tiers are the named canonical graph tiers scenario specs may reference:
 // one identity per (family, size) so scenarios across trajectories measure
 // the same instance. Where a legacy benchmark workload of the same name
-// exists (internal/bench workloads, servebench instances), the parameters
+// exists (internal/bench workloads), the parameters
 // reproduce it exactly — the gnp-40k/gnp-200k radii are the shortest
 // decimal representations of the legacy 8/(n−1) probabilities, which
 // strconv.ParseFloat round-trips to the identical float64.
@@ -493,8 +488,8 @@ func (sc *Scenario) Validate() error {
 		if len(sc.Graphs) > 0 {
 			return bad("load scenarios name their graph in the load block; drop the graphs list")
 		}
-		if sc.BatchSize > 1 || sc.CrossCheck || sc.HTTP != nil || len(sc.Shards) > 0 || sc.Reorder || sc.Sched != "" {
-			return bad("load scenarios take no batch_size, cross_check, shards, http, reorder or sched")
+		if sc.BatchSize > 1 || sc.CrossCheck || sc.HTTP != nil || len(sc.Shards) > 0 || sc.Reorder {
+			return bad("load scenarios take no batch_size, cross_check, shards, http or reorder")
 		}
 		if sc.Mix != nil || sc.SLO != nil || sc.Tenants > 1 {
 			return bad("load scenarios take no mix, slo or tenants")
@@ -529,8 +524,8 @@ func (sc *Scenario) Validate() error {
 		if len(sc.Graphs) > 0 {
 			return bad("recovery scenarios generate their own churn history; drop the graphs list")
 		}
-		if sc.BatchSize > 1 || sc.CrossCheck || sc.HTTP != nil || len(sc.Shards) > 0 || sc.Reorder || sc.Sched != "" {
-			return bad("recovery scenarios take no batch_size, cross_check, shards, http, reorder or sched")
+		if sc.BatchSize > 1 || sc.CrossCheck || sc.HTTP != nil || len(sc.Shards) > 0 || sc.Reorder {
+			return bad("recovery scenarios take no batch_size, cross_check, shards, http or reorder")
 		}
 		if sc.Mix != nil || sc.SLO != nil || sc.Tenants > 1 {
 			return bad("recovery scenarios take no mix, slo or tenants")
@@ -769,8 +764,8 @@ func (sc *Scenario) Validate() error {
 		if len(sc.Shards) > 0 {
 			return bad("mix and shard sweeps are mutually exclusive")
 		}
-		if sc.Reorder || sc.Sched != "" {
-			return bad("mix takes no reorder or sched")
+		if sc.Reorder {
+			return bad("mix takes no reorder")
 		}
 		if sc.Mix.Mutate > 0 {
 			if sc.Driver != DriverHTTPServe {
@@ -847,20 +842,13 @@ func (sc *Scenario) Validate() error {
 		}
 	}
 
-	switch sc.Sched {
-	case "", "steal", "fixed":
-	default:
-		return bad("unknown sched %q (want steal|fixed)", sc.Sched)
-	}
-	if sc.Reorder || sc.Sched != "" {
+	if sc.Reorder {
 		if sc.Driver != DriverInprocFast {
-			return bad("reorder/sched tune the fastpath engine; they require the %s driver", DriverInprocFast)
+			return bad("reorder tunes the fastpath engine; it requires the %s driver", DriverInprocFast)
 		}
 		if sc.Mobility != nil {
-			return bad("reorder/sched do not apply to mobility replays")
+			return bad("reorder does not apply to mobility replays")
 		}
-	}
-	if sc.Reorder {
 		if len(sc.Shards) > 0 {
 			return bad("reorder and shards are mutually exclusive (the sharded engine is partition-keyed, not relabeling-aware)")
 		}

@@ -38,6 +38,48 @@ func postSolveSeed(t *testing.T, url string, seed int64) *http.Response {
 	return resp
 }
 
+// postInline posts a solve of an inline graph. Its client times out, so an
+// upload that skips admission and blocks on a held worker slot is reported
+// (as a nil response) instead of hanging the test.
+func postInline(t *testing.T, url string) *http.Response {
+	t.Helper()
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Post(url+"/v1/solve", "application/json",
+		strings.NewReader(`{"graph":{"n":4,"edges":[[0,1],[1,2],[2,3]]},"seed":1}`))
+	if err != nil {
+		t.Errorf("inline solve: %v", err)
+		return nil
+	}
+	return resp
+}
+
+// assertShed checks (and closes) a 429 response: Retry-After, the stable
+// "overloaded" code, and the named cause. A nil response was already
+// reported by the poster.
+func assertShed(t *testing.T, ctx string, resp *http.Response, cause string) {
+	t.Helper()
+	if resp == nil {
+		return
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("%s: status = %d, want 429", ctx, resp.StatusCode)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("%s: Retry-After = %q, want \"1\"", ctx, ra)
+	}
+	var er graphio.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatal(err)
+	}
+	if er.Code != graphio.CodeOverloaded {
+		t.Errorf("%s: error code = %q, want %q", ctx, er.Code, graphio.CodeOverloaded)
+	}
+	if !strings.Contains(er.Error, cause) {
+		t.Errorf("%s: error message %q does not name %q", ctx, er.Error, cause)
+	}
+}
+
 // TestAdmissionQueueFull pins the shed contract end to end: with the worker
 // slot held and the admission queue full, a solve must get 429 with
 // Retry-After and the stable "overloaded" error code — and the shed must
@@ -60,27 +102,12 @@ func TestAdmissionQueueFull(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	resp := postSolveSeed(t, ts.URL, 1)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "1" {
-		t.Errorf("Retry-After = %q, want \"1\"", ra)
-	}
-	var er graphio.ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-		t.Fatal(err)
-	}
-	if er.Code != graphio.CodeOverloaded {
-		t.Errorf("error code = %q, want %q", er.Code, graphio.CodeOverloaded)
-	}
-	if !strings.Contains(er.Error, "admission queue full") {
-		t.Errorf("error message %q names no cause", er.Error)
-	}
+	assertShed(t, "graph_ref solve", postSolveSeed(t, ts.URL, 1), "admission queue full")
+	// An inline upload waits for the same slots, so it is shed too.
+	assertShed(t, "inline solve", postInline(t, ts.URL), "admission queue full")
 
-	if sheds, _ := srv.QueueStats(); sheds != 1 {
-		t.Errorf("sheds = %d, want 1", sheds)
+	if sheds, _ := srv.QueueStats(); sheds != 2 {
+		t.Errorf("sheds = %d, want 2", sheds)
 	}
 
 	// The counters are observable on both operational endpoints.
@@ -93,7 +120,7 @@ func TestAdmissionQueueFull(t *testing.T) {
 	if err := json.NewDecoder(hr.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
-	if health["sheds"] != 1.0 || health["max_queue"] != 1.0 || health["queue_depth"] != 1.0 {
+	if health["sheds"] != 2.0 || health["max_queue"] != 1.0 || health["queue_depth"] != 1.0 {
 		t.Errorf("healthz counters: sheds=%v max_queue=%v queue_depth=%v",
 			health["sheds"], health["max_queue"], health["queue_depth"])
 	}
@@ -103,7 +130,7 @@ func TestAdmissionQueueFull(t *testing.T) {
 	}
 	defer mr.Body.Close()
 	metrics, _ := io.ReadAll(mr.Body)
-	for _, want := range []string{"kwmds_sheds_total 1\n", "kwmds_queue_depth 1\n", "kwmds_queue_limit 1\n"} {
+	for _, want := range []string{"kwmds_sheds_total 2\n", "kwmds_queue_depth 1\n", "kwmds_queue_limit 1\n"} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
@@ -130,25 +157,21 @@ func TestAdmissionQueueTimeout(t *testing.T) {
 	srv, ts := admissionServer(t, Config{Workers: 1, QueueTimeout: 25 * time.Millisecond, DisableBatching: true})
 
 	srv.sem <- struct{}{} // hold the slot past the timeout
-	resp := postSolveSeed(t, ts.URL, 1)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429", resp.StatusCode)
-	}
-	var er graphio.ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-		t.Fatal(err)
-	}
-	if er.Code != graphio.CodeOverloaded || !strings.Contains(er.Error, "queue timeout") {
-		t.Errorf("shed response: code=%q error=%q", er.Code, er.Error)
-	}
+	assertShed(t, "graph_ref solve", postSolveSeed(t, ts.URL, 1), "queue timeout")
+	assertShed(t, "inline solve", postInline(t, ts.URL), "queue timeout")
 	<-srv.sem
 
-	// With the slot free the same request sails through.
+	// With the slot free the same requests sail through.
 	ok := postSolveSeed(t, ts.URL, 1)
 	defer ok.Body.Close()
 	if ok.StatusCode != http.StatusOK {
 		t.Fatalf("post-release solve = %d", ok.StatusCode)
+	}
+	if okInline := postInline(t, ts.URL); okInline != nil {
+		defer okInline.Body.Close()
+		if okInline.StatusCode != http.StatusOK {
+			t.Fatalf("post-release inline solve = %d", okInline.StatusCode)
+		}
 	}
 }
 

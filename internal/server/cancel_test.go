@@ -161,3 +161,27 @@ func TestSolveCanceledContext(t *testing.T) {
 		t.Errorf("follow-up solve implausible: %+v", resp)
 	}
 }
+
+// TestInlineBuildHonorsCancel: an inline upload queued behind a held worker
+// slot gives up when its client leaves, returning the context error (499)
+// instead of waiting to build a graph nobody will read.
+func TestInlineBuildHonorsCancel(t *testing.T) {
+	s := New(Config{Workers: 1})
+	s.sem <- struct{}{} // occupy the only worker slot
+	defer func() { <-s.sem }()
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := s.solve(ctx, &graphio.SolveRequest{Graph: []byte(`{"n":2,"edges":[[0,1]]}`)})
+		errc <- err
+	}()
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("canceled inline upload still waiting for a worker slot")
+	}
+}

@@ -30,16 +30,18 @@ type Config struct {
 	// excess requests queue. Default GOMAXPROCS.
 	Workers int
 	// MaxQueue bounds the admission queue in front of the worker pool: at
-	// most Workers running plus MaxQueue waiting solve computations are
-	// admitted, and anything beyond that is shed immediately with
-	// 429 + Retry-After (ErrorResponse code "overloaded"). 0 leaves
-	// admission unbounded — the pre-admission-control behavior, where an
-	// overloaded server queues without limit.
+	// most Workers running plus MaxQueue waiting computations — solves and
+	// inline-graph builds — are admitted, and anything beyond that is shed
+	// immediately with 429 + Retry-After (ErrorResponse code
+	// "overloaded"). 0 leaves admission unbounded — the
+	// pre-admission-control behavior, where an overloaded server queues
+	// without limit.
 	MaxQueue int
-	// QueueTimeout bounds how long an admitted solve may wait for a worker
-	// slot; one whose wait outlives it is shed with 429. It gates the solo
-	// and sharded solve paths (batch riders are bounded by MaxQueue depth
-	// only — a batch claims its slot as a unit). 0 disables the timeout.
+	// QueueTimeout bounds how long an admitted computation may wait for a
+	// worker slot; one whose wait outlives it is shed with 429. It gates
+	// inline-graph builds and the solo and sharded solve paths (batch
+	// riders are bounded by MaxQueue depth only — a batch claims its slot
+	// as a unit). 0 disables the timeout.
 	QueueTimeout time.Duration
 	// CacheEntries is the LRU capacity in results. 0 selects the default
 	// of 256; a negative value disables caching (single-flight coalescing
@@ -440,12 +442,19 @@ func (s *Server) solve(ctx context.Context, req *graphio.SolveRequest) (*graphio
 			req.Weights = costs
 		}
 	} else {
-		// Materialize and digest under the worker semaphore: decoding a
-		// body-sized edge list and building its CSR is real allocation
-		// and CPU, and must not run unbounded on N request goroutines
-		// (the envelope decode upstream keeps the graph as raw bytes).
+		// Materialize and digest in a worker slot taken through admission:
+		// decoding a body-sized edge list and building its CSR is real
+		// allocation and CPU, and must not run unbounded on N request
+		// goroutines (the envelope decode upstream keeps the graph as raw
+		// bytes). A waiter whose client leaves gives up its place and its
+		// body instead of building a graph nobody will read.
+		if err := s.admit(ctx.Done()); err != nil {
+			if errors.Is(err, errSolveAbandoned) {
+				return nil, ctx.Err()
+			}
+			return nil, err
+		}
 		var err error
-		s.sem <- struct{}{}
 		g, err = req.BuildGraph(s.cfg.MaxInlineVertices)
 		if err == nil {
 			digest = graphio.Digest(g)

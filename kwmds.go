@@ -84,12 +84,6 @@ type Options struct {
 	// indexed by original vertex ids and are bit-identical to a solve
 	// without it. Requires Sequential; not supported by sharded solves.
 	Reordered *ReorderedGraph
-	// FixedChunks pins the Sequential solver's phase scheduling to one
-	// equal word-range per worker (the pre-work-stealing behavior) instead
-	// of the default finer-grained guided chunks. Output is identical
-	// either way; the knob exists as the benchmark control arm for the
-	// scheduler and for measuring scheduling overhead in isolation.
-	FixedChunks bool
 }
 
 // ErrCanceled reports that a solve was abandoned because Options.Cancel
@@ -181,7 +175,7 @@ func lpBound(opts Options, k, delta int) float64 {
 // fastOptions maps facade options onto the fastpath solver's.
 func fastOptions(opts Options, k int) fastpath.Options {
 	fo := fastpath.Options{K: k, Seed: opts.Seed, Variant: opts.Variant, Workers: opts.SolverWorkers, Cancel: opts.Cancel,
-		Relab: opts.Reordered, FixedChunks: opts.FixedChunks}
+		Relab: opts.Reordered}
 	switch {
 	case opts.Weights != nil:
 		fo.Algorithm = fastpath.AlgWeighted
