@@ -187,21 +187,9 @@ func assertSameCSR(t *testing.T, ctx string, got, want *graph.Graph) {
 	}
 }
 
-// ctxTB prefixes RequireBitIdentical failures with the harness context
-// (workload/epoch/worker count) that a bare field path would lose.
-type ctxTB struct {
-	testing.TB
-	ctx string
-}
-
-func (c ctxTB) Fatalf(format string, args ...any) {
-	c.TB.Helper()
-	c.TB.Fatalf("%s: "+format, append([]any{c.ctx}, args...)...)
-}
-
 func assertSameResult(t *testing.T, ctx string, got, want fastpath.Result) {
 	t.Helper()
-	testsupport.RequireBitIdentical(ctxTB{t, ctx}, got, want)
+	testsupport.RequireBitIdenticalIn(t, ctx, got, want)
 }
 
 func churnWorkloads(t *testing.T) []struct {

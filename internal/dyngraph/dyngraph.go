@@ -294,12 +294,11 @@ func (d *Dynamic) ApplyEdgeDeltas(add, remove [][2]int32) {
 
 // Recycle hands a retired snapshot's storage back to the Dynamic for reuse
 // by a future Commit, making the epoch loop allocation-free in steady
-// state. The caller asserts that NOTHING references g anymore — not a
-// solver's cached CSR, not a cache entry, not a kept Neighbors slice; the
-// next Commit overwrites the arrays in place. The safe pattern is the
-// churn driver's: after Resolve(delta) completes, delta.Prev is referenced
-// by nobody (the solver has moved its bookmarks to delta.Next) and may be
-// recycled. Recycling the current snapshot is ignored rather than obeyed.
+// state. The caller asserts that NOTHING will read g anymore — not a cache
+// entry, not a kept Neighbors slice; the next Commit overwrites the arrays
+// in place. The safe pattern is the churn driver's: after Resolve(delta)
+// completes, delta.Prev is read by nobody and may be recycled. Recycling
+// the current snapshot is ignored rather than obeyed.
 func (d *Dynamic) Recycle(g *graph.Graph) {
 	if g == nil || g == d.g {
 		return

@@ -7,35 +7,20 @@ import (
 	"kwmds/internal/graph"
 )
 
-// sameLPConfig reports whether two option sets run an identical LP stage
-// over one graph: same algorithm, same k, and — for the weighted variant —
-// the same cost vector (slice identity; a conservative key, never wrong).
-// Seed and Variant only enter the rounding stage, and Workers never affects
-// output, so none of them break LP sharing.
-func sameLPConfig(a, b Options) bool {
-	if a.Algorithm != b.Algorithm || a.K != b.K {
-		return false
-	}
-	if a.Algorithm != AlgWeighted {
-		return true
-	}
-	return len(a.Costs) == len(b.Costs) &&
-		(len(a.Costs) == 0 || &a.Costs[0] == &b.Costs[0])
-}
-
 // SolveMany runs the full pipeline once per element of opts against a
 // single graph, amortizing what per-request Solve calls pay repeatedly:
 // solver preparation, worker-pool start/stop, pow/log-table setup and —
-// decisively — the LP stage itself. The LP stage is deterministic, so
-// consecutive elements sharing an LP configuration (algorithm, k, costs)
-// reuse the computed fractional solution and pay only their rounding
-// phases; elements are processed in order, so callers wanting maximal
-// sharing should group same-configuration elements together.
+// decisively — the LP stage itself. The LP stage is deterministic, so an
+// element whose LP configuration (algorithm, k, cost contents) matches the
+// solver's LP memo reuses the memoized fractional solution and pays only
+// its rounding phases. The memo holds one configuration and elements are
+// processed in order, so callers wanting maximal sharing should group
+// same-configuration elements together.
 //
 // each is invoked once per element, in order. The Result passed to it
-// aliases the solver's storage and is valid only during the callback:
-// copy anything kept. Every element's output is bit-identical to a
-// standalone Solve with the same options — the batch determinism tests
+// aliases the solver's storage, is read-only and is valid only during the
+// callback: copy anything kept. Every element's output is bit-identical to
+// a standalone Solve with the same options — the batch determinism tests
 // enforce this at every worker count.
 //
 // The phase pool is sized by opts[0].Workers; later elements' Workers
@@ -66,60 +51,15 @@ func (s *Solver) SolveMany(g *graph.Graph, opts []Options, each func(i int, res 
 			return fmt.Errorf("fastpath: batch element %d: Options.Relab differs from element 0", i)
 		}
 	}
-	if err := s.prepare(g, opts[0], true); err != nil {
+	if err := s.prepare(g, opts[0]); err != nil {
 		return err
 	}
 	defer s.stopWorkers()
-	s.lpStage(g, opts[0])
-	res := s.roundPhases(s.x[:s.n], opts[0])
-	res.X = s.emitX()
-	each(0, res)
-	for i := 1; i < len(opts); i++ {
-		if !sameLPConfig(opts[i-1], opts[i]) {
-			// New LP configuration: re-arm the LP state in place (the
-			// worker pool stays up, δ⁽¹⁾/δ⁽²⁾ stay cached) and re-run it.
-			if opts[i].Algorithm == AlgWeighted {
-				cmax, err := validateCosts(s.n, opts[i].Costs)
-				if err != nil { // unreachable: validated above
-					return fmt.Errorf("fastpath: batch element %d: %w", i, err)
-				}
-				s.curCosts, s.curCmax = opts[i].Costs, cmax
-				if s.relab != nil {
-					s.permCosts = growF64(s.permCosts, s.n)
-					for v, orig := range s.drawID[:s.n] {
-						s.permCosts[v] = opts[i].Costs[orig]
-					}
-					s.curCosts = s.permCosts
-				}
-			} else {
-				s.curCosts, s.curCmax = nil, 0
-			}
-			s.resetLPState()
-			s.lpStage(g, opts[i])
-		}
+	for i := range opts {
+		s.lp(g, opts[i])
 		res := s.roundPhases(s.x[:s.n], opts[i])
 		res.X = s.emitX()
 		each(i, res)
 	}
 	return nil
-}
-
-// resetLPState returns the solver to the start-of-LP state over the current
-// graph without restarting the worker pool: scratch bitsets cleared, support
-// full, x/δ̃/a-counts reinitialized — exactly the state prepare(resetLP=true)
-// leaves behind, minus its graph/worker re-binding. d2done survives by
-// design: δ⁽¹⁾/δ⁽²⁾ are static graph properties.
-func (s *Solver) resetLPState() {
-	s.gray.Reset(s.n)
-	s.support.Reset(s.n)
-	s.active.Reset(s.n)
-	s.dirty.Reset(s.n)
-	s.flipped.Reset(s.n)
-	s.support.SetAll()
-	s.whiteCount = s.n
-	for v := 0; v < s.n; v++ {
-		s.x[v] = 0
-		s.dtil[v] = int32(s.off[v+1]-s.off[v]) + 1
-		s.acnt[v] = 0
-	}
 }

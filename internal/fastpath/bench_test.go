@@ -22,8 +22,9 @@ func benchUDG(b *testing.B) *graph.Graph {
 
 // BenchmarkSolveFastpath is the perf-regression tripwire CI runs with
 // -benchtime 1x: one full pooled-solver pipeline run on a 20k-vertex
-// unit-disk graph. b.ReportAllocs keeps the zero-steady-state-allocation
-// property visible in the output.
+// unit-disk graph. Each iteration drops the LP memo first, so it pays the
+// LP stage as a first request on a topology would. b.ReportAllocs keeps
+// the zero-steady-state-allocation property visible in the output.
 func BenchmarkSolveFastpath(b *testing.B) {
 	g := benchUDG(b)
 	s := Acquire(g.N())
@@ -35,6 +36,28 @@ func BenchmarkSolveFastpath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		s.lpValid = false
+		if _, err := s.Solve(g, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSolveMemoHit is the serving pattern on the same workload: one
+// graph and LP configuration, a new seed per iteration, so the LP memo
+// hits and each solve pays only the rounding stage.
+func BenchmarkSolveMemoHit(b *testing.B) {
+	g := benchUDG(b)
+	s := Acquire(g.N())
+	defer Release(s)
+	opt := Options{K: 3, Seed: 1, Workers: 1}
+	if _, err := s.Solve(g, opt); err != nil { // warm the buffers and the memo
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.Seed = int64(i) + 2
 		if _, err := s.Solve(g, opt); err != nil {
 			b.Fatal(err)
 		}

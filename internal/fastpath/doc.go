@@ -48,6 +48,21 @@
 // slices alias solver storage and must be copied by callers that outlive
 // the solver's next use (the kwmds facade does exactly that).
 //
+// LP memo: the LP stage is a deterministic function of the graph, the
+// algorithm, k and (weighted) the costs; only rounding reads the seed. A
+// Solver remembers its last completed LP stage — its own x buffer is the
+// memo, one entry — and Solve, Fractional, each SolveMany element and
+// Resolve skip the stage when they ask for the same configuration again:
+// the same *graph.Graph and Options.Relab pointers, the same algorithm and
+// k, and for AlgWeighted costs bit-equal to the solver's own copy (never
+// slice identity: a caller may rewrite its cost slice in place). Pointer
+// keys are sound because the solver holds what it keys on, so no new graph
+// can take the address while it does. The memo is dropped by any other
+// graph or relabeling, by a run that was canceled (x is partial), and by
+// every SolveShard, which writes x through the halo exchange. Because x is
+// the memo, Result.X and Fractional's slice are read-only views: a caller
+// writing into them would corrupt the next hit.
+//
 // Delta-aware: Resolve consumes a dyngraph.Delta (an epoch-batched
 // mutation of the solver's previous graph) and repairs the cached static
 // δ⁽¹⁾/δ⁽²⁾ tables from the touched neighborhoods instead of recomputing

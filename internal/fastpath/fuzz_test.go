@@ -124,6 +124,51 @@ func FuzzDifferential(f *testing.F) {
 			testsupport.AssertDominatingSet(t, "fastpath fuzz", g, got.InDS)
 		}
 
+		// LP memo hits: meeting the same graph and LP configuration again —
+		// after a standalone Round, after a different-seed Solve — skips the
+		// LP stage and must return the same x. A weighted run whose cost
+		// slice was rewritten in place must recompute, then hit in turn.
+		if _, err := s.Round(g, ref3.X, Options{Seed: gseed}); err != nil {
+			t.Fatal(err)
+		}
+		hit3, err := s.Fractional(g, Options{K: k, Algorithm: Alg3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLP("alg3 after round", hit3, ref3, sim3.X)
+		if _, err := s.Solve(g, Options{K: k, Algorithm: Alg3, Seed: gseed + 1}); err != nil {
+			t.Fatal(err)
+		}
+		hit3, err = s.Fractional(g, Options{K: k, Algorithm: Alg3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLP("alg3 after a different-seed solve", hit3, ref3, sim3.X)
+		if _, err := s.Fractional(g, Options{K: k, Algorithm: AlgWeighted, Costs: costs}); err != nil {
+			t.Fatal(err)
+		}
+		for v := range costs {
+			costs[v] = 1 + float64((v*3+int(kRaw))%4)
+		}
+		refW2, err := core.ReferenceWeighted(g, k, costs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		simW2, err := core.FractionalWeighted(g, k, costs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fastW2, err := s.Fractional(g, Options{K: k, Algorithm: AlgWeighted, Costs: costs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLP("weighted after an in-place cost rewrite", fastW2, refW2, simW2.X)
+		hitW, err := s.Solve(g, Options{K: k, Algorithm: AlgWeighted, Costs: costs, Seed: gseed + 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLP("weighted hit after the rewrite", hitW.X, refW2, simW2.X)
+
 		// Sharded differential: the merged sharded solve must be bit-identical
 		// to the unsharded fastpath at a fuzz-derived shard count (the count is
 		// derived from existing arguments so the seed corpus stays valid).

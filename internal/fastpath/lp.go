@@ -14,19 +14,19 @@ func validateCosts(n int, costs []float64) (float64, error) {
 	return core.ValidateCosts(n, costs)
 }
 
-// Fractional runs only the LP stage and returns the x-vector. The slice
-// aliases the solver's storage (see Result).
+// Fractional runs only the LP stage and returns the x-vector. The slice is
+// a read-only view of the solver's storage (see Result).
 func (s *Solver) Fractional(g *graph.Graph, opt Options) ([]float64, error) {
 	if err := core.ValidateK(opt.K); err != nil {
 		return nil, err
 	}
-	if err := s.prepare(g, opt, true); err != nil {
+	if err := s.prepare(g, opt); err != nil {
 		return nil, err
 	}
 	defer s.stopWorkers()
 	s.cancel = opt.Cancel
 	defer func() { s.cancel = nil }()
-	s.lpStage(g, opt)
+	s.lp(g, opt)
 	if s.canceled() {
 		return nil, ErrCanceled
 	}
@@ -39,19 +39,92 @@ func (s *Solver) Solve(g *graph.Graph, opt Options) (Result, error) {
 	if err := core.ValidateK(opt.K); err != nil {
 		return Result{}, err
 	}
-	if err := s.prepare(g, opt, true); err != nil {
+	if err := s.prepare(g, opt); err != nil {
 		return Result{}, err
 	}
 	defer s.stopWorkers()
 	s.cancel = opt.Cancel
 	defer func() { s.cancel = nil }()
-	s.lpStage(g, opt)
+	s.lp(g, opt)
 	if s.canceled() {
 		return Result{}, ErrCanceled
 	}
 	res := s.roundPhases(s.x[:s.n], opt)
 	res.X = s.emitX()
 	return res, nil
+}
+
+// lp brings s.x to the LP stage's solution for opt over the prepared graph.
+// The stage is a deterministic function of the graph, the algorithm, k and
+// (weighted) the costs; only rounding reads the seed. So when the memo
+// holds a completed run of the same configuration — s.x itself is the
+// memo — the stage is skipped outright: the serving pattern, where
+// requests against one topology differ in their seed. Otherwise the LP
+// state is reset and the stage runs. The memo is marked valid only when
+// the run finished uncanceled, since a canceled run leaves x partial.
+func (s *Solver) lp(g *graph.Graph, opt Options) {
+	if s.lpValid && s.lpAlg == opt.Algorithm && s.lpK == opt.K &&
+		(opt.Algorithm != AlgWeighted || s.sameCosts(opt.Costs)) {
+		return
+	}
+	s.lpValid = false
+	s.bindCosts(opt)
+	s.resetLPState()
+	s.lpStage(g, opt)
+	if !s.canceled() {
+		s.lpAlg, s.lpK, s.lpValid = opt.Algorithm, opt.K, true
+	}
+}
+
+// bindCosts installs the LP stage's per-vertex costs. AlgWeighted reads the
+// solver's own copy, gathered into sweep order under a relabeling; the memo
+// compares later requests against it by content, so a caller rewriting its
+// cost slice in place cannot pass for the memoized configuration.
+func (s *Solver) bindCosts(opt Options) {
+	if opt.Algorithm != AlgWeighted {
+		s.curCosts, s.curCmax = nil, 0
+		return
+	}
+	s.costs = growF64(s.costs, s.n)
+	if s.drawID == nil {
+		copy(s.costs, opt.Costs)
+	} else {
+		for v, orig := range s.drawID[:s.n] {
+			s.costs[v] = opt.Costs[orig]
+		}
+	}
+	s.curCmax, _ = validateCosts(s.n, opt.Costs) // validated by the entry point
+	s.curCosts = s.costs
+}
+
+// sameCosts reports whether costs (original order) equal the memoized
+// weighted run's, bit for bit.
+func (s *Solver) sameCosts(costs []float64) bool {
+	for v, c := range s.costs[:s.n] {
+		if math.Float64bits(c) != math.Float64bits(costs[drawKey(s.drawID, v)]) {
+			return false
+		}
+	}
+	return true
+}
+
+// resetLPState returns the solver to the start-of-LP state over the current
+// graph without restarting the worker pool: scratch bitsets cleared,
+// support full, x/δ̃/a-counts reinitialized. d2done survives by design:
+// δ⁽¹⁾/δ⁽²⁾ are static graph properties.
+func (s *Solver) resetLPState() {
+	s.gray.Reset(s.n)
+	s.support.Reset(s.n)
+	s.active.Reset(s.n)
+	s.dirty.Reset(s.n)
+	s.flipped.Reset(s.n)
+	s.support.SetAll()
+	s.whiteCount = s.n
+	for v := 0; v < s.n; v++ {
+		s.x[v] = 0
+		s.dtil[v] = int32(s.off[v+1]-s.off[v]) + 1
+		s.acnt[v] = 0
+	}
 }
 
 // canceled polls Options.Cancel; a nil channel never fires. The LP drivers

@@ -43,11 +43,13 @@ func Acquire(n int) *Solver {
 // afterwards.
 //
 // A released solver drops its reference to the last request's cost vector
-// but deliberately keeps the last graph's CSR slices: they key the cached
-// δ⁽¹⁾/δ⁽²⁾ tables, which pay off exactly in the serving pattern (many
-// requests against one preloaded, long-lived topology). For one-off inline
-// graphs this pins the CSR until the next Acquire of that class or a GC
-// drain of the pool — bounded, and small next to the solver's own buffers.
+// but deliberately keeps the last graph (and its CSR slices): the graph
+// keys the cached δ⁽¹⁾/δ⁽²⁾ tables and the LP memo, which pay off exactly
+// in the serving pattern (many requests against one preloaded, long-lived
+// topology) — the next Acquire that gets this solver back skips the LP
+// stage for a repeated configuration. For one-off inline graphs this pins
+// the graph until the next Acquire of that class or a GC drain of the
+// pool — bounded, and small next to the solver's own buffers.
 func Release(s *Solver) {
 	s.curCosts = nil
 	pools[capClass(s.Cap())].Put(s)

@@ -28,8 +28,8 @@ const (
 // (distance ≤ 2 from d.Touched) instead of recomputed; otherwise Resolve
 // degrades to exactly a cold Solve on d.Next. The output is bit-identical
 // to a cold solve in every case — the differential churn harness and
-// FuzzMutationSequence enforce this — and the result slices alias the
-// solver's storage exactly as Solve's do.
+// FuzzMutationSequence enforce this — and the result slices are read-only
+// views of the solver's storage exactly as Solve's are.
 func (s *Solver) Resolve(d *dyngraph.Delta, opt Options) (Result, error) {
 	if d == nil || d.Next == nil {
 		return Result{}, fmt.Errorf("fastpath: Resolve: nil delta")
@@ -45,7 +45,7 @@ func (s *Solver) Resolve(d *dyngraph.Delta, opt Options) (Result, error) {
 	}
 	repair := s.canRepair(d)
 	s.lastRepaired = repair
-	if err := s.prepare(d.Next, opt, true); err != nil {
+	if err := s.prepare(d.Next, opt); err != nil {
 		return Result{}, err
 	}
 	defer s.stopWorkers()
@@ -53,7 +53,7 @@ func (s *Solver) Resolve(d *dyngraph.Delta, opt Options) (Result, error) {
 		s.repairD2(d.Touched)
 		s.d2done = true
 	}
-	s.lpStage(d.Next, opt)
+	s.lp(d.Next, opt)
 	res := s.roundPhases(s.x[:s.n], opt)
 	res.X = s.x[:s.n]
 	return res, nil
@@ -67,21 +67,16 @@ func (s *Solver) LastResolveRepaired() bool { return s.lastRepaired }
 
 // canRepair decides, before prepare clobbers the previous-graph bookmarks,
 // whether the incremental δ⁽¹⁾/δ⁽²⁾ repair is sound and worthwhile: the
-// solver's cached tables must belong to d.Prev (slice-identity check, the
-// same key prepare uses for same-graph caching), the vertex count must not
-// have changed (growth reallocates the table buffers), and the estimated
-// repair cost must beat the dense recompute.
+// solver's cached tables must belong to d.Prev in plain vertex order (the
+// graph key prepare uses for same-graph caching), the vertex count must
+// not have changed (growth reallocates the table buffers), and the
+// estimated repair cost must beat the dense recompute.
 func (s *Solver) canRepair(d *dyngraph.Delta) bool {
-	if !s.d2done || d.Grew || d.Prev == nil || d.Prev.N() != d.Next.N() || s.n != d.Next.N() {
+	if !s.d2done || s.g != d.Prev || s.relab != nil || d.Grew || d.Prev == nil ||
+		d.Prev.N() != d.Next.N() || s.n != d.Next.N() {
 		return false
 	}
-	prevOff, prevAdj := d.Prev.CSR()
-	if len(s.off) != len(prevOff) || len(s.adj) != len(prevAdj) {
-		return false
-	}
-	if len(prevOff) > 0 && &s.off[0] != &prevOff[0] {
-		return false
-	}
+	_, prevAdj := d.Prev.CSR()
 	off, _ := d.Next.CSR()
 	n, m2 := d.Next.N(), len(prevAdj)
 	if n == 0 {

@@ -21,7 +21,7 @@ func (s *Solver) Round(g *graph.Graph, x []float64, opt Options) (Result, error)
 			return Result{}, fmt.Errorf("fastpath: x[%d] = %v invalid", i, xi)
 		}
 	}
-	if err := s.prepare(g, opt, false); err != nil {
+	if err := s.prepare(g, opt); err != nil {
 		return Result{}, err
 	}
 	defer s.stopWorkers()

@@ -356,20 +356,20 @@ func (s *Solver) prepareShard(sc *graph.ShardedCSR, sh *graph.ShardCSR, opt Opti
 	if workers < 1 {
 		workers = 1
 	}
-	// δ⁽¹⁾/δ⁽²⁾ caching across solves, keyed by offset-array identity like
-	// prepare: a partition's Off arrays are stable for its lifetime (and the
-	// 1-shard partition aliases the graph's own offsets, so the cache is
-	// shared with unsharded solves of the same graph).
+	// δ⁽¹⁾/δ⁽²⁾ survive across solves of the same shard view, keyed like
+	// prepare's tables on a pointer the solver holds (a partition is built
+	// once per topology and reused). The whole-graph key is cleared and the
+	// LP memo dropped on every call: this run writes x, and so does every
+	// exchange that installs a peer's values into the halo.
 	off := sh.Off
-	sameGraph := s.n == n && len(s.off) == len(off) &&
-		(len(off) == 0 || &s.off[0] == &off[0])
-	if !sameGraph {
+	if s.sh != sh {
 		s.d2done = false
 	}
+	s.g, s.sh, s.relab, s.drawID = nil, sh, nil, nil
+	s.lpValid = false
 	s.ensure(n, workers)
 	s.off, s.adj = sh.Off, sh.Adj
 	s.maxDeg = sc.MaxDeg
-	s.relab, s.drawID = nil, nil
 	// Re-chunk over the shard's word range instead of [0, nw).
 	s.chunkify(sh.W0, sh.W1)
 	s.whiteCount = n // global: kept in sync via the exchanged counters

@@ -68,6 +68,8 @@ var ErrCanceled = errors.New("fastpath: solve canceled")
 // Result is the outcome of Solve or Round. All slices alias the solver's
 // internal storage: they are valid until the solver's next run (or its
 // Release back to the pool) and must be copied by callers that keep them.
+// They are read-only views: X may be the solver's LP memo itself, which a
+// later run of the same graph and LP configuration reuses as its answer.
 type Result struct {
 	// X is the LP stage's fractional solution (nil for standalone Round).
 	X []float64
@@ -121,18 +123,34 @@ type Solver struct {
 	flipped *bitset.Set // rounding line-3 coin-flip winners
 
 	whiteCount   int
-	d2done       bool
 	lastRepaired bool // observability: last Resolve's path (see resolve.go)
+
+	// Per-graph state kept across runs: the static δ⁽¹⁾/δ⁽²⁾ tables
+	// (d2done) and the LP memo. Both belong to the graph and relabeling of
+	// the last prepare (g, relab), or to the shard view of the last
+	// prepareShard (sh); whichever key is unused is nil. The solver holds
+	// these pointers, so no new graph or shard view can take their address
+	// while they key anything — unlike CSR array addresses, which
+	// dyngraph.Recycle hands to a later epoch.
+	g      *graph.Graph
+	sh     *graph.ShardCSR
+	d2done bool
+	// The LP memo: when lpValid, s.x holds the completed, uncanceled LP
+	// stage of (lpAlg, lpK) over the keyed graph; for AlgWeighted, costs
+	// holds the costs it ran with (the solver's own copy, in sweep order).
+	lpValid bool
+	lpAlg   Algorithm
+	lpK     int
+	costs   []float64
 
 	// Relabeled-run state (nil/empty when Options.Relab is unset): the
 	// permutation for keying draws by original id, and the scatter buffers
 	// Results are emitted through so callers always see original indexing.
-	relab     *graph.Relabeled
-	drawID    []int32 // permuted id → original id (Relab.Perm)
-	outX      []float64
-	outDS     []bool
-	permCosts []float64 // AlgWeighted costs gathered into permuted order
-	roundX    []float64 // standalone Round's gathered x input
+	relab  *graph.Relabeled
+	drawID []int32 // permuted id → original id (Relab.Perm)
+	outX   []float64
+	outDS  []bool
+	roundX []float64 // standalone Round's gathered x input
 
 	// Phase chunking: the word range is cut into one equal chunk per
 	// worker (c0[c] ≤ word < c1[c], ascending and contiguous), and worker
@@ -190,26 +208,23 @@ func New() *Solver { return &Solver{} }
 // Cap returns the solver's current vertex capacity (for pool classing).
 func (s *Solver) Cap() int { return cap(s.x) }
 
-// prepare validates the options, sizes the buffers for g, resets the
-// per-solve state and starts the worker pool. Callers must stopWorkers
-// when the run ends. resetLP reinitializes the LP-stage state (x, δ̃,
-// a-counts, the white count); standalone Round passes false, both because
-// rounding never reads that state and because the caller's x input may
-// legitimately alias s.x — the vector a prior Fractional on this solver
-// returned — which a reset would zero out from under it.
-func (s *Solver) prepare(g *graph.Graph, opt Options, resetLP bool) error {
+// prepare validates the options, binds the solver to g, sizes the buffers
+// and starts the worker pool. Callers must stopWorkers when the run ends.
+// It leaves the LP state alone: the LP entry points bring it up to date
+// through lp, and standalone Round never reads it — its x input may even
+// alias s.x, the vector a prior Fractional on this solver returned.
+func (s *Solver) prepare(g *graph.Graph, opt Options) error {
 	if g == nil {
 		return fmt.Errorf("fastpath: nil graph")
 	}
 	n := g.N()
 	if opt.Algorithm == AlgWeighted {
-		cmax, err := validateCosts(n, opt.Costs)
-		if err != nil {
+		if _, err := validateCosts(n, opt.Costs); err != nil {
 			return err
 		}
-		s.curCosts, s.curCmax = opt.Costs, cmax
-	} else {
-		s.curCosts, s.curCmax = nil, 0
+	}
+	if opt.Relab != nil && opt.Relab.Orig() != g {
+		return fmt.Errorf("fastpath: Options.Relab was built from a different graph")
 	}
 	workers := opt.Workers
 	if workers <= 0 {
@@ -223,48 +238,24 @@ func (s *Solver) prepare(g *graph.Graph, opt Options, resetLP bool) error {
 		workers = 1
 	}
 	off, adj := g.CSR()
+	s.drawID = nil
 	if opt.Relab != nil {
-		if opt.Relab.Orig() != g {
-			return fmt.Errorf("fastpath: Options.Relab was built from a different graph")
-		}
 		// Sweep the permuted CSR; draws and outputs are keyed back to
-		// original ids through drawID / the emit scatter. The permuted
-		// arrays are stable per Relabeled, so the sameGraph identity check
-		// and the d2 memo below keep working (keyed on the permuted off).
+		// original ids through drawID / the emit scatter.
 		off, adj = opt.Relab.CSR()
-		s.relab, s.drawID = opt.Relab, opt.Relab.Perm()
-		if opt.Algorithm == AlgWeighted {
-			s.permCosts = growF64(s.permCosts, n)
-			for v, orig := range s.drawID[:n] {
-				s.permCosts[v] = opt.Costs[orig]
-			}
-			s.curCosts = s.permCosts
-		}
-	} else {
-		s.relab, s.drawID = nil, nil
+		s.drawID = opt.Relab.Perm()
 	}
-	// δ⁽¹⁾/δ⁽²⁾ are static graph properties; keep them across solves when
-	// the pooled solver sees the same graph again (a server answering many
-	// requests on one preloaded topology). Slice identity is a sound key:
-	// s.off keeps the previous graph's array alive, so no new graph can
-	// occupy that address while the solver holds it.
-	sameGraph := s.n == n && len(s.off) == len(off) && len(s.adj) == len(adj) &&
-		(len(off) == 0 || &s.off[0] == &off[0])
-	if !sameGraph {
-		s.d2done = false
+	// δ⁽¹⁾/δ⁽²⁾ and the LP memo survive while the solver meets the same
+	// graph and relabeling again (a server answering many requests on one
+	// preloaded topology); anything else drops them.
+	if s.g != g || s.relab != opt.Relab {
+		s.d2done, s.lpValid = false, false
 	}
+	s.g, s.sh, s.relab = g, nil, opt.Relab
 	s.ensure(n, workers)
 	s.off, s.adj = off, adj
 	s.maxDeg = g.MaxDegree()
 	s.chunkify(0, s.nw)
-	if resetLP {
-		s.whiteCount = n
-		for v := 0; v < n; v++ {
-			s.x[v] = 0
-			s.dtil[v] = int32(s.off[v+1]-s.off[v]) + 1
-			s.acnt[v] = 0
-		}
-	}
 	s.startWorkers()
 	return nil
 }

@@ -267,23 +267,39 @@ func TestEdgeCases(t *testing.T) {
 // TestSolveZeroAlloc pins the allocation-free steady state: after one
 // warm-up solve, repeat solves on the same solver allocate nothing
 // (workers = 1, the serving configuration on a loaded box where each
-// request gets one core's worth of solver).
+// request gets one core's worth of solver). The miss case alternates k so
+// every solve runs the LP stage; the memo-hit cases repeat one LP
+// configuration with a new seed per solve, so only rounding runs.
 func TestSolveZeroAlloc(t *testing.T) {
 	g, err := gen.UnitDisk(2000, 0.04, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New()
-	opt := Options{K: 3, Seed: 7, Workers: 1}
-	if _, err := s.Solve(g, opt); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := s.Solve(g, opt); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Solve allocates %.1f objects per run, want 0", allocs)
+	costs := costsFor(g)
+	for _, tc := range []struct {
+		name string
+		opts []Options
+	}{
+		{"miss", []Options{{K: 3}, {K: 2}}},
+		{"hit alg3", []Options{{K: 3}}},
+		{"hit weighted", []Options{{K: 3, Algorithm: AlgWeighted, Costs: costs}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			seed := int64(7)
+			solveAll := func() {
+				for _, opt := range tc.opts {
+					opt.Seed, opt.Workers = seed, 1
+					seed++
+					if _, err := s.Solve(g, opt); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			solveAll()
+			if allocs := testing.AllocsPerRun(3, solveAll); allocs != 0 {
+				t.Errorf("steady-state Solve allocates %.1f objects per run, want 0", allocs)
+			}
+		})
 	}
 }

@@ -17,19 +17,22 @@ import (
 // hot digest from turning the bounded pool into a convoy.
 const maxSolveBatch = 64
 
-// batchWindow is how long a drainer waits before each claim so that
-// concurrent cold solves of the same digest can join the batch.
+// batchWindow is how long a drainer asks to wait before each claim so
+// that concurrent cold solves of the same digest can join the batch. The
+// timer overshoots it: time.Sleep(batchWindow) took p50 1.09 ms and p90
+// 1.13 ms over 2000 calls on a 2-vCPU Intel Xeon host (linux/amd64,
+// Go 1.24), and that measured cost is what every drain round pays.
 const batchWindow = 200 * time.Microsecond
 
 // solveBatcher groups in-flight cold solves by topology digest and runs
 // each group through kwmds.DominatingSetMany on one pooled solver. The
 // single-flight cache already coalesces *identical* requests; the batcher
 // sits behind it and coalesces *distinct* requests (different seed, k,
-// variant, …) that share a graph — the serving pattern where batching pays:
-// solver acquisition, table setup and, for elements sharing an LP
-// configuration, the entire deterministic LP stage are amortized across the
-// group. Outputs are bit-identical to solo solves, so batching is invisible
-// to clients except in latency.
+// variant, …) that share a graph, amortizing solver acquisition and table
+// setup across the group. The deterministic LP stage is shared through the
+// pooled solver's LP memo, which solo solves hit too. Outputs are
+// bit-identical to solo solves, so batching is invisible to clients except
+// in latency.
 type solveBatcher struct {
 	mu sync.Mutex
 	// groups maps digest → queued items. Key presence means a drainer
@@ -113,9 +116,9 @@ func (s *Server) drainGroup(key string) {
 		// preemption quantum it would otherwise always outrun the handler
 		// goroutines racing to enqueue and drain singleton batches forever.
 		// Sleeping (rather than Gosched) also lets the netpoller deliver
-		// requests still sitting in socket buffers. The window is ~10% of
-		// the cheapest cold solve, the worst-case latency tax on an idle
-		// server; under concurrent load it multiplies throughput.
+		// requests still sitting in socket buffers. The sleep costs about
+		// 1.1 ms, not the nominal 200 µs (see batchWindow): the latency tax
+		// an idle server pays per drain round.
 		time.Sleep(batchWindow)
 		b.mu.Lock()
 		pending := b.groups[key]
@@ -145,8 +148,9 @@ func (s *Server) drainGroup(key string) {
 }
 
 // lpKey orders items so those sharing an LP configuration sit adjacent:
-// SolveMany reuses the LP stage across *consecutive* equal configurations,
-// and results are assigned per item, so the order is free to choose.
+// the solver's LP memo holds one configuration, so SolveMany reuses the LP
+// stage across *consecutive* equal configurations, and results are
+// assigned per item, so the order is free to choose.
 func lpKey(opts kwmds.Options) string {
 	return fmt.Sprintf("%d|%t|%s", opts.K, opts.KnownDelta, weightsKey(opts.Weights))
 }

@@ -9,6 +9,7 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -223,11 +224,55 @@ func TestMetricsEndpoint(t *testing.T) {
 		"kwmds_pool_workers", "kwmds_pool_in_use", "kwmds_graphs",
 		"kwmds_solve_batches_total", "kwmds_batched_solves_total",
 		"kwmds_solve_latency_ms", "kwmds_solve_latency_ms_sum", "kwmds_solve_latency_ms_count",
-		"kwmds_wal_appends_total", "kwmds_wal_appended_bytes_total", "kwmds_wal_fsyncs_total",
+		"kwmds_wal_appends_total", "kwmds_wal_appended_bytes_total", "kwmds_wal_fsyncs_total", "kwmds_wal_snapshot_failures_total",
 		"kwmds_wal_fsync_latency_ms", "kwmds_wal_last_epoch", "kwmds_recovery_ms", "kwmds_recovery_replayed_epochs",
 	} {
 		if !seen[want] {
 			t.Fatalf("family %s missing from /metrics (saw %v)", want, seen)
+		}
+	}
+}
+
+// TestSnapshotFailureIsExported: a snapshot that cannot be written leaves
+// the mutate answering 200 durable (the log chain is intact), and the
+// failure shows in /metrics. A directory squatting on epoch 2's temporary
+// snapshot path makes the file creation fail even for root.
+func TestSnapshotFailureIsExported(t *testing.T) {
+	dir := t.TempDir()
+	rec, err := wal.Open(dir, lineGraph(30), nil, wal.Options{SnapshotEveryEpochs: 2, SnapshotEveryBytes: -1})
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, fmt.Sprintf("snap-%016x.kwcsr.tmp", 2)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Workers: 2, Preloads: map[string]Preload{
+		"g": {Dyn: rec.Dyn, Log: rec.Log, Mapped: rec.Mapped},
+	}})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+
+	for i, body := range []string{
+		`{"mutations":[{"op":"add_edge","u":0,"v":7}]}`,
+		`{"mutations":[{"op":"add_edge","u":1,"v":9}]}`,
+	} {
+		resp, mr := postMutate(t, ts, "g", body)
+		if resp.StatusCode != 200 || !mr.Durable || mr.Epoch != int64(i+1) {
+			t.Fatalf("mutate %d: status %d durable %v epoch %d", i+1, resp.StatusCode, mr.Durable, mr.Epoch)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	scrape, _ := io.ReadAll(resp.Body)
+	for _, want := range []string{
+		`kwmds_wal_snapshot_failures_total{graph="g"} 1`,
+		`kwmds_wal_snapshots_total{graph="g"} 0`,
+	} {
+		if !strings.Contains(string(scrape), want+"\n") {
+			t.Errorf("/metrics lacks %q:\n%s", want, scrape)
 		}
 	}
 }

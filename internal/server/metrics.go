@@ -129,6 +129,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			writeFamily(&b, "kwmds_wal_appended_bytes_total", "counter", "WAL bytes appended.")
 			writeFamily(&b, "kwmds_wal_fsyncs_total", "counter", "WAL fsyncs issued (group commit batches several appends per fsync).")
 			writeFamily(&b, "kwmds_wal_snapshots_total", "counter", "Snapshots written with log truncation.")
+			writeFamily(&b, "kwmds_wal_snapshot_failures_total", "counter", "Snapshot attempts that failed; the log chain stays intact, so recovery replays more.")
 			writeFamily(&b, "kwmds_wal_last_epoch", "gauge", "Last epoch durably logged.")
 			writeFamily(&b, "kwmds_wal_fsync_latency_ms", "summary", "WAL fsync latency (ms).")
 			writeFamily(&b, "kwmds_recovery_ms", "gauge", "Wall-clock cost of this graph's recovery at startup (ms).")
@@ -140,6 +141,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "kwmds_wal_appended_bytes_total{%s} %d\n", lbl, m.AppendedBytes)
 		fmt.Fprintf(&b, "kwmds_wal_fsyncs_total{%s} %d\n", lbl, m.Fsyncs)
 		fmt.Fprintf(&b, "kwmds_wal_snapshots_total{%s} %d\n", lbl, m.Snapshots)
+		fmt.Fprintf(&b, "kwmds_wal_snapshot_failures_total{%s} %d\n", lbl, m.SnapshotFails)
 		fmt.Fprintf(&b, "kwmds_wal_last_epoch{%s} %d\n", lbl, m.LastEpoch)
 		var fsyncSumMS float64
 		if m.FsyncCount > 0 {

@@ -665,9 +665,11 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		}
 		if p.log.ShouldSnapshot() {
 			// Snapshot under the write lock: (graph, costs, epoch) must be
-			// the triple just committed. A failure is deliberately not an
-			// error — the log chain is intact, recovery just replays more.
-			p.log.WriteSnapshot(p.dyn.Graph(), p.dyn.Costs(), delta.Epoch)
+			// the triple just committed. A failure still answers 200: the
+			// log chain is intact, so recovery only replays more. The log
+			// counts it, and /metrics exports the count as
+			// kwmds_wal_snapshot_failures_total.
+			_ = p.log.WriteSnapshot(p.dyn.Graph(), p.dyn.Costs(), delta.Epoch)
 		}
 	}
 	resp := graphio.MutateResponse{

@@ -25,6 +25,16 @@ func RequireBitIdentical(t testing.TB, got, want any) {
 	}
 }
 
+// RequireBitIdenticalIn is RequireBitIdentical with ctx prefixed to the
+// failure, for harnesses whose failing case (workload, epoch, step) a
+// field path alone would not name.
+func RequireBitIdenticalIn(t testing.TB, ctx string, got, want any) {
+	t.Helper()
+	if diff := bitDiff(reflect.ValueOf(got), reflect.ValueOf(want), "x"); diff != "" {
+		t.Fatalf("%s: results not bit-identical: %s", ctx, diff)
+	}
+}
+
 // bitDiff walks a and b in lockstep and reports the first mismatch as
 // "path: got … want …" (empty for bit-identical values).
 func bitDiff(a, b reflect.Value, path string) string {

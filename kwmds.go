@@ -303,12 +303,14 @@ func fastDominatingSet(g *Graph, opts Options) (*Result, error) {
 
 // DominatingSetMany runs the full pipeline once per element of optsList
 // against one graph on a single pooled solver, amortizing solver
-// acquisition, table setup and — for consecutive elements sharing an LP
-// configuration (K/KnownDelta/Weights) — the deterministic LP stage itself,
-// so only the rounding phases run per element. Every returned Result is
-// bit-identical to DominatingSet with the same options; all elements run
-// Sequential (the batch is a fastpath concept). This is the serve
-// subsystem's cold-path batching primitive.
+// acquisition and table setup. The deterministic LP stage runs only when an
+// element's LP configuration (K/KnownDelta/Weights contents) differs from
+// the one the solver last completed on this graph — the solver's LP memo,
+// which a repeated configuration hits even across calls — so consecutive
+// elements sharing a configuration pay only the rounding phases. Every
+// returned Result is bit-identical to DominatingSet with the same options;
+// all elements run Sequential (the batch is a fastpath concept). This is
+// the serve subsystem's cold-path batching primitive.
 func DominatingSetMany(g *Graph, optsList []Options) ([]*Result, error) {
 	if len(optsList) == 0 {
 		return nil, nil
