@@ -69,7 +69,7 @@
 // with the host it ran on: on a 1-CPU host the fastpath runs the full
 // pipeline on a 100k-vertex unit-disk graph at p50 23.3 ms
 // (solve-cold-udg100k), and on a 2-vCPU host it serves uncached
-// 10k-vertex solves at p50 7.4 ms under eight concurrent clients
+// 10k-vertex solves at p50 4.7 ms under eight concurrent clients
 // (serve-uncached-udg10k).
 //
 // The `kwmds serve` subcommand (internal/server) runs the pipelines as a

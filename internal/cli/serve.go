@@ -215,10 +215,10 @@ func buildHandler(cfg ServeConfig) (h http.Handler, cleanup func(), err error) {
 
 // RunServe builds the configured service and blocks serving on cfg.Addr
 // until SIGTERM or SIGINT, then drains gracefully: the listener closes,
-// in-flight solves (including any riding a batch window) complete and are
-// answered, and RunServe returns nil so the process exits 0. ready, when
-// non-nil, receives the bound address once the listener is up (tests use it
-// with addr ":0").
+// in-flight solves (including any still waiting for a worker slot) complete
+// and are answered, and RunServe returns nil so the process exits 0. ready,
+// when non-nil, receives the bound address once the listener is up (tests
+// use it with addr ":0").
 func RunServe(cfg ServeConfig, ready chan<- string) error {
 	h, cleanup, err := buildHandler(cfg)
 	if err != nil {

@@ -273,9 +273,14 @@ func SetSize(inDS []bool) int {
 	return c
 }
 
-// Members returns the indices of the true entries of inDS, in order.
+// Members returns the indices of the true entries of inDS, in order, in one
+// exactly sized allocation; nil when there are none.
 func Members(inDS []bool) []int {
-	var out []int
+	n := SetSize(inDS)
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, 0, n)
 	for v, b := range inDS {
 		if b {
 			out = append(out, v)

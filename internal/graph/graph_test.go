@@ -247,6 +247,22 @@ func TestSetSizeAndMembers(t *testing.T) {
 	if len(m) != 2 || m[0] != 0 || m[1] != 2 {
 		t.Errorf("Members = %v, want [0 2]", m)
 	}
+	// An empty set stays nil, so a JSON response still says null.
+	if m := Members(make([]bool, 5)); m != nil {
+		t.Errorf("Members of an empty set = %#v, want nil", m)
+	}
+}
+
+// TestMembersAllocatesOnce: the member list is sized exactly up front, so
+// a set of any size costs one allocation.
+func TestMembersAllocatesOnce(t *testing.T) {
+	ds := make([]bool, 10_000)
+	for v := range ds {
+		ds[v] = v%7 == 0
+	}
+	if got := testing.AllocsPerRun(20, func() { Members(ds) }); got != 1 {
+		t.Errorf("Members allocs = %v, want 1", got)
+	}
 }
 
 func TestBFS(t *testing.T) {

@@ -90,7 +90,6 @@ func newDriver(sc *Scenario, concurrency, shards int) (Driver, error) {
 			d.url = sc.HTTP.URL
 			d.workers = sc.HTTP.Workers
 			d.cacheEntries = sc.HTTP.CacheEntries
-			d.noBatch = sc.HTTP.NoBatch
 			d.maxQueue = sc.HTTP.MaxQueue
 			if sc.HTTP.TimeoutSec > 0 {
 				d.timeout = time.Duration(sc.HTTP.TimeoutSec * float64(time.Second))
@@ -261,7 +260,6 @@ type httpDriver struct {
 	workers      int
 	cacheEntries int
 	concurrency  int
-	noBatch      bool
 	shards       int
 	timeout      time.Duration
 	maxQueue     int
@@ -298,13 +296,12 @@ func (d *httpDriver) Prepare(graphs []LoadedGraph) error {
 			m[lg.Name] = lg.G
 		}
 		d.srv = server.New(server.Config{
-			Workers:         d.workers,
-			CacheEntries:    d.cacheEntries,
-			Graphs:          m,
-			DisableBatching: d.noBatch,
-			Shards:          d.shards,
-			MaxQueue:        d.maxQueue,
-			QueueTimeout:    d.queueTimeout,
+			Workers:      d.workers,
+			CacheEntries: d.cacheEntries,
+			Graphs:       m,
+			Shards:       d.shards,
+			MaxQueue:     d.maxQueue,
+			QueueTimeout: d.queueTimeout,
 		})
 		d.ts = httptest.NewServer(d.srv.Handler())
 		d.baseURL = d.ts.URL

@@ -131,9 +131,9 @@ func TestRunTenantsSplitOps(t *testing.T) {
 }
 
 // TestRunShedsAreNotErrors drives an overloaded spawned server (one worker,
-// one queue slot, batching off) with all-cold traffic: admission control
-// must shed, and the harness must count the 429s as sheds — zero errors,
-// and only admitted ops in the latency population. The graph is sized so a
+// one queue slot) with all-cold traffic: admission control must shed, and
+// the harness must count the 429s as sheds — zero errors, and only
+// admitted ops in the latency population. The graph is sized so a
 // steady-state cold solve (~15ms) outlives the Go async-preemption quantum
 // (~10ms): on a single-CPU host shorter solves run to completion
 // unpreempted and waiters never overlap inside the admission window.
@@ -144,7 +144,7 @@ func TestRunShedsAreNotErrors(t *testing.T) {
 		Graphs: []GraphSpec{{Gen: "udg:50000:0.01:1", Name: "u"}},
 		Mix:    &MixSpec{ColdSolve: 1},
 		Closed: &ClosedLoop{Concurrency: 8, Ops: 64},
-		HTTP:   &HTTPSpec{Workers: 1, MaxQueue: 1, NoBatch: true},
+		HTTP:   &HTTPSpec{Workers: 1, MaxQueue: 1},
 	}
 	res, err := Run(sc, RunOptions{})
 	if err != nil {

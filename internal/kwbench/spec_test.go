@@ -391,6 +391,12 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "turbo") {
 		t.Fatalf("unknown field accepted, err = %v", err)
 	}
+	// no_batch switched off the server's removed cold-solve batcher; a
+	// stale spec that still sets it is refused at load, not ignored.
+	spec := "name = \"x\"\ndriver = \"http-serve\"\n[[graphs]]\ntier = \"udg-500\"\n[closed]\nconcurrency = 1\nops = 1\n[http]\nno_batch = true\n"
+	if _, err := Decode([]byte(spec), true); err == nil || !strings.Contains(err.Error(), "no_batch") {
+		t.Fatalf("spec with an [http] no_batch key: err = %v, want an unknown-field refusal", err)
+	}
 }
 
 // TestLoadScenarioCorpus parses every checked-in scenario file: the corpus

@@ -164,7 +164,9 @@ func TestSolveCanceledContext(t *testing.T) {
 
 // TestInlineBuildHonorsCancel: an inline upload queued behind a held worker
 // slot gives up when its client leaves, returning the context error (499)
-// instead of waiting to build a graph nobody will read.
+// instead of waiting to build a graph nobody will read. The cancel here may
+// land before the upload reaches the queue; TestAdmissionClientCancel
+// cancels one that is already waiting there.
 func TestInlineBuildHonorsCancel(t *testing.T) {
 	s := New(Config{Workers: 1})
 	s.sem <- struct{}{} // occupy the only worker slot

@@ -9,10 +9,9 @@ import (
 
 // Graceful serves h on ln until stop closes (or receives), then drains: the
 // listener closes immediately — new connections are refused — while requests
-// already in flight run to completion. That includes solves queued on the
-// worker pool and solves riding a batch window: their handler goroutines
-// block until the batcher answers, and Shutdown waits for every active
-// handler, so the final batch flushes before the process exits. Returns nil
+// already in flight run to completion. That includes solves still waiting
+// in admission for a worker slot: their handler goroutines block until the
+// solve answers, and Shutdown waits for every active handler. Returns nil
 // after a clean drain (the caller exits 0), the serve or drain error
 // otherwise. timeout bounds the drain; 0 waits indefinitely.
 func Graceful(ln net.Listener, h http.Handler, stop <-chan struct{}, timeout time.Duration) error {

@@ -222,7 +222,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"kwmds_cache_entries", "kwmds_cache_hits_total", "kwmds_cache_misses_total", "kwmds_cache_hit_rate",
 		"kwmds_pool_workers", "kwmds_pool_in_use", "kwmds_graphs",
-		"kwmds_solve_batches_total", "kwmds_batched_solves_total",
 		"kwmds_solve_latency_ms", "kwmds_solve_latency_ms_sum", "kwmds_solve_latency_ms_count",
 		"kwmds_wal_appends_total", "kwmds_wal_appended_bytes_total", "kwmds_wal_fsyncs_total", "kwmds_wal_snapshot_failures_total",
 		"kwmds_wal_fsync_latency_ms", "kwmds_wal_last_epoch", "kwmds_recovery_ms", "kwmds_recovery_replayed_epochs",

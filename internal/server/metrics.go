@@ -30,6 +30,21 @@ func (s *Server) observeSolve(engine string, ms float64) {
 	s.lmu.Unlock()
 }
 
+// BatchStats reports the lifetime count of cold solves twice, in the shape
+// the removed cold-solve batcher's (batches, batched solves) counters had:
+// every cold solve now runs on its own, as a batch of one. It stays only
+// for the perfbench module, which reads it; the count is the sum of the
+// per-engine cold-solve latency histograms.
+func (s *Server) BatchStats() (batches, batchedSolves int64) {
+	s.lmu.Lock()
+	var n uint64
+	for _, st := range s.solveHist {
+		n += st.hist.Count()
+	}
+	s.lmu.Unlock()
+	return int64(n), int64(n)
+}
+
 // handleMetrics serves the Prometheus text exposition (format 0.0.4),
 // hand-rolled — the repo takes no dependencies, and the format is lines.
 // Families:
@@ -37,9 +52,8 @@ func (s *Server) observeSolve(engine string, ms float64) {
 //	kwmds_cache_entries / _hits_total / _misses_total / _hit_rate
 //	kwmds_pool_workers / kwmds_pool_in_use
 //	kwmds_sheds_total / kwmds_queue_depth / kwmds_queue_limit
-//	kwmds_solve_batches_total / kwmds_batched_solves_total
 //	kwmds_graphs
-//	kwmds_solve_latency_ms{engine,quantile} + _sum/_count   (cold solves)
+//	kwmds_solve_latency_ms{engine,quantile} + _sum/_count   (cold solves, each its own time)
 //	kwmds_wal_*{graph}                                      (durable graphs)
 //	kwmds_wal_fsync_latency_ms{graph,quantile} + _sum/_count
 //	kwmds_recovery_ms{graph} / kwmds_recovery_replayed_epochs{graph}
@@ -72,12 +86,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "kwmds_queue_depth %d\n", depth)
 	writeFamily(&b, "kwmds_queue_limit", "gauge", "Admission queue bound (0 = unbounded).")
 	fmt.Fprintf(&b, "kwmds_queue_limit %d\n", s.cfg.MaxQueue)
-
-	batches, batched := s.BatchStats()
-	writeFamily(&b, "kwmds_solve_batches_total", "counter", "Batched cold-solve groups run.")
-	fmt.Fprintf(&b, "kwmds_solve_batches_total %d\n", batches)
-	writeFamily(&b, "kwmds_batched_solves_total", "counter", "Cold solves that rode a batch.")
-	fmt.Fprintf(&b, "kwmds_batched_solves_total %d\n", batched)
 
 	s.gmu.RLock()
 	names := append([]string(nil), s.names...)

@@ -39,9 +39,8 @@ type Config struct {
 	MaxQueue int
 	// QueueTimeout bounds how long an admitted computation may wait for a
 	// worker slot; one whose wait outlives it is shed with 429. It gates
-	// inline-graph builds and the solo and sharded solve paths (batch
-	// riders are bounded by MaxQueue depth only — a batch claims its slot
-	// as a unit). 0 disables the timeout.
+	// every computation: inline-graph builds and cold solves on the solo
+	// and sharded paths. 0 disables the timeout.
 	QueueTimeout time.Duration
 	// CacheEntries is the LRU capacity in results. 0 selects the default
 	// of 256; a negative value disables caching (single-flight coalescing
@@ -63,16 +62,11 @@ type Config struct {
 	// enormous vertex count and graph.New allocates O(n) regardless —
 	// unchecked, a 40-byte request could OOM the process. Default 2e6.
 	MaxInlineVertices int
-	// DisableBatching turns off same-digest cold-solve batching (see
-	// solveBatcher): every cold solve then runs solo through the worker
-	// pool. Outputs are identical either way; the switch exists for
-	// benchmarking the batching win and as an operational escape hatch.
-	DisableBatching bool
 	// Shards, when > 1, runs cold kw/kw2 fast-engine solves of preloaded
 	// graphs through the partitioned in-process engine (one engine
-	// goroutine per shard over a cached partition) instead of the batcher.
-	// Results are bit-identical to unsharded solves — sharding trades
-	// per-request batching for parallelism within a single solve. Other
+	// goroutine per shard over a cached partition) instead of the
+	// single-solver pipeline. Results are bit-identical to unsharded
+	// solves; sharding buys parallelism within a single solve. Other
 	// pipelines (frac, kwcds, sim, inline graphs) ignore the setting.
 	// Capped at kwmds.MaxShards.
 	Shards int
@@ -80,9 +74,10 @@ type Config struct {
 	// over a cached degree-ordered relabeling of the topology
 	// (kwmds.Reorder) for better cache locality on skewed-degree graphs.
 	// Outputs are bit-identical with or without it; the relabeling is
-	// built once per topology and dropped on mutation. Sharded solves and
-	// inline graphs ignore the setting (a relabeling is a per-topology
-	// artifact; inline uploads see each topology once).
+	// built once per topology, inside the first solve's worker slot, and
+	// dropped on mutation. Sharded solves and inline graphs ignore the
+	// setting (a relabeling is a per-topology artifact; inline uploads see
+	// each topology once).
 	Reorder bool
 }
 
@@ -103,10 +98,9 @@ type Server struct {
 	mux   *http.ServeMux
 	// gmu guards the graph registry (graphs, names): DELETE removes
 	// entries at runtime, so every lookup takes the read lock.
-	gmu     sync.RWMutex
-	graphs  map[string]*preloaded
-	names   []string
-	batcher solveBatcher
+	gmu    sync.RWMutex
+	graphs map[string]*preloaded
+	names  []string
 	// Shard-worker state (nil unless EnableShardWorker was called): the
 	// mesh listener peers dial for boundary exchanges, and the address
 	// advertised for it.
@@ -245,7 +239,6 @@ func New(cfg Config) *Server {
 		graphs:    make(map[string]*preloaded, len(cfg.Graphs)+len(cfg.Preloads)),
 		solveHist: make(map[string]*solveStats),
 	}
-	s.batcher.groups = make(map[string][]*batchItem)
 	for name, g := range cfg.Graphs {
 		raw := graphio.DigestRaw(g)
 		s.graphs[name] = &preloaded{dyn: dyngraph.New(g), digest: hex.EncodeToString(raw[:]), rawDigest: raw}
@@ -347,30 +340,19 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // disconnected before a worker slot freed up.
 var errSolveAbandoned = errors.New("solve abandoned: all waiting clients disconnected")
 
-// acquire takes a worker slot, giving up if cancel closes first (every
-// client interested in this computation has walked out — see
-// resultCache.getOrCompute). Callers that acquired must release with
-// `<-s.sem`.
-func (s *Server) acquire(cancel <-chan struct{}) error {
-	select {
-	case s.sem <- struct{}{}:
-		return nil
-	case <-cancel:
-		return errSolveAbandoned
-	}
-}
-
 // errOverloaded reports a solve shed by admission control (queue full or
 // queue-timeout expiry); handleSolve maps it to 429 + Retry-After with the
 // stable "overloaded" error code. The computation never started, so the
 // request is safely retryable.
 var errOverloaded = errors.New("server overloaded")
 
-// admit takes a worker slot through the bounded admission queue: with
-// MaxQueue set, at most MaxQueue computations may be waiting at once and
-// the rest are shed without blocking; with QueueTimeout set, an admitted
-// computation whose slot wait outlives the timeout is shed too. With
-// neither set this is exactly acquire. Callers that got the slot release
+// admit takes a worker slot through the bounded admission queue, the one
+// path by which any computation waits for a slot: with MaxQueue set, at
+// most MaxQueue computations may be waiting at once and the rest are shed
+// without blocking; with QueueTimeout set, an admitted computation whose
+// slot wait outlives the timeout is shed too; and a wait gives up once
+// cancel closes (every client interested in the computation has walked
+// out — see resultCache.getOrCompute). Callers that got the slot release
 // with `<-s.sem`.
 func (s *Server) admit(cancel <-chan struct{}) error {
 	if limit := s.cfg.MaxQueue; limit > 0 {
@@ -381,20 +363,21 @@ func (s *Server) admit(cancel <-chan struct{}) error {
 		}
 		defer s.queued.Add(-1)
 	}
+	var timeout <-chan time.Time // nil, so never ready, without a QueueTimeout
 	if s.cfg.QueueTimeout > 0 {
 		t := time.NewTimer(s.cfg.QueueTimeout)
 		defer t.Stop()
-		select {
-		case s.sem <- struct{}{}:
-			return nil
-		case <-t.C:
-			s.sheds.Add(1)
-			return fmt.Errorf("%w: no worker slot within the %v queue timeout", errOverloaded, s.cfg.QueueTimeout)
-		case <-cancel:
-			return errSolveAbandoned
-		}
+		timeout = t.C
 	}
-	return s.acquire(cancel)
+	select {
+	case s.sem <- struct{}{}:
+		return nil
+	case <-timeout:
+		s.sheds.Add(1)
+		return fmt.Errorf("%w: no worker slot within the %v queue timeout", errOverloaded, s.cfg.QueueTimeout)
+	case <-cancel:
+		return errSolveAbandoned
+	}
 }
 
 // solve resolves the topology, validates the options, and answers from the
@@ -495,39 +478,28 @@ func (s *Server) solve(ctx context.Context, req *graphio.SolveRequest) (*graphio
 
 	key := cacheKey(digest, req, opts)
 	cached, hit, err := s.cache.getOrCompute(ctx, key, func(cancel <-chan struct{}) (*graphio.SolveResponse, error) {
+		// cancel closes when every coalesced client has disconnected. The
+		// slot wait honors it on every path; the solve itself honors it
+		// only when unsharded (sharded runs move in mesh lockstep, and
+		// aborting one for a dead client would cost more than finishing).
+		// Partition and relabeling builds run inside the slot: they are
+		// O(n + m) work the pool must bound like any solve.
+		if err := s.admit(cancel); err != nil {
+			return nil, err
+		}
+		defer func() { <-s.sem }()
 		// With Config.Shards set, cold fast-engine solves of preloaded
 		// graphs run on the partitioned engine (bit-identical output, see
-		// Config.Shards); otherwise distinct-key cold solves sharing a
-		// digest ride one batched DominatingSetMany run (see batch.go) and
-		// everything else takes a worker slot and runs solo.
-		//
-		// cancel closes when every coalesced client has disconnected. The
-		// queue wait honors it everywhere; the solve itself honors it only
-		// on the solo path (sharded runs move in mesh lockstep and batch
-		// riders share one run with live requests — aborting either for one
-		// dead client would cost more than finishing).
+		// Config.Shards).
 		if s.cfg.Shards > 1 && pre != nil && opts.Sequential && req.Algo != "frac" && req.Algo != "kwcds" {
 			if sc, perr := pre.partition(g, s.cfg.Shards); perr == nil {
-				if err := s.admit(cancel); err != nil {
-					return nil, err
-				}
-				defer func() { <-s.sem }()
 				return s.runSharded(sc, digest, req.Algo, req.Engine, opts)
 			}
 		}
 		if s.cfg.Reorder && pre != nil && opts.Sequential {
 			// Attach the cached relabeling (built once per topology).
-			// Batched riders of one preload share the pointer, so a whole
-			// digest group runs over one permuted CSR.
 			opts.Reordered = pre.reorderFor(g)
 		}
-		if s.batchable(req.Algo, opts) {
-			return s.solveBatched(g, digest, req.Algo, req.Engine, opts)
-		}
-		if err := s.admit(cancel); err != nil {
-			return nil, err
-		}
-		defer func() { <-s.sem }()
 		opts.Cancel = cancel
 		return s.run(g, digest, req.Algo, req.Engine, opts)
 	})
@@ -865,22 +837,19 @@ func (s *Server) QueueStats() (sheds, queueDepth int64) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	entries, hits, misses := s.cache.stats()
-	batches, batched := s.BatchStats()
 	s.gmu.RLock()
 	graphs := len(s.graphs)
 	s.gmu.RUnlock()
 	sheds, depth := s.QueueStats()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"status":         "ok",
-		"workers":        s.cfg.Workers,
-		"graphs":         graphs,
-		"cache_entries":  entries,
-		"cache_hits":     hits,
-		"cache_misses":   misses,
-		"solve_batches":  batches,
-		"batched_solves": batched,
-		"max_queue":      s.cfg.MaxQueue,
-		"queue_depth":    depth,
-		"sheds":          sheds,
+		"status":        "ok",
+		"workers":       s.cfg.Workers,
+		"graphs":        graphs,
+		"cache_entries": entries,
+		"cache_hits":    hits,
+		"cache_misses":  misses,
+		"max_queue":     s.cfg.MaxQueue,
+		"queue_depth":   depth,
+		"sheds":         sheds,
 	})
 }

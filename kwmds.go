@@ -309,8 +309,10 @@ func fastDominatingSet(g *Graph, opts Options) (*Result, error) {
 // which a repeated configuration hits even across calls — so consecutive
 // elements sharing a configuration pay only the rounding phases. Every
 // returned Result is bit-identical to DominatingSet with the same options;
-// all elements run Sequential (the batch is a fastpath concept). This is
-// the serve subsystem's cold-path batching primitive.
+// all elements run Sequential (the batch is a fastpath concept). Its
+// callers are kwbench's batched closed loop (batch_size) and batch_solve
+// mix op, and the perfbench module's in-process mirror; the serve
+// subsystem runs each cold solve on its own.
 func DominatingSetMany(g *Graph, optsList []Options) ([]*Result, error) {
 	if len(optsList) == 0 {
 		return nil, nil
