@@ -4,8 +4,6 @@
 // subcommand it instead runs as a long-lived HTTP JSON service whose
 // preloaded graphs are mutable through POST /v1/graphs/{name}/mutate
 // (epoch-batched edge/vertex/weight mutations via internal/dyngraph);
-// with the shard subcommand it runs as a shard worker (a serve instance
-// that also answers the shard protocol and joins per-solve data meshes);
 // with the bench subcommand it executes declarative benchmark scenarios
 // (internal/kwbench) and merges the results into BENCH_kwbench.json.
 //
@@ -16,9 +14,6 @@
 //	kwmds -graph gen:udg:500:0.08:1 -algo kwcds
 //	kwmds serve -addr :8080 -workers 8 -preload udg-10k=gen:udg:10000:0.02:1
 //	kwmds serve -addr :8080 -workers 4 -max-queue 64 -queue-timeout 250ms -preload g=gen:udg:10000:0.02:1
-//	kwmds serve -addr :8080 -shards 4 -preload udg-10k=gen:udg:10000:0.02:1
-//	kwmds shard -addr :8081 -data-addr :9081 -preload udg-10k=gen:udg:10000:0.02:1
-//	kwmds serve -addr :8080 -router 127.0.0.1:8081,127.0.0.1:8082 -shards 2
 //	kwmds convert -in network.edges -out network.kwcsr
 //	kwmds serve -preload big=network.kwcsr
 //	kwmds serve -preload big=network.kwcsr -reorder -pprof 127.0.0.1:6060
@@ -39,7 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"kwmds/internal/cli"
 )
@@ -48,13 +42,6 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
 		if err := serveMain(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "kwmds serve:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "shard" {
-		if err := shardMain(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "kwmds shard:", err)
 			os.Exit(1)
 		}
 		return
@@ -102,16 +89,6 @@ func serveMain(args []string) error {
 	})
 	fs.IntVar(&cfg.MaxQueue, "max-queue", 0, "admission queue bound: solves beyond workers running + this many waiting are shed with 429 (0 = unbounded)")
 	fs.DurationVar(&cfg.QueueTimeout, "queue-timeout", 0, "max wait for a worker slot before an admitted solve is shed with 429 (0 = no timeout)")
-	fs.IntVar(&cfg.Shards, "shards", 0, "run cold solves on the partitioned engine: in-proc shard count, or scatter width with -router")
-	fs.Func("router", "shard-worker base URL (run as a scatter-gather router; repeatable, or comma-separated)", func(v string) error {
-		for _, w := range strings.Split(v, ",") {
-			if w = strings.TrimSpace(w); w != "" {
-				cfg.RouterWorkers = append(cfg.RouterWorkers, w)
-			}
-		}
-		return nil
-	})
-	fs.IntVar(&cfg.Replicas, "replicas", 0, "router placement candidates per graph for failover (0 = default 2)")
 	fs.BoolVar(&cfg.Reorder, "reorder", false, "solve preloaded graphs over a cached degree-ordered relabeling (bit-identical output, better locality on skewed graphs)")
 	fs.StringVar(&cfg.DataDir, "data-dir", "", "make preloaded graphs durable: WAL + snapshots under this directory, recovered on restart")
 	fs.IntVar(&cfg.SnapshotEpochs, "snapshot-epochs", 0, "compact a durable graph's WAL into a snapshot every N epochs (0 = default 128, -1 disables)")
@@ -122,31 +99,6 @@ func serveMain(args []string) error {
 	}
 	ready := make(chan string, 1)
 	go func() { fmt.Fprintln(os.Stderr, "kwmds serve: listening on", <-ready) }()
-	return cli.RunServe(cfg, ready)
-}
-
-// shardMain runs a shard worker: a full serve instance that additionally
-// answers /shard/v1/* and opens the mesh data listener a serve router's
-// scatters exchange boundary state over.
-func shardMain(args []string) error {
-	cfg := cli.ServeConfig{ShardWorker: true}
-	fs := flag.NewFlagSet("shard", flag.ExitOnError)
-	fs.StringVar(&cfg.Addr, "addr", ":8080", "HTTP listen address")
-	fs.IntVar(&cfg.Workers, "workers", 0, "max concurrent pipeline runs (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.CacheEntries, "cache", 0, "LRU result-cache capacity (0 = default, -1 disables)")
-	fs.Func("preload", "name=file or name=gen:spec, repeatable (every worker preloads the same set)", func(v string) error {
-		cfg.Preload = append(cfg.Preload, v)
-		return nil
-	})
-	fs.StringVar(&cfg.DataAddr, "data-addr", "127.0.0.1:0", "mesh data listen address for shard-to-shard exchanges")
-	fs.StringVar(&cfg.DataAdvertise, "data-advertise", "", "mesh address advertised to the router (default: the bound data-addr)")
-	fs.BoolVar(&cfg.Reorder, "reorder", false, "solve preloaded graphs over a cached degree-ordered relabeling (bit-identical output, better locality on skewed graphs)")
-	fs.StringVar(&cfg.PprofAddr, "pprof", "", "serve /debug/pprof on this address (off when empty)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ready := make(chan string, 1)
-	go func() { fmt.Fprintln(os.Stderr, "kwmds shard: listening on", <-ready) }()
 	return cli.RunServe(cfg, ready)
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -32,20 +33,51 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	}
 }
 
-// TestBoundsHoldInTables re-checks that no experiment table reports a
-// measured ratio above its own bound column (for the tables that expose
-// both side by side).
+// TestBoundsHoldInTables re-checks the T1/T2 tables row by row: every
+// solution is feasible, the measured ratio stays within the bound column
+// beside it, and the round count equals the paper's formula column — 2k²
+// for Algorithm 2 (Theorem 4), 4k²+2k+2 for Algorithm 3 (Theorem 5) — which
+// itself must match that formula at the row's k. Float cells are rounded
+// to 4 significant digits, and rounding is monotone, so comparing the
+// parsed cells is sound.
 func TestBoundsHoldInTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite")
 	}
+	rounds := map[string]func(k int) int{
+		"T1": func(k int) int { return 2 * k * k },
+		"T2": func(k int) int { return 4*k*k + 2*k + 2 },
+	}
 	for _, id := range []string{"T1", "T2"} {
-		tables := Run(id, QuickConfig())
-		for _, tb := range tables {
+		for _, tb := range Run(id, QuickConfig()) {
+			if tb.NumRows() == 0 {
+				t.Errorf("%s: table %q is empty", id, tb.Title)
+			}
 			for i := 0; i < tb.NumRows(); i++ {
+				// Columns: graph, n, Δ, k(3), Σx, LP_OPT, ratio(6),
+				// bound(7), rounds(8), formula(9), feasible(10).
 				row := tb.Row(i)
-				// Columns: ... ratio(6), bound(7) ... feasible(last).
-				if row[len(row)-1] != "true" {
+				if len(row) != 11 {
+					t.Fatalf("%s row %d: %d columns, want 11: %v", id, i, len(row), row)
+				}
+				num := func(col int) float64 {
+					v, err := strconv.ParseFloat(row[col], 64)
+					if err != nil {
+						t.Fatalf("%s row %d column %q: %v", id, i, tb.Columns[col], err)
+					}
+					return v
+				}
+				k, ratio, bound, got, formula := num(3), num(6), num(7), num(8), num(9)
+				if ratio > bound {
+					t.Errorf("%s row %d: ratio %v exceeds bound %v: %v", id, i, ratio, bound, row)
+				}
+				if got != formula {
+					t.Errorf("%s row %d: %v rounds, formula column says %v: %v", id, i, got, formula, row)
+				}
+				if want := rounds[id](int(k)); formula != float64(want) {
+					t.Errorf("%s row %d: formula column %v, want %d at k = %v: %v", id, i, formula, want, k, row)
+				}
+				if row[10] != "true" {
 					t.Errorf("%s row %d: infeasible solution: %v", id, i, row)
 				}
 			}

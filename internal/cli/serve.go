@@ -20,7 +20,7 @@ import (
 	"kwmds/internal/wal"
 )
 
-// ServeConfig is the parsed command line of `kwmds serve` and `kwmds shard`.
+// ServeConfig is the parsed command line of `kwmds serve`.
 type ServeConfig struct {
 	Addr         string
 	Workers      int
@@ -32,9 +32,6 @@ type ServeConfig struct {
 	// internal/dyngraph engine behind the server keeps the name stable
 	// while the topology, digest and epoch advance).
 	Preload []string
-	// Shards > 1 runs cold fast-engine solves of preloaded graphs on the
-	// partitioned in-process engine (see server.Config.Shards).
-	Shards int
 	// MaxQueue bounds the admission queue in front of the worker pool:
 	// solves beyond Workers running + MaxQueue waiting are shed with
 	// 429 + Retry-After (see server.Config.MaxQueue). 0 = unbounded.
@@ -54,21 +51,6 @@ type ServeConfig struct {
 	// 128 epochs / 4 MiB; negative disables that trigger).
 	SnapshotEpochs int
 	SnapshotBytes  int64
-
-	// ShardWorker makes this process a shard worker (`kwmds shard`): it
-	// opens the mesh data listener on DataAddr and serves /shard/v1/* so a
-	// serve router can scatter to it. DataAdvertise overrides the address
-	// peers are told to dial.
-	ShardWorker   bool
-	DataAddr      string
-	DataAdvertise string
-
-	// RouterWorkers, when non-empty, makes this process a serve router
-	// over the listed worker base URLs instead of a solver: solves are
-	// placed by consistent hashing on graph_ref and — with Shards > 1 —
-	// scattered across the fleet. Replicas is the failover width.
-	RouterWorkers []string
-	Replicas      int
 
 	// Reorder runs cold solves of preloaded graphs over a cached
 	// degree-ordered relabeling (see server.Config.Reorder). Outputs are
@@ -172,7 +154,6 @@ func BuildServer(cfg ServeConfig) (*server.Server, func(), error) {
 		Workers:      cfg.Workers,
 		CacheEntries: cfg.CacheEntries,
 		Preloads:     preloads,
-		Shards:       cfg.Shards,
 		Reorder:      cfg.Reorder,
 		MaxQueue:     cfg.MaxQueue,
 		QueueTimeout: cfg.QueueTimeout,
@@ -182,37 +163,6 @@ func BuildServer(cfg ServeConfig) (*server.Server, func(), error) {
 	return srv, func() { srv.Close() }, nil
 }
 
-// buildHandler constructs whichever service the config selects: a router
-// over a worker fleet, a shard worker, or a plain server. cleanup releases
-// the shard worker's mesh listener.
-func buildHandler(cfg ServeConfig) (h http.Handler, cleanup func(), err error) {
-	if len(cfg.RouterWorkers) > 0 {
-		if len(cfg.Preload) > 0 {
-			return nil, nil, fmt.Errorf("-router and -preload are mutually exclusive (the workers hold the graphs)")
-		}
-		r, err := server.NewRouter(server.RouterConfig{
-			Workers:  cfg.RouterWorkers,
-			Shards:   cfg.Shards,
-			Replicas: cfg.Replicas,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return r.Handler(), func() {}, nil
-	}
-	srv, unmap, err := BuildServer(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cfg.ShardWorker {
-		if _, err := srv.EnableShardWorker(cfg.DataAddr, cfg.DataAdvertise); err != nil {
-			unmap()
-			return nil, nil, fmt.Errorf("shard data listener: %w", err)
-		}
-	}
-	return srv.Handler(), func() { srv.Close(); unmap() }, nil
-}
-
 // RunServe builds the configured service and blocks serving on cfg.Addr
 // until SIGTERM or SIGINT, then drains gracefully: the listener closes,
 // in-flight solves (including any still waiting for a worker slot) complete
@@ -220,7 +170,7 @@ func buildHandler(cfg ServeConfig) (h http.Handler, cleanup func(), err error) {
 // when non-nil, receives the bound address once the listener is up (tests
 // use it with addr ":0").
 func RunServe(cfg ServeConfig, ready chan<- string) error {
-	h, cleanup, err := buildHandler(cfg)
+	srv, cleanup, err := BuildServer(cfg)
 	if err != nil {
 		return err
 	}
@@ -259,5 +209,5 @@ func RunServe(cfg ServeConfig, ready chan<- string) error {
 		case <-done:
 		}
 	}()
-	return server.Graceful(ln, h, stop, 30*time.Second)
+	return server.Graceful(ln, srv.Handler(), stop, 30*time.Second)
 }

@@ -23,9 +23,9 @@ func TestParseGenSpec(t *testing.T) {
 		{"udg:50:0.2", -1},
 		{"udg:x:0.2:1", -1},
 		{"gnp:30:nope:1", -1},
-		{"ba:40:2", -1},    // missing seed
-		{"ba:3:5:1", -1},   // n < m+1
-		{"ba:40:0:1", -1},  // m < 1
+		{"ba:40:2", -1},   // missing seed
+		{"ba:3:5:1", -1},  // n < m+1
+		{"ba:40:0:1", -1}, // m < 1
 		{"ba:40:2.5:1", -1},
 		{"mystery:1:2:3", -1},
 		{"", -1},
@@ -99,66 +99,13 @@ func TestBuildServer(t *testing.T) {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 	var sr struct {
-		Size int  `json:"size"`
-		N    int  `json:"n"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	if sr.N != 25 || sr.Size < 1 {
-		t.Errorf("solve over preloaded grid = %+v", sr)
-	}
-}
-
-// TestBuildHandlerRouterFleet wires the full command surface in-process: two
-// `kwmds shard`-shaped workers and a `kwmds serve -router -shards` router in
-// front, solving a preloaded graph through the scatter path.
-func TestBuildHandlerRouterFleet(t *testing.T) {
-	urls := make([]string, 2)
-	for i := range urls {
-		h, cleanup, err := buildHandler(ServeConfig{
-			Preload:     []string{"grid=gen:grid:12:12"},
-			ShardWorker: true,
-			DataAddr:    "127.0.0.1:0",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(cleanup)
-		ws := httptest.NewServer(h)
-		t.Cleanup(ws.Close)
-		urls[i] = ws.URL
-	}
-	rh, cleanup, err := buildHandler(ServeConfig{RouterWorkers: urls, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cleanup)
-	rs := httptest.NewServer(rh)
-	t.Cleanup(rs.Close)
-
-	resp, err := http.Post(rs.URL+"/v1/solve", "application/json",
-		strings.NewReader(`{"graph_ref":"grid","k":2,"seed":4}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("routed solve status = %d", resp.StatusCode)
-	}
-	var sr struct {
 		Size int `json:"size"`
 		N    int `json:"n"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
-	if sr.N != 144 || sr.Size < 1 {
-		t.Errorf("routed solve = %+v", sr)
-	}
-
-	// -router excludes -preload: the workers hold the graphs.
-	if _, _, err := buildHandler(ServeConfig{RouterWorkers: urls, Preload: []string{"a=gen:grid:2:2"}}); err == nil {
-		t.Error("router with -preload was accepted")
+	if sr.N != 25 || sr.Size < 1 {
+		t.Errorf("solve over preloaded grid = %+v", sr)
 	}
 }

@@ -58,10 +58,9 @@
 // slice identity: a caller may rewrite its cost slice in place). Pointer
 // keys are sound because the solver holds what it keys on, so no new graph
 // can take the address while it does. The memo is dropped by any other
-// graph or relabeling, by a run that was canceled (x is partial), and by
-// every SolveShard, which writes x through the halo exchange. Because x is
-// the memo, Result.X and Fractional's slice are read-only views: a caller
-// writing into them would corrupt the next hit.
+// graph or relabeling and by a run that was canceled (x is partial).
+// Because x is the memo, Result.X and Fractional's slice are read-only
+// views: a caller writing into them would corrupt the next hit.
 //
 // Delta-aware: Resolve consumes a dyngraph.Delta (an epoch-batched
 // mutation of the solver's previous graph) and repairs the cached static

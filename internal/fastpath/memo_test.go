@@ -6,13 +6,12 @@ import (
 	"testing"
 
 	"kwmds/internal/graph"
-	"kwmds/internal/shard"
 	"kwmds/internal/testsupport"
 )
 
 // lpSentinel is planted in δ̃(0) before a run: resetLPState rewrites every
-// δ̃ to deg+1 ≥ 1 and prepareShard every owned δ̃, so the sentinel survives
-// exactly when the run skipped the LP stage.
+// δ̃ to deg+1 ≥ 1, so the sentinel survives exactly when the run skipped the
+// LP stage.
 const lpSentinel = -1
 
 func plantSentinel(s *Solver) {
@@ -30,7 +29,6 @@ const (
 	memoFrac
 	memoRound
 	memoBatch
-	memoShard
 	memoRewrite // rewrite the shared cost slice in place; no run
 )
 
@@ -48,17 +46,13 @@ type memoStep struct {
 
 // TestLPMemoMatchesFreshSolver drives one solver through runs that move the
 // LP memo between hits and misses — k, algorithm, relabeling and weighted
-// cost contents alternate; a canceled run, a 1-shard SolveShard, a
-// standalone Round and a SolveMany batch sit in between — at worker counts
-// 1, 3 and 0. Every answer must be bit-identical to a fresh solver's, and
-// every step must hit or miss the memo as its configuration dictates.
+// cost contents alternate; a canceled run, a standalone Round and a
+// SolveMany batch sit in between — at worker counts 1, 3 and 0. Every
+// answer must be bit-identical to a fresh solver's, and every step must hit
+// or miss the memo as its configuration dictates.
 func TestLPMemoMatchesFreshSolver(t *testing.T) {
 	g := workloads(t)[1].g
 	rl := graph.Relabel(g)
-	sc, err := graph.Partition(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	costs := costsFor(g)
 	rewrites := 0
 	closed := make(chan struct{})
@@ -93,8 +87,6 @@ func TestLPMemoMatchesFreshSolver(t *testing.T) {
 		{name: "alg3 k2 after cancel", opt: Options{K: 2, Seed: 1}},
 		{name: "canceled memo hit", opt: Options{K: 2, Seed: 8}, cancel: true, hit: true},
 		{name: "alg3 k2 after canceled hit", opt: Options{K: 2, Seed: 9}, hit: true},
-		{name: "1-shard alg3 k3", kind: memoShard, opt: Options{K: 3, Seed: 9}},
-		{name: "alg3 k2 after shard", opt: Options{K: 2, Seed: 9}},
 		{name: "batch", kind: memoBatch, batch: []Options{
 			{K: 2, Seed: 10}, {K: 2, Seed: 11}, {K: 3, Seed: 1},
 			{K: 3, Algorithm: Alg2, Seed: 1}, {K: 3, Algorithm: Alg2, Seed: 2},
@@ -157,17 +149,6 @@ func TestLPMemoMatchesFreshSolver(t *testing.T) {
 					t.Fatal(err)
 				}
 				testsupport.RequireBitIdenticalIn(t, ctx, got, want)
-			case memoShard:
-				got, err := s.SolveShard(sc, 0, shard.NewInProcGroup(1).Member(0), opt)
-				if err != nil {
-					t.Fatalf("%s: %v", ctx, err)
-				}
-				want, err := New().Solve(g, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameX(t, ctx, got.X, want.X)
-				testsupport.RequireBitIdenticalIn(t, ctx, got.InDS, want.InDS)
 			case memoBatch:
 				opts := make([]Options, len(st.batch))
 				for i, o := range st.batch {

@@ -6,7 +6,6 @@ import (
 	"kwmds/internal/dyngraph"
 	"kwmds/internal/gen"
 	"kwmds/internal/graph"
-	"kwmds/internal/shard"
 )
 
 // The degree-ordered permuted sweep (Options.Relab) and the phase
@@ -159,17 +158,6 @@ func TestRelabValidation(t *testing.T) {
 	}
 	if _, err := s.Resolve(delta, Options{K: 2, Relab: rl1}); err == nil {
 		t.Error("Resolve accepted Options.Relab")
-	}
-
-	sc, err := graph.Partition(g1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grp := shard.NewInProcGroup(2)
-	// The Relab rejection precedes the hello handshake, so a lone member
-	// errors out without waiting on its (absent) peer.
-	if _, err := s.SolveShard(sc, 0, grp.Member(0), Options{K: 2, Relab: rl1}); err == nil {
-		t.Error("SolveShard accepted Options.Relab")
 	}
 
 	rlAgain := graph.Relabel(g1)

@@ -47,17 +47,15 @@ type Options struct {
 	// closes: Solve and Fractional return ErrCanceled at the next LP
 	// iteration boundary (a few kernel dispatches of latency at most).
 	// The solver's buffers stay reusable — a canceled pooled solver is
-	// released and reacquired as usual. SolveMany and SolveShard ignore
-	// it: a batch amortizes work across callers, and a shard group can
-	// only abandon a solve through its exchange failing.
+	// released and reacquired as usual. SolveMany ignores it: a batch
+	// amortizes work across callers.
 	Cancel <-chan struct{}
 	// Relab, when non-nil, runs the frontier sweeps over the permuted CSR
 	// it holds (a locality-improving vertex order built once per graph by
 	// graph.Relabel) while keying every random draw and every output slot
 	// by original vertex id, so Result is indexed exactly as without it
 	// and bit-identical to the unpermuted solve. It must have been built
-	// from the graph passed to Solve/Fractional/Round. Resolve and
-	// SolveShard reject it.
+	// from the graph passed to Solve/Fractional/Round. Resolve rejects it.
 	Relab *graph.Relabeled
 }
 
@@ -127,13 +125,10 @@ type Solver struct {
 
 	// Per-graph state kept across runs: the static δ⁽¹⁾/δ⁽²⁾ tables
 	// (d2done) and the LP memo. Both belong to the graph and relabeling of
-	// the last prepare (g, relab), or to the shard view of the last
-	// prepareShard (sh); whichever key is unused is nil. The solver holds
-	// these pointers, so no new graph or shard view can take their address
-	// while they key anything — unlike CSR array addresses, which
-	// dyngraph.Recycle hands to a later epoch.
+	// the last prepare (g, relab). The solver holds these pointers, so no
+	// new graph can take their address while they key anything — unlike
+	// CSR array addresses, which dyngraph.Recycle hands to a later epoch.
 	g      *graph.Graph
-	sh     *graph.ShardCSR
 	d2done bool
 	// The LP memo: when lpValid, s.x holds the completed, uncanceled LP
 	// stage of (lpAlg, lpK) over the keyed graph; for AlgWeighted, costs
@@ -251,11 +246,11 @@ func (s *Solver) prepare(g *graph.Graph, opt Options) error {
 	if s.g != g || s.relab != opt.Relab {
 		s.d2done, s.lpValid = false, false
 	}
-	s.g, s.sh, s.relab = g, nil, opt.Relab
+	s.g, s.relab = g, opt.Relab
 	s.ensure(n, workers)
 	s.off, s.adj = off, adj
 	s.maxDeg = g.MaxDegree()
-	s.chunkify(0, s.nw)
+	s.chunkify()
 	s.startWorkers()
 	return nil
 }
@@ -328,12 +323,12 @@ func (s *Solver) ensure(n, workers int) {
 	}
 }
 
-// chunkify cuts the word range [wLo, wHi) into one equal chunk per
-// worker. Chunks are ascending, disjoint and contiguous; every merge of
-// per-chunk results walks them in index order, which is what keeps the
-// output independent of the worker count.
-func (s *Solver) chunkify(wLo, wHi int) {
-	nw := wHi - wLo
+// chunkify cuts the word range [0, nw) into one equal chunk per worker.
+// Chunks are ascending, disjoint and contiguous; every merge of per-chunk
+// results walks them in index order, which is what keeps the output
+// independent of the worker count.
+func (s *Solver) chunkify() {
+	nw := s.nw
 	nchunks := s.workers
 	s.nchunks = nchunks
 	if cap(s.c0) < nchunks {
@@ -353,8 +348,8 @@ func (s *Solver) chunkify(wLo, wHi int) {
 	s.newGray = s.newGray[:nchunks]
 	s.joinCnt = s.joinCnt[:nchunks]
 	for c := 0; c < nchunks; c++ {
-		s.c0[c] = wLo + c*nw/nchunks
-		s.c1[c] = wLo + (c+1)*nw/nchunks
+		s.c0[c] = c * nw / nchunks
+		s.c1[c] = (c + 1) * nw / nchunks
 	}
 }
 

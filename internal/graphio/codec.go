@@ -93,27 +93,17 @@ type SolveResponse struct {
 
 // ErrorResponse is the JSON body of every non-2xx serve reply. Code, when
 // present, is a stable machine-readable discriminator for errors a client is
-// expected to branch on (retry, fail over); the human-readable Error text is
-// free to change.
+// expected to branch on (retry after a shed); the human-readable Error text
+// is free to change.
 type ErrorResponse struct {
 	Error string `json:"error"`
 	Code  string `json:"code,omitempty"`
 }
 
-// Stable error codes carried in ErrorResponse.Code.
-const (
-	// CodeWorkerUnavailable: a serve-router request could not be completed
-	// because a placed shard worker was unreachable or failed mid-solve.
-	// Retryable — the router re-places on the next request.
-	CodeWorkerUnavailable = "worker_unavailable"
-	// CodeNotImplemented: the endpoint exists but is not served in this mode
-	// (e.g. mutate on a router).
-	CodeNotImplemented = "not_implemented"
-	// CodeOverloaded: the solve was shed by admission control (queue full or
-	// queue timeout). Retryable after the Retry-After delay; the computation
-	// never started.
-	CodeOverloaded = "overloaded"
-)
+// CodeOverloaded is the ErrorResponse.Code of a solve shed by admission
+// control (queue full or queue timeout). Retryable after the Retry-After
+// delay; the computation never started.
+const CodeOverloaded = "overloaded"
 
 // DecodeSolveRequest parses and structurally validates a solve body: valid
 // JSON with no unknown fields, exactly one topology source, and a known
@@ -175,98 +165,6 @@ func DecodeSolveRequest(r io.Reader) (*SolveRequest, error) {
 		if len(req.Weights) > 0 {
 			return nil, fmt.Errorf("graphio: solve request: \"use_graph_weights\" conflicts with inline \"weights\"")
 		}
-	}
-	return &req, nil
-}
-
-// ShardSolveRequest is the JSON body of POST /shard/v1/solve — the router →
-// worker leg of a scatter-gather solve. The router splits one client solve
-// into Shards of these, one per placed worker; each worker runs its shard of
-// the partitioned fastpath engine, meshing with its peers over the data
-// addresses, and answers with its owned slice of the solution.
-type ShardSolveRequest struct {
-	// GraphRef names the preloaded graph (workers hold the full topology;
-	// sharding is an execution split, not a storage split).
-	GraphRef string `json:"graph_ref"`
-	// SolveID identifies this scatter's exchange mesh: every peer
-	// connection handshakes with it so concurrent solves over the same
-	// workers never cross wires.
-	SolveID uint64 `json:"solve_id"`
-	// Shard is this worker's shard index in [0, Shards).
-	Shard int `json:"shard"`
-	// Shards is the partition width.
-	Shards int `json:"shards"`
-	// DataAddrs[t] is the mesh data address of shard t's worker
-	// (DataAddrs[Shard] is the recipient's own and is ignored).
-	DataAddrs []string `json:"data_addrs"`
-	// Algo is kw or kw2 — the pipelines the sharded engine runs.
-	Algo string `json:"algo,omitempty"`
-	// K, Seed, Variant as in SolveRequest.
-	K       int    `json:"k,omitempty"`
-	Seed    int64  `json:"seed,omitempty"`
-	Variant string `json:"variant,omitempty"`
-}
-
-// ShardSolveResponse is a worker's slice of a scatter-gather solve: the
-// fractional values and chosen vertices of its owned range [Lo, Hi). The
-// router reassembles the full solution by concatenating slices in shard
-// order — deterministic, since ranges are disjoint and each is ascending.
-type ShardSolveResponse struct {
-	Digest string `json:"digest"`
-	Epoch  int64  `json:"epoch,omitempty"`
-	K      int    `json:"k"`
-	N      int    `json:"n"`
-	M      int    `json:"m"`
-	Lo     int    `json:"lo"`
-	Hi     int    `json:"hi"`
-	// X is the fractional solution over [Lo, Hi), len Hi-Lo.
-	X []float64 `json:"x"`
-	// Members are the chosen vertex ids within [Lo, Hi), ascending.
-	Members      []int   `json:"members"`
-	JoinedRandom int     `json:"joined_random"`
-	JoinedFixup  int     `json:"joined_fixup"`
-	ElapsedMS    float64 `json:"elapsed_ms"`
-}
-
-// ShardInfoResponse is the JSON body of GET /shard/v1/info: how a worker
-// advertises its mesh data address to the router.
-type ShardInfoResponse struct {
-	DataAddr string `json:"data_addr"`
-}
-
-// DecodeShardSolveRequest parses and structurally validates a shard solve
-// body. Graph resolution and option validation happen in the worker.
-func DecodeShardSolveRequest(r io.Reader) (*ShardSolveRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var req ShardSolveRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("graphio: shard solve request: %w", err)
-	}
-	if req.GraphRef == "" {
-		return nil, fmt.Errorf("graphio: shard solve request: \"graph_ref\" is required")
-	}
-	if req.Shards < 1 {
-		return nil, fmt.Errorf("graphio: shard solve request: shards = %d, want >= 1", req.Shards)
-	}
-	if req.Shard < 0 || req.Shard >= req.Shards {
-		return nil, fmt.Errorf("graphio: shard solve request: shard %d outside [0, %d)", req.Shard, req.Shards)
-	}
-	if len(req.DataAddrs) != req.Shards {
-		return nil, fmt.Errorf("graphio: shard solve request: %d data_addrs for %d shards", len(req.DataAddrs), req.Shards)
-	}
-	if req.Algo == "" {
-		req.Algo = "kw"
-	}
-	switch req.Algo {
-	case "kw", "kw2":
-	default:
-		return nil, fmt.Errorf("graphio: shard solve request: unknown algo %q (sharded solves run kw|kw2)", req.Algo)
-	}
-	switch req.Variant {
-	case "", "ln", "ln-lnln":
-	default:
-		return nil, fmt.Errorf("graphio: shard solve request: unknown variant %q (want ln|ln-lnln)", req.Variant)
 	}
 	return &req, nil
 }

@@ -87,9 +87,9 @@ func TestDigest(t *testing.T) {
 
 func TestDecodeSolveRequest(t *testing.T) {
 	cases := []struct {
-		name  string
-		body  string
-		want  string // "" = accept
+		name string
+		body string
+		want string // "" = accept
 	}{
 		{"ok inline", `{"graph":{"n":3,"edges":[[0,1]]}}`, ""},
 		{"ok ref", `{"graph_ref":"udg-1k","algo":"kwcds","variant":"ln-lnln"}`, ""},

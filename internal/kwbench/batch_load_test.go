@@ -131,7 +131,7 @@ func TestBatchAndLoadSpecValidation(t *testing.T) {
 		{"load with cross_check", func(sc *Scenario) {
 			sc.Load = &LoadSpec{Gen: "udg:100:0.2:1", Ops: 1}
 			sc.Graphs, sc.Closed, sc.CrossCheck = nil, nil, true
-		}, "no batch_size, cross_check, shards, http or reorder"},
+		}, "no batch_size, cross_check, http or reorder"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

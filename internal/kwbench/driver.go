@@ -71,21 +71,19 @@ type Driver interface {
 
 // newDriver constructs the scenario's driver. concurrency is the peak
 // number of in-flight operations, used to size per-solve parallelism and
-// HTTP connection pools. shards > 1 selects the partitioned engine (one
-// sweep arm of Scenario.Shards); 0 or 1 is the plain unsharded path.
-func newDriver(sc *Scenario, concurrency, shards int) (Driver, error) {
+// HTTP connection pools.
+func newDriver(sc *Scenario, concurrency int) (Driver, error) {
 	switch sc.Driver {
 	case DriverInprocFast:
 		return &inprocDriver{
 			sequential:  true,
 			concurrency: concurrency,
-			shards:      shards,
 			reorder:     sc.Reorder,
 		}, nil
 	case DriverInprocSim:
 		return &inprocDriver{sequential: false, concurrency: concurrency}, nil
 	case DriverHTTPServe:
-		d := &httpDriver{concurrency: concurrency, shards: shards, timeout: 120 * time.Second}
+		d := &httpDriver{concurrency: concurrency, timeout: 120 * time.Second}
 		if sc.HTTP != nil {
 			d.url = sc.HTTP.URL
 			d.workers = sc.HTTP.Workers
@@ -112,31 +110,16 @@ func newDriver(sc *Scenario, concurrency, shards int) (Driver, error) {
 type inprocDriver struct {
 	sequential  bool
 	concurrency int
-	shards      int
 	reorder     bool
 	graphs      []LoadedGraph
-	// parts are the per-graph partitions for sharded arms (shards > 1):
-	// built once in Prepare so the measured operations solve through
-	// DominatingSetSharded without re-partitioning per op.
-	parts []*graph.ShardedCSR
 	// relabs are the per-graph degree-ordered relabelings for reorder
-	// scenarios, built once in Prepare — like partitions, the relabeling is
-	// per-topology setup, not per-op work.
+	// scenarios, built once in Prepare: the relabeling is per-topology
+	// setup, not per-op work.
 	relabs []*kwmds.ReorderedGraph
 }
 
 func (d *inprocDriver) Prepare(graphs []LoadedGraph) error {
 	d.graphs = graphs
-	if d.shards > 1 {
-		d.parts = make([]*graph.ShardedCSR, len(graphs))
-		for i, lg := range graphs {
-			sc, err := kwmds.PartitionGraph(lg.G, d.shards)
-			if err != nil {
-				return fmt.Errorf("kwbench: partitioning %q into %d shards: %w", lg.Name, d.shards, err)
-			}
-			d.parts[i] = sc
-		}
-	}
 	if d.reorder {
 		d.relabs = make([]*kwmds.ReorderedGraph, len(graphs))
 		for i, lg := range graphs {
@@ -205,13 +188,7 @@ func (d *inprocDriver) Do(req Request) (OpResult, error) {
 		}
 		return OpResult{Size: res.Size, InDS: res.InDS}, nil
 	default: // kw, kw2
-		var res *kwmds.Result
-		var err error
-		if d.shards > 1 {
-			res, err = kwmds.DominatingSetSharded(d.parts[req.Graph], opts)
-		} else {
-			res, err = kwmds.DominatingSet(g, opts)
-		}
+		res, err := kwmds.DominatingSet(g, opts)
 		if err != nil {
 			return OpResult{}, err
 		}
@@ -260,7 +237,6 @@ type httpDriver struct {
 	workers      int
 	cacheEntries int
 	concurrency  int
-	shards       int
 	timeout      time.Duration
 	maxQueue     int
 	queueTimeout time.Duration
@@ -299,7 +275,6 @@ func (d *httpDriver) Prepare(graphs []LoadedGraph) error {
 			Workers:      d.workers,
 			CacheEntries: d.cacheEntries,
 			Graphs:       m,
-			Shards:       d.shards,
 			MaxQueue:     d.maxQueue,
 			QueueTimeout: d.queueTimeout,
 		})

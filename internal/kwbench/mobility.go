@@ -47,7 +47,7 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 		graphs[e] = LoadedGraph{Name: fmt.Sprintf("epoch-%d", e), G: g}
 	}
 
-	driver, err := newDriver(sc, 1, 0)
+	driver, err := newDriver(sc, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +136,7 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 		}
 	}
 	if sc.CrossCheck {
-		checker, err := crossCheckDriver(sc, graphs, 0)
+		checker, err := crossCheckDriver(sc, graphs)
 		if err != nil {
 			return nil, err
 		}

@@ -45,7 +45,6 @@ func TestReorderSchedSpecValidation(t *testing.T) {
 		want string
 	}{
 		{"reorder on http driver", func(sc *Scenario) { sc.Driver = DriverHTTPServe; sc.Reorder = true }, "requires the inproc-fast driver"},
-		{"reorder with shards", func(sc *Scenario) { sc.Reorder = true; sc.Shards = []int{2} }, "mutually exclusive"},
 		{"reorder with kwcds", func(sc *Scenario) { sc.Reorder = true; sc.Matrix.Algos = []string{"kwcds"} }, "kw|kw2|frac"},
 	}
 	for _, tc := range cases {

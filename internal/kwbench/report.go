@@ -33,8 +33,8 @@ type Environment struct {
 	GoVersion  string `json:"go"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	// NumCPU is the hardware parallelism of the recording host. Read it
-	// before interpreting any parallel or shard comparison: when GOMAXPROCS
-	// exceeds it the parallel arms timeshare the same cores.
+	// before interpreting any parallel comparison: when GOMAXPROCS exceeds
+	// it the parallel arms timeshare the same cores.
 	NumCPU int `json:"num_cpu"`
 }
 
@@ -155,17 +155,6 @@ type SLOOutcome struct {
 	Violations []string `json:"violations,omitempty"`
 }
 
-// ShardRun is one arm of a shards sweep: the scenario's full measured loop
-// executed with the partitioned engine at one shard count.
-type ShardRun struct {
-	Shards     int     `json:"shards"`
-	Ops        int     `json:"ops"`
-	ElapsedSec float64 `json:"elapsed_sec"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	P50        float64 `json:"p50_ms"`
-	P99        float64 `json:"p99_ms"`
-}
-
 // ScenarioResult is one scenario's measured outcome.
 type ScenarioResult struct {
 	Name        string `json:"name"`
@@ -247,13 +236,6 @@ type ScenarioResult struct {
 	// HitRate is the fraction of measured operations answered from the
 	// serve cache (http-serve driver with a spawned server only).
 	HitRate *float64 `json:"hit_rate,omitempty"`
-
-	// Shards is the partitioned-engine shard count of the main result block
-	// (the last entry of a shards sweep; 0/absent means the unsharded path).
-	Shards int `json:"shards,omitempty"`
-	// ShardSweep holds one row per swept shard count — the same request
-	// schedule run once per count, so the rows are directly comparable.
-	ShardSweep []ShardRun `json:"shard_sweep,omitempty"`
 
 	// CrossChecked/Mismatches report the sim-vs-fast verification pass.
 	CrossChecked int `json:"cross_checked,omitempty"`

@@ -65,49 +65,7 @@ func runScenario(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 			concurrency = 256
 		}
 	}
-	// A shards list sweeps the partitioned engine: the identical loop runs
-	// once per count and every arm lands in the shard_sweep rows, with the
-	// last count's measurements as the scenario's main result block. No
-	// list is a single arm on the driver's default (unsharded) path.
-	counts := sc.Shards
-	if len(counts) == 0 {
-		counts = []int{0}
-	}
-	var res *ScenarioResult
-	var sweep []ShardRun
-	for _, nsh := range counts {
-		arm, err := runArm(sc, opts, graphs, concurrency, nsh)
-		if err != nil {
-			return nil, err
-		}
-		res = arm
-		if len(sc.Shards) > 0 {
-			sweep = append(sweep, ShardRun{
-				Shards:     nsh,
-				Ops:        arm.Ops,
-				ElapsedSec: arm.ElapsedSec,
-				OpsPerSec:  arm.OpsPerSec,
-				P50:        arm.Latency.P50,
-				P99:        arm.Latency.P99,
-			})
-		}
-	}
-	if len(sc.Shards) > 0 {
-		res.Shards = counts[len(counts)-1]
-		res.ShardSweep = sweep
-	}
-	// The gate itself lives in the CLI: bounds are checked here and any
-	// violations recorded on the result, but the report is written before
-	// `kwmds bench` exits non-zero.
-	evaluateSLO(sc, res)
-	return res, nil
-}
-
-// runArm executes one full warmup+measure pass of the scenario's loop with
-// one driver instance (one shard count of a sweep; shards 0 is the plain
-// path).
-func runArm(sc *Scenario, opts RunOptions, graphs []LoadedGraph, concurrency, shards int) (*ScenarioResult, error) {
-	driver, err := newDriver(sc, concurrency, shards)
+	driver, err := newDriver(sc, concurrency)
 	if err != nil {
 		return nil, err
 	}
@@ -132,10 +90,10 @@ func runArm(sc *Scenario, opts RunOptions, graphs []LoadedGraph, concurrency, sh
 	if sc.Closed != nil {
 		res.Loop = "closed"
 		res.Concurrency = sc.Closed.Concurrency
-		err = runClosed(sc, opts, driver, graphs, shards, res)
+		err = runClosed(sc, opts, driver, graphs, res)
 	} else {
 		res.Loop = "open"
-		err = runOpen(sc, opts, driver, graphs, shards, res)
+		err = runOpen(sc, opts, driver, graphs, res)
 	}
 	if err != nil {
 		return nil, err
@@ -148,9 +106,13 @@ func runArm(sc *Scenario, opts RunOptions, graphs []LoadedGraph, concurrency, sh
 		}
 	}
 	if res.Mismatches > 0 {
-		return nil, fmt.Errorf("kwbench: scenario %q (shards=%d): %d/%d cross-checked operations disagreed with the reference backend (bit-identical contract broken)",
-			sc.Name, shards, res.Mismatches, res.CrossChecked)
+		return nil, fmt.Errorf("kwbench: scenario %q: %d/%d cross-checked operations disagreed with the reference backend (bit-identical contract broken)",
+			sc.Name, res.Mismatches, res.CrossChecked)
 	}
+	// The gate itself lives in the CLI: bounds are checked here and any
+	// violations recorded on the result, but the report is written before
+	// `kwmds bench` exits non-zero.
+	evaluateSLO(sc, res)
 	return res, nil
 }
 
@@ -279,21 +241,16 @@ func buildRequests(sc *Scenario, nGraphs, n int) []Request {
 	return reqs
 }
 
-// crossCheckDriver builds the reference backend for verification: normally
-// the opposite inproc backend (fast↔sim), but a sharded fast arm verifies
-// against the UNSHARDED fast path — the contract under test there is "shard
-// count never affects output", and the 1-shard path is its anchor.
-func crossCheckDriver(sc *Scenario, graphs []LoadedGraph, shards int) (Driver, error) {
+// crossCheckDriver builds the reference backend for verification: the
+// opposite inproc backend (fast↔sim).
+func crossCheckDriver(sc *Scenario, graphs []LoadedGraph) (Driver, error) {
 	mirror := *sc
-	mirror.Shards = nil
-	if !(shards > 1 && sc.Driver == DriverInprocFast) {
-		if sc.Driver == DriverInprocSim {
-			mirror.Driver = DriverInprocFast
-		} else {
-			mirror.Driver = DriverInprocSim
-		}
+	if sc.Driver == DriverInprocSim {
+		mirror.Driver = DriverInprocFast
+	} else {
+		mirror.Driver = DriverInprocSim
 	}
-	d, err := newDriver(&mirror, 1, 0)
+	d, err := newDriver(&mirror, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +262,7 @@ func crossCheckDriver(sc *Scenario, graphs []LoadedGraph, shards int) (Driver, e
 
 // runClosed drives the fixed-concurrency loop: warmup ops round-robin, then
 // the measured ops pulled from a shared counter by Concurrency workers.
-func runClosed(sc *Scenario, opts RunOptions, driver Driver, graphs []LoadedGraph, shards int, res *ScenarioResult) error {
+func runClosed(sc *Scenario, opts RunOptions, driver Driver, graphs []LoadedGraph, res *ScenarioResult) error {
 	ops := sc.Closed.Ops
 	if opts.Quick {
 		ops = quickOps(ops)
@@ -398,7 +355,7 @@ func runClosed(sc *Scenario, opts RunOptions, driver Driver, graphs []LoadedGrap
 	// and compare sizes. Only successfully recorded ops have a size to
 	// compare (errored/shed ops are skipped).
 	if sc.CrossCheck {
-		checker, err := crossCheckDriver(sc, graphs, shards)
+		checker, err := crossCheckDriver(sc, graphs)
 		if err != nil {
 			return err
 		}
@@ -454,7 +411,7 @@ func markWarm(d Driver) {
 // silently slowing the load (the coordinated-omission correction). Only
 // successful operations land in the latency histogram and throughput;
 // errors and sheds are counted separately.
-func runOpen(sc *Scenario, opts RunOptions, driver Driver, graphs []LoadedGraph, shards int, res *ScenarioResult) error {
+func runOpen(sc *Scenario, opts RunOptions, driver Driver, graphs []LoadedGraph, res *ScenarioResult) error {
 	o := sc.Open
 	duration := time.Duration(o.DurationSec * float64(time.Second))
 	if opts.Quick && duration > 500*time.Millisecond {
@@ -516,7 +473,7 @@ func runOpen(sc *Scenario, opts RunOptions, driver Driver, graphs []LoadedGraph,
 	// Verification pass, outside every measurement window (as in
 	// runClosed); errored/shed ops have no size and are skipped.
 	if sc.CrossCheck {
-		checker, err := crossCheckDriver(sc, graphs, shards)
+		checker, err := crossCheckDriver(sc, graphs)
 		if err != nil {
 			return err
 		}

@@ -150,17 +150,6 @@ type Scenario struct {
 	// matrix must name exactly one kw|kw2 combo (the verification solve).
 	Recovery *RecoverySpec `json:"recovery,omitempty"`
 
-	// Shards, when non-empty, sweeps the partitioned engine: the closed
-	// loop runs once per listed shard count (same precomputed request
-	// schedule every arm). With the inproc-fast driver each graph is
-	// partitioned once and kw/kw2 operations solve through the sharded
-	// engine; with the http-serve driver the spawned server is sized with
-	// server.Config.Shards. The last count populates the scenario's main
-	// result block and every arm lands in the report's shard_sweep rows —
-	// outputs are bit-identical across counts by the engine contract, which
-	// cross_check verifies against the unsharded (1-shard) path.
-	Shards []int `json:"shards,omitempty"`
-
 	// HTTP tunes the http-serve driver; nil selects a spawned in-process
 	// server with default sizing.
 	HTTP *HTTPSpec `json:"http,omitempty"`
@@ -170,7 +159,7 @@ type Scenario struct {
 	// are bit-identical by the engine contract — cross_check verifies that —
 	// so the knob isolates the locality win on skewed-degree graphs.
 	// Requires the inproc-fast driver and kw|kw2|frac algos; incompatible
-	// with shards and mobility.
+	// with mobility.
 	Reorder bool `json:"reorder,omitempty"`
 }
 
@@ -484,8 +473,8 @@ func (sc *Scenario) Validate() error {
 		if len(sc.Graphs) > 0 {
 			return bad("load scenarios name their graph in the load block; drop the graphs list")
 		}
-		if sc.BatchSize > 1 || sc.CrossCheck || sc.HTTP != nil || len(sc.Shards) > 0 || sc.Reorder {
-			return bad("load scenarios take no batch_size, cross_check, shards, http or reorder")
+		if sc.BatchSize > 1 || sc.CrossCheck || sc.HTTP != nil || sc.Reorder {
+			return bad("load scenarios take no batch_size, cross_check, http or reorder")
 		}
 		if sc.Mix != nil || sc.SLO != nil || sc.Tenants > 1 {
 			return bad("load scenarios take no mix, slo or tenants")
@@ -520,8 +509,8 @@ func (sc *Scenario) Validate() error {
 		if len(sc.Graphs) > 0 {
 			return bad("recovery scenarios generate their own churn history; drop the graphs list")
 		}
-		if sc.BatchSize > 1 || sc.CrossCheck || sc.HTTP != nil || len(sc.Shards) > 0 || sc.Reorder {
-			return bad("recovery scenarios take no batch_size, cross_check, shards, http or reorder")
+		if sc.BatchSize > 1 || sc.CrossCheck || sc.HTTP != nil || sc.Reorder {
+			return bad("recovery scenarios take no batch_size, cross_check, http or reorder")
 		}
 		if sc.Mix != nil || sc.SLO != nil || sc.Tenants > 1 {
 			return bad("recovery scenarios take no mix, slo or tenants")
@@ -740,9 +729,6 @@ func (sc *Scenario) Validate() error {
 		if sc.BatchSize > 1 {
 			return bad("tenants and batch_size > 1 are mutually exclusive (a batch would span tenants)")
 		}
-		if len(sc.Shards) > 0 {
-			return bad("tenants and shard sweeps are mutually exclusive")
-		}
 	}
 	if sc.Mix != nil {
 		if err := sc.Mix.validate(); err != nil {
@@ -756,9 +742,6 @@ func (sc *Scenario) Validate() error {
 		}
 		if sc.BatchSize > 1 {
 			return bad("mix and batch_size > 1 are mutually exclusive (batch_solve is the mix's batching arm)")
-		}
-		if len(sc.Shards) > 0 {
-			return bad("mix and shard sweeps are mutually exclusive")
 		}
 		if sc.Reorder {
 			return bad("mix takes no reorder")
@@ -810,43 +793,12 @@ func (sc *Scenario) Validate() error {
 		}
 	}
 
-	if len(sc.Shards) > 0 {
-		if sc.Driver == DriverInprocSim {
-			return bad("shards requires the %s or %s driver (the simulation has no sharded engine)", DriverInprocFast, DriverHTTPServe)
-		}
-		if sc.Mobility != nil {
-			return bad("shards does not apply to mobility replays")
-		}
-		if sc.BatchSize > 1 {
-			return bad("shards and batch_size > 1 are mutually exclusive (sharding replaces batching on the cold path)")
-		}
-		if sc.Closed == nil {
-			return bad("shards sweeps require a closed loop")
-		}
-		if sc.HTTP != nil && sc.HTTP.URL != "" {
-			return bad("shards sizes the spawned server; a remote target configures its own shard count")
-		}
-		for _, n := range sc.Shards {
-			if n < 1 || n > kwmds.MaxShards {
-				return bad("shard count %d outside [1, %d]", n, kwmds.MaxShards)
-			}
-		}
-		for _, c := range sc.Matrix.combos() {
-			if c.Algo != "kw" && c.Algo != "kw2" {
-				return bad("sharded scenarios support algos kw|kw2 (got %q)", c.Algo)
-			}
-		}
-	}
-
 	if sc.Reorder {
 		if sc.Driver != DriverInprocFast {
 			return bad("reorder tunes the fastpath engine; it requires the %s driver", DriverInprocFast)
 		}
 		if sc.Mobility != nil {
 			return bad("reorder does not apply to mobility replays")
-		}
-		if len(sc.Shards) > 0 {
-			return bad("reorder and shards are mutually exclusive (the sharded engine is partition-keyed, not relabeling-aware)")
 		}
 		for _, c := range sc.Matrix.combos() {
 			if c.Algo == "kwcds" {

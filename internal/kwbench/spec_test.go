@@ -397,6 +397,20 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	if _, err := Decode([]byte(spec), true); err == nil || !strings.Contains(err.Error(), "no_batch") {
 		t.Fatalf("spec with an [http] no_batch key: err = %v, want an unknown-field refusal", err)
 	}
+	// shards swept the removed in-process sharded engine; a stale spec that
+	// still carries it is refused at load in either syntax, not ignored.
+	for _, tc := range []struct {
+		syntax string
+		spec   string
+	}{
+		{"toml", "name = \"x\"\ndriver = \"inproc-fast\"\nshards = [2]\n[[graphs]]\ntier = \"udg-500\"\n[closed]\nconcurrency = 1\nops = 1\n"},
+		{"json", `{"name":"x","driver":"inproc-fast","shards":[2],"graphs":[{"tier":"udg-500"}],"closed":{"concurrency":1,"ops":1}}`},
+	} {
+		_, err := Decode([]byte(tc.spec), tc.syntax == "toml")
+		if err == nil || !strings.Contains(err.Error(), `unknown field "shards"`) {
+			t.Errorf("%s spec with a shards key: err = %v, want an unknown-field refusal", tc.syntax, err)
+		}
+	}
 }
 
 // TestLoadScenarioCorpus parses every checked-in scenario file: the corpus

@@ -152,17 +152,14 @@ func assertCounters(t *testing.T, srv *Server, ts *httptest.Server, sheds, depth
 }
 
 // admissionPaths are the ways a computation waits for a worker slot: a
-// graph_ref solve, an inline upload (whose graph build takes the slot) and
-// a graph_ref solve on the sharded engine. Each admission test below checks
-// one clause of the contract on all three.
+// graph_ref solve and an inline upload (whose graph build takes the slot).
+// Each admission test below checks one clause of the contract on both.
 var admissionPaths = []struct {
-	name   string
-	shards int
-	body   string
+	name string
+	body string
 }{
-	{"graph_ref", 0, `{"graph_ref":"g","seed":1}`},
-	{"inline", 0, `{"graph":{"n":4,"edges":[[0,1],[1,2],[2,3]]},"seed":1}`},
-	{"sharded", 2, `{"graph_ref":"g","seed":1}`},
+	{"graph_ref", `{"graph_ref":"g","seed":1}`},
+	{"inline", `{"graph":{"n":4,"edges":[[0,1],[1,2],[2,3]]},"seed":1}`},
 }
 
 // onEveryPath runs check as one subtest per admission path, each on a fresh
@@ -170,8 +167,6 @@ var admissionPaths = []struct {
 func onEveryPath(t *testing.T, cfg Config, check func(t *testing.T, srv *Server, ts *httptest.Server, body string)) {
 	for _, p := range admissionPaths {
 		t.Run(p.name, func(t *testing.T) {
-			cfg := cfg
-			cfg.Shards = p.shards
 			srv, ts := admissionServer(t, cfg)
 			check(t, srv, ts, p.body)
 		})

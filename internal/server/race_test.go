@@ -43,7 +43,7 @@ func TestConcurrentRequests(t *testing.T) {
 		`{"graph_ref":"gnp","seed":1,"algo":"kwcds"}`,
 		`{"graph_ref":"gnp","seed":3,"variant":"ln-lnln"}`,
 		`{"graph":{"n":5,"edges":[[0,1],[1,2],[2,3],[3,4]]},"seed":1}`,
-		`{"graph_ref":"udg","k":-1}`,      // 400
+		`{"graph_ref":"udg","k":-1}`,       // 400
 		`{"graph_ref":"missing","seed":1}`, // 404
 		`not even json`,                    // 400
 	}

@@ -20,7 +20,6 @@ import (
 	"kwmds/internal/dyngraph"
 	"kwmds/internal/graph"
 	"kwmds/internal/graphio"
-	"kwmds/internal/shard"
 	"kwmds/internal/wal"
 )
 
@@ -39,8 +38,8 @@ type Config struct {
 	MaxQueue int
 	// QueueTimeout bounds how long an admitted computation may wait for a
 	// worker slot; one whose wait outlives it is shed with 429. It gates
-	// every computation: inline-graph builds and cold solves on the solo
-	// and sharded paths. 0 disables the timeout.
+	// every computation: inline-graph builds and cold solves. 0 disables
+	// the timeout.
 	QueueTimeout time.Duration
 	// CacheEntries is the LRU capacity in results. 0 selects the default
 	// of 256; a negative value disables caching (single-flight coalescing
@@ -62,22 +61,13 @@ type Config struct {
 	// enormous vertex count and graph.New allocates O(n) regardless —
 	// unchecked, a 40-byte request could OOM the process. Default 2e6.
 	MaxInlineVertices int
-	// Shards, when > 1, runs cold kw/kw2 fast-engine solves of preloaded
-	// graphs through the partitioned in-process engine (one engine
-	// goroutine per shard over a cached partition) instead of the
-	// single-solver pipeline. Results are bit-identical to unsharded
-	// solves; sharding buys parallelism within a single solve. Other
-	// pipelines (frac, kwcds, sim, inline graphs) ignore the setting.
-	// Capped at kwmds.MaxShards.
-	Shards int
 	// Reorder, when set, runs cold Sequential solves of preloaded graphs
 	// over a cached degree-ordered relabeling of the topology
 	// (kwmds.Reorder) for better cache locality on skewed-degree graphs.
 	// Outputs are bit-identical with or without it; the relabeling is
 	// built once per topology, inside the first solve's worker slot, and
-	// dropped on mutation. Sharded solves and inline graphs ignore the
-	// setting (a relabeling is a per-topology artifact; inline uploads see
-	// each topology once).
+	// dropped on mutation. Inline graphs ignore the setting (a relabeling
+	// is a per-topology artifact; inline uploads see each topology once).
 	Reorder bool
 }
 
@@ -101,11 +91,6 @@ type Server struct {
 	gmu    sync.RWMutex
 	graphs map[string]*preloaded
 	names  []string
-	// Shard-worker state (nil unless EnableShardWorker was called): the
-	// mesh listener peers dial for boundary exchanges, and the address
-	// advertised for it.
-	mesh     *shard.MeshListener
-	meshAddr string
 	// Admission-control counters: queued is the number of computations
 	// currently inside the admission queue (waiting for, or about to take,
 	// a worker slot) and sheds the lifetime count of solves refused with
@@ -140,15 +125,9 @@ type preloaded struct {
 	// graph. Solves retain it for their duration; DELETE and Close drop
 	// the owner reference, unmapping once the last solve releases.
 	mapped *graphio.MappedGraph
-	// parts caches partitions of the current topology keyed by shard
-	// count — building one is O(n + m), and sharded serving re-solves the
-	// same preload with varying options, so the partition is the reusable
-	// artifact. Dropped on topology mutations (weight-only epochs keep it:
-	// a partition is pure topology).
-	parts map[int]*graph.ShardedCSR
-	// reorder caches the degree-ordered relabeling of the current topology
-	// under the same lifecycle as parts: built on first use, dropped on
-	// topology mutations, pure topology so weight-only epochs keep it.
+	// reorder caches the degree-ordered relabeling of the current topology:
+	// built on first use, dropped on topology mutations, pure topology so
+	// weight-only epochs keep it.
 	reorder *graph.Relabeled
 }
 
@@ -159,38 +138,10 @@ func (p *preloaded) snapshot() (*graph.Graph, string, int64, []float64) {
 	return p.dyn.Graph(), p.digest, p.dyn.Epoch(), p.dyn.Costs()
 }
 
-// partition returns a shards-way partition of the snapshot graph g, serving
-// it from the cache when g is still the current topology. A snapshot
-// superseded by a concurrent mutation is partitioned fresh and not cached —
-// the solve still answers exactly the topology its caller addressed.
-func (p *preloaded) partition(g *graph.Graph, shards int) (*graph.ShardedCSR, error) {
-	p.mu.RLock()
-	if p.dyn.Graph() == g {
-		if sc, ok := p.parts[shards]; ok {
-			p.mu.RUnlock()
-			return sc, nil
-		}
-	}
-	p.mu.RUnlock()
-	sc, err := graph.Partition(g, shards)
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	if p.dyn.Graph() == g {
-		if p.parts == nil {
-			p.parts = make(map[int]*graph.ShardedCSR)
-		}
-		p.parts[shards] = sc
-	}
-	p.mu.Unlock()
-	return sc, nil
-}
-
 // reorderFor returns the degree-ordered relabeling of the snapshot graph g,
-// served from the cache while g is still the current topology (the partition
-// method's pattern). A snapshot superseded by a concurrent mutation gets a
-// fresh, uncached relabeling — the solve still answers its own topology.
+// served from the cache while g is still the current topology. A snapshot
+// superseded by a concurrent mutation gets a fresh, uncached relabeling —
+// the solve still answers exactly the topology its caller addressed.
 func (p *preloaded) reorderFor(g *graph.Graph) *graph.Relabeled {
 	p.mu.RLock()
 	if p.dyn.Graph() == g && p.reorder != nil {
@@ -224,12 +175,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxInlineVertices <= 0 {
 		cfg.MaxInlineVertices = 2_000_000
-	}
-	if cfg.Shards > kwmds.MaxShards {
-		cfg.Shards = kwmds.MaxShards
-	}
-	if cfg.Shards < 0 {
-		cfg.Shards = 0
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -272,6 +217,35 @@ func (s *Server) lookup(name string) (*preloaded, bool) {
 
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// Close releases everything the server owns: every preloaded graph's
+// write-ahead log (flushed first, so records committed with sync=false
+// become durable before the process exits — the graceful-drain contract)
+// and every mmapped snapshot. Idempotent. In-flight HTTP requests are the
+// caller's to drain (see Graceful) before calling Close.
+func (s *Server) Close() {
+	s.closeOnce.Do(func() {
+		s.gmu.RLock()
+		ps := make([]*preloaded, 0, len(s.graphs))
+		for _, p := range s.graphs {
+			ps = append(ps, p)
+		}
+		s.gmu.RUnlock()
+		for _, p := range ps {
+			p.mu.Lock()
+			if p.log != nil {
+				p.log.Close()
+				p.log = nil
+			}
+			mapped := p.mapped
+			p.mapped = nil
+			p.mu.Unlock()
+			if mapped != nil {
+				mapped.Close()
+			}
+		}
+	})
+}
 
 // httpError carries a status code alongside the client-facing message.
 type httpError struct {
@@ -478,24 +452,14 @@ func (s *Server) solve(ctx context.Context, req *graphio.SolveRequest) (*graphio
 
 	key := cacheKey(digest, req, opts)
 	cached, hit, err := s.cache.getOrCompute(ctx, key, func(cancel <-chan struct{}) (*graphio.SolveResponse, error) {
-		// cancel closes when every coalesced client has disconnected. The
-		// slot wait honors it on every path; the solve itself honors it
-		// only when unsharded (sharded runs move in mesh lockstep, and
-		// aborting one for a dead client would cost more than finishing).
-		// Partition and relabeling builds run inside the slot: they are
-		// O(n + m) work the pool must bound like any solve.
+		// cancel closes when every coalesced client has disconnected; both
+		// the slot wait and the solve honor it. The relabeling build runs
+		// inside the slot: it is O(n + m) work the pool must bound like any
+		// solve.
 		if err := s.admit(cancel); err != nil {
 			return nil, err
 		}
 		defer func() { <-s.sem }()
-		// With Config.Shards set, cold fast-engine solves of preloaded
-		// graphs run on the partitioned engine (bit-identical output, see
-		// Config.Shards).
-		if s.cfg.Shards > 1 && pre != nil && opts.Sequential && req.Algo != "frac" && req.Algo != "kwcds" {
-			if sc, perr := pre.partition(g, s.cfg.Shards); perr == nil {
-				return s.runSharded(sc, digest, req.Algo, req.Engine, opts)
-			}
-		}
 		if s.cfg.Reorder && pre != nil && opts.Sequential {
 			// Attach the cached relabeling (built once per topology).
 			opts.Reordered = pre.reorderFor(g)
@@ -618,8 +582,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		oldDigest := p.digest
 		p.rawDigest = graphio.DigestRaw(delta.Next)
 		p.digest = hex.EncodeToString(p.rawDigest[:])
-		p.parts = nil   // partitions describe the old topology
-		p.reorder = nil // so does the degree-ordered relabeling
+		p.reorder = nil // the degree-ordered relabeling describes the old topology
 		s.cache.invalidateDigest(oldDigest)
 	}
 	if rec != nil {
@@ -732,21 +695,6 @@ func (s *Server) run(g *graph.Graph, digest, algo, engine string, opts kwmds.Opt
 		}
 		fillResult(resp, res)
 	}
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return resp, nil
-}
-
-// runSharded executes one cold solve on the partitioned in-process engine.
-// Identical response shape and bits to run(); only the execution split
-// differs.
-func (s *Server) runSharded(sc *graph.ShardedCSR, digest, algo, engine string, opts kwmds.Options) (*graphio.SolveResponse, error) {
-	resp := &graphio.SolveResponse{Digest: digest, Algo: algo, Engine: engine, N: sc.G.N(), M: sc.G.M()}
-	start := time.Now()
-	res, err := kwmds.DominatingSetSharded(sc, opts)
-	if err != nil {
-		return nil, err
-	}
-	fillResult(resp, res)
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	return resp, nil
 }

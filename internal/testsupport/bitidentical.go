@@ -8,16 +8,16 @@ import (
 )
 
 // RequireBitIdentical fails t unless got and want are bit-for-bit equal.
-// It exists for the differential suites (churn, shard, reorder, crash
-// recovery), whose contract is not "approximately the same answer" but
-// "the same bits": two executions of one deterministic algorithm. Both
-// arguments are compared structurally by reflection — typically two
-// *kwmds.Result values (reflection rather than a concrete parameter keeps
-// this package importable from inside the packages kwmds is built from) —
-// with float64s compared by IEEE bit pattern, so +0 ≠ -0 and NaN = NaN
-// with the same payload: exactly the "bit-identical" the differential
-// harnesses promise, where reflect.DeepEqual's ==-based float comparison
-// would blur it.
+// It exists for the differential suites (churn, reorder, crash recovery),
+// whose contract is not "approximately the same answer" but "the same
+// bits": two executions of one deterministic algorithm. Both arguments
+// are compared structurally by reflection — typically two *kwmds.Result
+// values (reflection rather than a concrete parameter keeps this package
+// importable from inside the packages kwmds is built from) — with
+// float64s compared by IEEE bit pattern, so +0 ≠ -0 and NaN = NaN with
+// the same payload: exactly the "bit-identical" the differential harnesses
+// promise, where reflect.DeepEqual's ==-based float comparison would blur
+// it.
 func RequireBitIdentical(t testing.TB, got, want any) {
 	t.Helper()
 	if diff := bitDiff(reflect.ValueOf(got), reflect.ValueOf(want), "x"); diff != "" {

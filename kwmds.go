@@ -62,27 +62,18 @@ type Options struct {
 	// worker pool — can stop the per-solve pools from oversubscribing
 	// the machine. Ignored for simulated runs.
 	SolverWorkers int
-	// Shards, when > 1, partitions the graph into that many contiguous
-	// vertex ranges and solves them as a lockstep shard group (implies
-	// Sequential; at most MaxShards). Like the worker count, the shard
-	// count never affects output. DominatingSet partitions per call —
-	// callers solving one topology repeatedly should PartitionGraph once
-	// and use DominatingSetSharded instead. Not supported by
-	// FractionalDominatingSet or DominatingSetMany.
-	Shards int
 	// Cancel, when non-nil, aborts a Sequential solve early once the
 	// channel closes: DominatingSet and FractionalDominatingSet return
 	// ErrCanceled at the next LP iteration boundary. Serving stacks close
 	// it when the requesting client disconnects. Ignored by simulated
-	// runs, by DominatingSetMany (a batch amortizes work across callers)
-	// and by sharded solves (a shard group aborts only through its
-	// exchange failing).
+	// runs and by DominatingSetMany (a batch amortizes work across
+	// callers).
 	Cancel <-chan struct{}
 	// Reordered, when non-nil, runs the Sequential solver over the
 	// degree-ordered permutation of the graph (build it once with Reorder)
 	// for better cache locality on skewed-degree graphs. Outputs stay
 	// indexed by original vertex ids and are bit-identical to a solve
-	// without it. Requires Sequential; not supported by sharded solves.
+	// without it. Requires Sequential.
 	Reordered *ReorderedGraph
 }
 
@@ -193,9 +184,6 @@ func FractionalDominatingSet(g *Graph, opts Options) (*FractionalResult, error) 
 	if err := opts.Validate(g); err != nil {
 		return nil, fmt.Errorf("kwmds: %w", err)
 	}
-	if opts.Shards > 1 {
-		return nil, fmt.Errorf("kwmds: %w: Shards applies only to the full pipeline (DominatingSet)", ErrInvalidOptions)
-	}
 	delta := g.MaxDegree()
 	k := effectiveK(opts.K, delta)
 	out := &FractionalResult{K: k, Bound: lpBound(opts, k, delta)}
@@ -234,16 +222,6 @@ func FractionalDominatingSet(g *Graph, opts Options) (*FractionalResult, error) 
 // set is always a valid dominating set; its expected size is within
 // O(k·∆^{2/k}·log ∆) of optimal (Theorem 6).
 func DominatingSet(g *Graph, opts Options) (*Result, error) {
-	if opts.Shards > 1 {
-		if err := opts.Validate(g); err != nil {
-			return nil, fmt.Errorf("kwmds: %w", err)
-		}
-		sc, err := PartitionGraph(g, opts.Shards)
-		if err != nil {
-			return nil, fmt.Errorf("kwmds: %w", err)
-		}
-		return DominatingSetSharded(sc, opts)
-	}
 	if opts.Sequential {
 		return fastDominatingSet(g, opts)
 	}
@@ -323,9 +301,6 @@ func DominatingSetMany(g *Graph, optsList []Options) ([]*Result, error) {
 	for i, opts := range optsList {
 		if err := opts.Validate(g); err != nil {
 			return nil, fmt.Errorf("kwmds: batch element %d: %w", i, err)
-		}
-		if opts.Shards > 1 {
-			return nil, fmt.Errorf("kwmds: batch element %d: %w: batching does not support sharded solves", i, ErrInvalidOptions)
 		}
 		fopts[i] = fastOptions(opts, effectiveK(opts.K, delta))
 	}

@@ -71,7 +71,6 @@ func TestReorderValidation(t *testing.T) {
 	}{
 		{"without sequential", Options{Reordered: Reorder(g)}},
 		{"foreign graph", Options{Sequential: true, Reordered: rl}},
-		{"with shards", Options{Sequential: true, Reordered: Reorder(g), Shards: 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

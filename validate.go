@@ -38,15 +38,9 @@ func (o Options) Validate(g *Graph) error {
 	default:
 		return fmt.Errorf("%w: unknown rounding variant %d", ErrInvalidOptions, o.Variant)
 	}
-	if o.Shards < 0 || o.Shards > MaxShards {
-		return fmt.Errorf("%w: Shards = %d outside [0, %d]", ErrInvalidOptions, o.Shards, MaxShards)
-	}
 	if o.Reordered != nil {
 		if !o.Sequential {
 			return fmt.Errorf("%w: Reordered requires Sequential (the simulated engine has no reordered execution)", ErrInvalidOptions)
-		}
-		if o.Shards > 1 {
-			return fmt.Errorf("%w: Reordered is not supported by sharded solves", ErrInvalidOptions)
 		}
 		if o.Reordered.Orig() != g {
 			return fmt.Errorf("%w: Reordered was built from a different graph", ErrInvalidOptions)
