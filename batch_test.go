@@ -1,6 +1,7 @@
 package kwmds
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -70,5 +71,11 @@ func TestDominatingSetManyValidation(t *testing.T) {
 	bad := []Options{{Sequential: true}, {K: -2, Sequential: true}}
 	if _, err := DominatingSetMany(g, bad); err == nil || !strings.Contains(err.Error(), "element 1") {
 		t.Fatalf("invalid element not rejected with index: %v", err)
+	}
+	closed := make(chan struct{})
+	close(closed)
+	canceled := []Options{{Sequential: true}, {Sequential: true, Cancel: closed}}
+	if _, err := DominatingSetMany(g, canceled); !errors.Is(err, ErrCanceled) || !strings.Contains(err.Error(), "element 1") {
+		t.Fatalf("canceled element: err = %v, want ErrCanceled naming element 1", err)
 	}
 }

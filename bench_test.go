@@ -1,7 +1,8 @@
-// One benchmark per experiment in DESIGN.md §4. Each benchmark runs a
-// representative slice of the corresponding experiment (the full tables are
-// produced by cmd/experiments) and reports the experiment's key quality
-// metric via b.ReportMetric alongside the usual time/allocation figures.
+// One benchmark per experiment of internal/bench/registry.go (T1–T9, F1).
+// Each benchmark runs a representative slice of the corresponding
+// experiment (the full tables are produced by cmd/experiments) and reports
+// the experiment's key quality metric via b.ReportMetric alongside the
+// usual time/allocation figures.
 //
 //	go test -bench=. -benchmem
 package kwmds_test

@@ -1,5 +1,5 @@
 // Command experiments regenerates every experiment table in EXPERIMENTS.md
-// (ids T1–T9 and F1, defined in DESIGN.md §4).
+// (ids T1–T9, F1 and L1, registered in internal/bench/registry.go).
 //
 // Usage:
 //

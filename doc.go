@@ -98,7 +98,7 @@
 //
 // Architecture notes live in docs/ARCHITECTURE.md (layers, data flow, the
 // three-backend contract) and docs/BENCHMARKS.md (benchmark methodology
-// and the schema of every BENCH_*.json artifact). See DESIGN.md for the
-// system inventory and EXPERIMENTS.md for the reproduction of every
-// quantitative claim in the paper.
+// and the schema of every BENCH_*.json artifact). EXPERIMENTS.md holds the
+// reproduction tables of the paper's quantitative claims, as printed by
+// cmd/experiments.
 package kwmds

@@ -24,7 +24,7 @@ type Runner struct {
 	Run         func(Config) []*stats.Table
 }
 
-// Runners lists every experiment in DESIGN.md §4 order.
+// Runners lists every experiment, in the order cmd/experiments prints them.
 func Runners() []Runner {
 	return []Runner{
 		{"T1", "Theorem 4: Algorithm 2 LP quality and rounds",

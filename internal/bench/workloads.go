@@ -1,8 +1,8 @@
-// Package bench is the experiment harness: one runner per experiment id in
-// DESIGN.md §4 (T1–T9, F1), each regenerating a table that checks a
-// quantitative claim of the paper. cmd/experiments prints the tables that
-// EXPERIMENTS.md records; bench_test.go exposes one testing.B benchmark per
-// experiment.
+// Package bench is the experiment harness: one runner per experiment id
+// registered in registry.go (T1–T9, F1, L1), each regenerating a table
+// that checks a quantitative claim of the paper. cmd/experiments prints
+// the tables that EXPERIMENTS.md records; bench_test.go exposes one
+// testing.B benchmark per experiment.
 package bench
 
 import (

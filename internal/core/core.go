@@ -31,8 +31,10 @@ const (
 	// reliably across platforms.
 	covTol = 1e-9
 	// thrSlack is the relative slack applied to activity thresholds such
-	// as (∆+1)^{ℓ/k} so that integer dynamic degrees compare against
-	// exact powers deterministically (see DESIGN.md).
+	// as (∆+1)^{ℓ/k}. When the power is an exact integer, math.Pow may
+	// round it a hair above that integer, and a dynamic degree equal to
+	// the exact threshold would fail the test; the slack makes every
+	// comparison come out as in exact arithmetic.
 	thrSlack = 1e-12
 	// maxK caps the iteration parameter; beyond log2(n) the algorithm's
 	// thresholds collapse to 1 and extra iterations are pure overhead.
@@ -99,8 +101,8 @@ type OuterReport struct {
 	ZNeighborhoodMax float64
 	// LostWeight is x-increase by nodes whose closed neighborhood had no
 	// white node at increase time. With the fresh-δ̃ round schedule used by
-	// all implementations here (see the note in ReferenceKnownDelta and
-	// DESIGN.md) it is always zero; it is kept as a cross-check.
+	// all implementations here (see the note in ReferenceKnownDelta) it is
+	// always zero; it is kept as a cross-check.
 	LostWeight float64
 }
 
@@ -163,11 +165,6 @@ func ValidateK(k int) error { return validateK(k) }
 func ValidateCosts(n int, costs []float64) (float64, error) {
 	return validateCosts(n, costs)
 }
-
-// PowTable exposes the (∆+1)^{i/k} threshold table of Algorithm 2 so other
-// backends compute thresholds through the same math.Pow calls — a
-// prerequisite for bit-identical cross-backend output.
-func PowTable(delta, k int) []float64 { return powTable(delta, k) }
 
 // KnownDeltaBound returns the Theorem 4 approximation guarantee
 // k(∆+1)^{2/k} for a graph with maximum degree delta.

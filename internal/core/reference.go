@@ -255,8 +255,11 @@ func Reference(g *graph.Graph, k int, opts ...RefOption) (*RefResult, error) {
 		expL := float64(l) / float64(l+1)
 		for m := k - 1; m >= 0; m-- {
 			// Lines 7-9: activity test against the local 2-hop threshold.
-			// The δ̃ ≥ 1 guard excludes the degenerate γ⁽²⁾ = 0 case (see
-			// DESIGN.md); it never fires while any node nearby is white.
+			// The δ̃ ≥ 1 guard excludes the degenerate γ⁽²⁾ = 0 case, where
+			// the threshold 0^{ℓ/(ℓ+1)} is 0 for ℓ ≥ 1 and a node with no
+			// white node in N[v] would raise x for nothing. While any node
+			// within two hops is white, γ⁽²⁾ ≥ 1 puts the threshold at or
+			// above 1−ε, so the guard never changes the outcome.
 			for v := 0; v < n; v++ {
 				active[v] = dtil[v] >= 1 &&
 					float64(dtil[v]) >= math.Pow(float64(gamma2[v]), expL)*(1-thrSlack)

@@ -51,11 +51,11 @@
 // LP memo: the LP stage is a deterministic function of the graph, the
 // algorithm, k and (weighted) the costs; only rounding reads the seed. A
 // Solver remembers its last completed LP stage — its own x buffer is the
-// memo, one entry — and Solve, Fractional, each SolveMany element and
-// Resolve skip the stage when they ask for the same configuration again:
-// the same *graph.Graph and Options.Relab pointers, the same algorithm and
-// k, and for AlgWeighted costs bit-equal to the solver's own copy (never
-// slice identity: a caller may rewrite its cost slice in place). Pointer
+// memo, one entry — and Solve, Fractional and Resolve skip the stage when
+// they ask for the same configuration again: the same *graph.Graph and
+// Options.Relab pointers, the same algorithm and k, and for AlgWeighted
+// costs bit-equal to the solver's own copy (never slice identity: a
+// caller may rewrite its cost slice in place). Pointer
 // keys are sound because the solver holds what it keys on, so no new graph
 // can take the address while it does. The memo is dropped by any other
 // graph or relabeling and by a run that was canceled (x is partial).

@@ -26,7 +26,7 @@ func (s *Solver) Fractional(g *graph.Graph, opt Options) ([]float64, error) {
 	defer s.stopWorkers()
 	s.cancel = opt.Cancel
 	defer func() { s.cancel = nil }()
-	s.lp(g, opt)
+	s.lp(opt)
 	if s.canceled() {
 		return nil, ErrCanceled
 	}
@@ -45,7 +45,7 @@ func (s *Solver) Solve(g *graph.Graph, opt Options) (Result, error) {
 	defer s.stopWorkers()
 	s.cancel = opt.Cancel
 	defer func() { s.cancel = nil }()
-	s.lp(g, opt)
+	s.lp(opt)
 	if s.canceled() {
 		return Result{}, ErrCanceled
 	}
@@ -62,7 +62,7 @@ func (s *Solver) Solve(g *graph.Graph, opt Options) (Result, error) {
 // requests against one topology differ in their seed. Otherwise the LP
 // state is reset and the stage runs. The memo is marked valid only when
 // the run finished uncanceled, since a canceled run leaves x partial.
-func (s *Solver) lp(g *graph.Graph, opt Options) {
+func (s *Solver) lp(opt Options) {
 	if s.lpValid && s.lpAlg == opt.Algorithm && s.lpK == opt.K &&
 		(opt.Algorithm != AlgWeighted || s.sameCosts(opt.Costs)) {
 		return
@@ -70,7 +70,7 @@ func (s *Solver) lp(g *graph.Graph, opt Options) {
 	s.lpValid = false
 	s.bindCosts(opt)
 	s.resetLPState()
-	s.lpStage(g, opt)
+	s.lpStage(opt)
 	if !s.canceled() {
 		s.lpAlg, s.lpK, s.lpValid = opt.Algorithm, opt.K, true
 	}
@@ -140,45 +140,30 @@ func (s *Solver) canceled() bool {
 	}
 }
 
-func (s *Solver) lpStage(g *graph.Graph, opt Options) {
+func (s *Solver) lpStage(opt Options) {
 	switch opt.Algorithm {
 	case Alg2:
-		pw := s.powTable(g.MaxDegree(), opt.K)
-		s.lpThreshold(opt.K, pw, pw)
+		s.pw = fillPow(s.pw, float64(s.maxDeg+1), opt.K)
+		s.lpThreshold(opt.K, s.pw, s.pw)
 	case AlgWeighted:
-		delta := g.MaxDegree()
-		pw := s.powTable(delta, opt.K)
-		s.lpThreshold(opt.K, s.weightedThresholds(delta, opt.K), pw)
+		s.pw = fillPow(s.pw, float64(s.maxDeg+1), opt.K)
+		s.wthr = fillPow(s.wthr, s.curCmax*float64(s.maxDeg+1), opt.K)
+		s.lpThreshold(opt.K, s.wthr, s.pw)
 	default:
 		s.lpAlg3(opt.K)
 	}
 }
 
-// powTable memoizes core.PowTable on (∆, k), so repeated solves against one
-// graph and configuration — the serving pattern, and every SolveMany batch —
-// pay the k+1 math.Pow calls once. A hit returns the exact floats the direct
-// call computes (same function, same arguments): bit-identity is unaffected.
-func (s *Solver) powTable(delta, k int) []float64 {
-	if !(s.pwValid && s.pwDelta == delta && s.pwK == k) {
-		s.pw = core.PowTable(delta, k)
-		s.pwDelta, s.pwK, s.pwValid = delta, k, true
+// fillPow sets buf[i] = base^{i/k} for i = 0..k, growing buf only when it
+// is too short. These are the references' own math.Pow calls (core's
+// Algorithm 2 and weighted thresholds), so the tables are bit-identical to
+// theirs.
+func fillPow(buf []float64, base float64, k int) []float64 {
+	buf = growF64(buf, k+1)
+	for i := range buf {
+		buf[i] = math.Pow(base, float64(i)/float64(k))
 	}
-	return s.pw
-}
-
-// weightedThresholds memoizes the weighted activity thresholds
-// [c_max(∆+1)]^{ℓ/k} on (c_max(∆+1), k), with the same bit-identity
-// argument as powTable.
-func (s *Solver) weightedThresholds(delta, k int) []float64 {
-	base := s.curCmax * float64(delta+1)
-	if !(s.wthrValid && s.wthrBase == base && s.wthrK == k) {
-		s.wthr = growF64(s.wthr, k+1)
-		for i := 0; i <= k; i++ {
-			s.wthr[i] = math.Pow(base, float64(i)/float64(k))
-		}
-		s.wthrBase, s.wthrK, s.wthrValid = base, k, true
-	}
-	return s.wthr
+	return buf
 }
 
 // lpThreshold is the shared driver of Algorithm 2 and the weighted variant:

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kwmds/internal/graph"
+	"kwmds/internal/rounding"
 	"kwmds/internal/testsupport"
 )
 
@@ -28,28 +29,25 @@ const (
 	memoSolve memoKind = iota
 	memoFrac
 	memoRound
-	memoBatch
 	memoRewrite // rewrite the shared cost slice in place; no run
 )
 
 // memoStep is one run on the shared solver. hit says whether the LP stage
-// must be skipped; for a batch, hits gives it per element.
+// must be skipped.
 type memoStep struct {
 	name   string
 	kind   memoKind
 	opt    Options
-	batch  []Options
-	hits   []bool
 	cancel bool // run with a pre-closed Cancel: expect ErrCanceled
 	hit    bool
 }
 
 // TestLPMemoMatchesFreshSolver drives one solver through runs that move the
 // LP memo between hits and misses — k, algorithm, relabeling and weighted
-// cost contents alternate; a canceled run, a standalone Round and a
-// SolveMany batch sit in between — at worker counts 1, 3 and 0. Every
-// answer must be bit-identical to a fresh solver's, and every step must hit
-// or miss the memo as its configuration dictates.
+// cost contents alternate; a canceled run and a standalone Round sit in
+// between — at worker counts 1, 3 and 0. Every answer must be
+// bit-identical to a fresh solver's, and every step must hit or miss the
+// memo as its configuration dictates.
 func TestLPMemoMatchesFreshSolver(t *testing.T) {
 	g := workloads(t)[1].g
 	rl := graph.Relabel(g)
@@ -87,11 +85,12 @@ func TestLPMemoMatchesFreshSolver(t *testing.T) {
 		{name: "alg3 k2 after cancel", opt: Options{K: 2, Seed: 1}},
 		{name: "canceled memo hit", opt: Options{K: 2, Seed: 8}, cancel: true, hit: true},
 		{name: "alg3 k2 after canceled hit", opt: Options{K: 2, Seed: 9}, hit: true},
-		{name: "batch", kind: memoBatch, batch: []Options{
-			{K: 2, Seed: 10}, {K: 2, Seed: 11}, {K: 3, Seed: 1},
-			{K: 3, Algorithm: Alg2, Seed: 1}, {K: 3, Algorithm: Alg2, Seed: 2},
-		}, hits: []bool{true, true, false, false, true}},
-		{name: "alg2 k3 after batch", opt: Options{K: 3, Algorithm: Alg2, Seed: 3}, hit: true},
+		{name: "alg3 k2 seed 10", opt: Options{K: 2, Seed: 10}, hit: true},
+		{name: "alg3 k2 seed 11", opt: Options{K: 2, Seed: 11}, hit: true},
+		{name: "alg3 k3 after k2", opt: Options{K: 3, Seed: 1}},
+		{name: "alg2 k3 after alg3", opt: Options{K: 3, Algorithm: Alg2, Seed: 1}},
+		{name: "alg2 k3 new seed", opt: Options{K: 3, Algorithm: Alg2, Seed: 2}, hit: true},
+		{name: "alg2 k3 third seed", opt: Options{K: 3, Algorithm: Alg2, Seed: 3}, hit: true},
 	}
 
 	s := New()
@@ -149,32 +148,82 @@ func TestLPMemoMatchesFreshSolver(t *testing.T) {
 					t.Fatal(err)
 				}
 				testsupport.RequireBitIdenticalIn(t, ctx, got, want)
-			case memoBatch:
-				opts := make([]Options, len(st.batch))
-				for i, o := range st.batch {
-					o.Workers = workers
-					opts[i] = o
-				}
-				err := s.SolveMany(g, opts, func(i int, got Result) {
-					ectx := fmt.Sprintf("%s element %d", ctx, i)
-					if skipped := lpSkipped(s); skipped != st.hits[i] {
-						t.Errorf("%s: LP stage skipped = %v, want %v", ectx, skipped, st.hits[i])
-					}
-					want, err := New().Solve(g, opts[i])
-					if err != nil {
-						t.Fatal(err)
-					}
-					testsupport.RequireBitIdenticalIn(t, ectx, got, want)
-					plantSentinel(s)
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", ctx, err)
-				}
-				continue
 			}
 			if skipped := lpSkipped(s); skipped != st.hit {
 				t.Fatalf("%s: LP stage skipped = %v, want %v", ctx, skipped, st.hit)
 			}
 		}
+	}
+}
+
+// seqOpts is a sequence of solves over one graph: runs of one LP
+// configuration (varying only seed and variant) interleaved with switches
+// of k, algorithm and weights, so a solver running it in order moves its
+// LP memo between hits and misses.
+func seqOpts(n int, workers int) []Options {
+	costs := make([]float64, n)
+	for i := range costs {
+		costs[i] = 1 + float64(i%7)/2
+	}
+	return []Options{
+		{K: 3, Seed: 1, Workers: workers},
+		{K: 3, Seed: 2, Workers: workers},
+		{K: 3, Seed: 2, Variant: rounding.LnMinusLnLn, Workers: workers},
+		{K: 4, Seed: 2, Workers: workers}, // k switch → LP re-run
+		{K: 4, Seed: 9, Workers: workers},
+		{K: 4, Seed: 9, Algorithm: Alg2, Workers: workers}, // algorithm switch
+		{K: 4, Seed: 10, Algorithm: Alg2, Workers: workers},
+		{K: 3, Seed: 1, Algorithm: AlgWeighted, Costs: costs, Workers: workers},
+		{K: 3, Seed: 5, Algorithm: AlgWeighted, Costs: costs, Workers: workers},
+		{K: 3, Seed: 5, Workers: workers}, // back to Alg3
+	}
+}
+
+// TestSolveManyMatchesSolo runs the many options of seqOpts in order
+// through Solve on one pooled solver, which may arrive holding another
+// test's graph and memo: every answer must be bit-identical to a fresh
+// solver's, at every worker count.
+func TestSolveManyMatchesSolo(t *testing.T) {
+	for _, wl := range workloads(t) {
+		for _, workers := range workerCounts {
+			t.Run(fmt.Sprintf("%s/w%d", wl.name, workers), func(t *testing.T) {
+				s := Acquire(wl.g.N())
+				defer Release(s)
+				for i, opt := range seqOpts(wl.g.N(), workers) {
+					got, err := s.Solve(wl.g, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := New().Solve(wl.g, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					testsupport.RequireBitIdenticalIn(t, fmt.Sprintf("solve %d", i), got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestSolveManyPooled: a pooled solver that already ran a solve with
+// another k and seed must answer the seqOpts sequence exactly as fresh
+// solvers do (the LP memo and δ⁽²⁾ tables must not leak state).
+func TestSolveManyPooled(t *testing.T) {
+	wl := workloads(t)[1]
+	s := Acquire(wl.g.N())
+	defer Release(s)
+	if _, err := s.Solve(wl.g, Options{K: 5, Seed: 77}); err != nil {
+		t.Fatal(err)
+	}
+	for i, opt := range seqOpts(wl.g.N(), 2) {
+		got, err := s.Solve(wl.g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New().Solve(wl.g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		testsupport.RequireBitIdenticalIn(t, fmt.Sprintf("solve %d", i), got, want)
 	}
 }

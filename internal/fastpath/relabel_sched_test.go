@@ -1,11 +1,13 @@
 package fastpath
 
 import (
+	"fmt"
 	"testing"
 
 	"kwmds/internal/dyngraph"
 	"kwmds/internal/gen"
 	"kwmds/internal/graph"
+	"kwmds/internal/testsupport"
 )
 
 // The degree-ordered permuted sweep (Options.Relab) and the phase
@@ -93,45 +95,34 @@ func TestRelabeledRoundStandalone(t *testing.T) {
 	}
 }
 
-func TestRelabeledSolveMany(t *testing.T) {
+// TestRelabeledSolveSequence runs one relabeled solver through a sequence
+// that moves its LP memo between algorithms: every answer must match the
+// plain solve of the same options.
+func TestRelabeledSolveSequence(t *testing.T) {
 	g, err := gen.GNP(200, 0.04, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rl := graph.Relabel(g)
 	costs := costsFor(g)
-	opts := []Options{
+	s := New()
+	for i, opt := range []Options{
 		{K: 2, Algorithm: Alg3, Seed: 1, Relab: rl},
 		{K: 2, Algorithm: Alg3, Seed: 2, Relab: rl},
 		{K: 2, Algorithm: AlgWeighted, Costs: costs, Seed: 3, Relab: rl},
 		{K: 1, Algorithm: Alg2, Seed: 4, Relab: rl},
-	}
-	var got []Result
-	err = New().SolveMany(g, opts, func(i int, res Result) {
-		got = append(got, Result{
-			InDS: append([]bool(nil), res.InDS...),
-			X:    append([]float64(nil), res.X...),
-			Size: res.Size, JoinedRandom: res.JoinedRandom, JoinedFixup: res.JoinedFixup,
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range opts {
-		solo := opts[i]
+	} {
+		got, err := s.Solve(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo := opt
 		solo.Relab = nil
 		want, err := New().Solve(g, solo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[i].Size != want.Size {
-			t.Fatalf("element %d: size %d, want %d", i, got[i].Size, want.Size)
-		}
-		for v := range want.InDS {
-			if got[i].X[v] != want.X[v] || got[i].InDS[v] != want.InDS[v] {
-				t.Fatalf("element %d vertex %d: batch relabeled diverges from solo", i, v)
-			}
-		}
+		testsupport.RequireBitIdenticalIn(t, fmt.Sprintf("solve %d", i), got, want)
 	}
 }
 
@@ -158,11 +149,5 @@ func TestRelabValidation(t *testing.T) {
 	}
 	if _, err := s.Resolve(delta, Options{K: 2, Relab: rl1}); err == nil {
 		t.Error("Resolve accepted Options.Relab")
-	}
-
-	rlAgain := graph.Relabel(g1)
-	err = s.SolveMany(g1, []Options{{K: 2, Relab: rl1}, {K: 2, Relab: rlAgain}}, func(int, Result) {})
-	if err == nil {
-		t.Error("SolveMany accepted mixed Relab pointers")
 	}
 }

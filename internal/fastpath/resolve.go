@@ -53,7 +53,7 @@ func (s *Solver) Resolve(d *dyngraph.Delta, opt Options) (Result, error) {
 		s.repairD2(d.Touched)
 		s.d2done = true
 	}
-	s.lp(d.Next, opt)
+	s.lp(opt)
 	res := s.roundPhases(s.x[:s.n], opt)
 	res.X = s.x[:s.n]
 	return res, nil

@@ -45,19 +45,12 @@ func (s *Solver) roundPhases(x []float64, opt Options) Result {
 	s.ensureD2()
 	s.curX = x
 	s.curSeed = opt.Seed
-	s.curVariant = opt.Variant
 	// δ⁽²⁾ ≤ ∆, so the variant scaling — two logarithms per distinct
-	// value — is tabulated once instead of computed per vertex, and the
-	// table is memoized on (variant, ∆): back-to-back rounds over one
-	// graph (SolveMany batches, the serving pattern) skip the refill. A
-	// memo hit holds the exact floats a refill computes, so bit-identity
-	// is unaffected.
-	if !(s.scaleValid && s.scaleVariant == opt.Variant && len(s.scaleTab) == s.maxDeg+1) {
-		s.scaleTab = growF64(s.scaleTab, s.maxDeg+1)
-		for i := range s.scaleTab {
-			s.scaleTab[i] = opt.Variant.Scale(i)
-		}
-		s.scaleVariant, s.scaleValid = opt.Variant, true
+	// value — is tabulated once per round instead of computed per vertex:
+	// ∆+1 calls against the O(n+m) rounding.
+	s.scaleTab = growF64(s.scaleTab, s.maxDeg+1)
+	for i := range s.scaleTab {
+		s.scaleTab[i] = opt.Variant.Scale(i)
 	}
 	for c := 0; c < s.nchunks; c++ {
 		s.joinCnt[c] = [2]int{}

@@ -47,8 +47,7 @@ type Options struct {
 	// closes: Solve and Fractional return ErrCanceled at the next LP
 	// iteration boundary (a few kernel dispatches of latency at most).
 	// The solver's buffers stay reusable — a canceled pooled solver is
-	// released and reacquired as usual. SolveMany ignores it: a batch
-	// amortizes work across callers.
+	// released and reacquired as usual.
 	Cancel <-chan struct{}
 	// Relab, when non-nil, runs the frontier sweeps over the permuted CSR
 	// it holds (a locality-improving vertex order built once per graph by
@@ -158,28 +157,19 @@ type Solver struct {
 	zeroed  []int32  // applyNewGray scratch: vertices whose δ̃ hit zero
 	joinCnt [][2]int // per-chunk {random, fixup} join counters
 
-	// Memoized derived tables, keyed by the inputs that produced them.
-	// Each holds the exact floats the direct computation yields (same
-	// function, same arguments), so a memo hit cannot perturb
-	// bit-identity; SolveMany batches hit these across elements.
-	pw           []float64 // core.PowTable(pwDelta, pwK)
-	pwDelta, pwK int
-	pwValid      bool
-	wthr         []float64 // weighted thresholds for (wthrBase, wthrK)
-	wthrBase     float64
-	wthrK        int
-	wthrValid    bool
-	scaleValid   bool // scaleTab currently holds scaleVariant over maxDeg+1 entries
-	scaleVariant rounding.Variant
+	// Threshold tables of an LP miss, refilled in place by fillPow:
+	// pw = (∆+1)^{i/k} (Algorithm 2 and the weighted x-raise) and
+	// wthr = [c_max(∆+1)]^{i/k} (the weighted activity thresholds).
+	pw   []float64
+	wthr []float64
 
 	// per-phase parameters, set by the drivers before dispatch
-	curThr     float64
-	curXval    float64
-	curCosts   []float64
-	curCmax    float64
-	curSeed    int64
-	curVariant rounding.Variant
-	curX       []float64 // rounding input
+	curThr   float64
+	curXval  float64
+	curCosts []float64
+	curCmax  float64
+	curSeed  int64
+	curX     []float64 // rounding input
 
 	// phase dispatch: method values bound once, so dispatching a phase
 	// performs no allocation

@@ -267,9 +267,10 @@ func TestEdgeCases(t *testing.T) {
 // TestSolveZeroAlloc pins the allocation-free steady state: after one
 // warm-up solve, repeat solves on the same solver allocate nothing
 // (workers = 1, the serving configuration on a loaded box where each
-// request gets one core's worth of solver). The miss case alternates k so
-// every solve runs the LP stage; the memo-hit cases repeat one LP
-// configuration with a new seed per solve, so only rounding runs.
+// request gets one core's worth of solver). The miss cases alternate k so
+// every solve runs the LP stage and refills its threshold tables; the
+// memo-hit cases repeat one LP configuration with a new seed per solve, so
+// only rounding runs.
 func TestSolveZeroAlloc(t *testing.T) {
 	g, err := gen.UnitDisk(2000, 0.04, 11)
 	if err != nil {
@@ -281,6 +282,11 @@ func TestSolveZeroAlloc(t *testing.T) {
 		opts []Options
 	}{
 		{"miss", []Options{{K: 3}, {K: 2}}},
+		{"miss alg2", []Options{{K: 3, Algorithm: Alg2}, {K: 2, Algorithm: Alg2}}},
+		{"miss weighted", []Options{
+			{K: 3, Algorithm: AlgWeighted, Costs: costs},
+			{K: 2, Algorithm: AlgWeighted, Costs: costs},
+		}},
 		{"hit alg3", []Options{{K: 3}}},
 		{"hit weighted", []Options{{K: 3, Algorithm: AlgWeighted, Costs: costs}}},
 	} {

@@ -16,7 +16,7 @@ import (
 // SolveRequest is the JSON body of a solve call. Exactly one of Graph or
 // GraphRef selects the topology.
 type SolveRequest struct {
-	// Graph is an inline topology (same shape as the JSON graph format).
+	// Graph is an inline topology (a JSONGraph).
 	// It stays raw at decode time so the edge-list materialization —
 	// the expensive part of a request — can run under the server's
 	// worker pool (BuildGraph) instead of on the request goroutine.

@@ -1,14 +1,11 @@
-// Package graphio reads and writes graphs in two formats:
-//
-//   - a plain edge-list text format: an optional header line "n <count>",
-//     one "u v" pair per line, '#' comments and blank lines ignored; and
-//   - a JSON format carrying the edge list plus free-form metadata, used by
-//     the cmd tools to keep generator parameters next to the graph.
+// Package graphio reads and writes graphs: a plain edge-list text format
+// (an optional header line "n <count>", one "u v" pair per line, '#'
+// comments and blank lines ignored), the kwcsr binary container
+// (binary.go), and the serve API's JSON wire types (codec.go).
 package graphio
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -105,29 +102,11 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	return g, nil
 }
 
-// JSONGraph is the JSON representation: vertex count, canonical edge list,
-// and optional metadata (generator name, parameters, seed, …).
+// JSONGraph is the inline graph of a solve request body: vertex count,
+// edge list, and optional metadata (generator name, parameters, seed, …)
+// that the wire accepts and the solver ignores.
 type JSONGraph struct {
 	N        int               `json:"n"`
 	Edges    [][2]int          `json:"edges"`
 	Metadata map[string]string `json:"metadata,omitempty"`
-}
-
-// WriteJSON writes g with the given metadata.
-func WriteJSON(w io.Writer, g *graph.Graph, metadata map[string]string) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(JSONGraph{N: g.N(), Edges: g.Edges(), Metadata: metadata})
-}
-
-// ReadJSON parses the JSON format, returning the graph and its metadata.
-func ReadJSON(r io.Reader) (*graph.Graph, map[string]string, error) {
-	var jg JSONGraph
-	if err := json.NewDecoder(r).Decode(&jg); err != nil {
-		return nil, nil, fmt.Errorf("graphio: json: %w", err)
-	}
-	g, err := graph.New(jg.N, jg.Edges)
-	if err != nil {
-		return nil, nil, fmt.Errorf("graphio: json: %w", err)
-	}
-	return g, jg.Metadata, nil
 }

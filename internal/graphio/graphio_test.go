@@ -97,34 +97,3 @@ func TestReadEdgeListErrors(t *testing.T) {
 		})
 	}
 }
-
-func TestJSONRoundtrip(t *testing.T) {
-	g, err := gen.Grid(4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta := map[string]string{"family": "grid", "rows": "4", "cols": "5"}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, g, meta); err != nil {
-		t.Fatal(err)
-	}
-	g2, meta2, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.N() != g.N() || g2.M() != g.M() {
-		t.Fatalf("roundtrip changed graph: %v -> %v", g, g2)
-	}
-	if meta2["family"] != "grid" || meta2["cols"] != "5" {
-		t.Errorf("metadata lost: %v", meta2)
-	}
-}
-
-func TestReadJSONErrors(t *testing.T) {
-	if _, _, err := ReadJSON(strings.NewReader("{not json")); err == nil {
-		t.Error("malformed JSON accepted")
-	}
-	if _, _, err := ReadJSON(strings.NewReader(`{"n":2,"edges":[[0,0]]}`)); err == nil {
-		t.Error("self-loop JSON accepted")
-	}
-}

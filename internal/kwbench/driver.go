@@ -38,8 +38,7 @@ type Request struct {
 	Seed    int64
 	Variant string
 	// Kind is the mixed-workload operation kind ("" = legacy solve, which
-	// behaves like cached_solve). For mutate ops Seed picks the edge; for
-	// batch_solve ops the batch's member seeds derive from Seed.
+	// behaves like cached_solve). For mutate ops Seed picks the edge.
 	Kind string
 	// Tenant is the owning tenant loop of a multi-tenant scenario (0 for
 	// single-tenant).
@@ -158,22 +157,6 @@ func (d *inprocDriver) options(req Request) kwmds.Options {
 
 func (d *inprocDriver) Do(req Request) (OpResult, error) {
 	g := d.graphs[req.Graph].G
-	if req.Kind == KindBatchSolve {
-		// One batch_solve op is a fixed-width DominatingSetMany call: the
-		// member seeds derive from the op's seed so the batch content stays
-		// a pure function of the request schedule.
-		optsList := make([]kwmds.Options, mixBatchWidth)
-		for j := range optsList {
-			r := req
-			r.Seed = req.Seed*mixBatchWidth + int64(j)
-			optsList[j] = d.options(r)
-		}
-		results, err := kwmds.DominatingSetMany(g, optsList)
-		if err != nil {
-			return OpResult{}, err
-		}
-		return OpResult{Size: results[0].Size, InDS: results[0].InDS}, nil
-	}
 	opts := d.options(req)
 	switch req.Algo {
 	case "frac":
@@ -197,35 +180,6 @@ func (d *inprocDriver) Do(req Request) (OpResult, error) {
 }
 
 func (d *inprocDriver) Close() error { return nil }
-
-// DoBatch executes consecutive requests through kwmds.DominatingSetMany,
-// splitting at graph changes (a batch shares one graph by construction of
-// the facade API). Outputs are bit-identical to per-request Do calls; the
-// runner's cross-check pass verifies exactly that against the sim backend.
-// Only kw|kw2 requests are valid here (enforced at scenario validation).
-func (d *inprocDriver) DoBatch(reqs []Request) ([]OpResult, error) {
-	out := make([]OpResult, 0, len(reqs))
-	for start := 0; start < len(reqs); {
-		end := start + 1
-		for end < len(reqs) && reqs[end].Graph == reqs[start].Graph {
-			end++
-		}
-		run := reqs[start:end]
-		optsList := make([]kwmds.Options, len(run))
-		for i, r := range run {
-			optsList[i] = d.options(r)
-		}
-		results, err := kwmds.DominatingSetMany(d.graphs[run[0].Graph].G, optsList)
-		if err != nil {
-			return nil, err
-		}
-		for _, res := range results {
-			out = append(out, OpResult{Size: res.Size, InDS: res.InDS})
-		}
-		start = end
-	}
-	return out, nil
-}
 
 // httpDriver drives POST /v1/solve. With no URL it spawns an in-process
 // serve instance preloaded with the scenario's graph set — the whole stack

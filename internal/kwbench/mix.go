@@ -23,23 +23,15 @@ const (
 	// serve mutation API (remove if present, add back if removed), bumping
 	// the epoch and invalidating that graph's cache entries.
 	KindMutate = "mutate"
-	// KindBatchSolve runs one fixed-width DominatingSetMany call through
-	// the batched facade (inproc-fast only); the whole batch is one
-	// operation with one latency record.
-	KindBatchSolve = "batch_solve"
 )
 
 // mixKinds is the fixed draw order — the weight→kind mapping is part of the
 // deterministic-schedule contract, so its order must never change.
-var mixKinds = [...]string{KindCachedSolve, KindColdSolve, KindMutate, KindBatchSolve}
+var mixKinds = [...]string{KindCachedSolve, KindColdSolve, KindMutate}
 
 // coldSeedBase offsets cold_solve seeds far outside any cached_solve seed
 // window, so a cold op can never collide with a warmed cache entry.
 const coldSeedBase = int64(1) << 32
-
-// mixBatchWidth is the DominatingSetMany width of one batch_solve op; its
-// member seeds derive from the op seed so distinct ops batch distinct work.
-const mixBatchWidth = 8
 
 // MixSpec is the [mix] block: relative weights over operation kinds. Each
 // operation's kind is drawn from these weights using the scenario's seeded
@@ -48,12 +40,11 @@ type MixSpec struct {
 	CachedSolve float64 `json:"cached_solve,omitempty"`
 	ColdSolve   float64 `json:"cold_solve,omitempty"`
 	Mutate      float64 `json:"mutate,omitempty"`
-	BatchSolve  float64 `json:"batch_solve,omitempty"`
 }
 
 // weights returns the weight vector in mixKinds order.
 func (m *MixSpec) weights() [len(mixKinds)]float64 {
-	return [...]float64{m.CachedSolve, m.ColdSolve, m.Mutate, m.BatchSolve}
+	return [...]float64{m.CachedSolve, m.ColdSolve, m.Mutate}
 }
 
 func (m *MixSpec) validate() error {

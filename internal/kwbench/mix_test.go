@@ -214,24 +214,3 @@ func TestRunSLOViolationRecorded(t *testing.T) {
 		t.Fatalf("a %v ms p99 bound cannot hold, yet no violation recorded: %+v", tiny, res.SLO)
 	}
 }
-
-// TestRunMixBatchSolve exercises the batch_solve arm: each batch op is one
-// DominatingSetMany call on the fastpath driver.
-func TestRunMixBatchSolve(t *testing.T) {
-	sc := smokeClosed()
-	sc.Mix = &MixSpec{CachedSolve: 0.5, BatchSolve: 0.5}
-	res, err := Run(sc, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCommon(t, res, 24)
-	found := false
-	for _, row := range res.MixRows {
-		if row.Kind == KindBatchSolve && row.Ops > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no batch_solve ops ran: %+v", res.MixRows)
-	}
-}

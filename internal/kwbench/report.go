@@ -171,11 +171,6 @@ type ScenarioResult struct {
 	// replay).
 	Concurrency int `json:"concurrency,omitempty"`
 
-	// BatchSize is the closed-loop solve-batch width: workers claimed
-	// requests in contiguous chunks of this size and executed each chunk
-	// through the batched facade (0/absent means per-op solves).
-	BatchSize int `json:"batch_size,omitempty"`
-
 	// Reorder reports that measured solves ran over a degree-ordered
 	// relabeling of each graph (spec `reorder`); outputs are bit-identical
 	// to the plain path, so the field only marks which memory layout was
@@ -416,7 +411,7 @@ func ValidateReport(rep *Report) error {
 			sumOps := 0
 			for _, r := range s.MixRows {
 				switch r.Kind {
-				case KindCachedSolve, KindColdSolve, KindMutate, KindBatchSolve:
+				case KindCachedSolve, KindColdSolve, KindMutate:
 				default:
 					return fail("unknown mix row kind %q", r.Kind)
 				}

@@ -275,14 +275,6 @@ func runClosed(sc *Scenario, opts RunOptions, driver Driver, graphs []LoadedGrap
 	measured := reqs[warm:]
 
 	workers := sc.Closed.Concurrency
-	bs := 1
-	if sc.BatchSize > 1 {
-		bs = sc.BatchSize
-		res.BatchSize = bs
-	}
-	batcher, _ := driver.(interface {
-		DoBatch([]Request) ([]OpResult, error)
-	})
 	col := newCollector(sc, len(measured))
 	var next atomic.Int64
 	var stop atomic.Bool // an op error aborts fast unless slo tolerates errors
@@ -296,45 +288,15 @@ func runClosed(sc *Scenario, opts RunOptions, driver Driver, graphs []LoadedGrap
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				// Workers claim BatchSize consecutive requests at a time
-				// (bs = 1 is the plain per-op loop). Batched latency is
-				// recorded as the batch total divided evenly — the shared
-				// LP stage makes a truthful per-op split impossible.
-				i0 := next.Add(int64(bs)) - int64(bs)
-				if i0 >= int64(len(measured)) {
+				i := next.Add(1) - 1
+				if i >= int64(len(measured)) {
 					return
 				}
-				i1 := i0 + int64(bs)
-				if i1 > int64(len(measured)) {
-					i1 = int64(len(measured))
-				}
-				chunk := measured[i0:i1]
-				if bs > 1 && batcher != nil {
-					t0 := time.Now()
-					got, err := batcher.DoBatch(chunk)
-					per := time.Since(t0) / time.Duration(len(chunk))
-					for j := range chunk {
-						var r OpResult
-						if err == nil {
-							r = got[j]
-						}
-						if col.record(int(i0)+j, chunk[j], per, r, err) {
-							stop.Store(true)
-							return
-						}
-					}
-					continue
-				}
-				for j := range chunk {
-					if stop.Load() {
-						return
-					}
-					t0 := time.Now()
-					got, err := driver.Do(chunk[j])
-					if col.record(int(i0)+j, chunk[j], time.Since(t0), got, err) {
-						stop.Store(true)
-						return
-					}
+				t0 := time.Now()
+				got, err := driver.Do(measured[i])
+				if col.record(int(i), measured[i], time.Since(t0), got, err) {
+					stop.Store(true)
+					return
 				}
 			}
 		}()

@@ -70,7 +70,7 @@ type Scenario struct {
 	SelectSeed *int64 `json:"select_seed,omitempty"`
 
 	// Mix, when set, makes the workload a mixed-operation one: each
-	// operation's kind (cached_solve | cold_solve | mutate | batch_solve)
+	// operation's kind (cached_solve | cold_solve | mutate)
 	// is drawn from these weights using the scenario's seeded selection
 	// stream, so the kind sequence is as deterministic as the graph
 	// choices. nil keeps the legacy single-shape workload (every op a
@@ -125,15 +125,6 @@ type Scenario struct {
 	// random-walk trace is generated and the pipeline re-solves every
 	// epoch, recording per-epoch latency and set/edge churn.
 	Mobility *MobilitySpec `json:"mobility,omitempty"`
-
-	// BatchSize > 1 switches the closed loop to batched operations: each
-	// worker claims BatchSize consecutive requests and runs them through
-	// one DominatingSetMany call (the SolveMany amortization path).
-	// Per-operation latency is the batch total divided evenly. Requires
-	// the inproc-fast driver, a closed loop, and kw|kw2 algos only;
-	// cross_check still verifies every operation against the other
-	// backend solo — batch outputs are bit-identical by contract.
-	BatchSize int `json:"batch_size,omitempty"`
 
 	// Load switches the scenario to a format comparison: one graph is
 	// materialized and written as edge-list text and as a kwcsr binary
@@ -473,8 +464,8 @@ func (sc *Scenario) Validate() error {
 		if len(sc.Graphs) > 0 {
 			return bad("load scenarios name their graph in the load block; drop the graphs list")
 		}
-		if sc.BatchSize > 1 || sc.CrossCheck || sc.HTTP != nil || sc.Reorder {
-			return bad("load scenarios take no batch_size, cross_check, http or reorder")
+		if sc.CrossCheck || sc.HTTP != nil || sc.Reorder {
+			return bad("load scenarios take no cross_check, http or reorder")
 		}
 		if sc.Mix != nil || sc.SLO != nil || sc.Tenants > 1 {
 			return bad("load scenarios take no mix, slo or tenants")
@@ -509,8 +500,8 @@ func (sc *Scenario) Validate() error {
 		if len(sc.Graphs) > 0 {
 			return bad("recovery scenarios generate their own churn history; drop the graphs list")
 		}
-		if sc.BatchSize > 1 || sc.CrossCheck || sc.HTTP != nil || sc.Reorder {
-			return bad("recovery scenarios take no batch_size, cross_check, http or reorder")
+		if sc.CrossCheck || sc.HTTP != nil || sc.Reorder {
+			return bad("recovery scenarios take no cross_check, http or reorder")
 		}
 		if sc.Mix != nil || sc.SLO != nil || sc.Tenants > 1 {
 			return bad("recovery scenarios take no mix, slo or tenants")
@@ -547,26 +538,6 @@ func (sc *Scenario) Validate() error {
 			return bad("k %d outside [0, %d]", c.K, kwmds.MaxK)
 		}
 		return nil
-	}
-
-	if sc.BatchSize < 0 {
-		return bad("batch_size must be ≥ 0 (got %d)", sc.BatchSize)
-	}
-	if sc.BatchSize > 1 {
-		if sc.Driver != DriverInprocFast {
-			return bad("batch_size > 1 requires the %s driver (batching is a fastpath concept)", DriverInprocFast)
-		}
-		if sc.Mobility != nil {
-			return bad("batch_size > 1 does not apply to mobility replays")
-		}
-		if sc.Closed == nil {
-			return bad("batch_size > 1 requires a closed loop")
-		}
-		for _, c := range sc.Matrix.combos() {
-			if c.Algo != "kw" && c.Algo != "kw2" {
-				return bad("batch_size > 1 supports algos kw|kw2 (got %q)", c.Algo)
-			}
-		}
 	}
 
 	if sc.Mobility != nil {
@@ -722,13 +693,8 @@ func (sc *Scenario) Validate() error {
 	if sc.Tenants < 0 {
 		return bad("tenants must be ≥ 0 (got %d)", sc.Tenants)
 	}
-	if sc.Tenants > 1 {
-		if sc.Mobility != nil {
-			return bad("tenants do not apply to mobility replays")
-		}
-		if sc.BatchSize > 1 {
-			return bad("tenants and batch_size > 1 are mutually exclusive (a batch would span tenants)")
-		}
+	if sc.Tenants > 1 && sc.Mobility != nil {
+		return bad("tenants do not apply to mobility replays")
 	}
 	if sc.Mix != nil {
 		if err := sc.Mix.validate(); err != nil {
@@ -740,9 +706,6 @@ func (sc *Scenario) Validate() error {
 		if sc.CrossCheck {
 			return bad("mix and cross_check are mutually exclusive (mutate ops have no solo re-solve identity)")
 		}
-		if sc.BatchSize > 1 {
-			return bad("mix and batch_size > 1 are mutually exclusive (batch_solve is the mix's batching arm)")
-		}
 		if sc.Reorder {
 			return bad("mix takes no reorder")
 		}
@@ -752,16 +715,6 @@ func (sc *Scenario) Validate() error {
 			}
 			if sc.HTTP != nil && sc.HTTP.URL != "" {
 				return bad("mix weight mutate requires a spawned server (mutating a remote target's graphs is not reversible)")
-			}
-		}
-		if sc.Mix.BatchSolve > 0 {
-			if sc.Driver != DriverInprocFast {
-				return bad("mix weight batch_solve requires the %s driver (batching is a fastpath concept)", DriverInprocFast)
-			}
-			for _, c := range sc.Matrix.combos() {
-				if c.Algo != "kw" && c.Algo != "kw2" {
-					return bad("mix weight batch_solve supports algos kw|kw2 (got %q)", c.Algo)
-				}
 			}
 		}
 	}

@@ -183,10 +183,6 @@ func TestValidateBadSpecs(t *testing.T) {
 			s.Open = &OpenLoop{Rate: 5, DurationSec: 1, Curve: CurveFlash, PeakFactor: 0.5}
 		}, "peak_factor ≥ 1"},
 		{"negative tenants", func(s *Scenario) { s.Tenants = -1 }, "tenants must be ≥ 0"},
-		{"tenants with batching", func(s *Scenario) {
-			s.Tenants = 2
-			s.BatchSize = 4
-		}, "a batch would span tenants"},
 		{"negative mix weight", func(s *Scenario) {
 			s.Mix = &MixSpec{CachedSolve: -0.5}
 		}, "mix weight cached_solve must be a finite value ≥ 0"},
@@ -205,14 +201,6 @@ func TestValidateBadSpecs(t *testing.T) {
 			s.HTTP = &HTTPSpec{URL: "http://example.test"}
 			s.Mix = &MixSpec{CachedSolve: 0.9, Mutate: 0.1}
 		}, "requires a spawned server"},
-		{"batch_solve over http", func(s *Scenario) {
-			s.Driver = DriverHTTPServe
-			s.Mix = &MixSpec{BatchSolve: 1}
-		}, "mix weight batch_solve requires the inproc-fast driver"},
-		{"batch_solve with kwcds", func(s *Scenario) {
-			s.Mix = &MixSpec{BatchSolve: 1}
-			s.Matrix.Algos = []string{"kwcds"}
-		}, "mix weight batch_solve supports algos kw|kw2"},
 		{"empty slo block", func(s *Scenario) { s.SLO = &SLOSpec{} }, "slo block sets no bounds"},
 		{"negative slo bound", func(s *Scenario) {
 			s.SLO = &SLOSpec{P99MS: f64p(-1)}
@@ -397,18 +385,23 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	if _, err := Decode([]byte(spec), true); err == nil || !strings.Contains(err.Error(), "no_batch") {
 		t.Fatalf("spec with an [http] no_batch key: err = %v, want an unknown-field refusal", err)
 	}
-	// shards swept the removed in-process sharded engine; a stale spec that
-	// still carries it is refused at load in either syntax, not ignored.
+	// shards swept the removed in-process sharded engine, batch_size and
+	// [mix] batch_solve drove the removed batch solve path; a stale spec
+	// that still carries one is refused at load in either syntax, not
+	// ignored.
 	for _, tc := range []struct {
-		syntax string
-		spec   string
+		syntax, key, spec string
 	}{
-		{"toml", "name = \"x\"\ndriver = \"inproc-fast\"\nshards = [2]\n[[graphs]]\ntier = \"udg-500\"\n[closed]\nconcurrency = 1\nops = 1\n"},
-		{"json", `{"name":"x","driver":"inproc-fast","shards":[2],"graphs":[{"tier":"udg-500"}],"closed":{"concurrency":1,"ops":1}}`},
+		{"toml", "shards", "name = \"x\"\ndriver = \"inproc-fast\"\nshards = [2]\n[[graphs]]\ntier = \"udg-500\"\n[closed]\nconcurrency = 1\nops = 1\n"},
+		{"json", "shards", `{"name":"x","driver":"inproc-fast","shards":[2],"graphs":[{"tier":"udg-500"}],"closed":{"concurrency":1,"ops":1}}`},
+		{"toml", "batch_size", "name = \"x\"\ndriver = \"inproc-fast\"\nbatch_size = 8\n[[graphs]]\ntier = \"udg-500\"\n[closed]\nconcurrency = 1\nops = 1\n"},
+		{"json", "batch_size", `{"name":"x","driver":"inproc-fast","batch_size":8,"graphs":[{"tier":"udg-500"}],"closed":{"concurrency":1,"ops":1}}`},
+		{"toml", "batch_solve", "name = \"x\"\ndriver = \"inproc-fast\"\n[[graphs]]\ntier = \"udg-500\"\n[closed]\nconcurrency = 1\nops = 1\n[mix]\ncached_solve = 0.5\nbatch_solve = 0.5\n"},
+		{"json", "batch_solve", `{"name":"x","driver":"inproc-fast","graphs":[{"tier":"udg-500"}],"closed":{"concurrency":1,"ops":1},"mix":{"cached_solve":0.5,"batch_solve":0.5}}`},
 	} {
 		_, err := Decode([]byte(tc.spec), tc.syntax == "toml")
-		if err == nil || !strings.Contains(err.Error(), `unknown field "shards"`) {
-			t.Errorf("%s spec with a shards key: err = %v, want an unknown-field refusal", tc.syntax, err)
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.key+`"`) {
+			t.Errorf("%s spec with a %s key: err = %v, want an unknown-field refusal", tc.syntax, tc.key, err)
 		}
 	}
 }

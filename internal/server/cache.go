@@ -81,6 +81,13 @@ func (c *resultCache) getOrCompute(ctx context.Context, key string, compute func
 		c.mu.Unlock()
 		return c.wait(ctx, call, true)
 	}
+	// A caller that has already gone starts nothing: the run would answer
+	// no one, and it could finish, and be cached, before the caller's
+	// walk-out closed its cancel channel.
+	if err := ctx.Err(); err != nil {
+		c.mu.Unlock()
+		return nil, false, err
+	}
 	// A canceled in-flight call may still be winding down under this key;
 	// the new call replaces it in the map (the old goroutine's cleanup
 	// checks identity before deleting).

@@ -3,11 +3,12 @@ package sim
 import "math/bits"
 
 // Common payload types shared by the algorithms. The Bits methods implement
-// the compact wire encodings described in DESIGN.md: flags cost one bit,
-// integers cost their binary length, raw floats cost a full word. Algorithms
-// whose values have a compact index representation (such as the x-values
-// (∆+1)^{-m/k} of Algorithm 2) define their own payload types so the bit
-// accounting reflects the encoding the paper assumes.
+// compact wire encodings, so the bit totals measure message sizes rather
+// than Go memory: flags cost one bit, integers cost their binary length,
+// raw floats cost a full word. Algorithms whose values have a compact index
+// representation (such as the x-values (∆+1)^{-m/k} of Algorithm 2) define
+// their own payload types so the bit accounting reflects the encoding the
+// paper assumes.
 
 // Flag is a 1-bit payload whose meaning is carried by its presence (for
 // example the "active node" notification of Algorithm 3).

@@ -63,11 +63,10 @@ type Options struct {
 	// the machine. Ignored for simulated runs.
 	SolverWorkers int
 	// Cancel, when non-nil, aborts a Sequential solve early once the
-	// channel closes: DominatingSet and FractionalDominatingSet return
-	// ErrCanceled at the next LP iteration boundary. Serving stacks close
-	// it when the requesting client disconnects. Ignored by simulated
-	// runs and by DominatingSetMany (a batch amortizes work across
-	// callers).
+	// channel closes: DominatingSet, FractionalDominatingSet and each
+	// element of DominatingSetMany return ErrCanceled at the next LP
+	// iteration boundary. Serving stacks close it when the requesting
+	// client disconnects. Ignored by simulated runs.
 	Cancel <-chan struct{}
 	// Reordered, when non-nil, runs the Sequential solver over the
 	// degree-ordered permutation of the graph (build it once with Reorder)
@@ -257,12 +256,16 @@ func fastDominatingSet(g *Graph, opts Options) (*Result, error) {
 	if err := opts.Validate(g); err != nil {
 		return nil, fmt.Errorf("kwmds: %w", err)
 	}
-	delta := g.MaxDegree()
-	k := effectiveK(opts.K, delta)
 	s := fastpath.Acquire(g.N())
+	defer fastpath.Release(s)
+	return solveOn(s, g, opts, effectiveK(opts.K, g.MaxDegree()))
+}
+
+// solveOn runs the full pipeline for validated opts with k resolved on s,
+// and copies the answer out of the solver's buffers.
+func solveOn(s *fastpath.Solver, g *Graph, opts Options, k int) (*Result, error) {
 	fres, err := s.Solve(g, fastOptions(opts, k))
 	if err != nil {
-		fastpath.Release(s)
 		return nil, err
 	}
 	res := &Result{
@@ -273,55 +276,37 @@ func fastDominatingSet(g *Graph, opts Options) (*Result, error) {
 		JoinedRandom: fres.JoinedRandom,
 		JoinedFixup:  fres.JoinedFixup,
 	}
-	fastpath.Release(s)
 	res.LPObjective = lp.Objective(res.Fractional)
 	res.WeightedCost = weightedCost(opts.Weights, res.InDS, res.Size)
 	return res, nil
 }
 
 // DominatingSetMany runs the full pipeline once per element of optsList
-// against one graph on a single pooled solver, amortizing solver
-// acquisition and table setup. The deterministic LP stage runs only when an
-// element's LP configuration (K/KnownDelta/Weights contents) differs from
-// the one the solver last completed on this graph — the solver's LP memo,
-// which a repeated configuration hits even across calls — so consecutive
-// elements sharing a configuration pay only the rounding phases. Every
-// returned Result is bit-identical to DominatingSet with the same options;
-// all elements run Sequential (the batch is a fastpath concept). Its
-// callers are kwbench's batched closed loop (batch_size) and batch_solve
-// mix op, and the perfbench module's in-process mirror; the serve
-// subsystem runs each cold solve on its own.
+// against one graph, in order, on one pooled solver. Every element is
+// validated before any runs, so one bad element fails the call with its
+// index. Each element runs Sequential and returns what DominatingSet
+// returns for the same options, bit for bit; consecutive elements with
+// one LP configuration (K, KnownDelta, Weights contents) share the LP
+// stage through the solver's LP memo, as repeated DominatingSet calls do.
 func DominatingSetMany(g *Graph, optsList []Options) ([]*Result, error) {
 	if len(optsList) == 0 {
 		return nil, nil
 	}
-	delta := g.MaxDegree()
-	fopts := make([]fastpath.Options, len(optsList))
-	out := make([]*Result, len(optsList))
 	for i, opts := range optsList {
 		if err := opts.Validate(g); err != nil {
 			return nil, fmt.Errorf("kwmds: batch element %d: %w", i, err)
 		}
-		fopts[i] = fastOptions(opts, effectiveK(opts.K, delta))
 	}
+	delta := g.MaxDegree()
 	s := fastpath.Acquire(g.N())
-	err := s.SolveMany(g, fopts, func(i int, fres fastpath.Result) {
-		out[i] = &Result{
-			InDS:         append(make([]bool, 0, len(fres.InDS)), fres.InDS...),
-			Size:         fres.Size,
-			Fractional:   append(make([]float64, 0, len(fres.X)), fres.X...),
-			K:            fopts[i].K,
-			JoinedRandom: fres.JoinedRandom,
-			JoinedFixup:  fres.JoinedFixup,
+	defer fastpath.Release(s)
+	out := make([]*Result, len(optsList))
+	for i, opts := range optsList {
+		res, err := solveOn(s, g, opts, effectiveK(opts.K, delta))
+		if err != nil {
+			return nil, fmt.Errorf("kwmds: batch element %d: %w", i, err)
 		}
-	})
-	fastpath.Release(s)
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range out {
-		res.LPObjective = lp.Objective(res.Fractional)
-		res.WeightedCost = weightedCost(optsList[i].Weights, res.InDS, res.Size)
+		out[i] = res
 	}
 	return out, nil
 }
