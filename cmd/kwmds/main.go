@@ -16,7 +16,6 @@
 //	kwmds serve -addr :8080 -workers 4 -max-queue 64 -queue-timeout 250ms -preload g=gen:udg:10000:0.02:1
 //	kwmds convert -in network.edges -out network.kwcsr
 //	kwmds serve -preload big=network.kwcsr
-//	kwmds serve -preload big=network.kwcsr -reorder -pprof 127.0.0.1:6060
 //	kwmds bench -scenario scenarios/serve-cached.json
 //	kwmds bench -scenario scenarios/solve-skew-ba100k.toml -cpuprofile cpu.out
 //	kwmds bench -validate BENCH_kwbench.json
@@ -89,7 +88,6 @@ func serveMain(args []string) error {
 	})
 	fs.IntVar(&cfg.MaxQueue, "max-queue", 0, "admission queue bound: solves beyond workers running + this many waiting are shed with 429 (0 = unbounded)")
 	fs.DurationVar(&cfg.QueueTimeout, "queue-timeout", 0, "max wait for a worker slot before an admitted solve is shed with 429 (0 = no timeout)")
-	fs.BoolVar(&cfg.Reorder, "reorder", false, "solve preloaded graphs over a cached degree-ordered relabeling (bit-identical output, better locality on skewed graphs)")
 	fs.StringVar(&cfg.DataDir, "data-dir", "", "make preloaded graphs durable: WAL + snapshots under this directory, recovered on restart")
 	fs.IntVar(&cfg.SnapshotEpochs, "snapshot-epochs", 0, "compact a durable graph's WAL into a snapshot every N epochs (0 = default 128, -1 disables)")
 	fs.Int64Var(&cfg.SnapshotBytes, "snapshot-bytes", 0, "compact a durable graph's WAL once it passes this size (0 = default 4 MiB, -1 disables)")

@@ -66,11 +66,11 @@
 // workloads × algorithms × seeds × worker counts, under the race
 // detector) and a differential fuzzer with a checked-in corpus
 // (internal/fastpath). BENCH_kwbench.json records the timings, each row
-// with the host it ran on: on a 1-CPU host the fastpath runs the full
-// pipeline on a 100k-vertex unit-disk graph at p50 23.3 ms
-// (solve-cold-udg100k), and on a 2-vCPU host it serves uncached
-// 10k-vertex solves at p50 4.7 ms under eight concurrent clients
-// (serve-uncached-udg10k).
+// with the host it ran on: on a 2-vCPU host at GOMAXPROCS 2 the fastpath
+// runs the full pipeline on a 100k-vertex unit-disk graph at p50 30.1 ms
+// with two phase workers (solve-cold-udg100k), and on a 2-vCPU host it
+// serves uncached 10k-vertex solves at p50 4.7 ms under eight concurrent
+// clients (serve-uncached-udg10k).
 //
 // The `kwmds serve` subcommand (internal/server) runs the pipelines as a
 // long-lived HTTP JSON service: clients POST a graph (inline edge list or a

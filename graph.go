@@ -23,19 +23,6 @@ type Point = gen.Point
 // out-of-range endpoints are rejected.
 func NewGraph(n int, edges [][2]int) (*Graph, error) { return graph.New(n, edges) }
 
-// ReorderedGraph is a cache-locality permutation of a graph: vertices
-// relabeled in degree-descending order with the CSR rebuilt over the new
-// ids, so the solver's dense sweeps touch the hottest rows first and stream
-// the long rows contiguously. Attach one to Options.Reordered; every output
-// stays indexed by the ORIGINAL vertex ids and is bit-identical to a solve
-// without it. Build once per topology with Reorder and reuse across solves.
-type ReorderedGraph = graph.Relabeled
-
-// Reorder computes the degree-ordered relabeling of g and builds its
-// permuted CSR (one counting sort plus one CSR rebuild, amortized across
-// every solve that attaches the result).
-func Reorder(g *Graph) *ReorderedGraph { return graph.Relabel(g) }
-
 // SetSize counts the members of a vertex set given as a boolean vector.
 func SetSize(inDS []bool) int { return graph.SetSize(inDS) }
 

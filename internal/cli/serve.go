@@ -52,10 +52,6 @@ type ServeConfig struct {
 	SnapshotEpochs int
 	SnapshotBytes  int64
 
-	// Reorder runs cold solves of preloaded graphs over a cached
-	// degree-ordered relabeling (see server.Config.Reorder). Outputs are
-	// bit-identical either way.
-	Reorder bool
 	// PprofAddr, when non-empty, serves the net/http/pprof handlers on a
 	// separate listener at that address — off by default so production
 	// deployments never expose profiling endpoints by accident.
@@ -154,7 +150,6 @@ func BuildServer(cfg ServeConfig) (*server.Server, func(), error) {
 		Workers:      cfg.Workers,
 		CacheEntries: cfg.CacheEntries,
 		Preloads:     preloads,
-		Reorder:      cfg.Reorder,
 		MaxQueue:     cfg.MaxQueue,
 		QueueTimeout: cfg.QueueTimeout,
 	})

@@ -52,15 +52,15 @@
 // algorithm, k and (weighted) the costs; only rounding reads the seed. A
 // Solver remembers its last completed LP stage — its own x buffer is the
 // memo, one entry — and Solve, Fractional and Resolve skip the stage when
-// they ask for the same configuration again: the same *graph.Graph and
-// Options.Relab pointers, the same algorithm and k, and for AlgWeighted
-// costs bit-equal to the solver's own copy (never slice identity: a
-// caller may rewrite its cost slice in place). Pointer
-// keys are sound because the solver holds what it keys on, so no new graph
-// can take the address while it does. The memo is dropped by any other
-// graph or relabeling and by a run that was canceled (x is partial).
-// Because x is the memo, Result.X and Fractional's slice are read-only
-// views: a caller writing into them would corrupt the next hit.
+// they ask for the same configuration again: the same *graph.Graph
+// pointer, the same algorithm and k, and for AlgWeighted costs bit-equal
+// to the solver's own copy (never slice identity: a caller may rewrite its
+// cost slice in place). The pointer key is sound because the solver holds
+// the graph it keys on, so no new graph can take the address while it
+// does. The memo is dropped by any other graph and by a run that was
+// canceled (x is partial). Because x is the memo, Result.X and
+// Fractional's slice are read-only views: a caller writing into them would
+// corrupt the next hit.
 //
 // Delta-aware: Resolve consumes a dyngraph.Delta (an epoch-batched
 // mutation of the solver's previous graph) and repairs the cached static

@@ -5,7 +5,6 @@ import (
 
 	"kwmds/internal/core"
 	"kwmds/internal/gen"
-	"kwmds/internal/graph"
 	"kwmds/internal/rounding"
 	"kwmds/internal/testsupport"
 )
@@ -169,9 +168,8 @@ func FuzzDifferential(f *testing.F) {
 		}
 		checkLP("weighted hit after the rewrite", hitW.X, refW2, simW2.X)
 
-		// Reorder/worker-count differential: the degree-ordered permuted
-		// sweep and the phase scheduler at a fuzz-derived worker count must
-		// reproduce the plain solve bit for bit.
+		// Worker-count differential: the phase scheduler at a fuzz-derived
+		// worker count must reproduce the plain solve bit for bit.
 		opt := Options{K: k, Algorithm: Alg3, Seed: gseed ^ int64(kRaw), Variant: rounding.Ln}
 		want, err := s.Solve(g, opt)
 		if err != nil {
@@ -179,23 +177,15 @@ func FuzzDifferential(f *testing.F) {
 		}
 		wantX := append([]float64(nil), want.X...)
 		wantDS := append([]bool(nil), want.InDS...)
-		rl := graph.Relabel(g)
-		workers := 1 + int(nRaw^kRaw)%4
-		for _, arm := range []Options{
-			{Relab: rl},
-			{Relab: rl, Workers: workers},
-			{Workers: workers},
-		} {
-			arm.K, arm.Algorithm, arm.Seed, arm.Variant = opt.K, opt.Algorithm, opt.Seed, opt.Variant
-			got, err := s.Solve(g, arm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v := 0; v < n; v++ {
-				if got.X[v] != wantX[v] || got.InDS[v] != wantDS[v] {
-					t.Fatalf("reorder=%v workers=%d: vertex %d diverges (x %v vs %v, inDS %v vs %v)",
-						arm.Relab != nil, arm.Workers, v, got.X[v], wantX[v], got.InDS[v], wantDS[v])
-				}
+		opt.Workers = 1 + int(nRaw^kRaw)%4
+		got, err := s.Solve(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < n; v++ {
+			if got.X[v] != wantX[v] || got.InDS[v] != wantDS[v] {
+				t.Fatalf("workers=%d: vertex %d diverges (x %v vs %v, inDS %v vs %v)",
+					opt.Workers, v, got.X[v], wantX[v], got.InDS[v], wantDS[v])
 			}
 		}
 	})

@@ -30,7 +30,7 @@ func (s *Solver) Fractional(g *graph.Graph, opt Options) ([]float64, error) {
 	if s.canceled() {
 		return nil, ErrCanceled
 	}
-	return s.emitX(), nil
+	return s.x[:s.n], nil
 }
 
 // Solve runs the full pipeline: LP stage then randomized rounding. All
@@ -50,7 +50,7 @@ func (s *Solver) Solve(g *graph.Graph, opt Options) (Result, error) {
 		return Result{}, ErrCanceled
 	}
 	res := s.roundPhases(s.x[:s.n], opt)
-	res.X = s.emitX()
+	res.X = s.x[:s.n]
 	return res, nil
 }
 
@@ -77,31 +77,25 @@ func (s *Solver) lp(opt Options) {
 }
 
 // bindCosts installs the LP stage's per-vertex costs. AlgWeighted reads the
-// solver's own copy, gathered into sweep order under a relabeling; the memo
-// compares later requests against it by content, so a caller rewriting its
-// cost slice in place cannot pass for the memoized configuration.
+// solver's own copy; the memo compares later requests against it by
+// content, so a caller rewriting its cost slice in place cannot pass for
+// the memoized configuration.
 func (s *Solver) bindCosts(opt Options) {
 	if opt.Algorithm != AlgWeighted {
 		s.curCosts, s.curCmax = nil, 0
 		return
 	}
 	s.costs = growF64(s.costs, s.n)
-	if s.drawID == nil {
-		copy(s.costs, opt.Costs)
-	} else {
-		for v, orig := range s.drawID[:s.n] {
-			s.costs[v] = opt.Costs[orig]
-		}
-	}
+	copy(s.costs, opt.Costs)
 	s.curCmax, _ = validateCosts(s.n, opt.Costs) // validated by the entry point
 	s.curCosts = s.costs
 }
 
-// sameCosts reports whether costs (original order) equal the memoized
-// weighted run's, bit for bit.
+// sameCosts reports whether costs equal the memoized weighted run's, bit
+// for bit.
 func (s *Solver) sameCosts(costs []float64) bool {
 	for v, c := range s.costs[:s.n] {
-		if math.Float64bits(c) != math.Float64bits(costs[drawKey(s.drawID, v)]) {
+		if math.Float64bits(c) != math.Float64bits(costs[v]) {
 			return false
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"kwmds/internal/graph"
 	"kwmds/internal/rounding"
 	"kwmds/internal/testsupport"
 )
@@ -43,14 +42,13 @@ type memoStep struct {
 }
 
 // TestLPMemoMatchesFreshSolver drives one solver through runs that move the
-// LP memo between hits and misses — k, algorithm, relabeling and weighted
-// cost contents alternate; a canceled run and a standalone Round sit in
+// LP memo between hits and misses — k, algorithm and weighted cost
+// contents alternate; a canceled run and a standalone Round sit in
 // between — at worker counts 1, 3 and 0. Every answer must be
 // bit-identical to a fresh solver's, and every step must hit or miss the
 // memo as its configuration dictates.
 func TestLPMemoMatchesFreshSolver(t *testing.T) {
 	g := workloads(t)[1].g
-	rl := graph.Relabel(g)
 	costs := costsFor(g)
 	rewrites := 0
 	closed := make(chan struct{})
@@ -69,18 +67,13 @@ func TestLPMemoMatchesFreshSolver(t *testing.T) {
 		{name: "alg3 k2 again", opt: Options{K: 2, Seed: 5}},
 		{name: "alg2 k2", opt: Options{K: 2, Algorithm: Alg2, Seed: 5}},
 		{name: "alg2 k2 new seed", opt: Options{K: 2, Algorithm: Alg2, Seed: 6}, hit: true},
-		{name: "alg2 k2 relabeled", opt: Options{K: 2, Algorithm: Alg2, Seed: 6, Relab: rl}},
-		{name: "alg2 k2 relabeled new seed", opt: Options{K: 2, Algorithm: Alg2, Seed: 7, Relab: rl}, hit: true},
-		{name: "alg2 k2 plain", opt: Options{K: 2, Algorithm: Alg2, Seed: 7}},
 		{name: "weighted", opt: w(2, 1)},
 		{name: "weighted new seed", opt: w(2, 2), hit: true},
 		{name: "rewrite costs", kind: memoRewrite},
 		{name: "weighted after rewrite", opt: w(2, 2)},
 		{name: "weighted after rewrite new seed", opt: w(2, 3), hit: true},
-		{name: "weighted relabeled", opt: func() Options { o := w(2, 3); o.Relab = rl; return o }()},
-		{name: "weighted relabeled new seed", opt: func() Options { o := w(2, 4); o.Relab = rl; return o }(), hit: true},
 		{name: "rewrite costs again", kind: memoRewrite},
-		{name: "weighted relabeled after rewrite", opt: func() Options { o := w(2, 4); o.Relab = rl; return o }()},
+		{name: "weighted after second rewrite", opt: w(2, 4)},
 		{name: "canceled alg3 k2", opt: Options{K: 2, Seed: 1}, cancel: true},
 		{name: "alg3 k2 after cancel", opt: Options{K: 2, Seed: 1}},
 		{name: "canceled memo hit", opt: Options{K: 2, Seed: 8}, cancel: true, hit: true},

@@ -34,12 +34,6 @@ func (s *Solver) Resolve(d *dyngraph.Delta, opt Options) (Result, error) {
 	if d == nil || d.Next == nil {
 		return Result{}, fmt.Errorf("fastpath: Resolve: nil delta")
 	}
-	if opt.Relab != nil {
-		// A Relabeled is built once per topology; the churn path gets a new
-		// topology every epoch, where rebuilding the permutation would cost
-		// more than the locality it buys. Reject rather than silently ignore.
-		return Result{}, fmt.Errorf("fastpath: Resolve does not support Options.Relab")
-	}
 	if err := core.ValidateK(opt.K); err != nil {
 		return Result{}, err
 	}
@@ -67,12 +61,12 @@ func (s *Solver) LastResolveRepaired() bool { return s.lastRepaired }
 
 // canRepair decides, before prepare clobbers the previous-graph bookmarks,
 // whether the incremental δ⁽¹⁾/δ⁽²⁾ repair is sound and worthwhile: the
-// solver's cached tables must belong to d.Prev in plain vertex order (the
-// graph key prepare uses for same-graph caching), the vertex count must
+// solver's cached tables must belong to d.Prev (the graph key prepare
+// uses for same-graph caching), the vertex count must
 // not have changed (growth reallocates the table buffers), and the
 // estimated repair cost must beat the dense recompute.
 func (s *Solver) canRepair(d *dyngraph.Delta) bool {
-	if !s.d2done || s.g != d.Prev || s.relab != nil || d.Grew || d.Prev == nil ||
+	if !s.d2done || s.g != d.Prev || d.Grew || d.Prev == nil ||
 		d.Prev.N() != d.Next.N() || s.n != d.Next.N() {
 		return false
 	}

@@ -10,8 +10,7 @@ import (
 
 // Round runs the randomized rounding stage standalone over a caller-provided
 // fractional solution (the same Algorithm 1 execution Solve performs after
-// its LP stage). x is indexed by original vertex id regardless of
-// opt.Relab. Result slices alias solver storage; Result.X is nil.
+// its LP stage). Result slices alias solver storage; Result.X is nil.
 func (s *Solver) Round(g *graph.Graph, x []float64, opt Options) (Result, error) {
 	if g != nil && len(x) != g.N() {
 		return Result{}, fmt.Errorf("fastpath: %d x-values for %d vertices", len(x), g.N())
@@ -25,17 +24,6 @@ func (s *Solver) Round(g *graph.Graph, x []float64, opt Options) (Result, error)
 		return Result{}, err
 	}
 	defer s.stopWorkers()
-	if s.relab != nil {
-		// Gather the caller's original-order x into permuted order. A
-		// dedicated buffer, not s.x: the input may alias a vector this
-		// solver returned earlier (s.x or s.outX), which an in-place
-		// gather would corrupt.
-		s.roundX = growF64(s.roundX, s.n)
-		for v, orig := range s.drawID[:s.n] {
-			s.roundX[v] = x[orig]
-		}
-		x = s.roundX
-	}
 	return s.roundPhases(x, opt), nil
 }
 
@@ -57,7 +45,7 @@ func (s *Solver) roundPhases(x []float64, opt Options) Result {
 	}
 	s.dispatch(s.fnFlip)
 	s.dispatch(s.fnFixup)
-	res := Result{InDS: s.emitDS()}
+	res := Result{InDS: s.inDS[:s.n]}
 	for c := 0; c < s.nchunks; c++ {
 		res.JoinedRandom += s.joinCnt[c][0]
 		res.JoinedFixup += s.joinCnt[c][1]
@@ -69,13 +57,12 @@ func (s *Solver) roundPhases(x []float64, opt Options) Result {
 
 // phaseFlip decides line 3's independent membership flips. Each chunk owns
 // its words of the flipped bitset outright; the draw is the first value of
-// the per-node stream (stats.StreamFloat64) keyed by ORIGINAL vertex id —
-// under a relabeling, drawID maps back — exactly as rounding.flip draws
-// it, so the coin flips match the other backends bit for bit.
+// the per-node stream (stats.StreamFloat64) keyed by vertex id, exactly
+// as rounding.flip draws it, so the coin flips match the other backends
+// bit for bit.
 func (s *Solver) phaseFlip(c int) {
 	fw := s.flipped.Words()
 	x, d2, scaleTab := s.curX, s.d2, s.scaleTab
-	drawID := s.drawID
 	seed := s.curSeed
 	joined := 0
 	for wi := s.c0[c]; wi < s.c1[c]; wi++ {
@@ -88,7 +75,7 @@ func (s *Solver) phaseFlip(c int) {
 		for b := 0; b < top; b++ {
 			v := base + b
 			p := math.Min(1, x[v]*scaleTab[d2[v]])
-			if p >= 1 || (p > 0 && stats.StreamFloat64(seed, drawKey(drawID, v)) < p) {
+			if p >= 1 || (p > 0 && stats.StreamFloat64(seed, int64(v)) < p) {
 				dst |= 1 << b
 				joined++
 			}
@@ -96,15 +83,6 @@ func (s *Solver) phaseFlip(c int) {
 		fw[wi] = dst
 	}
 	s.joinCnt[c][0] = joined
-}
-
-// drawKey is the coin-flip stream id of vertex v: v itself, or its original
-// id when a relabeling is active.
-func drawKey(drawID []int32, v int) int64 {
-	if drawID == nil {
-		return int64(v)
-	}
-	return int64(drawID[v])
 }
 
 // phaseFixup joins every vertex whose closed neighborhood contains no

@@ -49,13 +49,6 @@ type Options struct {
 	// The solver's buffers stay reusable — a canceled pooled solver is
 	// released and reacquired as usual.
 	Cancel <-chan struct{}
-	// Relab, when non-nil, runs the frontier sweeps over the permuted CSR
-	// it holds (a locality-improving vertex order built once per graph by
-	// graph.Relabel) while keying every random draw and every output slot
-	// by original vertex id, so Result is indexed exactly as without it
-	// and bit-identical to the unpermuted solve. It must have been built
-	// from the graph passed to Solve/Fractional/Round. Resolve rejects it.
-	Relab *graph.Relabeled
 }
 
 // ErrCanceled reports that a solve was abandoned because Options.Cancel
@@ -123,28 +116,19 @@ type Solver struct {
 	lastRepaired bool // observability: last Resolve's path (see resolve.go)
 
 	// Per-graph state kept across runs: the static δ⁽¹⁾/δ⁽²⁾ tables
-	// (d2done) and the LP memo. Both belong to the graph and relabeling of
-	// the last prepare (g, relab). The solver holds these pointers, so no
-	// new graph can take their address while they key anything — unlike
-	// CSR array addresses, which dyngraph.Recycle hands to a later epoch.
+	// (d2done) and the LP memo. Both belong to the graph of the last
+	// prepare (g). The solver holds this pointer, so no new graph can take
+	// its address while it keys anything — unlike CSR array addresses,
+	// which dyngraph.Recycle hands to a later epoch.
 	g      *graph.Graph
 	d2done bool
 	// The LP memo: when lpValid, s.x holds the completed, uncanceled LP
 	// stage of (lpAlg, lpK) over the keyed graph; for AlgWeighted, costs
-	// holds the costs it ran with (the solver's own copy, in sweep order).
+	// holds the costs it ran with (the solver's own copy).
 	lpValid bool
 	lpAlg   Algorithm
 	lpK     int
 	costs   []float64
-
-	// Relabeled-run state (nil/empty when Options.Relab is unset): the
-	// permutation for keying draws by original id, and the scatter buffers
-	// Results are emitted through so callers always see original indexing.
-	relab  *graph.Relabeled
-	drawID []int32 // permuted id → original id (Relab.Perm)
-	outX   []float64
-	outDS  []bool
-	roundX []float64 // standalone Round's gathered x input
 
 	// Phase chunking: the word range is cut into one equal chunk per
 	// worker (c0[c] ≤ word < c1[c], ascending and contiguous), and worker
@@ -208,9 +192,6 @@ func (s *Solver) prepare(g *graph.Graph, opt Options) error {
 			return err
 		}
 	}
-	if opt.Relab != nil && opt.Relab.Orig() != g {
-		return fmt.Errorf("fastpath: Options.Relab was built from a different graph")
-	}
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -222,23 +203,15 @@ func (s *Solver) prepare(g *graph.Graph, opt Options) error {
 	if workers < 1 {
 		workers = 1
 	}
-	off, adj := g.CSR()
-	s.drawID = nil
-	if opt.Relab != nil {
-		// Sweep the permuted CSR; draws and outputs are keyed back to
-		// original ids through drawID / the emit scatter.
-		off, adj = opt.Relab.CSR()
-		s.drawID = opt.Relab.Perm()
-	}
 	// δ⁽¹⁾/δ⁽²⁾ and the LP memo survive while the solver meets the same
-	// graph and relabeling again (a server answering many requests on one
-	// preloaded topology); anything else drops them.
-	if s.g != g || s.relab != opt.Relab {
+	// graph again (a server answering many requests on one preloaded
+	// topology); any other graph drops them.
+	if s.g != g {
 		s.d2done, s.lpValid = false, false
 	}
-	s.g, s.relab = g, opt.Relab
+	s.g = g
 	s.ensure(n, workers)
-	s.off, s.adj = off, adj
+	s.off, s.adj = g.CSR()
 	s.maxDeg = g.MaxDegree()
 	s.chunkify()
 	s.startWorkers()
@@ -408,35 +381,6 @@ func (s *Solver) totalChanged() int {
 		t += len(s.changed[c])
 	}
 	return t
-}
-
-// emitX returns the fractional vector in original vertex indexing: the
-// solver's own x when no relabeling is active, a scatter through the
-// permutation otherwise. Same aliasing contract as every Result slice.
-func (s *Solver) emitX() []float64 {
-	if s.relab == nil {
-		return s.x[:s.n]
-	}
-	s.outX = growF64(s.outX, s.n)
-	for v, orig := range s.drawID[:s.n] {
-		s.outX[orig] = s.x[v]
-	}
-	return s.outX
-}
-
-// emitDS is emitX for the membership bits.
-func (s *Solver) emitDS() []bool {
-	if s.relab == nil {
-		return s.inDS[:s.n]
-	}
-	if cap(s.outDS) < s.n {
-		s.outDS = make([]bool, s.n)
-	}
-	s.outDS = s.outDS[:s.n]
-	for v, orig := range s.drawID[:s.n] {
-		s.outDS[orig] = s.inDS[v]
-	}
-	return s.outDS
 }
 
 // markNbhd sets the dirty bits of N[u]. With one worker it is a plain OR;

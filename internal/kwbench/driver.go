@@ -45,9 +45,9 @@ type Request struct {
 	Tenant int
 }
 
-// OpResult is what a driver reports per operation; the runner uses Size for
-// cross-checking, Cached for hit-rate accounting, InDS (inproc drivers
-// only) for the mobility replay's churn accounting, and Shed to count 429
+// OpResult is what a driver reports per operation; the runner uses Size and
+// InDS (inproc drivers only) for cross-checking and the mobility replay's
+// churn accounting, Cached for hit-rate accounting, and Shed to count 429
 // admission refusals as sheds rather than errors.
 type OpResult struct {
 	Size   int
@@ -74,11 +74,7 @@ type Driver interface {
 func newDriver(sc *Scenario, concurrency int) (Driver, error) {
 	switch sc.Driver {
 	case DriverInprocFast:
-		return &inprocDriver{
-			sequential:  true,
-			concurrency: concurrency,
-			reorder:     sc.Reorder,
-		}, nil
+		return &inprocDriver{sequential: true, concurrency: concurrency}, nil
 	case DriverInprocSim:
 		return &inprocDriver{sequential: false, concurrency: concurrency}, nil
 	case DriverHTTPServe:
@@ -109,22 +105,11 @@ func newDriver(sc *Scenario, concurrency int) (Driver, error) {
 type inprocDriver struct {
 	sequential  bool
 	concurrency int
-	reorder     bool
 	graphs      []LoadedGraph
-	// relabs are the per-graph degree-ordered relabelings for reorder
-	// scenarios, built once in Prepare: the relabeling is per-topology
-	// setup, not per-op work.
-	relabs []*kwmds.ReorderedGraph
 }
 
 func (d *inprocDriver) Prepare(graphs []LoadedGraph) error {
 	d.graphs = graphs
-	if d.reorder {
-		d.relabs = make([]*kwmds.ReorderedGraph, len(graphs))
-		for i, lg := range graphs {
-			d.relabs[i] = kwmds.Reorder(lg.G)
-		}
-	}
 	return nil
 }
 
@@ -148,9 +133,6 @@ func (d *inprocDriver) options(req Request) kwmds.Options {
 		// solver gets its share of GOMAXPROCS instead of a full-width
 		// phase pool.
 		opts.SolverWorkers = max(1, runtime.GOMAXPROCS(0)/max(1, d.concurrency))
-		if d.reorder && req.Algo != "kwcds" {
-			opts.Reordered = d.relabs[req.Graph]
-		}
 	}
 	return opts
 }

@@ -85,7 +85,7 @@ func TestLoadSpecValidation(t *testing.T) {
 		{"load with cross_check", func(sc *Scenario) {
 			sc.Load = &LoadSpec{Gen: "udg:100:0.2:1", Ops: 1}
 			sc.Graphs, sc.Closed, sc.CrossCheck = nil, nil, true
-		}, "no cross_check, http or reorder"},
+		}, "no cross_check or http"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -276,15 +276,18 @@ type bucketStats struct {
 }
 
 // collector accumulates per-operation outcomes for both loop modes under
-// one mutex: the shared latency histogram, success sizes for the
+// one mutex: the shared latency histogram, success answers for the
 // cross-check pass, error/shed counters, and the optional per-kind and
 // per-tenant splits. Only successful operations land in the histograms,
-// sizes and throughput (errors and sheds are counted, not measured) — an
+// answers and throughput (errors and sheds are counted, not measured) — an
 // errored op has no meaningful latency and would poison the percentiles.
 type collector struct {
-	mu       sync.Mutex
-	total    *hdr.Histogram
-	sizes    []int
+	mu    sync.Mutex
+	total *hdr.Histogram
+	// answers keeps each successful op's result for the cross-check pass
+	// (nil unless the scenario cross-checks). The inproc drivers return
+	// caller-owned sets, so keeping a reference copies nothing.
+	answers  []OpResult
 	ok       []bool
 	errors   int
 	sheds    int
@@ -300,9 +303,11 @@ type collector struct {
 func newCollector(sc *Scenario, n int) *collector {
 	c := &collector{
 		total:    &hdr.Histogram{},
-		sizes:    make([]int, n),
 		ok:       make([]bool, n),
 		tolerate: sc.SLO != nil && sc.SLO.ErrorRate != nil,
+	}
+	if sc.CrossCheck {
+		c.answers = make([]OpResult, n)
 	}
 	if sc.Mix != nil {
 		c.byKind = make(map[string]*bucketStats)
@@ -348,7 +353,9 @@ func (c *collector) record(op int, req Request, lat time.Duration, got OpResult,
 		}
 	default:
 		c.total.Record(lat)
-		c.sizes[op] = got.Size
+		if c.answers != nil {
+			c.answers[op] = got
+		}
 		c.ok[op] = true
 		if kb != nil {
 			kb.hist.Record(lat)

@@ -72,11 +72,14 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	// prev[c] is combo c's elected set in the previous epoch; churn is
 	// accumulated over every consecutive-epoch transition, warmup
 	// included (the warmup boundary only gates *timing*, and churn at
-	// the first measured epoch needs its predecessor). Set sizes are
-	// recorded so the cross-check pass can run after the measurement
-	// windows close.
+	// the first measured epoch needs its predecessor). With cross_check
+	// on, every answer is kept so the cross-check pass can run after the
+	// measurement windows close.
 	prev := make([][]bool, len(combos))
-	sizes := make([]int, epochs*len(combos))
+	var answers []OpResult
+	if sc.CrossCheck {
+		answers = make([]OpResult, epochs*len(combos))
+	}
 	var kept, added, removed, transitions int
 	hist := &hdr.Histogram{}
 	measuredOps := 0
@@ -112,7 +115,9 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 				elapsed += lat
 				measuredOps++
 			}
-			sizes[e*len(combos)+c] = got.Size
+			if answers != nil {
+				answers[e*len(combos)+c] = got
+			}
 			if prev[c] != nil {
 				k, a, r := mobility.Churn(prev[c], got.InDS)
 				kept += k
@@ -148,7 +153,7 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 					return nil, fmt.Errorf("kwbench: scenario %q epoch %d cross-check: %w", sc.Name, e, err)
 				}
 				res.CrossChecked++
-				if want.Size != sizes[e*len(combos)+c] {
+				if !sameAnswer(answers[e*len(combos)+c], want) {
 					res.Mismatches++
 				}
 			}
@@ -226,7 +231,17 @@ func runMobilityDynamic(sc *Scenario, epochs int, trace *mobility.Trace) (*Scena
 	}
 
 	var prev []bool
-	sizes := make([]int, epochs)
+	// With cross_check on, each epoch's answer is kept for the pass after
+	// the measurement windows. The churn mode's sets alias the solver, so
+	// record copies them into one buffer allocated up front, keeping the
+	// copies out of the allocation window.
+	var answers []OpResult
+	var sets []bool
+	n := trace.Graphs[0].N()
+	if sc.CrossCheck {
+		answers = make([]OpResult, epochs)
+		sets = make([]bool, epochs*n)
+	}
 	var kept, added, removed, transitions int
 	hist := &hdr.Histogram{}
 	measuredOps := 0
@@ -240,7 +255,11 @@ func runMobilityDynamic(sc *Scenario, epochs int, trace *mobility.Trace) (*Scena
 			elapsed += lat
 			measuredOps++
 		}
-		sizes[e] = size
+		if answers != nil {
+			set := sets[e*n : (e+1)*n]
+			copy(set, inDS)
+			answers[e] = OpResult{Size: size, InDS: set}
+		}
 		if prev != nil {
 			k, a, r := mobility.Churn(prev, inDS)
 			kept += k
@@ -339,7 +358,7 @@ func runMobilityDynamic(sc *Scenario, epochs int, trace *mobility.Trace) (*Scena
 				return nil, fmt.Errorf("kwbench: scenario %q epoch %d cross-check: %w", sc.Name, e, err)
 			}
 			res.CrossChecked++
-			if want.Size != sizes[e] {
+			if !sameAnswer(answers[e], OpResult{Size: want.Size, InDS: want.InDS}) {
 				res.Mismatches++
 			}
 		}

@@ -34,7 +34,7 @@ func TestValidateBadRecoverySpecs(t *testing.T) {
 		}, "load and recovery are mutually exclusive"},
 		{"frac algo", func(s *Scenario) { s.Matrix.Algos = []string{"frac"} }, "algos kw|kw2"},
 		{"two combos", func(s *Scenario) { s.Matrix.Algos = []string{"kw", "kw2"} }, "exactly one matrix combo"},
-		{"cross check", func(s *Scenario) { s.CrossCheck = true }, "no cross_check, http or reorder"},
+		{"cross check", func(s *Scenario) { s.CrossCheck = true }, "no cross_check or http"},
 		{"zero epochs", func(s *Scenario) { s.Recovery.Epochs = 0 }, "bad recovery parameters"},
 		{"zero n", func(s *Scenario) { s.Recovery.N = 0 }, "bad recovery parameters"},
 		{"negative restarts", func(s *Scenario) { s.Recovery.Restarts = -1 }, "must be ≥ 0"},

@@ -171,12 +171,6 @@ type ScenarioResult struct {
 	// replay).
 	Concurrency int `json:"concurrency,omitempty"`
 
-	// Reorder reports that measured solves ran over a degree-ordered
-	// relabeling of each graph (spec `reorder`); outputs are bit-identical
-	// to the plain path, so the field only marks which memory layout was
-	// measured.
-	Reorder bool `json:"reorder,omitempty"`
-
 	WarmupOps int `json:"warmup_ops"`
 	// Ops counts successful measured operations only: errored and shed
 	// operations are excluded from the latency, size and throughput stats

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -82,7 +83,6 @@ func runScenario(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 		Combos:      len(sc.Matrix.combos()),
 		Seeds:       effectiveSeeds(sc),
 		WarmupOps:   sc.WarmupOps,
-		Reorder:     sc.Reorder,
 	}
 	if sc.Tenants > 1 {
 		res.Tenants = sc.Tenants
@@ -260,6 +260,42 @@ func crossCheckDriver(sc *Scenario, graphs []LoadedGraph) (Driver, error) {
 	return d, nil
 }
 
+// sameAnswer reports whether a measured op agrees with its cross-check:
+// the same size and the same membership at every vertex.
+func sameAnswer(got, want OpResult) bool {
+	return got.Size == want.Size && slices.Equal(got.InDS, want.InDS)
+}
+
+// crossCheck is the verification pass of both loop modes, run strictly
+// outside the timing and allocation windows: re-solve every measured
+// request on the opposite backend and compare the answers. Only
+// successfully recorded ops have an answer to compare (errored and shed
+// ops are skipped).
+func crossCheck(sc *Scenario, graphs []LoadedGraph, measured []Request, col *collector, res *ScenarioResult) error {
+	if !sc.CrossCheck {
+		return nil
+	}
+	checker, err := crossCheckDriver(sc, graphs)
+	if err != nil {
+		return err
+	}
+	defer checker.Close()
+	for i, req := range measured {
+		if !col.ok[i] {
+			continue
+		}
+		want, err := checker.Do(req)
+		if err != nil {
+			return fmt.Errorf("kwbench: scenario %q cross-check: %w", sc.Name, err)
+		}
+		res.CrossChecked++
+		if !sameAnswer(col.answers[i], want) {
+			res.Mismatches++
+		}
+	}
+	return nil
+}
+
 // runClosed drives the fixed-concurrency loop: warmup ops round-robin, then
 // the measured ops pulled from a shared counter by Concurrency workers.
 func runClosed(sc *Scenario, opts RunOptions, driver Driver, graphs []LoadedGraph, res *ScenarioResult) error {
@@ -312,31 +348,7 @@ func runClosed(sc *Scenario, opts RunOptions, driver Driver, graphs []LoadedGrap
 	fillCommon(res, col.total, col.successes(), elapsed, &msBefore, &msAfter)
 	col.finish(res)
 
-	// Verification pass, strictly outside the timing and allocation
-	// windows: re-solve every measured request on the opposite backend
-	// and compare sizes. Only successfully recorded ops have a size to
-	// compare (errored/shed ops are skipped).
-	if sc.CrossCheck {
-		checker, err := crossCheckDriver(sc, graphs)
-		if err != nil {
-			return err
-		}
-		defer checker.Close()
-		for i, req := range measured {
-			if !col.ok[i] {
-				continue
-			}
-			want, err := checker.Do(req)
-			if err != nil {
-				return fmt.Errorf("kwbench: scenario %q cross-check: %w", sc.Name, err)
-			}
-			res.CrossChecked++
-			if want.Size != col.sizes[i] {
-				res.Mismatches++
-			}
-		}
-	}
-	return nil
+	return crossCheck(sc, graphs, measured, col, res)
 }
 
 // runWarmup executes the untimed warmup requests. The first one is timed
@@ -432,29 +444,7 @@ func runOpen(sc *Scenario, opts RunOptions, driver Driver, graphs []LoadedGraph,
 		res.Curve = o.Curve
 	}
 
-	// Verification pass, outside every measurement window (as in
-	// runClosed); errored/shed ops have no size and are skipped.
-	if sc.CrossCheck {
-		checker, err := crossCheckDriver(sc, graphs)
-		if err != nil {
-			return err
-		}
-		defer checker.Close()
-		for i := range measured {
-			if !col.ok[i] {
-				continue
-			}
-			want, err := checker.Do(measured[i])
-			if err != nil {
-				return fmt.Errorf("kwbench: scenario %q cross-check: %w", sc.Name, err)
-			}
-			res.CrossChecked++
-			if want.Size != col.sizes[i] {
-				res.Mismatches++
-			}
-		}
-	}
-	return nil
+	return crossCheck(sc, graphs, measured, col, res)
 }
 
 // fillCommon computes the shared result block from a merged histogram and

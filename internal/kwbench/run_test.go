@@ -162,6 +162,25 @@ func TestRunCrossCheck(t *testing.T) {
 	}
 }
 
+// TestSameAnswer pins the cross-check's comparison: a same-size answer
+// with one member moved is a mismatch, not only a size difference.
+func TestSameAnswer(t *testing.T) {
+	want := OpResult{Size: 2, InDS: []bool{true, false, true, false}}
+	for _, tc := range []struct {
+		name string
+		got  OpResult
+		same bool
+	}{
+		{"equal sets", OpResult{Size: 2, InDS: []bool{true, false, true, false}}, true},
+		{"one member moved", OpResult{Size: 2, InDS: []bool{true, false, false, true}}, false},
+		{"size differs", OpResult{Size: 3, InDS: []bool{true, true, true, false}}, false},
+	} {
+		if got := sameAnswer(tc.got, want); got != tc.same {
+			t.Errorf("%s: sameAnswer = %v, want %v", tc.name, got, tc.same)
+		}
+	}
+}
+
 func TestRunMobilityReplay(t *testing.T) {
 	sc := &Scenario{
 		Name:      "test-mobility",

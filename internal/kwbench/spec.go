@@ -115,8 +115,8 @@ type Scenario struct {
 	Seeds int `json:"seeds,omitempty"`
 
 	// CrossCheck re-runs every measured operation on the *other* inproc
-	// backend (fast↔sim) and compares dominating-set sizes; any mismatch
-	// fails the scenario. The verification pass runs after the measure
+	// backend (fast↔sim) and compares the dominating sets member by
+	// member; any mismatch fails the scenario. The verification pass runs after the measure
 	// phase completes, outside the latency, throughput and allocation
 	// windows.
 	CrossCheck bool `json:"cross_check,omitempty"`
@@ -144,14 +144,6 @@ type Scenario struct {
 	// HTTP tunes the http-serve driver; nil selects a spawned in-process
 	// server with default sizing.
 	HTTP *HTTPSpec `json:"http,omitempty"`
-
-	// Reorder runs every operation over a degree-ordered relabeling of its
-	// graph (kwmds.Reorder), built once per graph before the loop. Outputs
-	// are bit-identical by the engine contract — cross_check verifies that —
-	// so the knob isolates the locality win on skewed-degree graphs.
-	// Requires the inproc-fast driver and kw|kw2|frac algos; incompatible
-	// with mobility.
-	Reorder bool `json:"reorder,omitempty"`
 }
 
 // LoadSpec parameterizes a format-comparison scenario. Exactly one of Tier
@@ -464,8 +456,8 @@ func (sc *Scenario) Validate() error {
 		if len(sc.Graphs) > 0 {
 			return bad("load scenarios name their graph in the load block; drop the graphs list")
 		}
-		if sc.CrossCheck || sc.HTTP != nil || sc.Reorder {
-			return bad("load scenarios take no cross_check, http or reorder")
+		if sc.CrossCheck || sc.HTTP != nil {
+			return bad("load scenarios take no cross_check or http")
 		}
 		if sc.Mix != nil || sc.SLO != nil || sc.Tenants > 1 {
 			return bad("load scenarios take no mix, slo or tenants")
@@ -500,8 +492,8 @@ func (sc *Scenario) Validate() error {
 		if len(sc.Graphs) > 0 {
 			return bad("recovery scenarios generate their own churn history; drop the graphs list")
 		}
-		if sc.CrossCheck || sc.HTTP != nil || sc.Reorder {
-			return bad("recovery scenarios take no cross_check, http or reorder")
+		if sc.CrossCheck || sc.HTTP != nil {
+			return bad("recovery scenarios take no cross_check or http")
 		}
 		if sc.Mix != nil || sc.SLO != nil || sc.Tenants > 1 {
 			return bad("recovery scenarios take no mix, slo or tenants")
@@ -706,9 +698,6 @@ func (sc *Scenario) Validate() error {
 		if sc.CrossCheck {
 			return bad("mix and cross_check are mutually exclusive (mutate ops have no solo re-solve identity)")
 		}
-		if sc.Reorder {
-			return bad("mix takes no reorder")
-		}
 		if sc.Mix.Mutate > 0 {
 			if sc.Driver != DriverHTTPServe {
 				return bad("mix weight mutate requires the %s driver (mutation rides the serve API)", DriverHTTPServe)
@@ -742,21 +731,7 @@ func (sc *Scenario) Validate() error {
 			return bad("k %d outside [0, %d]", c.K, kwmds.MaxK)
 		}
 		if sc.CrossCheck && c.Algo == "frac" {
-			return bad("cross_check compares dominating-set sizes; algo frac has none")
-		}
-	}
-
-	if sc.Reorder {
-		if sc.Driver != DriverInprocFast {
-			return bad("reorder tunes the fastpath engine; it requires the %s driver", DriverInprocFast)
-		}
-		if sc.Mobility != nil {
-			return bad("reorder does not apply to mobility replays")
-		}
-		for _, c := range sc.Matrix.combos() {
-			if c.Algo == "kwcds" {
-				return bad("reorder supports algos kw|kw2|frac (got %q)", c.Algo)
-			}
+			return bad("cross_check compares dominating sets; algo frac has none")
 		}
 	}
 

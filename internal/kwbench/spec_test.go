@@ -386,9 +386,10 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 		t.Fatalf("spec with an [http] no_batch key: err = %v, want an unknown-field refusal", err)
 	}
 	// shards swept the removed in-process sharded engine, batch_size and
-	// [mix] batch_solve drove the removed batch solve path; a stale spec
-	// that still carries one is refused at load in either syntax, not
-	// ignored.
+	// [mix] batch_solve drove the removed batch solve path, sched picked
+	// the removed work-stealing scheduler and reorder ran the removed
+	// degree-ordered relabeling; a stale spec that still carries one is
+	// refused at load in either syntax, not ignored.
 	for _, tc := range []struct {
 		syntax, key, spec string
 	}{
@@ -398,6 +399,9 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 		{"json", "batch_size", `{"name":"x","driver":"inproc-fast","batch_size":8,"graphs":[{"tier":"udg-500"}],"closed":{"concurrency":1,"ops":1}}`},
 		{"toml", "batch_solve", "name = \"x\"\ndriver = \"inproc-fast\"\n[[graphs]]\ntier = \"udg-500\"\n[closed]\nconcurrency = 1\nops = 1\n[mix]\ncached_solve = 0.5\nbatch_solve = 0.5\n"},
 		{"json", "batch_solve", `{"name":"x","driver":"inproc-fast","graphs":[{"tier":"udg-500"}],"closed":{"concurrency":1,"ops":1},"mix":{"cached_solve":0.5,"batch_solve":0.5}}`},
+		{"toml", "sched", "name = \"x\"\ndriver = \"inproc-fast\"\nsched = \"steal\"\n[[graphs]]\ntier = \"udg-500\"\n[closed]\nconcurrency = 1\nops = 1\n"},
+		{"toml", "reorder", "name = \"x\"\ndriver = \"inproc-fast\"\nreorder = true\n[[graphs]]\ntier = \"udg-500\"\n[closed]\nconcurrency = 1\nops = 1\n"},
+		{"json", "reorder", `{"name":"x","driver":"inproc-fast","reorder":true,"graphs":[{"tier":"udg-500"}],"closed":{"concurrency":1,"ops":1}}`},
 	} {
 		_, err := Decode([]byte(tc.spec), tc.syntax == "toml")
 		if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.key+`"`) {

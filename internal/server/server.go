@@ -61,14 +61,6 @@ type Config struct {
 	// enormous vertex count and graph.New allocates O(n) regardless —
 	// unchecked, a 40-byte request could OOM the process. Default 2e6.
 	MaxInlineVertices int
-	// Reorder, when set, runs cold Sequential solves of preloaded graphs
-	// over a cached degree-ordered relabeling of the topology
-	// (kwmds.Reorder) for better cache locality on skewed-degree graphs.
-	// Outputs are bit-identical with or without it; the relabeling is
-	// built once per topology, inside the first solve's worker slot, and
-	// dropped on mutation. Inline graphs ignore the setting (a relabeling
-	// is a per-topology artifact; inline uploads see each topology once).
-	Reorder bool
 }
 
 // Preload is one entry of Config.Preloads. Dyn is required; Log and Mapped
@@ -125,10 +117,6 @@ type preloaded struct {
 	// graph. Solves retain it for their duration; DELETE and Close drop
 	// the owner reference, unmapping once the last solve releases.
 	mapped *graphio.MappedGraph
-	// reorder caches the degree-ordered relabeling of the current topology:
-	// built on first use, dropped on topology mutations, pure topology so
-	// weight-only epochs keep it.
-	reorder *graph.Relabeled
 }
 
 // snapshot returns a consistent (graph, digest, epoch, costs) view.
@@ -136,27 +124,6 @@ func (p *preloaded) snapshot() (*graph.Graph, string, int64, []float64) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return p.dyn.Graph(), p.digest, p.dyn.Epoch(), p.dyn.Costs()
-}
-
-// reorderFor returns the degree-ordered relabeling of the snapshot graph g,
-// served from the cache while g is still the current topology. A snapshot
-// superseded by a concurrent mutation gets a fresh, uncached relabeling —
-// the solve still answers exactly the topology its caller addressed.
-func (p *preloaded) reorderFor(g *graph.Graph) *graph.Relabeled {
-	p.mu.RLock()
-	if p.dyn.Graph() == g && p.reorder != nil {
-		rl := p.reorder
-		p.mu.RUnlock()
-		return rl
-	}
-	p.mu.RUnlock()
-	rl := graph.Relabel(g)
-	p.mu.Lock()
-	if p.dyn.Graph() == g {
-		p.reorder = rl
-	}
-	p.mu.Unlock()
-	return rl
 }
 
 // New builds a Server from cfg, applying defaults for zero fields.
@@ -364,7 +331,6 @@ func (s *Server) solve(ctx context.Context, req *graphio.SolveRequest) (*graphio
 	var g *graph.Graph
 	var digest string
 	var epoch int64
-	var pre *preloaded
 	if req.GraphRef != "" {
 		p, ok := s.lookup(req.GraphRef)
 		if !ok {
@@ -384,7 +350,6 @@ func (s *Server) solve(ctx context.Context, req *graphio.SolveRequest) (*graphio
 			}
 			defer mapped.Release()
 		}
-		pre = p
 		var costs []float64
 		g, digest, epoch, costs = p.snapshot()
 		if req.Epoch != nil && *req.Epoch != epoch {
@@ -453,17 +418,11 @@ func (s *Server) solve(ctx context.Context, req *graphio.SolveRequest) (*graphio
 	key := cacheKey(digest, req, opts)
 	cached, hit, err := s.cache.getOrCompute(ctx, key, func(cancel <-chan struct{}) (*graphio.SolveResponse, error) {
 		// cancel closes when every coalesced client has disconnected; both
-		// the slot wait and the solve honor it. The relabeling build runs
-		// inside the slot: it is O(n + m) work the pool must bound like any
-		// solve.
+		// the slot wait and the solve honor it.
 		if err := s.admit(cancel); err != nil {
 			return nil, err
 		}
 		defer func() { <-s.sem }()
-		if s.cfg.Reorder && pre != nil && opts.Sequential {
-			// Attach the cached relabeling (built once per topology).
-			opts.Reordered = pre.reorderFor(g)
-		}
 		opts.Cancel = cancel
 		return s.run(g, digest, req.Algo, req.Engine, opts)
 	})
@@ -582,7 +541,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		oldDigest := p.digest
 		p.rawDigest = graphio.DigestRaw(delta.Next)
 		p.digest = hex.EncodeToString(p.rawDigest[:])
-		p.reorder = nil // the degree-ordered relabeling describes the old topology
 		s.cache.invalidateDigest(oldDigest)
 	}
 	if rec != nil {

@@ -8,7 +8,7 @@ import (
 )
 
 // RequireBitIdentical fails t unless got and want are bit-for-bit equal.
-// It exists for the differential suites (churn, reorder, crash recovery),
+// It exists for the differential suites (churn, crash recovery),
 // whose contract is not "approximately the same answer" but "the same
 // bits": two executions of one deterministic algorithm. Both arguments
 // are compared structurally by reflection — typically two *kwmds.Result

@@ -6,7 +6,6 @@ import (
 	"kwmds/internal/cds"
 	"kwmds/internal/core"
 	"kwmds/internal/fastpath"
-	"kwmds/internal/graph"
 	"kwmds/internal/lp"
 	"kwmds/internal/rounding"
 )
@@ -68,12 +67,6 @@ type Options struct {
 	// iteration boundary. Serving stacks close it when the requesting
 	// client disconnects. Ignored by simulated runs.
 	Cancel <-chan struct{}
-	// Reordered, when non-nil, runs the Sequential solver over the
-	// degree-ordered permutation of the graph (build it once with Reorder)
-	// for better cache locality on skewed-degree graphs. Outputs stay
-	// indexed by original vertex ids and are bit-identical to a solve
-	// without it. Requires Sequential.
-	Reordered *ReorderedGraph
 }
 
 // ErrCanceled reports that a solve was abandoned because Options.Cancel
@@ -164,8 +157,7 @@ func lpBound(opts Options, k, delta int) float64 {
 
 // fastOptions maps facade options onto the fastpath solver's.
 func fastOptions(opts Options, k int) fastpath.Options {
-	fo := fastpath.Options{K: k, Seed: opts.Seed, Variant: opts.Variant, Workers: opts.SolverWorkers, Cancel: opts.Cancel,
-		Relab: opts.Reordered}
+	fo := fastpath.Options{K: k, Seed: opts.Seed, Variant: opts.Variant, Workers: opts.SolverWorkers, Cancel: opts.Cancel}
 	switch {
 	case opts.Weights != nil:
 		fo.Algorithm = fastpath.AlgWeighted
@@ -379,6 +371,3 @@ func IsFractionallyFeasible(g *Graph, x []float64) bool { return lp.IsFeasible(g
 // k = Θ(log ∆) for g, which yields an O(log²∆) approximation in O(log²∆)
 // rounds (remark after Theorem 6).
 func RecommendedK(g *Graph) int { return core.LogDeltaK(g.MaxDegree()) }
-
-// ensure the alias stays in sync with the internal package.
-var _ = graph.SetSize

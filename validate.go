@@ -38,14 +38,6 @@ func (o Options) Validate(g *Graph) error {
 	default:
 		return fmt.Errorf("%w: unknown rounding variant %d", ErrInvalidOptions, o.Variant)
 	}
-	if o.Reordered != nil {
-		if !o.Sequential {
-			return fmt.Errorf("%w: Reordered requires Sequential (the simulated engine has no reordered execution)", ErrInvalidOptions)
-		}
-		if o.Reordered.Orig() != g {
-			return fmt.Errorf("%w: Reordered was built from a different graph", ErrInvalidOptions)
-		}
-	}
 	if o.Weights != nil {
 		if len(o.Weights) != g.N() {
 			return fmt.Errorf("%w: %d weights for %d vertices",
