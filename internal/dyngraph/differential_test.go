@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"kwmds/internal/dyngraph"
@@ -16,15 +17,17 @@ import (
 )
 
 // This file is the differential churn harness: every mutation sequence is
-// applied twice — through the dyngraph engine (Commit + fastpath.Resolve
-// on persistent solvers) and through a test-only oracle that rebuilds a
-// fresh graph.New from its own edge ledger and cold-solves it — and the
-// outputs must agree bit for bit: the committed CSR against the from-
-// scratch CSR, and the fractional vector, dominating set and join counters
-// of Resolve against the cold solve. The table spans the four workload
-// families of the fastpath determinism tests × three algorithms × both
-// rounding variants × seeds, with Resolve running at several worker
-// counts; CI executes it under -race.
+// applied twice — through the dyngraph engine (Commit, then a Solve of the
+// committed graph on persistent solvers, which repair their state from the
+// previous epoch's and replay its LP stage) and through a test-only oracle
+// that rebuilds a fresh graph.New from its own edge ledger and cold-solves
+// it — and the outputs must agree bit for bit: the committed CSR against
+// the from-scratch CSR, and the fractional vector, dominating set and join
+// counters of the persistent solvers against the cold solve. graph.New
+// sets no lineage, so the oracle always runs the full LP stage. The table
+// spans the four workload families of the fastpath determinism tests ×
+// three algorithms × both rounding variants × seeds, with the persistent
+// solvers running at several worker counts; CI executes it under -race.
 
 // oracle is the from-scratch referee: it mirrors every mutation on a plain
 // edge ledger and rebuilds via graph.New, the constructor whose validation
@@ -80,7 +83,8 @@ func (o *oracle) costVector() []float64 {
 
 // mutateEpoch drives one epoch's mutations into both the engine and the
 // oracle. Epochs alternate between trickle batches (1–2 edge toggles, the
-// regime where Resolve repairs δ⁽¹⁾/δ⁽²⁾ incrementally) and heavy batches
+// regime where the solver repairs its state and replays the LP) and heavy
+// batches
 // (≈ m/4 toggles through ApplyEdgeDeltas, forcing the full-solve
 // fallback), with occasional vertex additions and weight updates.
 func mutateEpoch(t *testing.T, d *dyngraph.Dynamic, o *oracle, rng *rand.Rand, epoch int) {
@@ -214,10 +218,12 @@ func churnWorkloads(t *testing.T) []struct {
 	}
 }
 
-// resolveWorkerCounts mirrors the fastpath determinism matrix: inline,
+// churnWorkerCounts mirrors the fastpath determinism matrix: inline,
 // uneven chunking, wider than GOMAXPROCS, default.
-var resolveWorkerCounts = []int{1, 3, 0}
+var churnWorkerCounts = []int{1, 3, 0}
 
+// TestDifferentialChurn fails unless some persistent solver replayed an
+// LP stage: the trickle epochs exist to exercise that path.
 func TestDifferentialChurn(t *testing.T) {
 	const epochs = 8
 	algs := []struct {
@@ -231,6 +237,12 @@ func TestDifferentialChurn(t *testing.T) {
 	variants := []rounding.Variant{rounding.Ln, rounding.LnMinusLnLn}
 	seeds := []int64{1, 9}
 
+	var replayed atomic.Int64
+	t.Cleanup(func() { // runs once the parallel subtests finish
+		if !t.Failed() && replayed.Load() == 0 {
+			t.Error("no epoch replayed its LP stage; the trickle epochs are not exercising the incremental path")
+		}
+	})
 	for _, w := range churnWorkloads(t) {
 		for _, a := range algs {
 			for _, variant := range variants {
@@ -241,7 +253,7 @@ func TestDifferentialChurn(t *testing.T) {
 						d := dyngraph.New(w.g)
 						o := newOracle(w.g)
 						rng := stats.NewRand(seed*1000 + int64(len(w.name)))
-						solvers := make([]*fastpath.Solver, len(resolveWorkerCounts))
+						solvers := make([]*fastpath.Solver, len(churnWorkerCounts))
 						for i := range solvers {
 							solvers[i] = fastpath.New()
 						}
@@ -265,11 +277,14 @@ func TestDifferentialChurn(t *testing.T) {
 							}
 							testsupport.AssertDominatingSet(t, ctx+" cold", fresh, cold.InDS)
 							testsupport.AssertFractionallyDominated(t, ctx+" cold", fresh, cold.X)
-							for i, workers := range resolveWorkerCounts {
+							for i, workers := range churnWorkerCounts {
 								opt.Workers = workers
-								got, err := solvers[i].Resolve(delta, opt)
+								got, err := solvers[i].Solve(delta.Next, opt)
 								if err != nil {
 									t.Fatalf("%s workers %d: %v", ctx, workers, err)
+								}
+								if solvers[i].LastLPReplayed() {
+									replayed.Add(1)
 								}
 								assertSameResult(t, fmt.Sprintf("%s workers %d", ctx, workers), got, cold)
 								testsupport.AssertDominatingSet(t, ctx, delta.Next, got.InDS)
@@ -282,13 +297,14 @@ func TestDifferentialChurn(t *testing.T) {
 	}
 }
 
-// TestResolveRepairAndFallbackAgree pins both internal paths of Resolve on
-// the same delta: a persistent solver whose cached tables allow the
-// incremental δ⁽¹⁾/δ⁽²⁾ repair, and a cold solver forced down the fallback,
-// must produce the same bits. It complements TestDifferentialChurn by
-// making the trickle regime explicit (single-edge epochs on a graph large
-// enough that the repair threshold admits them).
-func TestResolveRepairAndFallbackAgree(t *testing.T) {
+// TestTrickleReplayMatchesColdSolve pins both paths on the same epoch: a
+// persistent solver that repairs its tables and replays the previous
+// epoch's LP stage, and a cold solver of a lineage-free rebuild that runs
+// the full stage, must produce the same bits. It complements
+// TestDifferentialChurn by making the trickle regime explicit
+// (single-edge epochs on a graph large enough that the repair threshold
+// admits them).
+func TestTrickleReplayMatchesColdSolve(t *testing.T) {
 	g, err := gen.UnitDisk(600, 0.06, 17)
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +317,7 @@ func TestResolveRepairAndFallbackAgree(t *testing.T) {
 	if _, err := warm.Solve(g, opt); err != nil {
 		t.Fatal(err)
 	}
-	repaired := 0
+	replayed := 0
 	for epoch := 0; epoch < 12; epoch++ {
 		u, v := rng.IntN(o.n), rng.IntN(o.n)
 		if u == v {
@@ -327,19 +343,19 @@ func TestResolveRepairAndFallbackAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := warm.Resolve(delta, opt)
+		got, err := warm.Solve(delta.Next, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if warm.LastResolveRepaired() {
-			repaired++
+		if warm.LastLPReplayed() {
+			replayed++
 		}
 		assertSameResult(t, fmt.Sprintf("trickle epoch %d", epoch), got, cold)
 	}
 	// The point of the trickle regime: the persistent solver must actually
-	// have taken the repair path (a single edge toggle on a 600-vertex UDG
-	// is far below the fallback threshold).
-	if repaired == 0 {
-		t.Fatal("no epoch took the incremental repair path; the trickle regime is not exercising it")
+	// have replayed (a single edge toggle on a 600-vertex UDG is far below
+	// the fallback threshold).
+	if replayed == 0 {
+		t.Fatal("no epoch replayed its LP stage; the trickle regime is not exercising the incremental path")
 	}
 }

@@ -5,9 +5,12 @@
 // previous snapshot's sorted adjacency in one linear pass (no re-sort, no
 // dedup sweep, no edge-list round trip), producing a fresh immutable
 // snapshot plus a Delta describing exactly which vertices' neighborhoods
-// changed. The Delta is what the incremental solver (fastpath.Resolve)
-// consumes to repair its cached per-vertex state instead of recomputing it,
-// and what the serve subsystem's mutation endpoint reports back to clients.
+// changed. The Delta is what the serve subsystem's mutation endpoint
+// reports back to clients and what the write-ahead log records. A snapshot
+// that kept the vertex count also carries its lineage (graph.Lineage): the
+// previous snapshot and the touched vertices, from which a fastpath solver
+// holding the previous snapshot repairs its per-vertex state and replays
+// its LP stage instead of recomputing them.
 //
 // Concurrency: a Dynamic is not safe for concurrent use; callers that share
 // one (the serve subsystem) must serialize mutations externally. Snapshots
@@ -296,9 +299,11 @@ func (d *Dynamic) ApplyEdgeDeltas(add, remove [][2]int32) {
 // by a future Commit, making the epoch loop allocation-free in steady
 // state. The caller asserts that NOTHING will read g anymore — not a cache
 // entry, not a kept Neighbors slice; the next Commit overwrites the arrays
-// in place. The safe pattern is the churn driver's: after Resolve(delta)
-// completes, delta.Prev is read by nobody and may be recycled. Recycling
-// the current snapshot is ignored rather than obeyed.
+// in place. The safe pattern is the churn driver's: once delta.Next has
+// been solved, delta.Prev's arrays are read by nobody — a solver that held
+// delta.Prev moved to delta.Next, and the lineage a snapshot carries never
+// reads its parent's arrays — and may be recycled. Recycling the current
+// snapshot is ignored rather than obeyed.
 func (d *Dynamic) Recycle(g *graph.Graph) {
 	if g == nil || g == d.g {
 		return
@@ -613,7 +618,15 @@ func (d *Dynamic) Commit() (*Delta, error) {
 	// range-checked insertions, and maxDeg fell out of the offsets pass, so
 	// the checked constructor would re-derive what is true by construction
 	// (the differential harness re-proves it against graph.New every run).
-	next := graph.FromCSRUnchecked(newOff, newAdj[:newOff[n]], int(maxDeg))
+	// An epoch that kept the vertex count records its lineage, so a solver
+	// holding the previous snapshot can replay its LP stage over the touched
+	// frontier; touched is copied because d.touched is reused.
+	var next *graph.Graph
+	if n == oldN {
+		next = graph.FromCSRDerived(d.g, newOff, newAdj[:newOff[n]], int(maxDeg), append([]int32(nil), touched...))
+	} else {
+		next = graph.FromCSRUnchecked(newOff, newAdj[:newOff[n]], int(maxDeg))
+	}
 
 	d.applyWeights(n)
 

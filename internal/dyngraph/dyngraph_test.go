@@ -237,3 +237,31 @@ func TestEmptyStartAndEpochs(t *testing.T) {
 		t.Fatalf("epoch = %d, want 2", d.Epoch())
 	}
 }
+
+// TestCommitLineage: a commit that keeps the vertex count records its
+// parent and a copy of the touched vertices; a growth epoch records none.
+func TestCommitLineage(t *testing.T) {
+	g := graph.MustNew(6, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {0, 5}})
+	d := New(g)
+	if err := d.AddEdge(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	first := mustCommit(t, d)
+	if err := d.RemoveEdge(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	second := mustCommit(t, d)
+	if p, touched := first.Next.Lineage(); p != g || len(touched) != 2 || touched[0] != 0 || touched[1] != 3 {
+		t.Fatalf("epoch 1 lineage = %p, %v; want %p, [0 3] (the touched copy must survive the next commit)", p, touched, g)
+	}
+	if p, _ := second.Next.Lineage(); p != first.Next {
+		t.Fatalf("epoch 2 parent = %p, want epoch 1 (%p)", p, first.Next)
+	}
+	v := d.AddVertex()
+	if err := d.AddEdge(v, 0); err != nil {
+		t.Fatal(err)
+	}
+	if p, touched := mustCommit(t, d).Next.Lineage(); p != nil || touched != nil {
+		t.Fatalf("growth epoch has lineage %p, %v", p, touched)
+	}
+}

@@ -1,6 +1,8 @@
 package dyngraph_test
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"kwmds/internal/dyngraph"
@@ -14,13 +16,16 @@ import (
 // FuzzMutationSequence is the dynamic-graph differential fuzzer: a random
 // base graph is mutated by an arbitrary interleaving of edge toggles,
 // weight updates, vertex additions and commit checkpoints decoded from the
-// fuzz input, and at every checkpoint the incremental solver's Resolve is
-// compared bit for bit against a cold solve of a from-scratch graph.New
-// rebuild — for the default and the weighted algorithm, across both commit
-// paths (interactive ops and checkpoint-sized batches). The checked-in
-// corpus under testdata/fuzz/FuzzMutationSequence encodes real mobility
-// replay traces (consecutive unit-disk snapshots diffed into link events),
-// so plain `go test` already replays representative churn;
+// fuzz input, and at every checkpoint a persistent solver's Solve of the
+// committed graph — which repairs its state from the previous checkpoint's
+// and may replay its LP stage — is compared bit for bit against a cold
+// solve of a from-scratch graph.New rebuild — for the default and the
+// weighted algorithm, across both commit paths (interactive ops and
+// checkpoint-sized batches). The checked-in corpus under
+// testdata/fuzz/FuzzMutationSequence encodes real mobility replay traces
+// (consecutive unit-disk snapshots diffed into link events), so plain
+// `go test` already replays representative churn, and fails unless some
+// checkpoint of that corpus replayed;
 // `go test -fuzz=FuzzMutationSequence ./internal/dyngraph` explores beyond.
 //
 // Op encoding: 3 bytes each. byte0%8 selects the op — 0-4 toggle the edge
@@ -29,10 +34,19 @@ import (
 // byte1%n, 6 adds a vertex, 7 commits and differentially checks. A final
 // commit+check always runs.
 func FuzzMutationSequence(f *testing.F) {
+	const added = 3 // the f.Add seeds
 	f.Add(int64(1), uint8(20), uint8(25), []byte{0, 1, 2, 7, 0, 0, 3, 1, 2, 4})
 	f.Add(int64(7), uint8(9), uint8(60), []byte{6, 0, 0, 0, 9, 1, 7, 0, 0, 5, 2, 3})
 	f.Add(int64(-3), uint8(31), uint8(10), []byte{2, 5, 6, 2, 6, 5, 7, 1, 1})
+	files, err := os.ReadDir(filepath.Join("testdata", "fuzz", "FuzzMutationSequence"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// runs and replays count the inputs run in this process and the
+	// checkpoints that replayed; both are read after Fuzz returns.
+	runs, replays := 0, 0
 	f.Fuzz(func(t *testing.T, gseed int64, nRaw, pRaw uint8, ops []byte) {
+		runs++
 		n := 4 + int(nRaw)%28      // 4..31 vertices
 		p := float64(pRaw%81) / 80 // density 0..1
 		k := 1 + int(pRaw)%3
@@ -106,9 +120,12 @@ func FuzzMutationSequence(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := s.Resolve(delta, opt)
+				got, err := s.Solve(delta.Next, opt)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if s.LastLPReplayed() {
+					replays++
 				}
 				for v := range cold.X {
 					if got.X[v] != cold.X[v] {
@@ -124,7 +141,7 @@ func FuzzMutationSequence(f *testing.F) {
 						t.Fatalf("step %d alg %d: InDS[%d] mismatch", step, alg, v)
 					}
 				}
-				testsupport.AssertDominatingSet(t, "fuzz resolve", delta.Next, got.InDS)
+				testsupport.AssertDominatingSet(t, "fuzz churn", delta.Next, got.InDS)
 			}
 		}
 
@@ -162,4 +179,10 @@ func FuzzMutationSequence(f *testing.F) {
 		}
 		check(len(ops))
 	})
+	// A plain `go test` runs every seed-corpus input in this process; a
+	// -run filter, or fuzzing (whose inputs run in worker processes),
+	// does not, and then there is nothing to assert.
+	if runs == added+len(files) && !f.Failed() && replays == 0 {
+		f.Fatal("no checkpoint of the seed corpus replayed its LP stage; the corpus is not exercising the incremental path")
+	}
 }

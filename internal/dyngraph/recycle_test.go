@@ -11,11 +11,14 @@ import (
 )
 
 // TestRecycledEpochSolvesLikeFresh pins a solver's per-graph state — the
-// δ⁽¹⁾/δ⁽²⁾ tables and the LP memo — to the graph rather than to its
-// arrays. Recycle hands a retired epoch's arrays to the next Commit, so
-// here epoch 3 is built in epoch 1's storage with the same n and m but a
-// different edge removed. A solver that solved epoch 1 must treat epoch 3
-// as the new graph it is: every answer bit-identical to a fresh solver's.
+// δ⁽¹⁾/δ⁽²⁾ tables, the LP memo and its trajectory — to the graph rather
+// than to its arrays. Recycle hands a retired epoch's arrays to the next
+// Commit, so here epoch 3 is built in epoch 1's storage with the same n
+// and m but a different edge removed. A solver that solved epoch 1 must
+// treat epoch 3 as the new graph it is, and a second one must solve epoch 2
+// — derived from epoch 1 — incrementally without reading epoch 1's arrays,
+// which by then hold epoch 3: every answer bit-identical to a fresh
+// solver's, and the Algorithm 3 runs of epoch 2 replayed.
 func TestRecycledEpochSolvesLikeFresh(t *testing.T) {
 	algs := []fastpath.Algorithm{fastpath.Alg3, fastpath.Alg2, fastpath.AlgWeighted}
 	for seed := int64(1); seed <= 40; seed++ {
@@ -64,12 +67,14 @@ func TestRecycledEpochSolvesLikeFresh(t *testing.T) {
 			if opt.Algorithm == fastpath.AlgWeighted {
 				opt.Costs = costs
 			}
-			s := fastpath.New()
-			if _, err := s.Solve(epoch1, opt); err != nil {
-				t.Fatal(err)
+			s, s2 := fastpath.New(), fastpath.New()
+			for _, solver := range []*fastpath.Solver{s, s2} {
+				if _, err := solver.Solve(epoch1, opt); err != nil {
+					t.Fatal(err)
+				}
 			}
 
-			commit("epoch 2", func() error { return d.AddEdge(e1[0], e1[1]) })
+			epoch2 := commit("epoch 2", func() error { return d.AddEdge(e1[0], e1[1]) }).Next
 			d.Recycle(epoch1)
 			epoch3 := commit("epoch 3", func() error { return d.RemoveEdge(e3[0], e3[1]) }).Next
 			off1, _ := epoch1.CSR()
@@ -88,6 +93,19 @@ func TestRecycledEpochSolvesLikeFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSameResult(t, "recycled epoch 3", got, want)
+
+			got, err = s2.Solve(epoch2, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if replayed := s2.LastLPReplayed(); replayed != (opt.Algorithm == fastpath.Alg3) {
+				t.Fatalf("epoch 2 replayed = %v for algorithm %d", replayed, opt.Algorithm)
+			}
+			want, err = fastpath.New().Solve(epoch2, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, "epoch 2 over a recycled parent", got, want)
 		})
 	}
 }

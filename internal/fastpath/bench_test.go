@@ -64,6 +64,43 @@ func BenchmarkSolveMemoHit(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveDerived is the churn pattern: serve-churn's graph (udg-10k,
+// radius 0.02) mutated as serve-churn mutates it — 4 edge toggles per
+// epoch among 32 fixed vertex pairs — and each new epoch solved on the
+// solver that solved the previous one, so the LP stage replays over the
+// touched frontier. The commit runs outside the timer.
+func BenchmarkSolveDerived(b *testing.B) {
+	g, err := gen.UnitDisk(10000, 0.02, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := newChurn(g, 32, 7)
+	s := Acquire(g.N())
+	defer Release(s)
+	opt := Options{K: 3, Seed: 1, Workers: 1}
+	// Warm the buffers: the full stage, then two replays, which fill the
+	// replay's scratch and both record buffers.
+	for _, next := range []*graph.Graph{g, c.next(b, 4), c.next(b, 4)} {
+		if _, err := s.Solve(next, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		next := c.next(b, 4)
+		b.StartTimer()
+		opt.Seed = int64(i) + 2
+		if _, err := s.Solve(next, opt); err != nil {
+			b.Fatal(err)
+		}
+		if !s.LastLPReplayed() {
+			b.Fatalf("epoch %d: the LP stage was not replayed", i+1)
+		}
+	}
+}
+
 // BenchmarkSolveReference is the matching baseline row: the sequential
 // reference (instrumentation gated off) on the same workload.
 func BenchmarkSolveReference(b *testing.B) {

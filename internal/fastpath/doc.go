@@ -43,31 +43,49 @@
 //
 // Zero steady-state allocations: a Solver owns every scratch buffer and
 // re-slices them across solves; the package-level Acquire/Release pool
-// (keyed by vertex-capacity class) lets servers reuse whole solvers across
-// requests. After warm-up a Solve performs no heap allocation — returned
+// lets servers reuse whole solvers across requests. After warm-up a Solve
+// performs no heap allocation — a replayed one included — and returned
 // slices alias solver storage and must be copied by callers that outlive
 // the solver's next use (the kwmds facade does exactly that).
+//
+// The pool keeps, per vertex-capacity class, a last-in-first-out list of
+// at most GOMAXPROCS idle solvers, so the next request gets the solver that
+// answered the last one. Idle solvers, each with the graph it keys on,
+// stay until reused; a full class drops its least recently released one.
 //
 // LP memo: the LP stage is a deterministic function of the graph, the
 // algorithm, k and (weighted) the costs; only rounding reads the seed. A
 // Solver remembers its last completed LP stage — its own x buffer is the
-// memo, one entry — and Solve, Fractional and Resolve skip the stage when
-// they ask for the same configuration again: the same *graph.Graph
-// pointer, the same algorithm and k, and for AlgWeighted costs bit-equal
-// to the solver's own copy (never slice identity: a caller may rewrite its
-// cost slice in place). The pointer key is sound because the solver holds
-// the graph it keys on, so no new graph can take the address while it
-// does. The memo is dropped by any other graph and by a run that was
-// canceled (x is partial). Because x is the memo, Result.X and
+// memo, one entry — and Solve and Fractional skip the stage when they ask
+// for the same configuration again: the same *graph.Graph pointer, the
+// same algorithm and k, and for AlgWeighted costs bit-equal to the
+// solver's own copy (never slice identity: a caller may rewrite its cost
+// slice in place). The pointer key is sound because the solver holds the
+// graph it keys on, so no new graph can take the address while it does.
+// The memo follows the solver to a graph derived from its own (below) as
+// the base of a replay; any other graph drops it, and so does a run that
+// was canceled (x is partial). Because x is the memo, Result.X and
 // Fractional's slice are read-only views: a caller writing into them would
 // corrupt the next hit.
 //
-// Delta-aware: Resolve consumes a dyngraph.Delta (an epoch-batched
-// mutation of the solver's previous graph) and repairs the cached static
-// δ⁽¹⁾/δ⁽²⁾ tables from the touched neighborhoods instead of recomputing
-// them, falling back to a full solve when churn exceeds the repair
-// threshold. Either way the output is bit-identical to a cold solve on
-// the new snapshot — the same three-backend contract, extended to the
-// dynamic-graph engine and enforced by internal/dyngraph's differential
-// churn harness and mutation fuzzer.
+// Lineage and replay: a graph committed by internal/dyngraph with an
+// unchanged vertex count knows the graph it was derived from and the
+// vertices whose adjacency changed (graph.Lineage). A solver holding that
+// parent repairs its static δ⁽¹⁾/δ⁽²⁾ tables on the distance-2 rings of the
+// touched vertices instead of recomputing them, and an Algorithm 3 LP stage
+// of the memo's k replays the parent's stage: every full Algorithm 3 stage
+// records its trajectory — per inner iteration the activity set, the x
+// raises and the white→gray transitions, per outer boundary the support's
+// γ⁽²⁾ — and the replay takes the recorded events wherever a vertex's
+// inputs agree with the recorded run's, recomputing with the full stage's
+// arithmetic only on a frontier that spreads one hop per phase from the
+// touched vertices (replay.go). Algorithm 3 is constant-round (Theorem 5),
+// so the frontier stays local, and the replay rewrites the record into the
+// new graph's, so the next epoch replays from it. Above a churn threshold
+// the derived graph is solved as a new one, and the LP stages of
+// Algorithm 2 and the weighted variant, whose thresholds read the global ∆
+// and c_max, always run in full. Either way the output is bit-identical
+// to a cold solve on the new snapshot — the same three-backend contract,
+// extended to the dynamic-graph engine and enforced by internal/dyngraph's
+// differential churn harness and mutation fuzzer.
 package fastpath

@@ -59,18 +59,28 @@ func (s *Solver) Solve(g *graph.Graph, opt Options) (Result, error) {
 // (weighted) the costs; only rounding reads the seed. So when the memo
 // holds a completed run of the same configuration — s.x itself is the
 // memo — the stage is skipped outright: the serving pattern, where
-// requests against one topology differ in their seed. Otherwise the LP
-// state is reset and the stage runs. The memo is marked valid only when
-// the run finished uncanceled, since a canceled run leaves x partial.
+// requests against one topology differ in their seed. When the memo holds
+// the same Algorithm 3 configuration over the graph this one was derived
+// from, the stage replays that run's trajectory over the changed frontier
+// (replay.go). Otherwise the LP state is reset and the stage runs. The
+// memo is marked valid only when the run finished uncanceled, since a
+// canceled run leaves x (and a replay's record) partial.
 func (s *Solver) lp(opt Options) {
-	if s.lpValid && s.lpAlg == opt.Algorithm && s.lpK == opt.K &&
-		(opt.Algorithm != AlgWeighted || s.sameCosts(opt.Costs)) {
+	same := s.lpValid && s.lpAlg == opt.Algorithm && s.lpK == opt.K &&
+		(opt.Algorithm != AlgWeighted || s.sameCosts(opt.Costs))
+	s.lastReplayed = false
+	if same && !s.lpParent {
 		return
 	}
-	s.lpValid = false
+	replay := same && opt.Algorithm == Alg3
+	s.lpValid, s.lpParent = false, false
 	s.bindCosts(opt)
-	s.resetLPState()
-	s.lpStage(opt)
+	if replay {
+		s.replay(opt.K)
+	} else {
+		s.resetLPState()
+		s.lpStage(opt)
+	}
 	if !s.canceled() {
 		s.lpAlg, s.lpK, s.lpValid = opt.Algorithm, opt.K, true
 	}
@@ -144,7 +154,9 @@ func (s *Solver) lpStage(opt Options) {
 		s.wthr = fillPow(s.wthr, s.curCmax*float64(s.maxDeg+1), opt.K)
 		s.lpThreshold(opt.K, s.wthr, s.pw)
 	default:
+		s.rec.begin(s.maxDeg)
 		s.lpAlg3(opt.K)
+		s.rec.finish(opt.K)
 	}
 }
 
@@ -207,7 +219,9 @@ func (s *Solver) recheckCoverage() {
 // lpAlg3 drives Algorithm 3. The threshold powers γ⁽²⁾^{ℓ/(ℓ+1)} and the
 // x-raise values a⁽¹⁾^{-m/(m+1)} both exponentiate integers bounded by
 // ∆+1, so each iteration fills a (∆+2)-entry table with the identical
-// math.Pow calls and the vertex loops only index it.
+// math.Pow calls and the vertex loops only index it. Every iteration and
+// outer boundary is recorded into s.rec, the trajectory a later epoch
+// replays.
 func (s *Solver) lpAlg3(k int) {
 	s.ensureD2()
 	for v := 0; v < s.n; v++ {
@@ -219,23 +233,27 @@ func (s *Solver) lpAlg3(k int) {
 		if s.whiteCount == 0 {
 			return
 		}
-		expL := float64(l) / float64(l+1)
-		for i := range s.powTabL {
-			s.powTabL[i] = math.Pow(float64(i), expL)
-		}
+		fillPowL(s.powTabL, l)
 		for m := k - 1; m >= 0; m-- {
 			if s.whiteCount == 0 || s.canceled() {
 				return
 			}
 			s.dispatch(s.fnA3Active)
+			s.rec.addSet(s.active)
 			s.dispatch(s.fnA3Count)
-			expM := -float64(m) / float64(m+1)
-			for i := range s.powTabM {
-				s.powTabM[i] = math.Pow(float64(i), expM)
-			}
+			fillPowM(s.powTabM, m)
 			s.resetChunkLists()
 			s.dispatch(s.fnA3Update)
+			for c := 0; c < s.nchunks; c++ {
+				for i, v := range s.changed[c] {
+					s.rec.raise = append(s.rec.raise, vval{v, s.raiseIdx[c][i]})
+				}
+			}
 			s.recheckCoverage()
+			for c := 0; c < s.nchunks; c++ {
+				s.rec.gray = append(s.rec.gray, s.newGray[c]...)
+			}
+			s.rec.endIter()
 			// The reference recomputes δ̃ here (its lines 20-21); the
 			// incremental decrements in applyNewGray leave dtil holding
 			// exactly those values.
@@ -254,7 +272,24 @@ func (s *Solver) lpAlg3(k int) {
 				s.dispatch(s.fnClearDirt)
 			}
 			s.dispatch(s.fnGamma2)
+			s.rec.addGamma(s.support, s.gamma2)
 		}
+	}
+}
+
+// fillPowL and fillPowM fill the Algorithm 3 tables for outer index ℓ and
+// inner index m: tab[i] = i^{ℓ/(ℓ+1)} and tab[i] = i^{-m/(m+1)}.
+func fillPowL(tab []float64, l int) {
+	expL := float64(l) / float64(l+1)
+	for i := range tab {
+		tab[i] = math.Pow(float64(i), expL)
+	}
+}
+
+func fillPowM(tab []float64, m int) {
+	expM := -float64(m) / float64(m+1)
+	for i := range tab {
+		tab[i] = math.Pow(float64(i), expM)
 	}
 }
 
@@ -412,6 +447,7 @@ func (s *Solver) phaseA3Update(c int) {
 			if xval > x[v] {
 				x[v] = xval
 				s.changed[c] = append(s.changed[c], int32(v))
+				s.raiseIdx[c] = append(s.raiseIdx[c], m1)
 			}
 		}
 	}

@@ -1,0 +1,240 @@
+package fastpath
+
+import (
+	"errors"
+	"fmt"
+	"math/rand/v2"
+	"testing"
+
+	"kwmds/internal/dyngraph"
+	"kwmds/internal/gen"
+	"kwmds/internal/graph"
+	"kwmds/internal/stats"
+	"kwmds/internal/testsupport"
+)
+
+// churn mutates a graph in serve-churn's shape: each epoch toggles the
+// edges of a few vertex pairs drawn from a fixed pool, so the graph wanders
+// around its start, and commits through dyngraph, whose snapshots carry
+// their lineage.
+type churn struct {
+	d     *dyngraph.Dynamic
+	pairs [][2]int
+	rng   *rand.Rand
+}
+
+func newChurn(g *graph.Graph, npairs int, seed int64) *churn {
+	c := &churn{d: dyngraph.New(g), rng: stats.NewRand(seed)}
+	seen := map[[2]int]bool{}
+	for len(c.pairs) < npairs {
+		u, v := c.rng.IntN(g.N()), c.rng.IntN(g.N())
+		if u == v || seen[[2]int{min(u, v), max(u, v)}] {
+			continue
+		}
+		seen[[2]int{min(u, v), max(u, v)}] = true
+		c.pairs = append(c.pairs, [2]int{u, v})
+	}
+	return c
+}
+
+// next toggles the edges of toggles distinct pool pairs and commits.
+func (c *churn) next(tb testing.TB, toggles int) *graph.Graph {
+	tb.Helper()
+	g := c.d.Graph()
+	for _, i := range c.rng.Perm(len(c.pairs))[:toggles] {
+		u, v := c.pairs[i][0], c.pairs[i][1]
+		var err error
+		if g.HasEdge(u, v) {
+			err = c.d.RemoveEdge(u, v)
+		} else {
+			err = c.d.AddEdge(u, v)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	delta, err := c.d.Commit()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return delta.Next
+}
+
+// TestReplayMatchesFreshSolver runs serve-churn's shape at the fastpath
+// level: 4 toggles per epoch among 32 fixed pairs on a 2 000-vertex UDG of
+// serve-churn's mean degree. One persistent solver per (k, workers) solves
+// every epoch and must answer bit for bit as a fresh solver, which has no
+// state to replay from and runs the full stage. Epochs rotate through the
+// entry points: a plain Solve, which must replay; a standalone Round
+// first, which repairs the tables but leaves the LP to the Solve after it,
+// which must replay; a Fractional first, which must replay, so the Solve
+// after it hits the memo; and a canceled Solve first, which drops the memo
+// and the record, so the Solve after it runs the full stage.
+func TestReplayMatchesFreshSolver(t *testing.T) {
+	const epochs = 24
+	g, err := gen.UnitDisk(2000, 0.045, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	close(closed)
+	for _, k := range []int{2, 3, 4} {
+		for _, workers := range []int{1, 3, 0} {
+			t.Run(fmt.Sprintf("k%d/w%d", k, workers), func(t *testing.T) {
+				c := newChurn(g, 32, int64(k*10+workers))
+				s := New()
+				opt := Options{K: k, Seed: 1, Workers: workers}
+				if _, err := s.Solve(g, opt); err != nil {
+					t.Fatal(err)
+				}
+				for e := 1; e <= epochs; e++ {
+					ge := c.next(t, 4)
+					opt.Seed = int64(e)
+					want, err := New().Solve(ge, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ctx := fmt.Sprintf("epoch %d", e)
+					replay := true
+					switch e % 4 {
+					case 1:
+						if _, err := s.Round(ge, want.X, opt); err != nil {
+							t.Fatal(err)
+						}
+					case 2:
+						x, err := s.Fractional(ge, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !s.LastLPReplayed() {
+							t.Fatalf("%s: Fractional did not replay", ctx)
+						}
+						sameX(t, ctx, x, want.X)
+						replay = false
+					case 3:
+						canceled := opt
+						canceled.Cancel = closed
+						if _, err := s.Solve(ge, canceled); !errors.Is(err, ErrCanceled) {
+							t.Fatalf("%s: canceled Solve: err = %v, want ErrCanceled", ctx, err)
+						}
+						replay = false
+					}
+					got, err := s.Solve(ge, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if s.LastLPReplayed() != replay {
+						t.Fatalf("%s: replayed = %v, want %v", ctx, s.LastLPReplayed(), replay)
+					}
+					testsupport.RequireBitIdenticalIn(t, ctx, got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestLPLocality checks the constant-time contract the replay rests on:
+// after Algorithm 3's 4k²+2k+2 rounds (Theorem 5), x_v is a function of
+// v's ball of that radius, so toggling one edge leaves x_v bit-identical
+// at every v farther than that from both endpoints. Both graphs are built
+// with graph.New, which sets no lineage, so both are full cold solves.
+// The 70×70 grid's diameter (138) exceeds twice the k = 3 radius (44), and
+// every toggle changes some x, so the check is not vacuous.
+//
+// Algorithm 2 runs 2k² rounds, but its thresholds read the global ∆: a
+// toggle that changes ∆ changes every vertex's thresholds, and with them
+// x everywhere. Its arms therefore only remove edges, which keeps the
+// grid's ∆ = 4.
+func TestLPLocality(t *testing.T) {
+	const rows, cols = 70, 70
+	base, err := gen.Grid(rows, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := func(r, c int) int { return r*cols + c }
+	center := id(rows/2, cols/2)
+	diagonal := [2]int{center, id(rows/2+1, cols/2+1)} // raises ∆ to 5
+	chord := [2]int{center, id(rows/2+3, cols/2+4)}    // raises ∆ to 5
+	corner := [2]int{id(0, 0), id(0, 1)}               // removal; ∆ stays 4
+	rimCut := [2]int{id(0, cols/2), id(1, cols/2)}     // removal; ∆ stays 4
+	toggled := func(e [2]int) *graph.Graph {
+		edges := base.Edges()
+		kept := edges[:0]
+		found := false
+		for _, f := range edges {
+			if f == e {
+				found = true
+				continue
+			}
+			kept = append(kept, f)
+		}
+		if !found {
+			kept = append(kept, e)
+		}
+		g, err := graph.New(base.N(), kept)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	alg3Radius := func(k int) int { return 4*k*k + 2*k + 2 }
+	for _, tc := range []struct {
+		alg    Algorithm
+		k      int
+		toggle [2]int
+		radius int
+	}{
+		{Alg3, 2, diagonal, alg3Radius(2)},
+		{Alg3, 2, corner, alg3Radius(2)},
+		{Alg3, 3, diagonal, alg3Radius(3)},
+		{Alg3, 3, chord, alg3Radius(3)},
+		{Alg3, 3, corner, alg3Radius(3)},
+		{Alg2, 3, corner, 2 * 3 * 3},
+		{Alg2, 4, corner, 2 * 4 * 4},
+		{Alg2, 4, rimCut, 2 * 4 * 4},
+	} {
+		name := fmt.Sprintf("alg%d/k%d/%v", tc.alg, tc.k, tc.toggle)
+		g := toggled(tc.toggle)
+		if tc.alg == Alg2 && g.MaxDegree() != base.MaxDegree() {
+			t.Fatalf("%s: the toggle changed ∆", name)
+		}
+		opt := Options{K: tc.k, Algorithm: tc.alg}
+		x0, err := New().Fractional(base, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x1, err := New().Fractional(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist := make([]int32, g.N())
+		for i := range dist {
+			dist[i] = -1
+		}
+		for _, h := range []*graph.Graph{base, g} {
+			for _, end := range tc.toggle {
+				for v, d := range h.BFS(end) {
+					if d >= 0 && (dist[v] < 0 || d < dist[v]) {
+						dist[v] = d
+					}
+				}
+			}
+		}
+		far, changed := 0, 0
+		for v := range x0 {
+			if x0[v] != x1[v] {
+				changed++
+			}
+			if int(dist[v]) <= tc.radius {
+				continue
+			}
+			far++
+			if x0[v] != x1[v] {
+				t.Errorf("%s: x[%d] at distance %d changed %v → %v", name, v, dist[v], x0[v], x1[v])
+			}
+		}
+		if far == 0 || changed == 0 {
+			t.Errorf("%s: vacuous (%d vertices beyond radius %d, %d changed)", name, far, tc.radius, changed)
+		}
+	}
+}

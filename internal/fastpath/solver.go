@@ -113,7 +113,7 @@ type Solver struct {
 	flipped *bitset.Set // rounding line-3 coin-flip winners
 
 	whiteCount   int
-	lastRepaired bool // observability: last Resolve's path (see resolve.go)
+	lastReplayed bool // observability: the last LP stage was replayed
 
 	// Per-graph state kept across runs: the static δ⁽¹⁾/δ⁽²⁾ tables
 	// (d2done) and the LP memo. Both belong to the graph of the last
@@ -123,23 +123,33 @@ type Solver struct {
 	g      *graph.Graph
 	d2done bool
 	// The LP memo: when lpValid, s.x holds the completed, uncanceled LP
-	// stage of (lpAlg, lpK) over the keyed graph; for AlgWeighted, costs
-	// holds the costs it ran with (the solver's own copy).
-	lpValid bool
-	lpAlg   Algorithm
-	lpK     int
-	costs   []float64
+	// stage of (lpAlg, lpK) over the keyed graph — or, when lpParent is
+	// set, over the graph g was derived from, whose stage the next LP run
+	// replays (replay.go). For AlgWeighted, costs holds the costs it ran
+	// with (the solver's own copy). For Alg3, rec is the stage's
+	// trajectory.
+	lpValid  bool
+	lpParent bool
+	lpAlg    Algorithm
+	lpK      int
+	costs    []float64
+	rec      trajectory
+	// touched is g's lineage: the vertices whose adjacency lists differ
+	// from the parent's (read only while lpParent is set).
+	touched []int32
+	rp      *replayState // the replay's scratch, allocated on first use
 
 	// Phase chunking: the word range is cut into one equal chunk per
 	// worker (c0[c] ≤ word < c1[c], ascending and contiguous), and worker
 	// c runs chunk c. Every per-chunk result list below is merged in chunk
 	// order, so the output is independent of the worker count.
-	nchunks int
-	c0, c1  []int // word-range bounds per chunk
-	changed [][]int32
-	newGray [][]int32
-	zeroed  []int32  // applyNewGray scratch: vertices whose δ̃ hit zero
-	joinCnt [][2]int // per-chunk {random, fixup} join counters
+	nchunks  int
+	c0, c1   []int // word-range bounds per chunk
+	changed  [][]int32
+	raiseIdx [][]int32 // Algorithm 3: a⁽¹⁾ of each changed vertex
+	newGray  [][]int32
+	zeroed   []int32  // applyNewGray scratch: vertices whose δ̃ hit zero
+	joinCnt  [][2]int // per-chunk {random, fixup} join counters
 
 	// Threshold tables of an LP miss, refilled in place by fillPow:
 	// pw = (∆+1)^{i/k} (Algorithm 2 and the weighted x-raise) and
@@ -205,16 +215,19 @@ func (s *Solver) prepare(g *graph.Graph, opt Options) error {
 	}
 	// δ⁽¹⁾/δ⁽²⁾ and the LP memo survive while the solver meets the same
 	// graph again (a server answering many requests on one preloaded
-	// topology); any other graph drops them.
-	if s.g != g {
-		s.d2done, s.lpValid = false, false
-	}
+	// topology), and carry over to a graph derived from it (the next
+	// epoch of a dyngraph) as the base of a repair; any other graph drops
+	// them.
+	repair := s.g != g && s.adopt(g)
 	s.g = g
 	s.ensure(n, workers)
 	s.off, s.adj = g.CSR()
 	s.maxDeg = g.MaxDegree()
 	s.chunkify()
 	s.startWorkers()
+	if repair {
+		s.repairD2(s.touched)
+	}
 	return nil
 }
 
@@ -304,10 +317,12 @@ func (s *Solver) chunkify() {
 	// solvers stay allocation-free across worker-count changes.
 	for len(s.changed) < nchunks {
 		s.changed = append(s.changed, nil)
+		s.raiseIdx = append(s.raiseIdx, nil)
 		s.newGray = append(s.newGray, nil)
 		s.joinCnt = append(s.joinCnt, [2]int{})
 	}
 	s.changed = s.changed[:nchunks]
+	s.raiseIdx = s.raiseIdx[:nchunks]
 	s.newGray = s.newGray[:nchunks]
 	s.joinCnt = s.joinCnt[:nchunks]
 	for c := 0; c < nchunks; c++ {
@@ -371,6 +386,7 @@ func (s *Solver) dispatch(fn func(int)) {
 func (s *Solver) resetChunkLists() {
 	for c := 0; c < s.nchunks; c++ {
 		s.changed[c] = s.changed[c][:0]
+		s.raiseIdx[c] = s.raiseIdx[c][:0]
 		s.newGray[c] = s.newGray[c][:0]
 	}
 }

@@ -270,7 +270,8 @@ func TestEdgeCases(t *testing.T) {
 // request gets one core's worth of solver). The miss cases alternate k so
 // every solve runs the LP stage and refills its threshold tables; the
 // memo-hit cases repeat one LP configuration with a new seed per solve, so
-// only rounding runs.
+// only rounding runs; the derived case solves a chain of epochs committed
+// beforehand, each replaying its parent's LP stage.
 func TestSolveZeroAlloc(t *testing.T) {
 	g, err := gen.UnitDisk(2000, 0.04, 11)
 	if err != nil {
@@ -308,4 +309,32 @@ func TestSolveZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+	t.Run("derived", func(t *testing.T) {
+		c := newChurn(g, 32, 5)
+		chain := make([]*graph.Graph, 8)
+		for i := range chain {
+			chain[i] = c.next(t, 4)
+		}
+		s := New()
+		opt := Options{K: 3, Workers: 1}
+		if _, err := s.Solve(g, opt); err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		solveNext := func() {
+			opt.Seed = int64(i)
+			if _, err := s.Solve(chain[i], opt); err != nil {
+				t.Fatal(err)
+			}
+			if !s.LastLPReplayed() {
+				t.Fatalf("epoch %d: the LP stage was not replayed", i+1)
+			}
+			i++
+		}
+		solveNext()
+		solveNext()
+		if allocs := testing.AllocsPerRun(4, solveNext); allocs != 0 {
+			t.Errorf("steady-state replayed Solve allocates %.1f objects per run, want 0", allocs)
+		}
+	})
 }

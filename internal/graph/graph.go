@@ -11,6 +11,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"weak"
 )
 
 // Graph is an immutable simple undirected graph in CSR form.
@@ -18,6 +19,14 @@ type Graph struct {
 	off    []int32 // len n+1; adj[off[v]:off[v+1]] are v's neighbors, sorted
 	adj    []int32
 	maxDeg int
+
+	// Lineage, set only by FromCSRDerived: the graph this one was derived
+	// from, with the same vertex count, and the vertices whose adjacency
+	// lists differ between the two. The pointer is weak so that a chain of
+	// epochs never pins its history: the parent stays reachable exactly as
+	// long as someone else holds it.
+	parent  weak.Pointer[Graph]
+	touched []int32
 }
 
 // New builds a graph with n vertices from an edge list. Edges may appear in
@@ -130,6 +139,27 @@ func FromCSR(off, adj []int32) (*Graph, error) {
 // isn't proven by construction.
 func FromCSRUnchecked(off, adj []int32, maxDeg int) *Graph {
 	return &Graph{off: off, adj: adj, maxDeg: maxDeg}
+}
+
+// FromCSRDerived is FromCSRUnchecked for a graph derived from parent by
+// rewriting the adjacency lists of the touched vertices (increasing order)
+// and nothing else: the vertex count is unchanged. Lineage reports the
+// pair back. The graph takes ownership of touched. The caller guarantees
+// the derivation as it guarantees the CSR invariants; the dyngraph commit
+// is the one caller.
+func FromCSRDerived(parent *Graph, off, adj []int32, maxDeg int, touched []int32) *Graph {
+	return &Graph{off: off, adj: adj, maxDeg: maxDeg, parent: weak.Make(parent), touched: touched}
+}
+
+// Lineage returns the graph g was derived from and the vertices whose
+// adjacency lists differ between the two, in increasing order, when g was
+// built by FromCSRDerived and its parent is still alive; otherwise nil, nil.
+// The touched slice aliases g's storage and must not be modified.
+func (g *Graph) Lineage() (parent *Graph, touched []int32) {
+	if parent = g.parent.Value(); parent == nil {
+		return nil, nil
+	}
+	return parent, g.touched
 }
 
 // MustNew is New that panics on error; intended for tests and generators

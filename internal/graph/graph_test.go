@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -470,5 +471,28 @@ func TestFromCSR(t *testing.T) {
 		if _, err := FromCSR(tc.off, tc.adj); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// TestLineage pins the derivation record: FromCSRDerived reports its
+// parent and touched vertices back, every other constructor none, and the
+// parent pointer is weak — once nothing else holds the parent, the child
+// forgets it.
+func TestLineage(t *testing.T) {
+	parent := MustNew(3, [][2]int{{0, 1}})
+	child := FromCSRDerived(parent, []int32{0, 1, 3, 4}, []int32{1, 0, 2, 1}, 2, []int32{1, 2})
+	if p, touched := child.Lineage(); p != parent || len(touched) != 2 || touched[0] != 1 || touched[1] != 2 {
+		t.Fatalf("Lineage() = %p, %v; want %p, [1 2]", p, touched, parent)
+	}
+	if p, touched := parent.Lineage(); p != nil || touched != nil {
+		t.Fatalf("graph.New result has lineage %p, %v", p, touched)
+	}
+	orphan := func() *Graph {
+		gone := MustNew(3, [][2]int{{0, 1}})
+		return FromCSRDerived(gone, []int32{0, 1, 3, 4}, []int32{1, 0, 2, 1}, 2, []int32{1, 2})
+	}()
+	runtime.GC()
+	if p, touched := orphan.Lineage(); p != nil || touched != nil {
+		t.Fatalf("Lineage kept an unreachable parent alive: %p, %v", p, touched)
 	}
 }

@@ -184,13 +184,14 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 // op is what a static pipeline must do per epoch: reconstruct the
 // unit-disk CSR from the node positions, then cold-solve through the
 // facade. In churn mode the op replays the epoch's link events through the
-// dyngraph mutation API — ApplyEdgeDeltas + Commit + fastpath.Resolve on a
-// persistent solver — with the deltas themselves derived outside the timed
-// section (in a deployed system link events arrive from the radio layer;
-// deriving them is sensing, not processing). The two modes measure the
-// same epoch-processing contract, so their latencies are directly
-// comparable; the dominating sets are bit-identical by the Resolve
-// contract, cross-checkable against the sim backend.
+// dyngraph mutation API — ApplyEdgeDeltas + Commit, then fastpath's Solve
+// of the committed graph on a persistent solver, which repairs its state
+// from the previous epoch's over the graph's lineage — with the deltas
+// themselves derived outside the timed section (in a deployed system link
+// events arrive from the radio layer; deriving them is sensing, not
+// processing). The two modes measure the same epoch-processing contract,
+// so their latencies are directly comparable; the dominating sets are
+// bit-identical to a cold solve, cross-checkable against the sim backend.
 func runMobilityDynamic(sc *Scenario, epochs int, trace *mobility.Trace) (*ScenarioResult, error) {
 	m := sc.Mobility
 	c := sc.Matrix.combos()[0]
@@ -318,7 +319,7 @@ func runMobilityDynamic(sc *Scenario, epochs int, trace *mobility.Trace) (*Scena
 				return fail(e, err)
 			}
 			commit := time.Since(t0)
-			got, err := solver.Resolve(delta, fastOpts(e, delta.Next))
+			got, err := solver.Solve(delta.Next, fastOpts(e, delta.Next))
 			lat := time.Since(t0)
 			if err != nil {
 				return fail(e, err)
@@ -326,14 +327,15 @@ func runMobilityDynamic(sc *Scenario, epochs int, trace *mobility.Trace) (*Scena
 			if e >= sc.WarmupOps {
 				commitTotal += commit
 				deltaEvents += len(add) + len(rem)
-				if solver.LastResolveRepaired() {
+				if solver.LastLPReplayed() {
 					repaired++
 				}
 			}
 			record(e, lat, got.InDS, got.Size)
-			// The pre-commit snapshot is now unreferenced (the solver's
-			// bookmarks moved to delta.Next, churn accounting copied the
-			// set) — recycle its storage into the next commit. Epoch 1's
+			// The pre-commit snapshot's arrays are now unread (the solver
+			// moved to delta.Next and never reads a parent's CSR, churn
+			// accounting copied the set) — recycle them into the next
+			// commit. Epoch 1's
 			// predecessor is the trace's own graph, still needed by the
 			// edge-churn accounting and cross-check below, so it stays.
 			if e > 1 {

@@ -120,9 +120,9 @@ type MobilityResult struct {
 	// MeanCommitMS is the mean time of the dyngraph apply+commit inside
 	// the epoch op (churn mode only); the rest of the op is the re-solve.
 	MeanCommitMS float64 `json:"mean_commit_ms,omitempty"`
-	// RepairedEpochs counts measured epochs whose Resolve took the
-	// incremental δ⁽¹⁾/δ⁽²⁾ repair path rather than the full-solve
-	// fallback (churn mode only).
+	// RepairedEpochs counts measured epochs that took the incremental
+	// path — the δ⁽¹⁾/δ⁽²⁾ repair and the replay of the previous epoch's
+	// LP trajectory — rather than the full LP (churn mode only).
 	RepairedEpochs int `json:"repaired_epochs,omitempty"`
 }
 

@@ -249,9 +249,10 @@ const (
 	MobilityRebuild = "rebuild"
 	// MobilityChurn replays the epoch's link events through the dyngraph
 	// mutation API instead of rebuilding: each op applies the edge deltas,
-	// commits, and re-solves incrementally via fastpath.Resolve
-	// (bit-identical to a cold solve; falls back internally above the
-	// churn threshold).
+	// commits, and solves the new epoch on a persistent fastpath solver,
+	// which replays the previous epoch's LP stage over the changed
+	// frontier (bit-identical to a cold solve; falls back internally above
+	// the churn threshold).
 	MobilityChurn = "churn"
 )
 
