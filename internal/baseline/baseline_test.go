@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"math"
 	"testing"
 
 	"kwmds/internal/exact"
@@ -90,36 +89,6 @@ func TestGreedyRatioBound(t *testing.T) {
 		if float64(res.Size) > h*float64(opt)+1e-9 {
 			t.Errorf("trial %d: greedy %d > H(∆+1)·opt = %v·%d", trial, res.Size, h, opt)
 		}
-	}
-}
-
-func TestGreedyStepsConsistent(t *testing.T) {
-	g, err := gen.UnitDisk(60, 0.2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, order := GreedySteps(g)
-	if !g.IsDominatingSet(res.InDS) {
-		t.Error("GreedySteps set not dominating")
-	}
-	if len(order) != res.Size {
-		t.Errorf("order length %d != size %d", len(order), res.Size)
-	}
-	seen := map[int]bool{}
-	for _, v := range order {
-		if seen[v] {
-			t.Fatalf("vertex %d chosen twice", v)
-		}
-		seen[v] = true
-		if !res.InDS[v] {
-			t.Fatalf("ordered vertex %d not in set", v)
-		}
-	}
-	// Both greedy variants are proper greedy executions; sizes must agree
-	// on graphs without tie-sensitive branching, and never differ wildly.
-	fast := Greedy(g)
-	if math.Abs(float64(fast.Size-res.Size)) > 0.25*float64(res.Size)+2 {
-		t.Errorf("greedy variants disagree: bucket %d vs scan %d", fast.Size, res.Size)
 	}
 }
 

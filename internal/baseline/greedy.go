@@ -70,49 +70,3 @@ func Greedy(g *graph.Graph) *Result {
 	}
 	return &Result{InDS: inDS, Size: size}
 }
-
-// GreedySteps computes the greedy dominating set with a strict
-// smallest-id-among-maximum-span tie-break and returns both the set and the
-// selection order — used by examples and the experiment harness to contrast
-// the sequential greedy trajectory with the paper's parallel simulation of
-// it. It runs the naive O(n·|DS|) scan, trading speed for a precisely
-// specified order; the bucket-based Greedy may differ on tie-broken picks
-// (both are valid greedy executions).
-func GreedySteps(g *graph.Graph) (*Result, []int) {
-	n := g.N()
-	covered := make([]bool, n)
-	span := make([]int, n)
-	for v := 0; v < n; v++ {
-		span[v] = g.Degree(v) + 1
-	}
-	var order []int
-	chosen := make([]bool, n)
-	for {
-		best, bestSpan := -1, 0
-		for v := 0; v < n; v++ {
-			if !chosen[v] && span[v] > bestSpan {
-				best, bestSpan = v, span[v]
-			}
-		}
-		if best < 0 {
-			break
-		}
-		chosen[best] = true
-		order = append(order, best)
-		markCovered := func(u int) {
-			if covered[u] {
-				return
-			}
-			covered[u] = true
-			span[u]--
-			for _, w := range g.Neighbors(u) {
-				span[w]--
-			}
-		}
-		markCovered(best)
-		for _, u := range g.Neighbors(best) {
-			markCovered(int(u))
-		}
-	}
-	return &Result{InDS: chosen, Size: len(order)}, order
-}

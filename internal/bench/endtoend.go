@@ -7,14 +7,9 @@ import (
 	"kwmds/internal/baseline"
 	"kwmds/internal/core"
 	"kwmds/internal/gen"
-	"kwmds/internal/graph"
 	"kwmds/internal/lp"
 	"kwmds/internal/stats"
 )
-
-func genStarOfStarsParams(branches, leaves int) (*graph.Graph, error) {
-	return gen.StarOfStars(branches, leaves)
-}
 
 // T4 — Theorem 6 and the abstract's headline: the full pipeline computes a
 // dominating set of expected size O(k·∆^{2/k}·log ∆)·|DS_OPT| in O(k²)

@@ -95,16 +95,6 @@ func (s *Set) All() bool {
 	return s.words[last] == full
 }
 
-// None reports whether no bit is set.
-func (s *Set) None() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns an independent copy.
 func (s *Set) Clone() *Set {
 	w := make([]uint64, len(s.words))
@@ -122,20 +112,6 @@ func (s *Set) Or(other *Set) {
 	}
 }
 
-// And sets s = s & other.
-func (s *Set) And(other *Set) {
-	for i, w := range other.words {
-		s.words[i] &= w
-	}
-}
-
-// AndNot sets s = s &^ other.
-func (s *Set) AndNot(other *Set) {
-	for i, w := range other.words {
-		s.words[i] &^= w
-	}
-}
-
 // Equal reports whether s and other contain the same bits.
 func (s *Set) Equal(other *Set) bool {
 	if s.n != other.n {
@@ -147,25 +123,6 @@ func (s *Set) Equal(other *Set) bool {
 		}
 	}
 	return true
-}
-
-// IsSubsetOf reports whether every set bit of s is also set in other.
-func (s *Set) IsSubsetOf(other *Set) bool {
-	for i, w := range s.words {
-		if w&^other.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// IntersectionCount returns |s ∩ other| without allocating.
-func (s *Set) IntersectionCount(other *Set) int {
-	c := 0
-	for i, w := range s.words {
-		c += bits.OnesCount64(w & other.words[i])
-	}
-	return c
 }
 
 // AndNotCount returns |s \ other| without allocating.
@@ -204,39 +161,6 @@ func (s *Set) NextClear(from int) int {
 	return -1
 }
 
-// NextSet returns the index of the first set bit at or after from, or -1 if
-// every bit in [from, Len()) is clear.
-func (s *Set) NextSet(from int) int {
-	if from < 0 {
-		from = 0
-	}
-	if from >= s.n {
-		return -1
-	}
-	wi := from >> 6
-	if w := s.words[wi] >> (uint(from) & 63); w != 0 {
-		return from + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if w := s.words[wi]; w != 0 {
-			return wi<<6 + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
-}
-
-// OrCount sets s = s | other and returns the number of set bits of the
-// result, fused into one pass over the words.
-func (s *Set) OrCount(other *Set) int {
-	c := 0
-	for i, w := range other.words {
-		nw := s.words[i] | w
-		s.words[i] = nw
-		c += bits.OnesCount64(nw)
-	}
-	return c
-}
-
 // ClearWords zeroes the word range [w0, w1) of the backing array — the
 // chunk-owned bulk reset the fastpath phases use, where each worker owns a
 // disjoint word range outright.
@@ -244,66 +168,6 @@ func (s *Set) ClearWords(w0, w1 int) {
 	ws := s.words[w0:w1]
 	for i := range ws {
 		ws[i] = 0
-	}
-}
-
-// ClearRange clears every bit in [lo, hi).
-func (s *Set) ClearRange(lo, hi int) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > s.n {
-		hi = s.n
-	}
-	if lo >= hi {
-		return
-	}
-	wlo, whi := lo>>6, (hi-1)>>6
-	loMask := ^uint64(0) << (uint(lo) & 63)
-	hiMask := ^uint64(0) >> (63 - uint(hi-1)&63)
-	if wlo == whi {
-		s.words[wlo] &^= loMask & hiMask
-		return
-	}
-	s.words[wlo] &^= loMask
-	for i := wlo + 1; i < whi; i++ {
-		s.words[i] = 0
-	}
-	s.words[whi] &^= hiMask
-}
-
-// CountRange returns the number of set bits in [lo, hi).
-func (s *Set) CountRange(lo, hi int) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > s.n {
-		hi = s.n
-	}
-	if lo >= hi {
-		return 0
-	}
-	wlo, whi := lo>>6, (hi-1)>>6
-	loMask := ^uint64(0) << (uint(lo) & 63)
-	hiMask := ^uint64(0) >> (63 - uint(hi-1)&63)
-	if wlo == whi {
-		return bits.OnesCount64(s.words[wlo] & loMask & hiMask)
-	}
-	c := bits.OnesCount64(s.words[wlo] & loMask)
-	for i := wlo + 1; i < whi; i++ {
-		c += bits.OnesCount64(s.words[i])
-	}
-	return c + bits.OnesCount64(s.words[whi]&hiMask)
-}
-
-// ForEach calls fn for every set bit in increasing order.
-func (s *Set) ForEach(fn func(i int)) {
-	for wi, w := range s.words {
-		for w != 0 {
-			i := wi<<6 + bits.TrailingZeros64(w)
-			fn(i)
-			w &= w - 1
-		}
 	}
 }
 

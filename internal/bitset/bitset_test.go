@@ -27,14 +27,14 @@ func TestSetClearTest(t *testing.T) {
 
 func TestAllNone(t *testing.T) {
 	s := New(70)
-	if !s.None() || s.All() {
-		t.Error("fresh set should be None and not All")
+	if s.Count() != 0 || s.All() {
+		t.Error("fresh set should be empty and not All")
 	}
 	for i := 0; i < 70; i++ {
 		s.Set(i)
 	}
-	if !s.All() || s.None() {
-		t.Error("full set should be All and not None")
+	if !s.All() || s.Count() != 70 {
+		t.Error("full set should be All with every bit counted")
 	}
 	if s.Len() != 70 {
 		t.Errorf("Len = %d", s.Len())
@@ -53,28 +53,19 @@ func TestBooleanOps(t *testing.T) {
 
 	or := a.Clone()
 	or.Or(b)
-	and := a.Clone()
-	and.And(b)
-	diff := a.Clone()
-	diff.AndNot(b)
 
+	diff := 0
 	for i := 0; i < 100; i++ {
 		even, mul3 := i%2 == 0, i%3 == 0
 		if or.Test(i) != (even || mul3) {
 			t.Fatalf("Or wrong at %d", i)
 		}
-		if and.Test(i) != (even && mul3) {
-			t.Fatalf("And wrong at %d", i)
-		}
-		if diff.Test(i) != (even && !mul3) {
-			t.Fatalf("AndNot wrong at %d", i)
+		if even && !mul3 {
+			diff++
 		}
 	}
-	if and.Count() != a.IntersectionCount(b) {
-		t.Error("IntersectionCount mismatch")
-	}
-	if diff.Count() != a.AndNotCount(b) {
-		t.Error("AndNotCount mismatch")
+	if got := a.AndNotCount(b); got != diff {
+		t.Errorf("AndNotCount = %d, want %d", got, diff)
 	}
 }
 
@@ -111,14 +102,15 @@ func TestEqualSubset(t *testing.T) {
 	if a.Equal(New(64)) {
 		t.Error("different capacities should not be Equal")
 	}
+	// A subset leaves nothing outside its superset.
 	sub := New(66)
 	sub.Set(1)
-	if !sub.IsSubsetOf(a) {
-		t.Error("subset not detected")
+	if sub.AndNotCount(a) != 0 {
+		t.Error("subset reported bits outside its superset")
 	}
 	sub.Set(2)
-	if sub.IsSubsetOf(a) {
-		t.Error("non-subset reported as subset")
+	if sub.AndNotCount(a) != 1 {
+		t.Error("non-subset's extra bit not counted")
 	}
 }
 
@@ -151,24 +143,6 @@ func TestNextClear(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	s := New(200)
-	want := []int{0, 17, 63, 64, 128, 199}
-	for _, i := range want {
-		s.Set(i)
-	}
-	var got []int
-	s.ForEach(func(i int) { got = append(got, i) })
-	if len(got) != len(want) {
-		t.Fatalf("ForEach visited %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ForEach visited %v, want %v", got, want)
-		}
-	}
-}
-
 func TestAllEarlyExit(t *testing.T) {
 	// All must handle tail words (capacity not a multiple of 64), empty
 	// sets, and must not be fooled by padding bits in the last word.
@@ -192,79 +166,6 @@ func TestAllEarlyExit(t *testing.T) {
 	}
 }
 
-func TestNextSet(t *testing.T) {
-	s := New(200)
-	want := []int{3, 63, 64, 130, 199}
-	for _, i := range want {
-		s.Set(i)
-	}
-	got := []int{}
-	for i := s.NextSet(0); i >= 0; i = s.NextSet(i + 1) {
-		got = append(got, i)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("NextSet walk = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("NextSet walk = %v, want %v", got, want)
-		}
-	}
-	if s.NextSet(200) != -1 || s.NextSet(1000) != -1 {
-		t.Error("NextSet past capacity must return -1")
-	}
-	if s.NextSet(-5) != 3 {
-		t.Error("NextSet with negative from must scan from 0")
-	}
-	if New(70).NextSet(0) != -1 {
-		t.Error("NextSet on empty set must return -1")
-	}
-}
-
-func TestOrCount(t *testing.T) {
-	a, b := New(150), New(150)
-	for i := 0; i < 150; i += 2 {
-		a.Set(i)
-	}
-	for i := 0; i < 150; i += 3 {
-		b.Set(i)
-	}
-	ref := a.Clone()
-	ref.Or(b)
-	if got := a.OrCount(b); got != ref.Count() {
-		t.Errorf("OrCount = %d, want %d", got, ref.Count())
-	}
-	if !a.Equal(ref) {
-		t.Error("OrCount result differs from Or")
-	}
-}
-
-func TestClearRange(t *testing.T) {
-	cases := []struct{ lo, hi int }{
-		{0, 0}, {0, 1}, {0, 64}, {0, 130}, {5, 9}, {5, 64}, {5, 65},
-		{63, 65}, {64, 128}, {64, 130}, {100, 130}, {129, 130}, {-3, 200},
-	}
-	for _, c := range cases {
-		s := New(130)
-		s.SetAll()
-		s.ClearRange(c.lo, c.hi)
-		for i := 0; i < 130; i++ {
-			wantSet := i < c.lo || i >= c.hi
-			if s.Test(i) != wantSet {
-				t.Fatalf("ClearRange(%d,%d): bit %d = %v, want %v", c.lo, c.hi, i, s.Test(i), wantSet)
-			}
-		}
-	}
-	// Degenerate lo ≥ hi is a no-op.
-	s := New(70)
-	s.SetAll()
-	s.ClearRange(40, 40)
-	s.ClearRange(50, 10)
-	if s.Count() != 70 {
-		t.Error("degenerate ClearRange mutated the set")
-	}
-}
-
 func TestClearWords(t *testing.T) {
 	s := New(200) // 4 words
 	s.SetAll()
@@ -281,25 +182,6 @@ func TestClearWords(t *testing.T) {
 	}
 }
 
-func TestCountRange(t *testing.T) {
-	s := New(300)
-	for i := 0; i < 300; i += 7 {
-		s.Set(i)
-	}
-	for _, c := range [][2]int{{0, 300}, {0, 0}, {1, 7}, {0, 64}, {63, 65}, {64, 192}, {100, 299}, {290, 300}, {-10, 400}} {
-		want := 0
-		lo, hi := c[0], c[1]
-		for i := 0; i < 300; i++ {
-			if i >= lo && i < hi && s.Test(i) {
-				want++
-			}
-		}
-		if got := s.CountRange(lo, hi); got != want {
-			t.Errorf("CountRange(%d,%d) = %d, want %d", lo, hi, got, want)
-		}
-	}
-}
-
 func TestString(t *testing.T) {
 	s := New(4)
 	s.Set(1)
@@ -309,7 +191,7 @@ func TestString(t *testing.T) {
 	}
 }
 
-// Property: Or then AndNot recovers the original disjoint part.
+// Property: Or then AndNotCount counts the original disjoint part.
 func TestPropertyOrAndNot(t *testing.T) {
 	f := func(xs, ys []uint16) bool {
 		a, b := New(1<<16), New(1<<16)
@@ -321,10 +203,7 @@ func TestPropertyOrAndNot(t *testing.T) {
 		}
 		u := a.Clone()
 		u.Or(b)
-		u.AndNot(b)
-		onlyA := a.Clone()
-		onlyA.AndNot(b)
-		return u.Equal(onlyA)
+		return u.AndNotCount(b) == a.AndNotCount(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -4,14 +4,14 @@ import (
 	"testing"
 
 	"kwmds/internal/dyngraph"
-	"kwmds/internal/graph"
 	"kwmds/internal/mobility"
 )
 
 // BenchmarkCommitChurn measures a steady-state epoch commit at mobility
 // churn scale (udg-10k, speed 0.01 — ≈ 40k link events/epoch): one
 // persistent Dynamic absorbing the epoch delta forward and backward, so
-// scratch buffers are warm exactly as in the churn driver's loop.
+// scratch buffers are warm exactly as in the churn driver's loop. Every
+// commit allocates the new snapshot's arrays, as the server's does.
 func BenchmarkCommitChurn(b *testing.B) {
 	tr, err := mobility.RandomWalk(10000, 0.02, 0.01, 2, 7)
 	if err != nil {
@@ -19,7 +19,6 @@ func BenchmarkCommitChurn(b *testing.B) {
 	}
 	add, rem := mobility.EdgeDeltas(tr.Graphs[0], tr.Graphs[1])
 	d := dyngraph.New(tr.Graphs[0])
-	var retire *graph.Graph
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -28,15 +27,8 @@ func BenchmarkCommitChurn(b *testing.B) {
 			a, r = rem, add // undo: back to the previous snapshot
 		}
 		d.ApplyEdgeDeltas(a, r)
-		delta, err := d.Commit()
-		if err != nil {
+		if _, err := d.Commit(); err != nil {
 			b.Fatal(err)
 		}
-		// Steady-state protocol: the snapshot before the previous commit is
-		// unreferenced now — recycle it (never the trace's own graph).
-		if retire != nil && retire != tr.Graphs[0] {
-			d.Recycle(retire)
-		}
-		retire = delta.Prev
 	}
 }

@@ -68,10 +68,6 @@ type Dynamic struct {
 	addList []int32
 	remList []int32
 	touched []int32 // Delta.Touched backing store, reused per commit
-
-	// Recycled snapshot storage (see Recycle).
-	freeOff []int32
-	freeAdj []int32
 }
 
 // New wraps a starting snapshot at epoch 0. A nil g starts from the empty
@@ -113,12 +109,6 @@ func (d *Dynamic) N() int { return d.nextN }
 // was ever set. The slice is owned by the Dynamic; callers must copy it if
 // they keep it across a Commit.
 func (d *Dynamic) Costs() []float64 { return d.costs }
-
-// Pending reports the number of buffered mutations (edge ops, vertex
-// additions and weight updates) awaiting Commit.
-func (d *Dynamic) Pending() int {
-	return len(d.pend) + len(d.batchAdd) + len(d.batchRem) + len(d.pendW) + (d.nextN - d.g.N())
-}
 
 // WeightUpdate is one pending per-vertex weight change, as reported by
 // NormalizedPending (and serialized into WAL epoch records).
@@ -295,27 +285,6 @@ func (d *Dynamic) ApplyEdgeDeltas(add, remove [][2]int32) {
 	d.batchRem = append(d.batchRem, remove...)
 }
 
-// Recycle hands a retired snapshot's storage back to the Dynamic for reuse
-// by a future Commit, making the epoch loop allocation-free in steady
-// state. The caller asserts that NOTHING will read g anymore — not a cache
-// entry, not a kept Neighbors slice; the next Commit overwrites the arrays
-// in place. The safe pattern is the churn driver's: once delta.Next has
-// been solved, delta.Prev's arrays are read by nobody — a solver that held
-// delta.Prev moved to delta.Next, and the lineage a snapshot carries never
-// reads its parent's arrays — and may be recycled. Recycling the current
-// snapshot is ignored rather than obeyed.
-func (d *Dynamic) Recycle(g *graph.Graph) {
-	if g == nil || g == d.g {
-		return
-	}
-	off, adj := g.CSR()
-	curOff, _ := d.g.CSR()
-	if len(off) > 0 && len(curOff) > 0 && &off[0] == &curOff[0] {
-		return
-	}
-	d.freeOff, d.freeAdj = off, adj
-}
-
 // grow re-slices an int32 scratch buffer to n zeroed entries.
 func grow(buf []int32, n int) []int32 {
 	if cap(buf) < n {
@@ -479,16 +448,9 @@ func (d *Dynamic) Commit() (*Delta, error) {
 
 	// Offsets, touched set, maximum degree and negative-degree detection in
 	// one pass (the per-vertex delta counts are the gaps in the cnt
-	// arrays). Storage comes from the recycled snapshot when one was handed
-	// back; every entry is overwritten before the graph is published.
+	// arrays).
 	touched := d.touched[:0]
-	newOff := d.freeOff
-	if cap(newOff) < n+1 {
-		newOff = make([]int32, n+1)
-	} else {
-		newOff = newOff[:n+1]
-	}
-	newOff[0] = 0
+	newOff := make([]int32, n+1)
 	maxDeg := int32(0)
 	for v := 0; v < n; v++ {
 		var oldDeg int32
@@ -521,16 +483,8 @@ func (d *Dynamic) Commit() (*Delta, error) {
 	// (pos ≠ newOff[v+1]) or an unconsumed-removal check. newAdj carries
 	// 2·nRem slack entries so an absent removal's budget overrun lands in
 	// slack instead of past the array before its check fires; the published
-	// graph receives the exact-length slice (full capacity retained so
-	// Recycle round-trips it).
-	need := int(newOff[n]) + 2*nRem
-	newAdj := d.freeAdj
-	if cap(newAdj) < need {
-		newAdj = make([]int32, need)
-	} else {
-		newAdj = newAdj[:need]
-	}
-	d.freeOff, d.freeAdj = nil, nil
+	// graph receives the exact-length slice.
+	newAdj := make([]int32, int(newOff[n])+2*nRem)
 	dupIns := func(v, u int32) (*Delta, error) {
 		return nil, fmt.Errorf("dyngraph: Commit: duplicate insertion of edge (%d,%d)", v, u)
 	}

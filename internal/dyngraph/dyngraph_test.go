@@ -134,8 +134,8 @@ func TestAddRemoveCancelWithinBatch(t *testing.T) {
 	if err := d.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if d.Pending() != 0 {
-		t.Fatalf("Pending = %d after cancelling ops, want 0", d.Pending())
+	if add, rem, w, grew := d.NormalizedPending(); len(add)+len(rem)+len(w)+grew != 0 {
+		t.Fatalf("pending after cancelling ops: add %v rem %v weights %v grew %d", add, rem, w, grew)
 	}
 	delta := mustCommit(t, d)
 	if len(delta.Touched) != 0 || d.Graph().M() != 1 {
@@ -155,8 +155,8 @@ func TestBatchDeltasValidatedAtCommit(t *testing.T) {
 			t.Fatal("failed commit changed the committed state")
 		}
 		d.Discard()
-		if d.Pending() != 0 {
-			t.Fatal("Discard left pending ops")
+		if add, rem, w, grew := d.NormalizedPending(); len(add)+len(rem)+len(w)+grew != 0 {
+			t.Fatalf("Discard left pending ops: add %v rem %v weights %v grew %d", add, rem, w, grew)
 		}
 	})
 	t.Run("insert existing", func(t *testing.T) {

@@ -279,9 +279,8 @@ func newReplayState() *replayState {
 // A vertex leaves DX, DG or Δa once its value equals the record's bit for
 // bit. δ̃ is counted from the gray set on demand: keeping it current by
 // decrement, as the full stage does, would cost O(n+m) per replay. The
-// record never reads the parent's CSR, so the parent's arrays may already
-// be recycled into a later epoch. A canceled replay returns early; lp then
-// leaves the memo, and with it the record, invalid.
+// record never reads the parent's CSR. A canceled replay returns early; lp
+// then leaves the memo, and with it the record, invalid.
 func (s *Solver) replay(k int) {
 	rp, old := s.rp, &s.rec
 	rec := &rp.next

@@ -118,8 +118,8 @@ type Solver struct {
 	// Per-graph state kept across runs: the static δ⁽¹⁾/δ⁽²⁾ tables
 	// (d2done) and the LP memo. Both belong to the graph of the last
 	// prepare (g). The solver holds this pointer, so no new graph can take
-	// its address while it keys anything — unlike CSR array addresses,
-	// which dyngraph.Recycle hands to a later epoch.
+	// its address while it keys anything; nothing keys on CSR array
+	// addresses.
 	g      *graph.Graph
 	d2done bool
 	// The LP memo: when lpValid, s.x holds the completed, uncanceled LP

@@ -24,9 +24,6 @@ func TestGeneratorsRejectNonFinite(t *testing.T) {
 		if _, err := UnitDiskFromPoints(pts, bad); err == nil {
 			t.Errorf("UnitDiskFromPoints accepted radius=%v", bad)
 		}
-		if _, err := Bipartite(5, 5, bad, 1); err == nil {
-			t.Errorf("Bipartite accepted p=%v", bad)
-		}
 	}
 	// The guards must not over-reject valid boundary values.
 	if _, err := GNP(10, 1, 1); err != nil {

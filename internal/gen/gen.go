@@ -189,19 +189,6 @@ func RandomTree(n int, seed int64) (*graph.Graph, error) {
 	return graph.New(n, edges)
 }
 
-// KaryTree returns the complete k-ary tree on n vertices (vertex v>0 has
-// parent (v-1)/k).
-func KaryTree(n, k int) (*graph.Graph, error) {
-	if n < 0 || k < 1 {
-		return nil, fmt.Errorf("gen: KaryTree n=%d k=%d invalid", n, k)
-	}
-	edges := make([][2]int, 0, max(0, n-1))
-	for v := 1; v < n; v++ {
-		edges = append(edges, [2]int{(v - 1) / k, v})
-	}
-	return graph.New(n, edges)
-}
-
 // RandomRegular returns a random d-regular graph on n vertices via the
 // configuration (pairing) model followed by double-edge-swap repair: a
 // uniform stub matching is drawn and any self-loops or parallel edges are
@@ -396,24 +383,6 @@ func CliqueChain(count, size int) (*graph.Graph, error) {
 		}
 	}
 	return graph.New(count*size, edges)
-}
-
-// Bipartite returns a random bipartite graph with sides of size a and b and
-// independent edge probability p across the cut.
-func Bipartite(a, b int, p float64, seed int64) (*graph.Graph, error) {
-	if a < 0 || b < 0 || !finite(p) || p < 0 || p > 1 {
-		return nil, fmt.Errorf("gen: Bipartite a=%d b=%d p=%v invalid", a, b, p)
-	}
-	rng := stats.NewRand(seed)
-	var edges [][2]int
-	for u := 0; u < a; u++ {
-		for v := 0; v < b; v++ {
-			if rng.Float64() < p {
-				edges = append(edges, [2]int{u, a + v})
-			}
-		}
-	}
-	return graph.New(a+b, edges)
 }
 
 // StarOfStars builds a two-level star: a root connected to `branches` hub

@@ -164,19 +164,6 @@ func TestRandomTree(t *testing.T) {
 	}
 }
 
-func TestKaryTree(t *testing.T) {
-	g, err := KaryTree(7, 2) // complete binary tree of 7 nodes
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.M() != 6 || g.Degree(0) != 2 || g.Degree(1) != 3 {
-		t.Errorf("binary tree shape wrong: m=%d deg0=%d deg1=%d", g.M(), g.Degree(0), g.Degree(1))
-	}
-	if _, err := KaryTree(5, 0); err == nil {
-		t.Error("k=0 accepted")
-	}
-}
-
 func TestRandomRegular(t *testing.T) {
 	g, err := RandomRegular(30, 4, 5)
 	if err != nil {
@@ -266,24 +253,6 @@ func TestCliqueChain(t *testing.T) {
 	}
 	if _, err := CliqueChain(2, 1); err == nil {
 		t.Error("bridge placement with size 1 accepted")
-	}
-}
-
-func TestBipartite(t *testing.T) {
-	g, err := Bipartite(10, 15, 1, 1)
-	if err != nil || g.M() != 150 {
-		t.Errorf("complete bipartite: m=%d err=%v", g.M(), err)
-	}
-	// No edges within sides.
-	for u := 0; u < 10; u++ {
-		for v := u + 1; v < 10; v++ {
-			if g.HasEdge(u, v) {
-				t.Fatalf("edge inside left side: %d-%d", u, v)
-			}
-		}
-	}
-	if _, err := Bipartite(-1, 5, 0.5, 1); err == nil {
-		t.Error("negative side accepted")
 	}
 }
 

@@ -215,14 +215,6 @@ func (g *Graph) Edges() [][2]int {
 	return edges
 }
 
-// AvgDegree returns the average vertex degree (0 for an empty graph).
-func (g *Graph) AvgDegree() float64 {
-	if g.N() == 0 {
-		return 0
-	}
-	return 2 * float64(g.M()) / float64(g.N())
-}
-
 // String returns a short human-readable summary.
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph{n=%d m=%d Δ=%d}", g.N(), g.M(), g.MaxDegree())

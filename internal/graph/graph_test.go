@@ -72,8 +72,8 @@ func TestEmptyAndEdgelessGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.N() != 5 || g.M() != 0 || g.AvgDegree() != 0 {
-		t.Errorf("edgeless: n=%d m=%d avg=%f", g.N(), g.M(), g.AvgDegree())
+	if g.N() != 5 || g.M() != 0 || g.MaxDegree() != 0 {
+		t.Errorf("edgeless: n=%d m=%d Δ=%d", g.N(), g.M(), g.MaxDegree())
 	}
 }
 
@@ -81,9 +81,6 @@ func TestBasicAccessors(t *testing.T) {
 	g := k4(t)
 	if g.N() != 4 || g.M() != 6 || g.MaxDegree() != 3 {
 		t.Fatalf("K4: n=%d m=%d Δ=%d", g.N(), g.M(), g.MaxDegree())
-	}
-	if g.AvgDegree() != 3 {
-		t.Errorf("K4 avg degree = %f, want 3", g.AvgDegree())
 	}
 	for v := 0; v < 4; v++ {
 		if g.Degree(v) != 3 {
@@ -320,54 +317,6 @@ func TestDiameter(t *testing.T) {
 				t.Errorf("Diameter = %d, want %d", got, tc.want)
 			}
 		})
-	}
-}
-
-func TestEstimateDiameterExactOnPaths(t *testing.T) {
-	g := path5(t)
-	if got := g.EstimateDiameter(); got != 4 {
-		t.Errorf("EstimateDiameter(path5) = %d, want 4", got)
-	}
-	if got := MustNew(3, [][2]int{{0, 1}}).EstimateDiameter(); got != -1 {
-		t.Errorf("EstimateDiameter(disconnected) = %d, want -1", got)
-	}
-}
-
-func TestEstimateDiameterLowerBoundsProperty(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.IntN(25)
-		// Random connected graph: random tree plus extra edges.
-		var edges [][2]int
-		for v := 1; v < n; v++ {
-			edges = append(edges, [2]int{rng.IntN(v), v})
-		}
-		for i := 0; i < n/2; i++ {
-			u, v := rng.IntN(n), rng.IntN(n)
-			if u != v {
-				edges = append(edges, [2]int{u, v})
-			}
-		}
-		g, err := New(n, edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		est, exact := g.EstimateDiameter(), g.Diameter()
-		if est > exact {
-			t.Fatalf("estimate %d exceeds exact %d", est, exact)
-		}
-		if est < (exact+1)/2 {
-			t.Fatalf("2-sweep estimate %d below diam/2 = %d", est, (exact+1)/2)
-		}
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := path5(t)
-	h := g.DegreeHistogram()
-	// path5 degrees: 1,2,2,2,1
-	if h[1] != 2 || h[2] != 3 {
-		t.Errorf("histogram = %v", h)
 	}
 }
 

@@ -92,46 +92,6 @@ func (g *Graph) Diameter() int {
 	return diam
 }
 
-// EstimateDiameter lower-bounds the diameter with a double BFS sweep
-// (exact on trees). It returns -1 for a disconnected or empty graph.
-func (g *Graph) EstimateDiameter() int {
-	if g.N() == 0 {
-		return -1
-	}
-	far := func(src int) (int, int) {
-		dist := g.BFS(src)
-		best, bestD := src, int32(0)
-		for v, d := range dist {
-			if d < 0 {
-				return -1, -1
-			}
-			if d > bestD {
-				best, bestD = v, d
-			}
-		}
-		return best, int(bestD)
-	}
-	u, d := far(0)
-	if u < 0 {
-		return -1
-	}
-	_, d2 := far(u)
-	if d2 > d {
-		d = d2
-	}
-	return d
-}
-
-// DegreeHistogram returns counts[d] = number of vertices with degree d,
-// for d in [0, ∆].
-func (g *Graph) DegreeHistogram() []int {
-	counts := make([]int, g.MaxDegree()+1)
-	for v := 0; v < g.N(); v++ {
-		counts[g.Degree(v)]++
-	}
-	return counts
-}
-
 // Subgraph returns the induced subgraph on the given vertices together with
 // the mapping newID[i] = original vertex of new vertex i. Vertices not in
 // the list are dropped; duplicate entries are an error via New.

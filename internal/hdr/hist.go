@@ -14,16 +14,14 @@ import (
 // Histogram is an HDR-style log-linear latency histogram: nanosecond values
 // land in power-of-two major ranges of 32 linear sub-buckets each, giving a
 // bounded ≤ ~3% relative error across the full duration range with a fixed
-// 16 KiB footprint and no allocation on the record path. Workers record
-// into private histograms and the runner merges them, so recording needs no
-// synchronization.
+// 16 KiB footprint and no allocation on the record path. A Histogram is not
+// safe for concurrent use: callers that share one serialize recording.
 type Histogram struct {
-	counts   [histBuckets]uint64
-	count    uint64
-	sumNS    float64
-	minNS    uint64
-	maxNS    uint64
-	recorded bool
+	counts [histBuckets]uint64
+	count  uint64
+	sumNS  float64
+	minNS  uint64
+	maxNS  uint64
 }
 
 const (
@@ -59,35 +57,15 @@ func (h *Histogram) Record(d time.Duration) {
 	if d > 0 {
 		v = uint64(d)
 	}
+	if h.count == 0 || v < h.minNS {
+		h.minNS = v
+	}
+	if v > h.maxNS {
+		h.maxNS = v
+	}
 	h.counts[bucketIndex(v)]++
 	h.count++
 	h.sumNS += float64(v)
-	if !h.recorded || v < h.minNS {
-		h.minNS = v
-	}
-	if !h.recorded || v > h.maxNS {
-		h.maxNS = v
-	}
-	h.recorded = true
-}
-
-// Merge folds other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other.count == 0 {
-		return
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.count += other.count
-	h.sumNS += other.sumNS
-	if !h.recorded || other.minNS < h.minNS {
-		h.minNS = other.minNS
-	}
-	if !h.recorded || other.maxNS > h.maxNS {
-		h.maxNS = other.maxNS
-	}
-	h.recorded = true
 }
 
 // Count returns the number of recorded observations.

@@ -57,60 +57,6 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b, both Histogram
-	for i := 0; i < 1000; i++ {
-		d := time.Duration(i) * time.Microsecond
-		if i%2 == 0 {
-			a.Record(d)
-		} else {
-			b.Record(d)
-		}
-		both.Record(d)
-	}
-	var merged Histogram
-	merged.Merge(&a)
-	merged.Merge(&b)
-	if merged.Count() != both.Count() {
-		t.Fatalf("count %d != %d", merged.Count(), both.Count())
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		if m, w := merged.Quantile(q), both.Quantile(q); m != w {
-			t.Errorf("q=%v: merged %v != direct %v", q, m, w)
-		}
-	}
-	if merged.MinMS() != both.MinMS() || merged.MaxMS() != both.MaxMS() {
-		t.Errorf("extrema drift: merged [%v, %v], direct [%v, %v]",
-			merged.MinMS(), merged.MaxMS(), both.MinMS(), both.MaxMS())
-	}
-}
-
-// TestHistogramMergeIntoEmpty checks that merging into a zero-value
-// histogram adopts the source's extrema instead of keeping the zero min,
-// and that merging an empty (or nil) source is a no-op.
-func TestHistogramMergeIntoEmpty(t *testing.T) {
-	var src Histogram
-	src.Record(5 * time.Millisecond)
-	src.Record(9 * time.Millisecond)
-
-	var dst Histogram
-	dst.Merge(&src)
-	if dst.Count() != 2 {
-		t.Fatalf("count = %d, want 2", dst.Count())
-	}
-	if dst.MinMS() != 5 || dst.MaxMS() != 9 {
-		t.Errorf("extrema [%v, %v], want [5, 9]", dst.MinMS(), dst.MaxMS())
-	}
-
-	var empty Histogram
-	dst.Merge(&empty)
-	dst.Merge(nil)
-	if dst.Count() != 2 || dst.MinMS() != 5 || dst.MaxMS() != 9 {
-		t.Errorf("empty/nil merge changed state: count %d, extrema [%v, %v]",
-			dst.Count(), dst.MinMS(), dst.MaxMS())
-	}
-}
-
 func TestHistogramEmptyAndNegative(t *testing.T) {
 	var h Histogram
 	if h.Quantile(0.5) != 0 || h.MeanMS() != 0 {

@@ -75,8 +75,6 @@ func newDriver(sc *Scenario, concurrency int) (Driver, error) {
 	switch sc.Driver {
 	case DriverInprocFast:
 		return &inprocDriver{sequential: true, concurrency: concurrency}, nil
-	case DriverInprocSim:
-		return &inprocDriver{sequential: false, concurrency: concurrency}, nil
 	case DriverHTTPServe:
 		d := &httpDriver{concurrency: concurrency, timeout: 120 * time.Second}
 		if sc.HTTP != nil {
@@ -99,9 +97,10 @@ func newDriver(sc *Scenario, concurrency int) (Driver, error) {
 }
 
 // inprocDriver runs operations through the public facade: the fastpath
-// backend when sequential, the message-passing simulation otherwise. It is
-// the driver for measuring pure solve compute, with no protocol overhead on
-// the measured path.
+// backend when sequential, the message-passing simulation otherwise. The
+// fastpath one is the driver for measuring pure solve compute, with no
+// protocol overhead on the measured path; the simulation one is the
+// cross-check mirror that re-derives its answers.
 type inprocDriver struct {
 	sequential  bool
 	concurrency int

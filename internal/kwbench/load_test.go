@@ -68,7 +68,11 @@ func TestLoadSpecValidation(t *testing.T) {
 		{"load with loop", func(sc *Scenario) { sc.Load = &LoadSpec{Gen: "udg:100:0.2:1", Ops: 1}; sc.Graphs = nil }, "no loop spec"},
 		{"load on sim driver", func(sc *Scenario) {
 			sc.Load = &LoadSpec{Gen: "udg:100:0.2:1", Ops: 1}
-			sc.Graphs, sc.Closed, sc.Driver = nil, nil, DriverInprocSim
+			sc.Graphs, sc.Closed, sc.Driver = nil, nil, "inproc-sim"
+		}, `unknown driver "inproc-sim"`},
+		{"load on http driver", func(sc *Scenario) {
+			sc.Load = &LoadSpec{Gen: "udg:100:0.2:1", Ops: 1}
+			sc.Graphs, sc.Closed, sc.Driver = nil, nil, DriverHTTPServe
 		}, "require the inproc-fast driver"},
 		{"load tier+gen both", func(sc *Scenario) {
 			sc.Load = &LoadSpec{Tier: "udg-500", Gen: "udg:100:0.2:1", Ops: 1}

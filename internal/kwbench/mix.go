@@ -172,81 +172,43 @@ func evaluateSLO(sc *Scenario, res *ScenarioResult) {
 	res.SLO = out
 }
 
-// Arrival-curve parameter defaults.
+// Flash-curve parameter defaults.
 const (
-	defaultFlashPeakFactor   = 4.0
-	defaultDiurnalPeakFactor = 2.0
-	defaultPeakStartFrac     = 0.4
-	defaultPeakDurFrac       = 0.2
+	defaultFlashPeakFactor = 4.0
+	defaultPeakStartFrac   = 0.4
+	defaultPeakDurFrac     = 0.2
 )
 
-// curveParams resolves the open loop's shape knobs to concrete values.
-func (o *OpenLoop) curveParams() (curve string, pf, psf, pdf float64, cycles int) {
-	curve = o.Curve
-	if curve == "" {
-		curve = CurveConstant
-	}
+// flashParams resolves the flash curve's knobs to concrete values.
+func (o *OpenLoop) flashParams() (pf, psf, pdf float64) {
 	pf = o.PeakFactor
 	if pf == 0 {
-		if curve == CurveFlash {
-			pf = defaultFlashPeakFactor
-		} else {
-			pf = defaultDiurnalPeakFactor
-		}
+		pf = defaultFlashPeakFactor
 	}
 	psf, pdf = o.PeakStartFrac, o.PeakDurFrac
 	if psf == 0 && pdf == 0 {
 		psf, pdf = defaultPeakStartFrac, defaultPeakDurFrac
 	}
-	cycles = o.Cycles
-	if cycles < 1 {
-		cycles = 1
-	}
-	return curve, pf, psf, pdf, cycles
+	return pf, psf, pdf
 }
 
 // meanRateFactor is the curve's time-averaged rate multiplier: the planned
 // operation count is rate × duration × this (used for the MaxOpenOps cap).
 func (o *OpenLoop) meanRateFactor() float64 {
-	curve, pf, _, pdf, _ := o.curveParams()
-	switch curve {
-	case CurveFlash:
-		return 1 + (pf-1)*pdf
-	case CurveDiurnal:
-		return (1 + pf) / 2
-	default:
+	if o.Curve != CurveFlash {
 		return 1
 	}
-}
-
-// rateAt is the instantaneous dispatch rate at offset t into a window of
-// length d (both in seconds).
-func (o *OpenLoop) rateAt(t, d float64) float64 {
-	curve, pf, psf, pdf, cycles := o.curveParams()
-	switch curve {
-	case CurveFlash:
-		if t >= psf*d && t < (psf+pdf)*d {
-			return o.Rate * pf
-		}
-		return o.Rate
-	case CurveDiurnal:
-		// Raised cosine from trough (t=0) to peak and back, cycles times.
-		frac := 0.5 * (1 - math.Cos(2*math.Pi*float64(cycles)*t/d))
-		return o.Rate * (1 + (pf-1)*frac)
-	default:
-		return o.Rate
-	}
+	pf, _, pdf := o.flashParams()
+	return 1 + (pf-1)*pdf
 }
 
 // dispatchTicks materializes the deterministic dispatch schedule for a
 // window of the given length: tick i is operation i's offset from the
 // window start. The constant curve reproduces the historical i/rate
-// arithmetic exactly; shaped curves integrate dt = 1/r(t).
+// arithmetic exactly; the flash curve integrates dt = 1/r(t).
 func (o *OpenLoop) dispatchTicks(duration time.Duration) []time.Duration {
-	d := duration.Seconds()
-	curve, _, _, _, _ := o.curveParams()
 	var ticks []time.Duration
-	if curve == CurveConstant {
+	if o.Curve != CurveFlash {
 		interval := time.Duration(float64(time.Second) / o.Rate)
 		if interval <= 0 {
 			interval = time.Nanosecond
@@ -260,8 +222,15 @@ func (o *OpenLoop) dispatchTicks(duration time.Duration) []time.Duration {
 		}
 		return ticks
 	}
-	for t := 0.0; t < d && len(ticks) < MaxOpenOps; t += 1 / o.rateAt(t, d) {
+	d := duration.Seconds()
+	pf, psf, pdf := o.flashParams()
+	for t := 0.0; t < d && len(ticks) < MaxOpenOps; {
 		ticks = append(ticks, time.Duration(t*float64(time.Second)))
+		rate := o.Rate
+		if t >= psf*d && t < (psf+pdf)*d {
+			rate = o.Rate * pf
+		}
+		t += 1 / rate
 	}
 	return ticks
 }

@@ -15,14 +15,28 @@ import (
 	"kwmds/internal/rounding"
 )
 
-// runMobility executes a dynamic-graph replay: a random-walk trace of
-// unit-disk snapshots is generated from the spec, and the pipeline
-// re-solves every epoch — the workload the paper motivates, where the
-// topology of an ad-hoc network changes underneath the algorithm. Epochs
-// replay sequentially (an epoch's solve cannot start before the topology
-// change that defines it), the first WarmupOps epochs are untimed, and the
-// result carries dominating-set and edge churn alongside the usual
+// runMobility executes a dynamic-graph replay — the workload the paper
+// motivates, where the topology of an ad-hoc network changes underneath the
+// algorithm. A random-walk trace of unit-disk snapshots is generated from
+// the spec, and every epoch is a single end-to-end op: ingest the epoch's
+// topology change and produce the new dominating set. Epochs run
+// sequentially (an epoch's solve cannot start before the topology change
+// that defines it), the first WarmupOps epochs are untimed, and the result
+// carries dominating-set and edge churn alongside the usual
 // latency/throughput/allocation block.
+//
+// In rebuild mode the op is what a static pipeline must do per epoch:
+// reconstruct the unit-disk CSR from the node positions, then cold-solve
+// through the facade. In churn mode the op replays the epoch's link events
+// through the dyngraph mutation API — ApplyEdgeDeltas + Commit, then
+// fastpath's Solve of the committed graph on a persistent solver, which
+// repairs its state from the previous epoch's over the graph's lineage —
+// with the deltas themselves derived outside the timed section (in a
+// deployed system link events arrive from the radio layer; deriving them is
+// sensing, not processing). The two modes measure the same
+// epoch-processing contract, so their latencies are directly comparable;
+// the dominating sets are bit-identical to a cold solve, cross-checkable
+// against the sim backend.
 func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	m := sc.Mobility
 	epochs := m.Epochs
@@ -39,161 +53,6 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kwbench: scenario %q: %w", sc.Name, err)
 	}
-	if m.Mode == MobilityRebuild || m.Mode == MobilityChurn {
-		return runMobilityDynamic(sc, epochs, trace)
-	}
-	graphs := make([]LoadedGraph, epochs)
-	for e, g := range trace.Graphs {
-		graphs[e] = LoadedGraph{Name: fmt.Sprintf("epoch-%d", e), G: g}
-	}
-
-	driver, err := newDriver(sc, 1)
-	if err != nil {
-		return nil, err
-	}
-	defer driver.Close()
-	if err := driver.Prepare(graphs); err != nil {
-		return nil, err
-	}
-
-	combos := sc.Matrix.combos()
-	seeds := effectiveSeeds(sc)
-	res := &ScenarioResult{
-		Name:        sc.Name,
-		Description: sc.Description,
-		Driver:      sc.Driver,
-		Loop:        "replay",
-		Graphs:      graphInfos(graphs[:1]), // the population's identity; every epoch shares n
-		Combos:      len(combos),
-		Seeds:       seeds,
-		WarmupOps:   sc.WarmupOps,
-	}
-
-	// prev[c] is combo c's elected set in the previous epoch; churn is
-	// accumulated over every consecutive-epoch transition, warmup
-	// included (the warmup boundary only gates *timing*, and churn at
-	// the first measured epoch needs its predecessor). With cross_check
-	// on, every answer is kept so the cross-check pass can run after the
-	// measurement windows close.
-	prev := make([][]bool, len(combos))
-	var answers []OpResult
-	if sc.CrossCheck {
-		answers = make([]OpResult, epochs*len(combos))
-	}
-	var kept, added, removed, transitions int
-	hist := &hdr.Histogram{}
-	measuredOps := 0
-	var elapsed time.Duration
-	var msBefore, msAfter runtime.MemStats
-
-	req := func(e, c int) Request {
-		return Request{
-			Graph:   e,
-			Algo:    combos[c].Algo,
-			K:       combos[c].K,
-			Seed:    1 + int64(e%seeds),
-			Variant: combos[c].Variant,
-		}
-	}
-	for e := 0; e < epochs; e++ {
-		measuring := e >= sc.WarmupOps
-		if e == sc.WarmupOps {
-			runtime.ReadMemStats(&msBefore)
-		}
-		for c := range combos {
-			t0 := time.Now()
-			got, err := driver.Do(req(e, c))
-			lat := time.Since(t0)
-			if err != nil {
-				return nil, fmt.Errorf("kwbench: scenario %q epoch %d: %w", sc.Name, e, err)
-			}
-			if e == 0 && c == 0 {
-				res.ColdMS = float64(lat) / float64(time.Millisecond)
-			}
-			if measuring {
-				hist.Record(lat)
-				elapsed += lat
-				measuredOps++
-			}
-			if answers != nil {
-				answers[e*len(combos)+c] = got
-			}
-			if prev[c] != nil {
-				k, a, r := mobility.Churn(prev[c], got.InDS)
-				kept += k
-				added += a
-				removed += r
-				transitions++
-			}
-			prev[c] = got.InDS
-		}
-	}
-	runtime.ReadMemStats(&msAfter)
-
-	// Everything below runs outside the timing and allocation windows:
-	// edge-churn accounting (its edge-set map is a real allocation) and
-	// the cross-check pass.
-	var edgeChurn float64
-	for e := 1; e < epochs; e++ {
-		shared, onlyA, onlyB := mobility.EdgeChurn(trace.Graphs[e-1], trace.Graphs[e])
-		if total := shared + onlyA + onlyB; total > 0 {
-			edgeChurn += float64(onlyA+onlyB) / float64(total)
-		}
-	}
-	if sc.CrossCheck {
-		checker, err := crossCheckDriver(sc, graphs)
-		if err != nil {
-			return nil, err
-		}
-		defer checker.Close()
-		for e := 0; e < epochs; e++ {
-			for c := range combos {
-				want, err := checker.Do(req(e, c))
-				if err != nil {
-					return nil, fmt.Errorf("kwbench: scenario %q epoch %d cross-check: %w", sc.Name, e, err)
-				}
-				res.CrossChecked++
-				if !sameAnswer(answers[e*len(combos)+c], want) {
-					res.Mismatches++
-				}
-			}
-		}
-	}
-
-	fillCommon(res, hist, measuredOps, elapsed, &msBefore, &msAfter)
-	mr := &MobilityResult{Epochs: epochs, Mode: MobilityReplay}
-	if transitions > 0 {
-		mr.MeanKept = float64(kept) / float64(transitions)
-		mr.MeanAdded = float64(added) / float64(transitions)
-		mr.MeanRemoved = float64(removed) / float64(transitions)
-	}
-	if epochs > 1 {
-		mr.MeanEdgeChurn = edgeChurn / float64(epochs-1)
-	}
-	res.Mobility = mr
-	if res.Mismatches > 0 {
-		return nil, fmt.Errorf("kwbench: scenario %q: %d/%d cross-checked epochs disagreed between fast and sim backends",
-			sc.Name, res.Mismatches, res.CrossChecked)
-	}
-	return res, nil
-}
-
-// runMobilityDynamic executes the rebuild and churn modes: one matrix
-// combo, and every epoch is a single end-to-end op — ingest the epoch's
-// topology change and produce the new dominating set. In rebuild mode the
-// op is what a static pipeline must do per epoch: reconstruct the
-// unit-disk CSR from the node positions, then cold-solve through the
-// facade. In churn mode the op replays the epoch's link events through the
-// dyngraph mutation API — ApplyEdgeDeltas + Commit, then fastpath's Solve
-// of the committed graph on a persistent solver, which repairs its state
-// from the previous epoch's over the graph's lineage — with the deltas
-// themselves derived outside the timed section (in a deployed system link
-// events arrive from the radio layer; deriving them is sensing, not
-// processing). The two modes measure the same epoch-processing contract,
-// so their latencies are directly comparable; the dominating sets are
-// bit-identical to a cold solve, cross-checkable against the sim backend.
-func runMobilityDynamic(sc *Scenario, epochs int, trace *mobility.Trace) (*ScenarioResult, error) {
-	m := sc.Mobility
 	c := sc.Matrix.combos()[0]
 	seeds := effectiveSeeds(sc)
 	fail := func(e int, err error) (*ScenarioResult, error) {
@@ -332,20 +191,13 @@ func runMobilityDynamic(sc *Scenario, epochs int, trace *mobility.Trace) (*Scena
 				}
 			}
 			record(e, lat, got.InDS, got.Size)
-			// The pre-commit snapshot's arrays are now unread (the solver
-			// moved to delta.Next and never reads a parent's CSR, churn
-			// accounting copied the set) — recycle them into the next
-			// commit. Epoch 1's
-			// predecessor is the trace's own graph, still needed by the
-			// edge-churn accounting and cross-check below, so it stays.
-			if e > 1 {
-				dyn.Recycle(delta.Prev)
-			}
 		}
 	}
 	runtime.ReadMemStats(&msAfter)
 
-	// Post-measurement accounting and verification, as in the replay mode.
+	// Everything below runs outside the timing and allocation windows:
+	// edge-churn accounting (its edge-set map is a real allocation) and
+	// the cross-check pass.
 	var edgeChurn float64
 	for e := 1; e < epochs; e++ {
 		shared, onlyA, onlyB := mobility.EdgeChurn(trace.Graphs[e-1], trace.Graphs[e])

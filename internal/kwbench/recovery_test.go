@@ -23,7 +23,8 @@ func TestValidateBadRecoverySpecs(t *testing.T) {
 	}{
 		{"loop spec", func(s *Scenario) { s.Closed = &ClosedLoop{Concurrency: 1, Ops: 1} }, "no loop spec"},
 		{"graphs list", func(s *Scenario) { s.Graphs = []GraphSpec{{Gen: "udg:100:0.2:1"}} }, "drop the graphs list"},
-		{"sim driver", func(s *Scenario) { s.Driver = DriverInprocSim }, "require the inproc-fast driver"},
+		{"sim driver", func(s *Scenario) { s.Driver = "inproc-sim" }, `unknown driver "inproc-sim"`},
+		{"http driver", func(s *Scenario) { s.Driver = DriverHTTPServe }, "require the inproc-fast driver"},
 		{"mobility too", func(s *Scenario) {
 			s.Mobility = &MobilitySpec{N: 10, Radius: 0.3, Epochs: 2}
 		}, "recovery and mobility are mutually exclusive"},

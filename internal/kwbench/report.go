@@ -3,8 +3,11 @@ package kwbench
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 
@@ -103,9 +106,8 @@ type LoadCompare struct {
 // MobilityResult is the dynamic-graph extras of a mobility replay.
 type MobilityResult struct {
 	Epochs int `json:"epochs"`
-	// Mode is the replay mode (replay | rebuild | churn; empty in reports
-	// predating the dynamic-graph engine means replay).
-	Mode string `json:"mode,omitempty"`
+	// Mode is the epoch-op mode (rebuild | churn).
+	Mode string `json:"mode"`
 	// MeanKept/Added/Removed are per-epoch-transition dominating-set
 	// churn averages (mobility.Churn over consecutive epochs).
 	MeanKept    float64 `json:"mean_kept"`
@@ -198,9 +200,9 @@ type ScenarioResult struct {
 	// phase errors can be tolerated (see Errors).
 	ColdMS float64 `json:"cold_ms,omitempty"`
 
-	// TargetRate/AchievedRate are set for open-loop scenarios. For shaped
-	// arrival curves TargetRate is the baseline (trough) rate and Curve
-	// names the shape (flash | diurnal; absent means constant).
+	// TargetRate/AchievedRate are set for open-loop scenarios. For a flash
+	// curve TargetRate is the baseline rate and Curve names the shape
+	// (flash; absent means constant).
 	TargetRate   float64 `json:"target_rate,omitempty"`
 	AchievedRate float64 `json:"achieved_rate,omitempty"`
 	Curve        string  `json:"curve,omitempty"`
@@ -281,24 +283,36 @@ func CurrentEnvironment() Environment {
 }
 
 // reportDescription is the fixed preamble of BENCH_kwbench.json.
-const reportDescription = "Unified kwbench scenario results (kwmds bench). Each entry is one scenario run: a declarative spec (scenarios/*.json|*.toml) selecting graphs, a pipeline matrix, a driver (inproc-fast | inproc-sim | http-serve) and a loop mode (closed concurrency, open target-rate, or mobility replay). Latencies are HDR-histogram percentiles over the measured phase; open-loop latency is measured from the scheduled dispatch time, so queueing delay is included. See docs/BENCHMARKS.md for the methodology and field-by-field schema."
+const reportDescription = "Unified kwbench scenario results (kwmds bench). Each entry is one scenario run: a declarative spec (scenarios/*.json|*.toml) selecting graphs, a pipeline matrix, a driver (inproc-fast | http-serve) and a load shape (closed concurrency, open target-rate, mobility epochs, format load or crash recovery). Latencies are HDR-histogram percentiles over the measured phase; open-loop latency is measured from the scheduled dispatch time, so queueing delay is included. See docs/BENCHMARKS.md for the methodology and field-by-field schema."
 
 // MergeInto folds results into the report at path: existing scenario
 // entries with matching names are replaced and the others preserved, each
-// keeping the environment it was recorded in. A missing or
-// unreadable-as-report file is started fresh; a report of another schema
-// version is refused rather than overwritten.
+// keeping the environment it was recorded in. Only a missing file is
+// started fresh: an existing file that does not parse as a report, or holds
+// another schema version, is refused rather than overwritten. The merged
+// report is encoded to a temporary file beside path and renamed over it,
+// so a failed write leaves the old file intact.
 func MergeInto(path string, results []ScenarioResult) (*Report, error) {
 	rep := &Report{Schema: SchemaVersion, Description: reportDescription}
-	if data, err := os.ReadFile(path); err == nil {
+	data, err := os.ReadFile(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+	case err != nil:
+		return nil, fmt.Errorf("kwbench: %w", err)
+	default:
 		var old Report
-		if json.Unmarshal(data, &old) == nil && old.Schema != 0 {
-			if old.Schema != SchemaVersion {
-				return nil, fmt.Errorf("kwbench: %s holds a schema %d report, want %d (see the migration notes in docs/BENCHMARKS.md)",
-					path, old.Schema, SchemaVersion)
-			}
-			rep.Scenarios = old.Scenarios
+		err := json.Unmarshal(data, &old)
+		if err == nil && old.Schema == 0 {
+			err = errors.New("no kwbench_schema field")
 		}
+		if err != nil {
+			return nil, fmt.Errorf("kwbench: %s does not parse as a kwbench report, refusing to overwrite it: %w", path, err)
+		}
+		if old.Schema != SchemaVersion {
+			return nil, fmt.Errorf("kwbench: %s holds a schema %d report, want %d (see the migration notes in docs/BENCHMARKS.md)",
+				path, old.Schema, SchemaVersion)
+		}
+		rep.Scenarios = old.Scenarios
 	}
 	for _, res := range results {
 		replaced := false
@@ -319,27 +333,30 @@ func MergeInto(path string, results []ScenarioResult) (*Report, error) {
 	if err := ValidateReport(rep); err != nil {
 		return nil, err
 	}
-	if err := WriteJSONFile(path, rep); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// WriteJSONFile writes v to path as indented JSON — the one writer behind
-// every benchmark artifact, so close/encode error handling lives in one
-// place.
-func WriteJSONFile(path string, v any) error {
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("kwbench: %w", err)
 	}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return err
+	err = enc.Encode(rep)
+	if err == nil {
+		err = f.Chmod(0o644) // CreateTemp's 0600 would hide the report from other readers
 	}
-	return f.Close()
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return nil, fmt.Errorf("kwbench: writing %s: %w", path, err)
+	}
+	return rep, nil
 }
 
 // ValidateReport checks a report document against the schema: version,
@@ -369,11 +386,16 @@ func ValidateReport(rep *Report) error {
 			return fail("duplicate scenario name")
 		}
 		seen[s.Name] = true
+		// encoding/json refuses NaN and ±Inf, so a row holding one could
+		// never be written.
+		if _, err := json.Marshal(s); err != nil {
+			return fail("%v", err)
+		}
 		if s.Environment.GoVersion == "" || s.Environment.GOOS == "" || s.Environment.NumCPU < 1 {
 			return fail("missing environment block")
 		}
 		switch s.Driver {
-		case DriverInprocFast, DriverInprocSim, DriverHTTPServe:
+		case DriverInprocFast, DriverHTTPServe:
 		default:
 			return fail("unknown driver %q", s.Driver)
 		}
@@ -437,7 +459,7 @@ func ValidateReport(rep *Report) error {
 			}
 		}
 		switch s.Curve {
-		case "", CurveConstant, CurveFlash, CurveDiurnal:
+		case "", CurveConstant, CurveFlash:
 		default:
 			return fail("unknown curve %q", s.Curve)
 		}
@@ -459,6 +481,9 @@ func ValidateReport(rep *Report) error {
 		}
 		if s.Loop == "replay" && s.Mobility == nil {
 			return fail("replay without a mobility block")
+		}
+		if m := s.Mobility; m != nil && m.Mode != MobilityRebuild && m.Mode != MobilityChurn {
+			return fail("mobility mode %q, want %s|%s", m.Mode, MobilityRebuild, MobilityChurn)
 		}
 		if s.Loop == "load" && s.Load == nil {
 			return fail("load loop without a load block")

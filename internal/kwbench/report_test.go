@@ -1,6 +1,8 @@
 package kwbench
 
 import (
+	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -93,6 +95,57 @@ func TestMergeIntoRefusesOtherSchema(t *testing.T) {
 	}
 }
 
+// TestMergeIntoRefusesUnreadableOrUnwritable: only a missing file starts a
+// fresh report. A truncated or empty file is refused, not replaced by a
+// report of the new rows alone, and a row that cannot be encoded (NaN) is
+// refused before the file is touched. Each case leaves the bytes as they
+// were.
+func TestMergeIntoRefusesUnreadableOrUnwritable(t *testing.T) {
+	full := filepath.Join(t.TempDir(), "full.json")
+	if _, err := MergeInto(full, []ScenarioResult{sampleResult("a"), sampleResult("b")}); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := sampleResult("c")
+	nan.Loop, nan.Concurrency = "open", 0
+	nan.TargetRate, nan.AchievedRate = 5, math.NaN()
+	for _, tc := range []struct {
+		name      string
+		content   []byte
+		row       ScenarioResult
+		wantErr   string
+		namesFile bool
+	}{
+		{"truncated", whole[:len(whole)/2], sampleResult("c"), "does not parse as a kwbench report", true},
+		{"empty", []byte{}, sampleResult("c"), "does not parse as a kwbench report", true},
+		{"NaN row", whole, nan, "unsupported value: NaN", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "BENCH_kwbench.json")
+			if err := os.WriteFile(path, tc.content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := MergeInto(path, []ScenarioResult{tc.row})
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("MergeInto: err = %v, want it to contain %q", err, tc.wantErr)
+			}
+			if tc.namesFile && !strings.Contains(err.Error(), path) {
+				t.Errorf("error %q does not name the file", err)
+			}
+			if data, _ := os.ReadFile(path); !bytes.Equal(data, tc.content) {
+				t.Errorf("file changed: %d bytes, want %d", len(data), len(tc.content))
+			}
+			entries, _ := os.ReadDir(filepath.Dir(path))
+			if len(entries) != 1 {
+				t.Errorf("directory holds %d entries after a refused merge, want 1", len(entries))
+			}
+		})
+	}
+}
+
 func TestValidateReportCatchesCorruption(t *testing.T) {
 	base := func() *Report {
 		return &Report{
@@ -120,6 +173,11 @@ func TestValidateReportCatchesCorruption(t *testing.T) {
 		{"inverted percentiles", func(r *Report) { r.Scenarios[0].Latency.P99 = 0.1 }, "non-monotonic"},
 		{"open without rate", func(r *Report) { r.Scenarios[0].Loop = "open" }, "target_rate"},
 		{"replay without mobility", func(r *Report) { r.Scenarios[0].Loop = "replay" }, "mobility"},
+		{"mobility without mode", func(r *Report) {
+			r.Scenarios[0].Loop = "replay"
+			r.Scenarios[0].Mobility = &MobilityResult{Epochs: 2}
+		}, `mobility mode ""`},
+		{"infinite latency", func(r *Report) { r.Scenarios[0].Latency.Max = math.Inf(1) }, "unsupported value: +Inf"},
 		{"no graphs", func(r *Report) { r.Scenarios[0].Graphs = nil }, "empty graph list"},
 	}
 	for _, tc := range cases {

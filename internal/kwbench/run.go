@@ -241,25 +241,6 @@ func buildRequests(sc *Scenario, nGraphs, n int) []Request {
 	return reqs
 }
 
-// crossCheckDriver builds the reference backend for verification: the
-// opposite inproc backend (fast↔sim).
-func crossCheckDriver(sc *Scenario, graphs []LoadedGraph) (Driver, error) {
-	mirror := *sc
-	if sc.Driver == DriverInprocSim {
-		mirror.Driver = DriverInprocFast
-	} else {
-		mirror.Driver = DriverInprocSim
-	}
-	d, err := newDriver(&mirror, 1)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Prepare(graphs); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
 // sameAnswer reports whether a measured op agrees with its cross-check:
 // the same size and the same membership at every vertex.
 func sameAnswer(got, want OpResult) bool {
@@ -268,18 +249,14 @@ func sameAnswer(got, want OpResult) bool {
 
 // crossCheck is the verification pass of both loop modes, run strictly
 // outside the timing and allocation windows: re-solve every measured
-// request on the opposite backend and compare the answers. Only
+// request on the message-passing simulation and compare the answers. Only
 // successfully recorded ops have an answer to compare (errored and shed
 // ops are skipped).
 func crossCheck(sc *Scenario, graphs []LoadedGraph, measured []Request, col *collector, res *ScenarioResult) error {
 	if !sc.CrossCheck {
 		return nil
 	}
-	checker, err := crossCheckDriver(sc, graphs)
-	if err != nil {
-		return err
-	}
-	defer checker.Close()
+	checker := &inprocDriver{sequential: false, concurrency: 1, graphs: graphs}
 	for i, req := range measured {
 		if !col.ok[i] {
 			continue
@@ -378,7 +355,7 @@ func markWarm(d Driver) {
 
 // runOpen drives the target-rate loop: the dispatcher launches one
 // operation per precomputed curve tick (1/rate apart for the constant
-// curve; flash and diurnal shapes integrate the varying rate);
+// curve; the flash curve integrates the varying rate);
 // completions never gate dispatch (up to the in-flight bound), and each
 // operation's latency is measured from its scheduled tick — queueing
 // delay from a saturated backend is charged to the operation instead of

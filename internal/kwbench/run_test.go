@@ -181,12 +181,14 @@ func TestSameAnswer(t *testing.T) {
 	}
 }
 
+// TestRunMobilityReplay checks a mobility scenario's loop label and its
+// churn accounting over a moving trace.
 func TestRunMobilityReplay(t *testing.T) {
 	sc := &Scenario{
 		Name:      "test-mobility",
 		Driver:    DriverInprocFast,
 		WarmupOps: 1,
-		Mobility:  &MobilitySpec{N: 150, Radius: 0.15, Speed: 0.02, Epochs: 5, Seed: 3},
+		Mobility:  &MobilitySpec{N: 150, Radius: 0.15, Speed: 0.02, Epochs: 5, Seed: 3, Mode: MobilityRebuild},
 	}
 	res, err := Run(sc, RunOptions{})
 	if err != nil {

@@ -32,11 +32,8 @@ const MaxOpenOps = 1_000_000
 const (
 	// DriverInprocFast runs each operation through the facade's fastpath
 	// backend (Options.Sequential) in-process — the cold-solve compute path.
+	// Cross-checks re-solve its answers on the message-passing simulation.
 	DriverInprocFast = "inproc-fast"
-	// DriverInprocSim runs each operation through the message-passing
-	// simulation in-process — the only driver whose operations carry
-	// rounds/messages/bits accounting.
-	DriverInprocSim = "inproc-sim"
 	// DriverHTTPServe drives POST /v1/solve against a serve instance:
 	// an in-process spawned server by default, or a remote one when the
 	// scenario names a URL. The full stack — HTTP, JSON codec, worker
@@ -52,7 +49,7 @@ type Scenario struct {
 	// BENCH_kwbench.json replace earlier results with the same name.
 	Name        string `json:"name"`
 	Description string `json:"description,omitempty"`
-	// Driver is one of inproc-fast | inproc-sim | http-serve.
+	// Driver is one of inproc-fast | http-serve.
 	Driver string `json:"driver"`
 	// Graphs is the preloaded set operations select from. Empty is valid
 	// only for mobility scenarios (they generate their own snapshots).
@@ -114,11 +111,11 @@ type Scenario struct {
 	// operation a fresh computation.
 	Seeds int `json:"seeds,omitempty"`
 
-	// CrossCheck re-runs every measured operation on the *other* inproc
-	// backend (fast↔sim) and compares the dominating sets member by
-	// member; any mismatch fails the scenario. The verification pass runs after the measure
-	// phase completes, outside the latency, throughput and allocation
-	// windows.
+	// CrossCheck re-runs every measured operation on the message-passing
+	// simulation and compares the dominating sets member by member; any
+	// mismatch fails the scenario. The verification pass runs after the
+	// measure phase completes, outside the latency, throughput and
+	// allocation windows.
 	CrossCheck bool `json:"cross_check,omitempty"`
 
 	// Mobility switches the scenario to a dynamic-graph replay: a
@@ -201,10 +198,6 @@ const (
 	// CurveFlash is a flash crowd: the rate jumps to Rate × PeakFactor
 	// inside a window of the measured duration and is Rate elsewhere.
 	CurveFlash = "flash"
-	// CurveDiurnal is a smooth day/night cycle: the rate follows a raised
-	// cosine between Rate and Rate × PeakFactor, completing Cycles full
-	// periods over the duration.
-	CurveDiurnal = "diurnal"
 )
 
 // OpenLoop is target-rate load.
@@ -220,29 +213,21 @@ type OpenLoop struct {
 	MaxInflight int `json:"max_inflight,omitempty"`
 
 	// Curve shapes the arrival rate over the window: "" or "constant"
-	// (flat), "flash" (a burst window at Rate × PeakFactor) or "diurnal"
-	// (raised-cosine cycles between Rate and Rate × PeakFactor). Dispatch
-	// ticks are derived deterministically from the curve, so a shaped
+	// (flat) or "flash" (a burst window at Rate × PeakFactor). Dispatch
+	// ticks are derived deterministically from the curve, so a flash
 	// schedule is as reproducible as a constant one.
 	Curve string `json:"curve,omitempty"`
-	// PeakFactor is the peak-to-baseline rate ratio of a shaped curve
-	// (≥ 1; default 4 for flash, 2 for diurnal).
+	// PeakFactor is the flash window's peak-to-baseline rate ratio (≥ 1;
+	// default 4).
 	PeakFactor float64 `json:"peak_factor,omitempty"`
 	// PeakStartFrac/PeakDurFrac place the flash window as fractions of the
 	// duration (defaults 0.4 and 0.2).
 	PeakStartFrac float64 `json:"peak_start_frac,omitempty"`
 	PeakDurFrac   float64 `json:"peak_dur_frac,omitempty"`
-	// Cycles is the number of diurnal periods over the window (default 1).
-	Cycles int `json:"cycles,omitempty"`
 }
 
 // Mobility replay modes.
 const (
-	// MobilityReplay is the pre-dyngraph behavior: snapshots are built
-	// outside the timed loop and each epoch's op is one solve. It
-	// under-charges a rebuild-based pipeline (the CSR reconstruction is
-	// real per-epoch work) but is kept for trend continuity.
-	MobilityReplay = "replay"
 	// MobilityRebuild charges the full epoch processing a rebuild-based
 	// pipeline performs: each op builds the epoch's unit-disk CSR from the
 	// node positions and cold-solves it through the facade.
@@ -264,11 +249,11 @@ type MobilitySpec struct {
 	Speed  float64 `json:"speed"`
 	Epochs int     `json:"epochs"`
 	Seed   int64   `json:"seed,omitempty"`
-	// Mode selects what one epoch's measured op includes: replay (default;
-	// solve only, snapshots prebuilt), rebuild (CSR rebuild + cold solve)
-	// or churn (mutation-API delta apply + commit + incremental re-solve).
-	// The rebuild and churn modes measure the same end-to-end epoch
-	// processing, so their latencies are directly comparable.
+	// Mode selects what one epoch's measured op includes (required):
+	// rebuild (CSR rebuild + cold solve) or churn (mutation-API delta
+	// apply + commit + incremental re-solve). Both measure the same
+	// end-to-end epoch processing, so their latencies are directly
+	// comparable.
 	Mode string `json:"mode,omitempty"`
 }
 
@@ -427,7 +412,7 @@ func (sc *Scenario) Validate() error {
 		return fmt.Errorf("scenario: missing name")
 	}
 	switch sc.Driver {
-	case DriverInprocFast, DriverInprocSim:
+	case DriverInprocFast:
 	case DriverHTTPServe:
 		if sc.Mobility != nil {
 			return bad("mobility replay requires an inproc driver (the serve protocol has no epoch identity)")
@@ -436,9 +421,9 @@ func (sc *Scenario) Validate() error {
 			return bad("cross_check requires an inproc driver")
 		}
 	case "":
-		return bad("missing driver (want %s|%s|%s)", DriverInprocFast, DriverInprocSim, DriverHTTPServe)
+		return bad("missing driver (want %s|%s)", DriverInprocFast, DriverHTTPServe)
 	default:
-		return bad("unknown driver %q (want %s|%s|%s)", sc.Driver, DriverInprocFast, DriverInprocSim, DriverHTTPServe)
+		return bad("unknown driver %q (want %s|%s)", sc.Driver, DriverInprocFast, DriverHTTPServe)
 	}
 
 	if sc.Load != nil {
@@ -549,26 +534,24 @@ func (sc *Scenario) Validate() error {
 			return bad("warmup_ops %d consumes every one of the %d epochs", sc.WarmupOps, m.Epochs)
 		}
 		switch m.Mode {
-		case "", MobilityReplay:
 		case MobilityRebuild, MobilityChurn:
-			// The dynamic modes measure one unambiguous epoch op, so they
-			// take exactly one pipeline configuration, and the churn mode's
-			// incremental path exists only for the fastpath dominating-set
-			// pipelines.
-			if sc.Driver != DriverInprocFast {
-				return bad("mobility mode %q requires the %s driver", m.Mode, DriverInprocFast)
-			}
-			if len(sc.Matrix.combos()) != 1 {
-				return bad("mobility mode %q takes exactly one matrix combo", m.Mode)
-			}
-			if a := sc.Matrix.combos()[0].Algo; a != "kw" && a != "kw2" {
-				return bad("mobility mode %q supports algos kw|kw2 (got %q)", m.Mode, a)
-			}
-			if m.Mode == MobilityChurn && sc.WarmupOps < 1 {
-				return bad("mobility mode churn needs warmup_ops ≥ 1 (epoch 0 is the cold load, not a delta op)")
-			}
+		case "":
+			return bad("missing mobility mode (want %s|%s)", MobilityRebuild, MobilityChurn)
 		default:
-			return bad("unknown mobility mode %q (want %s|%s|%s)", m.Mode, MobilityReplay, MobilityRebuild, MobilityChurn)
+			return bad("unknown mobility mode %q (want %s|%s)", m.Mode, MobilityRebuild, MobilityChurn)
+		}
+		// Each epoch is one unambiguous op, so a mobility scenario takes
+		// exactly one pipeline configuration, and the churn mode's
+		// incremental path exists only for the fastpath dominating-set
+		// pipelines.
+		if len(sc.Matrix.combos()) != 1 {
+			return bad("mobility mode %q takes exactly one matrix combo", m.Mode)
+		}
+		if a := sc.Matrix.combos()[0].Algo; a != "kw" && a != "kw2" {
+			return bad("mobility mode %q supports algos kw|kw2 (got %q)", m.Mode, a)
+		}
+		if m.Mode == MobilityChurn && sc.WarmupOps < 1 {
+			return bad("mobility mode churn needs warmup_ops ≥ 1 (epoch 0 is the cold load, not a delta op)")
 		}
 	} else {
 		if sc.Closed != nil && sc.Open != nil {
@@ -594,37 +577,25 @@ func (sc *Scenario) Validate() error {
 			}
 			switch o.Curve {
 			case "", CurveConstant:
-				if o.PeakFactor != 0 || o.PeakStartFrac != 0 || o.PeakDurFrac != 0 || o.Cycles != 0 {
-					return bad("open loop curve knobs (peak_factor, peak_start_frac, peak_dur_frac, cycles) require a flash or diurnal curve")
+				if o.PeakFactor != 0 || o.PeakStartFrac != 0 || o.PeakDurFrac != 0 {
+					return bad("open loop curve knobs (peak_factor, peak_start_frac, peak_dur_frac) require a flash curve")
 				}
 			case CurveFlash:
-				if o.Cycles != 0 {
-					return bad("open loop cycles applies to the diurnal curve only")
-				}
 				if o.PeakStartFrac < 0 || o.PeakDurFrac < 0 || o.PeakStartFrac+o.PeakDurFrac > 1 ||
 					math.IsNaN(o.PeakStartFrac) || math.IsNaN(o.PeakDurFrac) {
 					return bad("flash curve needs peak_start_frac, peak_dur_frac ≥ 0 with their sum ≤ 1 (got %v + %v)",
 						o.PeakStartFrac, o.PeakDurFrac)
 				}
-			case CurveDiurnal:
-				if o.PeakStartFrac != 0 || o.PeakDurFrac != 0 {
-					return bad("open loop peak_start_frac/peak_dur_frac apply to the flash curve only")
-				}
-				if o.Cycles < 0 {
-					return bad("diurnal curve needs cycles ≥ 0 (got %d)", o.Cycles)
+				if o.PeakFactor != 0 && !(o.PeakFactor >= 1 && !math.IsInf(o.PeakFactor, 0)) {
+					return bad("flash curve needs a finite peak_factor ≥ 1 (got %v)", o.PeakFactor)
 				}
 			default:
-				return bad("unknown curve %q (want %s|%s|%s)", o.Curve, CurveConstant, CurveFlash, CurveDiurnal)
-			}
-			if o.Curve != "" && o.Curve != CurveConstant {
-				if o.PeakFactor != 0 && !(o.PeakFactor >= 1 && !math.IsInf(o.PeakFactor, 0)) {
-					return bad("shaped curves need a finite peak_factor ≥ 1 (got %v)", o.PeakFactor)
-				}
+				return bad("unknown curve %q (want %s|%s)", o.Curve, CurveConstant, CurveFlash)
 			}
 			// The runner materializes the whole dispatch schedule up
 			// front; bound it here so an over-ambitious spec is rejected
-			// at load instead of exhausting memory mid-run. Shaped curves
-			// dispatch more than rate × duration ops, so charge the
+			// at load instead of exhausting memory mid-run. A flash curve
+			// dispatches more than rate × duration ops, so charge the
 			// curve's mean rate factor.
 			if planned := o.Rate * o.DurationSec * o.meanRateFactor(); planned > MaxOpenOps {
 				return bad("open loop schedules %.0f ops (rate × duration × curve factor); the cap is %d", planned, MaxOpenOps)

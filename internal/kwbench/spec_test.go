@@ -126,13 +126,23 @@ func TestValidateBadSpecs(t *testing.T) {
 			s.Graphs = nil
 			s.Mobility = &MobilitySpec{N: 10, Radius: 0.3, Epochs: 2, Mode: "teleport"}
 		}, `unknown mobility mode "teleport"`},
+		{"mobility replay mode", func(s *Scenario) {
+			s.Closed = nil
+			s.Graphs = nil
+			s.Mobility = &MobilitySpec{N: 10, Radius: 0.3, Epochs: 2, Mode: "replay"}
+		}, `unknown mobility mode "replay"`},
+		{"mobility without mode", func(s *Scenario) {
+			s.Closed = nil
+			s.Graphs = nil
+			s.Mobility = &MobilitySpec{N: 10, Radius: 0.3, Epochs: 2}
+		}, "missing mobility mode"},
 		{"churn over sim driver", func(s *Scenario) {
-			s.Driver = DriverInprocSim
+			s.Driver = "inproc-sim"
 			s.Closed = nil
 			s.Graphs = nil
 			s.WarmupOps = 1
 			s.Mobility = &MobilitySpec{N: 10, Radius: 0.3, Epochs: 3, Mode: MobilityChurn}
-		}, "requires the inproc-fast driver"},
+		}, `unknown driver "inproc-sim"`},
 		{"churn multi-combo", func(s *Scenario) {
 			s.Closed = nil
 			s.Graphs = nil
@@ -161,23 +171,19 @@ func TestValidateBadSpecs(t *testing.T) {
 		{"curve knobs without curve", func(s *Scenario) {
 			s.Closed = nil
 			s.Open = &OpenLoop{Rate: 5, DurationSec: 1, PeakFactor: 3}
-		}, "require a flash or diurnal curve"},
+		}, "require a flash curve"},
 		{"unknown curve", func(s *Scenario) {
 			s.Closed = nil
 			s.Open = &OpenLoop{Rate: 5, DurationSec: 1, Curve: "sawtooth"}
 		}, `unknown curve "sawtooth"`},
-		{"flash with cycles", func(s *Scenario) {
-			s.Closed = nil
-			s.Open = &OpenLoop{Rate: 5, DurationSec: 1, Curve: CurveFlash, Cycles: 2}
-		}, "cycles applies to the diurnal curve only"},
 		{"flash window overflows", func(s *Scenario) {
 			s.Closed = nil
 			s.Open = &OpenLoop{Rate: 5, DurationSec: 1, Curve: CurveFlash, PeakStartFrac: 0.8, PeakDurFrac: 0.3}
 		}, "their sum ≤ 1"},
 		{"diurnal with flash window", func(s *Scenario) {
 			s.Closed = nil
-			s.Open = &OpenLoop{Rate: 5, DurationSec: 1, Curve: CurveDiurnal, PeakStartFrac: 0.2}
-		}, "apply to the flash curve only"},
+			s.Open = &OpenLoop{Rate: 5, DurationSec: 1, Curve: "diurnal", PeakStartFrac: 0.2}
+		}, `unknown curve "diurnal"`},
 		{"sub-unit peak factor", func(s *Scenario) {
 			s.Closed = nil
 			s.Open = &OpenLoop{Rate: 5, DurationSec: 1, Curve: CurveFlash, PeakFactor: 0.5}
@@ -387,8 +393,9 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	}
 	// shards swept the removed in-process sharded engine, batch_size and
 	// [mix] batch_solve drove the removed batch solve path, sched picked
-	// the removed work-stealing scheduler and reorder ran the removed
-	// degree-ordered relabeling; a stale spec that still carries one is
+	// the removed work-stealing scheduler, reorder ran the removed
+	// degree-ordered relabeling and [open] cycles counted the periods of
+	// the removed diurnal curve; a stale spec that still carries one is
 	// refused at load in either syntax, not ignored.
 	for _, tc := range []struct {
 		syntax, key, spec string
@@ -402,6 +409,8 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 		{"toml", "sched", "name = \"x\"\ndriver = \"inproc-fast\"\nsched = \"steal\"\n[[graphs]]\ntier = \"udg-500\"\n[closed]\nconcurrency = 1\nops = 1\n"},
 		{"toml", "reorder", "name = \"x\"\ndriver = \"inproc-fast\"\nreorder = true\n[[graphs]]\ntier = \"udg-500\"\n[closed]\nconcurrency = 1\nops = 1\n"},
 		{"json", "reorder", `{"name":"x","driver":"inproc-fast","reorder":true,"graphs":[{"tier":"udg-500"}],"closed":{"concurrency":1,"ops":1}}`},
+		{"toml", "cycles", "name = \"x\"\ndriver = \"inproc-fast\"\n[[graphs]]\ntier = \"udg-500\"\n[open]\nrate = 5\nduration_sec = 1\ncurve = \"flash\"\ncycles = 2\n"},
+		{"json", "cycles", `{"name":"x","driver":"inproc-fast","graphs":[{"tier":"udg-500"}],"open":{"rate":5,"duration_sec":1,"curve":"flash","cycles":2}}`},
 	} {
 		_, err := Decode([]byte(tc.spec), tc.syntax == "toml")
 		if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.key+`"`) {
@@ -411,7 +420,9 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 }
 
 // TestLoadScenarioCorpus parses every checked-in scenario file: the corpus
-// must never drift out of the schema.
+// must never drift out of the schema. Every row of the recorded trajectory
+// must name a scenario of the corpus, so deleting a spec without its row
+// (or recording a row from an uncommitted spec) fails here.
 func TestLoadScenarioCorpus(t *testing.T) {
 	dir := filepath.Join("..", "..", "scenarios")
 	entries, err := os.ReadDir(dir)
@@ -432,6 +443,19 @@ func TestLoadScenarioCorpus(t *testing.T) {
 			t.Errorf("%s: duplicate scenario name %q in the corpus", e.Name(), sc.Name)
 		}
 		names[sc.Name] = true
+	}
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_kwbench.json"))
+	if err != nil {
+		t.Fatalf("recorded trajectory missing: %v", err)
+	}
+	var rep Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("BENCH_kwbench.json: %v", err)
+	}
+	for _, row := range rep.Scenarios {
+		if !names[row.Name] {
+			t.Errorf("BENCH_kwbench.json row %q names no scenario in %s", row.Name, dir)
+		}
 	}
 }
 

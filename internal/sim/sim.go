@@ -145,7 +145,6 @@ func (nd *Node) Send(to int, p Payload) {
 		panic(fmt.Sprintf("sim: node %d sent a nil payload", nd.id))
 	}
 	nd.stage(int(lo)+i, p)
-	nd.w.delivered++
 	e.sentMsgs[nd.id]++
 	e.sentBits[nd.id] += int64(p.Bits())
 }
@@ -164,7 +163,6 @@ func (nd *Node) Broadcast(p Payload) {
 		nd.stage(pos, p)
 	}
 	deg := int64(hi - lo)
-	nd.w.delivered += deg
 	e.sentMsgs[nd.id] += deg
 	e.sentBits[nd.id] += deg * int64(p.Bits())
 }
@@ -207,35 +205,24 @@ type spillMsg struct {
 }
 
 // worker is the per-worker shard of the engine's mutable state. Each sweep
-// a worker steps a contiguous chunk of the live list; its counters are
-// merged by the coordinator at the round boundary, so the steady state has
-// no shared writes at all.
+// a worker steps a contiguous chunk of the live list; its spill list and
+// panic report are merged by the coordinator at the round boundary, so the
+// steady state has no shared writes at all.
 type worker struct {
-	delivered int64      // messages staged during the current sweep
-	spill     []spillMsg // same-edge overflow messages staged this sweep
-	curNode   int32      // node currently being stepped (for panic reports)
-	panicID   int32      // node whose step panicked this sweep (-1 = none)
-	panicVal  any
-	_         [64]byte // pad to keep hot counters off shared cache lines
+	spill    []spillMsg // same-edge overflow messages staged this sweep
+	curNode  int32      // node currently being stepped (for panic reports)
+	panicID  int32      // node whose step panicked this sweep (-1 = none)
+	panicVal any
+	_        [64]byte // pad to keep workers' hot fields off shared cache lines
 }
 
 // Stats aggregates a run's measured complexity.
 type Stats struct {
-	Rounds     int   // communication rounds executed
-	Messages   int64 // total (sender,receiver) deliveries
-	Bits       int64 // total payload bits as reported by Payload.Bits
-	MaxMsgs    int64 // maximum messages sent by any single node
-	MaxBits    int64 // maximum payload bits sent by any single node
-	PerRound   []int64
-	perRoundOn bool
-}
-
-// MsgsPerNode returns the mean number of messages sent per node.
-func (s *Stats) MsgsPerNode(n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return float64(s.Messages) / float64(n)
+	Rounds   int   // communication rounds executed
+	Messages int64 // total (sender,receiver) deliveries
+	Bits     int64 // total payload bits as reported by Payload.Bits
+	MaxMsgs  int64 // maximum messages sent by any single node
+	MaxBits  int64 // maximum payload bits sent by any single node
 }
 
 // Engine executes programs over a graph in lockstep rounds.
@@ -292,9 +279,6 @@ func WithSeed(seed int64) Option { return func(e *Engine) { e.seed = seed } }
 // (default 1<<20). This turns livelocked programs into test failures instead
 // of hangs.
 func WithMaxRounds(max int) Option { return func(e *Engine) { e.maxRounds = max } }
-
-// WithPerRoundStats records the per-round delivery counts in Stats.PerRound.
-func WithPerRoundStats() Option { return func(e *Engine) { e.stats.perRoundOn = true } }
 
 // WithWorkers fixes the scheduler's worker-pool size (default: GOMAXPROCS).
 // Results are identical for every worker count; the option exists for
@@ -465,13 +449,10 @@ func (e *Engine) runLoop(nw int) {
 		}
 		wg.Wait()
 
-		var delivered int64
 		panicID := int32(-1)
 		var pval any
 		for w := range e.workers {
 			wk := &e.workers[w]
-			delivered += wk.delivered
-			wk.delivered = 0
 			if wk.panicID >= 0 {
 				if panicID < 0 || wk.panicID < panicID {
 					panicID, pval = wk.panicID, wk.panicVal
@@ -504,9 +485,6 @@ func (e *Engine) runLoop(nw int) {
 			e.runErr = fmt.Errorf("sim: exceeded %d rounds", e.maxRounds)
 			e.abort()
 			return
-		}
-		if e.stats.perRoundOn {
-			e.stats.PerRound = append(e.stats.PerRound, delivered)
 		}
 		e.cur, e.next = e.next, e.cur
 		e.stampCur, e.stampNext = e.stampNext, e.stampCur

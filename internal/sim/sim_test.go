@@ -243,24 +243,6 @@ func TestIsolatedVertices(t *testing.T) {
 	}
 }
 
-func TestPerRoundStats(t *testing.T) {
-	g := path4(t)
-	st, err := New(g, WithPerRoundStats()).Run(func(nd *Node) {
-		nd.Broadcast(Flag{})
-		nd.Exchange() // round 1: 6 deliveries
-		if nd.ID() == 0 {
-			nd.Send(1, Flag{})
-		}
-		nd.Exchange() // round 2: 1 delivery
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.PerRound) != 2 || st.PerRound[0] != 6 || st.PerRound[1] != 1 {
-		t.Errorf("PerRound = %v, want [6 1]", st.PerRound)
-	}
-}
-
 func TestPayloadBits(t *testing.T) {
 	tests := []struct {
 		p    Payload

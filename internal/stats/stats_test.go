@@ -148,15 +148,9 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestMeanGeoMean(t *testing.T) {
+func TestMean(t *testing.T) {
 	if got := Mean([]float64{2, 4, 6}); !almostEqual(got, 4, 1e-12) {
 		t.Errorf("Mean = %v, want 4", got)
-	}
-	if got := GeoMean([]float64{1, 4, 16}); !almostEqual(got, 4, 1e-12) {
-		t.Errorf("GeoMean = %v, want 4", got)
-	}
-	if !math.IsNaN(GeoMean([]float64{1, -1})) {
-		t.Error("GeoMean with non-positive input should be NaN")
 	}
 	if !math.IsNaN(Mean(nil)) {
 		t.Error("Mean of empty sample should be NaN")
@@ -211,14 +205,5 @@ func TestSummaryString(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3})
 	if str := s.String(); !strings.Contains(str, "2") {
 		t.Errorf("Summary.String() = %q looks wrong", str)
-	}
-}
-
-func TestMaxFloat(t *testing.T) {
-	if got := MaxFloat([]float64{1, 9, 3}); got != 9 {
-		t.Errorf("MaxFloat = %v, want 9", got)
-	}
-	if got := MaxFloat(nil); !math.IsInf(got, -1) {
-		t.Errorf("MaxFloat(nil) = %v, want -Inf", got)
 	}
 }

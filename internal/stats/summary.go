@@ -94,31 +94,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of xs. All values must be positive;
-// non-positive values yield NaN.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
-// MaxFloat returns the maximum of xs (negative infinity for empty input).
-func MaxFloat(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		m = math.Max(m, x)
-	}
-	return m
-}
-
 // Histogram bins xs into `bins` equal-width buckets over [min, max] and
 // returns the bucket counts together with the bucket boundaries
 // (len(bounds) == bins+1). A degenerate range produces a single full bucket.
