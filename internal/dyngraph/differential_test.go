@@ -11,6 +11,7 @@ import (
 	"kwmds/internal/fastpath"
 	"kwmds/internal/gen"
 	"kwmds/internal/graph"
+	"kwmds/internal/graphio"
 	"kwmds/internal/rounding"
 	"kwmds/internal/stats"
 	"kwmds/internal/testsupport"
@@ -22,8 +23,10 @@ import (
 // previous epoch's and replay its LP stage) and through a test-only oracle
 // that rebuilds a fresh graph.New from its own edge ledger and cold-solves
 // it — and the outputs must agree bit for bit: the committed CSR against
-// the from-scratch CSR, and the fractional vector, dominating set and join
-// counters of the persistent solvers against the cold solve. graph.New
+// the from-scratch CSR, the incremental topology digest (a digest tree kept
+// across the epochs) against a fresh digest of the rebuild, and the
+// fractional vector, dominating set and join counters of the persistent
+// solvers against the cold solve. graph.New
 // sets no lineage, so the oracle always runs the full LP stage. The table
 // spans the four workload families of the fastpath determinism tests ×
 // three algorithms × both rounding variants × seeds, with the persistent
@@ -252,6 +255,7 @@ func TestDifferentialChurn(t *testing.T) {
 						t.Parallel()
 						d := dyngraph.New(w.g)
 						o := newOracle(w.g)
+						tree := graphio.NewDigestTree(w.g)
 						rng := stats.NewRand(seed*1000 + int64(len(w.name)))
 						solvers := make([]*fastpath.Solver, len(churnWorkerCounts))
 						for i := range solvers {
@@ -266,6 +270,13 @@ func TestDifferentialChurn(t *testing.T) {
 							fresh := o.build(t)
 							ctx := fmt.Sprintf("%s epoch %d", name, epoch)
 							assertSameCSR(t, ctx, delta.Next, fresh)
+							root := tree.Root()
+							if delta.Next != delta.Prev {
+								root = tree.Update(delta.Next, delta.Touched)
+							}
+							if want := graphio.DigestRaw(fresh); root != want {
+								t.Fatalf("%s: incremental digest %x, rebuild's %x", ctx, root, want)
+							}
 
 							opt := fastpath.Options{K: 2, Algorithm: a.alg, Seed: seed, Variant: variant}
 							if a.alg == fastpath.AlgWeighted {

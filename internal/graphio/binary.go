@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"io"
 	"math"
 	"os"
@@ -18,11 +17,11 @@ import (
 //
 //	offset  size  field
 //	     0     6  magic "kwcsr\x00"
-//	     6     2  version (uint16, currently 1)
+//	     6     2  version (uint16, currently 2)
 //	     8     8  n (uint64, vertex count)
 //	    16     8  e (uint64, adjacency entries = 2·edges)
 //	    24     8  flags (uint64, bit 0 = weights present)
-//	    32    32  raw SHA-256 of (n, off, adj) — the same bytes Digest hashes
+//	    32    32  raw topology digest: the root DigestRaw returns
 //	    64  (n+1)·4  off, int32 LE
 //	     …   e·4  adj, int32 LE
 //	     …   0–4  zero padding to the next 8-byte boundary
@@ -30,18 +29,21 @@ import (
 //
 // The embedded digest binds the topology: ReadBinaryCSR recomputes it and
 // rejects mismatches, so bit rot and truncation cannot produce a silently
-// wrong graph. It deliberately hashes exactly what Digest hashes — a .kwcsr
-// file carries the digest topology-addressed caches key on, for free. The
-// weight section sits outside it (weights are not topology); padding must
-// be zero so no undigested topology byte is free to flip. Structural validation (monotonic offsets, strictly
-// increasing adjacency rows, no self-loops) is enforced on read; symmetry
-// is the writer's contract — WriteBinaryCSR only ever serializes *graph.Graph
-// values, which are symmetric by construction, and the digest covers the
-// arrays as written.
+// wrong graph. It is the SHA-256 tree root over 64-vertex leaves that
+// Digest returns (see digest.go) — a .kwcsr file carries the digest
+// topology-addressed caches key on, for free. Version 1 containers embed a
+// flat SHA-256 of (n, off, adj) instead and are refused at the version
+// check. The weight section sits outside the digest
+// (weights are not topology); padding must be zero so no undigested
+// topology byte is free to flip. Structural validation (monotonic offsets,
+// strictly increasing adjacency rows, no self-loops) is enforced on read;
+// symmetry is the writer's contract — WriteBinaryCSR only ever serializes
+// *graph.Graph values, which are symmetric by construction, and the digest
+// covers the arrays as written.
 
 const (
 	kwcsrMagic      = "kwcsr\x00"
-	kwcsrVersion    = 1
+	kwcsrVersion    = 2
 	kwcsrHeaderSize = 64
 	kwcsrHasWeights = 1 << 0
 )
@@ -105,7 +107,7 @@ func WriteBinaryCSR(w io.Writer, g *graph.Graph, weights []float64) error {
 }
 
 // writeInt32LE streams xs little-endian through a chunk buffer (one Write
-// per 64 KiB, mirroring writeInt32s on the digest side).
+// per 64 KiB).
 func writeInt32LE(w io.Writer, xs []int32) error {
 	buf := make([]byte, 0, 64<<10)
 	for _, x := range xs {
@@ -192,12 +194,6 @@ func readBinaryCSR(r io.Reader, verify bool) (*graph.Graph, []float64, error) {
 	// which on large containers removes a full memory pass and the
 	// container-sized allocation.
 	cr := chunkReader{r: r, buf: make([]byte, 128<<10)}
-	var digest hash.Hash
-	if verify {
-		digest = sha256.New()
-		digest.Write(hdr[8:16])
-		cr.h = digest
-	}
 	off := make([]int32, n+1)
 	if err := cr.int32s(off); err != nil {
 		return truncated(err)
@@ -223,6 +219,14 @@ func readBinaryCSR(r io.Reader, verify bool) (*graph.Graph, []float64, error) {
 	// aborting the stream, so a truncated container still reports
 	// truncation first, exactly as a buffer-everything reader would.
 	adj := make([]int32, e)
+	// The digest's leaves hash each block's degrees and then its adjacency
+	// span. The offsets are decoded and validated by now, so every leaf is
+	// finished as its span streams through the chunk below.
+	var leaves *leafWriter
+	if verify {
+		leaves = newDigestTree(n).streamLeaves(off)
+		cr.h = leaves
+	}
 	var badContent error
 	v, prev := 0, int32(-1)
 	// rowFail reproduces the element-order, condition-order diagnostics of a
@@ -320,12 +324,9 @@ func readBinaryCSR(r io.Reader, verify bool) (*graph.Graph, []float64, error) {
 		return nil, nil, fmt.Errorf("graphio: kwcsr container is longer than the %d bytes its header declares", want)
 	}
 	if verify {
-		// The digested byte stream (n LE, off LE, adj LE) is exactly the
-		// container's n field plus its array payload, hashed chunk by chunk
+		// The leaves hashed the container's adjacency bytes chunk by chunk
 		// above — no re-encoding of the decoded arrays.
-		var sum [sha256.Size]byte
-		digest.Sum(sum[:0])
-		if [sha256.Size]byte(hdr[32:64]) != sum {
+		if [sha256.Size]byte(hdr[32:64]) != leaves.root() {
 			return nil, nil, fmt.Errorf("graphio: kwcsr digest mismatch: container corrupt or hand-edited")
 		}
 	}
@@ -339,7 +340,7 @@ func readBinaryCSR(r io.Reader, verify bool) (*graph.Graph, []float64, error) {
 type chunkReader struct {
 	r   io.Reader
 	buf []byte // length a multiple of 8
-	h   hash.Hash
+	h   io.Writer
 }
 
 func (c *chunkReader) chunked(total int, decode func(chunk []byte, base int)) error {

@@ -113,6 +113,8 @@ func TestBinaryCSRRejection(t *testing.T) {
 		{"truncated header", base[:17], "truncated"},
 		{"bad magic", mut(func(b []byte) { b[0] = 'X' }), "bad magic"},
 		{"wrong version", mut(func(b []byte) { binary.LittleEndian.PutUint16(b[6:8], 9) }), "version 9"},
+		// Version 1 embedded a flat CSR hash, not the digest-tree root.
+		{"version 1", mut(func(b []byte) { binary.LittleEndian.PutUint16(b[6:8], 1) }), "version 1"},
 		{"unknown flags", mut(func(b []byte) { b[24] = 0xFF }), "unknown flags"},
 		{"overflowing n", mut(func(b []byte) { binary.LittleEndian.PutUint64(b[8:16], 1<<40) }), "exceed limit"},
 		{"overflowing e", mut(func(b []byte) { binary.LittleEndian.PutUint64(b[16:24], 1<<62) }), "exceed limit"},
@@ -204,6 +206,14 @@ func TestBinaryCSRTrusted(t *testing.T) {
 	structural = structural[:len(structural)-5] // truncate: structural checks still run
 	if _, _, err := ReadBinaryCSRTrusted(bytes.NewReader(structural)); err == nil {
 		t.Error("trusted read accepted a truncated container")
+	}
+
+	// A version 1 container's digest is not a tree root; skipping the
+	// digest must not let it through.
+	v1 := append([]byte(nil), base...)
+	binary.LittleEndian.PutUint16(v1[6:8], 1)
+	if _, _, err := ReadBinaryCSRTrusted(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("trusted read of a version 1 container: err = %v, want a version error", err)
 	}
 
 	tampered := append([]byte(nil), base...)

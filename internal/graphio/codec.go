@@ -59,8 +59,8 @@ type SolveRequest struct {
 
 // SolveResponse is the JSON body of a successful solve call.
 type SolveResponse struct {
-	// Digest identifies the topology that was solved (hex SHA-256 of the
-	// canonical CSR form); requests carrying an identical topology hit the
+	// Digest identifies the topology that was solved (the hex topology
+	// digest, see Digest); requests carrying an identical topology hit the
 	// same cache entry.
 	Digest string `json:"digest"`
 	Algo   string `json:"algo"`

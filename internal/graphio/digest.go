@@ -4,59 +4,246 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
+	"unsafe"
 
 	"kwmds/internal/graph"
 )
 
-// Digest returns a hex SHA-256 over the graph's canonical CSR form (vertex
-// count, offsets, sorted adjacency). Two graphs share a digest iff they are
-// identical, regardless of the edge order or orientation they were built
-// from, so the digest is a stable cache key for topology-addressed caches.
+// The topology digest is the root of a two-level SHA-256 tree over fixed
+// blocks of leafVertices consecutive vertices. For block b, with
+// hi = min(64b+64, n):
+//
+//	leaf_b = SHA-256(0x00 ‖ LE32 deg(v) for v ∈ [64b, hi) ‖ LE32 adj[off[64b] : off[hi]])
+//	root   = SHA-256(0x01 ‖ LE64 n ‖ leaf_0 ‖ … ‖ leaf_last)
+//
+// A leaf hashes degrees and neighbour lists, never absolute offsets, so an
+// edge toggle changes exactly its two endpoints' leaves and a vertex
+// addition changes only the last leaf and any new one: the blocks holding
+// a dyngraph commit's Touched vertices. The 0x00/0x01 prefixes separate
+// the two levels, and n fixes the block count and every block's vertex
+// span, so the encoding is unambiguous and the root is as
+// collision-resistant as a flat SHA-256 over the CSR.
+
+// leafVertices is the block size: one bitset word of vertices.
+const leafVertices = 64
+
+// rootPrefix is the byte length of 0x01 ‖ LE64 n ahead of the leaves.
+const rootPrefix = 9
+
+// Digest returns the hex topology digest of g. Two graphs share a digest
+// iff they are identical, regardless of the edge order or orientation they
+// were built from, so the digest is a stable cache key for
+// topology-addressed caches.
 func Digest(g *graph.Graph) string {
-	off, adj := g.CSR()
-	sum := csrDigest(g.N(), off, adj)
+	sum := DigestRaw(g)
 	return hex.EncodeToString(sum[:])
 }
 
-// DigestRaw returns the raw (unencoded) SHA-256 CSR digest — the form the
+// DigestRaw returns the raw (unencoded) topology digest — the form the
 // kwcsr container embeds and the WAL stores in its per-epoch pre/post
 // fields, where 32 fixed bytes beat a 64-byte hex string. Digest is its hex
 // encoding.
 func DigestRaw(g *graph.Graph) [sha256.Size]byte {
-	off, adj := g.CSR()
-	return csrDigest(g.N(), off, adj)
+	return NewDigestTree(g).Root()
 }
 
-// csrDigest is the digest computation over raw CSR arrays, shared by Digest
-// (hex form) and the binary container (raw form embedded in the header, so
-// a .kwcsr file carries exactly the digest the server would compute for its
-// graph — no re-hash needed to address caches by topology).
+// csrDigest is the root over raw CSR arrays. It is total: offsets that
+// break the CSR contract yield some digest, never a panic (see leaf), so a
+// reader can hash before or after it validates.
 func csrDigest(n int, off, adj []int32) [sha256.Size]byte {
-	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(n))
-	h.Write(buf[:])
-	writeInt32s(h, off)
-	writeInt32s(h, adj)
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return sum
+	return buildDigestTree(n, off, adj).root
 }
 
-// writeInt32s hashes xs through a chunk buffer — one Write per 64 KiB, not
-// per entry, which matters on the serve path where digesting an inline
-// graph holds a worker-pool slot.
-func writeInt32s(h interface{ Write([]byte) (int, error) }, xs []int32) {
-	const chunk = 64 << 10
-	buf := make([]byte, 0, chunk)
-	for _, x := range xs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
-		if len(buf) == chunk {
-			h.Write(buf)
-			buf = buf[:0]
+// DigestTree keeps the leaves of one live graph's topology digest, so a
+// commit re-hashes only the blocks it touched plus the root. It is not safe
+// for concurrent use.
+type DigestTree struct {
+	n    int
+	buf  []byte // the root's preimage 0x01 ‖ LE64 n ‖ leaves, leaves in place
+	root [sha256.Size]byte
+	h    hash.Hash
+	// scratch holds a leaf's 0x00 ‖ degree prefix, and on big-endian hosts
+	// the encoded adjacency, one block's worth at a time.
+	scratch [1 + 4*leafVertices]byte
+}
+
+// NewDigestTree hashes every leaf of g and its root.
+func NewDigestTree(g *graph.Graph) *DigestTree {
+	off, adj := g.CSR()
+	return buildDigestTree(g.N(), off, adj)
+}
+
+func buildDigestTree(n int, off, adj []int32) *DigestTree {
+	t := newDigestTree(n)
+	for b := 0; b < t.blocks(); b++ {
+		t.leaf(b, off, adj)
+	}
+	t.seal()
+	return t
+}
+
+func newDigestTree(n int) *DigestTree {
+	t := &DigestTree{h: sha256.New()}
+	t.buf = append(t.buf, 0x01)
+	t.resize(n)
+	return t
+}
+
+// Root returns the digest of the tree's current graph.
+func (t *DigestTree) Root() [sha256.Size]byte { return t.root }
+
+// Update moves the tree from its current graph to next and returns the new
+// root. touched must name every vertex whose neighbour list differs between
+// the two (dyngraph.Delta.Touched); the blocks whose vertex span changed
+// with n are re-hashed whatever touched says. Only those leaves and the
+// root are re-hashed.
+func (t *DigestTree) Update(next *graph.Graph, touched []int32) [sha256.Size]byte {
+	off, adj := next.CSR()
+	from := t.blocks()
+	if n := next.N(); n != t.n {
+		from = min(n, t.n) / leafVertices
+		t.resize(n)
+	}
+	last := -1
+	for _, v := range touched {
+		if b := int(v) / leafVertices; b != last && b < from {
+			t.leaf(b, off, adj)
+			last = b
 		}
 	}
-	if len(buf) > 0 {
-		h.Write(buf)
+	for b := from; b < t.blocks(); b++ {
+		t.leaf(b, off, adj)
 	}
+	t.seal()
+	return t.root
+}
+
+func (t *DigestTree) blocks() int { return (t.n + leafVertices - 1) / leafVertices }
+
+// resize sets the vertex count, growing or truncating the leaf area.
+func (t *DigestTree) resize(n int) {
+	t.n = n
+	size := rootPrefix + sha256.Size*t.blocks()
+	if cap(t.buf) < size {
+		t.buf = append(t.buf[:cap(t.buf)], make([]byte, size-cap(t.buf))...)
+	}
+	t.buf = t.buf[:size]
+	binary.LittleEndian.PutUint64(t.buf[1:rootPrefix], uint64(n))
+}
+
+func (t *DigestTree) seal() { t.root = sha256.Sum256(t.buf) }
+
+// span returns block b's vertex range [lo, hi).
+func (t *DigestTree) span(b int) (lo, hi int) {
+	lo = b * leafVertices
+	return lo, min(lo+leafVertices, t.n)
+}
+
+// leaf re-hashes block b from the CSR arrays. Its adjacency span is clamped
+// to [0, len(adj)] and an inverted span counts as empty, which keeps the
+// digest total on malformed offsets; on a valid CSR the clamp is a no-op.
+func (t *DigestTree) leaf(b int, off, adj []int32) {
+	lo, hi := t.span(b)
+	s, e := clampSpan(off[lo], len(adj)), clampSpan(off[hi], len(adj))
+	if e < s {
+		e = s
+	}
+	t.beginLeaf(lo, hi, off)
+	t.hashInt32s(adj[s:e])
+	t.endLeaf(b)
+}
+
+func clampSpan(x int32, limit int) int {
+	return min(max(int(x), 0), limit)
+}
+
+// beginLeaf starts a leaf hash over vertices [lo, hi): the 0x00 prefix and
+// their degrees.
+func (t *DigestTree) beginLeaf(lo, hi int, off []int32) {
+	p := append(t.scratch[:0], 0x00)
+	for v := lo; v < hi; v++ {
+		p = binary.LittleEndian.AppendUint32(p, uint32(off[v+1]-off[v]))
+	}
+	t.h.Reset()
+	t.h.Write(p)
+}
+
+// endLeaf stores the finished leaf hash as leaf b.
+func (t *DigestTree) endLeaf(b int) {
+	at := rootPrefix + sha256.Size*b
+	t.h.Sum(t.buf[at:at])
+}
+
+// hashInt32s hashes xs little-endian: in place on little-endian hosts,
+// through the scratch buffer elsewhere.
+func (t *DigestTree) hashInt32s(xs []int32) {
+	if len(xs) == 0 {
+		return
+	}
+	if hostLittleEndian {
+		t.h.Write(unsafe.Slice((*byte)(unsafe.Pointer(&xs[0])), 4*len(xs)))
+		return
+	}
+	for len(xs) > 0 {
+		k := min(len(xs), leafVertices)
+		p := t.scratch[:0]
+		for _, x := range xs[:k] {
+			p = binary.LittleEndian.AppendUint32(p, uint32(x))
+		}
+		t.h.Write(p)
+		xs = xs[k:]
+	}
+}
+
+// leafWriter finishes a tree's leaves in block order as a kwcsr
+// container's adjacency bytes stream past, so the verifying reader hashes
+// each chunk while it is hot instead of re-reading the decoded arrays. The
+// offsets must already be validated: block spans then tile the stream.
+type leafWriter struct {
+	t    *DigestTree
+	off  []int32
+	b    int // the open block
+	left int // bytes of the open block's span still to come
+}
+
+func (t *DigestTree) streamLeaves(off []int32) *leafWriter {
+	w := &leafWriter{t: t, off: off, b: -1}
+	w.advance()
+	return w
+}
+
+// advance closes the open leaf once its span has passed and opens the next
+// ones, closing empty ones on the way, until a leaf awaits bytes or every
+// leaf is done.
+func (w *leafWriter) advance() {
+	for w.left == 0 && w.b < w.t.blocks() {
+		if w.b >= 0 {
+			w.t.endLeaf(w.b)
+		}
+		w.b++
+		if w.b < w.t.blocks() {
+			lo, hi := w.t.span(w.b)
+			w.t.beginLeaf(lo, hi, w.off)
+			w.left = 4 * int(w.off[hi]-w.off[lo])
+		}
+	}
+}
+
+func (w *leafWriter) Write(p []byte) (int, error) {
+	n := len(p)
+	for len(p) > 0 && w.b < w.t.blocks() {
+		k := min(len(p), w.left)
+		w.t.h.Write(p[:k])
+		w.left -= k
+		p = p[k:]
+		w.advance()
+	}
+	return n, nil
+}
+
+// root seals the tree once the whole adjacency has streamed past.
+func (w *leafWriter) root() [sha256.Size]byte {
+	w.t.seal()
+	return w.t.root
 }

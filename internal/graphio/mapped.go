@@ -19,7 +19,7 @@ import (
 // allocation proportional to the graph, no decode pass, no copy — opening a
 // multi-million-vertex container costs one page-table setup plus the O(n)
 // validation of the offset array. The two O(payload) passes are deferred
-// off the open path: the embedded SHA-256 is not recomputed (VerifyDigest
+// off the open path: the embedded digest is not recomputed (VerifyDigest
 // does it on demand) and the adjacency rows are not content-checked
 // (VerifyStructure does, once, memoized). Both are pure memory-bandwidth
 // scans that would dominate the open — deferring them is what makes a
@@ -101,11 +101,11 @@ func (m *MappedGraph) Weights() []float64 { return m.weights }
 // recomputing anything. Trust it only after VerifyDigest.
 func (m *MappedGraph) Digest() string { return hex.EncodeToString(m.digest[:]) }
 
-// VerifyDigest recomputes the SHA-256 over the mapped (n, off, adj) and
-// compares it to the container's embedded digest — the integrity check
-// OpenMapped defers off the open path. It reads the whole mapping once;
-// call it after open (or from a background goroutine holding a Retain)
-// when the container crosses a trust boundary.
+// VerifyDigest recomputes the digest tree's root over the mapped arrays
+// (hashed in place) and compares it to the container's embedded digest —
+// the integrity check OpenMapped defers off the open path. It reads the
+// whole mapping once; call it after open (or from a background goroutine
+// holding a Retain) when the container crosses a trust boundary.
 func (m *MappedGraph) VerifyDigest() error {
 	off, adj := m.g.CSR()
 	if csrDigest(m.g.N(), off, adj) != m.digest {
@@ -198,7 +198,8 @@ func (m *MappedGraph) Close() error {
 }
 
 // hostLittleEndian reports whether int32/float64 slices may alias the
-// container's little-endian payload directly.
+// container's little-endian payload directly, and the digest hash int32
+// arrays in place.
 var hostLittleEndian = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1

@@ -93,6 +93,7 @@ func TestMappedRejection(t *testing.T) {
 		{"truncated header", base[:17], "truncated"},
 		{"bad magic", mut(func(b []byte) { b[0] = 'X' }), "bad magic"},
 		{"wrong version", mut(func(b []byte) { binary.LittleEndian.PutUint16(b[6:8], 9) }), "version 9"},
+		{"version 1", mut(func(b []byte) { binary.LittleEndian.PutUint16(b[6:8], 1) }), "version 1"},
 		{"unknown flags", mut(func(b []byte) { b[24] = 0xFF }), "unknown flags"},
 		{"overflowing n", mut(func(b []byte) { binary.LittleEndian.PutUint64(b[8:16], 1<<40) }), "exceed limit"},
 		{"overflowing e", mut(func(b []byte) { binary.LittleEndian.PutUint64(b[16:24], 1<<62) }), "exceed limit"},

@@ -4,9 +4,14 @@
 // configuration matrix, a driver and a load shape; the runner executes the
 // scenario through warmup and measure phases and exports latency
 // percentiles, throughput and allocation counts into the unified
-// BENCH_kwbench.json. It is the repository's one scenario harness, and its
-// knobs compose: every driver accepts every loop mode, graph selection and
-// matrix.
+// BENCH_kwbench.json. It is the repository's one scenario harness.
+// Scenario.Validate fixes how its knobs compose. A closed- or open-loop
+// scenario runs on either driver (inproc-fast or http-serve) over any
+// graph set, selection and matrix; cross_check needs inproc-fast, and a
+// mix with mutate weight needs a spawned http-serve. Mobility, load and
+// recovery scenarios take no loop spec and build their own graphs, and
+// run only on inproc-fast; mobility and recovery take exactly one matrix
+// combo, with algo kw or kw2.
 //
 // See docs/BENCHMARKS.md for the methodology and the scenario file format.
 package kwbench

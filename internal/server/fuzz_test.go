@@ -87,7 +87,8 @@ func FuzzSolveRequest(f *testing.F) {
 // FuzzMutateRequest drives arbitrary bodies through POST
 // /v1/graphs/ring/mutate on a fresh 6-cycle server per input. A refused
 // batch must leave the graph's (epoch, digest) exactly as it was, and an
-// accepted one must advance the epoch by exactly one. The seed corpus
+// accepted one must advance the epoch by exactly one and report the digest
+// of its new graph recomputed from scratch. The seed corpus
 // under testdata/fuzz/FuzzMutateRequest holds the bodies of
 // TestMutateLifecycle and TestMutateMalformedBodies.
 func FuzzMutateRequest(f *testing.F) {
@@ -106,9 +107,12 @@ func FuzzMutateRequest(f *testing.F) {
 			if epoch1 != epoch0+1 {
 				t.Fatalf("accepted batch moved the epoch %d → %d", epoch0, epoch1)
 			}
+			// The handler moved the digest incrementally; recompute it
+			// from scratch rather than trust the field it wrote.
+			fresh := graphio.Digest(p.dyn.Graph())
 			var mr graphio.MutateResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &mr); err != nil || mr.Epoch != epoch1 || mr.Digest != digest1 {
-				t.Fatalf("200 body %s does not report epoch %d, digest %s (err %v)", rec.Body.Bytes(), epoch1, digest1, err)
+			if err := json.Unmarshal(rec.Body.Bytes(), &mr); err != nil || mr.Epoch != epoch1 || mr.Digest != fresh || digest1 != fresh {
+				t.Fatalf("200 body %s does not report epoch %d, digest %s (err %v)", rec.Body.Bytes(), epoch1, fresh, err)
 			}
 		case http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge:
 			if epoch1 != epoch0 || digest1 != digest0 {

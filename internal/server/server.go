@@ -106,9 +106,10 @@ type preloaded struct {
 	mu     sync.RWMutex
 	dyn    *dyngraph.Dynamic
 	digest string
-	// rawDigest is digest's raw form — what WAL records embed; kept in
-	// lockstep with digest so mutate never re-hashes for the log.
-	rawDigest [32]byte
+	// tree is the digest tree of dyn's graph; its root is digest's raw form,
+	// what WAL records embed. A mutate re-hashes only the blocks its commit
+	// touched.
+	tree *graphio.DigestTree
 	// log, when non-nil, is the graph's write-ahead log: every committed
 	// epoch appends one record, and mutate answers 200 only after the
 	// record is durable (unless the request opts out with sync=false).
@@ -117,6 +118,12 @@ type preloaded struct {
 	// graph. Solves retain it for their duration; DELETE and Close drop
 	// the owner reference, unmapping once the last solve releases.
 	mapped *graphio.MappedGraph
+}
+
+func newPreloaded(dyn *dyngraph.Dynamic) *preloaded {
+	tree := graphio.NewDigestTree(dyn.Graph())
+	root := tree.Root()
+	return &preloaded{dyn: dyn, digest: hex.EncodeToString(root[:]), tree: tree}
 }
 
 // snapshot returns a consistent (graph, digest, epoch, costs) view.
@@ -152,16 +159,13 @@ func New(cfg Config) *Server {
 		solveHist: make(map[string]*solveStats),
 	}
 	for name, g := range cfg.Graphs {
-		raw := graphio.DigestRaw(g)
-		s.graphs[name] = &preloaded{dyn: dyngraph.New(g), digest: hex.EncodeToString(raw[:]), rawDigest: raw}
+		s.graphs[name] = newPreloaded(dyngraph.New(g))
 		s.names = append(s.names, name)
 	}
 	for name, p := range cfg.Preloads {
-		raw := graphio.DigestRaw(p.Dyn.Graph())
-		s.graphs[name] = &preloaded{
-			dyn: p.Dyn, digest: hex.EncodeToString(raw[:]), rawDigest: raw,
-			log: p.Log, mapped: p.Mapped,
-		}
+		pl := newPreloaded(p.Dyn)
+		pl.log, pl.mapped = p.Log, p.Mapped
+		s.graphs[name] = pl
 		s.names = append(s.names, name)
 	}
 	sort.Strings(s.names)
@@ -522,7 +526,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// Commit succeeds (a refused batch must leave no trace in the log).
 	var rec *wal.Record
 	if p.log != nil {
-		rec = &wal.Record{Pre: p.rawDigest}
+		rec = &wal.Record{Pre: p.tree.Root()}
 		var grew int
 		rec.Adds, rec.Rems, rec.Weights, grew = p.dyn.NormalizedPending()
 		rec.Grew = grew
@@ -536,16 +540,17 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Weight-only batches leave the topology (and so the digest) alone:
 	// no re-hash, and the cache keeps its entries — they are keyed on
-	// (digest, weights-hash) and remain exactly right.
+	// (digest, weights-hash) and remain exactly right. Otherwise only the
+	// digest tree's blocks holding touched vertices are re-hashed.
 	if delta.Next != delta.Prev {
 		oldDigest := p.digest
-		p.rawDigest = graphio.DigestRaw(delta.Next)
-		p.digest = hex.EncodeToString(p.rawDigest[:])
+		root := p.tree.Update(delta.Next, delta.Touched)
+		p.digest = hex.EncodeToString(root[:])
 		s.cache.invalidateDigest(oldDigest)
 	}
 	if rec != nil {
 		rec.Epoch = delta.Epoch
-		rec.Post = p.rawDigest
+		rec.Post = p.tree.Root()
 		if aerr := p.log.Append(rec, false); aerr != nil {
 			// The engine advanced but the log did not: this epoch (and any
 			// after it) cannot survive a restart. The log is now poisoned

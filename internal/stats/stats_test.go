@@ -157,25 +157,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	counts, bounds := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if len(counts) != 5 || len(bounds) != 6 {
-		t.Fatalf("unexpected shapes: %d counts, %d bounds", len(counts), len(bounds))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Fatalf("histogram lost values: total %d", total)
-	}
-	// Degenerate range.
-	counts, _ = Histogram([]float64{3, 3, 3}, 4)
-	if counts[0] != 3 {
-		t.Fatalf("degenerate histogram = %v", counts)
-	}
-}
-
 func TestTableMarkdownAndPlain(t *testing.T) {
 	tb := NewTable("demo", "a", "b")
 	tb.AddRow(1, 2.5)

@@ -93,32 +93,3 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Histogram bins xs into `bins` equal-width buckets over [min, max] and
-// returns the bucket counts together with the bucket boundaries
-// (len(bounds) == bins+1). A degenerate range produces a single full bucket.
-func Histogram(xs []float64, bins int) (counts []int, bounds []float64) {
-	if bins <= 0 || len(xs) == 0 {
-		return nil, nil
-	}
-	s := Summarize(xs)
-	counts = make([]int, bins)
-	bounds = make([]float64, bins+1)
-	width := (s.Max - s.Min) / float64(bins)
-	for i := range bounds {
-		bounds[i] = s.Min + float64(i)*width
-	}
-	bounds[bins] = s.Max
-	if width == 0 {
-		counts[0] = len(xs)
-		return counts, bounds
-	}
-	for _, x := range xs {
-		b := int((x - s.Min) / width)
-		if b >= bins {
-			b = bins - 1
-		}
-		counts[b]++
-	}
-	return counts, bounds
-}

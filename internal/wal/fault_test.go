@@ -48,6 +48,21 @@ func fixHeaderCRC(t *testing.T, path string) {
 	}
 }
 
+// setLogVersion rewrites the log header's version field, CRC fixed up, so
+// only the version check can refuse it.
+func setLogVersion(t *testing.T, path string, version uint32) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[8:], version)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fixHeaderCRC(t, path)
+}
+
 // appendRawFrame appends one hand-built frame (with a correct CRC) to the
 // log, bypassing Append's ordering checks — a hostile or buggy writer.
 func appendRawFrame(t *testing.T, path string, payload []byte) {
@@ -233,16 +248,16 @@ func TestCorruptionRejectionTable(t *testing.T) {
 		{
 			name: "log header: unknown version",
 			corrupt: func(t *testing.T, dir string) {
-				path := filepath.Join(dir, logFile)
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				binary.LittleEndian.PutUint32(data[8:], 2)
-				if err := os.WriteFile(path, data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				fixHeaderCRC(t, path)
+				setLogVersion(t, filepath.Join(dir, logFile), walVersion+1)
+			},
+			wantErr: ErrBadHeader,
+		},
+		{
+			// Version 1 logs carry flat CSR hashes, not digest-tree roots:
+			// they fail closed at the version check, not at a digest.
+			name: "log header: version 1",
+			corrupt: func(t *testing.T, dir string) {
+				setLogVersion(t, filepath.Join(dir, logFile), 1)
 			},
 			wantErr: ErrBadHeader,
 		},

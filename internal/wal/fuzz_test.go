@@ -67,9 +67,10 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(corrupt, false)
 	f.Add(validFuzzBody(2)[:11], false)
 	f.Fuzz(func(t *testing.T, data []byte, strict bool) {
-		g, digest := fuzzBase()
+		g, _ := fuzzBase()
 		d := dyngraph.NewAt(g, 0, nil)
-		_, replayed, torn, err := replayRecords(data, d, digest, strict)
+		tree := graphio.NewDigestTree(g)
+		replayed, torn, err := replayRecords(data, d, tree, strict)
 		if err != nil {
 			for _, typed := range []error{ErrCorruptRecord, ErrEpochOrder, ErrDigestMismatch, ErrTornTail, ErrRecordTooLarge} {
 				if errors.Is(err, typed) {
@@ -86,6 +87,9 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		if d.Epoch() != replayed {
 			t.Fatalf("engine at epoch %d after %d replayed records", d.Epoch(), replayed)
+		}
+		if tree.Root() != graphio.DigestRaw(d.Graph()) {
+			t.Fatal("replay's digest tree disagrees with a fresh digest of the replayed graph")
 		}
 	})
 }

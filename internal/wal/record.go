@@ -24,8 +24,8 @@ import (
 //	12      4     nAdd — edge insertions
 //	16      4     nRem — edge removals
 //	20      4     nW   — weight updates
-//	24      32    pre-commit CSR digest (raw SHA-256)
-//	56      32    post-commit CSR digest
+//	24      32    pre-commit topology digest (graphio.DigestRaw)
+//	56      32    post-commit topology digest
 //	88      8·nAdd  insertions, (u int32, v int32) with u < v, sorted
 //	…       8·nRem  removals, same form
 //	…       12·nW   weight updates, (v int32, w float64), sorted by v
@@ -161,17 +161,18 @@ func decodePairs(b []byte, n int) [][2]int32 {
 }
 
 // applyRecord replays one decoded record onto d, which must be at epoch
-// rec.Epoch−1 with CSR digest cur. It returns the post-commit digest
-// (verified against rec.Post). Any failure is fail-closed: the record is
-// refused with a typed error and d is left unusable for further replay
-// (recovery abandons the whole attempt, it never keeps a half-applied
-// state).
-func applyRecord(d *dyngraph.Dynamic, cur [digestBytes]byte, rec *Record) ([digestBytes]byte, error) {
+// rec.Epoch−1, and moves tree (the digest tree of d's graph) along with it,
+// re-hashing only the blocks the commit touched. The record's pre-digest
+// must match the tree's root before, its post-digest the root after. Any
+// failure is fail-closed: the record is refused with a typed error and d
+// and tree are left unusable for further replay (recovery abandons the
+// whole attempt, it never keeps a half-applied state).
+func applyRecord(d *dyngraph.Dynamic, tree *graphio.DigestTree, rec *Record) error {
 	if rec.Epoch != d.Epoch()+1 {
-		return cur, fmt.Errorf("%w: record epoch %d after epoch %d", ErrEpochOrder, rec.Epoch, d.Epoch())
+		return fmt.Errorf("%w: record epoch %d after epoch %d", ErrEpochOrder, rec.Epoch, d.Epoch())
 	}
-	if rec.Pre != cur {
-		return cur, fmt.Errorf("%w: epoch %d pre-digest does not match the replayed state", ErrDigestMismatch, rec.Epoch)
+	if rec.Pre != tree.Root() {
+		return fmt.Errorf("%w: epoch %d pre-digest does not match the replayed state", ErrDigestMismatch, rec.Epoch)
 	}
 	for i := 0; i < rec.Grew; i++ {
 		d.AddVertex()
@@ -180,28 +181,29 @@ func applyRecord(d *dyngraph.Dynamic, cur [digestBytes]byte, rec *Record) ([dige
 	for _, w := range rec.Weights {
 		if err := d.SetWeight(int(w.V), w.W); err != nil {
 			d.Discard()
-			return cur, fmt.Errorf("%w: epoch %d: %v", ErrCorruptRecord, rec.Epoch, err)
+			return fmt.Errorf("%w: epoch %d: %v", ErrCorruptRecord, rec.Epoch, err)
 		}
 	}
 	delta, err := d.Commit()
 	if err != nil {
 		d.Discard()
-		return cur, fmt.Errorf("%w: epoch %d does not apply: %v", ErrCorruptRecord, rec.Epoch, err)
+		return fmt.Errorf("%w: epoch %d does not apply: %v", ErrCorruptRecord, rec.Epoch, err)
 	}
-	next := cur
 	if delta.Next != delta.Prev {
-		next = graphio.DigestRaw(delta.Next)
+		tree.Update(delta.Next, delta.Touched)
 	}
-	if next != rec.Post {
-		return cur, fmt.Errorf("%w: epoch %d post-digest does not match the replayed result", ErrDigestMismatch, rec.Epoch)
+	if tree.Root() != rec.Post {
+		return fmt.Errorf("%w: epoch %d post-digest does not match the replayed result", ErrDigestMismatch, rec.Epoch)
 	}
-	return next, nil
+	return nil
 }
 
 // replayRecords replays every frame in data (the log file body after the
-// 64-byte header) onto d. It returns the final digest, the number of
-// replayed records, and — in the default (lax) policy — how many trailing
-// bytes form a torn final record.
+// 64-byte header) onto d, keeping tree (the digest tree of d's graph) in
+// step: one tree serves the whole replay, so each record re-hashes only
+// the blocks it touched. It returns the number of replayed records and —
+// in the default (lax) policy — how many trailing bytes form a torn final
+// record; the final digest is tree's root.
 //
 // Torn-tail semantics: a frame whose declared extent runs past the end of
 // the file can only be the unfinished last write of a crashed process, and
@@ -211,41 +213,40 @@ func applyRecord(d *dyngraph.Dynamic, cur [digestBytes]byte, rec *Record) ([dige
 // to pin the taxonomy). Everything else — a CRC mismatch on a fully
 // present frame, an undecodable payload, an out-of-order epoch, a digest
 // disagreement — is corruption and fails closed under both policies.
-func replayRecords(data []byte, d *dyngraph.Dynamic, digest [digestBytes]byte, strict bool) (_ [digestBytes]byte, replayed int64, torn int64, err error) {
+func replayRecords(data []byte, d *dyngraph.Dynamic, tree *graphio.DigestTree, strict bool) (replayed int64, torn int64, err error) {
 	off := 0
 	for off < len(data) {
 		rest := len(data) - off
 		if rest < framePrefixBytes {
 			if strict {
-				return digest, replayed, 0, fmt.Errorf("%w: %d trailing bytes", ErrTornTail, rest)
+				return replayed, 0, fmt.Errorf("%w: %d trailing bytes", ErrTornTail, rest)
 			}
-			return digest, replayed, int64(rest), nil
+			return replayed, int64(rest), nil
 		}
 		length := int64(binary.LittleEndian.Uint32(data[off:]))
 		if length > maxRecordBytes {
-			return digest, replayed, 0, fmt.Errorf("%w: declared %d bytes", ErrRecordTooLarge, length)
+			return replayed, 0, fmt.Errorf("%w: declared %d bytes", ErrRecordTooLarge, length)
 		}
 		if length > int64(rest-framePrefixBytes) {
 			if strict {
-				return digest, replayed, 0, fmt.Errorf("%w: frame declares %d payload bytes, %d remain", ErrTornTail, length, rest-framePrefixBytes)
+				return replayed, 0, fmt.Errorf("%w: frame declares %d payload bytes, %d remain", ErrTornTail, length, rest-framePrefixBytes)
 			}
-			return digest, replayed, int64(rest), nil
+			return replayed, int64(rest), nil
 		}
 		crc := binary.LittleEndian.Uint32(data[off+4:])
 		payload := data[off+framePrefixBytes : off+framePrefixBytes+int(length)]
 		if crc32.Checksum(payload, castagnoli) != crc {
-			return digest, replayed, 0, fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorruptRecord, off)
+			return replayed, 0, fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorruptRecord, off)
 		}
 		rec, derr := decodeRecord(payload)
 		if derr != nil {
-			return digest, replayed, 0, derr
+			return replayed, 0, derr
 		}
-		digest, err = applyRecord(d, digest, rec)
-		if err != nil {
-			return digest, replayed, 0, err
+		if err := applyRecord(d, tree, rec); err != nil {
+			return replayed, 0, err
 		}
 		replayed++
 		off += framePrefixBytes + int(length)
 	}
-	return digest, replayed, 0, nil
+	return replayed, 0, nil
 }

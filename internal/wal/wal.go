@@ -8,7 +8,7 @@
 //	wal-<epoch-hex>.log      records for the epochs after that snapshot
 //
 // Every committed epoch appends one Record (normalized edge deltas, weight
-// updates, epoch id, pre/post CSR digests — see record.go for the frame
+// updates, epoch id, pre/post topology digests — see record.go for the frame
 // format). Snapshots are written when the log passes a configurable
 // epoch-count or byte threshold, and everything behind the new snapshot is
 // truncated. Recovery mmaps the newest snapshot (graphio.OpenMapped, so a
@@ -84,16 +84,20 @@ var (
 //
 //	offset  size  field
 //	0       8     magic "kwwal\x00\x00\x00"
-//	8       4     version (1)
+//	8       4     version (2)
 //	12      4     flags (reserved, must be zero)
 //	16      8     base epoch — the snapshot this log continues from
-//	24      32    base CSR digest (raw SHA-256) of that snapshot
+//	24      32    base topology digest (graphio.DigestRaw) of that snapshot
 //	56      4     CRC32C over bytes [0, 56)
 //	60      4     zero padding
+//
+// Every digest in a version 2 log (header and records) is a
+// graphio.DigestTree root; a version 1 log carries flat CSR hashes and is
+// refused with ErrBadHeader.
 const (
 	logHeaderBytes = 64
 	walMagic       = "kwwal\x00\x00\x00"
-	walVersion     = 1
+	walVersion     = 2
 )
 
 // Options tune a log. The zero value is the production default.
@@ -153,7 +157,7 @@ type Recovered struct {
 	// Dyn is the dynamic-graph engine at the recovered epoch, weights
 	// included.
 	Dyn *dyngraph.Dynamic
-	// Digest is the raw CSR digest of Dyn.Graph().
+	// Digest is the raw topology digest of Dyn.Graph().
 	Digest [digestBytes]byte
 	// Mapped, when non-nil, is the mmapped snapshot backing Dyn's base
 	// graph. The caller owns it: keep it open while the base graph may
@@ -300,10 +304,11 @@ func Open(dir string, initial *graph.Graph, initialCosts []float64, opts Options
 		return rec, nil
 	}
 
-	// Restore: mmap the newest snapshot and verify it end to end — the
-	// digest pass is one linear scan, and everything recovery replays on
-	// top is checked against this digest, so a silently corrupt base
-	// would poison every record check anyway.
+	// Restore: mmap the newest snapshot and verify it end to end. One
+	// pass builds the digest tree the replay below updates, and its root
+	// is the snapshot's digest check: everything recovery replays on top
+	// is checked against this digest, so a silently corrupt base would
+	// poison every record check anyway.
 	m, err := graphio.OpenMapped(filepath.Join(dir, snapName(snapEpoch)))
 	if err != nil {
 		return nil, fmt.Errorf("wal: snapshot %s: %w", snapName(snapEpoch), err)
@@ -317,12 +322,13 @@ func Open(dir string, initial *graph.Graph, initialCosts []float64, opts Options
 	if err := m.VerifyStructure(); err != nil {
 		return nil, fmt.Errorf("wal: snapshot %s: %w", snapName(snapEpoch), err)
 	}
-	if err := m.VerifyDigest(); err != nil {
-		return nil, fmt.Errorf("wal: snapshot %s: %w", snapName(snapEpoch), err)
-	}
 	digest, err := rawDigestOf(m)
 	if err != nil {
 		return nil, err
+	}
+	tree := graphio.NewDigestTree(m.Graph())
+	if tree.Root() != digest {
+		return nil, fmt.Errorf("%w: snapshot %s does not match its embedded digest", ErrDigestMismatch, snapName(snapEpoch))
 	}
 	var costs []float64
 	if w := m.Weights(); w != nil {
@@ -355,10 +361,11 @@ func Open(dir string, initial *graph.Graph, initialCosts []float64, opts Options
 		if baseDigest != digest {
 			return nil, fmt.Errorf("%w: log base digest does not match the snapshot", ErrDigestMismatch)
 		}
-		digest, replayed, tornBytes, err = replayRecords(data[logHeaderBytes:], d, digest, opts.Strict)
+		replayed, tornBytes, err = replayRecords(data[logHeaderBytes:], d, tree, opts.Strict)
 		if err != nil {
 			return nil, err
 		}
+		digest = tree.Root()
 		valid := int64(len(data)) - tornBytes
 		if tornBytes > 0 {
 			if err := os.Truncate(logPath, valid); err != nil {
