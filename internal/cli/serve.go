@@ -103,8 +103,8 @@ func BuildServer(cfg ServeConfig) (*server.Server, func(), error) {
 			opened = append(opened, m)
 			// One bandwidth pass at startup, so a structurally corrupt
 			// container is refused here instead of panicking a solve. The
-			// digest stays unverified — operator-provided files, same trust
-			// as the trusted streaming reader.
+			// digest stays unverified — operator-provided files, the same
+			// trust ReadBinaryCSRTrusted extends.
 			if err := m.VerifyStructure(); err != nil {
 				cleanup()
 				return nil, nil, fmt.Errorf("preload %q: %w", name, err)

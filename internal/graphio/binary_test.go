@@ -3,8 +3,10 @@ package graphio
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"kwmds/internal/gen"
 	"kwmds/internal/graph"
@@ -30,42 +32,142 @@ func binaryGraphs(t *testing.T) map[string]*graph.Graph {
 	}
 }
 
+// A parserPath is one way container bytes reach the parser.
+type parserPath struct {
+	// read is how ReadBinaryCSR (verify set) and ReadBinaryCSRTrusted reach
+	// it.
+	read func(data []byte, verify bool) (*graph.Graph, []float64, error)
+	// open is OpenMapped up to, not including, VerifyStructure.
+	open func(t *testing.T, data []byte) (*MappedGraph, error)
+}
+
+// nativePath drives the three entry points as callers do: the two readers
+// over a bytes.Reader, OpenMapped over a temp file.
+var nativePath = parserPath{
+	read: func(data []byte, verify bool) (*graph.Graph, []float64, error) {
+		if verify {
+			return ReadBinaryCSR(bytes.NewReader(data))
+		}
+		return ReadBinaryCSRTrusted(bytes.NewReader(data))
+	},
+	open: func(t *testing.T, data []byte) (*MappedGraph, error) {
+		m, err := OpenMapped(writeTempContainer(t, data))
+		if err == nil {
+			t.Cleanup(func() { m.Close() })
+		}
+		return m, err
+	},
+}
+
+// misalignedPath hands the parser a copy of the container one byte off a
+// 4-byte boundary, past each entry point's I/O, so no array can alias it.
+var misalignedPath = parserPath{
+	read: func(data []byte, verify bool) (*graph.Graph, []float64, error) {
+		return decodeBinaryCSR(misaligned(data), verify)
+	},
+	open: func(t *testing.T, data []byte) (*MappedGraph, error) {
+		return parseMappedBytes(misaligned(data))
+	},
+}
+
+func misaligned(data []byte) []byte {
+	buf := make([]byte, len(data)+4)
+	at := 1
+	for uintptr(unsafe.Pointer(&buf[at]))%4 == 0 {
+		at++
+	}
+	copy(buf[at:], data)
+	return buf[at : at+len(data)]
+}
+
+// A kwcsrReader is one entry point into the parser.
+type kwcsrReader struct {
+	name     string
+	verifies bool // recomputes the embedded digest
+	read     func(t *testing.T, data []byte) (*graph.Graph, []float64, error)
+}
+
+// An entrySet selects the entry points a table drives.
+type entrySet int
+
+const (
+	streamEntries entrySet = 1 << iota // ReadBinaryCSR and ReadBinaryCSRTrusted
+	mappedEntries                      // OpenMapped
+	allEntries    = streamEntries | mappedEntries
+)
+
+// readers returns, along p, ReadBinaryCSR and ReadBinaryCSRTrusted if set
+// holds streamEntries, and OpenMapped followed by the VerifyStructure pass
+// serve preloads run if it holds mappedEntries.
+func (p parserPath) readers(set entrySet) []kwcsrReader {
+	var rs []kwcsrReader
+	if set&streamEntries != 0 {
+		rs = append(rs,
+			kwcsrReader{"ReadBinaryCSR", true, func(t *testing.T, data []byte) (*graph.Graph, []float64, error) {
+				return p.read(data, true)
+			}},
+			kwcsrReader{"ReadBinaryCSRTrusted", false, func(t *testing.T, data []byte) (*graph.Graph, []float64, error) {
+				return p.read(data, false)
+			}})
+	}
+	if set&mappedEntries != 0 {
+		rs = append(rs, kwcsrReader{"OpenMapped", false, func(t *testing.T, data []byte) (*graph.Graph, []float64, error) {
+			m, err := p.open(t, data)
+			if err != nil {
+				return nil, nil, err
+			}
+			if err := m.VerifyStructure(); err != nil {
+				return nil, nil, err
+			}
+			return m.Graph(), m.Weights(), nil
+		}})
+	}
+	return rs
+}
+
 // TestBinaryCSRRoundTrip: write → read must reproduce the graph exactly —
 // digest equality is the contract the serve path relies on — with and
-// without a weight vector.
-func TestBinaryCSRRoundTrip(t *testing.T) {
+// without a weight vector, through both streaming readers.
+// TestMappedRoundTrip drives the same table through OpenMapped.
+func TestBinaryCSRRoundTrip(t *testing.T) { checkRoundTrip(t, nativePath, streamEntries) }
+
+func checkRoundTrip(t *testing.T, p parserPath, set entrySet) {
 	for name, g := range binaryGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			for _, withWeights := range []bool{false, true} {
-				var weights []float64
-				if withWeights {
-					weights = make([]float64, g.N())
-					for i := range weights {
-						weights[i] = 1 + float64(i%9)/4
+			for _, r := range p.readers(set) {
+				t.Run(r.name, func(t *testing.T) {
+					for _, withWeights := range []bool{false, true} {
+						var weights []float64
+						if withWeights {
+							weights = make([]float64, g.N())
+							for i := range weights {
+								weights[i] = 1 + float64(i%9)/4
+							}
+						}
+						var buf bytes.Buffer
+						if err := WriteBinaryCSR(&buf, g, weights); err != nil {
+							t.Fatal(err)
+						}
+						got, gotW, err := r.read(t, buf.Bytes())
+						if err != nil {
+							t.Fatalf("weights=%v: %v", withWeights, err)
+						}
+						if Digest(got) != Digest(g) {
+							t.Fatalf("weights=%v: digest changed across round trip", withWeights)
+						}
+						if got.N() != g.N() || got.M() != g.M() || got.MaxDegree() != g.MaxDegree() {
+							t.Fatalf("shape changed: n=%d m=%d maxdeg=%d", got.N(), got.M(), got.MaxDegree())
+						}
+						if withWeights != (gotW != nil) || len(gotW) != len(weights) {
+							t.Fatalf("weights: wrote %d, read %d (nil %v)", len(weights), len(gotW), gotW == nil)
+						}
+						for i := range gotW {
+							if gotW[i] != weights[i] {
+								t.Fatalf("weight[%d] = %v, wrote %v", i, gotW[i], weights[i])
+							}
+						}
 					}
-				}
-				var buf bytes.Buffer
-				if err := WriteBinaryCSR(&buf, g, weights); err != nil {
-					t.Fatal(err)
-				}
-				got, gotW, err := ReadBinaryCSR(bytes.NewReader(buf.Bytes()))
-				if err != nil {
-					t.Fatalf("weights=%v: %v", withWeights, err)
-				}
-				if Digest(got) != Digest(g) {
-					t.Fatalf("weights=%v: digest changed across round trip", withWeights)
-				}
-				if got.N() != g.N() || got.M() != g.M() || got.MaxDegree() != g.MaxDegree() {
-					t.Fatalf("shape changed: n=%d m=%d maxdeg=%d", got.N(), got.M(), got.MaxDegree())
-				}
-				if withWeights != (gotW != nil) {
-					t.Fatalf("weights presence: wrote %v, read %v", withWeights, gotW != nil)
-				}
-				for i := range gotW {
-					if gotW[i] != weights[i] {
-						t.Fatalf("weight[%d] = %v, wrote %v", i, gotW[i], weights[i])
-					}
-				}
+				})
 			}
 		})
 	}
@@ -95,9 +197,13 @@ func validContainer(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// TestBinaryCSRRejection drives every rejection path: each corruption must
-// fail loudly with a diagnosable error, never load a wrong graph.
-func TestBinaryCSRRejection(t *testing.T) {
+// TestBinaryCSRRejection drives every rejection path through both
+// streaming readers: each corruption must fail closed with a diagnosable
+// error, never load a wrong graph. TestMappedRejection drives the same
+// table through OpenMapped.
+func TestBinaryCSRRejection(t *testing.T) { checkRejection(t, nativePath, streamEntries) }
+
+func checkRejection(t *testing.T, p parserPath, set entrySet) {
 	base := validContainer(t)
 	mut := func(f func(b []byte)) []byte {
 		b := append([]byte(nil), base...)
@@ -108,81 +214,164 @@ func TestBinaryCSRRejection(t *testing.T) {
 		name string
 		data []byte
 		want string // error substring
+		// digestOnly: the payload is intact, so only a reader that
+		// recomputes the digest refuses it; the others load the graph.
+		digestOnly bool
 	}{
-		{"empty", nil, "truncated"},
-		{"truncated header", base[:17], "truncated"},
-		{"bad magic", mut(func(b []byte) { b[0] = 'X' }), "bad magic"},
-		{"wrong version", mut(func(b []byte) { binary.LittleEndian.PutUint16(b[6:8], 9) }), "version 9"},
+		{"empty", nil, "truncated", false},
+		{"truncated header", base[:17], "truncated", false},
+		{"bad magic", mut(func(b []byte) { b[0] = 'X' }), "bad magic", false},
+		{"wrong version", mut(func(b []byte) { binary.LittleEndian.PutUint16(b[6:8], 9) }), "version 9", false},
 		// Version 1 embedded a flat CSR hash, not the digest-tree root.
-		{"version 1", mut(func(b []byte) { binary.LittleEndian.PutUint16(b[6:8], 1) }), "version 1"},
-		{"unknown flags", mut(func(b []byte) { b[24] = 0xFF }), "unknown flags"},
-		{"overflowing n", mut(func(b []byte) { binary.LittleEndian.PutUint64(b[8:16], 1<<40) }), "exceed limit"},
-		{"overflowing e", mut(func(b []byte) { binary.LittleEndian.PutUint64(b[16:24], 1<<62) }), "exceed limit"},
-		{"truncated payload", base[:len(base)-5], "declares"},
-		{"trailing garbage", append(append([]byte(nil), base...), 0, 0, 0), "declares"},
-		{"digest tampered", mut(func(b []byte) { b[40] ^= 1 }), "digest mismatch"},
-		{"payload tampered", mut(func(b []byte) { b[len(b)-1] ^= 1 }), ""}, // any rejection is fine
+		{"version 1", mut(func(b []byte) { binary.LittleEndian.PutUint16(b[6:8], 1) }), "version 1", false},
+		{"unknown flags", mut(func(b []byte) { b[24] = 0xFF }), "unknown flags", false},
+		{"overflowing n", mut(func(b []byte) { binary.LittleEndian.PutUint64(b[8:16], 1<<40) }), "exceed limit", false},
+		{"overflowing e", mut(func(b []byte) { binary.LittleEndian.PutUint64(b[16:24], 1<<62) }), "exceed limit", false},
+		// Header counts far beyond the actual size must be rejected by
+		// arithmetic alone, not by faulting on a short mapping.
+		{"undersized for declared counts", mut(func(b []byte) { binary.LittleEndian.PutUint64(b[16:24], 1<<30) }), "shorter than", false},
+		{"truncated payload", base[:len(base)-5], "shorter than", false},
+		{"trailing garbage", append(append([]byte(nil), base...), 0, 0, 0), "longer than", false},
+		{"digest tampered", mut(func(b []byte) { b[40] ^= 1 }), "digest mismatch", true},
+		{"payload tampered", mut(func(b []byte) { b[len(b)-1] ^= 1 }), "", false}, // any rejection is fine
+	}
+	want, _, err := p.read(base, true)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := ReadBinaryCSR(bytes.NewReader(tc.data))
-			if err == nil {
-				t.Fatal("corrupt container accepted")
-			}
-			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
+			for _, r := range p.readers(set) {
+				t.Run(r.name, func(t *testing.T) {
+					g, _, err := r.read(t, tc.data)
+					if tc.digestOnly && !r.verifies {
+						if err != nil {
+							t.Fatalf("refused an intact payload: %v", err)
+						}
+						if Digest(g) != Digest(want) {
+							t.Fatal("loaded a different graph")
+						}
+						return
+					}
+					if err == nil {
+						t.Fatal("corrupt container accepted")
+					}
+					if !strings.Contains(err.Error(), tc.want) {
+						t.Fatalf("error %q does not mention %q", err, tc.want)
+					}
+				})
 			}
 		})
 	}
 }
 
+// craftContainer writes a container around arbitrary arrays, with the
+// digest computed over them.
+func craftContainer(n int, off, adj []int32) []byte {
+	var buf bytes.Buffer
+	var hdr [kwcsrHeaderSize]byte
+	copy(hdr[0:6], kwcsrMagic)
+	binary.LittleEndian.PutUint16(hdr[6:8], kwcsrVersion)
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(n))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(adj)))
+	sum := csrDigest(n, off, adj)
+	copy(hdr[32:64], sum[:])
+	buf.Write(hdr[:])
+	writeInt32LE(&buf, off)
+	writeInt32LE(&buf, adj)
+	if pad := (len(off) + len(adj)) * 4 % 8; pad != 0 {
+		buf.Write(make([]byte, 8-pad))
+	}
+	return buf.Bytes()
+}
+
 // TestBinaryCSRStructuralRejection hand-crafts containers whose digests are
 // valid over structurally bad arrays — the digest binds content, it must
-// not launder invalid topology.
+// not launder invalid topology — and both streaming readers must refuse
+// them. TestMappedStructuralRejection drives the same table through
+// OpenMapped.
 func TestBinaryCSRStructuralRejection(t *testing.T) {
-	craft := func(n int, off, adj []int32) []byte {
-		var buf bytes.Buffer
-		var hdr [kwcsrHeaderSize]byte
-		copy(hdr[0:6], kwcsrMagic)
-		binary.LittleEndian.PutUint16(hdr[6:8], kwcsrVersion)
-		binary.LittleEndian.PutUint64(hdr[8:16], uint64(n))
-		binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(adj)))
-		sum := csrDigest(n, off, adj)
-		copy(hdr[32:64], sum[:])
-		buf.Write(hdr[:])
-		writeInt32LE(&buf, off)
-		writeInt32LE(&buf, adj)
-		if pad := (len(off) + len(adj)) * 4 % 8; pad != 0 {
-			buf.Write(make([]byte, 8-pad))
-		}
-		return buf.Bytes()
-	}
+	checkStructuralRejection(t, nativePath, streamEntries)
+}
+
+// checkStructuralRejection also checks, when set holds mappedEntries, that
+// OpenMapped refuses offset faults at open (offsets slice the mapping
+// everywhere downstream) but opens a container with bad rows, since the
+// open is O(n) by design; its deferred, memoized VerifyStructure refuses
+// those.
+func checkStructuralRejection(t *testing.T, p parserPath, set entrySet) {
 	cases := []struct {
-		name string
-		n    int
-		off  []int32
-		adj  []int32
-		want string
+		name   string
+		n      int
+		off    []int32
+		adj    []int32
+		want   string
+		atOpen bool // OpenMapped itself refuses it, before VerifyStructure
 	}{
-		{"self-loop", 2, []int32{0, 1, 2}, []int32{0, 0}, "self-loop"},
-		{"unsorted row", 3, []int32{0, 2, 3, 4}, []int32{2, 1, 0, 0}, "strictly increasing"},
-		{"duplicate neighbor", 3, []int32{0, 2, 3, 4}, []int32{1, 1, 0, 0}, "strictly increasing"},
-		{"decreasing offsets", 2, []int32{0, 2, 1}, []int32{1}, "offsets decrease"},
-		{"bad first offset", 1, []int32{1, 0}, nil, "offsets decrease"},
-		{"neighbor out of range", 2, []int32{0, 1, 2}, []int32{5, 0}, "kwcsr payload rejected"},
+		{"self-loop", 2, []int32{0, 1, 2}, []int32{0, 0}, "self-loop", false},
+		{"unsorted row", 3, []int32{0, 2, 3, 4}, []int32{2, 1, 0, 0}, "strictly increasing", false},
+		{"duplicate neighbor", 3, []int32{0, 2, 3, 4}, []int32{1, 1, 0, 0}, "strictly increasing", false},
+		{"decreasing offsets", 2, []int32{0, 2, 1}, []int32{1}, "offsets decrease", true},
+		{"bad first offset", 1, []int32{1, 0}, nil, "payload rejected", true},
+		{"neighbor out of range", 2, []int32{0, 1, 2}, []int32{5, 0}, "kwcsr payload rejected", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			data := craft(tc.n, tc.off, tc.adj)
-			_, _, err := ReadBinaryCSR(bytes.NewReader(data))
-			if err == nil {
-				t.Fatal("structurally invalid container accepted")
+			data := craftContainer(tc.n, tc.off, tc.adj)
+			for _, r := range p.readers(set) {
+				t.Run(r.name, func(t *testing.T) {
+					_, _, err := r.read(t, data)
+					if err == nil {
+						t.Fatal("structurally invalid container accepted")
+					}
+					if !strings.Contains(err.Error(), tc.want) {
+						t.Fatalf("error %q does not mention %q", err, tc.want)
+					}
+				})
 			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
+			if set&mappedEntries == 0 {
+				return
+			}
+			m, err := p.open(t, data)
+			if tc.atOpen != (err != nil) {
+				t.Fatalf("OpenMapped: err = %v, want a refusal at open: %v", err, tc.atOpen)
+			}
+			if err == nil {
+				first, second := m.VerifyStructure(), m.VerifyStructure()
+				if second == nil || second.Error() != first.Error() {
+					t.Fatalf("VerifyStructure not memoized: first %v, second %v", first, second)
+				}
 			}
 		})
 	}
+}
+
+// TestCopyDecode runs the round-trip and rejection tables, through every
+// entry point, along the parser's copy-decode branch, the one every read
+// takes on a big-endian host: once with hostLittleEndian switched off, once
+// on a buffer one byte off alignment.
+func TestCopyDecode(t *testing.T) {
+	tables := []struct {
+		name  string
+		check func(*testing.T, parserPath, entrySet)
+	}{
+		{"round trip", checkRoundTrip},
+		{"rejection", checkRejection},
+		{"structural rejection", checkStructuralRejection},
+	}
+	t.Run("big-endian", func(t *testing.T) {
+		saved := hostLittleEndian
+		hostLittleEndian = false
+		t.Cleanup(func() { hostLittleEndian = saved })
+		for _, tab := range tables {
+			t.Run(tab.name, func(t *testing.T) { tab.check(t, nativePath, allEntries) })
+		}
+	})
+	t.Run("misaligned", func(t *testing.T) {
+		for _, tab := range tables {
+			t.Run(tab.name, func(t *testing.T) { tab.check(t, misalignedPath, allEntries) })
+		}
+	})
 }
 
 // TestBinaryCSRTrusted pins the trusted reader's semantics: identical
@@ -230,8 +419,10 @@ func TestBinaryCSRTrusted(t *testing.T) {
 	}
 }
 
-// FuzzBinaryCSR: arbitrary bytes must never panic the reader, and every
-// successfully read graph must round-trip back to an equal digest.
+// FuzzBinaryCSR: arbitrary bytes must never panic a reader; the verifying
+// reader accepts nothing the trusted one refuses; and every graph the
+// trusted reader accepts must re-encode and read back, verified, to an
+// equal digest and equal weights.
 func FuzzBinaryCSR(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(kwcsrMagic))
@@ -242,55 +433,31 @@ func FuzzBinaryCSR(f *testing.F) {
 	tampered[40] ^= 1
 	f.Add(tampered)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Mapped-path lockstep: open + VerifyStructure must accept exactly
-		// what the trusted streaming reader accepts (both skip the digest
-		// recompute, both reject structural and size corruption — the
-		// mapped path merely splits the row checks into the deferred
-		// VerifyStructure), and on acceptance produce the same graph.
-		// Neither may panic.
-		tg, tw, terr := ReadBinaryCSRTrusted(bytes.NewReader(data))
-		m, merr := parseMappedBytes(append([]byte(nil), data...))
-		if merr == nil && m.VerifyStructure() != nil {
-			merr = m.VerifyStructure()
-			if err := m.Close(); err != nil {
-				t.Fatal(err)
+		g, weights, err := ReadBinaryCSRTrusted(bytes.NewReader(data))
+		if _, _, verr := ReadBinaryCSR(bytes.NewReader(data)); err != nil {
+			if verr == nil {
+				t.Fatalf("verifying read accepted what the trusted read refused: %v", err)
 			}
-			m = nil
-		}
-		if (terr == nil) != (merr == nil) {
-			t.Fatalf("trusted/mapped disagree: trusted err=%v, mapped err=%v", terr, merr)
-		}
-		if merr == nil {
-			if Digest(m.Graph()) != Digest(tg) {
-				t.Fatal("mapped graph differs from trusted read")
-			}
-			if (m.Weights() == nil) != (tw == nil) || len(m.Weights()) != len(tw) {
-				t.Fatalf("mapped weights shape %d differs from trusted %d", len(m.Weights()), len(tw))
-			}
-			for i := range tw {
-				if m.Weights()[i] != tw[i] {
-					t.Fatalf("mapped weight[%d] = %v, trusted %v", i, m.Weights()[i], tw[i])
-				}
-			}
-			if err := m.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		g, weights, err := ReadBinaryCSR(bytes.NewReader(data))
-		if err != nil {
 			return
 		}
 		var buf bytes.Buffer
 		if err := WriteBinaryCSR(&buf, g, weights); err != nil {
 			t.Fatalf("re-encoding a successfully read graph failed: %v", err)
 		}
-		g2, _, err := ReadBinaryCSR(bytes.NewReader(buf.Bytes()))
+		g2, w2, err := ReadBinaryCSR(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("re-reading a re-encoded graph failed: %v", err)
 		}
 		if Digest(g2) != Digest(g) {
 			t.Fatal("round trip changed the digest")
+		}
+		if len(w2) != len(weights) || (w2 == nil) != (weights == nil) {
+			t.Fatalf("round trip changed the weights: %d → %d", len(weights), len(w2))
+		}
+		for i := range w2 {
+			if math.Float64bits(w2[i]) != math.Float64bits(weights[i]) {
+				t.Fatalf("weight[%d]: %v → %v", i, weights[i], w2[i])
+			}
 		}
 	})
 }

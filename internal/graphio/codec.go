@@ -39,9 +39,6 @@ type SolveRequest struct {
 	// order of magnitude more compute but reports the distributed-round
 	// statistics). Both produce bit-identical sets.
 	Engine string `json:"engine,omitempty"`
-	// Sequential is the pre-engine spelling of Engine = "fast", kept for
-	// request compatibility.
-	Sequential bool `json:"sequential,omitempty"`
 	// Members asks for the chosen vertex ids in the response (off by
 	// default: on large graphs the id list dominates the payload).
 	Members bool `json:"members,omitempty"`
@@ -141,11 +138,7 @@ func DecodeSolveRequest(r io.Reader) (*SolveRequest, error) {
 	switch req.Engine {
 	case "":
 		req.Engine = "fast"
-	case "fast":
-	case "sim":
-		if req.Sequential {
-			return nil, fmt.Errorf("graphio: solve request: \"sequential\": true conflicts with \"engine\": \"sim\"")
-		}
+	case "fast", "sim":
 	default:
 		return nil, fmt.Errorf("graphio: solve request: unknown engine %q (want fast|sim)", req.Engine)
 	}

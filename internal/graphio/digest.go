@@ -49,8 +49,7 @@ func DigestRaw(g *graph.Graph) [sha256.Size]byte {
 }
 
 // csrDigest is the root over raw CSR arrays. It is total: offsets that
-// break the CSR contract yield some digest, never a panic (see leaf), so a
-// reader can hash before or after it validates.
+// break the CSR contract yield some digest, never a panic (see leaf).
 func csrDigest(n int, off, adj []int32) [sha256.Size]byte {
 	return buildDigestTree(n, off, adj).root
 }
@@ -75,18 +74,13 @@ func NewDigestTree(g *graph.Graph) *DigestTree {
 }
 
 func buildDigestTree(n int, off, adj []int32) *DigestTree {
-	t := newDigestTree(n)
+	t := &DigestTree{h: sha256.New()}
+	t.buf = append(t.buf, 0x01)
+	t.resize(n)
 	for b := 0; b < t.blocks(); b++ {
 		t.leaf(b, off, adj)
 	}
 	t.seal()
-	return t
-}
-
-func newDigestTree(n int) *DigestTree {
-	t := &DigestTree{h: sha256.New()}
-	t.buf = append(t.buf, 0x01)
-	t.resize(n)
 	return t
 }
 
@@ -134,45 +128,30 @@ func (t *DigestTree) resize(n int) {
 
 func (t *DigestTree) seal() { t.root = sha256.Sum256(t.buf) }
 
-// span returns block b's vertex range [lo, hi).
-func (t *DigestTree) span(b int) (lo, hi int) {
-	lo = b * leafVertices
-	return lo, min(lo+leafVertices, t.n)
-}
-
-// leaf re-hashes block b from the CSR arrays. Its adjacency span is clamped
-// to [0, len(adj)] and an inverted span counts as empty, which keeps the
+// leaf re-hashes block b from the CSR arrays: the 0x00 prefix, the
+// block's degrees, then its adjacency span. The span is clamped to
+// [0, len(adj)] and an inverted span counts as empty, which keeps the
 // digest total on malformed offsets; on a valid CSR the clamp is a no-op.
 func (t *DigestTree) leaf(b int, off, adj []int32) {
-	lo, hi := t.span(b)
+	lo := b * leafVertices
+	hi := min(lo+leafVertices, t.n)
 	s, e := clampSpan(off[lo], len(adj)), clampSpan(off[hi], len(adj))
 	if e < s {
 		e = s
 	}
-	t.beginLeaf(lo, hi, off)
-	t.hashInt32s(adj[s:e])
-	t.endLeaf(b)
-}
-
-func clampSpan(x int32, limit int) int {
-	return min(max(int(x), 0), limit)
-}
-
-// beginLeaf starts a leaf hash over vertices [lo, hi): the 0x00 prefix and
-// their degrees.
-func (t *DigestTree) beginLeaf(lo, hi int, off []int32) {
 	p := append(t.scratch[:0], 0x00)
 	for v := lo; v < hi; v++ {
 		p = binary.LittleEndian.AppendUint32(p, uint32(off[v+1]-off[v]))
 	}
 	t.h.Reset()
 	t.h.Write(p)
-}
-
-// endLeaf stores the finished leaf hash as leaf b.
-func (t *DigestTree) endLeaf(b int) {
+	t.hashInt32s(adj[s:e])
 	at := rootPrefix + sha256.Size*b
 	t.h.Sum(t.buf[at:at])
+}
+
+func clampSpan(x int32, limit int) int {
+	return min(max(int(x), 0), limit)
 }
 
 // hashInt32s hashes xs little-endian: in place on little-endian hosts,
@@ -194,56 +173,4 @@ func (t *DigestTree) hashInt32s(xs []int32) {
 		t.h.Write(p)
 		xs = xs[k:]
 	}
-}
-
-// leafWriter finishes a tree's leaves in block order as a kwcsr
-// container's adjacency bytes stream past, so the verifying reader hashes
-// each chunk while it is hot instead of re-reading the decoded arrays. The
-// offsets must already be validated: block spans then tile the stream.
-type leafWriter struct {
-	t    *DigestTree
-	off  []int32
-	b    int // the open block
-	left int // bytes of the open block's span still to come
-}
-
-func (t *DigestTree) streamLeaves(off []int32) *leafWriter {
-	w := &leafWriter{t: t, off: off, b: -1}
-	w.advance()
-	return w
-}
-
-// advance closes the open leaf once its span has passed and opens the next
-// ones, closing empty ones on the way, until a leaf awaits bytes or every
-// leaf is done.
-func (w *leafWriter) advance() {
-	for w.left == 0 && w.b < w.t.blocks() {
-		if w.b >= 0 {
-			w.t.endLeaf(w.b)
-		}
-		w.b++
-		if w.b < w.t.blocks() {
-			lo, hi := w.t.span(w.b)
-			w.t.beginLeaf(lo, hi, w.off)
-			w.left = 4 * int(w.off[hi]-w.off[lo])
-		}
-	}
-}
-
-func (w *leafWriter) Write(p []byte) (int, error) {
-	n := len(p)
-	for len(p) > 0 && w.b < w.t.blocks() {
-		k := min(len(p), w.left)
-		w.t.h.Write(p[:k])
-		w.left -= k
-		p = p[k:]
-		w.advance()
-	}
-	return n, nil
-}
-
-// root seals the tree once the whole adjacency has streamed past.
-func (w *leafWriter) root() [sha256.Size]byte {
-	w.t.seal()
-	return w.t.root
 }

@@ -15,7 +15,7 @@ import (
 
 // refDigest recomputes the topology digest straight from its definition,
 // encoding every integer explicitly: the specification the tree, the
-// streaming reader and the incremental update must all match bit for bit.
+// verifying reader and the incremental update must all match bit for bit.
 func refDigest(g *graph.Graph) [sha256.Size]byte {
 	n := g.N()
 	root := binary.LittleEndian.AppendUint64([]byte{0x01}, uint64(n))
@@ -80,7 +80,7 @@ func digestShapes(t *testing.T) map[string]*graph.Graph {
 
 // TestDigestDefinition pins every digest path to the definition: the full
 // build (DigestRaw, Digest), the writer's embedded digest, and the
-// verifying reader, which finishes leaves as the adjacency streams past.
+// verifying reader's recompute over the parsed arrays.
 func TestDigestDefinition(t *testing.T) {
 	for name, g := range digestShapes(t) {
 		want := refDigest(g)

@@ -3,7 +3,6 @@ package graphio
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"os"
@@ -27,8 +26,8 @@ import (
 //
 // Fail-closed where it must be: every header count is bounds-checked
 // against the actual file size before any byte of the payload is aliased
-// (a truncated or hand-shortened container is rejected with the streaming
-// readers' diagnostics, never a mapping whose tail would fault on first
+// (a truncated or hand-shortened container is rejected by the parser
+// ReadBinaryCSR shares, never a mapping whose tail would fault on first
 // touch), and the offset array is fully validated because offsets slice
 // the adjacency everywhere downstream. What the deferral leaves open is
 // adjacency *content*: a container whose rows break the canonical-CSR
@@ -96,10 +95,10 @@ func (m *MappedGraph) Graph() *graph.Graph { return m.g }
 // carries none. Aliases the mapping under the same lifetime rules as Graph.
 func (m *MappedGraph) Weights() []float64 { return m.weights }
 
-// Digest returns the container's embedded topology digest in the hex form
-// Digest(g) produces — the cache key topology-addressed caches use — without
-// recomputing anything. Trust it only after VerifyDigest.
-func (m *MappedGraph) Digest() string { return hex.EncodeToString(m.digest[:]) }
+// Digest returns the container's embedded topology digest in the raw form
+// DigestRaw(g) produces — the form the container and the WAL store —
+// without recomputing anything. Trust it only after VerifyDigest.
+func (m *MappedGraph) Digest() [sha256.Size]byte { return m.digest }
 
 // VerifyDigest recomputes the digest tree's root over the mapped arrays
 // (hashed in place) and compares it to the container's embedded digest —
@@ -131,8 +130,7 @@ func (m *MappedGraph) VerifyStructure() error {
 		}
 		// The fast scan may flag false positives on values whose high bit
 		// defeats its wrap tricks, but never misses a real violation — this
-		// precise pass is the verdict and carries the streaming readers'
-		// exact diagnostics.
+		// precise pass is the verdict and names the first violation.
 		for v := 0; v < n; v++ {
 			prev := int32(-1)
 			vv := int32(v)
@@ -205,46 +203,27 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// parseMappedBytes validates a whole in-memory kwcsr image and builds the
-// graph over it, aliasing the payload when the platform allows and
-// copy-decoding otherwise. It is the pure core of OpenMapped — no file I/O —
-// so the fuzz harness can drive it with the same corpus as the streaming
-// readers. Every count is checked against len(data) before any slice is
-// formed: short data yields the streaming readers' truncation diagnostics,
-// never a panic.
+// parseMappedBytes is the kwcsr parser: it validates a whole in-memory
+// container image and builds the graph over it, aliasing the payload when
+// the platform allows and copy-decoding otherwise. OpenMapped hands it a
+// mapping and ReadBinaryCSR a buffered read. It checks the header, the
+// exact size, the padding and the offsets; the adjacency rows and the
+// digest are left to VerifyStructure and VerifyDigest. Every count is
+// checked against len(data) before any slice is formed: short data yields
+// a truncation diagnostic, never a panic.
 func parseMappedBytes(data []byte) (*MappedGraph, error) {
-	if len(data) < kwcsrHeaderSize {
-		return nil, fmt.Errorf("graphio: kwcsr container truncated: %d bytes, header is %d", len(data), kwcsrHeaderSize)
+	h, err := parseHeader(data)
+	if err != nil {
+		return nil, err
 	}
-	hdr := data[:kwcsrHeaderSize]
-	if string(hdr[0:6]) != kwcsrMagic {
-		return nil, fmt.Errorf("graphio: not a kwcsr container (bad magic %q)", hdr[0:6])
-	}
-	if v := binary.LittleEndian.Uint16(hdr[6:8]); v != kwcsrVersion {
-		return nil, fmt.Errorf("graphio: unsupported kwcsr version %d (want %d)", v, kwcsrVersion)
-	}
-	n64 := binary.LittleEndian.Uint64(hdr[8:16])
-	e64 := binary.LittleEndian.Uint64(hdr[16:24])
-	flags := binary.LittleEndian.Uint64(hdr[24:32])
-	if flags&^uint64(kwcsrHasWeights) != 0 {
-		return nil, fmt.Errorf("graphio: kwcsr container has unknown flags %#x", flags)
-	}
-	const maxCount = 1 << 31
-	if n64 >= maxCount || e64 >= maxCount {
-		return nil, fmt.Errorf("graphio: kwcsr counts n=%d e=%d exceed limit %d", n64, e64, maxCount)
-	}
-	n, e := int(n64), int(e64)
-	want, pad := containerSize(n, e, flags)
 	// The fail-closed gate: no payload byte is aliased or allocated until
 	// the header's declared extent fits the bytes actually present.
-	if len(data) < want {
-		return nil, fmt.Errorf("graphio: kwcsr container is shorter than the %d bytes its header declares", want)
+	if err := h.checkSize(len(data)); err != nil {
+		return nil, err
 	}
-	if len(data) > want {
-		return nil, fmt.Errorf("graphio: kwcsr container is longer than the %d bytes its header declares", want)
-	}
+	n, e, pad := h.n, h.e, h.pad
 	m := &MappedGraph{data: data}
-	copy(m.digest[:], hdr[32:64])
+	copy(m.digest[:], data[32:64])
 
 	offB := data[kwcsrHeaderSize : kwcsrHeaderSize+(n+1)*4]
 	adjB := data[kwcsrHeaderSize+(n+1)*4 : kwcsrHeaderSize+(n+1+e)*4]
@@ -289,8 +268,8 @@ func parseMappedBytes(data []byte) (*MappedGraph, error) {
 	}
 	m.g = graph.FromCSRUnchecked(off, adj, maxDeg)
 
-	if flags&kwcsrHasWeights != 0 {
-		wB := data[want-n*8:]
+	if h.flags&kwcsrHasWeights != 0 {
+		wB := data[h.size-n*8:]
 		m.weights = aliasFloat64(wB, n)
 		if m.weights == nil {
 			m.weights = make([]float64, n)

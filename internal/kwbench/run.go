@@ -526,8 +526,9 @@ func runLoad(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The verifying reader is the comparison arm with the embedded SHA-256
-	// recomputed inside the stopwatch (the serve-preload contract).
+	// The verifying reader is the comparison arm with the embedded digest
+	// recomputed inside the stopwatch: what `kwmds -graph` and `file =`
+	// graph sets pay for a .kwcsr.
 	verHist, err := timeLoads(binPath, textOps, func(f *os.File) (*graph.Graph, error) {
 		g, _, err := graphio.ReadBinaryCSR(f)
 		return g, err

@@ -89,20 +89,30 @@ func TestSolveMalformedBodies(t *testing.T) {
 func TestSolvePipelines(t *testing.T) {
 	ts := testServer(t)
 	cases := []struct {
-		name string
-		body string
+		name    string
+		body    string
+		refused string // when set, the request is a 400 whose error says this
 	}{
-		{"kw ref", `{"graph_ref":"udg-200","seed":7}`},
-		{"kw2", `{"graph_ref":"udg-200","algo":"kw2","k":3,"seed":7}`},
-		{"kwcds", `{"graph_ref":"udg-200","algo":"kwcds","seed":7}`},
-		{"frac", `{"graph_ref":"udg-200","algo":"frac","k":2}`},
-		{"sequential", `{"graph_ref":"udg-200","seed":7,"sequential":true}`},
-		{"ln-lnln", `{"graph_ref":"udg-200","seed":7,"variant":"ln-lnln"}`},
-		{"inline graph", `{"graph":{"n":4,"edges":[[0,1],[1,2],[2,3]]},"seed":1,"members":true}`},
+		{"kw ref", `{"graph_ref":"udg-200","seed":7}`, ""},
+		{"kw2", `{"graph_ref":"udg-200","algo":"kw2","k":3,"seed":7}`, ""},
+		{"kwcds", `{"graph_ref":"udg-200","algo":"kwcds","seed":7}`, ""},
+		{"frac", `{"graph_ref":"udg-200","algo":"frac","k":2}`, ""},
+		// "sequential" was the pre-engine spelling of "engine":"fast"; it is
+		// an unknown field now.
+		{"sequential", `{"graph_ref":"udg-200","seed":7,"sequential":true}`, `unknown field "sequential"`},
+		{"ln-lnln", `{"graph_ref":"udg-200","seed":7,"variant":"ln-lnln"}`, ""},
+		{"inline graph", `{"graph":{"n":4,"edges":[[0,1],[1,2],[2,3]]},"seed":1,"members":true}`, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, body := postSolve(t, ts, tc.body)
+			if tc.refused != "" {
+				var er graphio.ErrorResponse
+				if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &er) != nil || !strings.Contains(er.Error, tc.refused) {
+					t.Fatalf("status = %d, body %s; want 400 naming %s", resp.StatusCode, body, tc.refused)
+				}
+				return
+			}
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 			}

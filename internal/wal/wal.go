@@ -27,7 +27,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -182,6 +181,10 @@ type Log struct {
 	failed    error // sticky append failure
 	snapBytes int64 // size of the current snapshot file
 	buf       []byte
+	// lastDigest is the topology digest at lastEpoch: the last record's
+	// post-digest, or the base digest of a log without records. A
+	// snapshot at lastEpoch writes it into the new log's header.
+	lastDigest [digestBytes]byte
 
 	// syncMu serializes fsyncs; synced is how far they have covered.
 	// Lock order: syncMu before mu (syncTo and rotate both follow it).
@@ -322,10 +325,7 @@ func Open(dir string, initial *graph.Graph, initialCosts []float64, opts Options
 	if err := m.VerifyStructure(); err != nil {
 		return nil, fmt.Errorf("wal: snapshot %s: %w", snapName(snapEpoch), err)
 	}
-	digest, err := rawDigestOf(m)
-	if err != nil {
-		return nil, err
-	}
+	digest := m.Digest()
 	tree := graphio.NewDigestTree(m.Graph())
 	if tree.Root() != digest {
 		return nil, fmt.Errorf("%w: snapshot %s does not match its embedded digest", ErrDigestMismatch, snapName(snapEpoch))
@@ -377,7 +377,7 @@ func Open(dir string, initial *graph.Graph, initialCosts []float64, opts Options
 			return nil, fmt.Errorf("wal: %w", err)
 		}
 		l.f, l.written, l.synced = f, valid, valid
-		l.baseEpoch, l.lastEpoch = snapEpoch, snapEpoch+replayed
+		l.baseEpoch, l.lastEpoch, l.lastDigest = snapEpoch, snapEpoch+replayed, digest
 		if fi, err := os.Stat(filepath.Join(dir, snapName(snapEpoch))); err == nil {
 			l.snapBytes = fi.Size()
 		}
@@ -411,16 +411,6 @@ func Open(dir string, initial *graph.Graph, initialCosts []float64, opts Options
 	}
 	rec.Dyn, rec.Digest, rec.Mapped, rec.Stats = d, digest, m, l.recovery
 	return rec, nil
-}
-
-func rawDigestOf(m *graphio.MappedGraph) ([digestBytes]byte, error) {
-	var raw [digestBytes]byte
-	b, err := hex.DecodeString(m.Digest())
-	if err != nil || len(b) != digestBytes {
-		return raw, fmt.Errorf("%w: undecodable snapshot digest", ErrBadHeader)
-	}
-	copy(raw[:], b)
-	return raw, nil
 }
 
 func msSince(t0 time.Time) float64 {
@@ -483,7 +473,7 @@ func (l *Log) createLogFile(baseEpoch int64, baseDigest [digestBytes]byte) error
 	}
 	l.f = f
 	l.written, l.synced = logHeaderBytes, logHeaderBytes
-	l.baseEpoch, l.lastEpoch = baseEpoch, baseEpoch
+	l.baseEpoch, l.lastEpoch, l.lastDigest = baseEpoch, baseEpoch, baseDigest
 	return nil
 }
 
@@ -518,7 +508,7 @@ func (l *Log) Append(rec *Record, sync bool) error {
 		return fmt.Errorf("%w: %v", ErrLogFailed, err)
 	}
 	l.written += int64(len(l.buf))
-	l.lastEpoch = rec.Epoch
+	l.lastEpoch, l.lastDigest = rec.Epoch, rec.Post
 	off := l.written
 	n := int64(len(l.buf))
 	l.mu.Unlock()
@@ -593,9 +583,13 @@ func (l *Log) ShouldSnapshot() bool {
 // WriteSnapshot persists the state at epoch (which must be the last
 // appended epoch) and truncates the log behind it: the .kwcsr lands via
 // tmp+rename, a fresh log continuing it becomes the append target, and the
-// superseded files are removed. A failure leaves the previous snapshot+log
-// chain fully intact (and the log still appendable): snapshots are an
-// optimization of recovery time, never a correctness requirement.
+// superseded files are removed. The fresh log's header carries the digest
+// the last record logged rather than a second hash of g, so recovery
+// checks the snapshot against the logged history: a g other than the
+// logged state fails the next Open with ErrDigestMismatch. A failure
+// leaves the previous snapshot+log chain fully intact (and the log still
+// appendable): snapshots are an optimization of recovery time, never a
+// correctness requirement.
 func (l *Log) WriteSnapshot(g *graph.Graph, costs []float64, epoch int64) error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -612,7 +606,7 @@ func (l *Log) WriteSnapshot(g *graph.Graph, costs []float64, epoch int64) error 
 		l.snapshotFails.Add(1)
 		return err
 	}
-	if err := l.createLogFile(epoch, graphio.DigestRaw(g)); err != nil {
+	if err := l.createLogFile(epoch, l.lastDigest); err != nil {
 		// The new snapshot is in place; the old log still covers every
 		// epoch up to it, so recovery stays correct either way.
 		l.snapshotFails.Add(1)

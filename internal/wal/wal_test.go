@@ -211,6 +211,46 @@ func TestSnapshotRotation(t *testing.T) {
 	}
 }
 
+// TestSnapshotOfUnloggedStateRefused: the log a snapshot starts carries
+// the digest the last record logged, so a snapshot of any other graph is
+// refused at the next Open instead of being recovered as the state.
+func TestSnapshotOfUnloggedStateRefused(t *testing.T) {
+	dir := t.TempDir()
+	rec, err := Open(dir, line(6), nil, noSnapshots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := rec.Dyn
+	if err := d.AddEdge(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	frame := &Record{Pre: rec.Digest}
+	frame.Adds, frame.Rems, frame.Weights, frame.Grew = d.NormalizedPending()
+	delta, err := d.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame.Epoch, frame.Post = delta.Epoch, graphio.DigestRaw(delta.Next)
+	if err := rec.Log.Append(frame, true); err != nil {
+		t.Fatal(err)
+	}
+	// Epoch 1 logged line(6) plus the edge {0, 2}; snapshot epoch 0's graph.
+	if err := rec.Log.WriteSnapshot(delta.Prev, nil, delta.Epoch); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec2, err := Open(dir, nil, nil, noSnapshots)
+	if err == nil {
+		rec2.Log.Close()
+		rec2.Mapped.Close()
+	}
+	if !errors.Is(err, ErrDigestMismatch) {
+		t.Fatalf("reopen over a snapshot of an unlogged state: err = %v, want ErrDigestMismatch", err)
+	}
+}
+
 func TestShouldSnapshotThresholds(t *testing.T) {
 	dir := t.TempDir()
 	w := churnWorkload{name: "thresh", n: 30, epochs: 6, seed: 2, radius: 0.3, speed: 0.05}
