@@ -131,7 +131,7 @@ func BuildServer(cfg ServeConfig) (*server.Server, func(), error) {
 			return nil, nil, fmt.Errorf("preload %q: %w", name, err)
 		}
 		opened = append(opened, rec.Log)
-		pl := server.Preload{Dyn: rec.Dyn, Log: rec.Log}
+		pl := server.Preload{Dyn: rec.Dyn, Log: rec.Log, Tree: rec.Tree}
 		if rec.Mapped != nil {
 			// Recovered from disk: the durable chain superseded the
 			// -preload source, whose mapping (if any) is now redundant.

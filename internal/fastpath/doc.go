@@ -41,6 +41,20 @@
 // same self-then-sorted-neighbors order the references use, which is what
 // keeps the output bit-identical.
 //
+// Rounding kernel: Algorithm 1 is two passes over the words of the flipped
+// bitset. The flip compares each vertex's draw u — the first value of its
+// per-node stream keyed by vertex id, with the seed's half of the mixing
+// done once per solve (stats.StreamKey) — against x·Scale(δ⁽²⁾) and sets
+// the vertex's bit from the comparison. There is no clamp and no branch:
+// u lies in [0, 1) and x·Scale is never negative, so p ≥ 1 always joins
+// and p = 0 never does, as the references' min{1, p} decides. The fix-up
+// walks only the unflipped bits of each word (bits.TrailingZeros64 over
+// the complement), probes each such vertex's neighbors until the first
+// flipped one, joins the vertex when there is none, counts the joins per
+// word and stores the word's final bits into the membership slice without
+// branching. A memo-hit solve, which runs only this kernel, is what every
+// distinct-seed request on a served graph pays.
+//
 // Zero steady-state allocations: a Solver owns every scratch buffer and
 // re-slices them across solves; the package-level Acquire/Release pool
 // lets servers reuse whole solvers across requests. After warm-up a Solve

@@ -3,6 +3,7 @@ package fastpath
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"kwmds/internal/graph"
 	"kwmds/internal/stats"
@@ -56,66 +57,71 @@ func (s *Solver) roundPhases(x []float64, opt Options) Result {
 }
 
 // phaseFlip decides line 3's independent membership flips. Each chunk owns
-// its words of the flipped bitset outright; the draw is the first value of
-// the per-node stream (stats.StreamFloat64) keyed by vertex id, exactly
-// as rounding.flip draws it, so the coin flips match the other backends
-// bit for bit.
+// its words of the flipped bitset outright. A vertex joins when its draw u,
+// the first value of its per-node stream (stats.StreamFloat64, keyed by
+// vertex id as rounding.flip draws it), is below x·Scale(δ⁽²⁾). That is
+// line 3's u < min{1, p} without the clamp or a branch: u lies in [0, 1)
+// and p is finite or +Inf and never negative (x is validated, Scale ≥ 0),
+// so p ≥ 1 always joins and p = 0 never does, as the reference's early
+// outs decide. The comparison sets the vertex's bit directly.
 func (s *Solver) phaseFlip(c int) {
 	fw := s.flipped.Words()
-	x, d2, scaleTab := s.curX, s.d2, s.scaleTab
-	seed := s.curSeed
+	x, d2, scaleTab := s.curX[:s.n], s.d2[:s.n], s.scaleTab
+	key := stats.NewStreamKey(s.curSeed)
 	joined := 0
 	for wi := s.c0[c]; wi < s.c1[c]; wi++ {
 		base := wi << 6
-		top := 64
-		if base+top > s.n {
-			top = s.n - base
-		}
+		xs, ds := x[base:min(base+64, s.n)], d2[base:]
 		var dst uint64
-		for b := 0; b < top; b++ {
-			v := base + b
-			p := math.Min(1, x[v]*scaleTab[d2[v]])
-			if p >= 1 || (p > 0 && stats.StreamFloat64(seed, int64(v)) < p) {
-				dst |= 1 << b
-				joined++
-			}
+		for b, xv := range xs {
+			dst |= b2u(key.Float64(int64(base+b)) < xv*scaleTab[ds[b]]) << (b & 63)
 		}
 		fw[wi] = dst
+		joined += bits.OnesCount64(dst)
 	}
 	s.joinCnt[c][0] = joined
 }
 
 // phaseFixup joins every vertex whose closed neighborhood contains no
 // line-3 member (reading only the flip results, as lines 5-6 prescribe)
-// and materializes the final membership slice.
+// and materializes the final membership slice. Per word it visits only the
+// vertices that did not flip, each probing its neighbors until the first
+// flipped one, and stores the word's final bits without branching.
 func (s *Solver) phaseFixup(c int) {
 	fw := s.flipped.Words()
 	off, adj, inDS := s.off, s.adj, s.inDS
 	fix := 0
 	for wi := s.c0[c]; wi < s.c1[c]; wi++ {
 		base := wi << 6
-		top := 64
-		if base+top > s.n {
-			top = s.n - base
-		}
-		for b := 0; b < top; b++ {
+		ds := inDS[base:min(base+64, s.n)]
+		w := fw[wi]
+		var join uint64
+		for open := ^w & (^uint64(0) >> (64 - len(ds))); open != 0; open &= open - 1 {
+			b := bits.TrailingZeros64(open)
 			v := base + b
-			in := fw[wi]&(1<<b) != 0
-			if !in {
-				covered := false
-				for _, u := range adj[off[v]:off[v+1]] {
-					if fw[u>>6]&(1<<(uint32(u)&63)) != 0 {
-						covered = true
-						break
-					}
-				}
-				if !covered {
-					in = true
-					fix++
+			covered := false
+			for _, u := range adj[off[v]:off[v+1]] {
+				if fw[u>>6]&(1<<(uint32(u)&63)) != 0 {
+					covered = true
+					break
 				}
 			}
-			inDS[v] = in
+			join |= b2u(!covered) << (b & 63)
+		}
+		fix += bits.OnesCount64(join)
+		w |= join
+		for b := range ds {
+			ds[b] = w>>(b&63)&1 != 0
 		}
 	}
 	s.joinCnt[c][1] = fix
+}
+
+// b2u is 1 for true and 0 for false; the compiler turns it into a flag
+// set, not a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"weak"
 )
@@ -288,9 +289,7 @@ func (g *Graph) Uncovered(inDS []bool) []int {
 func SetSize(inDS []bool) int {
 	c := 0
 	for _, b := range inDS {
-		if b {
-			c++
-		}
+		c += int(b2u(b))
 	}
 	return c
 }
@@ -302,11 +301,52 @@ func Members(inDS []bool) []int {
 	if n == 0 {
 		return nil
 	}
+	// Every index is written to the next free slot, and the slot is kept
+	// only when the entry is true; the walk ends after the last member.
+	out := make([]int, n)
+	for v, j := 0, 0; j < n; v++ {
+		out[j] = v
+		j += int(b2u(inDS[v]))
+	}
+	return out
+}
+
+// PackSet packs a vertex set into bits, 64 vertices a word: vertex v is bit
+// v&63 of word v>>6.
+func PackSet(inDS []bool) []uint64 {
+	words := make([]uint64, (len(inDS)+63)/64)
+	for wi := range words {
+		var w uint64
+		for b, in := range inDS[wi<<6 : min(wi<<6+64, len(inDS))] {
+			w |= b2u(in) << (b & 63)
+		}
+		words[wi] = w
+	}
+	return words
+}
+
+// PackedMembers returns Members of the set PackSet packed into words.
+func PackedMembers(words []uint64) []int {
+	n := 0
+	for _, w := range words {
+		n += bits.OnesCount64(w)
+	}
+	if n == 0 {
+		return nil
+	}
 	out := make([]int, 0, n)
-	for v, b := range inDS {
-		if b {
-			out = append(out, v)
+	for wi, w := range words {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, wi<<6+bits.TrailingZeros64(w))
 		}
 	}
 	return out
+}
+
+// b2u is 1 for true and 0 for false, compiled to a flag set, not a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

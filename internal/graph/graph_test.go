@@ -263,6 +263,48 @@ func TestMembersAllocatesOnce(t *testing.T) {
 	}
 }
 
+// TestSetHelpersMatchNaive checks the branch-free SetSize and Members, and
+// the packed form's PackSet and PackedMembers, against the plain loops on
+// empty, all-true and random sets whose lengths straddle word boundaries.
+func TestSetHelpersMatchNaive(t *testing.T) {
+	r := rand.New(rand.NewPCG(5, 6))
+	var sets [][]bool
+	for _, n := range []int{0, 1, 63, 64, 65, 130, 10_000} {
+		all, random := make([]bool, n), make([]bool, n)
+		for v := range all {
+			all[v] = true
+			random[v] = r.Float64() < 0.47
+		}
+		sets = append(sets, make([]bool, n), all, random)
+	}
+	for i, set := range sets {
+		var want []int
+		for v, in := range set {
+			if in {
+				want = append(want, v)
+			}
+		}
+		if got := SetSize(set); got != len(want) {
+			t.Fatalf("set %d (n=%d): SetSize = %d, want %d", i, len(set), got, len(want))
+		}
+		got, packed := Members(set), PackedMembers(PackSet(set))
+		if (got == nil) != (want == nil) || (packed == nil) != (want == nil) {
+			t.Fatalf("set %d (n=%d): nil-ness of Members %v / PackedMembers %v, want %v", i, len(set), got == nil, packed == nil, want == nil)
+		}
+		for j := range want {
+			if got[j] != want[j] || packed[j] != want[j] {
+				t.Fatalf("set %d (n=%d): member %d is %d / %d, want %d", i, len(set), j, got[j], packed[j], want[j])
+			}
+		}
+		if len(got) != len(want) || len(packed) != len(want) {
+			t.Fatalf("set %d (n=%d): %d / %d members, want %d", i, len(set), len(got), len(packed), len(want))
+		}
+		if words := PackSet(set); len(words) != (len(set)+63)/64 {
+			t.Fatalf("set %d (n=%d): %d packed words", i, len(set), len(words))
+		}
+	}
+}
+
 func TestBFS(t *testing.T) {
 	g := path5(t)
 	dist := g.BFS(0)

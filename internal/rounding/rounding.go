@@ -102,8 +102,8 @@ func validate(g *graph.Graph, x []float64) error {
 
 // flip decides membership for a node: the first draw of its per-node stream
 // against p. Shared by both executions so they agree bit for bit; the
-// fastpath backend performs the same comparison against the same
-// StreamFloat64 draw (heap-free by construction — see stats.StreamFloat64).
+// fastpath backend takes the same draw through stats.StreamKey and compares
+// it against the unclamped product, which decides every case alike.
 func flip(seed int64, id int, p float64) bool {
 	if p >= 1 {
 		return true

@@ -10,8 +10,6 @@ import (
 	"context"
 	"strings"
 	"sync"
-
-	"kwmds/internal/graphio"
 )
 
 // resultCache is a thread-safe LRU of solve results with single-flight
@@ -30,7 +28,7 @@ type resultCache struct {
 
 type cacheEntry struct {
 	key string
-	val *graphio.SolveResponse
+	val *solveResult
 }
 
 // inflightCall is one running computation with a refcount of interested
@@ -42,7 +40,7 @@ type inflightCall struct {
 	cancel   chan struct{}
 	waiters  int  // guarded by resultCache.mu
 	canceled bool // guarded by resultCache.mu
-	val      *graphio.SolveResponse
+	val      *solveResult
 	err      error
 }
 
@@ -67,7 +65,7 @@ func newResultCache(capacity int) *resultCache {
 // has walked out — wire it to the solver's Options.Cancel and an abandoned
 // solve stops burning the worker pool. Canceled computations return errors
 // and are never cached.
-func (c *resultCache) getOrCompute(ctx context.Context, key string, compute func(cancel <-chan struct{}) (*graphio.SolveResponse, error)) (val *graphio.SolveResponse, hit bool, err error) {
+func (c *resultCache) getOrCompute(ctx context.Context, key string, compute func(cancel <-chan struct{}) (*solveResult, error)) (val *solveResult, hit bool, err error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.order.MoveToFront(el)
@@ -121,7 +119,7 @@ func (c *resultCache) getOrCompute(ctx context.Context, key string, compute func
 
 // wait blocks until the call completes or the caller's ctx ends. The last
 // waiter to leave closes the call's cancel channel.
-func (c *resultCache) wait(ctx context.Context, call *inflightCall, hit bool) (*graphio.SolveResponse, bool, error) {
+func (c *resultCache) wait(ctx context.Context, call *inflightCall, hit bool) (*solveResult, bool, error) {
 	select {
 	case <-call.done:
 		return call.val, hit, call.err

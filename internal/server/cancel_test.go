@@ -40,13 +40,13 @@ func TestCancelOneWaiterOfMany(t *testing.T) {
 	c := newResultCache(4)
 	release := make(chan struct{})
 	var sawCancel atomic.Bool
-	compute := func(cancel <-chan struct{}) (*graphio.SolveResponse, error) {
+	compute := func(cancel <-chan struct{}) (*solveResult, error) {
 		select {
 		case <-cancel:
 			sawCancel.Store(true)
 			return nil, errSolveAbandoned
 		case <-release:
-			return &graphio.SolveResponse{Size: 7}, nil
+			return &solveResult{SolveResponse: graphio.SolveResponse{Size: 7}}, nil
 		}
 	}
 
@@ -59,7 +59,7 @@ func TestCancelOneWaiterOfMany(t *testing.T) {
 	}()
 	waitersOn(t, c, "k", 1)
 
-	resB := make(chan *graphio.SolveResponse, 1)
+	resB := make(chan *solveResult, 1)
 	go func() {
 		v, _, err := c.getOrCompute(context.Background(), "k", compute)
 		if err != nil {
@@ -99,12 +99,12 @@ func TestCancelOneWaiterOfMany(t *testing.T) {
 func TestCancelAllWaiters(t *testing.T) {
 	c := newResultCache(4)
 	var calls atomic.Int32
-	compute := func(cancel <-chan struct{}) (*graphio.SolveResponse, error) {
+	compute := func(cancel <-chan struct{}) (*solveResult, error) {
 		if calls.Add(1) == 1 {
 			<-cancel // first run only completes by cancellation
 			return nil, errSolveAbandoned
 		}
-		return &graphio.SolveResponse{Size: 9}, nil
+		return &solveResult{SolveResponse: graphio.SolveResponse{Size: 9}}, nil
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

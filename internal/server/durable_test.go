@@ -8,6 +8,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -49,7 +50,7 @@ func durableServer(t *testing.T, dir string, initial *graph.Graph) (*Server, *ht
 		t.Fatalf("wal.Open: %v", err)
 	}
 	srv := New(Config{Workers: 2, Preloads: map[string]Preload{
-		"g": {Dyn: rec.Dyn, Log: rec.Log, Mapped: rec.Mapped},
+		"g": {Dyn: rec.Dyn, Log: rec.Log, Mapped: rec.Mapped, Tree: rec.Tree},
 	}})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
@@ -141,7 +142,7 @@ func TestDurableMutateAndRestart(t *testing.T) {
 		t.Fatalf("recovered weight[3] = %v, want 4.5", hex[3])
 	}
 	srv2 := New(Config{Workers: 2, Preloads: map[string]Preload{
-		"g": {Dyn: rec2.Dyn, Log: rec2.Log, Mapped: rec2.Mapped},
+		"g": {Dyn: rec2.Dyn, Log: rec2.Log, Mapped: rec2.Mapped, Tree: rec2.Tree},
 	}})
 	ts2 := httptest.NewServer(srv2.Handler())
 	t.Cleanup(func() { ts2.Close(); srv2.Close() })
@@ -175,6 +176,56 @@ func TestDurableMutateAndRestart(t *testing.T) {
 	resp, mr3 := postMutate(t, ts2, "g", `{"mutations":[{"op":"remove_edge","u":0,"v":10}]}`)
 	if resp.StatusCode != 200 || !mr3.Durable || mr3.Epoch != 3 {
 		t.Fatalf("post-recovery mutate: status %d durable %v epoch %d", resp.StatusCode, mr3.Durable, mr3.Epoch)
+	}
+}
+
+// TestRecoveredDigestTreeHandedOver: the server keeps the digest tree
+// wal.Open built, on first boot and on recovery, and mutates through it.
+// Every handed-over root must equal a fresh tree's, and the records a
+// recovered server logs must carry the right pre/post digests: the next
+// recovery replays them against its own tree and refuses a mismatch.
+func TestRecoveredDigestTreeHandedOver(t *testing.T) {
+	dir := t.TempDir()
+	var last string
+	for boot, body := range []string{
+		`{"mutations":[{"op":"add_edge","u":0,"v":10}]}`,
+		`{"mutations":[{"op":"add_edge","u":3,"v":17},{"op":"remove_edge","u":0,"v":10}]}`,
+		`{"mutations":[{"op":"add_edge","u":5,"v":30}]}`,
+	} {
+		rec, err := wal.Open(dir, lineGraph(40), nil, walTestOpts)
+		if err != nil {
+			t.Fatalf("boot %d: wal.Open: %v", boot, err)
+		}
+		fresh := graphio.NewDigestTree(rec.Dyn.Graph()).Root()
+		if rec.Tree == nil || rec.Tree.Root() != fresh || rec.Digest != fresh {
+			t.Fatalf("boot %d: handed-over tree does not match a fresh digest of the recovered graph", boot)
+		}
+		if boot > 0 && hex.EncodeToString(fresh[:]) != last {
+			t.Fatalf("boot %d: recovered digest %x, want the last mutate's %s", boot, fresh, last)
+		}
+		srv := New(Config{Workers: 2, Preloads: map[string]Preload{
+			"g": {Dyn: rec.Dyn, Log: rec.Log, Mapped: rec.Mapped, Tree: rec.Tree},
+		}})
+		if p, _ := srv.lookup("g"); p.tree != rec.Tree {
+			t.Fatalf("boot %d: the server built its own digest tree", boot)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		resp, mr := postMutate(t, ts, "g", body)
+		ts.Close()
+		srv.Close()
+		if resp.StatusCode != http.StatusOK || !mr.Durable || mr.Epoch != int64(boot+1) {
+			t.Fatalf("boot %d: mutate status %d durable %v epoch %d", boot, resp.StatusCode, mr.Durable, mr.Epoch)
+		}
+		last = mr.Digest
+	}
+	rec, err := wal.Open(dir, nil, nil, walTestOpts)
+	if err != nil {
+		t.Fatalf("final recovery: %v", err)
+	}
+	defer rec.Log.Close()
+	defer rec.Mapped.Close()
+	if got := rec.Tree.Root(); rec.Dyn.Epoch() != 3 || hex.EncodeToString(got[:]) != last {
+		t.Fatalf("final recovery at epoch %d digest %x, want epoch 3 digest %s", rec.Dyn.Epoch(), got, last)
 	}
 }
 

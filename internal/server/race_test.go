@@ -113,15 +113,15 @@ func TestSingleFlight(t *testing.T) {
 	computes.Add(1)
 	var calls int32
 	var mu sync.Mutex
-	compute := func(<-chan struct{}) (*graphio.SolveResponse, error) {
+	compute := func(<-chan struct{}) (*solveResult, error) {
 		mu.Lock()
 		calls++
 		mu.Unlock()
 		computes.Wait() // hold every concurrent caller on this one compute
-		return &graphio.SolveResponse{Size: 42}, nil
+		return &solveResult{SolveResponse: graphio.SolveResponse{Size: 42}}, nil
 	}
 	const n = 8
-	results := make([]*graphio.SolveResponse, n)
+	results := make([]*solveResult, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)

@@ -64,11 +64,14 @@ type Config struct {
 }
 
 // Preload is one entry of Config.Preloads. Dyn is required; Log and Mapped
-// are optional and pass to the server's ownership.
+// are optional and pass to the server's ownership. Tree, when non-nil, is
+// the digest tree of Dyn.Graph() (wal.Recovered.Tree) and passes to the
+// server too; without it the server hashes the graph itself.
 type Preload struct {
 	Dyn    *dyngraph.Dynamic
 	Log    *wal.Log
 	Mapped *graphio.MappedGraph
+	Tree   *graphio.DigestTree
 }
 
 // Server answers dominating-set queries over HTTP. It is safe for
@@ -120,8 +123,12 @@ type preloaded struct {
 	mapped *graphio.MappedGraph
 }
 
-func newPreloaded(dyn *dyngraph.Dynamic) *preloaded {
-	tree := graphio.NewDigestTree(dyn.Graph())
+// newPreloaded registers dyn under its digest tree, built here when tree
+// is nil.
+func newPreloaded(dyn *dyngraph.Dynamic, tree *graphio.DigestTree) *preloaded {
+	if tree == nil {
+		tree = graphio.NewDigestTree(dyn.Graph())
+	}
 	root := tree.Root()
 	return &preloaded{dyn: dyn, digest: hex.EncodeToString(root[:]), tree: tree}
 }
@@ -159,11 +166,11 @@ func New(cfg Config) *Server {
 		solveHist: make(map[string]*solveStats),
 	}
 	for name, g := range cfg.Graphs {
-		s.graphs[name] = newPreloaded(dyngraph.New(g))
+		s.graphs[name] = newPreloaded(dyngraph.New(g), nil)
 		s.names = append(s.names, name)
 	}
 	for name, p := range cfg.Preloads {
-		pl := newPreloaded(p.Dyn)
+		pl := newPreloaded(p.Dyn, p.Tree)
 		pl.log, pl.mapped = p.Log, p.Mapped
 		s.graphs[name] = pl
 		s.names = append(s.names, name)
@@ -420,7 +427,7 @@ func (s *Server) solve(ctx context.Context, req *graphio.SolveRequest) (*graphio
 	}
 
 	key := cacheKey(digest, req, opts)
-	cached, hit, err := s.cache.getOrCompute(ctx, key, func(cancel <-chan struct{}) (*graphio.SolveResponse, error) {
+	cached, hit, err := s.cache.getOrCompute(ctx, key, func(cancel <-chan struct{}) (*solveResult, error) {
 		// cancel closes when every coalesced client has disconnected; both
 		// the slot wait and the solve honor it.
 		if err := s.admit(cancel); err != nil {
@@ -439,13 +446,13 @@ func (s *Server) solve(ctx context.Context, req *graphio.SolveRequest) (*graphio
 		s.observeSolve(req.Engine, cached.ElapsedMS)
 	}
 	// Copy before customizing: the cache entry is shared across requests.
-	resp := *cached
+	resp := cached.SolveResponse
 	resp.Cached = hit
 	if hit {
 		resp.ElapsedMS = 0
 	}
-	if !req.Members {
-		resp.Members = nil
+	if req.Members {
+		resp.Members = graph.PackedMembers(cached.set)
 	}
 	// Epoch is per-request, not per-cache-entry: a mutate-and-revert
 	// sequence can bring a later epoch back to a cached digest, and the
@@ -630,10 +637,18 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"name": name, "epoch": epoch, "deleted": true})
 }
 
-// run executes one pipeline configuration. Members are always materialized
-// into the cached response; solve strips them per request.
-func (s *Server) run(g *graph.Graph, digest, algo, engine string, opts kwmds.Options) (*graphio.SolveResponse, error) {
-	resp := &graphio.SolveResponse{Digest: digest, Algo: algo, Engine: engine, N: g.N(), M: g.M()}
+// solveResult is what the cache holds for one configuration: the response
+// without a member list, and the set as packed bits, 64 vertices a word
+// (nil for "frac"). solve lists the members only for a request that asks.
+type solveResult struct {
+	graphio.SolveResponse
+	set []uint64
+}
+
+// run executes one pipeline configuration.
+func (s *Server) run(g *graph.Graph, digest, algo, engine string, opts kwmds.Options) (*solveResult, error) {
+	out := &solveResult{SolveResponse: graphio.SolveResponse{Digest: digest, Algo: algo, Engine: engine, N: g.N(), M: g.M()}}
+	resp := &out.SolveResponse
 	start := time.Now()
 	switch algo {
 	case "frac":
@@ -650,19 +665,20 @@ func (s *Server) run(g *graph.Graph, digest, algo, engine string, opts kwmds.Opt
 		if err != nil {
 			return nil, err
 		}
-		fillResult(resp, res)
+		fillResult(out, res)
 	default: // kw, kw2 (KnownDelta already folded into opts)
 		res, err := kwmds.DominatingSet(g, opts)
 		if err != nil {
 			return nil, err
 		}
-		fillResult(resp, res)
+		fillResult(out, res)
 	}
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return resp, nil
+	return out, nil
 }
 
-func fillResult(resp *graphio.SolveResponse, res *kwmds.Result) {
+func fillResult(out *solveResult, res *kwmds.Result) {
+	resp := &out.SolveResponse
 	resp.K = res.K
 	resp.Size = res.Size
 	resp.WeightedCost = res.WeightedCost
@@ -670,14 +686,15 @@ func fillResult(resp *graphio.SolveResponse, res *kwmds.Result) {
 	resp.Rounds, resp.Messages, resp.Bits = res.Rounds, res.Messages, res.Bits
 	resp.JoinedRandom, resp.JoinedFixup = res.JoinedRandom, res.JoinedFixup
 	resp.Connectors = res.Connectors
-	resp.Members = kwmds.SetMembers(res.InDS)
+	out.set = graph.PackSet(res.InDS)
 }
 
 // cacheKey folds the topology digest and every result-affecting option into
 // one string. The Members flag is deliberately excluded: the cached value
-// carries the member list and solve strips it per request. The engine is
-// included not because the sets differ (they are bit-identical) but because
-// the responses do: only "sim" carries round/message statistics.
+// carries the set as packed bits, and solve lists it per request. The
+// engine is included not because the sets differ (they are bit-identical)
+// but because the responses do: only "sim" carries round/message
+// statistics.
 func cacheKey(digest string, req *graphio.SolveRequest, opts kwmds.Options) string {
 	variant := req.Variant
 	if variant == "" {

@@ -3,11 +3,14 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
+	"kwmds"
 	"kwmds/internal/gen"
 	"kwmds/internal/graph"
 	"kwmds/internal/graphio"
@@ -205,11 +208,86 @@ func TestSolveCache(t *testing.T) {
 	}
 }
 
+// TestMembersOnlyOnRequest: a cold solve caches its set as packed bits and
+// builds the member list only for a request that asks for one. For each
+// engine with members, a members:false miss carries none; the same request
+// with members:true is a cache hit listing exactly kwmds.SetMembers of an
+// in-process solve; a members:true miss on a fresh server lists the same;
+// and no cache entry ever holds a list.
+func TestMembersOnlyOnRequest(t *testing.T) {
+	g, err := gen.UnitDisk(300, 0.1, 4) // 300 vertices: the last word is partial
+	if err != nil {
+		t.Fatal(err)
+	}
+	newServer := func() (*Server, *httptest.Server) {
+		srv := New(Config{Workers: 2, CacheEntries: 8, Graphs: map[string]*graph.Graph{"g": g}})
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		return srv, ts
+	}
+	solve := func(ts *httptest.Server, body string) graphio.SolveResponse {
+		t.Helper()
+		resp, raw := postSolve(t, ts, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", body, resp.StatusCode, raw)
+		}
+		var sr graphio.SolveResponse
+		if err := json.Unmarshal(raw, &sr); err != nil {
+			t.Fatal(err)
+		}
+		return sr
+	}
+	noListCached := func(srv *Server) {
+		t.Helper()
+		srv.cache.mu.Lock()
+		defer srv.cache.mu.Unlock()
+		for el := srv.cache.order.Front(); el != nil; el = el.Next() {
+			if e := el.Value.(*cacheEntry); e.val.Members != nil {
+				t.Fatalf("cache entry %q holds a member list of %d ids", e.key, len(e.val.Members))
+			}
+		}
+	}
+	for _, algo := range []string{"kw", "kw2", "kwcds"} {
+		t.Run(algo, func(t *testing.T) {
+			opts := kwmds.Options{K: 3, Seed: 11, Sequential: true, KnownDelta: algo == "kw2"}
+			solveInProc := kwmds.DominatingSet
+			if algo == "kwcds" {
+				solveInProc = kwmds.ConnectedDominatingSet
+			}
+			want, err := solveInProc(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantList := kwmds.SetMembers(want.InDS)
+			body := fmt.Sprintf(`{"graph_ref":"g","algo":%q,"k":3,"seed":11`, algo)
+
+			srv, ts := newServer()
+			miss := solve(ts, body+`}`)
+			if miss.Cached || miss.Members != nil || miss.Size != want.Size {
+				t.Fatalf("members:false miss: cached %v, %d members, size %d (want a miss with none, size %d)",
+					miss.Cached, len(miss.Members), miss.Size, want.Size)
+			}
+			hit := solve(ts, body+`,"members":true}`)
+			if !hit.Cached || !slices.Equal(hit.Members, wantList) {
+				t.Fatalf("members:true hit: cached %v, members %v, want a hit listing %v", hit.Cached, hit.Members, wantList)
+			}
+			noListCached(srv)
+
+			srv2, ts2 := newServer()
+			miss2 := solve(ts2, body+`,"members":true}`)
+			if miss2.Cached || !slices.Equal(miss2.Members, wantList) {
+				t.Fatalf("members:true miss: cached %v, members %v, want a miss listing %v", miss2.Cached, miss2.Members, wantList)
+			}
+			noListCached(srv2)
+		})
+	}
+}
+
 func TestCacheEviction(t *testing.T) {
 	c := newResultCache(2)
-	mk := func(k string) (*graphio.SolveResponse, bool) {
-		v, hit, err := c.getOrCompute(context.Background(), k, func(<-chan struct{}) (*graphio.SolveResponse, error) {
-			return &graphio.SolveResponse{Digest: k}, nil
+	mk := func(k string) (*solveResult, bool) {
+		v, hit, err := c.getOrCompute(context.Background(), k, func(<-chan struct{}) (*solveResult, error) {
+			return &solveResult{SolveResponse: graphio.SolveResponse{Digest: k}}, nil
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -23,7 +23,18 @@ func SplitMix64(x uint64) uint64 {
 // a new seed that is decorrelated from both inputs and from neighboring
 // stream indices.
 func Mix(seed int64, stream int64) uint64 {
-	return SplitMix64(SplitMix64(uint64(seed)) ^ SplitMix64(uint64(stream)+0x5851f42d4c957f2d))
+	return NewStreamKey(seed).mix(stream)
+}
+
+// StreamKey is the seed's half of Mix, SplitMix64(seed), so that a loop
+// drawing one value per stream of one seed computes it once.
+type StreamKey uint64
+
+// NewStreamKey returns the key of seed.
+func NewStreamKey(seed int64) StreamKey { return StreamKey(SplitMix64(uint64(seed))) }
+
+func (k StreamKey) mix(stream int64) uint64 {
+	return SplitMix64(uint64(k) ^ SplitMix64(uint64(stream)+0x5851f42d4c957f2d))
 }
 
 // NewRand returns a deterministic *rand.Rand for the given seed.
@@ -48,7 +59,12 @@ func NewStreamRand(seed int64, stream int64) *rand.Rand {
 // dominated the fastpath solver's garbage; this is the same draw, heap-free
 // (TestStreamFloat64MatchesNewStreamRand pins the equivalence).
 func StreamFloat64(seed int64, stream int64) float64 {
-	s := Mix(seed, stream)
+	return NewStreamKey(seed).Float64(stream)
+}
+
+// Float64 returns StreamFloat64(seed, stream) for the key's seed.
+func (k StreamKey) Float64(stream int64) float64 {
+	s := k.mix(stream)
 	var p rand.PCG
 	p.Seed(s, SplitMix64(s))
 	// rand.Rand.Float64 on a 64-bit source: top 53 bits over 2⁵³.

@@ -158,6 +158,10 @@ type Recovered struct {
 	Dyn *dyngraph.Dynamic
 	// Digest is the raw topology digest of Dyn.Graph().
 	Digest [digestBytes]byte
+	// Tree is the digest tree of Dyn.Graph(), whose root is Digest: the
+	// one Open built (and replayed through), handed over so the caller's
+	// mutates can update it instead of hashing the graph again.
+	Tree *graphio.DigestTree
 	// Mapped, when non-nil, is the mmapped snapshot backing Dyn's base
 	// graph. The caller owns it: keep it open while the base graph may
 	// still be served (weight-only epochs never copy it to heap) and
@@ -294,7 +298,8 @@ func Open(dir string, initial *graph.Graph, initialCosts []float64, opts Options
 		if initial == nil {
 			return nil, fmt.Errorf("%w: %s", ErrNoState, dir)
 		}
-		rec.Digest = graphio.DigestRaw(initial)
+		rec.Tree = graphio.NewDigestTree(initial)
+		rec.Digest = rec.Tree.Root()
 		rec.Dyn = dyngraph.NewAt(initial, 0, initialCosts)
 		if err := l.writeSnapshotFile(initial, initialCosts, 0); err != nil {
 			return nil, err
@@ -409,7 +414,7 @@ func Open(dir string, initial *graph.Graph, initialCosts []float64, opts Options
 		WALBytes:       walBytes,
 		SnapshotBytes:  l.snapBytes,
 	}
-	rec.Dyn, rec.Digest, rec.Mapped, rec.Stats = d, digest, m, l.recovery
+	rec.Dyn, rec.Digest, rec.Tree, rec.Mapped, rec.Stats = d, digest, tree, m, l.recovery
 	return rec, nil
 }
 

@@ -83,6 +83,10 @@ func TestRoundtripChurn(t *testing.T) {
 	if rec.Digest != res.states[last].digest {
 		t.Fatalf("recovered digest does not match the oracle")
 	}
+	// The tree the replay ran through is handed over at the final state.
+	if rec.Tree.Root() != graphio.NewDigestTree(rec.Dyn.Graph()).Root() || rec.Tree.Root() != rec.Digest {
+		t.Fatalf("handed-over digest tree does not match a fresh tree of the recovered graph")
+	}
 	// Weight vector must round-trip bit-exactly through record encoding.
 	got, want := rec.Dyn.Costs(), res.states[last].costs
 	if len(got) != len(want) {
