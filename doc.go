@@ -33,13 +33,15 @@
 //	    res.Size, g.N(), res.Rounds)
 //
 // The package also exposes the fractional stage alone
-// (FractionalDominatingSet), the weighted variant (Options.Weights), the
-// ln−lnln rounding variant (Options.Variant), and graph construction,
-// generation and I/O helpers. Options are validated up front: every facade
-// entry point rejects malformed input (negative or oversized K, a weight
-// vector of the wrong length or with non-finite entries, an unknown
-// rounding variant) with an error matching ErrInvalidOptions, so untrusted
-// request bodies can never panic the pipeline.
+// (FractionalDominatingSet), the answer packed into words for callers that
+// keep only the set and its scalars (DominatingSetPacked), the weighted
+// variant (Options.Weights), the ln−lnln rounding variant
+// (Options.Variant), and graph construction, generation and I/O helpers.
+// Options are validated up front: every facade entry point rejects
+// malformed input (negative or oversized K, a weight vector of the wrong
+// length or with non-finite entries, an unknown rounding variant) with an
+// error matching ErrInvalidOptions, so untrusted request bodies can never
+// panic the pipeline.
 //
 // # Execution backends
 //
@@ -69,7 +71,7 @@
 // with the host it ran on: on a 2-vCPU host at GOMAXPROCS 2 the fastpath
 // runs the full pipeline on a 100k-vertex unit-disk graph at p50 30.1 ms
 // with two phase workers (solve-cold-udg100k), and on a 2-vCPU host it
-// serves uncached 10k-vertex solves at p50 4.7 ms under eight concurrent
+// serves uncached 10k-vertex solves at p50 1.4 ms under eight concurrent
 // clients (serve-uncached-udg10k).
 //
 // The `kwmds serve` subcommand (internal/server) runs the pipelines as a

@@ -286,7 +286,7 @@ func TestDifferentialChurn(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s cold solve: %v", ctx, err)
 							}
-							testsupport.AssertDominatingSet(t, ctx+" cold", fresh, cold.InDS)
+							testsupport.AssertDominatingSetPacked(t, ctx+" cold", fresh, cold.Set)
 							testsupport.AssertFractionallyDominated(t, ctx+" cold", fresh, cold.X)
 							for i, workers := range churnWorkerCounts {
 								opt.Workers = workers
@@ -298,7 +298,7 @@ func TestDifferentialChurn(t *testing.T) {
 									replayed.Add(1)
 								}
 								assertSameResult(t, fmt.Sprintf("%s workers %d", ctx, workers), got, cold)
-								testsupport.AssertDominatingSet(t, ctx, delta.Next, got.InDS)
+								testsupport.AssertDominatingSetPacked(t, ctx, delta.Next, got.Set)
 							}
 						}
 					})

@@ -3,6 +3,7 @@ package dyngraph_test
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"kwmds/internal/dyngraph"
@@ -136,12 +137,10 @@ func FuzzMutationSequence(f *testing.F) {
 					t.Fatalf("step %d alg %d: (%d,%d,%d), want (%d,%d,%d)", step, alg,
 						got.Size, got.JoinedRandom, got.JoinedFixup, cold.Size, cold.JoinedRandom, cold.JoinedFixup)
 				}
-				for v := range cold.InDS {
-					if got.InDS[v] != cold.InDS[v] {
-						t.Fatalf("step %d alg %d: InDS[%d] mismatch", step, alg, v)
-					}
+				if !slices.Equal(got.Set, cold.Set) {
+					t.Fatalf("step %d alg %d: the sets differ", step, alg)
 				}
-				testsupport.AssertDominatingSet(t, "fuzz churn", delta.Next, got.InDS)
+				testsupport.AssertDominatingSetPacked(t, "fuzz churn", delta.Next, got.Set)
 			}
 		}
 

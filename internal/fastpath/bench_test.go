@@ -66,6 +66,54 @@ func BenchmarkSolveMemoHit(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.N()), "ns/vertex")
 }
 
+// roundBench returns a one-worker solver that has solved serve-cold's graph
+// (udg-10k, radius 0.02) once, with the LP memo set as the rounding input:
+// the state a memo-hit solve reaches before its flip. One worker means one
+// chunk, so chunk 0 of a phase covers every vertex.
+func roundBench(b *testing.B) (*Solver, *graph.Graph) {
+	b.Helper()
+	g, err := gen.UnitDisk(10000, 0.02, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New()
+	if _, err := s.Solve(g, Options{K: 3, Seed: 1, Workers: 1}); err != nil {
+		b.Fatal(err)
+	}
+	s.curX = s.x[:s.n]
+	return s, g
+}
+
+// BenchmarkRoundFlip times Algorithm 1's line 3 alone: one keyed draw per
+// vertex against x·Scale(δ⁽²⁾), a new seed per iteration.
+func BenchmarkRoundFlip(b *testing.B) {
+	s, g := roundBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.curSeed = int64(i) + 2
+		s.phaseFlip(0)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.N()), "ns/vertex")
+}
+
+// BenchmarkRoundFixup times lines 5-6 alone: the coverage check of every
+// unflipped vertex and the store of the packed set. Each iteration flips a
+// new seed outside the timer, so the probe's branches meet a new pattern.
+func BenchmarkRoundFixup(b *testing.B) {
+	s, g := roundBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s.curSeed = int64(i) + 2
+		s.phaseFlip(0)
+		b.StartTimer()
+		s.phaseFixup(0)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.N()), "ns/vertex")
+}
+
 // BenchmarkSolveDerived is the churn pattern: serve-churn's graph (udg-10k,
 // radius 0.02) mutated as serve-churn mutates it — 4 edge toggles per
 // epoch among 32 fixed vertex pairs — and each new epoch solved on the

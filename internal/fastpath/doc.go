@@ -45,22 +45,30 @@
 // bitset. The flip compares each vertex's draw u — the first value of its
 // per-node stream keyed by vertex id, with the seed's half of the mixing
 // done once per solve (stats.StreamKey) — against x·Scale(δ⁽²⁾) and sets
-// the vertex's bit from the comparison. There is no clamp and no branch:
-// u lies in [0, 1) and x·Scale is never negative, so p ≥ 1 always joins
-// and p = 0 never does, as the references' min{1, p} decides. The fix-up
-// walks only the unflipped bits of each word (bits.TrailingZeros64 over
-// the complement), probes each such vertex's neighbors until the first
-// flipped one, joins the vertex when there is none, counts the joins per
-// word and stores the word's final bits into the membership slice without
-// branching. A memo-hit solve, which runs only this kernel, is what every
-// distinct-seed request on a served graph pays.
+// the vertex's bit from the comparison. The draws come four consecutive
+// vertices at a time (stats.StreamKey.Float64x4), so the core overlaps
+// their four independent multiply chains. There is no clamp and no
+// branch: u lies in [0, 1) and x·Scale is never negative, so p ≥ 1 always
+// joins and p = 0 never does, as the references' min{1, p} decides. The
+// fix-up walks only the unflipped bits of each word
+// (bits.TrailingZeros64 over the complement). A vertex with at least four
+// neighbors first ORs the flip bits of its first four without a branch;
+// only when none of them flipped, or the degree is below four, does it
+// scan the rest until the first flipped one. A vertex with no flipped
+// neighbor joins; the joins are counted per word, and the word's final
+// set, flipped | joined, is stored into the packed output (Result.Set, one
+// bit per vertex — no per-vertex slice is written). A memo-hit solve,
+// which runs only this kernel, is what every distinct-seed request on a
+// served graph pays.
 //
 // Zero steady-state allocations: a Solver owns every scratch buffer and
 // re-slices them across solves; the package-level Acquire/Release pool
 // lets servers reuse whole solvers across requests. After warm-up a Solve
 // performs no heap allocation — a replayed one included — and returned
 // slices alias solver storage and must be copied by callers that outlive
-// the solver's next use (the kwmds facade does exactly that).
+// the solver's next use. The kwmds facade copies only what its entry
+// point returns: DominatingSetPacked the set's n/64 words, DominatingSet
+// the set unpacked into one bool per vertex and the x-vector.
 //
 // The pool keeps, per vertex-capacity class, a last-in-first-out list of
 // at most GOMAXPROCS idle solvers, so the next request gets the solver that

@@ -1,6 +1,8 @@
 package fastpath
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"kwmds/internal/core"
@@ -114,13 +116,11 @@ func FuzzDifferential(f *testing.F) {
 					variant, got.Size, got.JoinedRandom, got.JoinedFixup, simR.Size,
 					want.Size, want.JoinedRandom, want.JoinedFixup)
 			}
-			for v := 0; v < n; v++ {
-				if got.InDS[v] != want.InDS[v] || simR.InDS[v] != want.InDS[v] {
-					t.Fatalf("rounding %v: InDS[%d] fast=%v sim=%v ref=%v",
-						variant, v, got.InDS[v], simR.InDS[v], want.InDS[v])
-				}
+			if !slices.Equal(simR.InDS, want.InDS) {
+				t.Fatalf("rounding %v: the sim set differs from the reference's", variant)
 			}
-			testsupport.AssertDominatingSet(t, "fastpath fuzz", g, got.InDS)
+			sameSet(t, fmt.Sprintf("rounding %v", variant), got.Set, want.InDS)
+			testsupport.AssertDominatingSetPacked(t, "fastpath fuzz", g, got.Set)
 		}
 
 		// LP memo hits: meeting the same graph and LP configuration again —
@@ -176,17 +176,19 @@ func FuzzDifferential(f *testing.F) {
 			t.Fatal(err)
 		}
 		wantX := append([]float64(nil), want.X...)
-		wantDS := append([]bool(nil), want.InDS...)
+		wantSet := append([]uint64(nil), want.Set...)
 		opt.Workers = 1 + int(nRaw^kRaw)%4
 		got, err := s.Solve(g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for v := 0; v < n; v++ {
-			if got.X[v] != wantX[v] || got.InDS[v] != wantDS[v] {
-				t.Fatalf("workers=%d: vertex %d diverges (x %v vs %v, inDS %v vs %v)",
-					opt.Workers, v, got.X[v], wantX[v], got.InDS[v], wantDS[v])
+			if got.X[v] != wantX[v] {
+				t.Fatalf("workers=%d: vertex %d diverges (x %v vs %v)", opt.Workers, v, got.X[v], wantX[v])
 			}
+		}
+		if !slices.Equal(got.Set, wantSet) {
+			t.Fatalf("workers=%d: the set diverges", opt.Workers)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package fastpath
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -84,11 +85,11 @@ func TestPoolConcurrentReplay(t *testing.T) {
 // sameResult reports whether two results are bit for bit equal.
 func sameResult(a, b Result) bool {
 	if a.Size != b.Size || a.JoinedRandom != b.JoinedRandom || a.JoinedFixup != b.JoinedFixup ||
-		len(a.X) != len(b.X) || len(a.InDS) != len(b.InDS) {
+		len(a.X) != len(b.X) || !slices.Equal(a.Set, b.Set) {
 		return false
 	}
 	for v := range a.X {
-		if math.Float64bits(a.X[v]) != math.Float64bits(b.X[v]) || a.InDS[v] != b.InDS[v] {
+		if math.Float64bits(a.X[v]) != math.Float64bits(b.X[v]) {
 			return false
 		}
 	}

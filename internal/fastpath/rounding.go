@@ -46,7 +46,7 @@ func (s *Solver) roundPhases(x []float64, opt Options) Result {
 	}
 	s.dispatch(s.fnFlip)
 	s.dispatch(s.fnFixup)
-	res := Result{InDS: s.inDS[:s.n]}
+	res := Result{Set: s.set[:s.nw]}
 	for c := 0; c < s.nchunks; c++ {
 		res.JoinedRandom += s.joinCnt[c][0]
 		res.JoinedFixup += s.joinCnt[c][1]
@@ -63,7 +63,10 @@ func (s *Solver) roundPhases(x []float64, opt Options) Result {
 // line 3's u < min{1, p} without the clamp or a branch: u lies in [0, 1)
 // and p is finite or +Inf and never negative (x is validated, Scale ≥ 0),
 // so p ≥ 1 always joins and p = 0 never does, as the reference's early
-// outs decide. The comparison sets the vertex's bit directly.
+// outs decide. The comparison sets the vertex's bit directly. Vertices are
+// drawn four at a time (stats.StreamKey.Float64x4), so the four draws'
+// multiply chains overlap; only the last word can end in a group of fewer
+// than four, which draws one at a time.
 func (s *Solver) phaseFlip(c int) {
 	fw := s.flipped.Words()
 	x, d2, scaleTab := s.curX[:s.n], s.d2[:s.n], s.scaleTab
@@ -71,10 +74,20 @@ func (s *Solver) phaseFlip(c int) {
 	joined := 0
 	for wi := s.c0[c]; wi < s.c1[c]; wi++ {
 		base := wi << 6
-		xs, ds := x[base:min(base+64, s.n)], d2[base:]
+		xs := x[base:min(base+64, s.n)]
+		ds := d2[base : base+len(xs)]
 		var dst uint64
-		for b, xv := range xs {
-			dst |= b2u(key.Float64(int64(base+b)) < xv*scaleTab[ds[b]]) << (b & 63)
+		b := 0
+		for ; b+4 <= len(xs); b += 4 {
+			u0, u1, u2, u3 := key.Float64x4(int64(base + b))
+			xq, dq := xs[b:b+4], ds[b:b+4]
+			dst |= (b2u(u0 < xq[0]*scaleTab[dq[0]]) |
+				b2u(u1 < xq[1]*scaleTab[dq[1]])<<1 |
+				b2u(u2 < xq[2]*scaleTab[dq[2]])<<2 |
+				b2u(u3 < xq[3]*scaleTab[dq[3]])<<3) << (b & 63)
+		}
+		for ; b < len(xs); b++ {
+			dst |= b2u(key.Float64(int64(base+b)) < xs[b]*scaleTab[ds[b]]) << (b & 63)
 		}
 		fw[wi] = dst
 		joined += bits.OnesCount64(dst)
@@ -84,23 +97,34 @@ func (s *Solver) phaseFlip(c int) {
 
 // phaseFixup joins every vertex whose closed neighborhood contains no
 // line-3 member (reading only the flip results, as lines 5-6 prescribe)
-// and materializes the final membership slice. Per word it visits only the
-// vertices that did not flip, each probing its neighbors until the first
-// flipped one, and stores the word's final bits without branching.
+// and stores each word's final set, flipped | joined, into the packed
+// output. Per word it visits only the vertices that did not flip. One with
+// at least four neighbors first ORs the flip bits of its first four
+// without a branch; almost every such vertex is covered there, so the one
+// branch on the OR is well predicted. Only when none of the four flipped,
+// or the degree is below four, does it scan the rest until the first
+// flipped neighbor.
 func (s *Solver) phaseFixup(c int) {
-	fw := s.flipped.Words()
-	off, adj, inDS := s.off, s.adj, s.inDS
+	fw, set := s.flipped.Words(), s.set
+	off, adj := s.off, s.adj
 	fix := 0
 	for wi := s.c0[c]; wi < s.c1[c]; wi++ {
 		base := wi << 6
-		ds := inDS[base:min(base+64, s.n)]
 		w := fw[wi]
 		var join uint64
-		for open := ^w & (^uint64(0) >> (64 - len(ds))); open != 0; open &= open - 1 {
+		for open := ^w & (^uint64(0) >> (64 - (min(base+64, s.n) - base))); open != 0; open &= open - 1 {
 			b := bits.TrailingZeros64(open)
-			v := base + b
+			nb := adj[off[base+b]:off[base+b+1]]
+			if len(nb) >= 4 {
+				q := nb[:4]
+				if (fw[q[0]>>6]>>(uint32(q[0])&63)|fw[q[1]>>6]>>(uint32(q[1])&63)|
+					fw[q[2]>>6]>>(uint32(q[2])&63)|fw[q[3]>>6]>>(uint32(q[3])&63))&1 != 0 {
+					continue
+				}
+				nb = nb[4:]
+			}
 			covered := false
-			for _, u := range adj[off[v]:off[v+1]] {
+			for _, u := range nb {
 				if fw[u>>6]&(1<<(uint32(u)&63)) != 0 {
 					covered = true
 					break
@@ -109,10 +133,7 @@ func (s *Solver) phaseFixup(c int) {
 			join |= b2u(!covered) << (b & 63)
 		}
 		fix += bits.OnesCount64(join)
-		w |= join
-		for b := range ds {
-			ds[b] = w>>(b&63)&1 != 0
-		}
+		set[wi] = w | join
 	}
 	s.joinCnt[c][1] = fix
 }

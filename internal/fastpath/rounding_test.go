@@ -3,6 +3,8 @@ package fastpath
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"kwmds/internal/gen"
@@ -11,15 +13,20 @@ import (
 )
 
 // TestRoundingKernelMatchesReference pins the Algorithm 1 kernel — the
-// flip as a comparison of the draw against x·Scale, the fix-up as a walk
-// over the unflipped bits — to the sequential reference, for both
+// flip as a comparison of four draws at a time against x·Scale, the
+// fix-up as a walk over the unflipped bits with a four-neighbor probe,
+// the set written as packed words — to the sequential reference, for both
 // variants, 32 seeds and every worker count. The graphs cover serving
 // scale (serve-cold's udg-10k), a last word holding fewer than 64
 // vertices, isolated vertices (δ⁽²⁾ = 0, so Scale is 0, p = 0 for any x,
-// and only the fix-up can join them) and a dense graph where p ≥ 1. Each
-// graph is rounded over its LP solution, through Solve's memo path too,
-// and over a synthetic x that puts every vertex class at p = 0, a
-// subnormal p, p ∈ (0, 1), p ≥ 1 and p = +Inf.
+// and only the fix-up can join them), a dense graph where p ≥ 1, a path
+// and a star, whose vertices of degree 1 to 3 skip the probe, and vertex
+// counts of 1, 2 and 3 (mod 4), whose last word ends in a partial group
+// of draws. Each graph is rounded over its LP solution, through Solve's
+// memo path too, and over a synthetic x that puts every vertex class at
+// p = 0, a subnormal p, p ∈ (0, 1), p ≥ 1 and p = +Inf. The probe graph
+// adds an x under which hubs' first four neighbors never flip while a
+// later one always does, so the scan after the probe runs and finds it.
 func TestRoundingKernelMatchesReference(t *testing.T) {
 	mk := func(g *graph.Graph, err error) *graph.Graph {
 		if err != nil {
@@ -34,14 +41,19 @@ func TestRoundingKernelMatchesReference(t *testing.T) {
 	for _, e := range sparse.Edges() {
 		isoEdges = append(isoEdges, [2]int{e[0] + e[0]/4, e[1] + e[1]/4})
 	}
+	probe, probeX, covered, uncovered := probeWorkload(t)
 	graphs := []struct {
 		name string
 		g    *graph.Graph
+		x    []float64 // a third x to round over, or nil
 	}{
-		{"udg-10k", mk(gen.UnitDisk(10000, 0.02, 1))},
-		{"udg-1037", mk(gen.UnitDisk(1037, 0.06, 5))},
-		{"isolated-300", mk(graph.New(300, isoEdges))},
-		{"gnp-dense-130", mk(gen.GNP(130, 0.5, 9))},
+		{"udg-10k", mk(gen.UnitDisk(10000, 0.02, 1)), nil},
+		{"udg-1037", mk(gen.UnitDisk(1037, 0.06, 5)), nil}, // n ≡ 1 (mod 4)
+		{"isolated-300", mk(graph.New(300, isoEdges)), nil},
+		{"gnp-dense-130", mk(gen.GNP(130, 0.5, 9)), nil}, // n ≡ 2 (mod 4)
+		{"path-203", mk(gen.Path(203)), nil},             // n ≡ 3 (mod 4)
+		{"star-130", mk(gen.Star(130)), nil},
+		{"probe-241", probe, probeX}, // n ≡ 1 (mod 4)
 	}
 	synthetic := []float64{0, 5e-324, 0.01, 0.3, 1, math.MaxFloat64}
 	const k = 3
@@ -59,15 +71,34 @@ func TestRoundingKernelMatchesReference(t *testing.T) {
 		for v := range synX {
 			synX[v] = synthetic[v%len(synthetic)]
 		}
-		for _, in := range []struct {
+		type input struct {
 			name string
 			x    []float64
-		}{{"lp", lpX}, {"synthetic", synX}} {
+		}
+		inputs := []input{{"lp", lpX}, {"synthetic", synX}}
+		if w.x != nil {
+			inputs = append(inputs, input{"probe", w.x})
+		}
+		for _, in := range inputs {
 			for _, variant := range []rounding.Variant{rounding.Ln, rounding.LnMinusLnLn} {
 				for seed := int64(0); seed < 32; seed++ {
 					want, err := rounding.Reference(w.g, in.x, rounding.Options{Seed: seed, Variant: variant})
 					if err != nil {
 						t.Fatal(err)
+					}
+					if in.name == "probe" {
+						// The workload must reach the scan: the covered hubs
+						// stay out, the uncovered ones join in the fix-up.
+						for _, h := range covered {
+							if want.InDS[h] {
+								t.Fatalf("%v seed %d: covered hub %d joined", variant, seed, h)
+							}
+						}
+						for _, h := range uncovered {
+							if !want.InDS[h] {
+								t.Fatalf("%v seed %d: uncovered hub %d did not join", variant, seed, h)
+							}
+						}
 					}
 					for _, workers := range workerCounts {
 						ctx := fmt.Sprintf("%s/%s/%v/seed %d/workers %d", w.name, in.name, variant, seed, workers)
@@ -91,18 +122,63 @@ func TestRoundingKernelMatchesReference(t *testing.T) {
 	}
 }
 
+// probeWorkload returns 40 six-vertex groups and one isolated vertex, with
+// an x for them. In group i, hub 6i+5 is adjacent to 6i..6i+4, so those
+// are its first five neighbors in sorted order. The first four have x = 0
+// and never flip; so does the hub. The fifth has x = MaxFloat64 and always
+// flips in even groups (whose hubs, listed in covered, the scan after the
+// probe finds covered) and has x = 0 in odd groups (whose hubs, listed in
+// uncovered, scan every neighbor and join in the fix-up). The four leaves
+// of degree 1 skip the probe.
+func probeWorkload(t *testing.T) (g *graph.Graph, x []float64, covered, uncovered []int) {
+	t.Helper()
+	const groups = 40
+	var edges [][2]int
+	x = make([]float64, 6*groups+1)
+	for i := 0; i < groups; i++ {
+		hub := 6*i + 5
+		for j := 0; j < 5; j++ {
+			edges = append(edges, [2]int{hub, 6*i + j})
+		}
+		if i%2 == 0 {
+			x[6*i+4] = math.MaxFloat64
+			covered = append(covered, hub)
+		} else {
+			uncovered = append(uncovered, hub)
+		}
+	}
+	g, err := graph.New(len(x), edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, x, covered, uncovered
+}
+
 func sameRounding(t *testing.T, ctx string, got Result, want *rounding.Result) {
 	t.Helper()
 	if got.JoinedRandom != want.JoinedRandom || got.JoinedFixup != want.JoinedFixup || got.Size != want.Size {
 		t.Fatalf("%s: joined (random %d, fix-up %d, size %d), want (%d, %d, %d)", ctx,
 			got.JoinedRandom, got.JoinedFixup, got.Size, want.JoinedRandom, want.JoinedFixup, want.Size)
 	}
-	if len(got.InDS) != len(want.InDS) {
-		t.Fatalf("%s: |InDS| = %d, want %d", ctx, len(got.InDS), len(want.InDS))
+	sameSet(t, ctx, got.Set, want.InDS)
+}
+
+// sameSet fails t unless the packed set equals graph.PackSet(want) word for
+// word, naming the first vertex that differs.
+func sameSet(t *testing.T, ctx string, got []uint64, want []bool) {
+	t.Helper()
+	wantWords := graph.PackSet(want)
+	if slices.Equal(got, wantWords) {
+		return
 	}
-	for v := range want.InDS {
-		if got.InDS[v] != want.InDS[v] {
-			t.Fatalf("%s: InDS[%d] = %v, want %v", ctx, v, got.InDS[v], want.InDS[v])
+	if len(got) != len(wantWords) {
+		t.Fatalf("%s: %d set words, want %d", ctx, len(got), len(wantWords))
+	}
+	for wi := range got {
+		if d := got[wi] ^ wantWords[wi]; d != 0 {
+			v := wi<<6 + bits.TrailingZeros64(d)
+			t.Fatalf("%s: vertex %d in set = %v, want %v (word %d: %#x, want %#x)",
+				ctx, v, got[wi]>>(v&63)&1 != 0, v < len(want) && want[v], wi, got[wi], wantWords[wi])
 		}
 	}
 }

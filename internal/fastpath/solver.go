@@ -63,8 +63,10 @@ var ErrCanceled = errors.New("fastpath: solve canceled")
 type Result struct {
 	// X is the LP stage's fractional solution (nil for standalone Round).
 	X []float64
-	// InDS marks the dominating set members.
-	InDS []bool
+	// Set holds the dominating set members packed 64 vertices a word:
+	// vertex v is bit v&63 of word v>>6, and the bits past the last
+	// vertex are zero (graph.PackSet's layout).
+	Set []uint64
 	// Size is the number of members.
 	Size int
 	// JoinedRandom and JoinedFixup split the set by join reason.
@@ -91,8 +93,8 @@ type Solver struct {
 	acnt   []int32 // Algorithm 3's a(v): active vertices in N[v] (white v)
 	gamma1 []int32
 	gamma2 []int32
-	d1, d2 []int32 // static δ⁽¹⁾/δ⁽²⁾ (rounding + Algorithm 3 init)
-	inDS   []bool
+	d1, d2 []int32  // static δ⁽¹⁾/δ⁽²⁾ (rounding + Algorithm 3 init)
+	set    []uint64 // the rounding's output, one bit per vertex (Result.Set)
 
 	// Power/log tables, exploiting that every exponentiated quantity —
 	// γ⁽²⁾, a⁽¹⁾, δ⁽²⁾ — is an integer in [0, ∆+1]: instead of one
@@ -252,7 +254,7 @@ func (s *Solver) ensure(n, workers int) {
 		s.gamma2 = make([]int32, c)
 		s.d1 = make([]int32, c)
 		s.d2 = make([]int32, c)
-		s.inDS = make([]bool, c)
+		s.set = make([]uint64, (c+63)/64)
 	}
 	s.x = s.x[:cap(s.x)]
 	s.n = n

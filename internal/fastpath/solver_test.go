@@ -1,6 +1,7 @@
 package fastpath
 
 import (
+	"fmt"
 	"testing"
 
 	"kwmds/internal/core"
@@ -126,13 +127,8 @@ func TestSolveMatchesReferencePipeline(t *testing.T) {
 							got.Size, got.JoinedRandom, got.JoinedFixup,
 							want.Size, want.JoinedRandom, want.JoinedFixup)
 					}
-					for v := range want.InDS {
-						if got.InDS[v] != want.InDS[v] {
-							t.Fatalf("%s seed %d %v workers %d: InDS[%d] = %v, want %v",
-								w.name, seed, variant, workers, v, got.InDS[v], want.InDS[v])
-						}
-					}
-					testsupport.AssertDominatingSet(t, w.name+" fastpath", w.g, got.InDS)
+					sameSet(t, fmt.Sprintf("%s seed %d %v workers %d", w.name, seed, variant, workers), got.Set, want.InDS)
+					testsupport.AssertDominatingSetPacked(t, w.name+" fastpath", w.g, got.Set)
 				}
 			}
 		}
@@ -161,11 +157,7 @@ func TestRoundWithAliasedX(t *testing.T) {
 			t.Fatalf("%s: aliased-x Round (size %d, random %d), want (%d, %d)",
 				w.name, got.Size, got.JoinedRandom, want.Size, want.JoinedRandom)
 		}
-		for v := range want.InDS {
-			if got.InDS[v] != want.InDS[v] {
-				t.Fatalf("%s: aliased-x Round InDS[%d] mismatch", w.name, v)
-			}
-		}
+		sameSet(t, w.name+": aliased-x Round", got.Set, want.InDS)
 	}
 }
 
@@ -187,11 +179,7 @@ func TestRoundStandaloneMatchesReference(t *testing.T) {
 		if got.Size != want.Size {
 			t.Fatalf("%s: standalone Round size %d, want %d", w.name, got.Size, want.Size)
 		}
-		for v := range want.InDS {
-			if got.InDS[v] != want.InDS[v] {
-				t.Fatalf("%s: InDS[%d] mismatch", w.name, v)
-			}
-		}
+		sameSet(t, w.name+": standalone Round", got.Set, want.InDS)
 	}
 }
 

@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"weak"
@@ -32,10 +33,18 @@ type Graph struct {
 
 // New builds a graph with n vertices from an edge list. Edges may appear in
 // either orientation; duplicates are merged. Self-loops and out-of-range
-// endpoints are rejected with an error.
+// endpoints are rejected with an error, and so, before anything is
+// allocated, are more than math.MaxInt32 vertices (ids are int32) and more
+// than math.MaxInt32/2 edges (each is stored twice under int32 offsets).
 func New(n int, edges [][2]int) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d vertices exceed the limit of %d (math.MaxInt32)", n, math.MaxInt32)
+	}
+	if len(edges) > math.MaxInt32/2 {
+		return nil, fmt.Errorf("graph: %d edges exceed the limit of %d (math.MaxInt32/2)", len(edges), math.MaxInt32/2)
 	}
 	deg := make([]int32, n)
 	for i, e := range edges {
@@ -323,6 +332,17 @@ func PackSet(inDS []bool) []uint64 {
 		words[wi] = w
 	}
 	return words
+}
+
+// UnpackSet is the inverse of PackSet: it sets every dst[v] to bit v&63 of
+// word v>>6, so a caller can reuse dst across sets.
+func UnpackSet(dst []bool, words []uint64) {
+	for wi := 0; wi<<6 < len(dst); wi++ {
+		w, out := words[wi], dst[wi<<6:min(wi<<6+64, len(dst))]
+		for b := range out {
+			out[b] = w>>(b&63)&1 != 0
+		}
+	}
 }
 
 // PackedMembers returns Members of the set PackSet packed into words.

@@ -3,6 +3,8 @@ package graph
 import (
 	"math/rand/v2"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -44,6 +46,22 @@ func TestNewValidation(t *testing.T) {
 				t.Errorf("New(%d, %v) succeeded, want error", tc.n, tc.edges)
 			}
 		})
+	}
+}
+
+// TestNewRefusesOversizedGraphs: a vertex count past int32 ids fails with
+// an error naming the bound, before New sizes a single per-vertex array
+// (three of them at 2³¹ vertices would take 24 GB).
+func TestNewRefusesOversizedGraphs(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := New(1<<31, nil)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "2147483647") {
+		t.Fatalf("New(1<<31, nil) = %v, want an error naming the bound 2147483647", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("New(1<<31, nil) allocated %d bytes before refusing", grew)
 	}
 }
 
@@ -264,8 +282,9 @@ func TestMembersAllocatesOnce(t *testing.T) {
 }
 
 // TestSetHelpersMatchNaive checks the branch-free SetSize and Members, and
-// the packed form's PackSet and PackedMembers, against the plain loops on
-// empty, all-true and random sets whose lengths straddle word boundaries.
+// the packed form's PackSet, UnpackSet and PackedMembers, against the
+// plain loops on empty, all-true and random sets whose lengths straddle
+// word boundaries.
 func TestSetHelpersMatchNaive(t *testing.T) {
 	r := rand.New(rand.NewPCG(5, 6))
 	var sets [][]bool
@@ -299,8 +318,13 @@ func TestSetHelpersMatchNaive(t *testing.T) {
 		if len(got) != len(want) || len(packed) != len(want) {
 			t.Fatalf("set %d (n=%d): %d / %d members, want %d", i, len(set), len(got), len(packed), len(want))
 		}
-		if words := PackSet(set); len(words) != (len(set)+63)/64 {
+		words := PackSet(set)
+		if len(words) != (len(set)+63)/64 {
 			t.Fatalf("set %d (n=%d): %d packed words", i, len(set), len(words))
+		}
+		back := make([]bool, len(set))
+		if UnpackSet(back, words); !slices.Equal(back, set) {
+			t.Fatalf("set %d (n=%d): UnpackSet(PackSet(set)) differs from set", i, len(set))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package graphio
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -72,6 +73,22 @@ func TestReadEdgeListInfersN(t *testing.T) {
 	}
 	if g.N() != 6 {
 		t.Errorf("inferred n = %d, want 6", g.N())
+	}
+}
+
+// TestReadEdgeListRefusesHugeIDs: one edge to vertex 3 000 000 000 implies
+// n past int32 ids, and the reader fails with the bound named instead of
+// sizing its arrays by n.
+func TestReadEdgeListRefusesHugeIDs(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadEdgeList(strings.NewReader("0 3000000000\n"))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "2147483647") {
+		t.Fatalf("ReadEdgeList(\"0 3000000000\") = %v, want an error naming the bound 2147483647", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("ReadEdgeList allocated %d bytes before refusing", grew)
 	}
 }
 

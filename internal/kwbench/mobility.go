@@ -156,6 +156,7 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	} else { // MobilityChurn
 		dyn := dyngraph.New(trace.Graphs[0])
 		solver := fastpath.New()
+		inDS := make([]bool, n) // each epoch's packed set, unpacked outside the op
 		t0 := time.Now()
 		got, err := solver.Solve(dyn.Graph(), fastOpts(0, dyn.Graph()))
 		lat := time.Since(t0)
@@ -163,7 +164,8 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 			return fail(0, err)
 		}
 		res.ColdMS = float64(lat) / float64(time.Millisecond)
-		record(0, lat, got.InDS, got.Size)
+		graph.UnpackSet(inDS, got.Set)
+		record(0, lat, inDS, got.Size)
 		for e := 1; e < epochs; e++ {
 			if e == sc.WarmupOps {
 				runtime.ReadMemStats(&msBefore)
@@ -190,7 +192,8 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 					repaired++
 				}
 			}
-			record(e, lat, got.InDS, got.Size)
+			graph.UnpackSet(inDS, got.Set)
+			record(e, lat, inDS, got.Size)
 		}
 	}
 	runtime.ReadMemStats(&msAfter)

@@ -665,9 +665,16 @@ func (s *Server) run(g *graph.Graph, digest, algo, engine string, opts kwmds.Opt
 		if err != nil {
 			return nil, err
 		}
-		fillResult(out, res)
+		fillResult(out, &kwmds.PackedResult{
+			Set: graph.PackSet(res.InDS), Size: res.Size, WeightedCost: res.WeightedCost, LPObjective: res.LPObjective, K: res.K,
+			Rounds: res.Rounds, Messages: res.Messages, Bits: res.Bits, JoinedRandom: res.JoinedRandom, JoinedFixup: res.JoinedFixup,
+		})
+		resp.Connectors = res.Connectors
 	default: // kw, kw2 (KnownDelta already folded into opts)
-		res, err := kwmds.DominatingSet(g, opts)
+		// The packed entry point hands over only the set's words and the
+		// scalars: no per-vertex []bool or x-vector is built for a cache
+		// entry that would drop them.
+		res, err := kwmds.DominatingSetPacked(g, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -677,7 +684,8 @@ func (s *Server) run(g *graph.Graph, digest, algo, engine string, opts kwmds.Opt
 	return out, nil
 }
 
-func fillResult(out *solveResult, res *kwmds.Result) {
+// fillResult copies res into out; out keeps res.Set as it is.
+func fillResult(out *solveResult, res *kwmds.PackedResult) {
 	resp := &out.SolveResponse
 	resp.K = res.K
 	resp.Size = res.Size
@@ -685,8 +693,7 @@ func fillResult(out *solveResult, res *kwmds.Result) {
 	resp.LPObjective = res.LPObjective
 	resp.Rounds, resp.Messages, resp.Bits = res.Rounds, res.Messages, res.Bits
 	resp.JoinedRandom, resp.JoinedFixup = res.JoinedRandom, res.JoinedFixup
-	resp.Connectors = res.Connectors
-	out.set = graph.PackSet(res.InDS)
+	out.set = res.Set
 }
 
 // cacheKey folds the topology digest and every result-affecting option into

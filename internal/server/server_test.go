@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -280,6 +281,45 @@ func TestMembersOnlyOnRequest(t *testing.T) {
 			}
 			noListCached(srv2)
 		})
+	}
+}
+
+// TestColdSolveAllocatesOnlyTheAnswer solves serve-cold's graph (udg-10k,
+// radius 0.02) with distinct seeds and no member list, so every solve
+// misses the cache and hits the solver's LP memo: the path whose only
+// per-vertex output is the set, n/64 words. Heap bytes per solve must stay
+// below n, one byte per vertex; a []bool set or a copy of x, at n and 8n
+// bytes, cannot fit.
+func TestColdSolveAllocatesOnlyTheAnswer(t *testing.T) {
+	g, err := gen.UnitDisk(10000, 0.02, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Workers: 1, Graphs: map[string]*graph.Graph{"udg-10k": g}})
+	solve := func(seed int64) {
+		t.Helper()
+		req := graphio.SolveRequest{GraphRef: "udg-10k", Algo: "kw", Engine: "fast", K: 3, Seed: seed}
+		resp, err := srv.solve(context.Background(), &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cached || resp.Size == 0 || resp.Members != nil {
+			t.Fatalf("seed %d: cached %v, size %d, %d members; want a miss with a set and no list",
+				seed, resp.Cached, resp.Size, len(resp.Members))
+		}
+	}
+	solve(1) // the first solve runs the LP stage and sizes the pooled solver
+	const solves = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for seed := int64(2); seed < 2+solves; seed++ {
+		solve(seed)
+	}
+	runtime.ReadMemStats(&after)
+	perSolve := (after.TotalAlloc - before.TotalAlloc) / solves
+	t.Logf("%d bytes per cold solve", perSolve)
+	if perSolve >= uint64(g.N()) {
+		t.Fatalf("a cold solve allocates %d bytes, want fewer than n = %d", perSolve, g.N())
 	}
 }
 

@@ -62,11 +62,29 @@ func StreamFloat64(seed int64, stream int64) float64 {
 	return NewStreamKey(seed).Float64(stream)
 }
 
-// Float64 returns StreamFloat64(seed, stream) for the key's seed.
+// Float64 returns StreamFloat64(seed, stream) for the key's seed. It is
+// the first lane of Float64x4, so the draw has one definition; a caller
+// drawing one value per stream of a run of streams calls Float64x4 instead.
 func (k StreamKey) Float64(stream int64) float64 {
-	s := k.mix(stream)
-	var p rand.PCG
-	p.Seed(s, SplitMix64(s))
-	// rand.Rand.Float64 on a 64-bit source: top 53 bits over 2⁵³.
-	return float64(p.Uint64()<<11>>11) / (1 << 53)
+	u, _, _, _ := k.Float64x4(stream)
+	return u
 }
+
+// Float64x4 returns Float64 of the four streams stream, stream+1, stream+2
+// and stream+3. The four draws share no state, so written out side by side
+// their multiply chains overlap in the core, where four calls would run
+// them one after another. Each is the first Float64 of a PCG seeded with
+// (s, SplitMix64(s)) for the stream's mix s, as NewStreamRand seeds it:
+// rand.Rand.Float64 on a 64-bit source takes the top 53 bits over 2⁵³.
+func (k StreamKey) Float64x4(stream int64) (u0, u1, u2, u3 float64) {
+	s0, s1, s2, s3 := k.mix(stream), k.mix(stream+1), k.mix(stream+2), k.mix(stream+3)
+	var p0, p1, p2, p3 rand.PCG
+	p0.Seed(s0, SplitMix64(s0))
+	p1.Seed(s1, SplitMix64(s1))
+	p2.Seed(s2, SplitMix64(s2))
+	p3.Seed(s3, SplitMix64(s3))
+	return unit(p0.Uint64()), unit(p1.Uint64()), unit(p2.Uint64()), unit(p3.Uint64())
+}
+
+// unit maps a 64-bit draw to [0, 1) as rand.Rand.Float64 does.
+func unit(r uint64) float64 { return float64(r<<11>>11) / (1 << 53) }

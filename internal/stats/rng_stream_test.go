@@ -75,3 +75,26 @@ func firstStreams(n int) []int64 {
 	}
 	return out
 }
+
+// TestStreamKeyFloat64x4MatchesFloat64 pins the four-stream draw the
+// rounding kernel's flip uses: lane i of Float64x4(stream) is
+// Float64(stream+i) and the first Float64 of NewStreamRand(seed,
+// stream+i), at the seeds where sign and overflow could bite and at
+// streams up to the last group that ends at MaxInt64.
+func TestStreamKeyFloat64x4MatchesFloat64(t *testing.T) {
+	for _, seed := range []int64{0, -1, math.MinInt64, math.MaxInt64} {
+		key := NewStreamKey(seed)
+		for _, stream := range append([]int64{math.MaxInt64 - 3}, firstStreams(1000)...) {
+			u0, u1, u2, u3 := key.Float64x4(stream)
+			for i, got := range []float64{u0, u1, u2, u3} {
+				s := stream + int64(i)
+				if want := key.Float64(s); got != want {
+					t.Fatalf("NewStreamKey(%d).Float64x4(%d) lane %d = %v, Float64(%d) = %v", seed, stream, i, got, s, want)
+				}
+				if want := NewStreamRand(seed, s).Float64(); got != want {
+					t.Fatalf("NewStreamKey(%d).Float64x4(%d) lane %d = %v, NewStreamRand = %v", seed, stream, i, got, want)
+				}
+			}
+		}
+	}
+}

@@ -35,6 +35,19 @@ func AssertDominatingSet(t testing.TB, ctx string, g *graph.Graph, inDS []bool) 
 	}
 }
 
+// AssertDominatingSetPacked is AssertDominatingSet of a set packed 64
+// vertices a word, vertex v at bit v&63 of word v>>6 (graph.PackSet's
+// layout), as the fastpath solver returns it.
+func AssertDominatingSetPacked(t testing.TB, ctx string, g *graph.Graph, set []uint64) {
+	t.Helper()
+	if want := (g.N() + 63) / 64; len(set) != want {
+		t.Fatalf("%s: %d set words for %d vertices, want %d", ctx, len(set), g.N(), want)
+	}
+	inDS := make([]bool, g.N())
+	graph.UnpackSet(inDS, set)
+	AssertDominatingSet(t, ctx, g, inDS)
+}
+
 // AssertFractionallyDominated fails t unless x fractionally dominates every
 // vertex of g: Σ x over the closed neighborhood ≥ 1 − covTol, with every
 // entry finite and non-negative — the LP-stage analogue of the dominating

@@ -2,10 +2,12 @@ package kwmds
 
 import (
 	"fmt"
+	"math/bits"
 
 	"kwmds/internal/cds"
 	"kwmds/internal/core"
 	"kwmds/internal/fastpath"
+	"kwmds/internal/graph"
 	"kwmds/internal/lp"
 	"kwmds/internal/rounding"
 )
@@ -62,8 +64,9 @@ type Options struct {
 	// the machine. Ignored for simulated runs.
 	SolverWorkers int
 	// Cancel, when non-nil, aborts a Sequential solve early once the
-	// channel closes: DominatingSet, FractionalDominatingSet and each
-	// element of DominatingSetMany return ErrCanceled at the next LP
+	// channel closes: DominatingSet, DominatingSetPacked,
+	// FractionalDominatingSet and each element of DominatingSetMany
+	// return ErrCanceled at the next LP
 	// iteration boundary. Serving stacks close it when the requesting
 	// client disconnects. Ignored by simulated runs.
 	Cancel <-chan struct{}
@@ -105,6 +108,26 @@ type Result struct {
 	// Connectors is the number of bridge vertices added by
 	// ConnectedDominatingSet (zero for DominatingSet).
 	Connectors int
+}
+
+// PackedResult is the outcome of DominatingSetPacked: Result's answer with
+// the set packed into words and without the fractional vector.
+type PackedResult struct {
+	// Set holds the dominating set members, 64 vertices a word: vertex v
+	// is bit v&63 of word v>>6, and the bits past the last vertex are
+	// zero. The slice is owned by the caller.
+	Set []uint64
+	// Size, WeightedCost, LPObjective, K, Rounds, Messages, Bits,
+	// JoinedRandom and JoinedFixup are Result's fields of the same names.
+	Size         int
+	WeightedCost float64
+	LPObjective  float64
+	K            int
+	Rounds       int
+	Messages     int64
+	Bits         int64
+	JoinedRandom int
+	JoinedFixup  int
 }
 
 // FractionalResult is the outcome of FractionalDominatingSet.
@@ -241,6 +264,50 @@ func DominatingSet(g *Graph, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// DominatingSetPacked runs DominatingSet's pipeline for callers that keep
+// only the set and the scalars, such as a server caching answers: the set
+// comes packed into words, and the LP stage's x-vector is summed into
+// LPObjective but not returned. It accepts every Options DominatingSet
+// accepts, and its set and scalars equal DominatingSet's for the same
+// options, bit for bit. A Sequential run copies only the set's n/64 words
+// out of the pooled solver, which writes them in this layout; a simulated
+// run packs DominatingSet's InDS.
+func DominatingSetPacked(g *Graph, opts Options) (*PackedResult, error) {
+	if !opts.Sequential {
+		res, err := DominatingSet(g, opts)
+		if err != nil {
+			return nil, err
+		}
+		return packed(res, graph.PackSet(res.InDS)), nil
+	}
+	if err := opts.Validate(g); err != nil {
+		return nil, fmt.Errorf("kwmds: %w", err)
+	}
+	s := fastpath.Acquire(g.N())
+	defer fastpath.Release(s)
+	res, set, err := solveOn(s, g, opts, effectiveK(opts.K, g.MaxDegree()))
+	if err != nil {
+		return nil, err
+	}
+	return packed(&res, append(make([]uint64, 0, len(set)), set...)), nil
+}
+
+// packed returns res's scalars with set as the packed members.
+func packed(res *Result, set []uint64) *PackedResult {
+	return &PackedResult{
+		Set:          set,
+		Size:         res.Size,
+		WeightedCost: res.WeightedCost,
+		LPObjective:  res.LPObjective,
+		K:            res.K,
+		Rounds:       res.Rounds,
+		Messages:     res.Messages,
+		Bits:         res.Bits,
+		JoinedRandom: res.JoinedRandom,
+		JoinedFixup:  res.JoinedFixup,
+	}
+}
+
 // fastDominatingSet is the Sequential execution of the full pipeline: one
 // pooled fastpath solver runs LP stage and rounding back to back over
 // reused buffers, and only the final vectors are copied out.
@@ -250,27 +317,40 @@ func fastDominatingSet(g *Graph, opts Options) (*Result, error) {
 	}
 	s := fastpath.Acquire(g.N())
 	defer fastpath.Release(s)
-	return solveOn(s, g, opts, effectiveK(opts.K, g.MaxDegree()))
+	return solveCopied(s, g, opts, effectiveK(opts.K, g.MaxDegree()))
 }
 
-// solveOn runs the full pipeline for validated opts with k resolved on s,
-// and copies the answer out of the solver's buffers.
-func solveOn(s *fastpath.Solver, g *Graph, opts Options, k int) (*Result, error) {
+// solveOn runs the full pipeline for validated opts with k resolved on s.
+// The returned scalars are final. Fractional and the returned packed set
+// alias s's buffers, valid until s runs again or returns to the pool, and
+// InDS is nil.
+func solveOn(s *fastpath.Solver, g *Graph, opts Options, k int) (Result, []uint64, error) {
 	fres, err := s.Solve(g, fastOptions(opts, k))
 	if err != nil {
-		return nil, err
+		return Result{}, nil, err
 	}
-	res := &Result{
-		InDS:         append(make([]bool, 0, len(fres.InDS)), fres.InDS...),
+	return Result{
 		Size:         fres.Size,
-		Fractional:   append(make([]float64, 0, len(fres.X)), fres.X...),
+		WeightedCost: packedWeightedCost(opts.Weights, fres.Set, fres.Size),
+		Fractional:   fres.X,
+		LPObjective:  lp.Objective(fres.X),
 		K:            k,
 		JoinedRandom: fres.JoinedRandom,
 		JoinedFixup:  fres.JoinedFixup,
+	}, fres.Set, nil
+}
+
+// solveCopied is solveOn with the answer copied out of s's buffers: InDS
+// unpacked from the set and Fractional copied, both owned by the caller.
+func solveCopied(s *fastpath.Solver, g *Graph, opts Options, k int) (*Result, error) {
+	res, set, err := solveOn(s, g, opts, k)
+	if err != nil {
+		return nil, err
 	}
-	res.LPObjective = lp.Objective(res.Fractional)
-	res.WeightedCost = weightedCost(opts.Weights, res.InDS, res.Size)
-	return res, nil
+	res.InDS = make([]bool, g.N())
+	graph.UnpackSet(res.InDS, set)
+	res.Fractional = append(make([]float64, 0, len(res.Fractional)), res.Fractional...)
+	return &res, nil
 }
 
 // DominatingSetMany runs the full pipeline once per element of optsList
@@ -294,7 +374,7 @@ func DominatingSetMany(g *Graph, optsList []Options) ([]*Result, error) {
 	defer fastpath.Release(s)
 	out := make([]*Result, len(optsList))
 	for i, opts := range optsList {
-		res, err := solveOn(s, g, opts, effectiveK(opts.K, delta))
+		res, err := solveCopied(s, g, opts, effectiveK(opts.K, delta))
 		if err != nil {
 			return nil, fmt.Errorf("kwmds: batch element %d: %w", i, err)
 		}
@@ -312,6 +392,21 @@ func weightedCost(weights []float64, inDS []bool, size int) float64 {
 	for v, in := range inDS {
 		if in {
 			c += weights[v]
+		}
+	}
+	return c
+}
+
+// packedWeightedCost is weightedCost of a set packed 64 vertices a word. It
+// sums in the same ascending vertex order, so the two agree bit for bit.
+func packedWeightedCost(weights []float64, set []uint64, size int) float64 {
+	if weights == nil {
+		return float64(size)
+	}
+	var c float64
+	for wi, w := range set {
+		for ; w != 0; w &= w - 1 {
+			c += weights[wi<<6+bits.TrailingZeros64(w)]
 		}
 	}
 	return c
