@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"kwmds/internal/dyngraph"
+	"kwmds/internal/gen"
 	"kwmds/internal/mobility"
+	"kwmds/internal/stats"
 )
 
 // BenchmarkCommitChurn measures a steady-state epoch commit at mobility
@@ -30,5 +32,71 @@ func BenchmarkCommitChurn(b *testing.B) {
 		if _, err := d.Commit(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCommitToggle measures serve-churn's mutate batch: each epoch
+// toggles the edges of 4 distinct pairs drawn from 32 fixed vertex pairs
+// through AddEdge/RemoveEdge and commits, on unit-disk graphs of
+// serve-churn's mean degree (udg-10k is serve-churn's own graph). The
+// batch names 8 vertices, so everything but the new snapshot's offsets and
+// adjacency copy is bookkeeping whose cost should follow the batch, not n.
+func BenchmarkCommitToggle(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		radius float64
+	}{
+		{"udg-10k", 10000, 0.02},
+		{"udg-100k", 100000, 0.0063},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			g, err := gen.UnitDisk(tc.n, tc.radius, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := stats.NewRand(7)
+			var pairs [][2]int
+			seen := map[[2]int]bool{}
+			for len(pairs) < 32 {
+				u, v := rng.IntN(tc.n), rng.IntN(tc.n)
+				if u == v || seen[[2]int{min(u, v), max(u, v)}] {
+					continue
+				}
+				seen[[2]int{min(u, v), max(u, v)}] = true
+				pairs = append(pairs, [2]int{u, v})
+			}
+			d := dyngraph.New(g)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var picked [4]int
+				for j := 0; j < len(picked); j++ {
+					picked[j] = rng.IntN(len(pairs))
+					for k := 0; k < j; k++ {
+						if picked[k] == picked[j] {
+							j-- // draw again
+							break
+						}
+					}
+				}
+				g := d.Graph()
+				for _, p := range picked {
+					u, v := pairs[p][0], pairs[p][1]
+					var err error
+					if g.HasEdge(u, v) {
+						err = d.RemoveEdge(u, v)
+					} else {
+						err = d.AddEdge(u, v)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := d.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

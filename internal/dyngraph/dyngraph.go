@@ -21,6 +21,7 @@ package dyngraph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"kwmds/internal/graph"
@@ -62,9 +63,15 @@ type Dynamic struct {
 	batchRem [][2]int32
 	pendW    map[int32]float64
 
-	// Commit scratch, reused across epochs.
-	addCnt  []int32 // per-vertex directed add/remove list offsets
+	// Commit scratch, reused across epochs. The per-vertex entries (counts
+	// and touched marks) are all zero between commits: a commit sets them
+	// only at the vertices its batch names and clears those before it
+	// returns, on success and on every error.
+	addCnt  []int32 // per-vertex directed add/remove counts, then fill cursors
 	remCnt  []int32
+	mark    []uint64 // touched vertices, one bit each
+	addOff  []int32  // touched vertex i's insertions: addList[addOff[i]:addOff[i+1]]
+	remOff  []int32
 	addList []int32
 	remList []int32
 	touched []int32 // Delta.Touched backing store, reused per commit
@@ -285,32 +292,32 @@ func (d *Dynamic) ApplyEdgeDeltas(add, remove [][2]int32) {
 	d.batchRem = append(d.batchRem, remove...)
 }
 
-// grow re-slices an int32 scratch buffer to n zeroed entries.
-func grow(buf []int32, n int) []int32 {
+// zeroed returns buf re-sliced to n entries. Commit's per-vertex scratch
+// is all zero between commits, so reuse needs no clearing pass and growth
+// needs no copy.
+func zeroed[T int32 | uint64](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
+	return buf[:n]
 }
 
-// Commit applies the pending batch and returns the epoch's Delta. The merge
-// is one linear pass: untouched vertices' adjacency runs are copied
-// verbatim; touched vertices merge their sorted old run with the batch's
-// sorted per-vertex delta lists. On a validation error (duplicate
-// insertion, removal of an absent edge) the committed state is unchanged
-// and the pending batch is kept for inspection; Discard drops it.
+// Commit applies the pending batch and returns the epoch's Delta. Its
+// bookkeeping is O(batch + touched): the batch's endpoints are counted and
+// marked in per-vertex scratch that is zero between commits, the touched
+// vertices are read off the marks word by word, and only their delta runs
+// are grouped, sorted and checked for duplicates. The new offsets are the
+// old ones plus a running shift that changes only at touched vertices, and
+// ∆ follows from the old ∆ and the touched vertices' new degrees. The merge
+// then copies untouched adjacency runs verbatim and merges each touched
+// vertex's sorted old run with its sorted delta runs. On a validation error
+// (duplicate insertion, removal of an absent edge) the committed state is
+// unchanged and the pending batch is kept for inspection; Discard drops it.
 func (d *Dynamic) Commit() (*Delta, error) {
 	oldN := d.g.N()
 	n := d.nextN
 	oldOff, oldAdj := d.g.CSR()
 
-	// Gather every pending edge op into per-vertex directed lists. Map
-	// entries are folded in first (their order is irrelevant: per-vertex
-	// lists are sorted below), then the batch lists.
 	nAdd, nRem := len(d.batchAdd), len(d.batchRem)
 	for _, s := range d.pend {
 		if s > 0 {
@@ -334,8 +341,9 @@ func (d *Dynamic) Commit() (*Delta, error) {
 		d.pendW = nil
 		return delta, nil
 	}
-	d.addCnt = grow(d.addCnt, n+1)
-	d.remCnt = grow(d.remCnt, n+1)
+	d.addCnt = zeroed(d.addCnt, n)
+	d.remCnt = zeroed(d.remCnt, n)
+	d.mark = zeroed(d.mark, (n+63)/64)
 	if cap(d.addList) < 2*nAdd {
 		d.addList = make([]int32, 2*nAdd)
 	}
@@ -344,51 +352,82 @@ func (d *Dynamic) Commit() (*Delta, error) {
 	}
 	d.addList, d.remList = d.addList[:2*nAdd], d.remList[:2*nRem]
 
+	// Count each vertex's directed entries and mark it touched. Map entries
+	// are folded in first (their order is irrelevant: runs are sorted
+	// below), then the batch lists, whose count pass doubles as their
+	// validation (endpoint range, self-loops) and as the detection of a
+	// strictly lex-increasing normalized batch — the shape
+	// mobility.EdgeDeltas emits — whose runs need no sort. A failed
+	// validation clears what the pass set so far.
+	mark, addCnt, remCnt := d.mark, d.addCnt, d.remCnt
 	for key, s := range d.pend {
 		if s > 0 {
-			d.addCnt[key[0]+1]++
-			d.addCnt[key[1]+1]++
+			countEdge(addCnt, mark, key[0], key[1])
 		} else {
-			d.remCnt[key[0]+1]++
-			d.remCnt[key[1]+1]++
+			countEdge(remCnt, mark, key[0], key[1])
 		}
 	}
-	// The count pass must touch every batch entry anyway, so it doubles as
-	// the batch validation (endpoint range, self-loops) and as the
-	// sorted-batch detection: a strictly lex-increasing normalized batch —
-	// the shape mobility.EdgeDeltas emits — lets the whole per-vertex sort
-	// and duplicate scan be skipped further down.
 	limit := int32(n)
-	countScan := func(list [][2]int32, cnt []int32, op string) (bool, error) {
+	scan := func(list [][2]int32, cnt []int32, op string) (bool, error) {
 		srt := true
 		t := [2]int32{-1, -1}
 		for _, e := range list {
 			if e[0] == e[1] || e[0] < 0 || e[0] >= limit || e[1] < 0 || e[1] >= limit {
+				d.clearMarks()
 				return false, d.checkEndpoints(op, int(e[0]), int(e[1]))
 			}
 			if srt && (e[0] >= e[1] || e[0] < t[0] || (e[0] == t[0] && e[1] <= t[1])) {
 				srt = false
 			}
 			t = e
-			cnt[e[0]+1]++
-			cnt[e[1]+1]++
+			countEdge(cnt, mark, e[0], e[1])
 		}
 		return srt, nil
 	}
-	addSorted, err := countScan(d.batchAdd, d.addCnt, "ApplyEdgeDeltas(add)")
+	addSorted, err := scan(d.batchAdd, addCnt, "ApplyEdgeDeltas(add)")
 	if err != nil {
 		return nil, err
 	}
-	remSorted, err := countScan(d.batchRem, d.remCnt, "ApplyEdgeDeltas(remove)")
+	remSorted, err := scan(d.batchRem, remCnt, "ApplyEdgeDeltas(remove)")
 	if err != nil {
 		return nil, err
 	}
 	sorted := len(d.pend) == 0 && addSorted && remSorted
-	for v := 0; v < n; v++ {
-		d.addCnt[v+1] += d.addCnt[v]
-		d.remCnt[v+1] += d.remCnt[v]
+	for v := oldN; v < n; v++ {
+		mark[v>>6] |= 1 << (uint32(v) & 63)
 	}
-	fill := func(u, v int32, cnt, list []int32) {
+
+	// The touched vertices in increasing order, straight off the marks,
+	// which this pass leaves clear.
+	touched := d.touched[:0]
+	for wi, w := range mark {
+		if w == 0 {
+			continue
+		}
+		mark[wi] = 0
+		for w != 0 {
+			touched = append(touched, int32(wi<<6+bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	d.touched = touched
+
+	// Group the directed entries by touched vertex: touched vertex i's runs
+	// are addList[addOff[i]:addOff[i+1]] and remList[remOff[i]:remOff[i+1]].
+	// The counts turn into fill cursors and are zeroed after the fill, so
+	// from here on the per-vertex scratch is clean whatever happens.
+	nt := len(touched)
+	d.addOff = zeroed(d.addOff, nt+1)
+	d.remOff = zeroed(d.remOff, nt+1)
+	addOff, remOff := d.addOff, d.remOff
+	a, r := int32(0), int32(0)
+	for i, v := range touched {
+		addOff[i], remOff[i] = a, r
+		a, addCnt[v] = a+addCnt[v], a
+		r, remCnt[v] = r+remCnt[v], r
+	}
+	addOff[nt], remOff[nt] = a, r
+	fill := func(cnt, list []int32, u, v int32) {
 		list[cnt[u]] = v
 		cnt[u]++
 		list[cnt[v]] = u
@@ -396,83 +435,82 @@ func (d *Dynamic) Commit() (*Delta, error) {
 	}
 	for key, s := range d.pend {
 		if s > 0 {
-			fill(key[0], key[1], d.addCnt, d.addList)
+			fill(addCnt, d.addList, key[0], key[1])
 		} else {
-			fill(key[0], key[1], d.remCnt, d.remList)
+			fill(remCnt, d.remList, key[0], key[1])
 		}
 	}
 	for _, e := range d.batchAdd {
-		fill(e[0], e[1], d.addCnt, d.addList)
+		fill(addCnt, d.addList, e[0], e[1])
 	}
 	for _, e := range d.batchRem {
-		fill(e[0], e[1], d.remCnt, d.remList)
+		fill(remCnt, d.remList, e[0], e[1])
 	}
-	// The fill pass advanced cnt[v] to the end of v's list; cnt[v-1] is now
-	// the start. Restore starts by shifting down.
-	shiftDown := func(cnt []int32) {
-		copy(cnt[1:], cnt[:n])
-		cnt[0] = 0
+	for _, v := range touched {
+		addCnt[v], remCnt[v] = 0, 0
 	}
-	shiftDown(d.addCnt)
-	shiftDown(d.remCnt)
-	// Sorted batches skip the sort and duplicate scan entirely: a strictly
-	// lex-increasing normalized batch yields per-vertex runs that are
-	// sorted and duplicate-free by construction — a vertex's
+	// Sort each run and reject in-batch duplicates here, while the runs are
+	// hot — keeping the duplicate checks out of the merge's inner loops
+	// below. A strictly lex-increasing normalized batch yields runs that
+	// are sorted and duplicate-free by construction — a vertex's
 	// reverse-direction entries (filled while processing smaller first
 	// endpoints) all precede its forward-direction entries, and each group
-	// arrives ascending. For the generic path, sort each run and reject
-	// in-batch duplicates here, while the runs are hot — keeping the
-	// duplicate checks out of the merge's inner loops below.
-	if !sorted {
-		sortRuns := func(cnt, list []int32, what string) error {
-			for v := 0; v < n; v++ {
-				run := list[cnt[v]:cnt[v+1]]
-				if len(run) > 1 {
-					insertionSort(run)
-					for i := 1; i < len(run); i++ {
-						if run[i] == run[i-1] {
-							return fmt.Errorf("dyngraph: Commit: duplicate %s of edge (%d,%d)", what, v, run[i])
-						}
-					}
-				}
-			}
-			return nil
-		}
-		if err := sortRuns(d.addCnt, d.addList, "insertion"); err != nil {
+	// arrives ascending — so it skips this step.
+	for i := 0; i < nt && !sorted; i++ {
+		v := touched[i]
+		if err := sortRun(d.addList[addOff[i]:addOff[i+1]], v, "insertion"); err != nil {
 			return nil, err
 		}
-		if err := sortRuns(d.remCnt, d.remList, "removal"); err != nil {
+		if err := sortRun(d.remList[remOff[i]:remOff[i+1]], v, "removal"); err != nil {
 			return nil, err
 		}
 	}
 
-	// Offsets, touched set, maximum degree and negative-degree detection in
-	// one pass (the per-vertex delta counts are the gaps in the cnt
-	// arrays).
-	touched := d.touched[:0]
+	// Offsets: an untouched vertex's end moves by the running shift, a
+	// touched vertex's follows from its new degree. ∆ is the larger of the
+	// touched vertices' new degrees and the old ∆ — unless a vertex at the
+	// old ∆ lost an edge and no touched vertex reached it, in which case
+	// the old ∆ may have gone and the degrees are recounted.
 	newOff := make([]int32, n+1)
-	maxDeg := int32(0)
-	for v := 0; v < n; v++ {
+	oldMax := int32(d.g.MaxDegree())
+	maxDeg, lostMax := int32(0), false
+	shift := int32(0)
+	from := 0 // first vertex whose end offset is not yet set
+	for i, tv := range touched {
+		v := int(tv)
+		if from < v {
+			shifted(newOff[from+1:v+1], oldOff[from+1:v+1], shift)
+		}
 		var oldDeg int32
 		if v < oldN {
 			oldDeg = oldOff[v+1] - oldOff[v]
 		}
-		dAdd := d.addCnt[v+1] - d.addCnt[v]
-		dRem := d.remCnt[v+1] - d.remCnt[v]
-		newDeg := oldDeg + dAdd - dRem
+		dDeg := (addOff[i+1] - addOff[i]) - (remOff[i+1] - remOff[i])
+		newDeg := oldDeg + dDeg
 		if newDeg < 0 {
 			// More removals than v has edges: at least one is absent.
 			return nil, fmt.Errorf("dyngraph: Commit: removal of absent edge at vertex %d", v)
 		}
-		if newDeg > maxDeg {
-			maxDeg = newDeg
+		maxDeg = max(maxDeg, newDeg)
+		if oldDeg == oldMax && newDeg < oldMax {
+			lostMax = true
 		}
+		shift += dDeg
 		newOff[v+1] = newOff[v] + newDeg
-		if dAdd > 0 || dRem > 0 || v >= oldN {
-			touched = append(touched, int32(v))
+		from = v + 1
+	}
+	if from < n {
+		shifted(newOff[from+1:], oldOff[from+1:], shift)
+	}
+	if maxDeg < oldMax {
+		if lostMax {
+			for v := 0; v < n; v++ {
+				maxDeg = max(maxDeg, newOff[v+1]-newOff[v])
+			}
+		} else {
+			maxDeg = oldMax
 		}
 	}
-	d.touched = touched
 
 	// The merge walks the touched list: the untouched gap before each
 	// touched vertex is one bulk copy (old and new adjacency are identical
@@ -509,7 +547,7 @@ func (d *Dynamic) Commit() (*Delta, error) {
 	}
 	pos := 0
 	srcPos := 0 // oldAdj position matching pos (untouched spans are identical)
-	for _, tv := range touched {
+	for i, tv := range touched {
 		v := int(tv)
 		var old []int32
 		if v < oldN {
@@ -524,8 +562,8 @@ func (d *Dynamic) Commit() (*Delta, error) {
 			srcPos = len(oldAdj)
 		}
 		base, end := pos, int(newOff[v+1])
-		adds := d.addList[d.addCnt[v]:d.addCnt[v+1]]
-		rems := d.remList[d.remCnt[v]:d.remCnt[v+1]]
+		adds := d.addList[addOff[i]:addOff[i+1]]
+		rems := d.remList[remOff[i]:remOff[i+1]]
 		// Pass 1: old minus removals — a straight copy when there are
 		// none, a two-branch filter otherwise.
 		if len(rems) == 0 {
@@ -620,6 +658,49 @@ func (d *Dynamic) applyWeights(n int) {
 		costs[v] = w
 	}
 	d.costs = costs
+}
+
+// countEdge counts the directed entries of edge {u,v} in cnt and marks
+// both endpoints touched.
+func countEdge(cnt []int32, mark []uint64, u, v int32) {
+	cnt[u]++
+	cnt[v]++
+	mark[u>>6] |= 1 << (uint32(u) & 63)
+	mark[v>>6] |= 1 << (uint32(v) & 63)
+}
+
+// shifted sets dst to src moved by the running offset shift.
+func shifted(dst, src []int32, shift int32) {
+	for j := range dst {
+		dst[j] = src[j] + shift
+	}
+}
+
+// clearMarks undoes a count pass that stopped at an invalid batch entry:
+// it zeroes the counts of every marked vertex and the marks themselves.
+func (d *Dynamic) clearMarks() {
+	for wi, w := range d.mark {
+		if w == 0 {
+			continue
+		}
+		d.mark[wi] = 0
+		for w != 0 {
+			v := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			d.addCnt[v], d.remCnt[v] = 0, 0
+		}
+	}
+}
+
+// sortRun sorts vertex v's delta run and rejects an in-batch duplicate.
+func sortRun(run []int32, v int32, what string) error {
+	insertionSort(run)
+	for i := 1; i < len(run); i++ {
+		if run[i] == run[i-1] {
+			return fmt.Errorf("dyngraph: Commit: duplicate %s of edge (%d,%d)", what, v, run[i])
+		}
+	}
+	return nil
 }
 
 // insertionSort sorts a small int32 run in place; the per-vertex delta

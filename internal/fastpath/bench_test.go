@@ -151,6 +151,52 @@ func BenchmarkSolveDerived(b *testing.B) {
 	}
 }
 
+// BenchmarkLPReplay times the LP replay alone: serve-churn's mutation
+// pattern (4 edge toggles per epoch among 32 fixed vertex pairs) on
+// unit-disk graphs of serve-churn's mean degree, each new epoch's
+// Fractional on the solver that solved the previous one. The commit runs
+// outside the timer. The replay follows its frontier, so its cost should
+// barely grow with n.
+func BenchmarkLPReplay(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		radius float64
+	}{
+		{"udg-10k", 10000, 0.02},
+		{"udg-100k", 100000, 0.0063},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			g, err := gen.UnitDisk(tc.n, tc.radius, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := newChurn(g, 32, 7)
+			s := Acquire(g.N())
+			defer Release(s)
+			opt := Options{K: 3, Workers: 1}
+			for _, next := range []*graph.Graph{g, c.next(b, 4), c.next(b, 4)} {
+				if _, err := s.Fractional(next, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				next := c.next(b, 4)
+				b.StartTimer()
+				if _, err := s.Fractional(next, opt); err != nil {
+					b.Fatal(err)
+				}
+				if !s.LastLPReplayed() {
+					b.Fatalf("epoch %d: the LP stage was not replayed", i+1)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSolveReference is the matching baseline row: the sequential
 // reference (instrumentation gated off) on the same workload.
 func BenchmarkSolveReference(b *testing.B) {

@@ -95,19 +95,28 @@
 // vertices whose adjacency changed (graph.Lineage). A solver holding that
 // parent repairs its static δ⁽¹⁾/δ⁽²⁾ tables on the distance-2 rings of the
 // touched vertices instead of recomputing them, and an Algorithm 3 LP stage
-// of the memo's k replays the parent's stage: every full Algorithm 3 stage
-// records its trajectory — per inner iteration the activity set, the x
-// raises and the white→gray transitions, per outer boundary the support's
-// γ⁽²⁾ — and the replay takes the recorded events wherever a vertex's
-// inputs agree with the recorded run's, recomputing with the full stage's
-// arithmetic only on a frontier that spreads one hop per phase from the
-// touched vertices (replay.go). Algorithm 3 is constant-round (Theorem 5),
-// so the frontier stays local, and the replay rewrites the record into the
-// new graph's, so the next epoch replays from it. Above a churn threshold
-// the derived graph is solved as a new one, and the LP stages of
-// Algorithm 2 and the weighted variant, whose thresholds read the global ∆
-// and c_max, always run in full. Either way the output is bit-identical
-// to a cold solve on the new snapshot — the same three-backend contract,
-// extended to the dynamic-graph engine and enforced by internal/dyngraph's
-// differential churn harness and mutation fuzzer.
+// of the memo's k replays the parent's stage. Every full Algorithm 3 stage
+// records its trajectory per vertex (trajectory.go): the inner iteration a
+// vertex turned gray in, and one event per inner iteration it was active
+// (its a⁽¹⁾ there, from which its x follows) and per outer boundary it was
+// in the support (its γ⁽²⁾), in one span of an arena. The replay takes the
+// recorded events wherever a vertex's inputs agree with the recorded run's,
+// and recomputes with the full stage's arithmetic only on a frontier that
+// spreads one hop per phase from the touched vertices (replay.go). The new
+// run's state is never materialized over n: outside the difference sets
+// (the vertices whose x, gray state, γ⁽²⁾, activity or a(v) differ) it is a
+// lookup over a vertex's own events, and the sets themselves are bitsets
+// with member lists, built, walked and emptied in O(frontier). At its end
+// the replay rewrites only the spans whose events changed — in place, or
+// moved to the arena's end, which is compacted once it fills — and patches
+// s.x, the parent's final x, where the new x differs, so the next epoch
+// replays from the rewritten record. Algorithm 3 is constant-round
+// (Theorem 5), so the frontier stays local, and a replay costs its
+// frontier, not n. Above a churn threshold the derived graph is solved as
+// a new one, and the LP stages of Algorithm 2 and the weighted variant,
+// whose thresholds read the global ∆ and c_max, always run in full. Either
+// way the output is bit-identical to a cold solve on the new snapshot —
+// the same three-backend contract, extended to the dynamic-graph engine
+// and enforced by internal/dyngraph's differential churn harness and
+// mutation fuzzer.
 package fastpath

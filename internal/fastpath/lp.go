@@ -154,9 +154,9 @@ func (s *Solver) lpStage(opt Options) {
 		s.wthr = fillPow(s.wthr, s.curCmax*float64(s.maxDeg+1), opt.K)
 		s.lpThreshold(opt.K, s.wthr, s.pw)
 	default:
-		s.rec.begin(s.maxDeg)
+		s.rec.begin(s.n, opt.K, s.maxDeg)
 		s.lpAlg3(opt.K)
-		s.rec.finish(opt.K)
+		s.rec.build(s.n)
 	}
 }
 
@@ -220,8 +220,8 @@ func (s *Solver) recheckCoverage() {
 // x-raise values a⁽¹⁾^{-m/(m+1)} both exponentiate integers bounded by
 // ∆+1, so each iteration fills a (∆+2)-entry table with the identical
 // math.Pow calls and the vertex loops only index it. Every iteration and
-// outer boundary is recorded into s.rec, the trajectory a later epoch
-// replays.
+// outer boundary is logged into s.rec, which lpStage then turns into the
+// per-vertex trajectory a later epoch replays.
 func (s *Solver) lpAlg3(k int) {
 	s.ensureD2()
 	for v := 0; v < s.n; v++ {
@@ -229,6 +229,7 @@ func (s *Solver) lpAlg3(k int) {
 	}
 	s.powTabL = growF64(s.powTabL, s.maxDeg+2)
 	s.powTabM = growF64(s.powTabM, s.maxDeg+2)
+	t := 0
 	for l := k - 1; l >= 0; l-- {
 		if s.whiteCount == 0 {
 			return
@@ -239,21 +240,19 @@ func (s *Solver) lpAlg3(k int) {
 				return
 			}
 			s.dispatch(s.fnA3Active)
-			s.rec.addSet(s.active)
 			s.dispatch(s.fnA3Count)
 			fillPowM(s.powTabM, m)
 			s.resetChunkLists()
 			s.dispatch(s.fnA3Update)
-			for c := 0; c < s.nchunks; c++ {
-				for i, v := range s.changed[c] {
-					s.rec.raise = append(s.rec.raise, vval{v, s.raiseIdx[c][i]})
-				}
-			}
+			s.rec.logIter(t, s.active, s.gamma1)
 			s.recheckCoverage()
 			for c := 0; c < s.nchunks; c++ {
-				s.rec.gray = append(s.rec.gray, s.newGray[c]...)
+				for _, v := range s.newGray[c] {
+					s.rec.grayAt[v] = int32(t)
+				}
 			}
-			s.rec.endIter()
+			s.rec.white[t] = int32(s.whiteCount)
+			t++
 			// The reference recomputes δ̃ here (its lines 20-21); the
 			// incremental decrements in applyNewGray leave dtil holding
 			// exactly those values.
@@ -272,7 +271,7 @@ func (s *Solver) lpAlg3(k int) {
 				s.dispatch(s.fnClearDirt)
 			}
 			s.dispatch(s.fnGamma2)
-			s.rec.addGamma(s.support, s.gamma2)
+			s.rec.logGamma(t-1, s.support, s.gamma2)
 		}
 	}
 }
@@ -424,10 +423,11 @@ func (s *Solver) phaseA3Count(c int) {
 }
 
 // phaseA3Update raises x of active vertices to a⁽¹⁾^{-m/(m+1)}, where
-// a⁽¹⁾(v) = max a over N[v].
+// a⁽¹⁾(v) = max a over N[v]. It leaves each active vertex's a⁽¹⁾ in
+// gamma1, which is free between outer boundaries, for the record.
 func (s *Solver) phaseA3Update(c int) {
 	aw := s.active.Words()
-	x, off, adj, acnt := s.x, s.off, s.adj, s.acnt
+	x, off, adj, acnt, a1 := s.x, s.off, s.adj, s.acnt, s.gamma1
 	powTabM := s.powTabM
 	for wi := s.c0[c]; wi < s.c1[c]; wi++ {
 		wd := aw[wi]
@@ -440,6 +440,7 @@ func (s *Solver) phaseA3Update(c int) {
 					m1 = acnt[u]
 				}
 			}
+			a1[v] = m1
 			if m1 < 1 {
 				continue
 			}
@@ -447,7 +448,6 @@ func (s *Solver) phaseA3Update(c int) {
 			if xval > x[v] {
 				x[v] = xval
 				s.changed[c] = append(s.changed[c], int32(v))
-				s.raiseIdx[c] = append(s.raiseIdx[c], m1)
 			}
 		}
 	}

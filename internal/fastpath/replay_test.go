@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"kwmds/internal/dyngraph"
@@ -64,7 +65,9 @@ func (c *churn) next(tb testing.TB, toggles int) *graph.Graph {
 // level: 4 toggles per epoch among 32 fixed pairs on a 2 000-vertex UDG of
 // serve-churn's mean degree. One persistent solver per (k, workers) solves
 // every epoch and must answer bit for bit as a fresh solver, which has no
-// state to replay from and runs the full stage. Epochs rotate through the
+// state to replay from and runs the full stage. k runs from 1 (one inner
+// iteration, no outer boundary) to 9 (81 inner iterations, more than a
+// 64-bit per-vertex mask could hold). Epochs rotate through the
 // entry points: a plain Solve, which must replay; a standalone Round
 // first, which repairs the tables but leaves the LP to the Solve after it,
 // which must replay; a Fractional first, which must replay, so the Solve
@@ -78,7 +81,7 @@ func TestReplayMatchesFreshSolver(t *testing.T) {
 	}
 	closed := make(chan struct{})
 	close(closed)
-	for _, k := range []int{2, 3, 4} {
+	for _, k := range []int{1, 2, 3, 4, 9} {
 		for _, workers := range []int{1, 3, 0} {
 			t.Run(fmt.Sprintf("k%d/w%d", k, workers), func(t *testing.T) {
 				c := newChurn(g, 32, int64(k*10+workers))
@@ -130,6 +133,154 @@ func TestReplayMatchesFreshSolver(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// sameRecord fails unless the replayed solver's trajectory equals the one
+// a fresh solver's full stage recorded for the same graph: ∆, the white
+// counts, and every vertex's gray iteration and events.
+func sameRecord(t *testing.T, ctx string, got, want *trajectory) {
+	t.Helper()
+	if got.maxDeg != want.maxDeg || !slices.Equal(got.white, want.white) {
+		t.Fatalf("%s: record ∆ %d, white %v; want ∆ %d, white %v", ctx, got.maxDeg, got.white, want.maxDeg, want.white)
+	}
+	for v := range want.grayAt {
+		if got.grayAt[v] != want.grayAt[v] || !slices.Equal(got.events(int32(v)), want.events(int32(v))) {
+			t.Fatalf("%s: vertex %d recorded gray at %d with %v; want %d with %v", ctx, v,
+				got.grayAt[v], got.events(int32(v)), want.grayAt[v], want.events(int32(v)))
+		}
+	}
+}
+
+// TestReplayMatchesFreshSolverLongChain replays 300 epochs of serve-churn's
+// shape on one solver at k = 3. After every epoch the answer must be bit
+// for bit a fresh solver's, and so must the rewritten record: the per-
+// vertex trajectory the next epoch replays from, after many relocations
+// of rewritten spans and several compactions of the arena.
+func TestReplayMatchesFreshSolverLongChain(t *testing.T) {
+	g, err := gen.UnitDisk(2000, 0.045, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newChurn(g, 32, 29)
+	s := New()
+	opt := Options{K: 3, Workers: 1}
+	if _, err := s.Solve(g, opt); err != nil {
+		t.Fatal(err)
+	}
+	compactions, arena := 0, len(s.rec.ev)
+	for e := 1; e <= 300; e++ {
+		ge := c.next(t, 4)
+		opt.Seed = int64(e)
+		ctx := fmt.Sprintf("epoch %d", e)
+		got, err := s.Solve(ge, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.LastLPReplayed() {
+			t.Fatalf("%s: not replayed", ctx)
+		}
+		fresh := New()
+		want, err := fresh.Solve(ge, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		testsupport.RequireBitIdenticalIn(t, ctx, got, want)
+		sameRecord(t, ctx, &s.rec, &fresh.rec)
+		if len(s.rec.ev) < arena {
+			compactions++
+		}
+		arena = len(s.rec.ev)
+	}
+	if compactions == 0 {
+		t.Fatal("300 epochs never compacted the record's arena")
+	}
+}
+
+// TestReplayMatchesFreshSolverIsolateAndDelta replays epochs that isolate
+// a vertex (its last edges removed, so it covers itself alone) and that
+// move ∆: the unique ∆ vertex loses edges, and later a low-degree vertex
+// gains enough to become the new ∆ vertex. Every epoch must match a fresh
+// solver, answer and record, at several k.
+func TestReplayMatchesFreshSolverIsolateAndDelta(t *testing.T) {
+	g, err := gen.UnitDisk(1500, 0.05, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub, low := 0, 0
+	for v := 1; v < g.N(); v++ {
+		if g.Degree(v) > g.Degree(hub) {
+			hub = v
+		}
+		if g.Degree(v) < g.Degree(low) && g.Degree(v) > 0 {
+			low = v
+		}
+	}
+	for _, k := range []int{1, 2, 3, 4} {
+		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
+			d := dyngraph.New(g)
+			s := New()
+			opt := Options{K: k, Workers: 1}
+			if _, err := s.Solve(g, opt); err != nil {
+				t.Fatal(err)
+			}
+			step := func(name string, mutate func(cur *graph.Graph) error) {
+				t.Helper()
+				if err := mutate(d.Graph()); err != nil {
+					t.Fatal(err)
+				}
+				delta, err := d.Commit()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := s.Solve(delta.Next, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !s.LastLPReplayed() {
+					t.Fatalf("%s: not replayed", name)
+				}
+				fresh := New()
+				want, err := fresh.Solve(delta.Next, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				testsupport.RequireBitIdenticalIn(t, name, got, want)
+				sameRecord(t, name, &s.rec, &fresh.rec)
+			}
+			// Isolate low, one edge at a time: the last removal isolates it.
+			for len(d.Graph().Neighbors(low)) > 0 {
+				step("isolate", func(cur *graph.Graph) error {
+					return d.RemoveEdge(low, int(cur.Neighbors(low)[0]))
+				})
+			}
+			// ∆ drops: the hub loses two edges per epoch, three times.
+			for i := 0; i < 3; i++ {
+				step("∆ drops", func(cur *graph.Graph) error {
+					nb := cur.Neighbors(hub)
+					if err := d.RemoveEdge(hub, int(nb[0])); err != nil {
+						return err
+					}
+					return d.RemoveEdge(hub, int(nb[len(nb)-1]))
+				})
+			}
+			// ∆ rises: the isolated vertex gains edges, a few per epoch,
+			// until it is the unique ∆ vertex (every other vertex gained
+			// at most the one edge to it).
+			for v := 0; d.Graph().Degree(low) <= g.MaxDegree()+1; {
+				step("∆ rises", func(cur *graph.Graph) error {
+					for added := 0; added < 5; v++ {
+						if v != low && !cur.HasEdge(low, v) {
+							if err := d.AddEdge(low, v); err != nil {
+								return err
+							}
+							added++
+						}
+					}
+					return nil
+				})
+			}
+		})
 	}
 }
 

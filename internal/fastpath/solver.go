@@ -129,7 +129,7 @@ type Solver struct {
 	// set, over the graph g was derived from, whose stage the next LP run
 	// replays (replay.go). For AlgWeighted, costs holds the costs it ran
 	// with (the solver's own copy). For Alg3, rec is the stage's
-	// trajectory.
+	// trajectory, kept per vertex; a replay rewrites it in place.
 	lpValid  bool
 	lpParent bool
 	lpAlg    Algorithm
@@ -145,13 +145,12 @@ type Solver struct {
 	// worker (c0[c] ≤ word < c1[c], ascending and contiguous), and worker
 	// c runs chunk c. Every per-chunk result list below is merged in chunk
 	// order, so the output is independent of the worker count.
-	nchunks  int
-	c0, c1   []int // word-range bounds per chunk
-	changed  [][]int32
-	raiseIdx [][]int32 // Algorithm 3: a⁽¹⁾ of each changed vertex
-	newGray  [][]int32
-	zeroed   []int32  // applyNewGray scratch: vertices whose δ̃ hit zero
-	joinCnt  [][2]int // per-chunk {random, fixup} join counters
+	nchunks int
+	c0, c1  []int // word-range bounds per chunk
+	changed [][]int32
+	newGray [][]int32
+	zeroed  []int32  // applyNewGray scratch: vertices whose δ̃ hit zero
+	joinCnt [][2]int // per-chunk {random, fixup} join counters
 
 	// Threshold tables of an LP miss, refilled in place by fillPow:
 	// pw = (∆+1)^{i/k} (Algorithm 2 and the weighted x-raise) and
@@ -319,12 +318,10 @@ func (s *Solver) chunkify() {
 	// solvers stay allocation-free across worker-count changes.
 	for len(s.changed) < nchunks {
 		s.changed = append(s.changed, nil)
-		s.raiseIdx = append(s.raiseIdx, nil)
 		s.newGray = append(s.newGray, nil)
 		s.joinCnt = append(s.joinCnt, [2]int{})
 	}
 	s.changed = s.changed[:nchunks]
-	s.raiseIdx = s.raiseIdx[:nchunks]
 	s.newGray = s.newGray[:nchunks]
 	s.joinCnt = s.joinCnt[:nchunks]
 	for c := 0; c < nchunks; c++ {
@@ -388,7 +385,6 @@ func (s *Solver) dispatch(fn func(int)) {
 func (s *Solver) resetChunkLists() {
 	for c := 0; c < s.nchunks; c++ {
 		s.changed[c] = s.changed[c][:0]
-		s.raiseIdx[c] = s.raiseIdx[c][:0]
 		s.newGray[c] = s.newGray[c][:0]
 	}
 }

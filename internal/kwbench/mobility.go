@@ -29,8 +29,10 @@ import (
 // reconstruct the unit-disk CSR from the node positions, then cold-solve
 // through the facade. In churn mode the op replays the epoch's link events
 // through the dyngraph mutation API — ApplyEdgeDeltas + Commit, then
-// fastpath's Solve of the committed graph on a persistent solver, which
-// repairs its state from the previous epoch's over the graph's lineage —
+// fastpath's Fractional of the committed graph on a persistent solver,
+// which repairs its state from the previous epoch's over the graph's
+// lineage and replays its LP stage, and Round of that x, each stage timed
+// apart —
 // with the deltas themselves derived outside the timed section (in a
 // deployed system link events arrive from the radio layer; deriving them is
 // sensing, not processing). The two modes measure the same
@@ -105,7 +107,7 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	var kept, added, removed, transitions int
 	hist := &hdr.Histogram{}
 	measuredOps := 0
-	var elapsed, commitTotal time.Duration
+	var elapsed, commitTotal, lpTotal, roundTotal time.Duration
 	var deltaEvents, repaired int
 	var msBefore, msAfter runtime.MemStats
 
@@ -179,14 +181,23 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 			if err != nil {
 				return fail(e, err)
 			}
-			commit := time.Since(t0)
-			got, err := solver.Solve(delta.Next, fastOpts(e, delta.Next))
-			lat := time.Since(t0)
+			t1 := time.Now()
+			opt := fastOpts(e, delta.Next)
+			x, err := solver.Fractional(delta.Next, opt)
 			if err != nil {
 				return fail(e, err)
 			}
+			t2 := time.Now()
+			got, err := solver.Round(delta.Next, x, opt)
+			t3 := time.Now()
+			if err != nil {
+				return fail(e, err)
+			}
+			lat := t3.Sub(t0)
 			if e >= sc.WarmupOps {
-				commitTotal += commit
+				commitTotal += t1.Sub(t0)
+				lpTotal += t2.Sub(t1)
+				roundTotal += t3.Sub(t2)
 				deltaEvents += len(add) + len(rem)
 				if solver.LastLPReplayed() {
 					repaired++
@@ -233,7 +244,10 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	}
 	if m.Mode == MobilityChurn && measuredOps > 0 {
 		mr.MeanEdgeDeltas = float64(deltaEvents) / float64(measuredOps)
-		mr.MeanCommitMS = float64(commitTotal) / float64(time.Millisecond) / float64(measuredOps)
+		perOp := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(measuredOps) }
+		mr.MeanCommitMS = perOp(commitTotal)
+		lp, round := perOp(lpTotal), perOp(roundTotal)
+		mr.MeanLPMS, mr.MeanRoundMS = &lp, &round
 		mr.RepairedEpochs = repaired
 	}
 	res.Mobility = mr

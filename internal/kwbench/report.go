@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -122,6 +123,12 @@ type MobilityResult struct {
 	// MeanCommitMS is the mean time of the dyngraph apply+commit inside
 	// the epoch op (churn mode only); the rest of the op is the re-solve.
 	MeanCommitMS float64 `json:"mean_commit_ms,omitempty"`
+	// MeanLPMS and MeanRoundMS split the re-solve (churn mode only): the
+	// LP stage of the committed graph (a replay of the previous epoch's
+	// trajectory when it repaired) and the rounding of its x. With
+	// MeanCommitMS they sum to the op's mean latency.
+	MeanLPMS    *float64 `json:"mean_lp_ms,omitempty"`
+	MeanRoundMS *float64 `json:"mean_round_ms,omitempty"`
 	// RepairedEpochs counts measured epochs that took the incremental
 	// path — the δ⁽¹⁾/δ⁽²⁾ repair and the replay of the previous epoch's
 	// LP trajectory — rather than the full LP (churn mode only).
@@ -484,6 +491,18 @@ func ValidateReport(rep *Report) error {
 		}
 		if m := s.Mobility; m != nil && m.Mode != MobilityRebuild && m.Mode != MobilityChurn {
 			return fail("mobility mode %q, want %s|%s", m.Mode, MobilityRebuild, MobilityChurn)
+		}
+		if m := s.Mobility; m != nil && m.Mode == MobilityChurn {
+			if m.MeanLPMS == nil || m.MeanRoundMS == nil {
+				return fail("churn row without mean_lp_ms and mean_round_ms")
+			}
+			lp, round := *m.MeanLPMS, *m.MeanRoundMS
+			if !(lp >= 0) || !(round >= 0) || math.IsInf(lp+round, 0) {
+				return fail("churn stage means lp %v, round %v", lp, round)
+			}
+			if sum := m.MeanCommitMS + lp + round; math.Abs(sum-l.Mean) > 0.01*l.Mean {
+				return fail("churn stages sum to %v ms, the mean op takes %v ms", sum, l.Mean)
+			}
 		}
 		if s.Loop == "load" && s.Load == nil {
 			return fail("load loop without a load block")

@@ -177,6 +177,20 @@ func TestValidateReportCatchesCorruption(t *testing.T) {
 			r.Scenarios[0].Loop = "replay"
 			r.Scenarios[0].Mobility = &MobilityResult{Epochs: 2}
 		}, `mobility mode ""`},
+		{"churn without stage split", func(r *Report) {
+			r.Scenarios[0].Loop = "replay"
+			r.Scenarios[0].Mobility = &MobilityResult{Epochs: 2, Mode: MobilityChurn, MeanCommitMS: 0.5}
+		}, "without mean_lp_ms and mean_round_ms"},
+		{"churn stages off the mean", func(r *Report) {
+			r.Scenarios[0].Loop = "replay"
+			lp, round := 0.5, 0.6 // 0.5 + 0.5 + 0.6 = 1.6 vs a 1.5 ms mean
+			r.Scenarios[0].Mobility = &MobilityResult{Epochs: 2, Mode: MobilityChurn, MeanCommitMS: 0.5, MeanLPMS: &lp, MeanRoundMS: &round}
+		}, "churn stages sum to 1.6 ms"},
+		{"negative churn stage", func(r *Report) {
+			r.Scenarios[0].Loop = "replay"
+			lp, round := -0.1, 1.1
+			r.Scenarios[0].Mobility = &MobilityResult{Epochs: 2, Mode: MobilityChurn, MeanCommitMS: 0.5, MeanLPMS: &lp, MeanRoundMS: &round}
+		}, "churn stage means"},
 		{"infinite latency", func(r *Report) { r.Scenarios[0].Latency.Max = math.Inf(1) }, "unsupported value: +Inf"},
 		{"no graphs", func(r *Report) { r.Scenarios[0].Graphs = nil }, "empty graph list"},
 	}
@@ -195,6 +209,13 @@ func TestValidateReportCatchesCorruption(t *testing.T) {
 	}
 	if err := ValidateReport(base()); err != nil {
 		t.Fatalf("baseline report must validate: %v", err)
+	}
+	churn := base()
+	churn.Scenarios[0].Loop = "replay"
+	lp, round := 0.5, 0.5049 // within 1 % of the 1.5 ms mean
+	churn.Scenarios[0].Mobility = &MobilityResult{Epochs: 2, Mode: MobilityChurn, MeanCommitMS: 0.5, MeanLPMS: &lp, MeanRoundMS: &round}
+	if err := ValidateReport(churn); err != nil {
+		t.Fatalf("a churn row whose stages sum to its mean must validate: %v", err)
 	}
 }
 

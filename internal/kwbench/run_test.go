@@ -1,6 +1,7 @@
 package kwbench
 
 import (
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -250,8 +251,14 @@ func TestRunMobilityDynamicModes(t *testing.T) {
 		t.Fatalf("modes: %q / %q", rebuild.Mobility.Mode, churn.Mobility.Mode)
 	}
 	m := churn.Mobility
-	if m.MeanEdgeDeltas <= 0 || m.MeanCommitMS <= 0 {
+	if m.MeanEdgeDeltas <= 0 || m.MeanCommitMS <= 0 || m.MeanLPMS == nil || *m.MeanLPMS <= 0 ||
+		m.MeanRoundMS == nil || *m.MeanRoundMS <= 0 {
 		t.Errorf("churn accounting missing: %+v", m)
+	} else if sum := m.MeanCommitMS + *m.MeanLPMS + *m.MeanRoundMS; math.Abs(sum-churn.Latency.Mean) > 0.01*churn.Latency.Mean {
+		t.Errorf("commit + LP + rounding = %v ms, mean op %v ms", sum, churn.Latency.Mean)
+	}
+	if rebuild.Mobility.MeanLPMS != nil || rebuild.Mobility.MeanRoundMS != nil {
+		t.Errorf("rebuild row carries churn stage means: %+v", rebuild.Mobility)
 	}
 	// Same trace, same pipeline: the two modes must elect identically
 	// (their per-epoch sizes are both pinned to the sim backend above),
