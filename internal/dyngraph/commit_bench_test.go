@@ -12,8 +12,9 @@ import (
 // BenchmarkCommitChurn measures a steady-state epoch commit at mobility
 // churn scale (udg-10k, speed 0.01 — ≈ 40k link events/epoch): one
 // persistent Dynamic absorbing the epoch delta forward and backward, so
-// scratch buffers are warm exactly as in the churn driver's loop. Every
-// commit allocates the new snapshot's arrays, as the server's does.
+// scratch buffers are warm exactly as in the churn driver's loop. The
+// batch touches nearly every 64-vertex block, so every commit is a
+// compaction into a fresh flat snapshot.
 func BenchmarkCommitChurn(b *testing.B) {
 	tr, err := mobility.RandomWalk(10000, 0.02, 0.01, 2, 7)
 	if err != nil {
@@ -21,6 +22,13 @@ func BenchmarkCommitChurn(b *testing.B) {
 	}
 	add, rem := mobility.EdgeDeltas(tr.Graphs[0], tr.Graphs[1])
 	d := dyngraph.New(tr.Graphs[0])
+	// A first commit sizes the Dynamic's per-vertex scratch; the next undoes it.
+	for _, batch := range [][2][][2]int32{{add, rem}, {rem, add}} {
+		d.ApplyEdgeDeltas(batch[0], batch[1])
+		if _, err := d.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -39,8 +47,10 @@ func BenchmarkCommitChurn(b *testing.B) {
 // toggles the edges of 4 distinct pairs drawn from 32 fixed vertex pairs
 // through AddEdge/RemoveEdge and commits, on unit-disk graphs of
 // serve-churn's mean degree (udg-10k is serve-churn's own graph). The
-// batch names 8 vertices, so everything but the new snapshot's offsets and
-// adjacency copy is bookkeeping whose cost should follow the batch, not n.
+// batch names 8 vertices, so a commit writes at most 8 pages over a copy
+// of the n/64-entry page table: its cost follows the batch, apart from
+// that table, and no commit compacts (the 64 pair vertices fill at most
+// 64 blocks, under half of either graph's).
 func BenchmarkCommitToggle(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
@@ -67,6 +77,16 @@ func BenchmarkCommitToggle(b *testing.B) {
 				pairs = append(pairs, [2]int{u, v})
 			}
 			d := dyngraph.New(g)
+			// A first commit sizes the Dynamic's per-vertex scratch.
+			u, v := pairs[0][0], pairs[0][1]
+			if err := d.AddEdge(u, v); err != nil {
+				if err := d.RemoveEdge(u, v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := d.Commit(); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

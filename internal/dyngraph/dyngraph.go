@@ -2,10 +2,15 @@
 // immutable CSR substrate of internal/graph. Mutations — edge insertions
 // and removals, vertex additions, per-vertex weight updates — are buffered
 // and applied in epoch batches: Commit merges the pending deltas into the
-// previous snapshot's sorted adjacency in one linear pass (no re-sort, no
-// dedup sweep, no edge-list round trip), producing a fresh immutable
-// snapshot plus a Delta describing exactly which vertices' neighborhoods
-// changed. The Delta is what the serve subsystem's mutation endpoint
+// previous snapshot's sorted adjacency (no re-sort, no dedup sweep, no
+// edge-list round trip), producing a new immutable snapshot plus a Delta
+// describing exactly which vertices' neighborhoods changed. A batch that
+// keeps n produces a paged snapshot (graph.Successor): the parent's
+// n/64-entry page table with new pages for the 64-vertex blocks it
+// touched, so an epoch costs its delta, not the graph. A batch that
+// changes n, one over a file-mapped parent, and one that would leave more
+// than half of the blocks paged compact into a fresh flat snapshot
+// instead. The Delta is what the serve subsystem's mutation endpoint
 // reports back to clients and what the write-ahead log records. A snapshot
 // that kept the vertex count also carries its lineage (graph.Lineage): the
 // previous snapshot and the touched vertices, from which a fastpath solver
@@ -22,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"kwmds/internal/graph"
@@ -306,17 +312,20 @@ func zeroed[T int32 | uint64](buf []T, n int) []T {
 // bookkeeping is O(batch + touched): the batch's endpoints are counted and
 // marked in per-vertex scratch that is zero between commits, the touched
 // vertices are read off the marks word by word, and only their delta runs
-// are grouped, sorted and checked for duplicates. The new offsets are the
-// old ones plus a running shift that changes only at touched vertices, and
-// ∆ follows from the old ∆ and the touched vertices' new degrees. The merge
-// then copies untouched adjacency runs verbatim and merges each touched
-// vertex's sorted old run with its sorted delta runs. On a validation error
-// (duplicate insertion, removal of an absent edge) the committed state is
-// unchanged and the pending batch is kept for inspection; Discard drops it.
+// are grouped, sorted and checked for duplicates. ∆ follows from the old
+// ∆ and the touched vertices' new degrees. A batch that keeps n then
+// writes only the blocks holding touched vertices, as pages over the
+// parent's page table (graph.Successor): n/64 pointers plus those pages.
+// A batch that changes n, a parent that is a file mapping, or a page
+// table past its compaction share (compactShare) instead compacts: a fresh
+// flat CSR whose untouched runs are bulk copies. Both merge each touched
+// vertex's sorted old list with its sorted delta runs the same way
+// (mergeVertex). On a validation error (duplicate insertion, removal of an
+// absent edge) the committed state is unchanged and the pending batch is
+// kept for inspection; Discard drops it.
 func (d *Dynamic) Commit() (*Delta, error) {
 	oldN := d.g.N()
 	n := d.nextN
-	oldOff, oldAdj := d.g.CSR()
 
 	nAdd, nRem := len(d.batchAdd), len(d.batchRem)
 	for _, s := range d.pend {
@@ -466,24 +475,21 @@ func (d *Dynamic) Commit() (*Delta, error) {
 		}
 	}
 
-	// Offsets: an untouched vertex's end moves by the running shift, a
-	// touched vertex's follows from its new degree. ∆ is the larger of the
-	// touched vertices' new degrees and the old ∆ — unless a vertex at the
-	// old ∆ lost an edge and no touched vertex reached it, in which case
-	// the old ∆ may have gone and the degrees are recounted.
-	newOff := make([]int32, n+1)
+	// Degrees: a touched vertex's new degree is its old one plus its net
+	// delta. ∆ is the larger of the touched vertices' new degrees and the
+	// old ∆ — unless a vertex at the old ∆ lost an edge and no touched
+	// vertex reached it, in which case the old ∆ may have gone and the
+	// degrees are recounted. The pass also counts the new snapshot's
+	// adjacency entries and the blocks the touched vertices fall in.
 	oldMax := int32(d.g.MaxDegree())
 	maxDeg, lostMax := int32(0), false
-	shift := int32(0)
-	from := 0 // first vertex whose end offset is not yet set
+	entries := 2 * d.g.M()
+	blocks, lastBlock := 0, -1
 	for i, tv := range touched {
 		v := int(tv)
-		if from < v {
-			shifted(newOff[from+1:v+1], oldOff[from+1:v+1], shift)
-		}
 		var oldDeg int32
 		if v < oldN {
-			oldDeg = oldOff[v+1] - oldOff[v]
+			oldDeg = int32(d.g.Degree(v))
 		}
 		dDeg := (addOff[i+1] - addOff[i]) - (remOff[i+1] - remOff[i])
 		newDeg := oldDeg + dDeg
@@ -495,129 +501,55 @@ func (d *Dynamic) Commit() (*Delta, error) {
 		if oldDeg == oldMax && newDeg < oldMax {
 			lostMax = true
 		}
-		shift += dDeg
-		newOff[v+1] = newOff[v] + newDeg
-		from = v + 1
-	}
-	if from < n {
-		shifted(newOff[from+1:], oldOff[from+1:], shift)
+		entries += int(dDeg)
+		if b := v / graph.BlockSize; b != lastBlock {
+			blocks, lastBlock = blocks+1, b
+		}
 	}
 	if maxDeg < oldMax {
 		if lostMax {
-			for v := 0; v < n; v++ {
-				maxDeg = max(maxDeg, newOff[v+1]-newOff[v])
+			for v, i := 0, 0; v < oldN; v++ {
+				if i < nt && int(touched[i]) == v {
+					i++ // its new degree is in maxDeg already
+					continue
+				}
+				maxDeg = max(maxDeg, int32(d.g.Degree(v)))
 			}
 		} else {
 			maxDeg = oldMax
 		}
 	}
 
-	// The merge walks the touched list: the untouched gap before each
-	// touched vertex is one bulk copy (old and new adjacency are identical
-	// and contiguous there — offsets only shift), then the vertex itself
-	// merges old − removals + insertions with indexed writes. The runs
-	// were pre-validated above, so the inner loops carry no duplicate
-	// checks; absent removals surface as a per-vertex budget mismatch
-	// (pos ≠ newOff[v+1]) or an unconsumed-removal check. newAdj carries
-	// 2·nRem slack entries so an absent removal's budget overrun lands in
-	// slack instead of past the array before its check fires; the published
-	// graph receives the exact-length slice.
-	newAdj := make([]int32, int(newOff[n])+2*nRem)
-	dupIns := func(v, u int32) (*Delta, error) {
-		return nil, fmt.Errorf("dyngraph: Commit: duplicate insertion of edge (%d,%d)", v, u)
-	}
-	absentRem := func(v int32, rems []int32, old []int32) (*Delta, error) {
-		// Cold path: identify the offending removal for the error message
-		// (duplicates were already rejected, so containment is enough).
-		u := rems[len(rems)-1]
-		for _, r := range rems {
-			ok := false
-			for _, w := range old {
-				if w == r {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				u = r
-				break
-			}
-		}
-		return nil, fmt.Errorf("dyngraph: Commit: removal of absent edge (%d,%d)", v, u)
-	}
-	pos := 0
-	srcPos := 0 // oldAdj position matching pos (untouched spans are identical)
-	for i, tv := range touched {
-		v := int(tv)
-		var old []int32
-		if v < oldN {
-			// Bulk-copy the untouched span before v, then isolate v's run.
-			pos += copy(newAdj[pos:], oldAdj[srcPos:oldOff[v]])
-			old = oldAdj[oldOff[v]:oldOff[v+1]]
-			srcPos = int(oldOff[v+1])
-		} else if srcPos < len(oldAdj) {
-			// First brand-new vertex: flush the untouched old tail, whose
-			// region precedes every new vertex's.
-			pos += copy(newAdj[pos:], oldAdj[srcPos:])
-			srcPos = len(oldAdj)
-		}
-		base, end := pos, int(newOff[v+1])
-		adds := d.addList[addOff[i]:addOff[i+1]]
-		rems := d.remList[remOff[i]:remOff[i+1]]
-		// Pass 1: old minus removals — a straight copy when there are
-		// none, a two-branch filter otherwise.
-		if len(rems) == 0 {
-			pos += copy(newAdj[base:], old)
-		} else {
-			ri := 0
-			for _, w := range old {
-				if ri < len(rems) && rems[ri] == w {
-					ri++
-					continue
-				}
-				newAdj[pos] = w
-				pos++
-			}
-			if ri < len(rems) || pos+len(adds) != end {
-				return absentRem(int32(v), rems, old)
-			}
-		}
-		// Pass 2: merge the insertions in backwards, shifting only the
-		// tail of the filtered run that exceeds them.
-		if len(adds) > 0 {
-			i, p := pos-1, end-1
-			for j := len(adds) - 1; j >= 0; p-- {
-				aj := adds[j]
-				if i >= base && newAdj[i] > aj {
-					newAdj[p] = newAdj[i]
-					i--
-				} else {
-					if i >= base && newAdj[i] == aj {
-						return dupIns(int32(v), aj)
-					}
-					newAdj[p] = aj
-					j--
-				}
-			}
-			pos = end
-		}
-	}
-	pos += copy(newAdj[pos:], oldAdj[srcPos:])
-	if pos != int(newOff[n]) {
-		return nil, fmt.Errorf("dyngraph: Commit: internal merge mismatch (%d of %d entries)", pos, newOff[n])
-	}
-	// The merge only moves entries of an already-valid CSR plus
-	// range-checked insertions, and maxDeg fell out of the offsets pass, so
+	// The merge only moves entries of an already-valid graph plus
+	// range-checked insertions, and maxDeg fell out of the degree pass, so
 	// the checked constructor would re-derive what is true by construction
 	// (the differential harness re-proves it against graph.New every run).
-	// An epoch that kept the vertex count records its lineage, so a solver
-	// holding the previous snapshot can replay its LP stage over the touched
-	// frontier; touched is copied because d.touched is reused.
+	// A batch that keeps n writes pages for the blocks it touched over the
+	// parent's page table, unless that would leave more than
+	// 1/compactShare of the blocks paged or the parent is a mapping: then,
+	// as for a batch that changes n, the merge compacts everything into a
+	// fresh flat snapshot. An epoch that kept the vertex count records its
+	// lineage, so a solver holding the previous snapshot can replay its LP
+	// stage over the touched frontier; touched is copied because d.touched
+	// is reused.
 	var next *graph.Graph
-	if n == oldN {
-		next = graph.FromCSRDerived(d.g, newOff, newAdj[:newOff[n]], int(maxDeg), append([]int32(nil), touched...))
-	} else {
-		next = graph.FromCSRUnchecked(newOff, newAdj[:newOff[n]], int(maxDeg))
+	switch {
+	case n == oldN && !d.g.Mapped() && (d.g.PagedBlocks()+blocks)*compactShare <= d.g.Blocks():
+		succ := d.g.Successor()
+		if err := d.pagedMerge(succ); err != nil {
+			return nil, err
+		}
+		next = succ.Graph(int(maxDeg), append([]int32(nil), touched...))
+	default:
+		newOff, newAdj, err := d.flatMerge(n, entries, 2*nRem)
+		if err != nil {
+			return nil, err
+		}
+		if n == oldN {
+			next = graph.FromCSRDerived(d.g, newOff, newAdj, int(maxDeg), append([]int32(nil), touched...))
+		} else {
+			next = graph.FromCSRUnchecked(newOff, newAdj, int(maxDeg))
+		}
 	}
 
 	d.applyWeights(n)
@@ -635,6 +567,167 @@ func (d *Dynamic) Commit() (*Delta, error) {
 	d.resetBatch()
 	d.pendW = nil
 	return delta, nil
+}
+
+// compactShare bounds the paged blocks of a snapshot to 1/compactShare of
+// all blocks; a commit that would pass it compacts into a flat snapshot.
+// The bound trades the O(n+m) compaction, amortized over the epochs
+// between two, against reads through separately allocated pages. One half
+// was chosen on a 2-vCPU Intel Xeon (go1.24.0): serve-churn's 32 toggled
+// pairs touch at most 64 of udg-10k's 157 blocks, so at one half it never
+// compacts after its first commit, where one quarter would compact every
+// few epochs; and the rounding fix-up with half of the blocks paged ran
+// within 4 % of the flat graph on udg-10k (BenchmarkRoundFixupPaged
+// against BenchmarkRoundFixup), and 9–16 % slower on udg-100k, against
+// 6–8 % at one quarter and 2–4 % at one eighth.
+const compactShare = 2
+
+// flatMerge builds the new snapshot's flat CSR: n vertices, entries
+// adjacency entries. newAdj carries slack spare entries (two per removal)
+// so that a merge overrunning on an absent removal writes into them before
+// its check fires; the returned adjacency has the exact length.
+func (d *Dynamic) flatMerge(n, entries, slack int) (newOff, newAdj []int32, err error) {
+	touched := d.touched
+	newOff = make([]int32, n+1)
+	newAdj = make([]int32, entries+slack)
+	ti := 0
+	for b := range d.g.Blocks() {
+		sOff, sAdj := d.g.Block(b)
+		lo := b * graph.BlockSize
+		tj := ti
+		for tj < len(touched) && int(touched[tj]) < lo+len(sOff)-1 {
+			tj++
+		}
+		if err := d.mergeBlock(newOff[lo:lo+len(sOff)], newAdj, sOff, sAdj, lo, ti, tj); err != nil {
+			return nil, nil, err
+		}
+		ti = tj
+	}
+	// The brand-new vertices, all touched, have no old lists.
+	for ; ti < len(touched); ti++ {
+		v := touched[ti]
+		if newOff[v+1], err = d.mergeVertex(newAdj, newOff[v], nil, ti); err != nil {
+			return nil, nil, err
+		}
+	}
+	if int(newOff[n]) != entries {
+		return nil, nil, fmt.Errorf("dyngraph: Commit: internal merge mismatch (%d of %d entries)", newOff[n], entries)
+	}
+	return newOff, newAdj[:entries], nil
+}
+
+// pagedMerge gives every block holding a touched vertex a new page in
+// succ, the parent's block with the touched vertices' deltas merged in.
+func (d *Dynamic) pagedMerge(succ graph.Successor) error {
+	touched, addOff, remOff := d.touched, d.addOff, d.remOff
+	for ti := 0; ti < len(touched); {
+		b := int(touched[ti]) / graph.BlockSize
+		lo := b * graph.BlockSize
+		sOff, sAdj := d.g.Block(b)
+		size := sOff[len(sOff)-1] - sOff[0]
+		tj := ti
+		for ; tj < len(touched) && int(touched[tj]) < lo+graph.BlockSize; tj++ {
+			size += (addOff[tj+1] - addOff[tj]) - (remOff[tj+1] - remOff[tj])
+		}
+		off, adj := succ.Page(b, int(size), int(remOff[tj]-remOff[ti]))
+		if err := d.mergeBlock(off, adj, sOff, sAdj, lo, ti, tj); err != nil {
+			return err
+		}
+		if off[len(off)-1] != size {
+			return fmt.Errorf("dyngraph: Commit: internal merge mismatch (%d of %d entries in block %d)", off[len(off)-1], size, b)
+		}
+		ti = tj
+	}
+	return nil
+}
+
+// mergeBlock writes one block of the new snapshot: the parent's block
+// (sOff, sAdj; lo is its first vertex) with the delta runs of its touched
+// vertices, touched[ti:tj], merged in. It writes the block's end offsets
+// into dOff[1:] and its lists into dAdj from dOff[0] on. The untouched
+// span before each touched vertex is one bulk copy with shifted offsets
+// (old and new lists are identical and contiguous there); the touched
+// vertex itself is merged by mergeVertex.
+func (d *Dynamic) mergeBlock(dOff, dAdj, sOff, sAdj []int32, lo, ti, tj int) error {
+	pos, from := dOff[0], 0
+	for i := ti; i < tj; i++ {
+		l := int(d.touched[i]) - lo
+		if from < l {
+			shifted(dOff[from+1:l+1], sOff[from+1:l+1], pos-sOff[from])
+			pos += int32(copy(dAdj[pos:], sAdj[sOff[from]:sOff[l]]))
+		}
+		end, err := d.mergeVertex(dAdj, pos, sAdj[sOff[l]:sOff[l+1]], i)
+		if err != nil {
+			return err
+		}
+		dOff[l+1], pos, from = end, end, l+1
+	}
+	if k := len(sOff) - 1; from < k {
+		shifted(dOff[from+1:], sOff[from+1:], pos-sOff[from])
+		copy(dAdj[pos:], sAdj[sOff[from]:sOff[k]])
+	}
+	return nil
+}
+
+// mergeVertex writes touched vertex touched[i]'s new list into dst from
+// pos on — its old list minus its removal run plus its insertion run — and
+// returns the list's end. The runs were pre-validated, so the loops carry
+// no duplicate checks; an absent removal surfaces as a budget mismatch or
+// an unconsumed removal, after the filter has overrun the list's end by at
+// most the removal run's length, which dst must have room for.
+func (d *Dynamic) mergeVertex(dst []int32, pos int32, old []int32, i int) (int32, error) {
+	v := d.touched[i]
+	adds := d.addList[d.addOff[i]:d.addOff[i+1]]
+	rems := d.remList[d.remOff[i]:d.remOff[i+1]]
+	base, end := pos, pos+int32(len(old)+len(adds)-len(rems))
+	// Pass 1: old minus removals — a straight copy when there are none, a
+	// two-branch filter otherwise.
+	if len(rems) == 0 {
+		pos += int32(copy(dst[base:], old))
+	} else {
+		ri := 0
+		for _, w := range old {
+			if ri < len(rems) && rems[ri] == w {
+				ri++
+				continue
+			}
+			dst[pos] = w
+			pos++
+		}
+		if ri < len(rems) || pos+int32(len(adds)) != end {
+			return 0, absentRemoval(v, rems, old)
+		}
+	}
+	// Pass 2: merge the insertions in backwards, shifting only the tail of
+	// the filtered run that exceeds them.
+	for j, i, p := len(adds)-1, pos-1, end-1; j >= 0; p-- {
+		aj := adds[j]
+		if i >= base && dst[i] > aj {
+			dst[p] = dst[i]
+			i--
+		} else {
+			if i >= base && dst[i] == aj {
+				return 0, fmt.Errorf("dyngraph: Commit: duplicate insertion of edge (%d,%d)", v, aj)
+			}
+			dst[p] = aj
+			j--
+		}
+	}
+	return end, nil
+}
+
+// absentRemoval names the removal of v's run that is absent from old, for
+// the error message (duplicates were already rejected, so containment is
+// enough).
+func absentRemoval(v int32, rems, old []int32) error {
+	u := rems[len(rems)-1]
+	for _, r := range rems {
+		if !slices.Contains(old, r) {
+			u = r
+			break
+		}
+	}
+	return fmt.Errorf("dyngraph: Commit: removal of absent edge (%d,%d)", v, u)
 }
 
 // applyWeights folds the pending weight updates into the cost vector:

@@ -80,6 +80,7 @@ func TestCommitMatchesNewFromScratch(t *testing.T) {
 		t.Fatal("committing mutated the previous snapshot")
 	}
 	t.Run("table", testCommitTable)
+	t.Run("paged", testCommitPaged)
 }
 
 // commitOp is one buffered mutation of a commit-table step.

@@ -29,27 +29,49 @@ import (
 // checkpoint of that corpus replayed;
 // `go test -fuzz=FuzzMutationSequence ./internal/dyngraph` explores beyond.
 //
+// The base graph has 4 + nRaw%28 vertices, one block of the paged layout,
+// except that nRaw ≥ 224 selects four blocks (256 vertices, sparse), where
+// a checkpoint that touches one or two blocks commits pages and one that
+// would leave more than half of them paged compacts. The corpus must reach
+// both, as well as the replay.
+//
 // Op encoding: 3 bytes each. byte0%8 selects the op — 0-4 toggle the edge
 // (byte1%n, byte2%n) (adds if absent, removes if present; the bias keeps
 // sequences edge-heavy like real churn), 5 sets weight 1+byte2%9 on vertex
 // byte1%n, 6 adds a vertex, 7 commits and differentially checks. A final
 // commit+check always runs.
 func FuzzMutationSequence(f *testing.F) {
-	const added = 3 // the f.Add seeds
+	const added = 5 // the f.Add seeds
 	f.Add(int64(1), uint8(20), uint8(25), []byte{0, 1, 2, 7, 0, 0, 3, 1, 2, 4})
 	f.Add(int64(7), uint8(9), uint8(60), []byte{6, 0, 0, 0, 9, 1, 7, 0, 0, 5, 2, 3})
 	f.Add(int64(-3), uint8(31), uint8(10), []byte{2, 5, 6, 2, 6, 5, 7, 1, 1})
+	// Four blocks: page block 0, then 1; block 2 crosses the share; page
+	// block 3 over the compaction; blocks 0 and 3 together cross it again;
+	// a toggle and a weight page block 0; block 1 twice; then growth.
+	f.Add(int64(5), uint8(224), uint8(40), []byte{
+		0, 1, 2, 7, 0, 0, 1, 70, 80, 7, 0, 0, 2, 130, 140, 7, 0, 0,
+		3, 200, 210, 7, 0, 0, 4, 5, 250, 7, 0, 0, 0, 9, 12, 5, 9, 3, 7, 0, 0,
+		0, 100, 101, 0, 102, 103, 7, 0, 0, 6, 0, 0, 0, 3, 255, 7, 0, 0})
+	// Denser, k = 3: every checkpoint touches two blocks.
+	f.Add(int64(11), uint8(250), uint8(80), []byte{
+		0, 10, 70, 7, 0, 0, 1, 11, 71, 7, 0, 0, 2, 140, 250, 7, 0, 0,
+		3, 141, 251, 4, 12, 13, 7, 0, 0, 0, 60, 64, 7, 0, 0, 1, 190, 193, 7, 0, 0})
 	files, err := os.ReadDir(filepath.Join("testdata", "fuzz", "FuzzMutationSequence"))
 	if err != nil {
 		f.Fatal(err)
 	}
 	// runs and replays count the inputs run in this process and the
 	// checkpoints that replayed; both are read after Fuzz returns.
-	runs, replays := 0, 0
+	// paged and compacted count the checkpoints that committed pages and
+	// those that compacted a paged parent.
+	runs, replays, paged, compacted := 0, 0, 0, 0
 	f.Fuzz(func(t *testing.T, gseed int64, nRaw, pRaw uint8, ops []byte) {
 		runs++
 		n := 4 + int(nRaw)%28      // 4..31 vertices
 		p := float64(pRaw%81) / 80 // density 0..1
+		if nRaw >= 224 {
+			n, p = 4*graph.BlockSize, p/32
+		}
 		k := 1 + int(pRaw)%3
 		g0, err := gen.GNP(n, p, gseed)
 		if err != nil {
@@ -90,19 +112,14 @@ func FuzzMutationSequence(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotOff, gotAdj := delta.Next.CSR()
-			wantOff, wantAdj := fresh.CSR()
-			if len(gotOff) != len(wantOff) || len(gotAdj) != len(wantAdj) {
-				t.Fatalf("step %d: CSR shape (%d,%d) vs fresh (%d,%d)", step, len(gotOff), len(gotAdj), len(wantOff), len(wantAdj))
+			if delta.Next.PagedBlocks() > 0 {
+				paged++
+			} else if delta.Prev.PagedBlocks() > 0 && delta.Next != delta.Prev {
+				compacted++
 			}
-			for i := range wantOff {
-				if gotOff[i] != wantOff[i] {
-					t.Fatalf("step %d: off[%d] = %d, want %d", step, i, gotOff[i], wantOff[i])
-				}
-			}
-			for i := range wantAdj {
-				if gotAdj[i] != wantAdj[i] {
-					t.Fatalf("step %d: adj[%d] = %d, want %d", step, i, gotAdj[i], wantAdj[i])
+			for v := range n {
+				if !slices.Equal(delta.Next.Neighbors(v), fresh.Neighbors(v)) {
+					t.Fatalf("step %d: vertex %d has %v, want %v", step, v, delta.Next.Neighbors(v), fresh.Neighbors(v))
 				}
 			}
 			cvec := make([]float64, n)
@@ -141,6 +158,23 @@ func FuzzMutationSequence(f *testing.F) {
 					t.Fatalf("step %d alg %d: the sets differ", step, alg)
 				}
 				testsupport.AssertDominatingSetPacked(t, "fuzz churn", delta.Next, got.Set)
+			}
+			// After the solves, which read a paged snapshot through its
+			// pages: the flat copy CSR builds.
+			gotOff, gotAdj := delta.Next.CSR()
+			wantOff, wantAdj := fresh.CSR()
+			if len(gotOff) != len(wantOff) || len(gotAdj) != len(wantAdj) {
+				t.Fatalf("step %d: CSR shape (%d,%d) vs fresh (%d,%d)", step, len(gotOff), len(gotAdj), len(wantOff), len(wantAdj))
+			}
+			for i := range wantOff {
+				if gotOff[i] != wantOff[i] {
+					t.Fatalf("step %d: off[%d] = %d, want %d", step, i, gotOff[i], wantOff[i])
+				}
+			}
+			for i := range wantAdj {
+				if gotAdj[i] != wantAdj[i] {
+					t.Fatalf("step %d: adj[%d] = %d, want %d", step, i, gotAdj[i], wantAdj[i])
+				}
 			}
 		}
 
@@ -181,7 +215,12 @@ func FuzzMutationSequence(f *testing.F) {
 	// A plain `go test` runs every seed-corpus input in this process; a
 	// -run filter, or fuzzing (whose inputs run in worker processes),
 	// does not, and then there is nothing to assert.
-	if runs == added+len(files) && !f.Failed() && replays == 0 {
-		f.Fatal("no checkpoint of the seed corpus replayed its LP stage; the corpus is not exercising the incremental path")
+	if runs == added+len(files) && !f.Failed() {
+		if replays == 0 {
+			f.Fatal("no checkpoint of the seed corpus replayed its LP stage; the corpus is not exercising the incremental path")
+		}
+		if paged == 0 || compacted == 0 {
+			f.Fatalf("the seed corpus committed %d paged checkpoints and %d compactions of a paged parent; want both", paged, compacted)
+		}
 	}
 }

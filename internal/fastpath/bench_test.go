@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"kwmds/internal/core"
+	"kwmds/internal/dyngraph"
 	"kwmds/internal/gen"
 	"kwmds/internal/graph"
 	"kwmds/internal/rounding"
@@ -102,6 +103,44 @@ func BenchmarkRoundFlip(b *testing.B) {
 // new seed outside the timer, so the probe's branches meet a new pattern.
 func BenchmarkRoundFixup(b *testing.B) {
 	s, g := roundBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s.curSeed = int64(i) + 2
+		s.phaseFlip(0)
+		b.StartTimer()
+		s.phaseFixup(0)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.N()), "ns/vertex")
+}
+
+// BenchmarkRoundFixupPaged is BenchmarkRoundFixup over a paged snapshot of
+// the same graph with half of its blocks paged — the most a commit leaves
+// before it compacts — every other block, one intra-block edge toggled in
+// each. The fix-up reads such a snapshot through its page table.
+func BenchmarkRoundFixupPaged(b *testing.B) {
+	s, g := roundBench(b)
+	d := dyngraph.New(g)
+	for blk := 0; blk < g.Blocks()/2; blk++ {
+		u, v := 2*blk*graph.BlockSize, 2*blk*graph.BlockSize+1
+		if d.AddEdge(u, v) != nil {
+			if err := d.RemoveEdge(u, v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	delta, err := d.Commit()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if paged := delta.Next.PagedBlocks(); paged != g.Blocks()/2 {
+		b.Fatalf("%d of %d blocks paged, want %d", paged, g.Blocks(), g.Blocks()/2)
+	}
+	if _, err := s.Solve(delta.Next, Options{K: 3, Seed: 1, Workers: 1}); err != nil {
+		b.Fatal(err)
+	}
+	s.curX = s.x[:s.n]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,7 +1,11 @@
 // Package fastpath is the production execution backend of the
 // Kuhn–Wattenhofer pipeline: Algorithms 2 and 3, the weighted variant, and
-// both randomized-rounding variants executed directly over the graph's flat
-// CSR arrays.
+// both randomized-rounding variants executed directly over the graph's
+// CSR arrays. The dense kernels (a full LP stage, δ⁽¹⁾/δ⁽²⁾) read a flat
+// CSR, which a paged snapshot (a dyngraph epoch) builds once on demand;
+// the per-epoch path — adopt, the δ⁽¹⁾/δ⁽²⁾ repair, the LP replay and the
+// rounding — reads a paged snapshot through its page table, one block or
+// one neighbor list at a time, so a served epoch never flattens one.
 //
 // It exists next to two other backends with one contract between them —
 // for equal inputs all three produce bit-identical x-vectors and

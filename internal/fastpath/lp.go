@@ -117,6 +117,7 @@ func (s *Solver) sameCosts(costs []float64) bool {
 // support full, x/δ̃/a-counts reinitialized. d2done survives by design:
 // δ⁽¹⁾/δ⁽²⁾ are static graph properties.
 func (s *Solver) resetLPState() {
+	s.bindCSR()
 	s.gray.Reset(s.n)
 	s.support.Reset(s.n)
 	s.active.Reset(s.n)
@@ -573,6 +574,7 @@ func (s *Solver) ensureD2() {
 	if s.d2done {
 		return
 	}
+	s.bindCSR()
 	s.dispatch(s.fnD1)
 	s.dispatch(s.fnD2)
 	s.d2done = true

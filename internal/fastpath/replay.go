@@ -63,8 +63,7 @@ func (s *Solver) adopt(g *graph.Graph) bool {
 
 // repairPays applies the fallback threshold to g's touched vertices.
 func repairPays(g *graph.Graph, touched []int32) bool {
-	off, adj := g.CSR()
-	n, m2 := g.N(), len(adj)
+	n, m2 := g.N(), 2*g.M()
 	if n+m2 < repairAlways {
 		return true
 	}
@@ -73,7 +72,7 @@ func repairPays(g *graph.Graph, touched []int32) bool {
 	// mass with the average closed-neighborhood size.
 	frontier := 0
 	for _, v := range touched {
-		frontier += int(off[v+1]-off[v]) + 1
+		frontier += g.Degree(int(v)) + 1
 	}
 	avgN1 := (n + m2) / n // ≥ 1
 	return frontier*(1+avgN1)*repairFallbackDen < (n+m2)*repairFallbackNum
@@ -103,11 +102,12 @@ func (s *Solver) repairD2(touched []int32) {
 		s.addNbhd(ring1, v)
 		ring2.add(v)
 	}
-	off, adj, d1, d2 := s.off, s.adj, s.d1, s.d2
+	g, d1, d2 := s.g, s.d1, s.d2
 	for _, v := range ring1.list {
-		m1 := off[v+1] - off[v]
-		for _, u := range adj[off[v]:off[v+1]] {
-			m1 = max(m1, off[u+1]-off[u])
+		nb := g.Neighbors(int(v))
+		m1 := int32(len(nb))
+		for _, u := range nb {
+			m1 = max(m1, int32(g.Degree(int(u))))
 		}
 		if m1 != d1[v] {
 			d1[v] = m1
@@ -116,7 +116,7 @@ func (s *Solver) repairD2(touched []int32) {
 	}
 	for _, v := range ring2.list {
 		m2 := d1[v]
-		for _, u := range adj[off[v]:off[v+1]] {
+		for _, u := range g.Neighbors(int(v)) {
 			m2 = max(m2, d1[u])
 		}
 		if m2 != d2[v] {
@@ -192,7 +192,7 @@ func (s *vset) size(n int) {
 // addNbhd adds N[u] to f.
 func (s *Solver) addNbhd(f *vset, u int32) {
 	f.add(u)
-	for _, w := range s.adj[s.off[u]:s.off[u+1]] {
+	for _, w := range s.g.Neighbors(int(u)) {
 		f.add(w)
 	}
 }
@@ -334,7 +334,6 @@ func (rp *replayState) powM(t int) []float64 {
 // replayIter replays inner iteration t.
 func (s *Solver) replayIter(t int) {
 	rp, rec := s.rp, &s.rec
-	off, adj := s.off, s.adj
 	front, tset, dx, dw, dg := &rp.front, &rp.tset, &rp.dx, &rp.dw, &rp.dg
 	dA, da, near, known := &rp.dA, &rp.da, &rp.near, &rp.known
 	grayAt, xNew := rec.grayAt, rp.xNew
@@ -399,7 +398,7 @@ func (s *Solver) replayIter(t int) {
 		an := ao
 		if act && (!wasAct || tset.has(v) || near.has(v)) {
 			an = s.aOnce(v, t32)
-			for _, u := range adj[off[v]:off[v+1]] {
+			for _, u := range s.g.Neighbors(int(v)) {
 				an = max(an, s.aOnce(u, t32))
 			}
 		}
@@ -428,7 +427,7 @@ func (s *Solver) replayIter(t int) {
 		newAfter := newBefore
 		if !newBefore {
 			sum := s.xNow(v, after)
-			for _, u := range adj[off[v]:off[v+1]] {
+			for _, u := range s.g.Neighbors(int(v)) {
 				sum += s.xNow(u, after)
 			}
 			newAfter = sum >= 1-core.CovTol
@@ -512,7 +511,6 @@ func (s *Solver) replayBoundary(t int) {
 	ring.reset()                    // from here on: γ⁽¹⁾ computed
 	known.reset()                   // from here on: δ̃ computed
 	dg.reset()
-	off, adj := s.off, s.adj
 	t32, at := int32(t), int32(2*t+1)
 	for _, v := range rp.front.list {
 		prev, had := rec.find(v, at)
@@ -524,7 +522,7 @@ func (s *Solver) replayBoundary(t int) {
 			continue
 		}
 		g := s.gamma1Once(v, t32, at)
-		for _, u := range adj[off[v]:off[v+1]] {
+		for _, u := range s.g.Neighbors(int(v)) {
 			g = max(g, s.gamma1Once(u, t32, at))
 		}
 		s.gamma2[v] = g
@@ -665,7 +663,7 @@ func (s *Solver) whiteIn(v, t int32) int32 {
 	if (grayAt[v] < t) == (dw[v>>6]&bit(v) != 0) {
 		c++
 	}
-	for _, u := range s.adj[s.off[v]:s.off[v+1]] {
+	for _, u := range s.g.Neighbors(int(v)) {
 		if (grayAt[u] < t) == (dw[u>>6]&bit(u) != 0) {
 			c++
 		}
@@ -694,7 +692,7 @@ func (s *Solver) dtilOnce(v, t, at int32) int32 {
 func (s *Solver) gamma1Once(u, t, at int32) int32 {
 	if done := &s.rp.ring; !done.has(u) {
 		m := s.dtilOnce(u, t, at)
-		for _, w := range s.adj[s.off[u]:s.off[u+1]] {
+		for _, w := range s.g.Neighbors(int(u)) {
 			m = max(m, s.dtilOnce(w, t, at))
 		}
 		s.gamma1[u] = m
@@ -728,7 +726,7 @@ func (s *Solver) aBoth(v, t int32) (aNew, aOld int32) {
 		if act != rp.dA.has(v) {
 			aNew++
 		}
-		for _, u := range s.adj[s.off[v]:s.off[v+1]] {
+		for _, u := range s.g.Neighbors(int(v)) {
 			_, act := s.rec.find(u, at)
 			if act {
 				aOld++

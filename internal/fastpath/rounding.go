@@ -98,7 +98,9 @@ func (s *Solver) phaseFlip(c int) {
 // phaseFixup joins every vertex whose closed neighborhood contains no
 // line-3 member (reading only the flip results, as lines 5-6 prescribe)
 // and stores each word's final set, flipped | joined, into the packed
-// output. Per word it visits only the vertices that did not flip. One with
+// output. Per word it visits only the vertices that did not flip, reading
+// the word's vertices as one block of the graph (graph.Graph.Block), so a
+// paged graph costs one page lookup per word. One with
 // at least four neighbors first ORs the flip bits of its first four
 // without a branch; almost every such vertex is covered there, so the one
 // branch on the OR is well predicted. Only when none of the four flipped,
@@ -106,15 +108,15 @@ func (s *Solver) phaseFlip(c int) {
 // flipped neighbor.
 func (s *Solver) phaseFixup(c int) {
 	fw, set := s.flipped.Words(), s.set
-	off, adj := s.off, s.adj
 	fix := 0
 	for wi := s.c0[c]; wi < s.c1[c]; wi++ {
 		base := wi << 6
 		w := fw[wi]
 		var join uint64
+		off, adj := s.g.Block(wi) // word wi's vertices are block wi
 		for open := ^w & (^uint64(0) >> (64 - (min(base+64, s.n) - base))); open != 0; open &= open - 1 {
 			b := bits.TrailingZeros64(open)
-			nb := adj[off[base+b]:off[base+b+1]]
+			nb := adj[off[b]:off[b+1]]
 			if len(nb) >= 4 {
 				q := nb[:4]
 				if (fw[q[0]>>6]>>(uint32(q[0])&63)|fw[q[1]>>6]>>(uint32(q[1])&63)|

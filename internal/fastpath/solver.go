@@ -84,8 +84,12 @@ type Solver struct {
 	// cancel, when non-nil, aborts the LP drivers at the next iteration
 	// boundary (see Options.Cancel). Set per solve, cleared on return.
 	cancel <-chan struct{}
-	off    []int32
-	adj    []int32
+	// off and adj are the graph's flat CSR, which the dense kernels (the
+	// full LP stage, δ⁽¹⁾/δ⁽²⁾) read. They are bound only when one runs
+	// (bindCSR), since flattening a paged graph costs O(n+m); the repair,
+	// the replay and the rounding read the graph itself.
+	off []int32
+	adj []int32
 
 	// per-vertex state (re-sliced to n each solve)
 	x      []float64
@@ -222,7 +226,7 @@ func (s *Solver) prepare(g *graph.Graph, opt Options) error {
 	repair := s.g != g && s.adopt(g)
 	s.g = g
 	s.ensure(n, workers)
-	s.off, s.adj = g.CSR()
+	s.off, s.adj = nil, nil // bound by the first dense kernel (bindCSR)
 	s.maxDeg = g.MaxDegree()
 	s.chunkify()
 	s.startWorkers()
@@ -230,6 +234,15 @@ func (s *Solver) prepare(g *graph.Graph, opt Options) error {
 		s.repairD2(s.touched)
 	}
 	return nil
+}
+
+// bindCSR binds the graph's flat CSR before a dense kernel reads it: the
+// arrays themselves for a flat graph, the copy graph.Graph.CSR builds once
+// for a paged one.
+func (s *Solver) bindCSR() {
+	if s.off == nil {
+		s.off, s.adj = s.g.CSR()
+	}
 }
 
 // growF64 re-slices buf to hold size entries, allocating only on growth.

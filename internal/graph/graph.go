@@ -5,7 +5,10 @@
 // dominating-set verification.
 //
 // Vertices are identified by integers 0..N()-1. Graphs are simple (no
-// self-loops, no parallel edges) and immutable after construction.
+// self-loops, no parallel edges) and immutable after construction. A graph
+// is either flat — one CSR — or paged: a flat base plus a table of
+// 64-vertex pages that override it (paged.go), the form dyngraph's commits
+// produce.
 package graph
 
 import (
@@ -19,8 +22,12 @@ import (
 // Graph is an immutable simple undirected graph in CSR form.
 type Graph struct {
 	off    []int32 // len n+1; adj[off[v]:off[v+1]] are v's neighbors, sorted
-	adj    []int32
+	adj    []int32 // (for a paged graph: its base's, read where no page overrides)
 	maxDeg int
+	// paged, when non-nil, overrides blocks of off/adj with pages.
+	paged *paging
+	// mapped reports that off and adj alias a file mapping (FromMappedCSR).
+	mapped bool
 
 	// Lineage, set only by FromCSRDerived: the graph this one was derived
 	// from, with the same vertex count, and the vertices whose adjacency
@@ -151,6 +158,17 @@ func FromCSRUnchecked(off, adj []int32, maxDeg int) *Graph {
 	return &Graph{off: off, adj: adj, maxDeg: maxDeg}
 }
 
+// FromMappedCSR is FromCSRUnchecked for arrays that alias a file mapping,
+// which may be unmapped while graphs derived from this one live on: a
+// commit over it builds a fresh flat graph rather than pages that read
+// through to the mapping (see Mapped).
+func FromMappedCSR(off, adj []int32, maxDeg int) *Graph {
+	return &Graph{off: off, adj: adj, maxDeg: maxDeg, mapped: true}
+}
+
+// Mapped reports whether g's arrays alias a file mapping (FromMappedCSR).
+func (g *Graph) Mapped() bool { return g.mapped }
+
 // FromCSRDerived is FromCSRUnchecked for a graph derived from parent by
 // rewriting the adjacency lists of the touched vertices (increasing order)
 // and nothing else: the vertex count is unchanged. Lineage reports the
@@ -163,7 +181,8 @@ func FromCSRDerived(parent *Graph, off, adj []int32, maxDeg int, touched []int32
 
 // Lineage returns the graph g was derived from and the vertices whose
 // adjacency lists differ between the two, in increasing order, when g was
-// built by FromCSRDerived and its parent is still alive; otherwise nil, nil.
+// built by FromCSRDerived or a Successor and its parent is still alive;
+// otherwise nil, nil.
 // The touched slice aliases g's storage and must not be modified.
 func (g *Graph) Lineage() (parent *Graph, touched []int32) {
 	if parent = g.parent.Value(); parent == nil {
@@ -186,10 +205,22 @@ func MustNew(n int, edges [][2]int) *Graph {
 func (g *Graph) N() int { return len(g.off) - 1 }
 
 // M returns the number of (undirected) edges.
-func (g *Graph) M() int { return len(g.adj) / 2 }
+func (g *Graph) M() int {
+	if g.paged != nil {
+		return g.paged.entries / 2
+	}
+	return len(g.adj) / 2
+}
 
 // Degree returns the degree of vertex v.
-func (g *Graph) Degree(v int) int { return int(g.off[v+1] - g.off[v]) }
+func (g *Graph) Degree(v int) int {
+	if g.paged != nil {
+		if p := g.paged.table[v>>pageShift]; p != nil {
+			return int(p.off[v&pageMask+1] - p.off[v&pageMask])
+		}
+	}
+	return int(g.off[v+1] - g.off[v])
+}
 
 // MaxDegree returns ∆, the maximum degree over all vertices (0 for an empty
 // or edgeless graph).
@@ -197,13 +228,27 @@ func (g *Graph) MaxDegree() int { return g.maxDeg }
 
 // Neighbors returns the sorted adjacency list of v. The returned slice
 // aliases the graph's internal storage and must not be modified.
-func (g *Graph) Neighbors(v int) []int32 { return g.adj[g.off[v]:g.off[v+1]] }
+func (g *Graph) Neighbors(v int) []int32 {
+	if g.paged != nil {
+		if p := g.paged.table[v>>pageShift]; p != nil {
+			return p.adj[p.off[v&pageMask]:p.off[v&pageMask+1]]
+		}
+	}
+	return g.adj[g.off[v]:g.off[v+1]]
+}
 
 // CSR exposes the raw compressed-sparse-row arrays: adj[off[v]:off[v+1]]
 // is the sorted adjacency list of v. Both slices alias the graph's internal
 // storage and must not be modified. The simulation engine uses them to
 // preallocate per-edge message buffers indexed by directed-edge position.
-func (g *Graph) CSR() (off, adj []int32) { return g.off, g.adj }
+// A paged graph is flattened on the first call, once, and keeps the copy;
+// readers that walk a graph block by block use Block instead.
+func (g *Graph) CSR() (off, adj []int32) {
+	if g.paged != nil {
+		return g.paged.flatten(g)
+	}
+	return g.off, g.adj
+}
 
 // HasEdge reports whether {u,v} is an edge. O(log deg(u)).
 func (g *Graph) HasEdge(u, v int) bool {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -509,5 +510,123 @@ func TestLineage(t *testing.T) {
 	runtime.GC()
 	if p, touched := orphan.Lineage(); p != nil || touched != nil {
 		t.Fatalf("Lineage kept an unreachable parent alive: %p, %v", p, touched)
+	}
+}
+
+// TestSuccessorPages builds a paged successor by hand — block 1 of a
+// 150-vertex path gets a page in which vertex 64 also links to 149 — and
+// reads it every way: lists, degrees, counts, block views, the flat copy
+// CSR builds, and the lineage. The parent must read as before, and a
+// successor of the successor must share its pages.
+func TestSuccessorPages(t *testing.T) {
+	var edges [][2]int
+	for v := 0; v+1 < 150; v++ {
+		edges = append(edges, [2]int{v, v + 1})
+	}
+	parent := MustNew(150, edges)
+	want := MustNew(150, append(edges, [2]int{64, 149}))
+	s := parent.Successor()
+	pOff, pAdj := parent.Block(1)
+	off, adj := s.Page(1, int(pOff[64]-pOff[0])+1, 0)
+	if len(off) != 65 || off[0] != 0 {
+		t.Fatalf("page offsets: %d entries, first %d", len(off), off[0])
+	}
+	pos := int32(0)
+	for i := range 64 {
+		copy(adj[pos:], pAdj[pOff[i]:pOff[i+1]])
+		pos += pOff[i+1] - pOff[i]
+		if i == 0 {
+			adj[pos] = 149
+			pos++
+		}
+		off[i+1] = pos
+	}
+	// Vertex 149 is in block 2, which needs a page too.
+	qOff, qAdj := parent.Block(2)
+	off2, adj2 := s.Page(2, int(qOff[len(qOff)-1]-qOff[0])+1, 0)
+	pos = 0
+	for i := range len(qOff) - 1 {
+		copy(adj2[pos:], qAdj[qOff[i]:qOff[i+1]])
+		pos += qOff[i+1] - qOff[i]
+		if i == 149-128 {
+			adj2[pos-1], adj2[pos] = 64, adj2[pos-1] // 148 stays last: 64 < 148
+			pos++
+		}
+		off2[i+1] = pos
+	}
+	child := s.Graph(3, []int32{64, 149})
+	if child.PagedBlocks() != 2 || parent.PagedBlocks() != 0 {
+		t.Fatalf("paged blocks: child %d, parent %d", child.PagedBlocks(), parent.PagedBlocks())
+	}
+	if p, touched := child.Lineage(); p != parent || !slices.Equal(touched, []int32{64, 149}) {
+		t.Fatalf("Lineage() = %p, %v", p, touched)
+	}
+	check := func(name string, got, want *Graph) {
+		t.Helper()
+		if got.N() != want.N() || got.M() != want.M() || got.MaxDegree() != want.MaxDegree() {
+			t.Fatalf("%s: %v, want %v", name, got, want)
+		}
+		for v := range want.N() {
+			if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) || got.Degree(v) != want.Degree(v) {
+				t.Fatalf("%s: vertex %d has %v, want %v", name, v, got.Neighbors(v), want.Neighbors(v))
+			}
+		}
+		for b := range got.Blocks() {
+			off, adj := got.Block(b)
+			for i := range len(off) - 1 {
+				if !slices.Equal(adj[off[i]:off[i+1]], want.Neighbors(b*BlockSize+i)) {
+					t.Fatalf("%s: block %d, vertex %d", name, b, i)
+				}
+			}
+		}
+		gotOff, gotAdj := got.CSR()
+		wantOff, wantAdj := want.CSR()
+		if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) {
+			t.Fatalf("%s: the flat CSR differs", name)
+		}
+	}
+	check("child", child, want)
+	check("parent", parent, MustNew(150, edges))
+	grand := child.Successor().Graph(3, nil)
+	check("grandchild", grand, want)
+	if grand.PagedBlocks() != 2 {
+		t.Fatalf("the grandchild has %d paged blocks, want its parent's 2", grand.PagedBlocks())
+	}
+}
+
+// TestPagedCSRConcurrent flattens one paged graph from several goroutines
+// at once: every caller must get the same arrays. Run under -race.
+func TestPagedCSRConcurrent(t *testing.T) {
+	var edges [][2]int
+	for v := 0; v+1 < 300; v++ {
+		edges = append(edges, [2]int{v, v + 1})
+	}
+	g := MustNew(300, edges)
+	s := g.Successor()
+	pOff, pAdj := g.Block(2)
+	off, adj := s.Page(2, int(pOff[len(pOff)-1]-pOff[0]), 0)
+	for i := range len(pOff) - 1 {
+		off[i+1] = off[i] + int32(copy(adj[off[i]:], pAdj[pOff[i]:pOff[i+1]]))
+	}
+	paged := s.Graph(g.MaxDegree(), nil)
+	wantOff, wantAdj := g.CSR()
+	var wg sync.WaitGroup
+	offs := make([][]int32, 8)
+	for i := range offs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			offs[i], _ = paged.CSR()
+		}()
+	}
+	wg.Wait()
+	gotOff, gotAdj := paged.CSR()
+	if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) {
+		t.Fatal("the flat copy differs from the graph it pages over")
+	}
+	for i, o := range offs {
+		if &o[0] != &gotOff[0] {
+			t.Fatalf("caller %d got a second copy", i)
+		}
 	}
 }

@@ -57,29 +57,45 @@ func WriteBinaryCSR(w io.Writer, g *graph.Graph, weights []float64) error {
 	if weights != nil && len(weights) != n {
 		return fmt.Errorf("graphio: %d weights for %d vertices", len(weights), n)
 	}
-	off, adj := g.CSR()
+	e := 2 * g.M()
 	var hdr [kwcsrHeaderSize]byte
 	copy(hdr[0:6], kwcsrMagic)
 	binary.LittleEndian.PutUint16(hdr[6:8], kwcsrVersion)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(n))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(adj)))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(e))
 	var flags uint64
 	if weights != nil {
 		flags |= kwcsrHasWeights
 	}
 	binary.LittleEndian.PutUint64(hdr[24:32], flags)
-	sum := csrDigest(n, off, adj)
+	sum := NewDigestTree(g).Root()
 	copy(hdr[32:64], sum[:])
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	if err := writeInt32LE(w, off); err != nil {
+	// The arrays stream block by block (graph.Block), so a paged graph is
+	// written without being flattened: first the offsets, rebased onto the
+	// running entry count, then the adjacency runs.
+	enc := int32Writer{w: w, buf: make([]byte, 0, 64<<10)}
+	pos := int32(0)
+	for b := range g.Blocks() {
+		off, _ := g.Block(b)
+		for _, o := range off[:len(off)-1] {
+			enc.put(pos + o - off[0])
+		}
+		pos += off[len(off)-1] - off[0]
+	}
+	enc.put(pos)
+	for b := range g.Blocks() {
+		off, adj := g.Block(b)
+		for _, x := range adj[off[0]:off[len(off)-1]] {
+			enc.put(x)
+		}
+	}
+	if err := enc.flush(); err != nil {
 		return err
 	}
-	if err := writeInt32LE(w, adj); err != nil {
-		return err
-	}
-	pad := (len(off) + len(adj)) * 4 % 8
+	pad := (n + 1 + e) * 4 % 8
 	if pad != 0 {
 		if _, err := w.Write(make([]byte, 8-pad)); err != nil {
 			return err
@@ -105,25 +121,34 @@ func WriteBinaryCSR(w io.Writer, g *graph.Graph, weights []float64) error {
 	return nil
 }
 
-// writeInt32LE streams xs little-endian through a chunk buffer (one Write
-// per 64 KiB).
-func writeInt32LE(w io.Writer, xs []int32) error {
-	buf := make([]byte, 0, 64<<10)
-	for _, x := range xs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
-		if len(buf) == cap(buf) {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
+// int32Writer streams int32s little-endian through a chunk buffer (one
+// Write per 64 KiB). The first write error sticks and is returned by
+// flush.
+type int32Writer struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+func (e *int32Writer) put(x int32) {
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(x))
+	if len(e.buf) == cap(e.buf) {
+		e.write()
 	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
+}
+
+func (e *int32Writer) write() {
+	if e.err == nil {
+		_, e.err = e.w.Write(e.buf)
 	}
-	return nil
+	e.buf = e.buf[:0]
+}
+
+func (e *int32Writer) flush() error {
+	if len(e.buf) > 0 {
+		e.write()
+	}
+	return e.err
 }
 
 // ReadBinaryCSR deserializes a kwcsr container, validating structure and
@@ -179,7 +204,7 @@ func readBinaryCSR(r io.Reader, verify bool) (*graph.Graph, []float64, error) {
 // checks the parser leaves to its caller: the adjacency rows, and the
 // digest when verify is set. The graph and weights alias data.
 func decodeBinaryCSR(data []byte, verify bool) (*graph.Graph, []float64, error) {
-	m, err := parseMappedBytes(data)
+	m, err := parseMappedBytes(data, false)
 	if err != nil {
 		return nil, nil, err
 	}

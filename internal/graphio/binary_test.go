@@ -3,6 +3,7 @@ package graphio
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -66,7 +67,7 @@ var misalignedPath = parserPath{
 		return decodeBinaryCSR(misaligned(data), verify)
 	},
 	open: func(t *testing.T, data []byte) (*MappedGraph, error) {
-		return parseMappedBytes(misaligned(data))
+		return parseMappedBytes(misaligned(data), false)
 	},
 }
 
@@ -267,6 +268,15 @@ func checkRejection(t *testing.T, p parserPath, set entrySet) {
 
 // craftContainer writes a container around arbitrary arrays, with the
 // digest computed over them.
+// writeInt32LE writes xs little-endian.
+func writeInt32LE(w io.Writer, xs []int32) {
+	enc := int32Writer{w: w, buf: make([]byte, 0, 64<<10)}
+	for _, x := range xs {
+		enc.put(x)
+	}
+	enc.flush()
+}
+
 func craftContainer(n int, off, adj []int32) []byte {
 	var buf bytes.Buffer
 	var hdr [kwcsrHeaderSize]byte

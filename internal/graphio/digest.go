@@ -25,8 +25,9 @@ import (
 // span, so the encoding is unambiguous and the root is as
 // collision-resistant as a flat SHA-256 over the CSR.
 
-// leafVertices is the block size: one bitset word of vertices.
-const leafVertices = 64
+// leafVertices is the block size: one bitset word of vertices, and one
+// block of the graph's own layout (graph.Block).
+const leafVertices = graph.BlockSize
 
 // rootPrefix is the byte length of 0x01 ‖ LE64 n ahead of the leaves.
 const rootPrefix = 9
@@ -48,10 +49,17 @@ func DigestRaw(g *graph.Graph) [sha256.Size]byte {
 	return NewDigestTree(g).Root()
 }
 
-// csrDigest is the root over raw CSR arrays. It is total: offsets that
-// break the CSR contract yield some digest, never a panic (see leaf).
+// csrDigest is the root over raw CSR arrays (off has n+1 entries). It is
+// total: offsets that break the CSR contract yield some digest, never a
+// panic (see leaf).
 func csrDigest(n int, off, adj []int32) [sha256.Size]byte {
-	return buildDigestTree(n, off, adj).root
+	t := newTree(n)
+	for b := range t.blocks() {
+		lo := b * leafVertices
+		t.leaf(b, off[lo:min(lo+leafVertices, n)+1], adj)
+	}
+	t.seal()
+	return t.root
 }
 
 // DigestTree keeps the leaves of one live graph's topology digest, so a
@@ -67,20 +75,23 @@ type DigestTree struct {
 	scratch [1 + 4*leafVertices]byte
 }
 
-// NewDigestTree hashes every leaf of g and its root.
+// NewDigestTree hashes every leaf of g and its root, reading g block by
+// block (a paged graph is never flattened).
 func NewDigestTree(g *graph.Graph) *DigestTree {
-	off, adj := g.CSR()
-	return buildDigestTree(g.N(), off, adj)
-}
-
-func buildDigestTree(n int, off, adj []int32) *DigestTree {
-	t := &DigestTree{h: sha256.New()}
-	t.buf = append(t.buf, 0x01)
-	t.resize(n)
-	for b := 0; b < t.blocks(); b++ {
+	t := newTree(g.N())
+	for b := range t.blocks() {
+		off, adj := g.Block(b)
 		t.leaf(b, off, adj)
 	}
 	t.seal()
+	return t
+}
+
+// newTree returns a tree over n vertices with its leaves still unhashed.
+func newTree(n int) *DigestTree {
+	t := &DigestTree{h: sha256.New()}
+	t.buf = append(t.buf, 0x01)
+	t.resize(n)
 	return t
 }
 
@@ -93,7 +104,6 @@ func (t *DigestTree) Root() [sha256.Size]byte { return t.root }
 // with n are re-hashed whatever touched says. Only those leaves and the
 // root are re-hashed.
 func (t *DigestTree) Update(next *graph.Graph, touched []int32) [sha256.Size]byte {
-	off, adj := next.CSR()
 	from := t.blocks()
 	if n := next.N(); n != t.n {
 		from = min(n, t.n) / leafVertices
@@ -102,11 +112,13 @@ func (t *DigestTree) Update(next *graph.Graph, touched []int32) [sha256.Size]byt
 	last := -1
 	for _, v := range touched {
 		if b := int(v) / leafVertices; b != last && b < from {
+			off, adj := next.Block(b)
 			t.leaf(b, off, adj)
 			last = b
 		}
 	}
 	for b := from; b < t.blocks(); b++ {
+		off, adj := next.Block(b)
 		t.leaf(b, off, adj)
 	}
 	t.seal()
@@ -128,20 +140,21 @@ func (t *DigestTree) resize(n int) {
 
 func (t *DigestTree) seal() { t.root = sha256.Sum256(t.buf) }
 
-// leaf re-hashes block b from the CSR arrays: the 0x00 prefix, the
-// block's degrees, then its adjacency span. The span is clamped to
-// [0, len(adj)] and an inverted span counts as empty, which keeps the
-// digest total on malformed offsets; on a valid CSR the clamp is a no-op.
+// leaf re-hashes block b from its adjacency view (graph.Graph.Block's:
+// off holds the block's offsets, one per vertex plus one, into adj): the
+// 0x00 prefix, the block's degrees, then its adjacency span. The span is
+// clamped to [0, len(adj)] and an inverted span counts as empty, which
+// keeps the digest total on malformed offsets; on a valid CSR the clamp is
+// a no-op.
 func (t *DigestTree) leaf(b int, off, adj []int32) {
-	lo := b * leafVertices
-	hi := min(lo+leafVertices, t.n)
-	s, e := clampSpan(off[lo], len(adj)), clampSpan(off[hi], len(adj))
+	k := len(off) - 1
+	s, e := clampSpan(off[0], len(adj)), clampSpan(off[k], len(adj))
 	if e < s {
 		e = s
 	}
 	p := append(t.scratch[:0], 0x00)
-	for v := lo; v < hi; v++ {
-		p = binary.LittleEndian.AppendUint32(p, uint32(off[v+1]-off[v]))
+	for i := range k {
+		p = binary.LittleEndian.AppendUint32(p, uint32(off[i+1]-off[i]))
 	}
 	t.h.Reset()
 	t.h.Write(p)

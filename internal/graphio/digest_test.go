@@ -75,12 +75,30 @@ func digestShapes(t *testing.T) map[string]*graph.Graph {
 		}
 	}
 	shapes["clique-10-of-130"] = graph.MustNew(130, clique)
+	// A paged snapshot: a commit toggling edges in three of 47 blocks.
+	d := dyngraph.New(shapes["gnp-3000"])
+	for _, e := range [][2]int{{1, 2}, {700, 1500}, {2990, 5}} {
+		if d.AddEdge(e[0], e[1]) != nil {
+			if err := d.RemoveEdge(e[0], e[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	delta, err := d.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta.Next.PagedBlocks() == 0 {
+		t.Fatal("the toggle commit did not page")
+	}
+	shapes["paged-3000"] = delta.Next
 	return shapes
 }
 
 // TestDigestDefinition pins every digest path to the definition: the full
 // build (DigestRaw, Digest), the writer's embedded digest, and the
-// verifying reader's recompute over the parsed arrays.
+// verifying reader's recompute over the parsed arrays. The paged shape
+// takes the writer's block-streaming path.
 func TestDigestDefinition(t *testing.T) {
 	for name, g := range digestShapes(t) {
 		want := refDigest(g)
@@ -196,6 +214,9 @@ func churnDigest(t *testing.T, base *graph.Graph, seed uint64, script []byte) {
 			t.Fatalf("epoch %d (op %d, n %d → %d, %d touched): incremental root %x, fresh %x",
 				epoch, op%4, n, delta.Next.N(), len(delta.Touched), got, want)
 		}
+		if delta.Next.PagedBlocks() > 0 && got != refDigest(delta.Next) {
+			t.Fatalf("epoch %d: the root of a paged snapshot disagrees with the definition", epoch)
+		}
 	}
 }
 
@@ -223,6 +244,11 @@ func FuzzDigestTree(f *testing.F) {
 	f.Add(uint8(2), uint64(1), []byte{0, 1, 2, 3})
 	f.Add(uint8(4), uint64(2), []byte{2, 2, 2, 1, 0, 0})
 	f.Add(uint8(6), uint64(3), []byte{1, 1, 0, 2, 3, 0})
+	// Toggle runs on 8 and 47 blocks: the commits page until more than
+	// half of the blocks would be paged, compact, and page again; a
+	// block-emptying removal and a growth land on a paged parent.
+	f.Add(uint8(5), uint64(4), []byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0})
+	f.Add(uint8(6), uint64(5), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, size uint8, seed uint64, script []byte) {
 		if len(script) > 64 {
 			script = script[:64]

@@ -59,14 +59,13 @@ func OpenMapped(path string) (*MappedGraph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graphio: mapping %s: %w", path, err)
 	}
-	m, err := parseMappedBytes(data)
+	m, err := parseMappedBytes(data, mapped)
 	if err != nil {
 		if mapped {
 			unmapFile(data)
 		}
 		return nil, err
 	}
-	m.mapped = mapped
 	return m, nil
 }
 
@@ -206,12 +205,13 @@ var hostLittleEndian = func() bool {
 // parseMappedBytes is the kwcsr parser: it validates a whole in-memory
 // container image and builds the graph over it, aliasing the payload when
 // the platform allows and copy-decoding otherwise. OpenMapped hands it a
-// mapping and ReadBinaryCSR a buffered read. It checks the header, the
-// exact size, the padding and the offsets; the adjacency rows and the
-// digest are left to VerifyStructure and VerifyDigest. Every count is
-// checked against len(data) before any slice is formed: short data yields
-// a truncation diagnostic, never a panic.
-func parseMappedBytes(data []byte) (*MappedGraph, error) {
+// mapping (mapped) and ReadBinaryCSR a buffered read; a graph aliasing a
+// mapping is built by graph.FromMappedCSR, so no commit pages over it. It
+// checks the header, the exact size, the padding and the offsets; the
+// adjacency rows and the digest are left to VerifyStructure and
+// VerifyDigest. Every count is checked against len(data) before any slice
+// is formed: short data yields a truncation diagnostic, never a panic.
+func parseMappedBytes(data []byte, mapped bool) (*MappedGraph, error) {
 	h, err := parseHeader(data)
 	if err != nil {
 		return nil, err
@@ -222,7 +222,7 @@ func parseMappedBytes(data []byte) (*MappedGraph, error) {
 		return nil, err
 	}
 	n, e, pad := h.n, h.e, h.pad
-	m := &MappedGraph{data: data}
+	m := &MappedGraph{data: data, mapped: mapped}
 	copy(m.digest[:], data[32:64])
 
 	offB := data[kwcsrHeaderSize : kwcsrHeaderSize+(n+1)*4]
@@ -234,7 +234,8 @@ func parseMappedBytes(data []byte) (*MappedGraph, error) {
 	}
 	off := aliasInt32(offB, n+1)
 	adj := aliasInt32(adjB, e)
-	if off == nil || adj == nil {
+	aliased := off != nil && adj != nil
+	if !aliased {
 		// Big-endian host or misaligned buffer: decode into fresh arrays.
 		// Rare path, same validation below either way.
 		off = make([]int32, n+1)
@@ -266,7 +267,11 @@ func parseMappedBytes(data []byte) (*MappedGraph, error) {
 			maxDeg = d
 		}
 	}
-	m.g = graph.FromCSRUnchecked(off, adj, maxDeg)
+	if mapped && aliased {
+		m.g = graph.FromMappedCSR(off, adj, maxDeg)
+	} else {
+		m.g = graph.FromCSRUnchecked(off, adj, maxDeg)
+	}
 
 	if h.flags&kwcsrHasWeights != 0 {
 		wB := data[h.size-n*8:]

@@ -406,6 +406,72 @@ func TestDeleteReleasesMappedGraph(t *testing.T) {
 // server is closed — the committed-but-unsynced record may not be lost to
 // the shutdown ordering. Run under -race in CI: the interesting bug class
 // is the in-flight mutate racing the stop signal.
+// TestMutateRacingDelete races one mutate against one DELETE of the same
+// durable graph, many times. The mutate looks the graph up before it takes
+// the graph's lock, so the DELETE can land in between; it must then answer
+// 404, never commit to the detached graph. One that wins the lock commits
+// and logs before the DELETE closes the log, and must answer durable. The
+// mutate's body is a large batch, which widens the window between its
+// lookup and its lock, on even trials; odd trials send one mutation, so
+// that the mutate also wins some races. Run under -race.
+func TestMutateRacingDelete(t *testing.T) {
+	var muts []string
+	for v := 2; v < 202; v++ {
+		muts = append(muts, fmt.Sprintf(`{"op":"add_edge","u":0,"v":%d}`, v))
+	}
+	bodies := [2]string{`{"mutations":[` + strings.Join(muts, ",") + `]}`, `{"mutations":[` + muts[0] + `]}`}
+	var codes [2]int // 200s and 404s
+	for trial := range 60 {
+		body := bodies[trial%2]
+		dir := t.TempDir()
+		rec, err := wal.Open(dir, lineGraph(256), nil, walTestOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(Config{Workers: 2, Preloads: map[string]Preload{
+			"g": {Dyn: rec.Dyn, Log: rec.Log, Mapped: rec.Mapped, Tree: rec.Tree},
+		}})
+		h := srv.Handler()
+		mutate, del := httptest.NewRecorder(), httptest.NewRecorder()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			h.ServeHTTP(mutate, httptest.NewRequest(http.MethodPost, "/v1/graphs/g/mutate", strings.NewReader(body)))
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			h.ServeHTTP(del, httptest.NewRequest(http.MethodDelete, "/v1/graphs/g", nil))
+		}()
+		close(start)
+		wg.Wait()
+		srv.Close()
+		if del.Code != http.StatusOK {
+			t.Fatalf("trial %d: DELETE answered %d: %s", trial, del.Code, del.Body)
+		}
+		switch mutate.Code {
+		case http.StatusNotFound:
+			codes[1]++
+		case http.StatusOK:
+			var mr graphio.MutateResponse
+			if err := json.Unmarshal(mutate.Body.Bytes(), &mr); err != nil {
+				t.Fatal(err)
+			}
+			if !mr.Durable || mr.Epoch != 1 {
+				t.Fatalf("trial %d: mutate answered 200 with durable %v at epoch %d; want durable at epoch 1",
+					trial, mr.Durable, mr.Epoch)
+			}
+			codes[0]++
+		default:
+			t.Fatalf("trial %d: mutate answered %d: %s", trial, mutate.Code, mutate.Body)
+		}
+	}
+	t.Logf("%d mutates committed first, %d found the graph deleted", codes[0], codes[1])
+}
+
 func TestGracefulDrainFlushesWAL(t *testing.T) {
 	dir := t.TempDir()
 	rec, err := wal.Open(dir, lineGraph(30), nil, walTestOpts)

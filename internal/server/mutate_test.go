@@ -5,12 +5,16 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"kwmds"
+	"kwmds/internal/gen"
 	"kwmds/internal/graph"
 	"kwmds/internal/graphio"
+	"kwmds/internal/stats"
 )
 
 // mutateServer spawns a server with one small mutable preload plus direct
@@ -279,71 +283,173 @@ func TestMutateInvalidatesCache(t *testing.T) {
 	solve(true)
 }
 
-// TestConcurrentMutateAndSolve hammers one mutable graph with interleaved
-// mutations and solves from many goroutines; -race in CI makes this the
-// holder-locking probe. Every response must be internally consistent: a
-// 200 solve reports a digest/epoch pair that existed at some point, never
-// a torn combination (checked via the returned n, which changes with every
-// vertex addition).
+// TestConcurrentMutateAndSolve checks the served history of one mutable
+// graph against an oracle. Two mutators post edge toggles (disjoint pair
+// pools, so every batch is valid whatever the interleaving) while three
+// solver goroutines post members:true solves at random seeds; -race in CI
+// makes it the holder-locking probe too. The acknowledged batches, ordered
+// by the epochs their replies report, define the model graph of every
+// epoch. Each 200 solve must then equal, digest and members included,
+// kwmds.DominatingSet of graph.New over the model at the epoch the solve
+// reports. The graph has five 64-vertex blocks and a mutate touches one
+// to four, so the history holds paged commits and compactions both.
 func TestConcurrentMutateAndSolve(t *testing.T) {
-	_, ts := mutateServer(t)
+	const n, mutates, solves = 320, 24, 16
+	g, err := gen.UnitDisk(n, 0.1, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Workers: 2, CacheEntries: 32, Graphs: map[string]*graph.Graph{"g": g}})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	post := func(path, body string, v any) (int, error) {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return resp.StatusCode, nil
+		}
+		return resp.StatusCode, json.NewDecoder(resp.Body).Decode(v)
+	}
+	type batch struct {
+		epoch   int64
+		digest  string
+		toggles [][2]int
+	}
+	var mu sync.Mutex
+	var acked []batch
+	type solved struct {
+		seed int64
+		graphio.SolveResponse
+	}
+	var served []solved
+	var paged, compacted int
 	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for w := 0; w < 4; w++ {
+	errs := make(chan error, 8)
+	for m := 0; m < 2; m++ {
+		wg.Add(1)
+		go func(m int) {
+			defer wg.Done()
+			rng := stats.NewRand(int64(m) + 1)
+			on := map[[2]int]bool{} // this mutator's pairs that are edges now
+			for _, e := range g.Edges() {
+				on[e] = true
+			}
+			for i := 0; i < mutates; i++ {
+				var b batch
+				var muts []string
+				for k := 1 + rng.IntN(2); k > 0; k-- {
+					// Mutator m owns the pairs (u, v) with u+v of parity m.
+					u := rng.IntN(n)
+					v := rng.IntN(n/2)*2 + (u+m)%2
+					e := [2]int{min(u, v), max(u, v)}
+					if u == v || slices.Contains(b.toggles, e) {
+						continue
+					}
+					op := "add_edge"
+					if on[e] {
+						op = "remove_edge"
+					}
+					on[e] = !on[e]
+					b.toggles = append(b.toggles, e)
+					muts = append(muts, fmt.Sprintf(`{"op":%q,"u":%d,"v":%d}`, op, e[0], e[1]))
+				}
+				if len(muts) == 0 {
+					continue
+				}
+				var mr graphio.MutateResponse
+				status, err := post("/v1/graphs/g/mutate", `{"mutations":[`+strings.Join(muts, ",")+`]}`, &mr)
+				if err != nil || status != http.StatusOK {
+					errs <- fmt.Errorf("mutator %d: mutate answered %d: %v", m, status, err)
+					return
+				}
+				b.epoch, b.digest = mr.Epoch, mr.Digest
+				mu.Lock()
+				acked = append(acked, b)
+				cur, _, _, _ := srv.graphs["g"].snapshot()
+				if cur.PagedBlocks() > 0 {
+					paged++
+				} else {
+					compacted++
+				}
+				mu.Unlock()
+			}
+		}(m)
+	}
+	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 8; i++ {
-				resp, err := http.Post(ts.URL+"/v1/solve", "application/json",
-					strings.NewReader(fmt.Sprintf(`{"graph_ref":"ring","seed":%d}`, w*100+i)))
-				if err != nil {
-					errs <- err
+			rng := stats.NewRand(int64(w) + 100)
+			for i := 0; i < solves; i++ {
+				sr := solved{seed: int64(rng.IntN(1000))}
+				body := fmt.Sprintf(`{"graph_ref":"g","k":3,"seed":%d,"members":true}`, sr.seed)
+				status, err := post("/v1/solve", body, &sr.SolveResponse)
+				if err != nil || status != http.StatusOK {
+					errs <- fmt.Errorf("solver %d: solve answered %d: %v", w, status, err)
 					return
 				}
-				var sr graphio.SolveResponse
-				err = json.NewDecoder(resp.Body).Decode(&sr)
-				resp.Body.Close()
-				if err != nil {
-					errs <- err
-					return
-				}
-				if resp.StatusCode != 200 {
-					errs <- fmt.Errorf("solve status %d", resp.StatusCode)
-					return
-				}
-				if sr.N < 6 || sr.Size < 1 {
-					errs <- fmt.Errorf("implausible solve n=%d size=%d", sr.N, sr.Size)
-					return
-				}
+				mu.Lock()
+				served = append(served, sr)
+				mu.Unlock()
 			}
 		}(w)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 8; i++ {
-			body := fmt.Sprintf(`{"mutations":[{"op":"add_vertex"},{"op":"add_edge","u":%d,"v":0}]}`, 6+i)
-			resp, err := http.Post(ts.URL+"/v1/graphs/ring/mutate", "application/json", strings.NewReader(body))
-			if err != nil {
-				errs <- err
-				return
-			}
-			var mr graphio.MutateResponse
-			err = json.NewDecoder(resp.Body).Decode(&mr)
-			resp.Body.Close()
-			if err != nil {
-				errs <- err
-				return
-			}
-			if resp.StatusCode != 200 || mr.Epoch != int64(i+1) || mr.N != 7+i {
-				errs <- fmt.Errorf("mutate %d: status %d epoch %d n %d", i, resp.StatusCode, mr.Epoch, mr.N)
-				return
-			}
-		}
-	}()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Error(err)
+		t.Fatal(err)
+	}
+
+	// The model: epoch e's graph is the base with the batches of epochs
+	// 1..e applied, which must be every epoch from 1 on, once each.
+	slices.SortFunc(acked, func(a, b batch) int { return int(a.epoch - b.epoch) })
+	edges := map[[2]int]bool{}
+	for _, e := range g.Edges() {
+		edges[e] = true
+	}
+	model := []*graph.Graph{g}
+	for i, b := range acked {
+		if b.epoch != int64(i+1) {
+			t.Fatalf("the acknowledged epochs are not 1..%d: %d at position %d", len(acked), b.epoch, i)
+		}
+		for _, e := range b.toggles {
+			edges[e] = !edges[e]
+		}
+		var list [][2]int
+		for e, on := range edges {
+			if on {
+				list = append(list, e)
+			}
+		}
+		mg, err := graph.New(n, list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := graphio.Digest(mg); d != b.digest {
+			t.Fatalf("epoch %d: mutate reported digest %.12s, the model's is %.12s", b.epoch, b.digest, d)
+		}
+		model = append(model, mg)
+	}
+	for _, sr := range served {
+		mg := model[sr.Epoch]
+		if d := graphio.Digest(mg); sr.Digest != d || sr.N != n || sr.M != mg.M() {
+			t.Fatalf("epoch %d: solve reported digest %.12s n %d m %d, the model has %.12s n %d m %d",
+				sr.Epoch, sr.Digest, sr.N, sr.M, d, n, mg.M())
+		}
+		want, err := kwmds.DominatingSet(mg, kwmds.Options{K: 3, Seed: sr.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sr.Size != want.Size || !slices.Equal(sr.Members, graph.Members(want.InDS)) {
+			t.Fatalf("epoch %d seed %d: served size %d, oracle size %d (members differ: %v)",
+				sr.Epoch, sr.seed, sr.Size, want.Size, !slices.Equal(sr.Members, graph.Members(want.InDS)))
+		}
+	}
+	t.Logf("%d batches (%d left the graph paged, %d flat), %d solves checked", len(acked), paged, compacted, len(served))
+	if paged == 0 || compacted == 0 {
+		t.Fatalf("%d batches left the graph paged and %d flat; the history must hold both", paged, compacted)
 	}
 }

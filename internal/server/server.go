@@ -121,6 +121,10 @@ type preloaded struct {
 	// graph. Solves retain it for their duration; DELETE and Close drop
 	// the owner reference, unmapping once the last solve releases.
 	mapped *graphio.MappedGraph
+	// deleted is set, under mu, by DELETE and Close: a mutate that looked
+	// the graph up before then answers 404 instead of committing to a
+	// graph that is gone, with its log closed.
+	deleted bool
 }
 
 // newPreloaded registers dyn under its digest tree, built here when tree
@@ -211,18 +215,26 @@ func (s *Server) Close() {
 		s.gmu.RUnlock()
 		for _, p := range ps {
 			p.mu.Lock()
-			if p.log != nil {
-				p.log.Close()
-				p.log = nil
-			}
-			mapped := p.mapped
-			p.mapped = nil
+			mapped := p.release()
 			p.mu.Unlock()
 			if mapped != nil {
 				mapped.Close()
 			}
 		}
 	})
+}
+
+// release marks p deleted, closes its log and hands back its mapping for
+// the caller to close once p.mu is released. The caller holds p.mu.
+func (p *preloaded) release() *graphio.MappedGraph {
+	p.deleted = true
+	if p.log != nil {
+		p.log.Close()
+		p.log = nil
+	}
+	mapped := p.mapped
+	p.mapped = nil
+	return mapped
 }
 
 // httpError carries a status code alongside the client-facing message.
@@ -488,6 +500,12 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	p.mu.Lock()
+	if p.deleted {
+		// A DELETE (or Close) won the race for the lock after the lookup.
+		p.mu.Unlock()
+		writeError(w, http.StatusNotFound, "unknown graph %q (see /v1/graphs)", name)
+		return
+	}
 	if req.Epoch != nil && *req.Epoch != p.dyn.Epoch() {
 		epoch := p.dyn.Epoch()
 		p.mu.Unlock()
@@ -532,7 +550,8 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// the pending state; the record itself can only be appended after
 	// Commit succeeds (a refused batch must leave no trace in the log).
 	var rec *wal.Record
-	if p.log != nil {
+	log := p.log // DELETE and Close clear p.log under p.mu; the sync below runs after it
+	if log != nil {
 		rec = &wal.Record{Pre: p.tree.Root()}
 		var grew int
 		rec.Adds, rec.Rems, rec.Weights, grew = p.dyn.NormalizedPending()
@@ -558,7 +577,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if rec != nil {
 		rec.Epoch = delta.Epoch
 		rec.Post = p.tree.Root()
-		if aerr := p.log.Append(rec, false); aerr != nil {
+		if aerr := log.Append(rec, false); aerr != nil {
 			// The engine advanced but the log did not: this epoch (and any
 			// after it) cannot survive a restart. The log is now poisoned
 			// (every further append fails), so the graph is effectively
@@ -568,13 +587,13 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 				name, delta.Epoch, aerr)
 			return
 		}
-		if p.log.ShouldSnapshot() {
+		if log.ShouldSnapshot() {
 			// Snapshot under the write lock: (graph, costs, epoch) must be
 			// the triple just committed. A failure still answers 200: the
 			// log chain is intact, so recovery only replays more. The log
 			// counts it, and /metrics exports the count as
 			// kwmds_wal_snapshot_failures_total.
-			_ = p.log.WriteSnapshot(p.dyn.Graph(), p.dyn.Costs(), delta.Epoch)
+			_ = log.WriteSnapshot(p.dyn.Graph(), p.dyn.Costs(), delta.Epoch)
 		}
 	}
 	resp := graphio.MutateResponse{
@@ -588,7 +607,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	p.mu.Unlock()
 
 	if rec != nil && (req.Sync == nil || *req.Sync) {
-		if serr := p.log.Sync(); serr != nil {
+		if serr := log.Sync(); serr != nil {
 			writeError(w, http.StatusInternalServerError, "graph %q: epoch %d committed but not durable: %v",
 				name, resp.Epoch, serr)
 			return
@@ -621,15 +640,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown graph %q (see /v1/graphs)", name)
 		return
 	}
-	// Wait out any in-flight mutate so the log closes after its append.
+	// Wait out any in-flight mutate so the log closes after its append;
+	// one still waiting for the lock then finds the graph deleted.
 	p.mu.Lock()
 	epoch := p.dyn.Epoch()
-	if p.log != nil {
-		p.log.Close()
-		p.log = nil
-	}
-	mapped := p.mapped
-	p.mapped = nil
+	mapped := p.release()
 	p.mu.Unlock()
 	if mapped != nil {
 		mapped.Close()

@@ -15,6 +15,7 @@ import (
 	"kwmds/internal/gen"
 	"kwmds/internal/graph"
 	"kwmds/internal/graphio"
+	"kwmds/internal/stats"
 )
 
 func testServer(t *testing.T) *httptest.Server {
@@ -320,6 +321,73 @@ func TestColdSolveAllocatesOnlyTheAnswer(t *testing.T) {
 	t.Logf("%d bytes per cold solve", perSolve)
 	if perSolve >= uint64(g.N()) {
 		t.Fatalf("a cold solve allocates %d bytes, want fewer than n = %d", perSolve, g.N())
+	}
+}
+
+// TestChurnOpAllocatesAFractionOfTheCSR pins what a served churn op
+// allocates: serve-churn's mutate on its own graph (udg-10k, four toggles
+// among 32 fixed vertex pairs), then a cache-missing solve of the new
+// epoch. The commit copies the page table and writes pages for the blocks
+// it touched, and the solve replays over the paged snapshot, so an op must
+// allocate under a quarter of the flat CSR's bytes: a commit that copies
+// the CSR, or a solve that flattens the snapshot, allocates more on its
+// own.
+func TestChurnOpAllocatesAFractionOfTheCSR(t *testing.T) {
+	g, err := gen.UnitDisk(10000, 0.02, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Workers: 1, Graphs: map[string]*graph.Graph{"udg-10k": g}})
+	h := srv.Handler()
+	rng := stats.NewRand(7)
+	var pairs [][2]int
+	for len(pairs) < 32 {
+		u, v := rng.IntN(g.N()), rng.IntN(g.N())
+		if e := [2]int{min(u, v), max(u, v)}; u != v && !slices.Contains(pairs, e) {
+			pairs = append(pairs, e)
+		}
+	}
+	op := func(i int) {
+		t.Helper()
+		cur, _, _, _ := srv.graphs["udg-10k"].snapshot()
+		var muts []string
+		for _, j := range rng.Perm(len(pairs))[:4] {
+			e, kind := pairs[j], "add_edge"
+			if cur.HasEdge(e[0], e[1]) {
+				kind = "remove_edge"
+			}
+			muts = append(muts, fmt.Sprintf(`{"op":%q,"u":%d,"v":%d}`, kind, e[0], e[1]))
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/graphs/udg-10k/mutate",
+			strings.NewReader(`{"mutations":[`+strings.Join(muts, ",")+`]}`)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("op %d: mutate answered %d: %s", i, rec.Code, rec.Body)
+		}
+		req := graphio.SolveRequest{GraphRef: "udg-10k", Algo: "kw", Engine: "fast", K: 3, Seed: int64(i)}
+		resp, err := srv.solve(context.Background(), &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cached || resp.Size == 0 {
+			t.Fatalf("op %d: cached %v, size %d; want a miss with a set", i, resp.Cached, resp.Size)
+		}
+	}
+	for i := range 8 { // the first solve runs the LP stage; the rest replay
+		op(i)
+	}
+	const ops = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 8; i < 8+ops; i++ {
+		op(i)
+	}
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / ops
+	flat := uint64(4 * (g.N() + 1 + 2*g.M()))
+	t.Logf("%d bytes per churn op; the flat CSR is %d", perOp, flat)
+	if perOp >= flat/4 {
+		t.Fatalf("a churn op allocates %d bytes, want under a quarter of the flat CSR's %d", perOp, flat)
 	}
 }
 

@@ -35,6 +35,11 @@ var crashWorkloads = []churnWorkload{
 	{name: "churn-with-weights", n: 64, epochs: 8, seed: 5, radius: 0.18, speed: 0.05, weightsEvery: 2},
 }
 
+// sigkillWorkload is the SIGKILL child's history: a trickle over 32
+// blocks, so most epochs commit pages and a few compact, and a recovery
+// replays a chain of paged epochs over the mapped snapshot.
+var sigkillWorkload = churnWorkload{name: "trickle", n: 2048, epochs: 12, seed: 11, radius: 0.05, speed: 1e-5}
+
 var (
 	crashAlgs  = []string{"kw", "kw2", "kwcds"}
 	crashSeeds = []int64{1, 7}
@@ -144,22 +149,18 @@ func TestCrashRecoveryAtEveryBoundary(t *testing.T) {
 // mode in TestCrashRecoverySIGKILLChild.
 const crashChildEnv = "KWMDS_WAL_CRASH_DIR"
 
-// TestCrashRecoverySIGKILLChild is the exec'd child: it drives the first
-// crash workload with synced appends, printing "SYNCED <epoch>" after each
-// acknowledged record, and is SIGKILLed by the parent somewhere mid-history.
+// TestCrashRecoverySIGKILLChild is the exec'd child: it drives the SIGKILL
+// workload with synced appends, printing "SYNCED <epoch>" from inside the
+// drive loop as each record's synced append returns, and is SIGKILLed by
+// the parent somewhere mid-history.
 func TestCrashRecoverySIGKILLChild(t *testing.T) {
 	dir := os.Getenv(crashChildEnv)
 	if dir == "" {
 		t.Skip("child mode only (parent: TestCrashRecoverySIGKILL)")
 	}
-	w := crashWorkloads[0]
-	// driveChurn syncs every append; emit the ack stream the parent kills
-	// against by re-walking the offsets as they are produced. Simpler: the
-	// child re-implements the loop with a print per epoch.
-	res := driveChurn(t, dir, w, noSnapshots)
-	for k := 1; k < len(res.offsets); k++ {
-		fmt.Printf("SYNCED %d\n", k)
-	}
+	res := driveChurnAcked(t, dir, sigkillWorkload, noSnapshots, func(epoch int) {
+		fmt.Printf("SYNCED %d\n", epoch)
+	})
 	res.log.Close()
 }
 
@@ -170,7 +171,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exec'd-child crash test skipped in -short")
 	}
-	w := crashWorkloads[0]
+	w := sigkillWorkload
 	for _, killAfter := range []int{1, 3} {
 		killAfter := killAfter
 		t.Run(fmt.Sprintf("kill-after-%d", killAfter), func(t *testing.T) {
@@ -229,6 +230,10 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 			}
 			if rec.Digest != oracle.states[got].digest {
 				t.Fatalf("recovered digest does not match the oracle at epoch %d", got)
+			}
+			if got < int64(len(oracle.states))-1 {
+				t.Logf("killed mid-history: acked %d, recovered %d of %d epochs (%d blocks paged)",
+					acked, got, len(oracle.states)-1, rec.Dyn.Graph().PagedBlocks())
 			}
 			for _, alg := range crashAlgs {
 				gotRes := solveState(t, rec.Dyn.Graph(), rec.Dyn.Costs(), alg, 1)

@@ -51,6 +51,13 @@ type driveResult struct {
 // server's mutate path. The caller owns closing res.log.
 func driveChurn(t testing.TB, dir string, w churnWorkload, opts Options) *driveResult {
 	t.Helper()
+	return driveChurnAcked(t, dir, w, opts, nil)
+}
+
+// driveChurnAcked is driveChurn that calls acked, when non-nil, with each
+// epoch as soon as its synced append returns.
+func driveChurnAcked(t testing.TB, dir string, w churnWorkload, opts Options, acked func(epoch int)) *driveResult {
+	t.Helper()
 	tr, err := mobility.RandomWalk(w.n, w.radius, w.speed, w.epochs, w.seed)
 	if err != nil {
 		t.Fatalf("RandomWalk: %v", err)
@@ -94,6 +101,9 @@ func driveChurn(t testing.TB, dir string, w churnWorkload, opts Options) *driveR
 		frame.Epoch, frame.Post = delta.Epoch, post
 		if err := res.log.Append(frame, true); err != nil {
 			t.Fatalf("epoch %d: Append: %v", e, err)
+		}
+		if acked != nil {
+			acked(e)
 		}
 		fi, err := os.Stat(logPath)
 		if err != nil {
