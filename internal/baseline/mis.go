@@ -21,49 +21,68 @@ func LubyMIS(g *graph.Graph, seed int64, opts ...sim.Option) (*Result, error) {
 	inMIS := make([]bool, n)
 	opts = append(opts, sim.WithSeed(seed))
 	engine := sim.New(g, opts...)
-	st, err := engine.Run(func(nd *sim.Node) {
+	st, err := engine.RunMachine(func(nd *sim.Node) sim.StepFunc {
+		const (
+			phStart   = iota // round 0: the first lottery
+			phLottery        // inbox: lottery values
+			phWinners        // inbox: winner announcements
+			phExits          // inbox: exit announcements
+		)
+		phase := phStart
 		undecided := map[int]bool{}
 		for _, u := range nd.Neighbors() {
 			undecided[int(u)] = true
 		}
-		for {
-			// Exchange 1: lottery values (only live, undecided nodes run).
-			r := nd.Rand().Uint64() >> 1 // keep tie handling simple
-			nd.Broadcast(sim.Uint(r))
-			win := true
-			for _, m := range nd.Exchange() {
-				if !undecided[m.From] {
-					continue
+		var r uint64
+		win, exit := false, false
+		return func(nd *sim.Node, inbox []sim.Message) bool {
+			switch phase {
+			case phExits:
+				if win {
+					inMIS[nd.ID()] = true
 				}
-				rv := uint64(m.Data.(sim.Uint))
-				if rv < r || (rv == r && m.From < nd.ID()) {
-					win = false
+				if exit {
+					return false
 				}
+				for _, m := range inbox {
+					delete(undecided, m.From)
+				}
+				fallthrough // survivors draw the next phase's lottery now
+			case phStart:
+				// Exchange 1: lottery values (only live, undecided nodes run).
+				r = nd.Rand().Uint64() >> 1 // keep tie handling simple
+				nd.Broadcast(sim.Uint(r))
+				phase = phLottery
+			case phLottery:
+				win = true
+				for _, m := range inbox {
+					if !undecided[m.From] {
+						continue
+					}
+					rv := uint64(m.Data.(sim.Uint))
+					if rv < r || (rv == r && m.From < nd.ID()) {
+						win = false
+					}
+				}
+				// Exchange 2: winners announce.
+				if win {
+					nd.Broadcast(sim.Flag{})
+				}
+				phase = phWinners
+			case phWinners:
+				covered := false
+				for range inbox {
+					covered = true // a neighbor joined the MIS
+				}
+				// Exchange 3: every retiring node (winner or newly covered)
+				// announces its exit, so survivors stop considering it.
+				exit = win || covered
+				if exit {
+					nd.Broadcast(sim.Flag{})
+				}
+				phase = phExits
 			}
-			// Exchange 2: winners announce.
-			if win {
-				nd.Broadcast(sim.Flag{})
-			}
-			covered := false
-			for range nd.Exchange() {
-				covered = true // a neighbor joined the MIS
-			}
-			// Exchange 3: every retiring node (winner or newly covered)
-			// announces its exit, so survivors stop considering it.
-			exit := win || covered
-			if exit {
-				nd.Broadcast(sim.Flag{})
-			}
-			exitMsgs := nd.Exchange()
-			if win {
-				inMIS[nd.ID()] = true
-			}
-			if exit {
-				return
-			}
-			for _, m := range exitMsgs {
-				delete(undecided, m.From)
-			}
+			return true
 		}
 	})
 	if err != nil {

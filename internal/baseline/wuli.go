@@ -64,111 +64,137 @@ func WuLi(g *graph.Graph, opts ...sim.Option) (*WuLiResult, error) {
 	marked := make([]bool, n)
 	inDS := make([]bool, n)
 	engine := sim.New(g, opts...)
-	st, err := engine.Run(func(nd *sim.Node) {
+	st, err := engine.RunMachine(func(nd *sim.Node) sim.StepFunc {
+		const (
+			phStart    = iota // round 0: send the neighbor list
+			phLists           // inbox: neighbor lists
+			phMarks           // inbox: marks
+			phMembers         // inbox: final marks
+			phFlags           // inbox: uncovered flags
+			phFallback        // inbox: fallback-round memberships
+		)
+		phase := phStart
 		id := nd.ID()
 		nbrs := nd.Neighbors()
-		// Round 1: exchange neighbor lists.
-		nd.Broadcast(nbrList(nbrs))
-		nbrSets := make(map[int][]int32, len(nbrs))
-		for _, m := range nd.Exchange() {
-			nbrSets[m.From] = m.Data.(nbrList)
-		}
+		var nbrSets map[int][]int32
 		adjacent := func(a, b int32) bool {
 			la := nbrSets[int(a)]
 			i := sort.Search(len(la), func(i int) bool { return la[i] >= b })
 			return i < len(la) && la[i] == b
 		}
-		// Marking rule.
-		mark := false
-	markLoop:
-		for i := 0; i < len(nbrs); i++ {
-			for j := i + 1; j < len(nbrs); j++ {
-				if !adjacent(nbrs[i], nbrs[j]) {
-					mark = true
-					break markLoop
+		mark, member, uncovered := false, false, false
+		return func(nd *sim.Node, inbox []sim.Message) bool {
+			switch phase {
+			case phStart:
+				// Round 1: exchange neighbor lists.
+				nd.Broadcast(nbrList(nbrs))
+				phase = phLists
+			case phLists:
+				nbrSets = make(map[int][]int32, len(nbrs))
+				for _, m := range inbox {
+					nbrSets[m.From] = m.Data.(nbrList)
 				}
-			}
-		}
-		// Round 2: exchange marks.
-		nd.Broadcast(sim.Bit(mark))
-		markedNbrs := map[int]bool{}
-		for _, m := range nd.Exchange() {
-			markedNbrs[m.From] = bool(m.Data.(sim.Bit))
-		}
-		// Pruning rule 1: a single higher-id marked neighbor covers N[v].
-		if mark {
-			for _, u := range nbrs {
-				if !markedNbrs[int(u)] || int(u) < id {
-					continue
-				}
-				if coversAll(nbrs, id, nbrSets[int(u)], int(u), nil, -1) {
-					mark = false
-					break
-				}
-			}
-		}
-		// Pruning rule 2: two adjacent higher-id marked neighbors cover N(v).
-		if mark {
-		rule2:
-			for i := 0; i < len(nbrs); i++ {
-				u := nbrs[i]
-				if !markedNbrs[int(u)] || int(u) < id {
-					continue
-				}
-				for j := i + 1; j < len(nbrs); j++ {
-					w := nbrs[j]
-					if !markedNbrs[int(w)] || int(w) < id || !adjacent(u, w) {
-						continue
-					}
-					if coversAll(nbrs, id, nbrSets[int(u)], int(u), nbrSets[int(w)], int(w)) {
-						mark = false
-						break rule2
+				// Marking rule.
+			markLoop:
+				for i := 0; i < len(nbrs); i++ {
+					for j := i + 1; j < len(nbrs); j++ {
+						if !adjacent(nbrs[i], nbrs[j]) {
+							mark = true
+							break markLoop
+						}
 					}
 				}
-			}
-		}
-		if mark {
-			marked[id] = true
-		}
-		member := mark
-		// Round 3: exchange final marks; compute coverage.
-		nd.Broadcast(sim.Bit(member))
-		coveredBy := 0
-		for _, m := range nd.Exchange() {
-			if bool(m.Data.(sim.Bit)) {
-				coveredBy++
-			}
-		}
-		uncovered := !member && coveredBy == 0
-		// Fallback round A: uncovered nodes elect the min id among the
-		// uncovered members of their closed neighborhoods.
-		if uncovered {
-			nd.Broadcast(sim.Flag{})
-		}
-		flagMsgs := nd.Exchange()
-		if uncovered {
-			minID := id
-			for _, m := range flagMsgs {
-				if m.From < minID {
-					minID = m.From
+				// Round 2: exchange marks.
+				nd.Broadcast(sim.Bit(mark))
+				phase = phMarks
+			case phMarks:
+				markedNbrs := map[int]bool{}
+				for _, m := range inbox {
+					markedNbrs[m.From] = bool(m.Data.(sim.Bit))
 				}
+				// Pruning rule 1: a single higher-id marked neighbor covers N[v].
+				if mark {
+					for _, u := range nbrs {
+						if !markedNbrs[int(u)] || int(u) < id {
+							continue
+						}
+						if coversAll(nbrs, id, nbrSets[int(u)], int(u), nil, -1) {
+							mark = false
+							break
+						}
+					}
+				}
+				// Pruning rule 2: two adjacent higher-id marked neighbors cover N(v).
+				if mark {
+				rule2:
+					for i := 0; i < len(nbrs); i++ {
+						u := nbrs[i]
+						if !markedNbrs[int(u)] || int(u) < id {
+							continue
+						}
+						for j := i + 1; j < len(nbrs); j++ {
+							w := nbrs[j]
+							if !markedNbrs[int(w)] || int(w) < id || !adjacent(u, w) {
+								continue
+							}
+							if coversAll(nbrs, id, nbrSets[int(u)], int(u), nbrSets[int(w)], int(w)) {
+								mark = false
+								break rule2
+							}
+						}
+					}
+				}
+				if mark {
+					marked[id] = true
+				}
+				member = mark
+				// Round 3: exchange final marks; compute coverage.
+				nd.Broadcast(sim.Bit(member))
+				phase = phMembers
+			case phMembers:
+				coveredBy := 0
+				for _, m := range inbox {
+					if bool(m.Data.(sim.Bit)) {
+						coveredBy++
+					}
+				}
+				uncovered = !member && coveredBy == 0
+				// Fallback round A: uncovered nodes elect the min id among the
+				// uncovered members of their closed neighborhoods.
+				if uncovered {
+					nd.Broadcast(sim.Flag{})
+				}
+				phase = phFlags
+			case phFlags:
+				if uncovered {
+					minID := id
+					for _, m := range inbox {
+						if m.From < minID {
+							minID = m.From
+						}
+					}
+					if minID == id {
+						member = true
+					}
+				}
+				// Fallback round B: announce; any node still uncovered joins itself.
+				nd.Broadcast(sim.Bit(member))
+				phase = phFallback
+			case phFallback:
+				stillCovered := member
+				for _, m := range inbox {
+					if bool(m.Data.(sim.Bit)) {
+						stillCovered = true
+					}
+				}
+				if !stillCovered {
+					member = true
+				}
+				inDS[id] = member
+				return false
 			}
-			if minID == id {
-				member = true
-			}
+			return true
 		}
-		// Fallback round B: announce; any node still uncovered joins itself.
-		nd.Broadcast(sim.Bit(member))
-		stillCovered := member
-		for _, m := range nd.Exchange() {
-			if bool(m.Data.(sim.Bit)) {
-				stillCovered = true
-			}
-		}
-		if !stillCovered {
-			member = true
-		}
-		inDS[id] = member
 	})
 	if err != nil {
 		return nil, fmt.Errorf("baseline: wu-li: %w", err)

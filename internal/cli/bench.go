@@ -122,9 +122,6 @@ func printResult(w io.Writer, r *kwbench.ScenarioResult) {
 	for _, row := range r.MixRows {
 		fmt.Fprintf(w, "  %-28s mix %-12s %7d ops  p99=%8.2fms\n", "", row.Kind, row.Ops, row.Latency.P99)
 	}
-	for _, row := range r.TenantRows {
-		fmt.Fprintf(w, "  %-28s tenant %-2d %7d ops  p99=%8.2fms\n", "", row.Tenant, row.Ops, row.Latency.P99)
-	}
 	if r.CrossChecked > 0 {
 		fmt.Fprintf(w, "  %-28s cross-checked %d ops, %d mismatches\n", "", r.CrossChecked, r.Mismatches)
 	}

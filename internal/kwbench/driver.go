@@ -40,9 +40,6 @@ type Request struct {
 	// Kind is the mixed-workload operation kind ("" = legacy solve, which
 	// behaves like cached_solve). For mutate ops Seed picks the edge.
 	Kind string
-	// Tenant is the owning tenant loop of a multi-tenant scenario (0 for
-	// single-tenant).
-	Tenant int
 }
 
 // OpResult is what a driver reports per operation; the runner uses Size and
@@ -78,7 +75,6 @@ func newDriver(sc *Scenario, concurrency int) (Driver, error) {
 	case DriverHTTPServe:
 		d := &httpDriver{concurrency: concurrency, timeout: 120 * time.Second}
 		if sc.HTTP != nil {
-			d.url = sc.HTTP.URL
 			d.workers = sc.HTTP.Workers
 			d.cacheEntries = sc.HTTP.CacheEntries
 			d.maxQueue = sc.HTTP.MaxQueue
@@ -162,13 +158,11 @@ func (d *inprocDriver) Do(req Request) (OpResult, error) {
 
 func (d *inprocDriver) Close() error { return nil }
 
-// httpDriver drives POST /v1/solve. With no URL it spawns an in-process
-// serve instance preloaded with the scenario's graph set — the whole stack
-// (HTTP transport, JSON codec, worker pool, LRU, single-flight) is on the
-// measured path, over loopback. With a URL it targets a remote server that
-// must already hold the graphs under the same names.
+// httpDriver drives POST /v1/solve against an in-process serve instance it
+// spawns, preloaded with the scenario's graph set — the whole stack (HTTP
+// transport, JSON codec, worker pool, LRU, single-flight) is on the
+// measured path, over loopback.
 type httpDriver struct {
-	url          string
 	workers      int
 	cacheEntries int
 	concurrency  int
@@ -178,7 +172,7 @@ type httpDriver struct {
 	mutate       bool
 
 	graphs  []LoadedGraph
-	srv     *server.Server // nil when remote
+	srv     *server.Server
 	ts      *httptest.Server
 	client  *http.Client
 	baseURL string
@@ -201,23 +195,19 @@ type graphMutator struct {
 
 func (d *httpDriver) Prepare(graphs []LoadedGraph) error {
 	d.graphs = graphs
-	if d.url == "" {
-		m := make(map[string]*graph.Graph, len(graphs))
-		for _, lg := range graphs {
-			m[lg.Name] = lg.G
-		}
-		d.srv = server.New(server.Config{
-			Workers:      d.workers,
-			CacheEntries: d.cacheEntries,
-			Graphs:       m,
-			MaxQueue:     d.maxQueue,
-			QueueTimeout: d.queueTimeout,
-		})
-		d.ts = httptest.NewServer(d.srv.Handler())
-		d.baseURL = d.ts.URL
-	} else {
-		d.baseURL = d.url
+	m := make(map[string]*graph.Graph, len(graphs))
+	for _, lg := range graphs {
+		m[lg.Name] = lg.G
 	}
+	d.srv = server.New(server.Config{
+		Workers:      d.workers,
+		CacheEntries: d.cacheEntries,
+		Graphs:       m,
+		MaxQueue:     d.maxQueue,
+		QueueTimeout: d.queueTimeout,
+	})
+	d.ts = httptest.NewServer(d.srv.Handler())
+	d.baseURL = d.ts.URL
 	if d.mutate {
 		d.mutators = make([]*graphMutator, len(graphs))
 		for i, lg := range graphs {
@@ -316,17 +306,12 @@ func (d *httpDriver) doMutate(req Request) (OpResult, error) {
 // MarkWarm snapshots the cache counters at the warmup/measure boundary;
 // Stats then reports measured-phase activity only.
 func (d *httpDriver) MarkWarm() {
-	if d.srv != nil {
-		_, d.hits0, d.misses0 = d.srv.Stats()
-	}
+	_, d.hits0, d.misses0 = d.srv.Stats()
 }
 
 // Stats exposes the spawned server's cache counters since the last
-// MarkWarm (zero when remote).
+// MarkWarm.
 func (d *httpDriver) Stats() (hits, misses int64) {
-	if d.srv == nil {
-		return 0, 0
-	}
 	_, hits, misses = d.srv.Stats()
 	return hits - d.hits0, misses - d.misses0
 }

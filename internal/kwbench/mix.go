@@ -235,8 +235,8 @@ func (o *OpenLoop) dispatchTicks(duration time.Duration) []time.Duration {
 	return ticks
 }
 
-// bucketStats is one latency/outcome split of the collector (per kind, per
-// tenant).
+// bucketStats is one operation kind's latency/outcome split of the
+// collector.
 type bucketStats struct {
 	hist   *hdr.Histogram
 	ops    int
@@ -246,8 +246,8 @@ type bucketStats struct {
 
 // collector accumulates per-operation outcomes for both loop modes under
 // one mutex: the shared latency histogram, success answers for the
-// cross-check pass, error/shed counters, and the optional per-kind and
-// per-tenant splits. Only successful operations land in the histograms,
+// cross-check pass, error/shed counters, and the optional per-kind split.
+// Only successful operations land in the histograms,
 // answers and throughput (errors and sheds are counted, not measured) — an
 // errored op has no meaningful latency and would poison the percentiles.
 type collector struct {
@@ -266,7 +266,6 @@ type collector struct {
 	// Sheds never abort regardless.
 	tolerate bool
 	byKind   map[string]*bucketStats
-	tenants  []*bucketStats
 }
 
 func newCollector(sc *Scenario, n int) *collector {
@@ -281,12 +280,6 @@ func newCollector(sc *Scenario, n int) *collector {
 	if sc.Mix != nil {
 		c.byKind = make(map[string]*bucketStats)
 	}
-	if sc.Tenants > 1 {
-		c.tenants = make([]*bucketStats, sc.Tenants)
-		for i := range c.tenants {
-			c.tenants[i] = &bucketStats{hist: &hdr.Histogram{}}
-		}
-	}
 	return c
 }
 
@@ -296,15 +289,11 @@ func (c *collector) record(op int, req Request, lat time.Duration, got OpResult,
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	kb := c.kindBucket(req)
-	tb := c.tenantBucket(req)
 	switch {
 	case err != nil:
 		c.errors++
 		if kb != nil {
 			kb.errors++
-		}
-		if tb != nil {
-			tb.errors++
 		}
 		if !c.tolerate {
 			if c.firstErr == nil {
@@ -317,9 +306,6 @@ func (c *collector) record(op int, req Request, lat time.Duration, got OpResult,
 		if kb != nil {
 			kb.sheds++
 		}
-		if tb != nil {
-			tb.sheds++
-		}
 	default:
 		c.total.Record(lat)
 		if c.answers != nil {
@@ -329,10 +315,6 @@ func (c *collector) record(op int, req Request, lat time.Duration, got OpResult,
 		if kb != nil {
 			kb.hist.Record(lat)
 			kb.ops++
-		}
-		if tb != nil {
-			tb.hist.Record(lat)
-			tb.ops++
 		}
 	}
 	return false
@@ -354,13 +336,6 @@ func (c *collector) kindBucket(req Request) *bucketStats {
 	return b
 }
 
-func (c *collector) tenantBucket(req Request) *bucketStats {
-	if c.tenants == nil || req.Tenant >= len(c.tenants) {
-		return nil
-	}
-	return c.tenants[req.Tenant]
-}
-
 // successes counts the operations that were recorded.
 func (c *collector) successes() int {
 	n := 0
@@ -372,8 +347,8 @@ func (c *collector) successes() int {
 	return n
 }
 
-// finish writes the collector's error/shed accounting and per-kind /
-// per-tenant rows into the result. res.Ops (successes) must be set first.
+// finish writes the collector's error/shed accounting and per-kind rows
+// into the result. res.Ops (successes) must be set first.
 func (c *collector) finish(res *ScenarioResult) {
 	res.Errors = c.errors
 	res.Sheds = c.sheds
@@ -388,12 +363,6 @@ func (c *collector) finish(res *ScenarioResult) {
 		}
 		res.MixRows = append(res.MixRows, OpKindRow{
 			Kind: k, Ops: b.ops, Errors: b.errors, Sheds: b.sheds,
-			Latency: latencySummary(b.hist),
-		})
-	}
-	for i, b := range c.tenants {
-		res.TenantRows = append(res.TenantRows, TenantRow{
-			Tenant: i, Ops: b.ops, Errors: b.errors, Sheds: b.sheds,
 			Latency: latencySummary(b.hist),
 		})
 	}

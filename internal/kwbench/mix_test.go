@@ -47,12 +47,12 @@ func TestMixScheduleDeterministic(t *testing.T) {
 }
 
 // TestLegacyScheduleUnchangedByMixSupport guards back-compat: a spec with no
-// mix and no tenants must produce the exact schedule it did before the mix
-// model existed — no kind field, no rng draws consumed, historical seeds.
+// mix must produce the exact schedule it did before the mix model existed —
+// no kind field, no rng draws consumed, historical seeds.
 func TestLegacyScheduleUnchangedByMixSupport(t *testing.T) {
 	sc := smokeClosed()
 	for i, r := range buildRequests(sc, 2, 50) {
-		if r.Kind != "" || r.Tenant != 0 {
+		if r.Kind != "" {
 			t.Fatalf("legacy request %d grew mix fields: %+v", i, r)
 		}
 		if want := 1 + int64(i%sc.Seeds); r.Seed != want {
@@ -102,34 +102,6 @@ func TestRunMixedHTTPServe(t *testing.T) {
 	}
 }
 
-// TestRunTenantsSplitOps checks multi-tenant accounting: every tenant loop
-// reports its slice and the slices sum to the scenario total.
-func TestRunTenantsSplitOps(t *testing.T) {
-	sc := smokeClosed()
-	sc.Tenants = 3
-	res, err := Run(sc, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCommon(t, res, 24)
-	if res.Tenants != 3 || len(res.TenantRows) != 3 {
-		t.Fatalf("tenant metadata: tenants=%d rows=%d", res.Tenants, len(res.TenantRows))
-	}
-	sum := 0
-	for i, row := range res.TenantRows {
-		if row.Tenant != i {
-			t.Errorf("row %d labeled tenant %d", i, row.Tenant)
-		}
-		if row.Ops == 0 {
-			t.Errorf("tenant %d ran no ops", i)
-		}
-		sum += row.Ops
-	}
-	if sum != res.Ops {
-		t.Errorf("tenant rows sum to %d ops, scenario has %d", sum, res.Ops)
-	}
-}
-
 // TestRunShedsAreNotErrors drives an overloaded spawned server (one worker,
 // one queue slot) with all-cold traffic: admission control must shed, and
 // the harness must count the 429s as sheds — zero errors, and only
@@ -168,23 +140,22 @@ func TestRunShedsAreNotErrors(t *testing.T) {
 
 // TestRunOpenLoopExcludesErrors is the regression test for the open-loop
 // stats bug: errored ops used to be recorded into the latency histogram and
-// size population before the error was checked. With every op failing (dead
-// target) under an error-tolerant SLO, the run must report zero successes
-// and an untouched histogram — not a latency distribution of failures.
+// size population before the error was checked. With every op failing
+// (failingDriver) under an error-tolerant SLO, the run must report zero
+// successes and an untouched histogram — not a latency distribution of
+// failures.
 func TestRunOpenLoopExcludesErrors(t *testing.T) {
 	one := 1.0
 	sc := &Scenario{
-		Name:   "test-open-errors",
-		Driver: DriverHTTPServe,
-		Graphs: []GraphSpec{{Gen: "udg:50:0.3:1", Name: "u"}},
-		Open:   &OpenLoop{Rate: 100, DurationSec: 0.3, MaxInflight: 8},
-		SLO:    &SLOSpec{ErrorRate: &one},
-		HTTP:   &HTTPSpec{URL: "http://127.0.0.1:1", TimeoutSec: 2},
+		Name: "test-open-errors",
+		Open: &OpenLoop{Rate: 100, DurationSec: 0.3, MaxInflight: 8},
+		SLO:  &SLOSpec{ErrorRate: &one},
 	}
-	res, err := Run(sc, RunOptions{})
-	if err != nil {
+	res := &ScenarioResult{}
+	if err := runOpen(sc, RunOptions{}, &failingDriver{}, make([]LoadedGraph, 1), res); err != nil {
 		t.Fatal(err)
 	}
+	evaluateSLO(sc, res)
 	if res.Ops != 0 {
 		t.Fatalf("every op failed but ops = %d", res.Ops)
 	}

@@ -145,17 +145,6 @@ type OpKindRow struct {
 	Latency LatencySummary `json:"latency_ms"`
 }
 
-// TenantRow is one tenant loop's split of a multi-tenant scenario. Tenants
-// share the backend (one serve instance's LRU and worker pool) but rotate
-// disjoint seed windows, so the rows expose cross-tenant interference.
-type TenantRow struct {
-	Tenant  int            `json:"tenant"`
-	Ops     int            `json:"ops"`
-	Errors  int            `json:"errors,omitempty"`
-	Sheds   int            `json:"sheds,omitempty"`
-	Latency LatencySummary `json:"latency_ms"`
-}
-
 // SLOOutcome echoes a gated scenario's bounds and records any violations.
 // A non-empty Violations list makes `kwmds bench` exit non-zero — after
 // the report is written, so a failing row is still inspectable here.
@@ -216,10 +205,6 @@ type ScenarioResult struct {
 
 	Latency LatencySummary `json:"latency_ms"`
 
-	// Tenants is the tenant-loop count of a multi-tenant scenario (0/absent
-	// means single-tenant); TenantRows carries the per-tenant splits.
-	Tenants    int         `json:"tenants,omitempty"`
-	TenantRows []TenantRow `json:"tenant_rows,omitempty"`
 	// MixRows carries the per-operation-kind splits of a mixed workload.
 	MixRows []OpKindRow `json:"mix_rows,omitempty"`
 	// SLO echoes a gated scenario's bounds and any violations.
@@ -445,24 +430,6 @@ func ValidateReport(rep *Report) error {
 			}
 			if sumOps != s.Ops {
 				return fail("mix rows account for %d ops, scenario has %d", sumOps, s.Ops)
-			}
-		}
-		if len(s.TenantRows) > 0 {
-			if s.Tenants != len(s.TenantRows) {
-				return fail("tenants=%d but %d tenant rows", s.Tenants, len(s.TenantRows))
-			}
-			sumOps := 0
-			for i, r := range s.TenantRows {
-				if r.Tenant != i {
-					return fail("tenant row %d labeled %d", i, r.Tenant)
-				}
-				if r.Ops < 0 || r.Errors < 0 || r.Sheds < 0 {
-					return fail("negative tenant row counters for tenant %d", r.Tenant)
-				}
-				sumOps += r.Ops
-			}
-			if sumOps != s.Ops {
-				return fail("tenant rows account for %d ops, scenario has %d", sumOps, s.Ops)
 			}
 		}
 		switch s.Curve {

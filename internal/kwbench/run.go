@@ -84,9 +84,6 @@ func runScenario(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 		Seeds:       effectiveSeeds(sc),
 		WarmupOps:   sc.WarmupOps,
 	}
-	if sc.Tenants > 1 {
-		res.Tenants = sc.Tenants
-	}
 	if sc.Closed != nil {
 		res.Loop = "closed"
 		res.Concurrency = sc.Closed.Concurrency
@@ -98,7 +95,7 @@ func runScenario(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if hd, ok := driver.(*httpDriver); ok && hd.srv != nil {
+	if hd, ok := driver.(*httpDriver); ok {
 		hits, misses := hd.Stats()
 		if total := hits + misses; total > 0 {
 			rate := float64(hits) / float64(total)
@@ -180,10 +177,8 @@ func graphInfos(graphs []LoadedGraph) []GraphInfo {
 // buildRequests precomputes n operations: graph selection via the
 // scenario's distribution, matrix combos cycled in order, seeds rotated
 // over the configured width. Mixed workloads additionally draw each op's
-// kind from the same seeded stream, and multi-tenant scenarios assign op i
-// to tenant i mod Tenants with a disjoint seed window per tenant. Legacy
-// scenarios (no mix, single tenant) produce byte-identical schedules to
-// earlier versions.
+// kind from the same seeded stream. Scenarios without a mix produce
+// byte-identical schedules to earlier versions.
 func buildRequests(sc *Scenario, nGraphs, n int) []Request {
 	combos := sc.Matrix.combos()
 	seeds := effectiveSeeds(sc)
@@ -215,15 +210,9 @@ func buildRequests(sc *Scenario, nGraphs, n int) []Request {
 			Graph:   gi,
 			Algo:    c.Algo,
 			K:       c.K,
+			Seed:    1 + int64(i%seeds),
 			Variant: c.Variant,
 		}
-		if sc.Tenants > 1 {
-			r.Tenant = i % sc.Tenants
-		}
-		// Tenant t rotates seeds [1+t·seeds, 1+(t+1)·seeds): disjoint
-		// windows, so tenants contend in a shared cache with distinct
-		// working sets. Single-tenant keeps the historical 1 + i%seeds.
-		r.Seed = 1 + int64(i%seeds) + int64(r.Tenant)*int64(seeds)
 		if sc.Mix != nil {
 			r.Kind = sc.Mix.draw(rng)
 			switch r.Kind {

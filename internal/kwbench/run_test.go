@@ -1,11 +1,12 @@
 package kwbench
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func smokeClosed() *Scenario {
@@ -119,25 +120,35 @@ func TestRunHTTPServeDriver(t *testing.T) {
 	}
 }
 
+// errRefused is failingDriver's operation error.
+var errRefused = errors.New("backend refused the operation")
+
+// failingDriver is a backend that fails every operation, counting them.
+type failingDriver struct{ calls atomic.Int64 }
+
+func (d *failingDriver) Prepare([]LoadedGraph) error { return nil }
+func (d *failingDriver) Close() error                { return nil }
+func (d *failingDriver) Do(Request) (OpResult, error) {
+	d.calls.Add(1)
+	return OpResult{}, errRefused
+}
+
 // TestRunFailsFastOnError checks that an operation error aborts the run
-// promptly instead of burning the remaining schedule: a remote http-serve
-// target that refuses connections must fail the scenario, not hang or
-// finish 10k ops.
+// promptly instead of burning the remaining schedule: against a backend
+// that fails every operation, each closed-loop worker stops at its first
+// error and the scenario fails with that error.
 func TestRunFailsFastOnError(t *testing.T) {
 	sc := &Scenario{
 		Name:   "test-dead-target",
-		Driver: DriverHTTPServe,
-		Graphs: []GraphSpec{{Gen: "udg:50:0.3:1", Name: "u"}},
 		Closed: &ClosedLoop{Concurrency: 2, Ops: 10000},
-		HTTP:   &HTTPSpec{URL: "http://127.0.0.1:1", TimeoutSec: 2},
 	}
-	start := time.Now()
-	_, err := Run(sc, RunOptions{})
-	if err == nil {
-		t.Fatal("dead target did not fail the run")
+	d := &failingDriver{}
+	err := runClosed(sc, RunOptions{}, d, make([]LoadedGraph, 1), &ScenarioResult{})
+	if !errors.Is(err, errRefused) {
+		t.Fatalf("err = %v, want the operation error", err)
 	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("failure took %v — not failing fast", elapsed)
+	if calls := d.calls.Load(); calls > int64(sc.Closed.Concurrency) {
+		t.Fatalf("%d operations ran after the first error — not failing fast", calls)
 	}
 }
 

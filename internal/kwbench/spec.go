@@ -39,10 +39,9 @@ const (
 	// backend (Options.Sequential) in-process — the cold-solve compute path.
 	// Cross-checks re-solve its answers on the message-passing simulation.
 	DriverInprocFast = "inproc-fast"
-	// DriverHTTPServe drives POST /v1/solve against a serve instance:
-	// an in-process spawned server by default, or a remote one when the
-	// scenario names a URL. The full stack — HTTP, JSON codec, worker
-	// pool, LRU — is on the measured path.
+	// DriverHTTPServe drives POST /v1/solve against a serve instance it
+	// spawns in-process. The full stack — HTTP, JSON codec, worker pool,
+	// LRU — is on the measured path.
 	DriverHTTPServe = "http-serve"
 )
 
@@ -78,14 +77,6 @@ type Scenario struct {
 	// choices. nil keeps the legacy single-shape workload (every op a
 	// cached_solve).
 	Mix *MixSpec `json:"mix,omitempty"`
-
-	// Tenants > 1 splits the workload into that many tenant loops sharing
-	// one backend (for http-serve: one spawned server's LRU and worker
-	// pool). Operation i belongs to tenant i mod Tenants, and each tenant
-	// rotates through its own disjoint seed window, so tenants contend in
-	// the shared cache with distinct working sets. Results carry per-tenant
-	// latency rows.
-	Tenants int `json:"tenants,omitempty"`
 
 	// SLO, when set, turns the scenario into a regression gate: after the
 	// run, the measured percentiles and error/shed rates are checked
@@ -285,10 +276,6 @@ type RecoverySpec struct {
 
 // HTTPSpec tunes the http-serve driver.
 type HTTPSpec struct {
-	// URL targets a remote serve instance; "" spawns one in-process. A
-	// remote target must already have the scenario's graphs preloaded
-	// under their names.
-	URL string `json:"url,omitempty"`
 	// Workers and CacheEntries size the spawned server (0 = defaults).
 	Workers      int `json:"workers,omitempty"`
 	CacheEntries int `json:"cache_entries,omitempty"`
@@ -298,12 +285,10 @@ type HTTPSpec struct {
 	// MaxQueue bounds the spawned server's admission queue
 	// (server.Config.MaxQueue): solve requests beyond Workers running +
 	// MaxQueue waiting are shed with 429. 0 leaves admission unbounded.
-	// Ignored for remote targets (the remote instance configures its own
-	// -max-queue).
 	MaxQueue int `json:"max_queue,omitempty"`
 	// QueueTimeoutSec bounds how long an admitted request may wait for a
 	// worker slot before being shed (server.Config.QueueTimeout). 0
-	// disables the timeout. Ignored for remote targets.
+	// disables the timeout.
 	QueueTimeoutSec float64 `json:"queue_timeout_sec,omitempty"`
 }
 
@@ -450,8 +435,8 @@ func (sc *Scenario) Validate() error {
 		if sc.CrossCheck || sc.HTTP != nil {
 			return bad("load scenarios take no cross_check or http")
 		}
-		if sc.Mix != nil || sc.SLO != nil || sc.Tenants > 1 {
-			return bad("load scenarios take no mix, slo or tenants")
+		if sc.Mix != nil || sc.SLO != nil {
+			return bad("load scenarios take no mix or slo")
 		}
 		l := sc.Load
 		if (l.Tier == "") == (l.Gen == "") {
@@ -486,8 +471,8 @@ func (sc *Scenario) Validate() error {
 		if sc.CrossCheck || sc.HTTP != nil {
 			return bad("recovery scenarios take no cross_check or http")
 		}
-		if sc.Mix != nil || sc.SLO != nil || sc.Tenants > 1 {
-			return bad("recovery scenarios take no mix, slo or tenants")
+		if sc.Mix != nil || sc.SLO != nil {
+			return bad("recovery scenarios take no mix or slo")
 		}
 		r := sc.Recovery
 		if r.N < 1 || r.Epochs < 1 || r.Radius <= 0 || r.Speed < 0 {
@@ -659,12 +644,6 @@ func (sc *Scenario) Validate() error {
 		return bad("warmup_ops must be ≥ 0 (got %d)", sc.WarmupOps)
 	}
 
-	if sc.Tenants < 0 {
-		return bad("tenants must be ≥ 0 (got %d)", sc.Tenants)
-	}
-	if sc.Tenants > 1 && sc.Mobility != nil {
-		return bad("tenants do not apply to mobility replays")
-	}
 	if sc.Mix != nil {
 		if err := sc.Mix.validate(); err != nil {
 			return bad("%v", err)
@@ -675,13 +654,8 @@ func (sc *Scenario) Validate() error {
 		if sc.CrossCheck {
 			return bad("mix and cross_check are mutually exclusive (mutate ops have no solo re-solve identity)")
 		}
-		if sc.Mix.Mutate > 0 {
-			if sc.Driver != DriverHTTPServe {
-				return bad("mix weight mutate requires the %s driver (mutation rides the serve API)", DriverHTTPServe)
-			}
-			if sc.HTTP != nil && sc.HTTP.URL != "" {
-				return bad("mix weight mutate requires a spawned server (mutating a remote target's graphs is not reversible)")
-			}
+		if sc.Mix.Mutate > 0 && sc.Driver != DriverHTTPServe {
+			return bad("mix weight mutate requires the %s driver (mutation rides the serve API)", DriverHTTPServe)
 		}
 	}
 	if sc.SLO != nil {
@@ -724,9 +698,6 @@ func (sc *Scenario) Validate() error {
 		}
 		if sc.HTTP.QueueTimeoutSec < 0 || math.IsNaN(sc.HTTP.QueueTimeoutSec) || math.IsInf(sc.HTTP.QueueTimeoutSec, 0) {
 			return bad("http queue_timeout_sec must be a finite value ≥ 0 (got %v)", sc.HTTP.QueueTimeoutSec)
-		}
-		if (sc.HTTP.MaxQueue > 0 || sc.HTTP.QueueTimeoutSec > 0) && sc.HTTP.URL != "" {
-			return bad("max_queue/queue_timeout_sec size the spawned server; a remote target configures its own admission queue")
 		}
 	}
 	return nil

@@ -188,7 +188,6 @@ func TestValidateBadSpecs(t *testing.T) {
 			s.Closed = nil
 			s.Open = &OpenLoop{Rate: 5, DurationSec: 1, Curve: CurveFlash, PeakFactor: 0.5}
 		}, "peak_factor ≥ 1"},
-		{"negative tenants", func(s *Scenario) { s.Tenants = -1 }, "tenants must be ≥ 0"},
 		{"negative mix weight", func(s *Scenario) {
 			s.Mix = &MixSpec{CachedSolve: -0.5}
 		}, "mix weight cached_solve must be a finite value ≥ 0"},
@@ -202,11 +201,6 @@ func TestValidateBadSpecs(t *testing.T) {
 		{"mutate on inproc driver", func(s *Scenario) {
 			s.Mix = &MixSpec{CachedSolve: 0.9, Mutate: 0.1}
 		}, "mix weight mutate requires the http-serve driver"},
-		{"mutate against remote", func(s *Scenario) {
-			s.Driver = DriverHTTPServe
-			s.HTTP = &HTTPSpec{URL: "http://example.test"}
-			s.Mix = &MixSpec{CachedSolve: 0.9, Mutate: 0.1}
-		}, "requires a spawned server"},
 		{"empty slo block", func(s *Scenario) { s.SLO = &SLOSpec{} }, "slo block sets no bounds"},
 		{"negative slo bound", func(s *Scenario) {
 			s.SLO = &SLOSpec{P99MS: f64p(-1)}
@@ -221,10 +215,6 @@ func TestValidateBadSpecs(t *testing.T) {
 			s.Driver = DriverHTTPServe
 			s.HTTP = &HTTPSpec{MaxQueue: -1}
 		}, "max_queue must be ≥ 0"},
-		{"queue knobs on remote", func(s *Scenario) {
-			s.Driver = DriverHTTPServe
-			s.HTTP = &HTTPSpec{URL: "http://example.test", MaxQueue: 4}
-		}, "a remote target configures its own admission queue"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -259,7 +249,6 @@ func fullSpec() *Scenario {
 		Theta:      1.5,
 		SelectSeed: i64p(9),
 		Mix:        &MixSpec{CachedSolve: 0.9, ColdSolve: 0.05, Mutate: 0.05},
-		Tenants:    2,
 		SLO: &SLOSpec{
 			P99MS:       f64p(250),
 			P999MS:      f64p(400),
@@ -309,7 +298,6 @@ func TestSpecGoldenRoundTrip(t *testing.T) {
   "theta": 1.5,
   "select_seed": 9,
   "mix": {"cached_solve": 0.9, "cold_solve": 0.05, "mutate": 0.05},
-  "tenants": 2,
   "slo": {"p99_ms": 250, "p999_ms": 400, "error_rate": 0.01, "shed_rate": 0.2, "min_shed_rate": 0.01},
   "matrix": {"algos": ["kw", "kwcds"], "variants": ["ln", "ln-lnln"], "ks": [2, 3]},
   "closed": {"concurrency": 4, "ops": 64},
@@ -333,7 +321,6 @@ driver = "http-serve"
 select = "zipfian"
 theta = 1.5
 select_seed = 9
-tenants = 2
 warmup_ops = 8
 seeds = 4
 
@@ -394,9 +381,12 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	// shards swept the removed in-process sharded engine, batch_size and
 	// [mix] batch_solve drove the removed batch solve path, sched picked
 	// the removed work-stealing scheduler, reorder ran the removed
-	// degree-ordered relabeling and [open] cycles counted the periods of
-	// the removed diurnal curve; a stale spec that still carries one is
-	// refused at load in either syntax, not ignored.
+	// degree-ordered relabeling, [open] cycles counted the periods of the
+	// removed diurnal curve, tenants split the load into the removed
+	// per-tenant client loops and [http] url aimed the http-serve driver
+	// at the removed remote target; a stale spec that still carries one is
+	// refused at load in either syntax, not ignored (a url left in place
+	// must not quietly spawn a local server instead).
 	for _, tc := range []struct {
 		syntax, key, spec string
 	}{
@@ -411,6 +401,10 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 		{"json", "reorder", `{"name":"x","driver":"inproc-fast","reorder":true,"graphs":[{"tier":"udg-500"}],"closed":{"concurrency":1,"ops":1}}`},
 		{"toml", "cycles", "name = \"x\"\ndriver = \"inproc-fast\"\n[[graphs]]\ntier = \"udg-500\"\n[open]\nrate = 5\nduration_sec = 1\ncurve = \"flash\"\ncycles = 2\n"},
 		{"json", "cycles", `{"name":"x","driver":"inproc-fast","graphs":[{"tier":"udg-500"}],"open":{"rate":5,"duration_sec":1,"curve":"flash","cycles":2}}`},
+		{"toml", "tenants", "name = \"x\"\ndriver = \"http-serve\"\ntenants = 2\n[[graphs]]\ntier = \"udg-500\"\n[closed]\nconcurrency = 1\nops = 1\n"},
+		{"json", "tenants", `{"name":"x","driver":"http-serve","tenants":2,"graphs":[{"tier":"udg-500"}],"closed":{"concurrency":1,"ops":1}}`},
+		{"toml", "url", "name = \"x\"\ndriver = \"http-serve\"\n[[graphs]]\ntier = \"udg-500\"\n[closed]\nconcurrency = 1\nops = 1\n[http]\nurl = \"http://127.0.0.1:8080\"\n"},
+		{"json", "url", `{"name":"x","driver":"http-serve","graphs":[{"tier":"udg-500"}],"closed":{"concurrency":1,"ops":1},"http":{"url":"http://127.0.0.1:8080"}}`},
 	} {
 		_, err := Decode([]byte(tc.spec), tc.syntax == "toml")
 		if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.key+`"`) {

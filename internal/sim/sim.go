@@ -12,12 +12,6 @@
 // communication round of the paper's model; there is no per-node goroutine
 // and no global barrier on the hot path.
 //
-// The legacy closure API (Program / Node.Exchange) is kept as a thin
-// compatibility shim: each closure-driven node runs in its own goroutine
-// that is parked on a private channel between rounds and resumed by
-// whichever worker sweeps it. Algorithms that care about throughput should
-// implement a Machine directly.
-//
 // # Memory model
 //
 // Message delivery uses preallocated CSR-shaped buffers indexed off the
@@ -26,17 +20,17 @@
 // contending with anyone and a receiver reads its slots in adjacency order
 // — inboxes come out sorted by sender id by construction, with no sorting
 // and no per-round allocation. Slot arrays are double-buffered (cur/next)
-// and reused across rounds, which means an inbox slice handed to a step (or
-// returned by Exchange) is only valid until the node's next step; programs
-// that need a message beyond the round must copy it. Statistics counters
-// are sharded per node (sender-owned) and per worker, and merged when the
-// run completes; nothing on the steady-state path takes a lock.
+// and reused across rounds, which means an inbox slice handed to a step is
+// only valid until the node's next step; a step that needs a message beyond
+// the round must copy it. Statistics counters are sharded per node
+// (sender-owned) and merged when the run completes; nothing on the
+// steady-state path takes a lock.
 //
 // The engine accounts for rounds, messages (one per (sender, receiver)
-// pair, as the paper counts them) and message size in bits (each Payload
-// reports its wire width), so the paper's complexity claims — 2k² rounds,
-// O(k²∆) messages per node, O(log ∆) bits per message — become measurable
-// quantities.
+// pair and round, as the paper counts them) and message size in bits (each
+// Payload reports its wire width), so the paper's complexity claims — 2k²
+// rounds, O(k²∆) messages per node, O(log ∆) bits per message — become
+// measurable quantities.
 //
 // # Determinism
 //
@@ -69,13 +63,6 @@ type Message struct {
 	Data Payload
 }
 
-// Program is the closure form of a node's code: it communicates only
-// through its *Node handle (Node.Exchange marks the round boundaries) and
-// returns when the node halts. Programs run via a goroutine-per-node
-// compatibility shim; performance-sensitive algorithms should implement a
-// Machine instead.
-type Program func(nd *Node)
-
 // StepFunc advances one node by one synchronous round. The inbox holds the
 // messages delivered to the node this round, sorted by sender id; it is
 // only valid for the duration of the call. Local computation and
@@ -88,23 +75,12 @@ type StepFunc func(nd *Node, inbox []Message) bool
 // step of every node receives an empty inbox.
 type Machine func(nd *Node) StepFunc
 
-// errAborted unwinds closure-driven node goroutines when the engine aborts
-// (round limit or a panic elsewhere).
-var errAborted = errors.New("sim: aborted")
-
-// Node is a program's handle to its vertex: identity, neighborhood, staged
-// outgoing messages, and (for closure programs) the round barrier.
+// Node is a step's handle to its vertex: identity, neighborhood, randomness
+// and outgoing messages.
 type Node struct {
 	id     int
 	engine *Engine
-	w      *worker // executor of the node's current step; set every sweep
 	rng    *rand.Rand
-
-	// Closure-shim coroutine state; nil/false for machine-driven nodes.
-	resume chan []Message // engine → program: inbox for the next round
-	yield  chan bool      // program → engine: true at Exchange, false on return
-	parked bool           // goroutine is blocked in Exchange
-	pval   any            // panic recovered from the program goroutine
 }
 
 // ID returns the node's vertex id. The paper's model allows unique ids; the
@@ -119,7 +95,7 @@ func (nd *Node) Degree() int { return nd.engine.g.Degree(nd.id) }
 func (nd *Node) Neighbors() []int32 { return nd.engine.g.Neighbors(nd.id) }
 
 // Round returns the number of completed communication rounds. It is a
-// single atomic load — safe to call from any step or program at any time.
+// single atomic load — safe to call from any step at any time.
 func (nd *Node) Round() int { return int(nd.engine.round.Load()) }
 
 // Rand returns this node's deterministic random stream, derived from the
@@ -133,7 +109,8 @@ func (nd *Node) Rand() *rand.Rand {
 
 // Send stages a message to a single neighbor for delivery at the next
 // round boundary. Sending to a non-neighbor panics: the communication graph
-// is the network.
+// is the network. So does a second message to the same neighbor in one
+// round: the model carries one message per edge per round.
 func (nd *Node) Send(to int, p Payload) {
 	e := nd.engine
 	lo, hi := e.off[nd.id], e.off[nd.id+1]
@@ -149,7 +126,8 @@ func (nd *Node) Send(to int, p Payload) {
 	e.sentBits[nd.id] += int64(p.Bits())
 }
 
-// Broadcast stages the same payload to every neighbor.
+// Broadcast stages the same payload to every neighbor. Like Send, it panics
+// if a message to one of them is already staged this round.
 func (nd *Node) Broadcast(p Payload) {
 	e := nd.engine
 	if p == nil {
@@ -168,64 +146,45 @@ func (nd *Node) Broadcast(p Payload) {
 }
 
 // stage writes a payload into the slot of directed edge position pos. The
-// slot is owned by this sender, so the write is contention-free; a second
-// message on the same edge in the same round (allowed, but used by none of
-// the repository's algorithms) overflows into the worker's spill list.
+// slot is owned by this sender, so the write is contention-free. The model
+// carries one message per edge per round: a second message on the same
+// edge in the same round panics, which fails the run.
 func (nd *Node) stage(pos int, p Payload) {
 	e := nd.engine
 	slot := e.inv[pos]
 	r := int32(e.round.Load())
 	if e.stampNext[slot] == r {
-		nd.w.spill = append(nd.w.spill, spillMsg{to: e.adj[pos], from: int32(nd.id), data: p})
-		return
+		panic(fmt.Sprintf("sim: node %d sent a second message to %d in one round", nd.id, e.adj[pos]))
 	}
 	e.next[slot] = p
 	e.stampNext[slot] = r
 }
 
-// Exchange completes one synchronous round of a closure Program: staged
-// messages are delivered and the messages the neighbors sent this round are
-// returned, sorted by sender id. The returned slice is reused by the engine
-// and is only valid until the node's next Exchange. Exchange must only be
-// called from inside a Program passed to Run.
-func (nd *Node) Exchange() []Message {
-	nd.yield <- true
-	inbox := <-nd.resume
-	if nd.engine.aborted {
-		panic(errAborted)
-	}
-	return inbox
-}
-
-// spillMsg is an overflow delivery: a second message staged on the same
-// directed edge within one round.
-type spillMsg struct {
-	to, from int32
-	data     Payload
-}
-
 // worker is the per-worker shard of the engine's mutable state. Each sweep
-// a worker steps a contiguous chunk of the live list; its spill list and
-// panic report are merged by the coordinator at the round boundary, so the
-// steady state has no shared writes at all.
+// a worker steps a contiguous chunk of the live list; its panic report is
+// read by the coordinator at the round boundary, so the steady state has no
+// shared writes at all.
 type worker struct {
-	spill    []spillMsg // same-edge overflow messages staged this sweep
-	curNode  int32      // node currently being stepped (for panic reports)
-	panicID  int32      // node whose step panicked this sweep (-1 = none)
+	curNode  int32 // node currently being stepped (for panic reports)
+	panicID  int32 // node whose step panicked this sweep (-1 = none)
 	panicVal any
 	_        [64]byte // pad to keep workers' hot fields off shared cache lines
 }
 
 // Stats aggregates a run's measured complexity.
 type Stats struct {
-	Rounds   int   // communication rounds executed
-	Messages int64 // total (sender,receiver) deliveries
+	Rounds int // communication rounds executed
+	// Messages is the total of (sender, receiver) deliveries. A node sends
+	// at most one message to each neighbor per round (a second one on the
+	// same edge in the same round fails the run), so this counts each pair
+	// once per round it communicates.
+	Messages int64
 	Bits     int64 // total payload bits as reported by Payload.Bits
 	MaxMsgs  int64 // maximum messages sent by any single node
 	MaxBits  int64 // maximum payload bits sent by any single node
 }
 
-// Engine executes programs over a graph in lockstep rounds.
+// Engine executes step machines over a graph in lockstep rounds.
 type Engine struct {
 	g         *graph.Graph
 	seed      int64
@@ -249,16 +208,12 @@ type Engine struct {
 	// built in msgbuf[off[v]:off[v+1]] each sweep and reused next round.
 	msgbuf []Message
 
-	round   atomic.Int64
-	aborted bool
+	round atomic.Int64
 
 	nodes []Node
 	steps []StepFunc
 	more  []bool  // per-node continue flag written by the stepping worker
 	live  []int32 // ids of running nodes, compacted every round
-
-	spillCur     []spillMsg // spills staged last sweep, sorted by (to, from)
-	spillScratch []spillMsg
 
 	sentMsgs []int64 // per-sender tallies (sender-owned: contention-free)
 	sentBits []int64
@@ -276,7 +231,7 @@ type Option func(*Engine)
 func WithSeed(seed int64) Option { return func(e *Engine) { e.seed = seed } }
 
 // WithMaxRounds aborts the run with an error if more than max rounds execute
-// (default 1<<20). This turns livelocked programs into test failures instead
+// (default 1<<20). This turns livelocked machines into test failures instead
 // of hangs.
 func WithMaxRounds(max int) Option { return func(e *Engine) { e.maxRounds = max } }
 
@@ -292,40 +247,6 @@ func New(g *graph.Graph, opts ...Option) *Engine {
 		o(e)
 	}
 	return e
-}
-
-// Run executes one copy of program per vertex through the closure
-// compatibility shim and blocks until every copy returns. It reports the
-// run's statistics and the first program panic (or the round-limit abort)
-// as an error. Run may be called once per Engine.
-func (e *Engine) Run(program Program) (*Stats, error) {
-	return e.RunMachine(func(nd *Node) StepFunc {
-		nd.resume = make(chan []Message)
-		nd.yield = make(chan bool)
-		started := false
-		return func(nd *Node, inbox []Message) bool {
-			if !started {
-				started = true
-				go func() {
-					defer func() {
-						if r := recover(); r != nil && r != errAborted { //nolint:errorlint // sentinel identity is intended
-							nd.pval = r
-						}
-						nd.yield <- false
-					}()
-					program(nd)
-				}()
-			} else {
-				nd.resume <- inbox
-			}
-			more := <-nd.yield
-			nd.parked = more
-			if !more && nd.pval != nil {
-				panic(nd.pval)
-			}
-			return more
-		}
-	})
 }
 
 // RunMachine executes one step machine per vertex, sweeping all live nodes
@@ -463,7 +384,6 @@ func (e *Engine) runLoop(nw int) {
 		}
 		if panicID >= 0 {
 			e.runErr = fmt.Errorf("sim: node %d panicked: %v", panicID, pval)
-			e.abort()
 			return
 		}
 
@@ -483,12 +403,10 @@ func (e *Engine) runLoop(nw int) {
 		r := e.round.Add(1)
 		if int(r) > e.maxRounds {
 			e.runErr = fmt.Errorf("sim: exceeded %d rounds", e.maxRounds)
-			e.abort()
 			return
 		}
 		e.cur, e.next = e.next, e.cur
 		e.stampCur, e.stampNext = e.stampNext, e.stampCur
-		e.collectSpills()
 	}
 }
 
@@ -505,9 +423,7 @@ func (e *Engine) sweepChunk(wk *worker, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		v := e.live[i]
 		wk.curNode = v
-		nd := &e.nodes[v]
-		nd.w = wk
-		e.more[v] = e.steps[v](nd, e.buildInbox(v))
+		e.more[v] = e.steps[v](&e.nodes[v], e.buildInbox(v))
 	}
 }
 
@@ -523,75 +439,5 @@ func (e *Engine) buildInbox(v int32) []Message {
 			buf = append(buf, Message{From: int(e.adj[p]), Data: e.cur[p]})
 		}
 	}
-	if len(e.spillCur) > 0 {
-		buf = e.mergeSpills(v, buf)
-	}
 	return buf
-}
-
-// mergeSpills inserts v's overflow messages (second+ messages on one edge
-// in one round) after the slot message of the same sender, preserving both
-// sender order and per-sender program order. This is the only allocating
-// delivery path and no algorithm in the repository takes it.
-func (e *Engine) mergeSpills(v int32, base []Message) []Message {
-	sp := e.spillCur
-	lo, _ := slices.BinarySearchFunc(sp, v, func(m spillMsg, v int32) int { return int(m.to) - int(v) })
-	hi := lo
-	for hi < len(sp) && sp[hi].to == v {
-		hi++
-	}
-	if lo == hi {
-		return base
-	}
-	out := make([]Message, 0, len(base)+hi-lo)
-	j := lo
-	for _, m := range base {
-		out = append(out, m)
-		for j < hi && int(sp[j].from) == m.From {
-			out = append(out, Message{From: m.From, Data: sp[j].data})
-			j++
-		}
-	}
-	for ; j < hi; j++ { // unreachable (a spill implies an occupied slot), but lossless
-		out = append(out, Message{From: int(sp[j].from), Data: sp[j].data})
-	}
-	return out
-}
-
-// collectSpills gathers the workers' spill lists for delivery next round,
-// sorted by (receiver, sender). Worker order is deterministic (chunks are
-// assigned by index) and each sender is stepped by exactly one worker, so
-// the merged order is reproducible.
-func (e *Engine) collectSpills() {
-	out := e.spillScratch[:0]
-	for w := range e.workers {
-		out = append(out, e.workers[w].spill...)
-		e.workers[w].spill = e.workers[w].spill[:0]
-	}
-	e.spillScratch = e.spillCur[:0]
-	if len(out) > 1 {
-		slices.SortStableFunc(out, func(a, b spillMsg) int {
-			if a.to != b.to {
-				return int(a.to) - int(b.to)
-			}
-			return int(a.from) - int(b.from)
-		})
-	}
-	e.spillCur = out
-}
-
-// abort ends the run early: closure-program goroutines parked at Exchange
-// are resumed into the errAborted panic so none of them leak. Step-machine
-// nodes hold no resources and need no unwinding.
-func (e *Engine) abort() {
-	e.aborted = true
-	for v := range e.nodes {
-		nd := &e.nodes[v]
-		if !nd.parked {
-			continue
-		}
-		nd.parked = false
-		nd.resume <- nil
-		<-nd.yield
-	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkLockstepRounds measures the engine's per-round overhead:
-// n nodes broadcasting one flag for r rounds.
+// n nodes broadcasting one message for r rounds.
 func BenchmarkLockstepRounds(b *testing.B) {
 	g, err := gen.GNP(1000, 0.01, 3)
 	if err != nil {
@@ -18,12 +18,7 @@ func BenchmarkLockstepRounds(b *testing.B) {
 	const rounds = 20
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := New(g).Run(func(nd *Node) {
-			for r := 0; r < rounds; r++ {
-				nd.Broadcast(Flag{})
-				nd.Exchange()
-			}
-		})
+		_, err := runMachine(New(g), rounds)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -41,12 +36,7 @@ func BenchmarkBroadcastThroughput(b *testing.B) {
 	var msgs int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := New(g).Run(func(nd *Node) {
-			for r := 0; r < 5; r++ {
-				nd.Broadcast(Uint(uint64(r)))
-				nd.Exchange()
-			}
-		})
+		st, err := runMachine(New(g), 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,10 +50,7 @@ func BenchmarkBroadcastThroughput(b *testing.B) {
 // Uint per round for a fixed number of rounds, so the measured cost is the
 // harness (scheduling, delivery, inbox construction), not algorithm logic.
 // It reports messages delivered per second and heap allocations per round.
-// The run callback abstracts over the two driver APIs (closure Program via
-// Run, step Machine via RunMachine) so both paths are measured with the
-// same workload.
-func benchEngineRounds(b *testing.B, g *graph.Graph, rounds int, run func(*Engine, int) (*Stats, error)) {
+func benchEngineRounds(b *testing.B, g *graph.Graph, rounds int) {
 	b.Helper()
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -71,7 +58,7 @@ func benchEngineRounds(b *testing.B, g *graph.Graph, rounds int, run func(*Engin
 	var msgs int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := run(New(g), rounds)
+		st, err := runMachine(New(g), rounds)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,19 +75,8 @@ func benchEngineRounds(b *testing.B, g *graph.Graph, rounds int, run func(*Engin
 	b.ReportMetric(float64(rounds), "rounds/run")
 }
 
-// runClosure drives the broadcast workload through the legacy closure API
-// (goroutine-per-node compatibility shim).
-func runClosure(e *Engine, rounds int) (*Stats, error) {
-	return e.Run(func(nd *Node) {
-		for r := 0; r < rounds; r++ {
-			nd.Broadcast(Uint(uint64(r)))
-			nd.Exchange()
-		}
-	})
-}
-
-// runMachine drives the same workload through the native step API — the
-// path every algorithm in internal/core and internal/rounding uses.
+// runMachine drives the broadcast workload: every node broadcasts one Uint
+// per round for rounds rounds, then halts.
 func runMachine(e *Engine, rounds int) (*Stats, error) {
 	return e.RunMachine(func(nd *Node) StepFunc {
 		r := 0
@@ -115,62 +91,32 @@ func runMachine(e *Engine, rounds int) (*Stats, error) {
 	})
 }
 
-// BenchmarkEngineRoundsUDG10k: 10k-node unit-disk graph (the paper's ad-hoc
-// network model), average degree ≈ 12, closure API.
-func BenchmarkEngineRoundsUDG10k(b *testing.B) {
-	g, err := gen.UnitDisk(10000, 0.02, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchEngineRounds(b, g, 10, runClosure)
-}
-
-// BenchmarkEngineRoundsUDG100k: 100k-node unit-disk graph, average
-// degree ≈ 13 — the scale the round-driven scheduler targets. Closure API.
-func BenchmarkEngineRoundsUDG100k(b *testing.B) {
-	g, err := gen.UnitDisk(100000, 0.0065, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchEngineRounds(b, g, 5, runClosure)
-}
-
-// BenchmarkEngineRoundsGNP100k: 100k-node sparse G(n,p), average degree ≈ 8,
-// closure API.
-func BenchmarkEngineRoundsGNP100k(b *testing.B) {
-	g, err := gen.GNP(100000, 8.0/99999.0, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchEngineRounds(b, g, 5, runClosure)
-}
-
-// BenchmarkEngineStepRoundsUDG10k is BenchmarkEngineRoundsUDG10k through the
-// native step API.
+// BenchmarkEngineStepRoundsUDG10k: 10k-node unit-disk graph (the paper's
+// ad-hoc network model), average degree ≈ 12.
 func BenchmarkEngineStepRoundsUDG10k(b *testing.B) {
 	g, err := gen.UnitDisk(10000, 0.02, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchEngineRounds(b, g, 10, runMachine)
+	benchEngineRounds(b, g, 10)
 }
 
-// BenchmarkEngineStepRoundsUDG100k is BenchmarkEngineRoundsUDG100k through
-// the native step API.
+// BenchmarkEngineStepRoundsUDG100k: 100k-node unit-disk graph, average
+// degree ≈ 13 — the scale the round-driven scheduler targets.
 func BenchmarkEngineStepRoundsUDG100k(b *testing.B) {
 	g, err := gen.UnitDisk(100000, 0.0065, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchEngineRounds(b, g, 5, runMachine)
+	benchEngineRounds(b, g, 5)
 }
 
-// BenchmarkEngineStepRoundsGNP100k is BenchmarkEngineRoundsGNP100k through
-// the native step API.
+// BenchmarkEngineStepRoundsGNP100k: 100k-node sparse G(n,p), average
+// degree ≈ 8.
 func BenchmarkEngineStepRoundsGNP100k(b *testing.B) {
 	g, err := gen.GNP(100000, 8.0/99999.0, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchEngineRounds(b, g, 5, runMachine)
+	benchEngineRounds(b, g, 5)
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"kwmds/internal/gen"
@@ -15,40 +14,23 @@ func path4(t *testing.T) *graph.Graph {
 	return graph.MustNew(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 }
 
-func TestBroadcastDelivery(t *testing.T) {
-	g := path4(t)
-	received := make([][]int, g.N())
-	_, err := New(g).Run(func(nd *Node) {
-		nd.Broadcast(Uint(nd.ID()))
-		for _, m := range nd.Exchange() {
-			received[nd.ID()] = append(received[nd.ID()], m.From)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]int{{1}, {0, 2}, {1, 3}, {2}}
-	for v := range want {
-		if len(received[v]) != len(want[v]) {
-			t.Fatalf("node %d received from %v, want %v", v, received[v], want[v])
-		}
-		for i := range want[v] {
-			if received[v][i] != want[v][i] {
-				t.Fatalf("node %d received from %v, want %v (inbox must be sorted)", v, received[v], want[v])
-			}
-		}
-	}
-}
-
 func TestSendTargeted(t *testing.T) {
 	g := path4(t)
 	var got [4]int64
-	_, err := New(g).Run(func(nd *Node) {
-		if nd.ID() == 1 {
-			nd.Send(2, Uint(99))
-		}
-		for _, m := range nd.Exchange() {
-			atomic.AddInt64(&got[nd.ID()], int64(m.Data.(Uint)))
+	_, err := New(g).RunMachine(func(nd *Node) StepFunc {
+		sent := false
+		return func(nd *Node, inbox []Message) bool {
+			if !sent {
+				if nd.ID() == 1 {
+					nd.Send(2, Uint(99))
+				}
+				sent = true
+				return true
+			}
+			for _, m := range inbox {
+				got[nd.ID()] += int64(m.Data.(Uint))
+			}
+			return false
 		}
 	})
 	if err != nil {
@@ -61,11 +43,13 @@ func TestSendTargeted(t *testing.T) {
 
 func TestSendToNonNeighborPanicsIntoError(t *testing.T) {
 	g := path4(t)
-	_, err := New(g).Run(func(nd *Node) {
-		if nd.ID() == 0 {
-			nd.Send(3, Flag{}) // 0 and 3 are not adjacent
+	_, err := New(g).RunMachine(func(nd *Node) StepFunc {
+		return func(nd *Node, inbox []Message) bool {
+			if nd.ID() == 0 {
+				nd.Send(3, Flag{}) // 0 and 3 are not adjacent
+			}
+			return false
 		}
-		nd.Exchange()
 	})
 	if err == nil || !strings.Contains(err.Error(), "non-neighbor") {
 		t.Fatalf("err = %v, want non-neighbor panic surfaced", err)
@@ -75,10 +59,15 @@ func TestSendToNonNeighborPanicsIntoError(t *testing.T) {
 func TestRoundCounting(t *testing.T) {
 	g := path4(t)
 	const rounds = 7
-	st, err := New(g).Run(func(nd *Node) {
-		for r := 0; r < rounds; r++ {
+	st, err := New(g).RunMachine(func(nd *Node) StepFunc {
+		r := 0
+		return func(nd *Node, inbox []Message) bool {
+			if r == rounds {
+				return false
+			}
 			nd.Broadcast(Flag{})
-			nd.Exchange()
+			r++
+			return true
 		}
 	})
 	if err != nil {
@@ -101,14 +90,21 @@ func TestRoundCounting(t *testing.T) {
 }
 
 func TestMessagesSentInSameRoundAreReceivedThatRound(t *testing.T) {
-	// Synchronous semantics: what a neighbor sends before its r-th Exchange
-	// arrives at my r-th Exchange.
+	// Synchronous semantics: what a neighbor stages in step r arrives in my
+	// step r+1.
 	g := graph.MustNew(2, [][2]int{{0, 1}})
 	ok := make([]bool, 2)
-	_, err := New(g).Run(func(nd *Node) {
-		nd.Broadcast(Uint(10 + nd.ID()))
-		msgs := nd.Exchange()
-		ok[nd.ID()] = len(msgs) == 1 && msgs[0].Data.(Uint) == Uint(10+1-nd.ID())
+	_, err := New(g).RunMachine(func(nd *Node) StepFunc {
+		sent := false
+		return func(nd *Node, inbox []Message) bool {
+			if !sent {
+				nd.Broadcast(Uint(10 + nd.ID()))
+				sent = true
+				return true
+			}
+			ok[nd.ID()] = len(inbox) == 1 && inbox[0].Data.(Uint) == Uint(10+1-nd.ID())
+			return false
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,57 +114,15 @@ func TestMessagesSentInSameRoundAreReceivedThatRound(t *testing.T) {
 	}
 }
 
-func TestEarlyExitNodesStillDeliverFinalMessages(t *testing.T) {
-	// Node 0 announces and halts without a final Exchange; node 1 must still
-	// receive the announcement, and the barrier must not deadlock.
-	g := graph.MustNew(2, [][2]int{{0, 1}})
-	var got int64
-	_, err := New(g).Run(func(nd *Node) {
-		if nd.ID() == 0 {
-			nd.Broadcast(Uint(7))
-			return // halt immediately
-		}
-		msgs := nd.Exchange()
-		for _, m := range msgs {
-			atomic.AddInt64(&got, int64(m.Data.(Uint)))
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 7 {
-		t.Errorf("late node received %d, want 7", got)
-	}
-}
-
-func TestStaggeredTermination(t *testing.T) {
-	// Node v runs v+1 rounds. The engine must keep advancing as the
-	// population shrinks.
-	g, err := gen.Clique(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := New(g).Run(func(nd *Node) {
-		for r := 0; r <= nd.ID(); r++ {
-			nd.Broadcast(Flag{})
-			nd.Exchange()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Rounds != 5 {
-		t.Errorf("Rounds = %d, want 5", st.Rounds)
-	}
-}
-
 func TestDeterministicRand(t *testing.T) {
 	g := path4(t)
 	run := func() []uint64 {
 		out := make([]uint64, g.N())
-		_, err := New(g, WithSeed(42)).Run(func(nd *Node) {
-			out[nd.ID()] = nd.Rand().Uint64()
-			nd.Exchange()
+		_, err := New(g, WithSeed(42)).RunMachine(func(nd *Node) StepFunc {
+			return func(nd *Node, inbox []Message) bool {
+				out[nd.ID()] = nd.Rand().Uint64()
+				return false
+			}
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -189,10 +143,8 @@ func TestDeterministicRand(t *testing.T) {
 
 func TestMaxRoundsAbort(t *testing.T) {
 	g := path4(t)
-	st, err := New(g, WithMaxRounds(10)).Run(func(nd *Node) {
-		for { // livelock
-			nd.Exchange()
-		}
+	st, err := New(g, WithMaxRounds(10)).RunMachine(func(nd *Node) StepFunc {
+		return func(nd *Node, inbox []Message) bool { return true } // livelock
 	})
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Fatalf("err = %v, want round-limit abort", err)
@@ -202,22 +154,11 @@ func TestMaxRoundsAbort(t *testing.T) {
 	}
 }
 
-func TestProgramPanicSurfaces(t *testing.T) {
-	g := path4(t)
-	_, err := New(g).Run(func(nd *Node) {
-		if nd.ID() == 2 {
-			panic("boom")
-		}
-		nd.Exchange()
-	})
-	if err == nil || !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), "node 2") {
-		t.Fatalf("err = %v, want node 2 panic surfaced", err)
-	}
-}
-
 func TestEmptyGraphRun(t *testing.T) {
 	g := graph.MustNew(0, nil)
-	st, err := New(g).Run(func(nd *Node) { nd.Exchange() })
+	st, err := New(g).RunMachine(func(nd *Node) StepFunc {
+		return func(nd *Node, inbox []Message) bool { return false }
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +169,18 @@ func TestEmptyGraphRun(t *testing.T) {
 
 func TestIsolatedVertices(t *testing.T) {
 	g := graph.MustNew(3, nil)
-	st, err := New(g).Run(func(nd *Node) {
-		nd.Broadcast(Flag{}) // no neighbors: no-op
-		msgs := nd.Exchange()
-		if len(msgs) != 0 {
-			t.Errorf("isolated node received %d messages", len(msgs))
+	st, err := New(g).RunMachine(func(nd *Node) StepFunc {
+		sent := false
+		return func(nd *Node, inbox []Message) bool {
+			if !sent {
+				nd.Broadcast(Flag{}) // no neighbors: no-op
+				sent = true
+				return true
+			}
+			if len(inbox) != 0 {
+				t.Errorf("isolated node received %d messages", len(inbox))
+			}
+			return false
 		}
 	})
 	if err != nil {
@@ -267,9 +215,11 @@ func TestPayloadBits(t *testing.T) {
 
 func TestBitAccountingUsesPayloadWidth(t *testing.T) {
 	g := graph.MustNew(2, [][2]int{{0, 1}})
-	st, err := New(g).Run(func(nd *Node) {
-		nd.Broadcast(Uint(255)) // 8 bits each
-		nd.Exchange()
+	st, err := New(g).RunMachine(func(nd *Node) StepFunc {
+		return func(nd *Node, inbox []Message) bool {
+			nd.Broadcast(Uint(255)) // 8 bits each
+			return false
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,19 +230,24 @@ func TestBitAccountingUsesPayloadWidth(t *testing.T) {
 }
 
 func TestDeterministicDeliveryAcrossRuns(t *testing.T) {
-	// A randomized gossip program must produce identical traffic counts on
-	// identical seeds even though goroutine interleaving varies.
+	// A randomized gossip machine must produce identical traffic counts on
+	// identical seeds even though worker scheduling varies.
 	g, err := gen.GNP(50, 0.1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func() int64 {
-		st, err := New(g, WithSeed(7)).Run(func(nd *Node) {
-			for r := 0; r < 5; r++ {
+		st, err := New(g, WithSeed(7)).RunMachine(func(nd *Node) StepFunc {
+			r := 0
+			return func(nd *Node, inbox []Message) bool {
+				if r == 5 {
+					return false
+				}
 				if nd.Rand().Float64() < 0.5 {
 					nd.Broadcast(Uint(uint64(nd.Rand().IntN(1000))))
 				}
-				nd.Exchange()
+				r++
+				return true
 			}
 		})
 		if err != nil {
@@ -313,10 +268,15 @@ func TestManyNodesStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := New(g).Run(func(nd *Node) {
-		for r := 0; r < 10; r++ {
+	st, err := New(g).RunMachine(func(nd *Node) StepFunc {
+		r := 0
+		return func(nd *Node, inbox []Message) bool {
+			if r == 10 {
+				return false
+			}
 			nd.Broadcast(Uint(uint64(r)))
-			nd.Exchange()
+			r++
+			return true
 		}
 	})
 	if err != nil {
@@ -368,9 +328,8 @@ func TestRunMachineBroadcastDelivery(t *testing.T) {
 }
 
 func TestRunMachineStaggeredHalt(t *testing.T) {
-	// Node v broadcasts for v+1 rounds, exactly like TestStaggeredTermination
-	// but through the step API. The scheduler must keep sweeping the
-	// shrinking live set.
+	// Node v broadcasts for v+1 rounds. The scheduler must keep sweeping
+	// the shrinking live set.
 	g, err := gen.Clique(5)
 	if err != nil {
 		t.Fatal(err)
@@ -396,7 +355,7 @@ func TestRunMachineStaggeredHalt(t *testing.T) {
 
 func TestRunMachineFinalStepMessagesCounted(t *testing.T) {
 	// Messages staged in a node's final step (return false) are still
-	// counted, matching the closure API's announce-and-halt pattern.
+	// delivered and counted: the announce-and-halt pattern.
 	g := graph.MustNew(2, [][2]int{{0, 1}})
 	var got int64
 	st, err := New(g).RunMachine(func(nd *Node) StepFunc {
@@ -454,21 +413,29 @@ func TestRunMachinePanicSurfacesLowestNode(t *testing.T) {
 func TestRunOnlyOnce(t *testing.T) {
 	g := path4(t)
 	e := New(g)
-	if _, err := e.Run(func(nd *Node) {}); err != nil {
+	halt := func(nd *Node) StepFunc {
+		return func(nd *Node, inbox []Message) bool { return false }
+	}
+	if _, err := e.RunMachine(halt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(func(nd *Node) {}); err == nil {
-		t.Fatal("second Run succeeded, want error")
+	if _, err := e.RunMachine(halt); err == nil {
+		t.Fatal("second RunMachine succeeded, want error")
 	}
 }
 
 func TestRoundObservableFromProgram(t *testing.T) {
 	g := path4(t)
 	rounds := make([][]int, g.N())
-	_, err := New(g).Run(func(nd *Node) {
-		for r := 0; r < 3; r++ {
+	_, err := New(g).RunMachine(func(nd *Node) StepFunc {
+		r := 0
+		return func(nd *Node, inbox []Message) bool {
+			if r == 3 {
+				return false
+			}
 			rounds[nd.ID()] = append(rounds[nd.ID()], nd.Round())
-			nd.Exchange()
+			r++
+			return true
 		}
 	})
 	if err != nil {
@@ -477,46 +444,44 @@ func TestRoundObservableFromProgram(t *testing.T) {
 	for v, seen := range rounds {
 		for r, got := range seen {
 			if got != r {
-				t.Fatalf("node %d observed Round() = %d before exchange %d, want %d", v, got, r+1, r)
+				t.Fatalf("node %d observed Round() = %d in step %d, want %d", v, got, r, r)
 			}
 		}
 	}
 }
 
 func TestMultiSendSameEdgeSameRound(t *testing.T) {
-	// Two messages on one directed edge in one round exercise the spill
-	// path: both must arrive, in sender order, program order per sender.
+	// The model carries one message per edge per round. A second one on the
+	// same edge in the same round, by Send or by a Broadcast after a Send,
+	// fails the run and names the sender; messages to distinct neighbors or
+	// from distinct senders to one receiver are fine.
 	g := graph.MustNew(3, [][2]int{{0, 1}, {1, 2}})
-	var got []uint64
-	var from []int
-	_, err := New(g).Run(func(nd *Node) {
-		switch nd.ID() {
-		case 0:
+	for name, send := range map[string]func(nd *Node){
+		"send twice": func(nd *Node) {
 			nd.Send(1, Uint(10))
 			nd.Send(1, Uint(11))
-			nd.Send(1, Uint(12))
-		case 2:
-			nd.Send(1, Uint(20))
-		}
-		msgs := nd.Exchange()
-		if nd.ID() == 1 {
-			for _, m := range msgs {
-				got = append(got, uint64(m.Data.(Uint)))
-				from = append(from, m.From)
+		},
+		"send then broadcast": func(nd *Node) {
+			nd.Send(1, Uint(10))
+			nd.Broadcast(Uint(11))
+		},
+	} {
+		_, err := New(g).RunMachine(func(nd *Node) StepFunc {
+			return func(nd *Node, inbox []Message) bool {
+				switch nd.ID() {
+				case 0:
+					nd.Send(1, Uint(1))
+				case 1:
+					nd.Send(0, Uint(1))
+					nd.Send(2, Uint(1))
+				case 2:
+					send(nd)
+				}
+				return false
 			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantVals := []uint64{10, 11, 12, 20}
-	wantFrom := []int{0, 0, 0, 2}
-	if len(got) != len(wantVals) {
-		t.Fatalf("delivered %v from %v, want %v from %v", got, from, wantVals, wantFrom)
-	}
-	for i := range wantVals {
-		if got[i] != wantVals[i] || from[i] != wantFrom[i] {
-			t.Fatalf("delivered %v from %v, want %v from %v", got, from, wantVals, wantFrom)
+		})
+		if err == nil || !strings.Contains(err.Error(), "node 2") || !strings.Contains(err.Error(), "second message") {
+			t.Errorf("%s: err = %v, want node 2's second message to fail the run", name, err)
 		}
 	}
 }
@@ -530,17 +495,23 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 	run := func(workers int) (int64, int64, []uint64) {
 		out := make([]uint64, g.N())
-		st, err := New(g, WithSeed(9), WithWorkers(workers)).Run(func(nd *Node) {
+		st, err := New(g, WithSeed(9), WithWorkers(workers)).RunMachine(func(nd *Node) StepFunc {
 			acc := uint64(0)
-			for r := 0; r < 4; r++ {
+			r := 0
+			return func(nd *Node, inbox []Message) bool {
+				for _, m := range inbox {
+					acc = acc*31 + uint64(m.Data.(Uint))
+				}
+				if r == 4 {
+					out[nd.ID()] = acc
+					return false
+				}
 				if nd.Rand().Float64() < 0.6 {
 					nd.Broadcast(Uint(uint64(nd.Rand().IntN(1 << 20))))
 				}
-				for _, m := range nd.Exchange() {
-					acc = acc*31 + uint64(m.Data.(Uint))
-				}
+				r++
+				return true
 			}
-			out[nd.ID()] = acc
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -566,15 +537,20 @@ func TestInboxValidUntilNextExchangeOnly(t *testing.T) {
 	// must hand each node a fresh view every round with current payloads.
 	g := graph.MustNew(2, [][2]int{{0, 1}})
 	var seen []uint64
-	_, err := New(g).Run(func(nd *Node) {
-		for r := 0; r < 3; r++ {
-			nd.Broadcast(Uint(uint64(100*nd.ID() + r)))
-			msgs := nd.Exchange()
+	_, err := New(g).RunMachine(func(nd *Node) StepFunc {
+		r := 0
+		return func(nd *Node, inbox []Message) bool {
 			if nd.ID() == 0 {
-				for _, m := range msgs {
+				for _, m := range inbox {
 					seen = append(seen, uint64(m.Data.(Uint)))
 				}
 			}
+			if r == 3 {
+				return false
+			}
+			nd.Broadcast(Uint(uint64(100*nd.ID() + r)))
+			r++
+			return true
 		}
 	})
 	if err != nil {
