@@ -30,10 +30,10 @@ func resultLine(r *Result) string {
 }
 
 // TestDistributedBaselinesPinned pins the simulated baselines' sets and
-// measured costs, recorded with the engine at its current semantics, on
-// every worker-pool size: a change to an algorithm's round schedule,
-// message pattern or randomness shows up here as a changed constant, and a
-// scheduling dependence as a worker count that disagrees with the others.
+// measured costs at engine worker counts 1, 3 and 8: a change to an
+// algorithm's round schedule, message pattern or randomness shows up here
+// as a changed constant, and a scheduling dependence as a worker count that
+// disagrees with the others.
 func TestDistributedBaselinesPinned(t *testing.T) {
 	type namedGraph struct {
 		name string
@@ -88,8 +88,9 @@ func TestDistributedBaselinesPinned(t *testing.T) {
 	}
 }
 
-// pinnedBaselines was recorded with the baselines on the goroutine-per-node
-// closure driver, before their port to step machines.
+// pinnedBaselines was recorded on the baselines' former goroutine-per-node
+// driver, an implementation independent of the step machines. Re-record it
+// only for an intended change to an algorithm or to the engine's accounting.
 var pinnedBaselines = map[string]string{
 	"jrs ba:2000:3:4 seed=1":      "size=301 rounds=72 msgs=291068 bits=745143 ds=bbf742db614fc9c7755a541e75c3241d190d33b6d380a796a74beaf84fd18056",
 	"jrs ba:2000:3:4 seed=2":      "size=307 rounds=72 msgs=289379 bits=741695 ds=0ce62d1b206c786d815583c1d63716579ef9fc952313936e72695f0c3574935c",
