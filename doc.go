@@ -58,21 +58,23 @@
 //     additionally record the proofs' z-account invariants (skipped by
 //     default since the bookkeeping costs more than the algorithm).
 //   - Fastpath (Options.Sequential, internal/fastpath): the production
-//     solver — frontier-driven over the graph's flat CSR arrays,
-//     phase-parallel on a worker pool, zero steady-state allocations via
-//     pooled solvers. Selected by Options.Sequential, by the serve
-//     subsystem for every cold solve (request engine "fast", the
-//     default). Round and message statistics are zero on this backend.
+//     solver — frontier-driven over the graph's flat CSR arrays, its
+//     dense sweeps forked over Options.SolverWorkers and the LP phases
+//     that emit lists on the calling goroutine, zero steady-state
+//     allocations via pooled solvers. Selected by Options.Sequential,
+//     by the serve subsystem for every cold solve (request engine
+//     "fast", the default). Round and message statistics are zero on
+//     this backend.
 //
 // The contract is enforced by cross-backend determinism tests (multiple
 // workloads × algorithms × seeds × worker counts, under the race
 // detector) and a differential fuzzer with a checked-in corpus
 // (internal/fastpath). BENCH_kwbench.json records the timings, each row
 // with the host it ran on: on a 2-vCPU host at GOMAXPROCS 2 the fastpath
-// runs the full pipeline on a 100k-vertex unit-disk graph at p50 30.1 ms
-// with two phase workers (solve-cold-udg100k), and on a 2-vCPU host it
-// serves uncached 10k-vertex solves at p50 1.4 ms under eight concurrent
-// clients (serve-uncached-udg10k).
+// runs the full pipeline on a 100k-vertex unit-disk graph at p50 35.1 ms,
+// its sweeps forked over two workers (solve-cold-udg100k), and serves
+// uncached 10k-vertex solves at p50 1.4 ms under eight concurrent clients
+// (serve-uncached-udg10k).
 //
 // The `kwmds serve` subcommand (internal/server) runs the pipelines as a
 // long-lived HTTP JSON service: clients POST a graph (inline edge list or a

@@ -48,6 +48,15 @@ func TestParseGenSpec(t *testing.T) {
 	}
 }
 
+// TestLoadGraphRefusesOversizedSpec: the -graph and -preload path refuses
+// a gen: spec past graph.New's vertex bound, naming the bound.
+func TestLoadGraphRefusesOversizedSpec(t *testing.T) {
+	_, err := LoadGraph("gen:udg:3000000000:0.1:1", nil)
+	if err == nil || !strings.Contains(err.Error(), "2147483647") {
+		t.Fatalf("LoadGraph(gen:udg:3000000000:0.1:1) = %v, want the vertex bound named", err)
+	}
+}
+
 func TestLoadGraphSources(t *testing.T) {
 	// gen: spec through the same entry the -graph flag uses.
 	g, err := LoadGraph("gen:grid:3:3", nil)

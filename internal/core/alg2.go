@@ -28,19 +28,38 @@ func FractionalKnownDelta(g *graph.Graph, k int, opts ...sim.Option) (*Result, e
 	if err := validateK(k); err != nil {
 		return nil, err
 	}
-	n := g.N()
-	delta := g.MaxDegree()
-	pw := powTable(delta, k)
+	pw := powTable(float64(g.MaxDegree()+1), k)
+	res, err := fractionalThreshold(g, k, pw, pw, nil, 0, opts)
+	if err != nil {
+		return nil, fmt.Errorf("core: algorithm 2: %w", err)
+	}
+	return res, nil
+}
+
+// isActive is the activity test of Algorithm 2 and the weighted variant:
+// δ̃ ≥ thr, or with costs the cost-scaled (c_max/c_v)·δ̃ ≥ thr.
+func isActive(dtil int, thr float64, costs []float64, cmax float64, v int) bool {
+	if costs == nil {
+		return float64(dtil) >= thr
+	}
+	return cmax/costs[v]*float64(dtil) >= thr
+}
+
+// fractionalThreshold is the step machine of Algorithm 2 and the weighted
+// variant (costs nil for Algorithm 2): in outer iteration ℓ and inner
+// iteration m, a node passing the activity test against thr[ℓ] raises x to
+// 1/pw[m]. It runs in exactly 2k² rounds.
+func fractionalThreshold(g *graph.Graph, k int, thr, pw, costs []float64, cmax float64, opts []sim.Option) (*Result, error) {
 	// x-values are indices into the k-entry power table: 1 presence bit
 	// plus ⌈log₂(k+1)⌉ index bits.
 	xWidth := 1 + bits.Len(uint(k))
 
-	x := make([]float64, n)
+	x := make([]float64, g.N())
 	engine := sim.New(g, opts...)
 	// The program is a per-node step machine (two rounds per inner
 	// iteration). The color exchange runs at the head of each inner
 	// iteration so the activity test sees a fresh δ̃, matching
-	// ReferenceKnownDelta (see the round-schedule note there).
+	// the references (see the round-schedule note in referenceThreshold).
 	st, err := engine.RunMachine(func(nd *sim.Node) sim.StepFunc {
 		const (
 			phStart  = iota // round 0: announce the initial color
@@ -49,7 +68,7 @@ func FractionalKnownDelta(g *graph.Graph, k int, opts ...sim.Option) (*Result, e
 		)
 		phase := phStart
 		l, m := k-1, k-1
-		thr := pw[l] * (1 - thrSlack)
+		lthr := thr[l] * (1 - thrSlack)
 		xi := 0.0
 		xw := 1 // zero value: presence bit only
 		gray := false
@@ -71,7 +90,7 @@ func FractionalKnownDelta(g *graph.Graph, k int, opts ...sim.Option) (*Result, e
 					}
 				}
 				// Lines 6-8: activity test on the fresh dynamic degree.
-				if float64(dtil) >= thr {
+				if isActive(dtil, lthr, costs, cmax, nd.ID()) {
 					if xval := 1 / pw[m]; xval > xi {
 						xi = xval
 						xw = xWidth
@@ -97,7 +116,7 @@ func FractionalKnownDelta(g *graph.Graph, k int, opts ...sim.Option) (*Result, e
 						x[nd.ID()] = xi
 						return false
 					}
-					thr = pw[l] * (1 - thrSlack)
+					lthr = thr[l] * (1 - thrSlack)
 				}
 				nd.Broadcast(sim.Bit(gray))
 				phase = phColors
@@ -106,7 +125,7 @@ func FractionalKnownDelta(g *graph.Graph, k int, opts ...sim.Option) (*Result, e
 		}
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: algorithm 2: %w", err)
+		return nil, err
 	}
 	return &Result{
 		X:              x,

@@ -153,11 +153,15 @@ func ReferenceKnownDelta(g *graph.Graph, k int, opts ...RefOption) (*RefResult, 
 	if err := validateK(k); err != nil {
 		return nil, err
 	}
-	cfg := applyRefOptions(opts)
-	n := g.N()
-	delta := g.MaxDegree()
-	pw := powTable(delta, k)
+	pw := powTable(float64(g.MaxDegree()+1), k)
+	return referenceThreshold(g, k, pw, pw, nil, 0, applyRefOptions(opts)), nil
+}
 
+// referenceThreshold is the sequential execution of Algorithm 2 and the
+// weighted variant (costs nil for Algorithm 2), with the activity
+// thresholds thr and the x-raise table pw of fractionalThreshold.
+func referenceThreshold(g *graph.Graph, k int, thr, pw, costs []float64, cmax float64, cfg refConfig) *RefResult {
+	n := g.N()
 	x := make([]float64, n)
 	gray := make([]bool, n)
 	dtil := make([]int, n)
@@ -181,7 +185,7 @@ func ReferenceKnownDelta(g *graph.Graph, k int, opts ...RefOption) (*RefResult, 
 		if za != nil {
 			za.reset()
 		}
-		thr := pw[l] * (1 - thrSlack)
+		lthr := thr[l] * (1 - thrSlack)
 		for m := k - 1; m >= 0; m-- {
 			// Lines 9-10 (reordered): exchange colors, recompute δ̃.
 			for v := 0; v < n; v++ {
@@ -189,7 +193,7 @@ func ReferenceKnownDelta(g *graph.Graph, k int, opts ...RefOption) (*RefResult, 
 			}
 			// Lines 6-8: activity test on the fresh dynamic degree.
 			for v := 0; v < n; v++ {
-				active[v] = float64(dtil[v]) >= thr
+				active[v] = isActive(dtil[v], lthr, costs, cmax, v)
 			}
 			if cfg.instrument {
 				res.Trace = append(res.Trace, snapshot(g, l, m, gray, active, x))
@@ -215,7 +219,7 @@ func ReferenceKnownDelta(g *graph.Graph, k int, opts ...RefOption) (*RefResult, 
 			res.Outer = append(res.Outer, za.report(g, l))
 		}
 	}
-	return res, nil
+	return res
 }
 
 // Reference runs Algorithm 3 (∆ unknown) sequentially.
@@ -347,10 +351,10 @@ func Reference(g *graph.Graph, k int, opts ...RefOption) (*RefResult, error) {
 	return res, nil
 }
 
-// powTable returns pw[i] = (∆+1)^{i/k} for i = 0..k.
-func powTable(delta, k int) []float64 {
+// powTable returns pw[i] = base^{i/k} for i = 0..k: (∆+1)^{i/k} for the
+// x-raise, [c_max(∆+1)]^{i/k} for the weighted activity thresholds.
+func powTable(base float64, k int) []float64 {
 	pw := make([]float64, k+1)
-	base := float64(delta + 1)
 	for i := 0; i <= k; i++ {
 		pw[i] = math.Pow(base, float64(i)/float64(k))
 	}

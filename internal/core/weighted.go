@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"kwmds/internal/graph"
 	"kwmds/internal/sim"
@@ -36,169 +35,38 @@ func validateCosts(n int, costs []float64) (float64, error) {
 
 // ReferenceWeighted runs the weighted variant sequentially.
 func ReferenceWeighted(g *graph.Graph, k int, costs []float64, opts ...RefOption) (*RefResult, error) {
-	if err := validateK(k); err != nil {
-		return nil, err
-	}
-	cfg := applyRefOptions(opts)
-	n := g.N()
-	cmax, err := validateCosts(n, costs)
+	thr, pw, cmax, err := weightedTables(g, k, costs)
 	if err != nil {
 		return nil, err
 	}
-	delta := g.MaxDegree()
-	pw := powTable(delta, k) // x-update thresholds, as in Algorithm 2
-	// Weighted activity thresholds [c_max(∆+1)]^{ℓ/k}.
-	wthr := make([]float64, k+1)
-	base := cmax * float64(delta+1)
-	for i := 0; i <= k; i++ {
-		wthr[i] = math.Pow(base, float64(i)/float64(k))
-	}
-
-	x := make([]float64, n)
-	gray := make([]bool, n)
-	active := make([]bool, n)
-	cov := make([]float64, n)
-	dtil := make([]int, n)
-	for v := 0; v < n; v++ {
-		dtil[v] = g.Degree(v) + 1
-	}
-	res := &RefResult{X: x}
-	var za *zAccount
-	if cfg.instrument {
-		za = newZAccount(n)
-	}
-
-	// Same reordered round schedule as ReferenceKnownDelta: fresh δ̃ first.
-	for l := k - 1; l >= 0; l-- {
-		if za != nil {
-			za.reset()
-		}
-		thr := wthr[l] * (1 - thrSlack)
-		for m := k - 1; m >= 0; m-- {
-			for v := 0; v < n; v++ {
-				dtil[v] = trueDtil(g, gray, v)
-			}
-			for v := 0; v < n; v++ {
-				active[v] = cmax/costs[v]*float64(dtil[v]) >= thr
-			}
-			if cfg.instrument {
-				res.Trace = append(res.Trace, snapshot(g, l, m, gray, active, x))
-			}
-			xval := 1 / pw[m]
-			for v := 0; v < n; v++ {
-				if active[v] && xval > x[v] {
-					if za != nil {
-						za.distribute(g, gray, v, xval-x[v])
-					}
-					x[v] = xval
-				}
-			}
-			coverage(g, x, cov)
-			for v := 0; v < n; v++ {
-				if cov[v] >= 1-covTol {
-					gray[v] = true
-				}
-			}
-		}
-		if za != nil {
-			res.Outer = append(res.Outer, za.report(g, l))
-		}
-	}
-	return res, nil
+	return referenceThreshold(g, k, thr, pw, costs, cmax, applyRefOptions(opts)), nil
 }
 
 // FractionalWeighted runs the weighted variant on the simulator in exactly
 // 2k² rounds. As in Algorithm 2, ∆ (and here also c_max) is global
 // knowledge. The result's X is bit-identical to ReferenceWeighted's.
 func FractionalWeighted(g *graph.Graph, k int, costs []float64, opts ...sim.Option) (*Result, error) {
-	if err := validateK(k); err != nil {
-		return nil, err
-	}
-	n := g.N()
-	cmax, err := validateCosts(n, costs)
+	thr, pw, cmax, err := weightedTables(g, k, costs)
 	if err != nil {
 		return nil, err
 	}
-	delta := g.MaxDegree()
-	pw := powTable(delta, k)
-	wthr := make([]float64, k+1)
-	base := cmax * float64(delta+1)
-	for i := 0; i <= k; i++ {
-		wthr[i] = math.Pow(base, float64(i)/float64(k))
-	}
-	xWidth := 1 + bits.Len(uint(k))
-
-	x := make([]float64, n)
-	engine := sim.New(g, opts...)
-	// Same step machine as Algorithm 2, with the cost-scaled activity test.
-	st, err := engine.RunMachine(func(nd *sim.Node) sim.StepFunc {
-		const (
-			phStart  = iota // round 0: announce the initial color
-			phColors        // inbox: neighbor colors
-			phX             // inbox: neighbor x-values
-		)
-		phase := phStart
-		l, m := k-1, k-1
-		thr := wthr[l] * (1 - thrSlack)
-		xi := 0.0
-		xw := 1
-		gray := false
-		ci := costs[nd.ID()]
-		return func(nd *sim.Node, inbox []sim.Message) bool {
-			switch phase {
-			case phStart:
-				nd.Broadcast(sim.Bit(gray))
-				phase = phColors
-			case phColors:
-				dtil := 0
-				if !gray {
-					dtil++
-				}
-				for _, msg := range inbox {
-					if !bool(msg.Data.(sim.Bit)) {
-						dtil++
-					}
-				}
-				if cmax/ci*float64(dtil) >= thr {
-					if xval := 1 / pw[m]; xval > xi {
-						xi = xval
-						xw = xWidth
-					}
-				}
-				nd.Broadcast(xMsg{v: xi, w: xw})
-				phase = phX
-			case phX:
-				sum := xi
-				for _, msg := range inbox {
-					sum += msg.Data.(xMsg).v
-				}
-				if sum >= 1-covTol {
-					gray = true
-				}
-				m--
-				if m < 0 {
-					m = k - 1
-					l--
-					if l < 0 {
-						x[nd.ID()] = xi
-						return false
-					}
-					thr = wthr[l] * (1 - thrSlack)
-				}
-				nd.Broadcast(sim.Bit(gray))
-				phase = phColors
-			}
-			return true
-		}
-	})
+	res, err := fractionalThreshold(g, k, thr, pw, costs, cmax, opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: weighted algorithm: %w", err)
 	}
-	return &Result{
-		X:              x,
-		Rounds:         st.Rounds,
-		Messages:       st.Messages,
-		Bits:           st.Bits,
-		MaxMsgsPerNode: st.MaxMsgs,
-	}, nil
+	return res, nil
+}
+
+// weightedTables validates k and the costs and returns the weighted
+// variant's tables: the activity thresholds [c_max(∆+1)]^{i/k}, Algorithm
+// 2's x-raise table (∆+1)^{i/k}, and c_max.
+func weightedTables(g *graph.Graph, k int, costs []float64) (thr, pw []float64, cmax float64, err error) {
+	if err := validateK(k); err != nil {
+		return nil, nil, 0, err
+	}
+	if cmax, err = validateCosts(g.N(), costs); err != nil {
+		return nil, nil, 0, err
+	}
+	d := float64(g.MaxDegree() + 1)
+	return powTable(cmax*d, k), powTable(d, k), cmax, nil
 }

@@ -1,6 +1,7 @@
 package fastpath
 
 import (
+	"fmt"
 	"testing"
 
 	"kwmds/internal/core"
@@ -21,6 +22,11 @@ func benchUDG(b *testing.B) *graph.Graph {
 	return g
 }
 
+// sweepWorkers are the benchmarks' worker counts: one runs every phase on
+// the calling goroutine, two forks the four dense sweeps (δ⁽¹⁾, δ⁽²⁾, flip
+// and fix-up).
+var sweepWorkers = []int{1, 2}
+
 // BenchmarkSolveFastpath is the perf-regression tripwire CI runs with
 // -benchtime 1x: one full pooled-solver pipeline run on a 20k-vertex
 // unit-disk graph. Each iteration drops the LP memo first, so it pays the
@@ -28,19 +34,23 @@ func benchUDG(b *testing.B) *graph.Graph {
 // the zero-steady-state-allocation property visible in the output.
 func BenchmarkSolveFastpath(b *testing.B) {
 	g := benchUDG(b)
-	s := Acquire(g.N())
-	defer Release(s)
-	opt := Options{K: 3, Seed: 1, Workers: 1}
-	if _, err := s.Solve(g, opt); err != nil { // warm the buffers
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.lpValid = false
-		if _, err := s.Solve(g, opt); err != nil {
-			b.Fatal(err)
-		}
+	for _, workers := range sweepWorkers {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			s := Acquire(g.N())
+			defer Release(s)
+			opt := Options{K: 3, Seed: 1, Workers: workers}
+			if _, err := s.Solve(g, opt); err != nil { // warm the buffers
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.lpValid = false
+				if _, err := s.Solve(g, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -50,27 +60,31 @@ func BenchmarkSolveFastpath(b *testing.B) {
 // stage's cost per vertex as ns/vertex.
 func BenchmarkSolveMemoHit(b *testing.B) {
 	g := benchUDG(b)
-	s := Acquire(g.N())
-	defer Release(s)
-	opt := Options{K: 3, Seed: 1, Workers: 1}
-	if _, err := s.Solve(g, opt); err != nil { // warm the buffers and the memo
-		b.Fatal(err)
+	for _, workers := range sweepWorkers {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			s := Acquire(g.N())
+			defer Release(s)
+			opt := Options{K: 3, Seed: 1, Workers: workers}
+			if _, err := s.Solve(g, opt); err != nil { // warm the buffers and the memo
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				opt.Seed = int64(i) + 2
+				if _, err := s.Solve(g, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.N()), "ns/vertex")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opt.Seed = int64(i) + 2
-		if _, err := s.Solve(g, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.N()), "ns/vertex")
 }
 
 // roundBench returns a one-worker solver that has solved serve-cold's graph
 // (udg-10k, radius 0.02) once, with the LP memo set as the rounding input:
-// the state a memo-hit solve reaches before its flip. One worker means one
-// chunk, so chunk 0 of a phase covers every vertex.
+// the state a memo-hit solve reaches before its flip. The benchmarks call
+// each phase over the whole word range, as a one-worker sweep does.
 func roundBench(b *testing.B) (*Solver, *graph.Graph) {
 	b.Helper()
 	g, err := gen.UnitDisk(10000, 0.02, 1)
@@ -93,7 +107,7 @@ func BenchmarkRoundFlip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.curSeed = int64(i) + 2
-		s.phaseFlip(0)
+		s.phaseFlip(0, s.nw)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.N()), "ns/vertex")
 }
@@ -108,9 +122,9 @@ func BenchmarkRoundFixup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s.curSeed = int64(i) + 2
-		s.phaseFlip(0)
+		s.phaseFlip(0, s.nw)
 		b.StartTimer()
-		s.phaseFixup(0)
+		s.phaseFixup(0, s.nw)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.N()), "ns/vertex")
 }
@@ -146,9 +160,9 @@ func BenchmarkRoundFixupPaged(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s.curSeed = int64(i) + 2
-		s.phaseFlip(0)
+		s.phaseFlip(0, s.nw)
 		b.StartTimer()
-		s.phaseFixup(0)
+		s.phaseFixup(0, s.nw)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.N()), "ns/vertex")
 }

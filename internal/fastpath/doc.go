@@ -34,16 +34,23 @@
 // the references prove (and the determinism tests confirm) they cannot
 // change x.
 //
-// Phase-parallel: within an inner iteration every vertex's update depends
-// only on the previous phase's state, so each phase runs over chunked
-// word-ranges of the frontier bitsets on a small worker pool started once
-// per solve. Determinism does not depend on the worker count: per-vertex
-// results are written to disjoint slots, shared marking uses commutative
-// atomic word-ORs, and per-chunk result lists are merged in chunk order.
-// Only integer and idempotent operations cross chunk boundaries; every
-// floating-point sum (the covering test) is recomputed per vertex in the
-// same self-then-sorted-neighbors order the references use, which is what
-// keeps the output bit-identical.
+// Parallel sweeps: a phase forks only when it is a sweep. It writes
+// nothing outside its own range of words (or of their vertices), emits no
+// list, and reads only what an earlier phase finished. One fork-join
+// helper (sweep) then cuts the word range into one contiguous span per
+// worker, runs the spans side by side and sums what they return (the
+// rounding's join counts), with no merge and no atomics. Nine phases
+// qualify: δ⁽¹⁾, δ⁽²⁾, the rounding's flip and fix-up, and Algorithm 3's
+// activity test, a(v) count and γ⁽¹⁾/γ⁽²⁾ recomputations. The phases that
+// emit lists (the x raises and the covering rechecks) or mark
+// neighborhoods across ranges (the dirty marks and the gray transition)
+// run on the calling goroutine in ascending word order, so their lists
+// come out sorted and their marks are plain ORs. Algorithm 2 and the
+// weighted variant use only those, so their LP stage never forks.
+// Options.Workers sets the span count; with one span a sweep runs inline
+// and starts no goroutine. Every floating-point sum (the covering test) is
+// computed per vertex in the same self-then-sorted-neighbors order the
+// references use, which is what keeps the output bit-identical.
 //
 // Rounding kernel: Algorithm 1 is two passes over the words of the flipped
 // bitset. The flip compares each vertex's draw u — the first value of its

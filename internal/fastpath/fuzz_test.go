@@ -168,7 +168,7 @@ func FuzzDifferential(f *testing.F) {
 		}
 		checkLP("weighted hit after the rewrite", hitW.X, refW2, simW2.X)
 
-		// Worker-count differential: the phase scheduler at a fuzz-derived
+		// Worker-count differential: the forked sweeps at a fuzz-derived
 		// worker count must reproduce the plain solve bit for bit.
 		opt := Options{K: k, Algorithm: Alg3, Seed: gseed ^ int64(kRaw), Variant: rounding.Ln}
 		want, err := s.Solve(g, opt)

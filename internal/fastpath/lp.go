@@ -8,12 +8,6 @@ import (
 	"kwmds/internal/graph"
 )
 
-// validateCosts delegates to core so both backends enforce identical rules
-// and derive an identical c_max.
-func validateCosts(n int, costs []float64) (float64, error) {
-	return core.ValidateCosts(n, costs)
-}
-
 // Fractional runs only the LP stage and returns the x-vector. The slice is
 // a read-only view of the solver's storage (see Result).
 func (s *Solver) Fractional(g *graph.Graph, opt Options) ([]float64, error) {
@@ -23,7 +17,6 @@ func (s *Solver) Fractional(g *graph.Graph, opt Options) ([]float64, error) {
 	if err := s.prepare(g, opt); err != nil {
 		return nil, err
 	}
-	defer s.stopWorkers()
 	s.cancel = opt.Cancel
 	defer func() { s.cancel = nil }()
 	s.lp(opt)
@@ -42,7 +35,6 @@ func (s *Solver) Solve(g *graph.Graph, opt Options) (Result, error) {
 	if err := s.prepare(g, opt); err != nil {
 		return Result{}, err
 	}
-	defer s.stopWorkers()
 	s.cancel = opt.Cancel
 	defer func() { s.cancel = nil }()
 	s.lp(opt)
@@ -97,7 +89,7 @@ func (s *Solver) bindCosts(opt Options) {
 	}
 	s.costs = growF64(s.costs, s.n)
 	copy(s.costs, opt.Costs)
-	s.curCmax, _ = validateCosts(s.n, opt.Costs) // validated by the entry point
+	s.curCmax, _ = core.ValidateCosts(s.n, opt.Costs) // validated by the entry point
 	s.curCosts = s.costs
 }
 
@@ -113,9 +105,9 @@ func (s *Solver) sameCosts(costs []float64) bool {
 }
 
 // resetLPState returns the solver to the start-of-LP state over the current
-// graph without restarting the worker pool: scratch bitsets cleared,
-// support full, x/δ̃/a-counts reinitialized. d2done survives by design:
-// δ⁽¹⁾/δ⁽²⁾ are static graph properties.
+// graph: scratch bitsets cleared, support full, x/δ̃/a-counts
+// reinitialized. d2done survives by design: δ⁽¹⁾/δ⁽²⁾ are static graph
+// properties.
 func (s *Solver) resetLPState() {
 	s.bindCSR()
 	s.gray.Reset(s.n)
@@ -189,8 +181,8 @@ func (s *Solver) lpThreshold(k int, thrTab, pw []float64) {
 				return
 			}
 			s.curXval = 1 / pw[m]
-			s.resetChunkLists()
-			s.dispatch(s.fnLPActivity)
+			s.changed, s.newGray = s.changed[:0], s.newGray[:0]
+			s.phaseLPActivity()
 			s.recheckCoverage()
 		}
 	}
@@ -204,15 +196,15 @@ func (s *Solver) lpThreshold(k int, thrTab, pw []float64) {
 // unchanged white vertex reproduces the very comparison that left it white
 // — so the cutover is pure heuristics, not semantics.
 func (s *Solver) recheckCoverage() {
-	changed := s.totalChanged()
+	changed := len(s.changed)
 	if changed == 0 {
 		return
 	}
 	if changed*4 >= s.whiteCount {
-		s.dispatch(s.fnCovRecheckAll)
+		s.phaseCovRecheckAll()
 	} else {
-		s.dispatch(s.fnMarkDirty)
-		s.dispatch(s.fnCovRecheck)
+		s.phaseMarkDirty()
+		s.phaseCovRecheck()
 	}
 	s.applyNewGray()
 }
@@ -240,17 +232,15 @@ func (s *Solver) lpAlg3(k int) {
 			if s.whiteCount == 0 || s.canceled() {
 				return
 			}
-			s.dispatch(s.fnA3Active)
-			s.dispatch(s.fnA3Count)
+			s.sweep(s.fnA3Active)
+			s.sweep(s.fnA3Count)
 			fillPowM(s.powTabM, m)
-			s.resetChunkLists()
-			s.dispatch(s.fnA3Update)
+			s.changed, s.newGray = s.changed[:0], s.newGray[:0]
+			s.phaseA3Update()
 			s.rec.logIter(t, s.active, s.gamma1)
 			s.recheckCoverage()
-			for c := 0; c < s.nchunks; c++ {
-				for _, v := range s.newGray[c] {
-					s.rec.grayAt[v] = int32(t)
-				}
+			for _, v := range s.newGray {
+				s.rec.grayAt[v] = int32(t)
 			}
 			s.rec.white[t] = int32(s.whiteCount)
 			t++
@@ -265,13 +255,13 @@ func (s *Solver) lpAlg3(k int) {
 			// still spans most of the graph, computing γ⁽¹⁾ everywhere
 			// beats marking the neighborhood set first.
 			if 2*s.support.Count() >= s.n {
-				s.dispatch(s.fnGamma1All)
+				s.sweep(s.fnGamma1All)
 			} else {
-				s.dispatch(s.fnMarkSupportNbhd)
-				s.dispatch(s.fnGamma1)
-				s.dispatch(s.fnClearDirt)
+				s.phaseMarkSupportNbhd()
+				s.sweep(s.fnGamma1)
+				s.dirty.ClearWords(0, s.nw)
 			}
-			s.dispatch(s.fnGamma2)
+			s.sweep(s.fnGamma2)
 			s.rec.logGamma(t-1, s.support, s.gamma2)
 		}
 	}
@@ -298,12 +288,12 @@ func fillPowM(tab []float64, m int) {
 // phaseLPActivity fuses the activity test of Algorithm 2 / the weighted
 // variant with the x-raise. Only support vertices (δ̃ ≥ 1) can pass: the
 // thresholds are ≥ (…)⁰·(1−ε) > 0.
-func (s *Solver) phaseLPActivity(c int) {
+func (s *Solver) phaseLPActivity() {
 	words := s.support.Words()
 	x, dtil := s.x, s.dtil
 	costs, cmax := s.curCosts, s.curCmax
 	thr, xval := s.curThr, s.curXval
-	for wi := s.c0[c]; wi < s.c1[c]; wi++ {
+	for wi := 0; wi < s.nw; wi++ {
 		wd := words[wi]
 		for wd != 0 {
 			v := wi<<6 + bits.TrailingZeros64(wd)
@@ -316,16 +306,16 @@ func (s *Solver) phaseLPActivity(c int) {
 			}
 			if act && xval > x[v] {
 				x[v] = xval
-				s.changed[c] = append(s.changed[c], int32(v))
+				s.changed = append(s.changed, int32(v))
 			}
 		}
 	}
 }
 
 // phaseMarkDirty marks N[u] of every changed vertex for covering recheck.
-func (s *Solver) phaseMarkDirty(c int) {
+func (s *Solver) phaseMarkDirty() {
 	words := s.dirty.Words()
-	for _, u := range s.changed[c] {
+	for _, u := range s.changed {
 		s.markNbhd(words, u)
 	}
 }
@@ -334,11 +324,11 @@ func (s *Solver) phaseMarkDirty(c int) {
 // vertices. The sum runs self-first then neighbors in sorted CSR order —
 // the exact operation order of core.coverage — so the comparison against
 // 1−covTol is bit-identical to the references'. Processed words are
-// cleared in place (each chunk owns its word range).
-func (s *Solver) phaseCovRecheck(c int) {
+// cleared in place.
+func (s *Solver) phaseCovRecheck() {
 	dw, gw := s.dirty.Words(), s.gray.Words()
 	x, off, adj := s.x, s.off, s.adj
-	for wi := s.c0[c]; wi < s.c1[c]; wi++ {
+	for wi := 0; wi < s.nw; wi++ {
 		wd := dw[wi] &^ gw[wi] // dirty ∧ white
 		dw[wi] = 0
 		for wd != 0 {
@@ -349,7 +339,7 @@ func (s *Solver) phaseCovRecheck(c int) {
 				sum += x[u]
 			}
 			if sum >= 1-core.CovTol {
-				s.newGray[c] = append(s.newGray[c], int32(v))
+				s.newGray = append(s.newGray, int32(v))
 			}
 		}
 	}
@@ -358,10 +348,10 @@ func (s *Solver) phaseCovRecheck(c int) {
 // phaseCovRecheckAll is the dense-iteration variant: re-evaluate every
 // white vertex (see recheckCoverage). It leaves the dirty set untouched —
 // nothing was marked.
-func (s *Solver) phaseCovRecheckAll(c int) {
+func (s *Solver) phaseCovRecheckAll() {
 	sw, gw := s.support.Words(), s.gray.Words()
 	x, off, adj := s.x, s.off, s.adj
-	for wi := s.c0[c]; wi < s.c1[c]; wi++ {
+	for wi := 0; wi < s.nw; wi++ {
 		wd := sw[wi] &^ gw[wi] // the white set (white ⊆ support)
 		for wd != 0 {
 			v := wi<<6 + bits.TrailingZeros64(wd)
@@ -371,18 +361,19 @@ func (s *Solver) phaseCovRecheckAll(c int) {
 				sum += x[u]
 			}
 			if sum >= 1-core.CovTol {
-				s.newGray[c] = append(s.newGray[c], int32(v))
+				s.newGray = append(s.newGray, int32(v))
 			}
 		}
 	}
 }
 
-// phaseA3Active rebuilds the activity bitset: δ̃(v) ≥ 1 (implied by
-// support membership) and δ̃(v) ≥ γ⁽²⁾^{ℓ/(ℓ+1)}·(1−ε).
-func (s *Solver) phaseA3Active(c int) {
+// phaseA3Active rebuilds the words [w0, w1) of the activity bitset:
+// δ̃(v) ≥ 1 (implied by support membership) and δ̃(v) ≥
+// γ⁽²⁾^{ℓ/(ℓ+1)}·(1−ε).
+func (s *Solver) phaseA3Active(w0, w1 int) int {
 	sw, aw := s.support.Words(), s.active.Words()
 	dtil, gamma2, powTabL := s.dtil, s.gamma2, s.powTabL
-	for wi := s.c0[c]; wi < s.c1[c]; wi++ {
+	for wi := w0; wi < w1; wi++ {
 		src := sw[wi]
 		var dst uint64
 		for src != 0 {
@@ -395,15 +386,16 @@ func (s *Solver) phaseA3Active(c int) {
 		}
 		aw[wi] = dst
 	}
+	return 0
 }
 
 // phaseA3Count computes a(v) — the number of active vertices in N[v] — for
-// white vertices. Gray vertices keep a(v) = 0 (zeroed at init and on the
-// white→gray transition), as the paper defines.
-func (s *Solver) phaseA3Count(c int) {
+// the white vertices of words [w0, w1). Gray vertices keep a(v) = 0
+// (zeroed at init and on the white→gray transition), as the paper defines.
+func (s *Solver) phaseA3Count(w0, w1 int) int {
 	sw, gw, aw := s.support.Words(), s.gray.Words(), s.active.Words()
 	off, adj, acnt := s.off, s.adj, s.acnt
-	for wi := s.c0[c]; wi < s.c1[c]; wi++ {
+	for wi := w0; wi < w1; wi++ {
 		wd := sw[wi] &^ gw[wi] // white ⊆ support
 		for wd != 0 {
 			b := bits.TrailingZeros64(wd)
@@ -421,16 +413,17 @@ func (s *Solver) phaseA3Count(c int) {
 			acnt[v] = c
 		}
 	}
+	return 0
 }
 
 // phaseA3Update raises x of active vertices to a⁽¹⁾^{-m/(m+1)}, where
 // a⁽¹⁾(v) = max a over N[v]. It leaves each active vertex's a⁽¹⁾ in
 // gamma1, which is free between outer boundaries, for the record.
-func (s *Solver) phaseA3Update(c int) {
+func (s *Solver) phaseA3Update() {
 	aw := s.active.Words()
 	x, off, adj, acnt, a1 := s.x, s.off, s.adj, s.acnt, s.gamma1
 	powTabM := s.powTabM
-	for wi := s.c0[c]; wi < s.c1[c]; wi++ {
+	for wi := 0; wi < s.nw; wi++ {
 		wd := aw[wi]
 		for wd != 0 {
 			v := wi<<6 + bits.TrailingZeros64(wd)
@@ -448,7 +441,7 @@ func (s *Solver) phaseA3Update(c int) {
 			xval := powTabM[m1]
 			if xval > x[v] {
 				x[v] = xval
-				s.changed[c] = append(s.changed[c], int32(v))
+				s.changed = append(s.changed, int32(v))
 			}
 		}
 	}
@@ -456,9 +449,9 @@ func (s *Solver) phaseA3Update(c int) {
 
 // phaseMarkSupportNbhd marks support ∪ N(support) into dirty, the set that
 // needs fresh γ⁽¹⁾ values for the outer-boundary γ⁽²⁾ recomputation.
-func (s *Solver) phaseMarkSupportNbhd(c int) {
+func (s *Solver) phaseMarkSupportNbhd() {
 	sw, dw := s.support.Words(), s.dirty.Words()
-	for wi := s.c0[c]; wi < s.c1[c]; wi++ {
+	for wi := 0; wi < s.nw; wi++ {
 		wd := sw[wi]
 		for wd != 0 {
 			v := wi<<6 + bits.TrailingZeros64(wd)
@@ -468,11 +461,12 @@ func (s *Solver) phaseMarkSupportNbhd(c int) {
 	}
 }
 
-// phaseGamma1 computes γ⁽¹⁾(v) = max δ̃ over N[v] for marked vertices.
-func (s *Solver) phaseGamma1(c int) {
+// phaseGamma1 computes γ⁽¹⁾(v) = max δ̃ over N[v] for the marked vertices
+// of words [w0, w1).
+func (s *Solver) phaseGamma1(w0, w1 int) int {
 	dw := s.dirty.Words()
 	off, adj, dtil, gamma1 := s.off, s.adj, s.dtil, s.gamma1
-	for wi := s.c0[c]; wi < s.c1[c]; wi++ {
+	for wi := w0; wi < w1; wi++ {
 		wd := dw[wi]
 		for wd != 0 {
 			v := wi<<6 + bits.TrailingZeros64(wd)
@@ -486,19 +480,16 @@ func (s *Solver) phaseGamma1(c int) {
 			gamma1[v] = m1
 		}
 	}
+	return 0
 }
 
 // phaseGamma1All is the dense variant of phaseGamma1: when the support
 // still spans most of the graph, sweep every vertex instead of marking the
 // support neighborhood first. Extra γ⁽¹⁾ values are never read — γ⁽²⁾ is
 // only evaluated over the support — so both variants yield identical runs.
-func (s *Solver) phaseGamma1All(c int) {
+func (s *Solver) phaseGamma1All(w0, w1 int) int {
 	off, adj, dtil, gamma1 := s.off, s.adj, s.dtil, s.gamma1
-	v0, v1 := s.c0[c]<<6, s.c1[c]<<6
-	if v1 > s.n {
-		v1 = s.n
-	}
-	for v := v0; v < v1; v++ {
+	for v, v1 := w0<<6, min(w1<<6, s.n); v < v1; v++ {
 		m1 := dtil[v]
 		for _, u := range adj[off[v]:off[v+1]] {
 			if dtil[u] > m1 {
@@ -507,14 +498,16 @@ func (s *Solver) phaseGamma1All(c int) {
 		}
 		gamma1[v] = m1
 	}
+	return 0
 }
 
-// phaseGamma2 computes γ⁽²⁾(v) = max γ⁽¹⁾ over N[v] for support vertices —
-// the only ones whose thresholds are ever evaluated again.
-func (s *Solver) phaseGamma2(c int) {
+// phaseGamma2 computes γ⁽²⁾(v) = max γ⁽¹⁾ over N[v] for the support
+// vertices of words [w0, w1) — the only ones whose thresholds are ever
+// evaluated again.
+func (s *Solver) phaseGamma2(w0, w1 int) int {
 	sw := s.support.Words()
 	off, adj, gamma1, gamma2 := s.off, s.adj, s.gamma1, s.gamma2
-	for wi := s.c0[c]; wi < s.c1[c]; wi++ {
+	for wi := w0; wi < w1; wi++ {
 		wd := sw[wi]
 		for wd != 0 {
 			v := wi<<6 + bits.TrailingZeros64(wd)
@@ -528,20 +521,14 @@ func (s *Solver) phaseGamma2(c int) {
 			gamma2[v] = m2
 		}
 	}
+	return 0
 }
 
-func (s *Solver) phaseClearDirty(c int) {
-	s.dirty.ClearWords(s.c0[c], s.c1[c])
-}
-
-// phaseD1 computes the static δ⁽¹⁾ (max degree over N[v]).
-func (s *Solver) phaseD1(c int) {
+// phaseD1 computes the static δ⁽¹⁾ (max degree over N[v]) for the
+// vertices of words [w0, w1).
+func (s *Solver) phaseD1(w0, w1 int) int {
 	off, adj, d1 := s.off, s.adj, s.d1
-	v0, v1 := s.c0[c]<<6, s.c1[c]<<6
-	if v1 > s.n {
-		v1 = s.n
-	}
-	for v := v0; v < v1; v++ {
+	for v, v1 := w0<<6, min(w1<<6, s.n); v < v1; v++ {
 		m1 := off[v+1] - off[v]
 		for _, u := range adj[off[v]:off[v+1]] {
 			if d := off[u+1] - off[u]; d > m1 {
@@ -550,16 +537,14 @@ func (s *Solver) phaseD1(c int) {
 		}
 		d1[v] = m1
 	}
+	return 0
 }
 
-// phaseD2 computes the static δ⁽²⁾ (max δ⁽¹⁾ over N[v]).
-func (s *Solver) phaseD2(c int) {
+// phaseD2 computes the static δ⁽²⁾ (max δ⁽¹⁾ over N[v]) for the vertices
+// of words [w0, w1), once every δ⁽¹⁾ is done.
+func (s *Solver) phaseD2(w0, w1 int) int {
 	off, adj, d1, d2 := s.off, s.adj, s.d1, s.d2
-	v0, v1 := s.c0[c]<<6, s.c1[c]<<6
-	if v1 > s.n {
-		v1 = s.n
-	}
-	for v := v0; v < v1; v++ {
+	for v, v1 := w0<<6, min(w1<<6, s.n); v < v1; v++ {
 		m2 := d1[v]
 		for _, u := range adj[off[v]:off[v+1]] {
 			if d1[u] > m2 {
@@ -568,6 +553,7 @@ func (s *Solver) phaseD2(c int) {
 		}
 		d2[v] = m2
 	}
+	return 0
 }
 
 func (s *Solver) ensureD2() {
@@ -575,7 +561,7 @@ func (s *Solver) ensureD2() {
 		return
 	}
 	s.bindCSR()
-	s.dispatch(s.fnD1)
-	s.dispatch(s.fnD2)
+	s.sweep(s.fnD1)
+	s.sweep(s.fnD2)
 	s.d2done = true
 }

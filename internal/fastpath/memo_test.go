@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"kwmds/internal/gen"
 	"kwmds/internal/rounding"
 	"kwmds/internal/testsupport"
 )
@@ -218,5 +219,36 @@ func TestSolveManyPooled(t *testing.T) {
 			t.Fatal(err)
 		}
 		testsupport.RequireBitIdenticalIn(t, fmt.Sprintf("solve %d", i), got, want)
+	}
+}
+
+// TestMemoMissListPhasesStayOnCaller pins that the LP phases which emit
+// lists or mark across word ranges never fork. Algorithm 2's and the
+// weighted variant's LP stages use only such phases, and a forked phase
+// allocates for its goroutines, so at eight workers a memo-missing
+// Fractional of either must allocate nothing, as its one-worker twin in
+// TestSolveZeroAlloc does.
+func TestMemoMissListPhasesStayOnCaller(t *testing.T) {
+	g, err := gen.UnitDisk(2000, 0.04, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := costsFor(g)
+	for _, alg := range []Algorithm{Alg2, AlgWeighted} {
+		s := New()
+		opt := Options{K: 3, Algorithm: alg, Costs: costs, Workers: 8}
+		miss := func() {
+			s.lpValid = false
+			if _, err := s.Fractional(g, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		miss()
+		if s.workers != 8 {
+			t.Fatalf("alg %d: %d sweep workers, want 8", alg, s.workers)
+		}
+		if allocs := testing.AllocsPerRun(3, miss); allocs != 0 {
+			t.Errorf("alg %d: a memo-missing LP stage at 8 workers allocates %.1f objects, want 0", alg, allocs)
+		}
 	}
 }

@@ -89,7 +89,7 @@ func repairPays(g *graph.Graph, touched []int32) bool {
 // bit-identical tables. The vertices whose δ⁽²⁾ changed go to the replay's
 // DG set: Algorithm 3 starts from γ⁽²⁾ = δ⁽²⁾+1. The repair runs serially:
 // by the fallback threshold's construction it touches a small fraction of
-// the graph, below the dispatch overhead of the phase pool.
+// the graph, too little to pay for forking a sweep.
 func (s *Solver) repairD2(touched []int32) {
 	if s.rp == nil {
 		s.rp = &replayState{}

@@ -24,7 +24,6 @@ func (s *Solver) Round(g *graph.Graph, x []float64, opt Options) (Result, error)
 	if err := s.prepare(g, opt); err != nil {
 		return Result{}, err
 	}
-	defer s.stopWorkers()
 	return s.roundPhases(x, opt), nil
 }
 
@@ -41,23 +40,17 @@ func (s *Solver) roundPhases(x []float64, opt Options) Result {
 	for i := range s.scaleTab {
 		s.scaleTab[i] = opt.Variant.Scale(i)
 	}
-	for c := 0; c < s.nchunks; c++ {
-		s.joinCnt[c] = [2]int{}
-	}
-	s.dispatch(s.fnFlip)
-	s.dispatch(s.fnFixup)
 	res := Result{Set: s.set[:s.nw]}
-	for c := 0; c < s.nchunks; c++ {
-		res.JoinedRandom += s.joinCnt[c][0]
-		res.JoinedFixup += s.joinCnt[c][1]
-	}
+	res.JoinedRandom = s.sweep(s.fnFlip)
+	res.JoinedFixup = s.sweep(s.fnFixup)
 	res.Size = res.JoinedRandom + res.JoinedFixup
 	s.curX = nil
 	return res
 }
 
-// phaseFlip decides line 3's independent membership flips. Each chunk owns
-// its words of the flipped bitset outright. A vertex joins when its draw u,
+// phaseFlip decides line 3's independent membership flips for the words
+// [w0, w1) of the flipped bitset, which it owns outright, and returns how
+// many vertices joined. A vertex joins when its draw u,
 // the first value of its per-node stream (stats.StreamFloat64, keyed by
 // vertex id as rounding.flip draws it), is below x·Scale(δ⁽²⁾). That is
 // line 3's u < min{1, p} without the clamp or a branch: u lies in [0, 1)
@@ -67,12 +60,12 @@ func (s *Solver) roundPhases(x []float64, opt Options) Result {
 // drawn four at a time (stats.StreamKey.Float64x4), so the four draws'
 // multiply chains overlap; only the last word can end in a group of fewer
 // than four, which draws one at a time.
-func (s *Solver) phaseFlip(c int) {
+func (s *Solver) phaseFlip(w0, w1 int) int {
 	fw := s.flipped.Words()
 	x, d2, scaleTab := s.curX[:s.n], s.d2[:s.n], s.scaleTab
 	key := stats.NewStreamKey(s.curSeed)
 	joined := 0
-	for wi := s.c0[c]; wi < s.c1[c]; wi++ {
+	for wi := w0; wi < w1; wi++ {
 		base := wi << 6
 		xs := x[base:min(base+64, s.n)]
 		ds := d2[base : base+len(xs)]
@@ -92,24 +85,24 @@ func (s *Solver) phaseFlip(c int) {
 		fw[wi] = dst
 		joined += bits.OnesCount64(dst)
 	}
-	s.joinCnt[c][0] = joined
+	return joined
 }
 
-// phaseFixup joins every vertex whose closed neighborhood contains no
-// line-3 member (reading only the flip results, as lines 5-6 prescribe)
-// and stores each word's final set, flipped | joined, into the packed
-// output. Per word it visits only the vertices that did not flip, reading
-// the word's vertices as one block of the graph (graph.Graph.Block), so a
-// paged graph costs one page lookup per word. One with
-// at least four neighbors first ORs the flip bits of its first four
-// without a branch; almost every such vertex is covered there, so the one
-// branch on the OR is well predicted. Only when none of the four flipped,
-// or the degree is below four, does it scan the rest until the first
-// flipped neighbor.
-func (s *Solver) phaseFixup(c int) {
+// phaseFixup joins every vertex of the words [w0, w1) whose closed
+// neighborhood contains no line-3 member (reading only the flip results,
+// as lines 5-6 prescribe), stores each word's final set, flipped | joined,
+// into the packed output and returns how many vertices joined. Per word
+// it visits only the vertices that did not flip, reading the word's
+// vertices as one block of the graph (graph.Graph.Block), so a paged graph
+// costs one page lookup per word. One with at least four neighbors first
+// ORs the flip bits of its first four without a branch; almost every such
+// vertex is covered there, so the one branch on the OR is well predicted.
+// Only when none of the four flipped, or the degree is below four, does it
+// scan the rest until the first flipped neighbor.
+func (s *Solver) phaseFixup(w0, w1 int) int {
 	fw, set := s.flipped.Words(), s.set
 	fix := 0
-	for wi := s.c0[c]; wi < s.c1[c]; wi++ {
+	for wi := w0; wi < w1; wi++ {
 		base := wi << 6
 		w := fw[wi]
 		var join uint64
@@ -137,7 +130,7 @@ func (s *Solver) phaseFixup(c int) {
 		fix += bits.OnesCount64(join)
 		set[wi] = w | join
 	}
-	s.joinCnt[c][1] = fix
+	return fix
 }
 
 // b2u is 1 for true and 0 for false; the compiler turns it into a flag

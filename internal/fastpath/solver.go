@@ -6,9 +6,9 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"kwmds/internal/bitset"
+	"kwmds/internal/core"
 	"kwmds/internal/graph"
 	"kwmds/internal/rounding"
 )
@@ -40,12 +40,15 @@ type Options struct {
 	Seed int64
 	// Variant selects the rounding scaling.
 	Variant rounding.Variant
-	// Workers bounds the phase parallelism; 0 selects GOMAXPROCS. Output
-	// is bit-identical for every worker count.
+	// Workers bounds the goroutines of the forked sweeps (δ⁽¹⁾, δ⁽²⁾, the
+	// rounding's flip and fix-up, and Algorithm 3's activity, a(v) and
+	// γ⁽¹⁾/γ⁽²⁾ phases); 0 selects GOMAXPROCS. The LP phases that emit
+	// lists run on the calling goroutine whatever the count. Output is
+	// bit-identical for every worker count.
 	Workers int
 	// Cancel, when non-nil, aborts the solve early once the channel
 	// closes: Solve and Fractional return ErrCanceled at the next LP
-	// iteration boundary (a few kernel dispatches of latency at most).
+	// iteration boundary (a few phases of latency at most).
 	// The solver's buffers stay reusable — a canceled pooled solver is
 	// released and reacquired as usual.
 	Cancel <-chan struct{}
@@ -145,16 +148,12 @@ type Solver struct {
 	touched []int32
 	rp      *replayState // the replay's scratch, allocated on first use
 
-	// Phase chunking: the word range is cut into one equal chunk per
-	// worker (c0[c] ≤ word < c1[c], ascending and contiguous), and worker
-	// c runs chunk c. Every per-chunk result list below is merged in chunk
-	// order, so the output is independent of the worker count.
-	nchunks int
-	c0, c1  []int // word-range bounds per chunk
-	changed [][]int32
-	newGray [][]int32
-	zeroed  []int32  // applyNewGray scratch: vertices whose δ̃ hit zero
-	joinCnt [][2]int // per-chunk {random, fixup} join counters
+	// The LP phases' result lists, each ascending: the vertices whose x
+	// rose in an iteration, and the white vertices its covering recheck
+	// found covered.
+	changed []int32
+	newGray []int32
+	zeroed  []int32 // applyNewGray scratch: vertices whose δ̃ hit zero
 
 	// Threshold tables of an LP miss, refilled in place by fillPow:
 	// pw = (∆+1)^{i/k} (Algorithm 2 and the weighted x-raise) and
@@ -162,7 +161,7 @@ type Solver struct {
 	pw   []float64
 	wthr []float64
 
-	// per-phase parameters, set by the drivers before dispatch
+	// per-phase parameters, set by the drivers before each phase
 	curThr   float64
 	curXval  float64
 	curCosts []float64
@@ -170,20 +169,15 @@ type Solver struct {
 	curSeed  int64
 	curX     []float64 // rounding input
 
-	// phase dispatch: method values bound once, so dispatching a phase
-	// performs no allocation
-	fnBound                                            bool
-	fnLPActivity, fnMarkDirty, fnCovRecheck            func(int)
-	fnCovRecheckAll                                    func(int)
-	fnA3Active, fnA3Count, fnA3Update                  func(int)
-	fnMarkSupportNbhd, fnGamma1, fnGamma1All, fnGamma2 func(int)
-	fnClearDirt                                        func(int)
-	fnD1, fnD2, fnFlip, fnFixup                        func(int)
-
-	phaseFn  func(int)
-	sig      []chan struct{}
-	wg       sync.WaitGroup
-	stopping bool
+	// The forked phases' method values, bound once, so that a sweep
+	// performs no allocation, and the sweep's fork-join scratch.
+	fnBound                     bool
+	fnD1, fnD2, fnFlip, fnFixup func(w0, w1 int) int
+	fnA3Active, fnA3Count       func(w0, w1 int) int
+	fnGamma1, fnGamma1All       func(w0, w1 int) int
+	fnGamma2                    func(w0, w1 int) int
+	wg                          sync.WaitGroup
+	sums                        []int
 }
 
 // New returns an empty solver; buffers are allocated on first use.
@@ -192,18 +186,20 @@ func New() *Solver { return &Solver{} }
 // Cap returns the solver's current vertex capacity (for pool classing).
 func (s *Solver) Cap() int { return cap(s.x) }
 
-// prepare validates the options, binds the solver to g, sizes the buffers
-// and starts the worker pool. Callers must stopWorkers when the run ends.
-// It leaves the LP state alone: the LP entry points bring it up to date
-// through lp, and standalone Round never reads it — its x input may even
-// alias s.x, the vector a prior Fractional on this solver returned.
+// prepare validates the options, binds the solver to g and sizes the
+// buffers. It leaves the LP state alone: the LP entry points bring it up
+// to date through lp, and standalone Round never reads it — its x input
+// may even alias s.x, the vector a prior Fractional on this solver
+// returned.
 func (s *Solver) prepare(g *graph.Graph, opt Options) error {
 	if g == nil {
 		return fmt.Errorf("fastpath: nil graph")
 	}
 	n := g.N()
 	if opt.Algorithm == AlgWeighted {
-		if _, err := validateCosts(n, opt.Costs); err != nil {
+		// core's check, so both backends enforce identical rules and
+		// derive an identical c_max
+		if _, err := core.ValidateCosts(n, opt.Costs); err != nil {
 			return err
 		}
 	}
@@ -228,8 +224,6 @@ func (s *Solver) prepare(g *graph.Graph, opt Options) error {
 	s.ensure(n, workers)
 	s.off, s.adj = nil, nil // bound by the first dense kernel (bindCSR)
 	s.maxDeg = g.MaxDegree()
-	s.chunkify()
-	s.startWorkers()
 	if repair {
 		s.repairD2(s.touched)
 	}
@@ -253,8 +247,8 @@ func growF64(buf []float64, size int) []float64 {
 	return buf[:size]
 }
 
-// ensure grows the buffers to hold n vertices and reconfigures the worker
-// chunking. Growth rounds the capacity up to the next power of two so
+// ensure grows the buffers to hold n vertices and sets the sweep worker
+// count. Growth rounds the capacity up to the next power of two so
 // pooled solvers settle into stable capacity classes.
 func (s *Solver) ensure(n, workers int) {
 	if cap(s.x) < n {
@@ -285,145 +279,54 @@ func (s *Solver) ensure(n, workers int) {
 		s.flipped.Reset(n)
 	}
 	s.support.SetAll()
-	if workers != s.workers {
-		s.workers = workers
-		s.sig = make([]chan struct{}, workers)
-		for i := range s.sig {
-			s.sig[i] = make(chan struct{})
-		}
-	}
+	s.workers = workers
 	if !s.fnBound {
 		s.fnBound = true
-		s.fnLPActivity = s.phaseLPActivity
-		s.fnMarkDirty = s.phaseMarkDirty
-		s.fnCovRecheck = s.phaseCovRecheck
-		s.fnCovRecheckAll = s.phaseCovRecheckAll
-		s.fnA3Active = s.phaseA3Active
-		s.fnA3Count = s.phaseA3Count
-		s.fnA3Update = s.phaseA3Update
-		s.fnMarkSupportNbhd = s.phaseMarkSupportNbhd
-		s.fnGamma1 = s.phaseGamma1
-		s.fnGamma1All = s.phaseGamma1All
+		s.fnD1, s.fnD2 = s.phaseD1, s.phaseD2
+		s.fnFlip, s.fnFixup = s.phaseFlip, s.phaseFixup
+		s.fnA3Active, s.fnA3Count = s.phaseA3Active, s.phaseA3Count
+		s.fnGamma1, s.fnGamma1All = s.phaseGamma1, s.phaseGamma1All
 		s.fnGamma2 = s.phaseGamma2
-		s.fnClearDirt = s.phaseClearDirty
-		s.fnD1 = s.phaseD1
-		s.fnD2 = s.phaseD2
-		s.fnFlip = s.phaseFlip
-		s.fnFixup = s.phaseFixup
 	}
 }
 
-// chunkify cuts the word range [0, nw) into one equal chunk per worker.
-// Chunks are ascending, disjoint and contiguous; every merge of per-chunk
-// results walks them in index order, which is what keeps the output
-// independent of the worker count.
-func (s *Solver) chunkify() {
-	nw := s.nw
-	nchunks := s.workers
-	s.nchunks = nchunks
-	if cap(s.c0) < nchunks {
-		s.c0 = make([]int, nchunks)
-		s.c1 = make([]int, nchunks)
+// sweep runs fn over the word range [0, nw) cut into one contiguous range
+// per worker and returns the sum of fn's results. The caller runs the
+// first range and one goroutine each runs the rest; the wait gives the
+// caller a happens-before edge on every range's writes. With one worker it
+// calls fn(0, nw) inline and starts no goroutine. Only phases that write
+// nothing outside their own range's words or vertices, emit no list and
+// read only what an earlier phase finished use it, so the result is the
+// same for every worker count.
+func (s *Solver) sweep(fn func(w0, w1 int) int) int {
+	nw, workers := s.nw, s.workers
+	if workers <= 1 {
+		return fn(0, nw)
 	}
-	s.c0, s.c1 = s.c0[:nchunks], s.c1[:nchunks]
-	// Re-slicing down keeps the retired entries' backing arrays inside the
-	// outer slice's capacity, so a later growth finds them again — pooled
-	// solvers stay allocation-free across worker-count changes.
-	for len(s.changed) < nchunks {
-		s.changed = append(s.changed, nil)
-		s.newGray = append(s.newGray, nil)
-		s.joinCnt = append(s.joinCnt, [2]int{})
+	if len(s.sums) < workers {
+		s.sums = make([]int, workers)
 	}
-	s.changed = s.changed[:nchunks]
-	s.newGray = s.newGray[:nchunks]
-	s.joinCnt = s.joinCnt[:nchunks]
-	for c := 0; c < nchunks; c++ {
-		s.c0[c] = c * nw / nchunks
-		s.c1[c] = (c + 1) * nw / nchunks
-	}
-}
-
-// startWorkers launches the pool for one solve. Workers live only for the
-// duration of the run — a pooled Solver parks no goroutines. Worker w runs
-// chunk w of every dispatched phase; the caller runs chunk 0.
-func (s *Solver) startWorkers() {
-	if s.workers <= 1 {
-		return
-	}
-	for w := 1; w < s.workers; w++ {
+	sums := s.sums
+	s.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func(w int) {
-			for range s.sig[w] {
-				if s.stopping {
-					s.wg.Done()
-					return
-				}
-				s.phaseFn(w)
-				s.wg.Done()
-			}
+			sums[w] = fn(w*nw/workers, (w+1)*nw/workers)
+			s.wg.Done()
 		}(w)
 	}
-}
-
-func (s *Solver) stopWorkers() {
-	if s.workers <= 1 {
-		return
-	}
-	s.stopping = true
-	s.wg.Add(s.workers - 1)
-	for w := 1; w < s.workers; w++ {
-		s.sig[w] <- struct{}{}
-	}
+	total := fn(0, nw/workers)
 	s.wg.Wait()
-	s.stopping = false
+	for _, c := range sums[1:workers] {
+		total += c
+	}
+	return total
 }
 
-// dispatch runs one phase across all workers and blocks until every chunk
-// is done. The channel send/receive pairs give each worker a happens-before
-// edge on phaseFn and all state written by earlier phases; wg.Wait gives
-// the caller one on every chunk's writes.
-func (s *Solver) dispatch(fn func(int)) {
-	if s.workers == 1 {
-		fn(0) // one worker always means exactly one chunk
-		return
-	}
-	s.phaseFn = fn
-	s.wg.Add(s.workers - 1)
-	for w := 1; w < s.workers; w++ {
-		s.sig[w] <- struct{}{}
-	}
-	fn(0)
-	s.wg.Wait()
-}
-
-func (s *Solver) resetChunkLists() {
-	for c := 0; c < s.nchunks; c++ {
-		s.changed[c] = s.changed[c][:0]
-		s.newGray[c] = s.newGray[c][:0]
-	}
-}
-
-func (s *Solver) totalChanged() int {
-	t := 0
-	for c := 0; c < s.nchunks; c++ {
-		t += len(s.changed[c])
-	}
-	return t
-}
-
-// markNbhd sets the dirty bits of N[u]. With one worker it is a plain OR;
-// with several, word-level atomic OR — commutative and idempotent, so the
-// resulting set is identical for every worker count and interleaving.
+// markNbhd sets the bits of N[u] in words.
 func (s *Solver) markNbhd(words []uint64, u int32) {
-	if s.workers == 1 {
-		words[u>>6] |= 1 << (uint32(u) & 63)
-		for _, nb := range s.adj[s.off[u]:s.off[u+1]] {
-			words[nb>>6] |= 1 << (uint32(nb) & 63)
-		}
-		return
-	}
-	atomic.OrUint64(&words[u>>6], 1<<(uint32(u)&63))
+	words[u>>6] |= 1 << (uint32(u) & 63)
 	for _, nb := range s.adj[s.off[u]:s.off[u+1]] {
-		atomic.OrUint64(&words[nb>>6], 1<<(uint32(nb)&63))
+		words[nb>>6] |= 1 << (uint32(nb) & 63)
 	}
 }
 
@@ -433,18 +336,15 @@ func (s *Solver) markNbhd(words []uint64, u int32) {
 const smallDegCutoff = 64
 
 // applyNewGray performs the white→gray transitions collected by the
-// covering recheck: the only serial step of an iteration. Each vertex turns
-// gray exactly once over the whole run, so the total cost of the δ̃
-// decrements is O(n + m) — this is what replaces the references'
-// trueDtil full rescans.
+// covering recheck. Each vertex turns gray exactly once over the whole
+// run, so the total cost of the δ̃ decrements is O(n + m) — this is what
+// replaces the references' trueDtil full rescans.
 //
 // The transition runs in word-batched, degree-bucketed passes rather than
 // per-bit probes:
 //
-//  1. Gray marking. The per-chunk newGray lists are ascending and the
-//     chunks own disjoint ascending word ranges, so the chunk-order
-//     concatenation is globally sorted; bits sharing a word accumulate
-//     into one mask and land with a single OR instead of one
+//  1. Gray marking. The newGray list is ascending, so bits sharing a word
+//     accumulate into one mask and land with a single OR instead of one
 //     read-modify-write per vertex.
 //  2. δ̃ decrements, bucketed by degree. The small-degree bucket runs
 //     first — its updates are scattered single-cache-line touches that
@@ -464,18 +364,16 @@ func (s *Solver) applyNewGray() {
 	marked := 0
 	curW := -1
 	var mask uint64
-	for c := 0; c < s.nchunks; c++ {
-		for _, v := range s.newGray[c] {
-			if wi := int(v >> 6); wi != curW {
-				if curW >= 0 {
-					gw[curW] |= mask
-				}
-				curW, mask = wi, 0
+	for _, v := range s.newGray {
+		if wi := int(v >> 6); wi != curW {
+			if curW >= 0 {
+				gw[curW] |= mask
 			}
-			mask |= 1 << (uint32(v) & 63)
-			acnt[v] = 0 // a(v) is defined as 0 for gray vertices
-			marked++
+			curW, mask = wi, 0
 		}
+		mask |= 1 << (uint32(v) & 63)
+		acnt[v] = 0 // a(v) is defined as 0 for gray vertices
+		marked++
 	}
 	if curW >= 0 {
 		gw[curW] |= mask
@@ -484,22 +382,20 @@ func (s *Solver) applyNewGray() {
 
 	s.zeroed = s.zeroed[:0]
 	for pass := 0; pass < 2; pass++ {
-		for c := 0; c < s.nchunks; c++ {
-			for _, v := range s.newGray[c] {
-				begin, end := off[v], off[v+1]
-				small := int(end-begin) <= smallDegCutoff
-				if small != (pass == 0) {
-					continue
-				}
-				dtil[v]--
-				if dtil[v] == 0 {
-					s.zeroed = append(s.zeroed, v)
-				}
-				for _, u := range adj[begin:end] {
-					dtil[u]--
-					if dtil[u] == 0 {
-						s.zeroed = append(s.zeroed, u)
-					}
+		for _, v := range s.newGray {
+			begin, end := off[v], off[v+1]
+			small := int(end-begin) <= smallDegCutoff
+			if small != (pass == 0) {
+				continue
+			}
+			dtil[v]--
+			if dtil[v] == 0 {
+				s.zeroed = append(s.zeroed, v)
+			}
+			for _, u := range adj[begin:end] {
+				dtil[u]--
+				if dtil[u] == 0 {
+					s.zeroed = append(s.zeroed, u)
 				}
 			}
 		}

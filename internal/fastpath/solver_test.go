@@ -15,7 +15,7 @@ import (
 // rounding variant, seed and worker count, the fastpath output is
 // bit-identical to the sequential references (and the references are
 // pinned to the sim engine by internal/core's own determinism tests).
-// CI runs this file under -race, which doubles as the phase scheduler's
+// CI runs this file under -race, which doubles as the forked sweeps'
 // data-race probe.
 
 func workloads(t *testing.T) []struct {
@@ -40,8 +40,10 @@ func workloads(t *testing.T) []struct {
 	}
 }
 
-// workerCounts covers the inline path, an uneven chunk split, a pool wider
-// than GOMAXPROCS, and the default.
+// workerCounts covers the inline sweeps, an uneven split of the sweeps'
+// word range, more sweep goroutines than GOMAXPROCS, and the default. The
+// counts reach only the forked sweeps; the LP phases that emit lists run
+// on the calling goroutine at every count.
 var workerCounts = []int{1, 3, 8, 0}
 
 func costsFor(g *graph.Graph) []float64 {

@@ -23,7 +23,8 @@ type event struct{ at, val int32 }
 // changed. Inner iterations t = 0..k²−1 run in the drivers' (ℓ, m) order;
 // iterations after the white set emptied hold no events, which is what the
 // stage would produce if it ran on. Nothing in the record depends on the
-// worker count: the full stage writes it from chunk-order merges.
+// worker count: the phases whose results it logs emit no list and write
+// only their own word range, or run on the calling goroutine.
 //
 // Each vertex's events are one span of the arena ev, ascending by at. A
 // rewritten span that does not grow stays where it is; a longer one moves

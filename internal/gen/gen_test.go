@@ -2,6 +2,8 @@ package gen
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"kwmds/internal/graph"
@@ -297,4 +299,37 @@ func TestGNPDegreeConsistency(t *testing.T) {
 		t.Errorf("handshake violated: Σdeg=%d, 2m=%d", total, 2*g.M())
 	}
 	var _ = graph.SetSize // keep import for symmetry with other tests
+}
+
+// TestFromSpecRefusesPastTheVertexBound: a spec whose vertex count passes
+// graph.New's bound fails, naming the bound, before its generator sizes a
+// single array (the udg one would ask for a 48 GB point slice).
+func TestFromSpecRefusesPastTheVertexBound(t *testing.T) {
+	for _, spec := range []string{
+		"udg:3000000000:0.1:1",
+		"gnp:3000000000:0.1:1",
+		"tree:3000000000:1",
+		"ba:3000000000:2:1",
+		"grid:100000:100000",
+		"grid:2:1073741824",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := FromSpec(spec)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("FromSpec(%q) accepted a graph past the bound", spec)
+			continue
+		}
+		if !strings.Contains(err.Error(), "2147483647") {
+			t.Errorf("FromSpec(%q): %v, want the bound named", spec, err)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+			t.Errorf("FromSpec(%q) allocated %d bytes before refusing", spec, b)
+		}
+	}
+	g, err := FromSpec("grid:1:5")
+	if err != nil || g.N() != 5 {
+		t.Errorf("FromSpec(grid:1:5) = %v, %v", g, err)
+	}
 }

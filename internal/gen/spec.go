@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -20,11 +21,16 @@ import (
 //
 // The grammar is shared by every surface that accepts generated
 // topologies: the CLI's gen: graph sources, the serve subsystem's -preload
-// entries, and kwbench scenario specs.
+// entries, and kwbench scenario specs. The generators size their arrays by
+// the vertex count before graph.New sees it, so a count past graph.New's
+// bound (math.MaxInt32) is refused here, before any generator runs.
 func FromSpec(spec string) (*graph.Graph, error) {
 	parts := strings.Split(spec, ":")
 	fail := func() (*graph.Graph, error) {
 		return nil, fmt.Errorf("bad graph spec %q (want udg:n:radius:seed, gnp:n:p:seed, grid:rows:cols, tree:n:seed, or ba:n:m:seed)", spec)
+	}
+	tooBig := func() (*graph.Graph, error) {
+		return nil, fmt.Errorf("graph spec %q: more vertices than the limit of %d (math.MaxInt32)", spec, math.MaxInt32)
 	}
 	atoi := func(s string) (int, bool) {
 		v, err := strconv.Atoi(s)
@@ -45,6 +51,9 @@ func FromSpec(spec string) (*graph.Graph, error) {
 		if !ok1 || !ok2 || !ok3 {
 			return fail()
 		}
+		if n > math.MaxInt32 {
+			return tooBig()
+		}
 		if parts[0] == "udg" {
 			return UnitDisk(n, p, int64(seed))
 		}
@@ -58,6 +67,9 @@ func FromSpec(spec string) (*graph.Graph, error) {
 		if !ok1 || !ok2 {
 			return fail()
 		}
+		if rows > 0 && cols > math.MaxInt32/rows {
+			return tooBig()
+		}
 		return Grid(rows, cols)
 	case "tree":
 		if len(parts) != 3 {
@@ -67,6 +79,9 @@ func FromSpec(spec string) (*graph.Graph, error) {
 		seed, ok2 := atoi(parts[2])
 		if !ok1 || !ok2 {
 			return fail()
+		}
+		if n > math.MaxInt32 {
+			return tooBig()
 		}
 		return RandomTree(n, int64(seed))
 	case "ba":
@@ -78,6 +93,9 @@ func FromSpec(spec string) (*graph.Graph, error) {
 		seed, ok3 := atoi(parts[3])
 		if !ok1 || !ok2 || !ok3 {
 			return fail()
+		}
+		if n > math.MaxInt32 {
+			return tooBig()
 		}
 		return PrefAttach(n, m, int64(seed))
 	}

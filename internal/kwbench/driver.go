@@ -125,8 +125,8 @@ func (d *inprocDriver) options(req Request) kwmds.Options {
 	if d.sequential {
 		// Split the machine between concurrent operations the same way
 		// the serve subsystem does: with C operations in flight each
-		// solver gets its share of GOMAXPROCS instead of a full-width
-		// phase pool.
+		// solver's forked sweeps get its share of GOMAXPROCS instead of
+		// full width.
 		opts.SolverWorkers = max(1, runtime.GOMAXPROCS(0)/max(1, d.concurrency))
 	}
 	return opts

@@ -415,9 +415,10 @@ func (s *Server) solve(ctx context.Context, req *graphio.SolveRequest) (*graphio
 	// one set of buffers across all cold solves of this capacity class.
 	// "sim" (opt-in) runs the message-passing simulation for callers who
 	// want the rounds/messages/bits accounting. SolverWorkers splits the
-	// machine between the request pool and the per-solve phase pools:
-	// with Workers requests in flight, each solver gets its share of
-	// GOMAXPROCS instead of every solve spawning a full-width pool.
+	// machine between the request pool and the solvers' forked sweeps:
+	// with Workers requests in flight, each solver's sweeps get its share
+	// of GOMAXPROCS instead of forking full width. The LP phases that
+	// emit lists run on the request's goroutine either way.
 	opts := kwmds.Options{
 		K: req.K, Seed: req.Seed,
 		Sequential:    req.Engine != "sim",

@@ -50,18 +50,22 @@ type Options struct {
 	Weights []float64
 	// Sequential runs the fastpath solver (internal/fastpath) instead of
 	// the message-passing simulation: the same pipeline executed
-	// frontier-driven and phase-parallel directly over the graph's CSR
-	// arrays, drawing its buffers from a pool shared across calls. The
-	// output is bit-identical to the simulated execution; round and
-	// message statistics are zero. This is the path for large graphs and
-	// for serving — the serve subsystem's cold solves run through it.
+	// frontier-driven directly over the graph's CSR arrays, with its
+	// dense sweeps forked over SolverWorkers goroutines, drawing its
+	// buffers from a pool shared across calls. The output is
+	// bit-identical to the simulated execution; round and message
+	// statistics are zero. This is the path for large graphs and for
+	// serving — the serve subsystem's cold solves run through it.
 	Sequential bool
-	// SolverWorkers bounds the fastpath solver's phase parallelism for
-	// Sequential runs (≤ 0 selects GOMAXPROCS). The output is
-	// bit-identical for every worker count; the knob exists so callers
-	// that already run many solves concurrently — the serve subsystem's
-	// worker pool — can stop the per-solve pools from oversubscribing
-	// the machine. Ignored for simulated runs.
+	// SolverWorkers bounds the goroutines of the fastpath solver's dense
+	// sweeps — δ⁽¹⁾, δ⁽²⁾, the rounding's flip and fix-up, and the
+	// Algorithm 3 LP phases that emit no list — for Sequential runs (≤ 0
+	// selects GOMAXPROCS); the LP phases that emit lists run on the
+	// calling goroutine whatever the count. The output is bit-identical
+	// for every worker count; the knob exists so callers that already run
+	// many solves concurrently — the serve subsystem's worker pool — can
+	// stop the sweeps from oversubscribing the machine. Ignored for
+	// simulated runs.
 	SolverWorkers int
 	// Cancel, when non-nil, aborts a Sequential solve early once the
 	// channel closes: DominatingSet, DominatingSetPacked,
