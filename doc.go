@@ -71,7 +71,7 @@
 // detector) and a differential fuzzer with a checked-in corpus
 // (internal/fastpath). BENCH_kwbench.json records the timings, each row
 // with the host it ran on: on a 2-vCPU host at GOMAXPROCS 2 the fastpath
-// runs the full pipeline on a 100k-vertex unit-disk graph at p50 35.1 ms,
+// runs the full pipeline on a 100k-vertex unit-disk graph at p50 17.6 ms,
 // its sweeps forked over two workers (solve-cold-udg100k), and serves
 // uncached 10k-vertex solves at p50 1.4 ms under eight concurrent clients
 // (serve-uncached-udg10k).

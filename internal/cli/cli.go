@@ -155,8 +155,8 @@ func loadGraph(cfg Config) (*kwmds.Graph, error) {
 }
 
 // LoadGraph resolves a -graph argument: "-" reads the edge-list format from
-// stdin, "gen:<family>:<args>" generates a graph in-process (see
-// ParseGenSpec), a path ending in ".kwcsr" is a binary CSR container
+// stdin, "gen:<family>:<args>" generates a graph in-process (the grammar
+// of gen.FromSpec), a path ending in ".kwcsr" is a binary CSR container
 // (zero-parse; see internal/graphio and `kwmds convert`), anything else is
 // an edge-list file path. The serve subsystem's -preload flag resolves its
 // specs through the same function so both command surfaces accept identical
@@ -170,7 +170,7 @@ func LoadGraph(path string, stdin io.Reader) (*kwmds.Graph, error) {
 		return graphio.ReadEdgeList(stdin)
 	}
 	if spec, ok := strings.CutPrefix(path, "gen:"); ok {
-		return ParseGenSpec(spec)
+		return gen.FromSpec(spec)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -182,18 +182,4 @@ func LoadGraph(path string, stdin io.Reader) (*kwmds.Graph, error) {
 		return g, err
 	}
 	return graphio.ReadEdgeList(f)
-}
-
-// ParseGenSpec generates a graph from a colon-separated spec:
-//
-//	udg:<n>:<radius>:<seed>    unit-disk graph in the unit square
-//	gnp:<n>:<p>:<seed>         Erdős–Rényi G(n,p)
-//	grid:<rows>:<cols>         grid graph
-//	tree:<n>:<seed>            uniformly-attached random tree
-//	ba:<n>:<m>:<seed>          Barabási–Albert preferential attachment
-//
-// The grammar lives in gen.FromSpec so the CLI, the serve preloads and the
-// kwbench scenario loader accept identical specs.
-func ParseGenSpec(spec string) (*kwmds.Graph, error) {
-	return gen.FromSpec(spec)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"kwmds/internal/gen"
 	"kwmds/internal/graphio"
 )
 
@@ -21,7 +22,7 @@ func TestConvertRoundTrip(t *testing.T) {
 	if err := RunConvert(ConvertConfig{In: "gen:udg:500:0.08:5", Out: bin}, &out); err != nil {
 		t.Fatal(err)
 	}
-	want, err := ParseGenSpec("udg:500:0.08:5")
+	want, err := gen.FromSpec("udg:500:0.08:5")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,44 +10,6 @@ import (
 	"testing"
 )
 
-func TestParseGenSpec(t *testing.T) {
-	cases := []struct {
-		spec  string
-		wantN int // -1 = expect error
-	}{
-		{"udg:50:0.2:1", 50},
-		{"gnp:30:0.1:2", 30},
-		{"grid:4:5", 20},
-		{"tree:25:3", 25},
-		{"ba:40:2:6", 40},
-		{"udg:50:0.2", -1},
-		{"udg:x:0.2:1", -1},
-		{"gnp:30:nope:1", -1},
-		{"ba:40:2", -1},   // missing seed
-		{"ba:3:5:1", -1},  // n < m+1
-		{"ba:40:0:1", -1}, // m < 1
-		{"ba:40:2.5:1", -1},
-		{"mystery:1:2:3", -1},
-		{"", -1},
-	}
-	for _, tc := range cases {
-		g, err := ParseGenSpec(tc.spec)
-		if tc.wantN < 0 {
-			if err == nil {
-				t.Errorf("ParseGenSpec(%q) accepted a bad spec", tc.spec)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ParseGenSpec(%q): %v", tc.spec, err)
-			continue
-		}
-		if g.N() != tc.wantN {
-			t.Errorf("ParseGenSpec(%q).N() = %d, want %d", tc.spec, g.N(), tc.wantN)
-		}
-	}
-}
-
 // TestLoadGraphRefusesOversizedSpec: the -graph and -preload path refuses
 // a gen: spec past graph.New's vertex bound, naming the bound.
 func TestLoadGraphRefusesOversizedSpec(t *testing.T) {

@@ -301,6 +301,44 @@ func TestGNPDegreeConsistency(t *testing.T) {
 	var _ = graph.SetSize // keep import for symmetry with other tests
 }
 
+func TestFromSpec(t *testing.T) {
+	cases := []struct {
+		spec  string
+		wantN int // -1 = expect error
+	}{
+		{"udg:50:0.2:1", 50},
+		{"gnp:30:0.1:2", 30},
+		{"grid:4:5", 20},
+		{"tree:25:3", 25},
+		{"ba:40:2:6", 40},
+		{"udg:50:0.2", -1},
+		{"udg:x:0.2:1", -1},
+		{"gnp:30:nope:1", -1},
+		{"ba:40:2", -1},   // missing seed
+		{"ba:3:5:1", -1},  // n < m+1
+		{"ba:40:0:1", -1}, // m < 1
+		{"ba:40:2.5:1", -1},
+		{"mystery:1:2:3", -1},
+		{"", -1},
+	}
+	for _, tc := range cases {
+		g, err := FromSpec(tc.spec)
+		if tc.wantN < 0 {
+			if err == nil {
+				t.Errorf("FromSpec(%q) accepted a bad spec", tc.spec)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("FromSpec(%q): %v", tc.spec, err)
+			continue
+		}
+		if g.N() != tc.wantN {
+			t.Errorf("FromSpec(%q).N() = %d, want %d", tc.spec, g.N(), tc.wantN)
+		}
+	}
+}
+
 // TestFromSpecRefusesPastTheVertexBound: a spec whose vertex count passes
 // graph.New's bound fails, naming the bound, before its generator sizes a
 // single array (the udg one would ask for a 48 GB point slice).

@@ -22,9 +22,8 @@ import (
 type LoadedGraph struct {
 	Name string
 	G    *graph.Graph
-	// LoadMS is how long materializing the graph took (generation, text
-	// parse, or binary load) — reported per graph so graph-acquisition
-	// cost is visible separately from solve cost.
+	// LoadMS is how long generating the graph took — reported per graph
+	// so graph-acquisition cost is visible separately from solve cost.
 	LoadMS float64
 }
 
@@ -43,14 +42,15 @@ type Request struct {
 }
 
 // OpResult is what a driver reports per operation; the runner uses Size and
-// InDS (inproc drivers only) for cross-checking and the mobility replay's
+// Set (the inproc driver only) for cross-checking and the mobility replay's
 // churn accounting, Cached for hit-rate accounting, and Shed to count 429
-// admission refusals as sheds rather than errors.
+// admission refusals as sheds rather than errors. Set holds the members 64
+// vertices a word, as kwmds.PackedResult does.
 type OpResult struct {
 	Size   int
 	Cached bool
 	Shed   bool
-	InDS   []bool
+	Set    []uint64
 }
 
 // Driver executes operations against one backend. Implementations must be
@@ -71,16 +71,12 @@ type Driver interface {
 func newDriver(sc *Scenario, concurrency int) (Driver, error) {
 	switch sc.Driver {
 	case DriverInprocFast:
-		return &inprocDriver{sequential: true, concurrency: concurrency}, nil
+		return &inprocDriver{concurrency: concurrency}, nil
 	case DriverHTTPServe:
-		d := &httpDriver{concurrency: concurrency, timeout: 120 * time.Second}
+		d := &httpDriver{concurrency: concurrency}
 		if sc.HTTP != nil {
 			d.workers = sc.HTTP.Workers
-			d.cacheEntries = sc.HTTP.CacheEntries
 			d.maxQueue = sc.HTTP.MaxQueue
-			if sc.HTTP.TimeoutSec > 0 {
-				d.timeout = time.Duration(sc.HTTP.TimeoutSec * float64(time.Second))
-			}
 			if sc.HTTP.QueueTimeoutSec > 0 {
 				d.queueTimeout = time.Duration(sc.HTTP.QueueTimeoutSec * float64(time.Second))
 			}
@@ -92,13 +88,11 @@ func newDriver(sc *Scenario, concurrency int) (Driver, error) {
 	}
 }
 
-// inprocDriver runs operations through the public facade: the fastpath
-// backend when sequential, the message-passing simulation otherwise. The
-// fastpath one is the driver for measuring pure solve compute, with no
-// protocol overhead on the measured path; the simulation one is the
-// cross-check mirror that re-derives its answers.
+// inprocDriver runs operations through the facade's fastpath backend: the
+// driver for measuring pure solve compute, with no protocol overhead on the
+// measured path. Each op makes the packed call the server makes, so it
+// times no copy of x and no unpack of the set.
 type inprocDriver struct {
-	sequential  bool
 	concurrency int
 	graphs      []LoadedGraph
 }
@@ -120,40 +114,24 @@ func pipelineOptions(algo, variant string, k int, seed int64, sequential bool) k
 	return opts
 }
 
-func (d *inprocDriver) options(req Request) kwmds.Options {
-	opts := pipelineOptions(req.Algo, req.Variant, req.K, req.Seed, d.sequential)
-	if d.sequential {
-		// Split the machine between concurrent operations the same way
-		// the serve subsystem does: with C operations in flight each
-		// solver's forked sweeps get its share of GOMAXPROCS instead of
-		// full width.
-		opts.SolverWorkers = max(1, runtime.GOMAXPROCS(0)/max(1, d.concurrency))
+// solvePacked is the one solve every measured op and every cross-check
+// makes: the fastpath backend when opts.Sequential is set, the
+// message-passing simulation otherwise.
+func solvePacked(g *graph.Graph, opts kwmds.Options) (OpResult, error) {
+	res, err := kwmds.DominatingSetPacked(g, opts)
+	if err != nil {
+		return OpResult{}, err
 	}
-	return opts
+	return OpResult{Size: res.Size, Set: res.Set}, nil
 }
 
 func (d *inprocDriver) Do(req Request) (OpResult, error) {
-	g := d.graphs[req.Graph].G
-	opts := d.options(req)
-	switch req.Algo {
-	case "frac":
-		if _, err := kwmds.FractionalDominatingSet(g, opts); err != nil {
-			return OpResult{}, err
-		}
-		return OpResult{}, nil
-	case "kwcds":
-		res, err := kwmds.ConnectedDominatingSet(g, opts)
-		if err != nil {
-			return OpResult{}, err
-		}
-		return OpResult{Size: res.Size, InDS: res.InDS}, nil
-	default: // kw, kw2
-		res, err := kwmds.DominatingSet(g, opts)
-		if err != nil {
-			return OpResult{}, err
-		}
-		return OpResult{Size: res.Size, InDS: res.InDS}, nil
-	}
+	opts := pipelineOptions(req.Algo, req.Variant, req.K, req.Seed, true)
+	// Split the machine between concurrent operations the same way the
+	// serve subsystem does: with C operations in flight each solver's
+	// forked sweeps get its share of GOMAXPROCS instead of full width.
+	opts.SolverWorkers = max(1, runtime.GOMAXPROCS(0)/max(1, d.concurrency))
+	return solvePacked(d.graphs[req.Graph].G, opts)
 }
 
 func (d *inprocDriver) Close() error { return nil }
@@ -164,9 +142,7 @@ func (d *inprocDriver) Close() error { return nil }
 // measured path, over loopback.
 type httpDriver struct {
 	workers      int
-	cacheEntries int
 	concurrency  int
-	timeout      time.Duration
 	maxQueue     int
 	queueTimeout time.Duration
 	mutate       bool
@@ -201,7 +177,6 @@ func (d *httpDriver) Prepare(graphs []LoadedGraph) error {
 	}
 	d.srv = server.New(server.Config{
 		Workers:      d.workers,
-		CacheEntries: d.cacheEntries,
 		Graphs:       m,
 		MaxQueue:     d.maxQueue,
 		QueueTimeout: d.queueTimeout,
@@ -219,7 +194,7 @@ func (d *httpDriver) Prepare(graphs []LoadedGraph) error {
 		}
 	}
 	d.client = &http.Client{
-		Timeout: d.timeout, // a hung target fails the run instead of wedging it
+		Timeout: requestTimeout,
 		Transport: &http.Transport{
 			MaxIdleConnsPerHost: max(2, d.concurrency),
 		},
@@ -325,6 +300,10 @@ func (d *httpDriver) Close() error {
 	}
 	return nil
 }
+
+// requestTimeout bounds each HTTP request, so a hung server fails the run
+// instead of wedging it.
+const requestTimeout = 120 * time.Second
 
 // variantWire maps the spec's variant to the wire default convention.
 func variantWire(v string) string {

@@ -90,6 +90,14 @@ func TestLoadSpecValidation(t *testing.T) {
 			sc.Load = &LoadSpec{Gen: "udg:100:0.2:1", Ops: 1}
 			sc.Graphs, sc.Closed, sc.CrossCheck = nil, nil, true
 		}, "no cross_check or http"},
+		{"load with warmup", func(sc *Scenario) {
+			sc.Load = &LoadSpec{Gen: "udg:100:0.2:1", Ops: 1}
+			sc.Graphs, sc.Closed, sc.WarmupOps = nil, nil, 2
+		}, "load scenarios take no warmup_ops"},
+		{"load with unknown algo", func(sc *Scenario) {
+			sc.Load = &LoadSpec{Gen: "udg:100:0.2:1", Ops: 1}
+			sc.Graphs, sc.Closed, sc.Matrix.Algos = nil, nil, []string{"frac"}
+		}, `unknown algo "frac"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

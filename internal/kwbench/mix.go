@@ -92,9 +92,8 @@ func (m *MixSpec) draw(rng *rand.Rand) string {
 // after the run, any violation making `kwmds bench` exit non-zero. Fields
 // are pointers so an explicit 0 bound is distinct from an omitted one.
 type SLOSpec struct {
-	// P99MS/P999MS are latency ceilings in milliseconds.
-	P99MS  *float64 `json:"p99_ms,omitempty"`
-	P999MS *float64 `json:"p999_ms,omitempty"`
+	// P99MS is a latency ceiling in milliseconds.
+	P99MS *float64 `json:"p99_ms,omitempty"`
 	// ErrorRate is the ceiling on errors/attempted as a fraction in [0, 1].
 	// Setting it (even to 0) also switches the runner to error-tolerant
 	// accounting: an operation error is counted and excluded from the
@@ -115,7 +114,6 @@ func (s *SLOSpec) validate() error {
 		rate bool
 	}{
 		{"p99_ms", s.P99MS, false},
-		{"p999_ms", s.P999MS, false},
 		{"error_rate", s.ErrorRate, true},
 		{"shed_rate", s.ShedRate, true},
 		{"min_shed_rate", s.MinShedRate, true},
@@ -157,9 +155,6 @@ func evaluateSLO(sc *Scenario, res *ScenarioResult) {
 	if s.P99MS != nil && res.Latency.P99 > *s.P99MS {
 		add("p99 %.3f ms exceeds the %.3f ms bound", res.Latency.P99, *s.P99MS)
 	}
-	if s.P999MS != nil && res.Latency.P999 > *s.P999MS {
-		add("p99.9 %.3f ms exceeds the %.3f ms bound", res.Latency.P999, *s.P999MS)
-	}
 	if s.ErrorRate != nil && res.ErrorRate > *s.ErrorRate {
 		add("error rate %.4f exceeds the %.4f bound (%d errors)", res.ErrorRate, *s.ErrorRate, res.Errors)
 	}
@@ -190,6 +185,14 @@ func (o *OpenLoop) flashParams() (pf, psf, pdf float64) {
 		psf, pdf = defaultPeakStartFrac, defaultPeakDurFrac
 	}
 	return pf, psf, pdf
+}
+
+// maxInflight resolves the in-flight bound (default 256).
+func (o *OpenLoop) maxInflight() int {
+	if o.MaxInflight <= 0 {
+		return 256
+	}
+	return o.MaxInflight
 }
 
 // meanRateFactor is the curve's time-averaged rate multiplier: the planned
@@ -254,7 +257,7 @@ type collector struct {
 	mu    sync.Mutex
 	total *hdr.Histogram
 	// answers keeps each successful op's result for the cross-check pass
-	// (nil unless the scenario cross-checks). The inproc drivers return
+	// (nil unless the scenario cross-checks). The inproc driver returns
 	// caller-owned sets, so keeping a reference copies nothing.
 	answers  []OpResult
 	ok       []bool

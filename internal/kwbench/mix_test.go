@@ -152,7 +152,7 @@ func TestRunOpenLoopExcludesErrors(t *testing.T) {
 		SLO:  &SLOSpec{ErrorRate: &one},
 	}
 	res := &ScenarioResult{}
-	if err := runOpen(sc, RunOptions{}, &failingDriver{}, make([]LoadedGraph, 1), res); err != nil {
+	if err := runLoop(sc, RunOptions{}, &failingDriver{}, make([]LoadedGraph, 1), res); err != nil {
 		t.Fatal(err)
 	}
 	evaluateSLO(sc, res)

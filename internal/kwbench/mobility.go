@@ -2,7 +2,7 @@ package kwbench
 
 import (
 	"fmt"
-	"runtime"
+	"math/bits"
 	"time"
 
 	"kwmds"
@@ -10,7 +10,6 @@ import (
 	"kwmds/internal/fastpath"
 	"kwmds/internal/gen"
 	"kwmds/internal/graph"
-	"kwmds/internal/hdr"
 	"kwmds/internal/mobility"
 	"kwmds/internal/rounding"
 )
@@ -60,16 +59,7 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	fail := func(e int, err error) (*ScenarioResult, error) {
 		return nil, fmt.Errorf("kwbench: scenario %q epoch %d: %w", sc.Name, e, err)
 	}
-	res := &ScenarioResult{
-		Name:        sc.Name,
-		Description: sc.Description,
-		Driver:      sc.Driver,
-		Loop:        "replay",
-		Graphs:      []GraphInfo{{Name: "epoch-0", N: trace.Graphs[0].N(), M: trace.Graphs[0].M()}},
-		Combos:      1,
-		Seeds:       seeds,
-		WarmupOps:   sc.WarmupOps,
-	}
+	res := newResult(sc, "replay", GraphInfo{Name: "epoch-0", N: trace.Graphs[0].N(), M: trace.Graphs[0].M()})
 
 	epochSeed := func(e int) int64 { return 1 + int64(e%seeds) }
 	// facadeOpts drives the rebuild mode and the cross-check pass through
@@ -92,60 +82,50 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 		return opt
 	}
 
-	var prev []bool
-	// With cross_check on, each epoch's answer is kept for the pass after
-	// the measurement windows. The churn mode's sets alias the solver, so
-	// record copies them into one buffer allocated up front, keeping the
-	// copies out of the allocation window.
+	// Sets stay packed, 64 vertices a word. prev holds the previous
+	// epoch's set for the churn counts. With cross_check on, each epoch's
+	// answer is kept for the pass after the measurement windows. The churn
+	// mode's sets alias the solver, so record copies them into buffers
+	// allocated up front, keeping the copies out of the allocation window.
+	nw := (trace.Graphs[0].N() + 63) / 64
+	prev := make([]uint64, nw)
 	var answers []OpResult
-	var sets []bool
-	n := trace.Graphs[0].N()
+	var sets []uint64
 	if sc.CrossCheck {
 		answers = make([]OpResult, epochs)
-		sets = make([]bool, epochs*n)
+		sets = make([]uint64, epochs*nw)
 	}
-	var kept, added, removed, transitions int
-	hist := &hdr.Histogram{}
-	measuredOps := 0
-	var elapsed, commitTotal, lpTotal, roundTotal time.Duration
+	var kept, added, removed int
+	var commitTotal, lpTotal, roundTotal time.Duration
 	var deltaEvents, repaired int
-	var msBefore, msAfter runtime.MemStats
+	w := seqWindow{warm: sc.WarmupOps}
 
-	record := func(e int, lat time.Duration, inDS []bool, size int) {
-		if e >= sc.WarmupOps {
-			hist.Record(lat)
-			elapsed += lat
-			measuredOps++
-		}
+	record := func(e int, lat time.Duration, got OpResult) {
+		w.record(e, lat)
 		if answers != nil {
-			set := sets[e*n : (e+1)*n]
-			copy(set, inDS)
-			answers[e] = OpResult{Size: size, InDS: set}
+			set := sets[e*nw : (e+1)*nw]
+			copy(set, got.Set)
+			answers[e] = OpResult{Size: got.Size, Set: set}
 		}
-		if prev != nil {
-			k, a, r := mobility.Churn(prev, inDS)
-			kept += k
-			added += a
-			removed += r
-			transitions++
+		if e > 0 {
+			for i, cur := range got.Set {
+				kept += bits.OnesCount64(prev[i] & cur)
+				added += bits.OnesCount64(cur &^ prev[i])
+				removed += bits.OnesCount64(prev[i] &^ cur)
+			}
 		}
-		if prev == nil {
-			prev = make([]bool, len(inDS))
-		}
-		copy(prev, inDS)
+		copy(prev, got.Set)
 	}
 
 	if m.Mode == MobilityRebuild {
 		for e := 0; e < epochs; e++ {
-			if e == sc.WarmupOps {
-				runtime.ReadMemStats(&msBefore)
-			}
+			w.begin(e)
 			t0 := time.Now()
 			g, err := gen.UnitDiskFromPoints(trace.Points[e], trace.Radius)
 			if err != nil {
 				return fail(e, err)
 			}
-			got, err := kwmds.DominatingSet(g, facadeOpts(e, true))
+			got, err := solvePacked(g, facadeOpts(e, true))
 			lat := time.Since(t0)
 			if err != nil {
 				return fail(e, err)
@@ -153,12 +133,11 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 			if e == 0 {
 				res.ColdMS = float64(lat) / float64(time.Millisecond)
 			}
-			record(e, lat, got.InDS, got.Size)
+			record(e, lat, got)
 		}
 	} else { // MobilityChurn
 		dyn := dyngraph.New(trace.Graphs[0])
 		solver := fastpath.New()
-		inDS := make([]bool, n) // each epoch's packed set, unpacked outside the op
 		t0 := time.Now()
 		got, err := solver.Solve(dyn.Graph(), fastOpts(0, dyn.Graph()))
 		lat := time.Since(t0)
@@ -166,12 +145,9 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 			return fail(0, err)
 		}
 		res.ColdMS = float64(lat) / float64(time.Millisecond)
-		graph.UnpackSet(inDS, got.Set)
-		record(0, lat, inDS, got.Size)
+		record(0, lat, OpResult{Size: got.Size, Set: got.Set})
 		for e := 1; e < epochs; e++ {
-			if e == sc.WarmupOps {
-				runtime.ReadMemStats(&msBefore)
-			}
+			w.begin(e)
 			// Delta derivation is outside the op: link events are the
 			// system's *input* in this mode.
 			add, rem := mobility.EdgeDeltas(trace.Graphs[e-1], trace.Graphs[e])
@@ -203,11 +179,10 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 					repaired++
 				}
 			}
-			graph.UnpackSet(inDS, got.Set)
-			record(e, lat, inDS, got.Size)
+			record(e, lat, OpResult{Size: got.Size, Set: got.Set})
 		}
 	}
-	runtime.ReadMemStats(&msAfter)
+	w.end(res)
 
 	// Everything below runs outside the timing and allocation windows:
 	// edge-churn accounting (its edge-set map is a real allocation) and
@@ -221,30 +196,27 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	}
 	if sc.CrossCheck {
 		for e := 0; e < epochs; e++ {
-			want, err := kwmds.DominatingSet(trace.Graphs[e], facadeOpts(e, false))
+			want, err := solvePacked(trace.Graphs[e], facadeOpts(e, false))
 			if err != nil {
 				return nil, fmt.Errorf("kwbench: scenario %q epoch %d cross-check: %w", sc.Name, e, err)
 			}
 			res.CrossChecked++
-			if !sameAnswer(answers[e], OpResult{Size: want.Size, InDS: want.InDS}) {
+			if !sameAnswer(answers[e], want) {
 				res.Mismatches++
 			}
 		}
 	}
 
-	fillCommon(res, hist, measuredOps, elapsed, &msBefore, &msAfter)
 	mr := &MobilityResult{Epochs: epochs, Mode: m.Mode}
-	if transitions > 0 {
-		mr.MeanKept = float64(kept) / float64(transitions)
-		mr.MeanAdded = float64(added) / float64(transitions)
-		mr.MeanRemoved = float64(removed) / float64(transitions)
+	if transitions := float64(epochs - 1); transitions > 0 {
+		mr.MeanKept = float64(kept) / transitions
+		mr.MeanAdded = float64(added) / transitions
+		mr.MeanRemoved = float64(removed) / transitions
+		mr.MeanEdgeChurn = edgeChurn / transitions
 	}
-	if epochs > 1 {
-		mr.MeanEdgeChurn = edgeChurn / float64(epochs-1)
-	}
-	if m.Mode == MobilityChurn && measuredOps > 0 {
-		mr.MeanEdgeDeltas = float64(deltaEvents) / float64(measuredOps)
-		perOp := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(measuredOps) }
+	if m.Mode == MobilityChurn && w.ops > 0 {
+		mr.MeanEdgeDeltas = float64(deltaEvents) / float64(w.ops)
+		perOp := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(w.ops) }
 		mr.MeanCommitMS = perOp(commitTotal)
 		lp, round := perOp(lpTotal), perOp(roundTotal)
 		mr.MeanLPMS, mr.MeanRoundMS = &lp, &round

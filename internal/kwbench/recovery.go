@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"time"
 
 	"kwmds"
 	"kwmds/internal/graphio"
-	"kwmds/internal/hdr"
 	"kwmds/internal/mobility"
 	"kwmds/internal/wal"
 )
@@ -119,27 +117,11 @@ func runRecovery(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 		rec.Mapped.Close()
 	}
 
-	res := &ScenarioResult{
-		Name:        sc.Name,
-		Description: sc.Description,
-		Driver:      sc.Driver,
-		Loop:        "recovery",
-		Graphs:      []GraphInfo{{Name: fmt.Sprintf("udg-walk-%d", r.N), N: dyn.Graph().N(), M: dyn.Graph().M()}},
-		Combos:      1,
-		Seeds:       1,
-		WarmupOps:   sc.WarmupOps,
-	}
-
-	hist := &hdr.Histogram{}
+	res := newResult(sc, "recovery", GraphInfo{Name: fmt.Sprintf("udg-walk-%d", r.N), N: dyn.Graph().N(), M: dyn.Graph().M()})
 	var stats wal.RecoveryStats
-	measuredOps := 0
-	var elapsed time.Duration
-	var msBefore, msAfter runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
+	w := seqWindow{warm: sc.WarmupOps}
 	for i := 0; i < restarts; i++ {
-		if i == sc.WarmupOps {
-			runtime.ReadMemStats(&msBefore)
-		}
+		w.begin(i)
 		t0 := time.Now()
 		got, err := wal.Open(dir, nil, nil, wopts)
 		lat := time.Since(t0)
@@ -172,15 +154,10 @@ func runRecovery(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 		if i == 0 && sc.WarmupOps > 0 {
 			res.ColdMS = float64(lat) / float64(time.Millisecond)
 		}
-		if i >= sc.WarmupOps {
-			hist.Record(lat)
-			elapsed += lat
-			measuredOps++
-		}
+		w.record(i, lat)
 	}
-	runtime.ReadMemStats(&msAfter)
+	w.end(res)
 
-	fillCommon(res, hist, measuredOps, elapsed, &msBefore, &msAfter)
 	rr := &RecoveryResult{
 		Epochs:         epochs,
 		Restarts:       restarts,

@@ -33,7 +33,7 @@ func TestValidateBadRecoverySpecs(t *testing.T) {
 			s.Load = &LoadSpec{Gen: "udg:100:0.2:1", Ops: 1}
 			s.Recovery = smokeRecovery().Recovery
 		}, "load and recovery are mutually exclusive"},
-		{"frac algo", func(s *Scenario) { s.Matrix.Algos = []string{"frac"} }, "algos kw|kw2"},
+		{"frac algo", func(s *Scenario) { s.Matrix.Algos = []string{"frac"} }, `unknown algo "frac"`},
 		{"two combos", func(s *Scenario) { s.Matrix.Algos = []string{"kw", "kw2"} }, "exactly one matrix combo"},
 		{"cross check", func(s *Scenario) { s.CrossCheck = true }, "no cross_check or http"},
 		{"zero epochs", func(s *Scenario) { s.Recovery.Epochs = 0 }, "bad recovery parameters"},

@@ -68,8 +68,8 @@ type GraphInfo struct {
 	Name string `json:"name"`
 	N    int    `json:"n"`
 	M    int    `json:"m"`
-	// LoadMS is how long materializing this graph took (generation, text
-	// parse, or binary container load), measured outside the op windows.
+	// LoadMS is how long generating this graph took, measured outside the
+	// op windows.
 	LoadMS float64 `json:"load_ms,omitempty"`
 }
 

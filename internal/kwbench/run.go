@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,14 +56,11 @@ func runScenario(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	concurrency := 1
+	loop, concurrency := "open", 0
 	if sc.Closed != nil {
-		concurrency = sc.Closed.Concurrency
-	} else if sc.Open != nil {
-		concurrency = sc.Open.MaxInflight
-		if concurrency <= 0 {
-			concurrency = 256
-		}
+		loop, concurrency = "closed", sc.Closed.Concurrency
+	} else {
+		concurrency = sc.Open.maxInflight()
 	}
 	driver, err := newDriver(sc, concurrency)
 	if err != nil {
@@ -75,24 +71,11 @@ func runScenario(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 		return nil, err
 	}
 
-	res := &ScenarioResult{
-		Name:        sc.Name,
-		Description: sc.Description,
-		Driver:      sc.Driver,
-		Graphs:      graphInfos(graphs),
-		Combos:      len(sc.Matrix.combos()),
-		Seeds:       effectiveSeeds(sc),
-		WarmupOps:   sc.WarmupOps,
-	}
+	res := newResult(sc, loop, graphInfos(graphs)...)
 	if sc.Closed != nil {
-		res.Loop = "closed"
-		res.Concurrency = sc.Closed.Concurrency
-		err = runClosed(sc, opts, driver, graphs, res)
-	} else {
-		res.Loop = "open"
-		err = runOpen(sc, opts, driver, graphs, res)
+		res.Concurrency = concurrency
 	}
-	if err != nil {
+	if err := runLoop(sc, opts, driver, graphs, res); err != nil {
 		return nil, err
 	}
 	if hd, ok := driver.(*httpDriver); ok {
@@ -113,53 +96,47 @@ func runScenario(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	return res, nil
 }
 
-// effectiveSeeds resolves the seed-rotation width.
+// newResult fills the row header every scenario shape shares.
+func newResult(sc *Scenario, loop string, graphs ...GraphInfo) *ScenarioResult {
+	return &ScenarioResult{
+		Name:        sc.Name,
+		Description: sc.Description,
+		Driver:      sc.Driver,
+		Loop:        loop,
+		Graphs:      graphs,
+		Combos:      len(sc.Matrix.combos()),
+		Seeds:       effectiveSeeds(sc),
+		WarmupOps:   sc.WarmupOps,
+	}
+}
+
+// effectiveSeeds resolves the seed-rotation width. Load and recovery
+// scenarios rotate none: a load solves nothing, and recovery's one
+// verification solve uses seed 1.
 func effectiveSeeds(sc *Scenario) int {
-	if sc.Seeds < 1 {
+	if sc.Seeds < 1 || sc.Load != nil || sc.Recovery != nil {
 		return 1
 	}
 	return sc.Seeds
 }
 
 // loadGraphs materializes the scenario's graph set, timing each graph's
-// materialization (generation, parse, or binary load) into LoadMS so
-// reports separate graph-acquisition cost from solve cost. A File spec
-// ending in ".kwcsr" is read as the binary CSR container.
+// generation into LoadMS so reports separate graph-acquisition cost from
+// solve cost.
 func loadGraphs(specs []GraphSpec) ([]LoadedGraph, error) {
 	out := make([]LoadedGraph, 0, len(specs))
 	for _, s := range specs {
 		lg := LoadedGraph{Name: s.EffectiveName()}
-		t0 := time.Now()
-		switch {
-		case s.Gen != "":
-			g, err := gen.FromSpec(s.Gen)
-			if err != nil {
-				return nil, fmt.Errorf("kwbench: graph %q: %w", lg.Name, err)
-			}
-			lg.G = g
-		case s.Tier != "":
-			g, err := gen.FromSpec(Tiers[s.Tier])
-			if err != nil {
-				return nil, fmt.Errorf("kwbench: tier %q: %w", s.Tier, err)
-			}
-			lg.G = g
-		default:
-			f, err := os.Open(s.File)
-			if err != nil {
-				return nil, fmt.Errorf("kwbench: graph %q: %w", lg.Name, err)
-			}
-			var g *graph.Graph
-			if strings.HasSuffix(s.File, ".kwcsr") {
-				g, _, err = graphio.ReadBinaryCSR(f)
-			} else {
-				g, err = graphio.ReadEdgeList(f)
-			}
-			f.Close()
-			if err != nil {
-				return nil, fmt.Errorf("kwbench: graph %q: %w", lg.Name, err)
-			}
-			lg.G = g
+		spec := s.Gen
+		if s.Tier != "" {
+			spec = Tiers[s.Tier]
 		}
+		t0 := time.Now()
+		g, err := gen.FromSpec(spec)
+		if err != nil {
+			return nil, fmt.Errorf("kwbench: graph %q: %w", lg.Name, err)
+		}
+		lg.G = g
 		lg.LoadMS = float64(time.Since(t0)) / float64(time.Millisecond)
 		out = append(out, lg)
 	}
@@ -182,11 +159,7 @@ func graphInfos(graphs []LoadedGraph) []GraphInfo {
 func buildRequests(sc *Scenario, nGraphs, n int) []Request {
 	combos := sc.Matrix.combos()
 	seeds := effectiveSeeds(sc)
-	selSeed := int64(1)
-	if sc.SelectSeed != nil {
-		selSeed = *sc.SelectSeed
-	}
-	rng := rand.New(rand.NewSource(selSeed))
+	rng := rand.New(rand.NewSource(1))
 	var zipf *rand.Zipf
 	if sc.Select == "zipfian" && nGraphs > 1 {
 		theta := sc.Theta
@@ -233,10 +206,10 @@ func buildRequests(sc *Scenario, nGraphs, n int) []Request {
 // sameAnswer reports whether a measured op agrees with its cross-check:
 // the same size and the same membership at every vertex.
 func sameAnswer(got, want OpResult) bool {
-	return got.Size == want.Size && slices.Equal(got.InDS, want.InDS)
+	return got.Size == want.Size && slices.Equal(got.Set, want.Set)
 }
 
-// crossCheck is the verification pass of both loop modes, run strictly
+// crossCheck is the verification pass of the loop runner, run strictly
 // outside the timing and allocation windows: re-solve every measured
 // request on the message-passing simulation and compare the answers. Only
 // successfully recorded ops have an answer to compare (errored and shed
@@ -245,12 +218,11 @@ func crossCheck(sc *Scenario, graphs []LoadedGraph, measured []Request, col *col
 	if !sc.CrossCheck {
 		return nil
 	}
-	checker := &inprocDriver{sequential: false, concurrency: 1, graphs: graphs}
 	for i, req := range measured {
 		if !col.ok[i] {
 			continue
 		}
-		want, err := checker.Do(req)
+		want, err := solvePacked(graphs[req.Graph].G, pipelineOptions(req.Algo, req.Variant, req.K, req.Seed, false))
 		if err != nil {
 			return fmt.Errorf("kwbench: scenario %q cross-check: %w", sc.Name, err)
 		}
@@ -262,46 +234,83 @@ func crossCheck(sc *Scenario, graphs []LoadedGraph, measured []Request, col *col
 	return nil
 }
 
-// runClosed drives the fixed-concurrency loop: warmup ops round-robin, then
-// the measured ops pulled from a shared counter by Concurrency workers.
-func runClosed(sc *Scenario, opts RunOptions, driver Driver, graphs []LoadedGraph, res *ScenarioResult) error {
-	ops := sc.Closed.Ops
-	if opts.Quick {
-		ops = quickOps(ops)
+// runLoop drives a closed or an open loop. A closed loop runs Concurrency
+// workers, each pulling the next measured op from a shared counter as soon
+// as its previous one returns. An open loop launches one op per
+// precomputed curve tick (1/rate apart for the constant curve; the flash
+// curve integrates the varying rate); completions never gate dispatch (up
+// to the in-flight bound), and each op's latency is measured from its
+// scheduled tick, so queueing delay from a saturated backend is charged to
+// the op instead of silently slowing the load (the coordinated-omission
+// correction). Both run the warmup first, and only successful ops land in
+// the latency histogram and throughput; errors and sheds are counted
+// separately.
+func runLoop(sc *Scenario, opts RunOptions, driver Driver, graphs []LoadedGraph, res *ScenarioResult) error {
+	var n int
+	var ticks []time.Duration
+	if sc.Closed != nil {
+		n = sc.Closed.Ops
+		if opts.Quick {
+			n = quickOps(n)
+		}
+	} else {
+		duration := time.Duration(sc.Open.DurationSec * float64(time.Second))
+		if opts.Quick && duration > 500*time.Millisecond {
+			duration = 500 * time.Millisecond
+		}
+		ticks = sc.Open.dispatchTicks(duration)
+		n = len(ticks)
 	}
 	warm := sc.WarmupOps
-	reqs := buildRequests(sc, len(graphs), warm+ops)
+	reqs := buildRequests(sc, len(graphs), warm+n)
 	if err := runWarmup(driver, reqs[:warm], res); err != nil {
 		return err
 	}
 	measured := reqs[warm:]
 
-	workers := sc.Closed.Concurrency
-	col := newCollector(sc, len(measured))
-	var next atomic.Int64
+	col := newCollector(sc, n)
 	var stop atomic.Bool // an op error aborts fast unless slo tolerates errors
 	var wg sync.WaitGroup
+	do := func(i int, from time.Time) {
+		got, err := driver.Do(measured[i])
+		if col.record(i, measured[i], time.Since(from), got, err) {
+			stop.Store(true)
+		}
+	}
 
 	var msBefore runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
 	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := next.Add(1) - 1
-				if i >= int64(len(measured)) {
-					return
+	if sc.Closed != nil {
+		var next atomic.Int64
+		for range sc.Closed.Concurrency {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					i := int(next.Add(1) - 1)
+					if i >= n {
+						return
+					}
+					do(i, time.Now())
 				}
-				t0 := time.Now()
-				got, err := driver.Do(measured[i])
-				if col.record(int(i), measured[i], time.Since(t0), got, err) {
-					stop.Store(true)
-					return
-				}
+			}()
+		}
+	} else {
+		sem := make(chan struct{}, sc.Open.maxInflight())
+		for i := 0; i < n && !stop.Load(); i++ {
+			sched := start.Add(ticks[i])
+			if wait := time.Until(sched); wait > 0 {
+				time.Sleep(wait)
 			}
-		}()
+			sem <- struct{}{} // the wait (if saturated) lands in this op's latency via sched
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { <-sem }()
+				do(i, sched)
+			}()
+		}
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
@@ -313,7 +322,13 @@ func runClosed(sc *Scenario, opts RunOptions, driver Driver, graphs []LoadedGrap
 	}
 	fillCommon(res, col.total, col.successes(), elapsed, &msBefore, &msAfter)
 	col.finish(res)
-
+	if o := sc.Open; o != nil {
+		res.TargetRate = o.Rate
+		res.AchievedRate = res.OpsPerSec
+		if o.Curve != "" && o.Curve != CurveConstant {
+			res.Curve = o.Curve
+		}
+	}
 	return crossCheck(sc, graphs, measured, col, res)
 }
 
@@ -342,77 +357,6 @@ func markWarm(d Driver) {
 	}
 }
 
-// runOpen drives the target-rate loop: the dispatcher launches one
-// operation per precomputed curve tick (1/rate apart for the constant
-// curve; the flash curve integrates the varying rate);
-// completions never gate dispatch (up to the in-flight bound), and each
-// operation's latency is measured from its scheduled tick — queueing
-// delay from a saturated backend is charged to the operation instead of
-// silently slowing the load (the coordinated-omission correction). Only
-// successful operations land in the latency histogram and throughput;
-// errors and sheds are counted separately.
-func runOpen(sc *Scenario, opts RunOptions, driver Driver, graphs []LoadedGraph, res *ScenarioResult) error {
-	o := sc.Open
-	duration := time.Duration(o.DurationSec * float64(time.Second))
-	if opts.Quick && duration > 500*time.Millisecond {
-		duration = 500 * time.Millisecond
-	}
-	maxInflight := o.MaxInflight
-	if maxInflight <= 0 {
-		maxInflight = 256
-	}
-	ticks := o.dispatchTicks(duration)
-	warm := sc.WarmupOps
-	reqs := buildRequests(sc, len(graphs), warm+len(ticks))
-	if err := runWarmup(driver, reqs[:warm], res); err != nil {
-		return err
-	}
-	measured := reqs[warm:]
-
-	sem := make(chan struct{}, maxInflight)
-	col := newCollector(sc, len(measured))
-	var stop atomic.Bool // an op error aborts fast unless slo tolerates errors
-	var wg sync.WaitGroup
-
-	var msBefore runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-	start := time.Now()
-	for i := 0; i < len(ticks) && !stop.Load(); i++ {
-		sched := start.Add(ticks[i])
-		if wait := time.Until(sched); wait > 0 {
-			time.Sleep(wait)
-		}
-		sem <- struct{}{} // the wait (if saturated) lands in this op's latency via sched
-		wg.Add(1)
-		go func(op int, sched time.Time) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			got, err := driver.Do(measured[op])
-			lat := time.Since(sched)
-			if col.record(op, measured[op], lat, got, err) {
-				stop.Store(true)
-			}
-		}(i, sched)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	var msAfter runtime.MemStats
-	runtime.ReadMemStats(&msAfter)
-
-	if col.firstErr != nil {
-		return fmt.Errorf("kwbench: scenario %q: %w", sc.Name, col.firstErr)
-	}
-	fillCommon(res, col.total, col.successes(), elapsed, &msBefore, &msAfter)
-	col.finish(res)
-	res.TargetRate = o.Rate
-	res.AchievedRate = res.OpsPerSec
-	if o.Curve != "" && o.Curve != CurveConstant {
-		res.Curve = o.Curve
-	}
-
-	return crossCheck(sc, graphs, measured, col, res)
-}
-
 // fillCommon computes the shared result block from a merged histogram and
 // the mem-stats window.
 func fillCommon(res *ScenarioResult, h *hdr.Histogram, ops int, elapsed time.Duration, before, after *runtime.MemStats) {
@@ -428,6 +372,39 @@ func fillCommon(res *ScenarioResult, h *hdr.Histogram, ops int, elapsed time.Dur
 	}
 }
 
+// seqWindow is the measured window of ops that run one after another (a
+// replay's epochs, a recovery's restarts): ops from index warm on are
+// measured, and the allocation window opens at the first of them.
+type seqWindow struct {
+	warm          int
+	hist          hdr.Histogram
+	ops           int
+	elapsed       time.Duration
+	before, after runtime.MemStats
+}
+
+// begin opens the allocation window when op i is the first measured one.
+func (w *seqWindow) begin(i int) {
+	if i == w.warm {
+		runtime.ReadMemStats(&w.before)
+	}
+}
+
+// record folds op i's latency in when it is a measured op.
+func (w *seqWindow) record(i int, lat time.Duration) {
+	if i >= w.warm {
+		w.hist.Record(lat)
+		w.elapsed += lat
+		w.ops++
+	}
+}
+
+// end closes the allocation window and fills res's common block.
+func (w *seqWindow) end(res *ScenarioResult) {
+	runtime.ReadMemStats(&w.after)
+	fillCommon(res, &w.hist, w.ops, w.elapsed, &w.before, &w.after)
+}
+
 // runLoad executes a format-comparison scenario: materialize the graph,
 // write it as edge-list text and as a kwcsr binary container into a temp
 // directory, then time TextOps parses of the text form and Ops loads of the
@@ -437,16 +414,11 @@ func fillCommon(res *ScenarioResult, h *hdr.Histogram, ops int, elapsed time.Dur
 // throughput, allocations); the text side lands in the load_compare block.
 func runLoad(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	spec := sc.Load
-	name, genSpec := spec.Tier, Tiers[spec.Tier]
-	if spec.Gen != "" {
-		name, genSpec = spec.Gen, spec.Gen
-	}
-	t0 := time.Now()
-	g, err := gen.FromSpec(genSpec)
+	graphs, err := loadGraphs([]GraphSpec{{Tier: spec.Tier, Gen: spec.Gen}})
 	if err != nil {
-		return nil, fmt.Errorf("kwbench: load graph %q: %w", name, err)
+		return nil, err
 	}
-	genMS := float64(time.Since(t0)) / float64(time.Millisecond)
+	g := graphs[0].G
 	wantDigest := graphio.Digest(g)
 
 	dir, err := os.MkdirTemp("", "kwbench-load-")
@@ -516,8 +488,8 @@ func runLoad(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 		return nil, err
 	}
 	// The verifying reader is the comparison arm with the embedded digest
-	// recomputed inside the stopwatch: what `kwmds -graph` and `file =`
-	// graph sets pay for a .kwcsr.
+	// recomputed inside the stopwatch: what `kwmds -graph` pays for a
+	// .kwcsr.
 	verHist, err := timeLoads(binPath, textOps, func(f *os.File) (*graph.Graph, error) {
 		g, _, err := graphio.ReadBinaryCSR(f)
 		return g, err
@@ -571,15 +543,7 @@ func runLoad(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 		}
 	}
 
-	res := &ScenarioResult{
-		Name:        sc.Name,
-		Description: sc.Description,
-		Driver:      sc.Driver,
-		Loop:        "load",
-		Graphs:      []GraphInfo{{Name: name, N: g.N(), M: g.M(), LoadMS: genMS}},
-		Combos:      1,
-		Seeds:       1,
-	}
+	res := newResult(sc, "load", graphInfos(graphs)...)
 	fillCommon(res, binHist, ops, elapsed, &msBefore, &msAfter)
 	// Medians, not means: a single GC pause or writeback stall inside one op
 	// would otherwise poison the whole arm, and the arms have few ops.

@@ -7,6 +7,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"kwmds"
+	"kwmds/internal/mobility"
 )
 
 func smokeClosed() *Scenario {
@@ -143,7 +146,7 @@ func TestRunFailsFastOnError(t *testing.T) {
 		Closed: &ClosedLoop{Concurrency: 2, Ops: 10000},
 	}
 	d := &failingDriver{}
-	err := runClosed(sc, RunOptions{}, d, make([]LoadedGraph, 1), &ScenarioResult{})
+	err := runLoop(sc, RunOptions{}, d, make([]LoadedGraph, 1), &ScenarioResult{})
 	if !errors.Is(err, errRefused) {
 		t.Fatalf("err = %v, want the operation error", err)
 	}
@@ -177,15 +180,16 @@ func TestRunCrossCheck(t *testing.T) {
 // TestSameAnswer pins the cross-check's comparison: a same-size answer
 // with one member moved is a mismatch, not only a size difference.
 func TestSameAnswer(t *testing.T) {
-	want := OpResult{Size: 2, InDS: []bool{true, false, true, false}}
+	want := OpResult{Size: 2, Set: []uint64{0b0101, 1 << 63}}
 	for _, tc := range []struct {
 		name string
 		got  OpResult
 		same bool
 	}{
-		{"equal sets", OpResult{Size: 2, InDS: []bool{true, false, true, false}}, true},
-		{"one member moved", OpResult{Size: 2, InDS: []bool{true, false, false, true}}, false},
-		{"size differs", OpResult{Size: 3, InDS: []bool{true, true, true, false}}, false},
+		{"equal sets", OpResult{Size: 2, Set: []uint64{0b0101, 1 << 63}}, true},
+		{"one member moved", OpResult{Size: 2, Set: []uint64{0b1001, 1 << 63}}, false},
+		{"member moved across words", OpResult{Size: 2, Set: []uint64{0b0101, 1 << 62}}, false},
+		{"size differs", OpResult{Size: 3, Set: []uint64{0b0111, 1 << 63}}, false},
 	} {
 		if got := sameAnswer(tc.got, want); got != tc.same {
 			t.Errorf("%s: sameAnswer = %v, want %v", tc.name, got, tc.same)
@@ -221,6 +225,29 @@ func TestRunMobilityReplay(t *testing.T) {
 	}
 	if m.MeanEdgeChurn <= 0 || m.MeanEdgeChurn >= 1 {
 		t.Errorf("edge churn = %v, want (0, 1)", m.MeanEdgeChurn)
+	}
+	// The replay counts churn on packed words; mobility.Churn over the
+	// unpacked sets of a fresh solve of each epoch must agree.
+	trace, err := mobility.RandomWalk(150, 0.15, 0.02, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev []bool
+	var kept, added, removed int
+	for _, g := range trace.Graphs {
+		r, err := kwmds.DominatingSet(g, pipelineOptions("kw", "ln", 3, 1, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev != nil {
+			k, a, rm := mobility.Churn(prev, r.InDS)
+			kept, added, removed = kept+k, added+a, removed+rm
+		}
+		prev = r.InDS
+	}
+	if m.MeanKept != float64(kept)/4 || m.MeanAdded != float64(added)/4 || m.MeanRemoved != float64(removed)/4 {
+		t.Errorf("replay churn kept/added/removed %v/%v/%v, mobility.Churn %v/%v/%v",
+			m.MeanKept, m.MeanAdded, m.MeanRemoved, float64(kept)/4, float64(added)/4, float64(removed)/4)
 	}
 }
 

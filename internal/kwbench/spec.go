@@ -11,9 +11,11 @@
 // mix with mutate weight needs a spawned http-serve. Mobility, load and
 // recovery scenarios take no loop spec and build their own graphs, and
 // run only on inproc-fast; mobility and recovery take exactly one matrix
-// combo, with algo kw or kw2.
+// combo. Every matrix algo is kw or kw2, and each matrix list names a
+// value at most once.
 //
-// See docs/BENCHMARKS.md for the methodology and the scenario file format.
+// A spec is JSON, or TOML in the subset toml.go reads. See
+// docs/BENCHMARKS.md for the methodology and the scenario file format.
 package kwbench
 
 import (
@@ -22,6 +24,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -64,11 +67,6 @@ type Scenario struct {
 	Select string `json:"select,omitempty"`
 	// Theta is the zipfian skew s > 1 (default 1.1); ignored for uniform.
 	Theta float64 `json:"theta,omitempty"`
-	// SelectSeed seeds the graph-selection (and mix-draw) stream, making
-	// the request schedule a pure function of the spec. nil selects the
-	// default of 1; an explicit 0 is rejected at validation — it used to be
-	// silently coerced to 1, so seeds 0 and 1 produced identical schedules.
-	SelectSeed *int64 `json:"select_seed,omitempty"`
 
 	// Mix, when set, makes the workload a mixed-operation one: each
 	// operation's kind (cached_solve | cold_solve | mutate)
@@ -154,24 +152,22 @@ type LoadSpec struct {
 }
 
 // GraphSpec names one graph of the scenario's preloaded set. Exactly one
-// source — Gen, File or Tier — must be set.
+// source, Gen or Tier, must be set.
 type GraphSpec struct {
 	// Name is the graph's identity in reports and graph_ref requests
-	// (default: the gen spec / tier name / file base name).
+	// (default: the gen spec or tier name).
 	Name string `json:"name,omitempty"`
 	// Gen is a generator family spec: udg:n:radius:seed, gnp:n:p:seed,
 	// grid:rows:cols, tree:n:seed or ba:n:m:seed (the grammar of
 	// gen.FromSpec).
 	Gen string `json:"gen,omitempty"`
-	// File is an edge-list path.
-	File string `json:"file,omitempty"`
 	// Tier names one of the canonical size tiers (see Tiers).
 	Tier string `json:"tier,omitempty"`
 }
 
 // Matrix is the cross product of pipeline configurations a scenario sweeps.
 type Matrix struct {
-	// Algos: kw | kw2 | kwcds | frac (default [kw]).
+	// Algos: kw | kw2 (default [kw]).
 	Algos []string `json:"algos,omitempty"`
 	// Variants: ln | ln-lnln (default [ln]).
 	Variants []string `json:"variants,omitempty"`
@@ -276,12 +272,8 @@ type RecoverySpec struct {
 
 // HTTPSpec tunes the http-serve driver.
 type HTTPSpec struct {
-	// Workers and CacheEntries size the spawned server (0 = defaults).
-	Workers      int `json:"workers,omitempty"`
-	CacheEntries int `json:"cache_entries,omitempty"`
-	// TimeoutSec bounds each request (default 120 s), so a hung target
-	// fails the scenario instead of blocking the benchmark forever.
-	TimeoutSec float64 `json:"timeout_sec,omitempty"`
+	// Workers sizes the spawned server's worker pool (0 = the default).
+	Workers int `json:"workers,omitempty"`
 	// MaxQueue bounds the spawned server's admission queue
 	// (server.Config.MaxQueue): solve requests beyond Workers running +
 	// MaxQueue waiting are shed with 429. 0 leaves admission unbounded.
@@ -415,30 +407,43 @@ func (sc *Scenario) Validate() error {
 	default:
 		return bad("unknown driver %q (want %s|%s)", sc.Driver, DriverInprocFast, DriverHTTPServe)
 	}
+	if err := sc.validateMatrix(); err != nil {
+		return err
+	}
 
-	if sc.Load != nil {
-		if sc.Mobility != nil {
-			return bad("load and mobility are mutually exclusive")
+	// Load and recovery scenarios build their own graph and time their own
+	// ops, one after another, on the in-process driver.
+	if sc.Load != nil || sc.Recovery != nil {
+		shape := "recovery"
+		if sc.Load != nil {
+			shape = "load"
 		}
-		if sc.Recovery != nil {
+		if sc.Load != nil && sc.Recovery != nil {
 			return bad("load and recovery are mutually exclusive")
 		}
+		if sc.Mobility != nil {
+			return bad("%s and mobility are mutually exclusive", shape)
+		}
 		if sc.Closed != nil || sc.Open != nil {
-			return bad("load scenarios take no loop spec (the timed loads are the operations)")
+			return bad("%s scenarios take no loop spec (their timed ops are the operations)", shape)
 		}
 		if sc.Driver != DriverInprocFast {
-			return bad("load scenarios require the %s driver", DriverInprocFast)
+			return bad("%s scenarios require the %s driver", shape, DriverInprocFast)
 		}
 		if len(sc.Graphs) > 0 {
-			return bad("load scenarios name their graph in the load block; drop the graphs list")
+			return bad("%s scenarios build their own graph; drop the graphs list", shape)
 		}
 		if sc.CrossCheck || sc.HTTP != nil {
-			return bad("load scenarios take no cross_check or http")
+			return bad("%s scenarios take no cross_check or http", shape)
 		}
 		if sc.Mix != nil || sc.SLO != nil {
-			return bad("load scenarios take no mix or slo")
+			return bad("%s scenarios take no mix or slo", shape)
 		}
-		l := sc.Load
+	}
+	if l := sc.Load; l != nil {
+		if sc.WarmupOps != 0 {
+			return bad("load scenarios take no warmup_ops")
+		}
 		if (l.Tier == "") == (l.Gen == "") {
 			return bad("load: exactly one of tier and gen is required")
 		}
@@ -455,26 +460,7 @@ func (sc *Scenario) Validate() error {
 		}
 		return nil
 	}
-	if sc.Recovery != nil {
-		if sc.Mobility != nil {
-			return bad("recovery and mobility are mutually exclusive")
-		}
-		if sc.Closed != nil || sc.Open != nil {
-			return bad("recovery scenarios take no loop spec (the timed recoveries are the operations)")
-		}
-		if sc.Driver != DriverInprocFast {
-			return bad("recovery scenarios require the %s driver", DriverInprocFast)
-		}
-		if len(sc.Graphs) > 0 {
-			return bad("recovery scenarios generate their own churn history; drop the graphs list")
-		}
-		if sc.CrossCheck || sc.HTTP != nil {
-			return bad("recovery scenarios take no cross_check or http")
-		}
-		if sc.Mix != nil || sc.SLO != nil {
-			return bad("recovery scenarios take no mix or slo")
-		}
-		r := sc.Recovery
+	if r := sc.Recovery; r != nil {
 		if r.N < 1 || r.Epochs < 1 || r.Radius <= 0 || r.Speed < 0 {
 			return bad("bad recovery parameters n=%d radius=%v speed=%v epochs=%d",
 				r.N, r.Radius, r.Speed, r.Epochs)
@@ -494,16 +480,6 @@ func (sc *Scenario) Validate() error {
 		}
 		if len(sc.Matrix.combos()) != 1 {
 			return bad("recovery scenarios take exactly one matrix combo (the verification solve)")
-		}
-		c := sc.Matrix.combos()[0]
-		if c.Algo != "kw" && c.Algo != "kw2" {
-			return bad("recovery scenarios support algos kw|kw2 (got %q)", c.Algo)
-		}
-		if c.Variant != "ln" && c.Variant != "ln-lnln" {
-			return bad("unknown variant %q (want ln|ln-lnln)", c.Variant)
-		}
-		if c.K < 0 || c.K > kwmds.MaxK {
-			return bad("k %d outside [0, %d]", c.K, kwmds.MaxK)
 		}
 		return nil
 	}
@@ -531,14 +507,9 @@ func (sc *Scenario) Validate() error {
 			return bad("unknown mobility mode %q (want %s|%s)", m.Mode, MobilityRebuild, MobilityChurn)
 		}
 		// Each epoch is one unambiguous op, so a mobility scenario takes
-		// exactly one pipeline configuration, and the churn mode's
-		// incremental path exists only for the fastpath dominating-set
-		// pipelines.
+		// exactly one pipeline configuration.
 		if len(sc.Matrix.combos()) != 1 {
 			return bad("mobility mode %q takes exactly one matrix combo", m.Mode)
-		}
-		if a := sc.Matrix.combos()[0].Algo; a != "kw" && a != "kw2" {
-			return bad("mobility mode %q supports algos kw|kw2 (got %q)", m.Mode, a)
 		}
 		if m.Mode == MobilityChurn && sc.WarmupOps < 1 {
 			return bad("mobility mode churn needs warmup_ops ≥ 1 (epoch 0 is the cold load, not a delta op)")
@@ -601,14 +572,8 @@ func (sc *Scenario) Validate() error {
 
 	names := map[string]bool{}
 	for i, g := range sc.Graphs {
-		set := 0
-		for _, s := range []string{g.Gen, g.File, g.Tier} {
-			if s != "" {
-				set++
-			}
-		}
-		if set != 1 {
-			return bad("graph %d: exactly one of gen, file and tier is required", i)
+		if (g.Gen == "") == (g.Tier == "") {
+			return bad("graph %d: exactly one of gen and tier is required", i)
 		}
 		if g.Tier != "" {
 			if _, ok := Tiers[g.Tier]; !ok {
@@ -633,9 +598,6 @@ func (sc *Scenario) Validate() error {
 		}
 	default:
 		return bad("unknown select %q (want uniform|zipfian)", sc.Select)
-	}
-	if sc.SelectSeed != nil && *sc.SelectSeed == 0 {
-		return bad("select_seed 0 is not a distinct seed (it was silently coerced to the default 1); use a nonzero seed or omit the field")
 	}
 	if sc.Seeds < 0 {
 		return bad("seeds must be ≥ 0 (got %d)", sc.Seeds)
@@ -667,37 +629,50 @@ func (sc *Scenario) Validate() error {
 		}
 	}
 
-	for _, c := range sc.Matrix.combos() {
-		switch c.Algo {
-		case "kw", "kw2", "kwcds", "frac":
-		default:
-			return bad("unknown algo %q (want kw|kw2|kwcds|frac)", c.Algo)
-		}
-		switch c.Variant {
-		case "ln", "ln-lnln":
-		default:
-			return bad("unknown variant %q (want ln|ln-lnln)", c.Variant)
-		}
-		if c.K < 0 || c.K > kwmds.MaxK {
-			return bad("k %d outside [0, %d]", c.K, kwmds.MaxK)
-		}
-		if sc.CrossCheck && c.Algo == "frac" {
-			return bad("cross_check compares dominating sets; algo frac has none")
-		}
-	}
-
 	if sc.HTTP != nil {
 		if sc.Driver != DriverHTTPServe {
 			return bad("http block is only valid with the %s driver", DriverHTTPServe)
-		}
-		if sc.HTTP.TimeoutSec < 0 || math.IsNaN(sc.HTTP.TimeoutSec) || math.IsInf(sc.HTTP.TimeoutSec, 0) {
-			return bad("http timeout_sec must be a finite value ≥ 0 (got %v)", sc.HTTP.TimeoutSec)
 		}
 		if sc.HTTP.MaxQueue < 0 {
 			return bad("http max_queue must be ≥ 0 (got %d)", sc.HTTP.MaxQueue)
 		}
 		if sc.HTTP.QueueTimeoutSec < 0 || math.IsNaN(sc.HTTP.QueueTimeoutSec) || math.IsInf(sc.HTTP.QueueTimeoutSec, 0) {
 			return bad("http queue_timeout_sec must be a finite value ≥ 0 (got %v)", sc.HTTP.QueueTimeoutSec)
+		}
+	}
+	return nil
+}
+
+// validateMatrix checks each matrix list, for every scenario shape. A
+// repeated entry is refused too, which bounds the cross product at
+// 2 × 2 × (MaxK+1) combos before anything expands it.
+func (sc *Scenario) validateMatrix() error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("scenario %q: %s", sc.Name, fmt.Sprintf(format, args...))
+	}
+	m := sc.Matrix
+	for i, a := range m.Algos {
+		if a != "kw" && a != "kw2" {
+			return bad("unknown algo %q (want kw|kw2)", a)
+		}
+		if slices.Contains(m.Algos[:i], a) {
+			return bad("matrix algo %q given twice", a)
+		}
+	}
+	for i, v := range m.Variants {
+		if v != "ln" && v != "ln-lnln" {
+			return bad("unknown variant %q (want ln|ln-lnln)", v)
+		}
+		if slices.Contains(m.Variants[:i], v) {
+			return bad("matrix variant %q given twice", v)
+		}
+	}
+	for i, k := range m.Ks {
+		if k < 0 || k > kwmds.MaxK {
+			return bad("k %d outside [0, %d]", k, kwmds.MaxK)
+		}
+		if slices.Contains(m.Ks[:i], k) {
+			return bad("matrix k %d given twice", k)
 		}
 	}
 	return nil
@@ -711,10 +686,7 @@ func (g GraphSpec) EffectiveName() string {
 	if g.Tier != "" {
 		return g.Tier
 	}
-	if g.Gen != "" {
-		return g.Gen
-	}
-	return filepath.Base(g.File)
+	return g.Gen
 }
 
 func tierNames() string {

@@ -6,21 +6,24 @@ import (
 	"strings"
 )
 
-// This file is a deliberately small TOML subset decoder — enough for
-// declarative scenario specs without pulling a dependency into the module.
-// Supported: comments, bare and quoted keys, dotted keys, [table] and
-// [table.sub] headers, [[array-of-tables]] headers, and values of type
-// string, integer, float, boolean, array and inline table. Unsupported
-// (rejected, never misparsed): multi-line strings, literal ('…') strings,
-// dates, and exotic escapes. The parsed document round-trips through JSON
-// into the Scenario struct, so both formats share one strict field set.
+// This file is a deliberately small TOML subset decoder, the size of the
+// scenario grammar, so the module needs no dependency. Supported: comments,
+// bare lowercase keys (a-z, 0-9, _), one-level [table] and [[array]]
+// headers, and values of type string, integer, float, boolean and array.
+// Everything else is refused with its line number, never misparsed:
+// dotted and quoted keys, [a.b] headers, inline tables, a table given
+// twice, multi-line and literal ('…') strings, dates and exotic escapes.
+// Lowercase keys keep encoding/json's case-insensitive field match from
+// folding two spellings of one key together. The parsed document
+// round-trips through JSON into the Scenario struct, so both formats share
+// one strict field set.
 
 // parseTOML decodes data into a nested map document.
 func parseTOML(data []byte) (map[string]any, error) {
 	root := map[string]any{}
-	cur := root // the table new keys land in
-	lines := strings.Split(string(data), "\n")
-	for ln, raw := range lines {
+	arrays := map[string]bool{} // names given by [[array]] headers
+	cur := root                 // the table new keys land in
+	for ln, raw := range strings.Split(string(data), "\n") {
 		line := strings.TrimSpace(stripComment(raw))
 		if line == "" {
 			continue
@@ -30,43 +33,41 @@ func parseTOML(data []byte) (map[string]any, error) {
 		}
 		switch {
 		case strings.HasPrefix(line, "[["): // array of tables
-			name := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(line, "[["), "]]"))
-			if name == "" || !strings.HasSuffix(line, "]]") {
+			if !strings.HasSuffix(line, "]]") {
 				return nil, fail("malformed array-of-tables header %q", line)
 			}
-			parent, last, err := descend(root, name, true)
-			if err != nil {
+			name := strings.TrimSpace(line[2 : len(line)-2])
+			if err := checkKey(name); err != nil {
 				return nil, fail("%v", err)
 			}
-			entry := map[string]any{}
-			arr, _ := parent[last].([]any)
-			if parent[last] != nil && arr == nil {
+			if _, ok := root[name]; ok && !arrays[name] {
 				return nil, fail("key %q is not an array of tables", name)
 			}
-			parent[last] = append(arr, any(entry))
-			cur = entry
+			arrays[name] = true
+			arr, _ := root[name].([]any)
+			cur = map[string]any{}
+			root[name] = append(arr, any(cur))
 		case strings.HasPrefix(line, "["): // table
-			name := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(line, "["), "]"))
-			if name == "" || !strings.HasSuffix(line, "]") {
+			if !strings.HasSuffix(line, "]") {
 				return nil, fail("malformed table header %q", line)
 			}
-			parent, last, err := descend(root, name, true)
-			if err != nil {
+			name := strings.TrimSpace(line[1 : len(line)-1])
+			if err := checkKey(name); err != nil {
 				return nil, fail("%v", err)
 			}
-			tbl, _ := parent[last].(map[string]any)
-			if parent[last] != nil && tbl == nil {
-				return nil, fail("key %q is not a table", name)
+			if _, dup := root[name]; dup {
+				return nil, fail("table %q is already defined", name)
 			}
-			if tbl == nil {
-				tbl = map[string]any{}
-				parent[last] = tbl
-			}
-			cur = tbl
+			cur = map[string]any{}
+			root[name] = cur
 		default: // key = value
-			key, rest, ok := cutAssign(line)
+			key, rest, ok := strings.Cut(line, "=")
 			if !ok {
 				return nil, fail("expected key = value, got %q", line)
+			}
+			key = strings.TrimSpace(key)
+			if err := checkKey(key); err != nil {
+				return nil, fail("%v", err)
 			}
 			val, rem, err := parseValue(strings.TrimSpace(rest))
 			if err != nil {
@@ -75,17 +76,27 @@ func parseTOML(data []byte) (map[string]any, error) {
 			if strings.TrimSpace(rem) != "" {
 				return nil, fail("trailing data %q after value", strings.TrimSpace(rem))
 			}
-			parent, last, err := descend(cur, key, false)
-			if err != nil {
-				return nil, fail("%v", err)
-			}
-			if _, dup := parent[last]; dup {
+			if _, dup := cur[key]; dup {
 				return nil, fail("duplicate key %q", key)
 			}
-			parent[last] = val
+			cur[key] = val
 		}
 	}
 	return root, nil
+}
+
+// checkKey accepts only a bare lowercase key, so each key names exactly one
+// field: no dots, quotes or capitals.
+func checkKey(key string) error {
+	if key == "" {
+		return fmt.Errorf("missing key")
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; !('a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '_') {
+			return fmt.Errorf("key %q is not a bare lowercase key (a-z, 0-9, _)", key)
+		}
+	}
+	return nil
 }
 
 // stripComment removes a # comment, respecting quoted strings.
@@ -108,90 +119,8 @@ func stripComment(line string) string {
 	return line
 }
 
-// cutAssign splits "key = value" at the first top-level '=' (one not inside
-// a quoted key).
-func cutAssign(line string) (key, rest string, ok bool) {
-	inStr := false
-	for i := 0; i < len(line); i++ {
-		switch line[i] {
-		case '"':
-			inStr = !inStr
-		case '=':
-			if !inStr {
-				return strings.TrimSpace(line[:i]), line[i+1:], true
-			}
-		}
-	}
-	return "", "", false
-}
-
-// descend walks a dotted key path from tbl, creating intermediate tables,
-// and returns the table holding the final segment. forHeader only changes
-// the error wording.
-func descend(tbl map[string]any, dotted string, forHeader bool) (parent map[string]any, last string, err error) {
-	segs, err := splitKey(dotted)
-	if err != nil {
-		return nil, "", err
-	}
-	cur := tbl
-	for _, seg := range segs[:len(segs)-1] {
-		next, ok := cur[seg]
-		if !ok {
-			m := map[string]any{}
-			cur[seg] = m
-			cur = m
-			continue
-		}
-		switch v := next.(type) {
-		case map[string]any:
-			cur = v
-		case []any: // dotted path through the latest array-of-tables entry
-			if len(v) == 0 {
-				return nil, "", fmt.Errorf("key %q traverses an empty array", seg)
-			}
-			m, ok := v[len(v)-1].(map[string]any)
-			if !ok {
-				return nil, "", fmt.Errorf("key %q traverses a non-table array", seg)
-			}
-			cur = m
-		default:
-			return nil, "", fmt.Errorf("key %q is not a table", seg)
-		}
-	}
-	return cur, segs[len(segs)-1], nil
-}
-
-// splitKey splits a possibly dotted, possibly quoted key into segments.
-func splitKey(key string) ([]string, error) {
-	var segs []string
-	var cur strings.Builder
-	inStr := false
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		switch {
-		case c == '"':
-			inStr = !inStr
-		case c == '.' && !inStr:
-			segs = append(segs, strings.TrimSpace(cur.String()))
-			cur.Reset()
-		default:
-			cur.WriteByte(c)
-		}
-	}
-	if inStr {
-		return nil, fmt.Errorf("unterminated quoted key %q", key)
-	}
-	segs = append(segs, strings.TrimSpace(cur.String()))
-	for _, s := range segs {
-		if s == "" {
-			return nil, fmt.Errorf("empty key segment in %q", key)
-		}
-	}
-	return segs, nil
-}
-
 // parseValue decodes one value from the front of s and returns the unread
-// remainder (arrays and inline tables recurse through it).
+// remainder (arrays recurse through it).
 func parseValue(s string) (any, string, error) {
 	if s == "" {
 		return nil, "", fmt.Errorf("missing value")
@@ -202,14 +131,14 @@ func parseValue(s string) (any, string, error) {
 	case '[':
 		return parseArray(s)
 	case '{':
-		return parseInlineTable(s)
+		return nil, "", fmt.Errorf("inline tables are not supported; use a [table] header")
 	case '\'':
 		return nil, "", fmt.Errorf("literal strings ('…') are not supported; use \"…\"")
 	}
 	// Bare scalar: runs to the next delimiter.
 	end := len(s)
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c == ',' || c == ']' || c == '}' {
+		if c := s[i]; c == ',' || c == ']' {
 			end = i
 			break
 		}
@@ -285,41 +214,6 @@ func parseArray(s string) (any, string, error) {
 			rest = strings.TrimSpace(rest[1:])
 		} else if rest != "" && !strings.HasPrefix(rest, "]") {
 			return nil, "", fmt.Errorf("expected ',' or ']' in array, got %q", rest)
-		}
-	}
-}
-
-func parseInlineTable(s string) (any, string, error) {
-	tbl := map[string]any{}
-	rest := strings.TrimSpace(s[1:])
-	for {
-		if rest == "" {
-			return nil, "", fmt.Errorf("unterminated inline table")
-		}
-		if rest[0] == '}' {
-			return tbl, rest[1:], nil
-		}
-		key, after, ok := cutAssign(rest)
-		if !ok {
-			return nil, "", fmt.Errorf("expected key = value in inline table, got %q", rest)
-		}
-		v, rem, err := parseValue(strings.TrimSpace(after))
-		if err != nil {
-			return nil, "", err
-		}
-		parent, last, err := descend(tbl, key, false)
-		if err != nil {
-			return nil, "", err
-		}
-		if _, dup := parent[last]; dup {
-			return nil, "", fmt.Errorf("duplicate key %q in inline table", key)
-		}
-		parent[last] = v
-		rest = strings.TrimSpace(rem)
-		if strings.HasPrefix(rest, ",") {
-			rest = strings.TrimSpace(rest[1:])
-		} else if rest != "" && !strings.HasPrefix(rest, "}") {
-			return nil, "", fmt.Errorf("expected ',' or '}' in inline table, got %q", rest)
 		}
 	}
 }

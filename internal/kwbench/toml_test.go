@@ -18,13 +18,9 @@ off = false
 list = [1, 2, 3]
 mixed = ["a", 1, true]
 empty = []
-inline = { x = 1, y = "z" }
 
 [table]
 nested = 4
-
-[table.sub]
-deep = "v"
 
 [[rows]]
 id = 1
@@ -46,13 +42,7 @@ id = 2
 		"list":  []any{int64(1), int64(2), int64(3)},
 		"mixed": []any{"a", int64(1), true},
 		"empty": []any{},
-		"inline": map[string]any{
-			"x": int64(1), "y": "z",
-		},
-		"table": map[string]any{
-			"nested": int64(4),
-			"sub":    map[string]any{"deep": "v"},
-		},
+		"table": map[string]any{"nested": int64(4)},
 		"rows": []any{
 			map[string]any{"id": int64(1)},
 			map[string]any{"id": int64(2)},
@@ -63,14 +53,14 @@ id = 2
 	}
 }
 
+// TestParseTOMLDottedKeys pins the refusal of the dotted forms: a dotted
+// key and a dotted table header each fail at their own line.
 func TestParseTOMLDottedKeys(t *testing.T) {
-	got, err := parseTOML([]byte("a.b.c = 1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]any{"a": map[string]any{"b": map[string]any{"c": int64(1)}}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("dotted key mismatch: %#v", got)
+	for _, doc := range []string{"k = 1\na.b.c = 1\n", "k = 1\n[a.b]\n"} {
+		_, err := parseTOML([]byte(doc))
+		if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "a.b") {
+			t.Errorf("parseTOML(%q): err = %v, want a refusal naming line 2 and the dotted name", doc, err)
+		}
 	}
 }
 
@@ -81,7 +71,13 @@ func TestParseTOMLErrors(t *testing.T) {
 		{"bare garbage", "what is this", "expected key = value"},
 		{"unterminated string", `k = "abc`, "unterminated string"},
 		{"unterminated array", "k = [1, 2", "unterminated array"},
-		{"unterminated inline", "k = { a = 1", "unterminated inline table"},
+		{"unterminated inline", "k = { a = 1", "inline tables are not supported"},
+		{"inline table", "k = { a = 1 }", "inline tables are not supported"},
+		{"quoted key", `"k" = 1`, "not a bare lowercase key"},
+		{"capital key", "ops = 5\nOps = 50", "not a bare lowercase key"},
+		{"table given twice", "[closed]\nops = 1\n[closed]\nconcurrency = 1", `table "closed" is already defined`},
+		{"table over array", "[[graphs]]\ntier = \"udg-500\"\n[graphs]", `table "graphs" is already defined`},
+		{"array over table", "[mix]\n[[mix]]", `key "mix" is not an array of tables`},
 		{"duplicate key", "k = 1\nk = 2", "duplicate key"},
 		{"bad value", "k = 12xy", "unsupported value"},
 		{"literal string", "k = 'abc'", "not supported"},

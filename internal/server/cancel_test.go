@@ -3,6 +3,9 @@ package server
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -159,6 +162,29 @@ func TestSolveCanceledContext(t *testing.T) {
 	}
 	if resp.Size < 1 || resp.N != 200 {
 		t.Errorf("follow-up solve implausible: %+v", resp)
+	}
+}
+
+// TestHandleSolveClientGone499: through the handler, a solve whose request
+// context is already canceled answers 499, and the cache counts neither a
+// hit nor a miss, since nothing starts.
+func TestHandleSolveClientGone499(t *testing.T) {
+	g, err := gen.UnitDisk(200, 0.12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 2, CacheEntries: 8, Graphs: map[string]*graph.Graph{"udg": g}})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/solve",
+		strings.NewReader(`{"graph_ref":"udg","k":3,"seed":5}`)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != 499 {
+		t.Fatalf("status %d (%s), want 499", rec.Code, rec.Body)
+	}
+	if _, hits, misses := s.Stats(); hits != 0 || misses != 0 {
+		t.Errorf("cache counted %d hits and %d misses for a solve that never started", hits, misses)
 	}
 }
 

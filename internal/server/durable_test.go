@@ -327,6 +327,42 @@ func TestSnapshotFailureIsExported(t *testing.T) {
 	}
 }
 
+// TestMutateLogAppendFailure pins what a mutate answers when the graph's
+// log refuses the append (here because it was closed under the server):
+// 500 naming the epoch committed in memory; the log is then poisoned, so
+// the next mutate answers 500 too; and solves of the graph still answer
+// 200.
+func TestMutateLogAppendFailure(t *testing.T) {
+	rec, err := wal.Open(t.TempDir(), lineGraph(30), nil, walTestOpts)
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	srv := New(Config{Workers: 2, Preloads: map[string]Preload{
+		"g": {Dyn: rec.Dyn, Log: rec.Log, Mapped: rec.Mapped, Tree: rec.Tree},
+	}})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	if err := rec.Log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for i, body := range []string{
+		`{"mutations":[{"op":"add_edge","u":0,"v":7}]}`,
+		`{"mutations":[{"op":"add_edge","u":1,"v":9}]}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/graphs/g/mutate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if want := fmt.Sprintf("epoch %d committed in memory but could not be logged", i+1); resp.StatusCode != 500 || !strings.Contains(string(data), want) {
+			t.Fatalf("mutate %d: status %d (%s), want 500 containing %q", i+1, resp.StatusCode, data, want)
+		}
+	}
+	solveBody(t, ts, `{"graph_ref":"g","k":3,"seed":1}`)
+}
+
 // TestDeleteReleasesMappedGraph pins the mapped-preload lifecycle: a graph
 // served off an mmapped .kwcsr, mutated (so the engine's tip is heap while
 // the epoch-0 base still aliases the mapping), then DELETEd must drop the

@@ -67,11 +67,6 @@ type Record struct {
 	Post    [digestBytes]byte
 }
 
-// encodedSize returns the payload byte length of r.
-func (r *Record) encodedSize() int {
-	return recHeaderBytes + 8*len(r.Adds) + 8*len(r.Rems) + 12*len(r.Weights)
-}
-
 // appendFrame serializes r as one length-prefixed CRC32C frame onto buf.
 func (r *Record) appendFrame(buf []byte) []byte {
 	start := len(buf)
