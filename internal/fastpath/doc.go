@@ -53,24 +53,35 @@
 // references use, which is what keeps the output bit-identical.
 //
 // Rounding kernel: Algorithm 1 is two passes over the words of the flipped
-// bitset. The flip compares each vertex's draw u — the first value of its
-// per-node stream keyed by vertex id, with the seed's half of the mixing
-// done once per solve (stats.StreamKey) — against x·Scale(δ⁽²⁾) and sets
-// the vertex's bit from the comparison. The draws come four consecutive
-// vertices at a time (stats.StreamKey.Float64x4), so the core overlaps
-// their four independent multiply chains. There is no clamp and no
-// branch: u lies in [0, 1) and x·Scale is never negative, so p ≥ 1 always
-// joins and p = 0 never does, as the references' min{1, p} decides. The
-// fix-up walks only the unflipped bits of each word
-// (bits.TrailingZeros64 over the complement). A vertex with at least four
-// neighbors first ORs the flip bits of its first four without a branch;
-// only when none of them flipped, or the degree is below four, does it
-// scan the rest until the first flipped one. A vertex with no flipped
-// neighbor joins; the joins are counted per word, and the word's final
-// set, flipped | joined, is stored into the packed output (Result.Set, one
-// bit per vertex — no per-vertex slice is written). A memo-hit solve,
-// which runs only this kernel, is what every distinct-seed request on a
-// served graph pays.
+// bitset. The flip compares the 53 bits m of each vertex's draw — the
+// first value of its per-node stream keyed by vertex id, u = m/2⁵³ —
+// against the vertex's threshold ⌈x·Scale(δ⁽²⁾)·2⁵³⌉, capped at 2⁵³, and
+// sets the vertex's bit from the comparison. Both u and the scaling by 2⁵³
+// are exact, so m < threshold exactly when u < x·Scale: there is no clamp
+// and no branch, p ≥ 1 always joins and p = 0 never does, as the
+// references' min{1, p} decides. The stream mix is split in two halves
+// (stats.StreamKey, stats.StreamHalf): the seed's is computed once per
+// solve and the vertex's is read from a table the solver fills as its n
+// grows, so a draw is one SplitMix64, the PCG seeding and one PCG step.
+// The draws come four consecutive vertices at a time
+// (stats.StreamKey.Bits53x4), so the core overlaps their four independent
+// multiply chains. The thresholds are kept with the LP memo: built once
+// per LP result and variant (a sweep), reused by every memo hit, patched
+// where the repair changes δ⁽²⁾ and where a replay rewrites x, and rebuilt
+// after a full stage, a variant change or a standalone Round over the
+// caller's x. The fix-up walks only the unflipped bits of each word
+// (bits.TrailingZeros64 over the complement), in two passes. The first
+// ORs, for each such vertex with at least four neighbors, the flip bits of
+// its first four into the word's probed mask, with no branch on what it
+// finds; the second scans the rest of the list, until the first flipped
+// neighbor, only for the vertices the probe left (about a tenth of the
+// unflipped ones on udg-10k at k = 3) and those of degree below four. A vertex with
+// no flipped neighbor joins; the joins are counted per word, and the
+// word's final set, flipped | joined, is stored into the packed output
+// (Result.Set, one bit per vertex — no per-vertex slice is written). A
+// memo-hit solve, which runs only this kernel and reads Σx (Result.
+// Objective) from beside the memo, is what every distinct-seed request on
+// a served graph pays.
 //
 // Zero steady-state allocations: a Solver owns every scratch buffer and
 // re-slices them across solves; the package-level Acquire/Release pool
@@ -107,10 +118,12 @@
 // parent repairs its static δ⁽¹⁾/δ⁽²⁾ tables on the distance-2 rings of the
 // touched vertices instead of recomputing them, and an Algorithm 3 LP stage
 // of the memo's k replays the parent's stage. Every full Algorithm 3 stage
-// records its trajectory per vertex (trajectory.go): the inner iteration a
-// vertex turned gray in, and one event per inner iteration it was active
-// (its a⁽¹⁾ there, from which its x follows) and per outer boundary it was
-// in the support (its γ⁽²⁾), in one span of an arena. The replay takes the
+// logs its trajectory, and the first replay from it builds the per-vertex
+// record (trajectory.go): the inner iteration a vertex turned gray in, and
+// one event per inner iteration it was active (its a⁽¹⁾ there, from which
+// its x follows) and per outer boundary it was in the support (its γ⁽²⁾),
+// in one span of an arena. A solver that only ever hits its memo never
+// builds the spans or the arena. The replay takes the
 // recorded events wherever a vertex's inputs agree with the recorded run's,
 // and recomputes with the full stage's arithmetic only on a frontier that
 // spreads one hop per phase from the touched vertices (replay.go). The new

@@ -6,6 +6,7 @@ import (
 
 	"kwmds/internal/core"
 	"kwmds/internal/graph"
+	"kwmds/internal/lp"
 )
 
 // Fractional runs only the LP stage and returns the x-vector. The slice is
@@ -42,7 +43,7 @@ func (s *Solver) Solve(g *graph.Graph, opt Options) (Result, error) {
 		return Result{}, ErrCanceled
 	}
 	res := s.roundPhases(s.x[:s.n], opt)
-	res.X = s.x[:s.n]
+	res.X, res.Objective = s.x[:s.n], s.lpObj
 	return res, nil
 }
 
@@ -56,7 +57,8 @@ func (s *Solver) Solve(g *graph.Graph, opt Options) (Result, error) {
 // from, the stage replays that run's trajectory over the changed frontier
 // (replay.go). Otherwise the LP state is reset and the stage runs. The
 // memo is marked valid only when the run finished uncanceled, since a
-// canceled run leaves x (and a replay's record) partial.
+// canceled run leaves x (and a replay's record) partial; a valid memo's
+// objective is summed then, once, as lp.Objective sums it.
 func (s *Solver) lp(opt Options) {
 	same := s.lpValid && s.lpAlg == opt.Algorithm && s.lpK == opt.K &&
 		(opt.Algorithm != AlgWeighted || s.sameCosts(opt.Costs))
@@ -75,6 +77,7 @@ func (s *Solver) lp(opt Options) {
 	}
 	if !s.canceled() {
 		s.lpAlg, s.lpK, s.lpValid = opt.Algorithm, opt.K, true
+		s.lpObj = lp.Objective(s.x[:s.n])
 	}
 }
 
@@ -106,10 +109,12 @@ func (s *Solver) sameCosts(costs []float64) bool {
 
 // resetLPState returns the solver to the start-of-LP state over the current
 // graph: scratch bitsets cleared, support full, x/δ̃/a-counts
-// reinitialized. d2done survives by design: δ⁽¹⁾/δ⁽²⁾ are static graph
+// reinitialized, and the flip thresholds, which describe the old x,
+// dropped. d2done survives by design: δ⁽¹⁾/δ⁽²⁾ are static graph
 // properties.
 func (s *Solver) resetLPState() {
 	s.bindCSR()
+	s.thrOK = false
 	s.gray.Reset(s.n)
 	s.support.Reset(s.n)
 	s.active.Reset(s.n)
@@ -149,7 +154,6 @@ func (s *Solver) lpStage(opt Options) {
 	default:
 		s.rec.begin(s.n, opt.K, s.maxDeg)
 		s.lpAlg3(opt.K)
-		s.rec.build(s.n)
 	}
 }
 
@@ -213,8 +217,8 @@ func (s *Solver) recheckCoverage() {
 // x-raise values a⁽¹⁾^{-m/(m+1)} both exponentiate integers bounded by
 // ∆+1, so each iteration fills a (∆+2)-entry table with the identical
 // math.Pow calls and the vertex loops only index it. Every iteration and
-// outer boundary is logged into s.rec, which lpStage then turns into the
-// per-vertex trajectory a later epoch replays.
+// outer boundary is logged into s.rec, which the first replay of a later
+// epoch turns into the per-vertex trajectory it replays.
 func (s *Solver) lpAlg3(k int) {
 	s.ensureD2()
 	for v := 0; v < s.n; v++ {

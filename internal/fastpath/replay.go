@@ -87,7 +87,8 @@ func repairPays(g *graph.Graph, touched []int32) bool {
 // changed. Both sets are collected as vertex sets and recomputed exactly
 // as the dense phases would — integer maxima over identical inputs, hence
 // bit-identical tables. The vertices whose δ⁽²⁾ changed go to the replay's
-// DG set: Algorithm 3 starts from γ⁽²⁾ = δ⁽²⁾+1. The repair runs serially:
+// DG set, Algorithm 3 starting from γ⁽²⁾ = δ⁽²⁾+1, and get their flip
+// thresholds patched. The repair runs serially:
 // by the fallback threshold's construction it touches a small fraction of
 // the graph, too little to pay for forking a sweep.
 func (s *Solver) repairD2(touched []int32) {
@@ -121,8 +122,9 @@ func (s *Solver) repairD2(touched []int32) {
 		}
 		if m2 != d2[v] {
 			rp.dg.add(v)
+			d2[v] = m2
+			s.patchThr(v)
 		}
-		d2[v] = m2
 	}
 	ring1.reset()
 	ring2.reset()
@@ -282,6 +284,7 @@ func (rp *replayState) sets() [10]*vset {
 // record, invalid.
 func (s *Solver) replay(k int) {
 	rp, rec := s.rp, &s.rec
+	rec.ready()
 	n := s.n
 	rp.size(n)
 	for _, v := range s.touched {
@@ -537,7 +540,8 @@ func (s *Solver) replayBoundary(t int) {
 	d.reset()
 }
 
-// rewrite turns the record into the new run's and s.x into its x. A new
+// rewrite turns the record into the new run's and s.x into its x,
+// patching the flip threshold of each vertex whose x it writes. A new
 // run that covered every vertex before the recorded one did ends there,
 // and the recorded events after its last step, time last, go, with any x
 // raise among them: they belong to vertices of T ∪ N[DW], since a vertex
@@ -548,6 +552,7 @@ func (s *Solver) rewrite(last int32) {
 	for _, v := range rp.dx.list {
 		if rp.dx.has(v) {
 			s.x[v] = rp.xNew[v]
+			s.patchThr(v)
 		}
 	}
 	if last < int32(2*len(rec.white)-2) {
@@ -556,6 +561,7 @@ func (s *Solver) rewrite(last int32) {
 			if ev := rec.events(v); len(ev) > 0 && ev[len(ev)-1].at > last {
 				rp.diffs = append(rp.diffs, vdiff{v, endOfRun, last})
 				s.x[v] = s.xNow(v, last+1) // the old x may hold a dropped raise
+				s.patchThr(v)
 			}
 		}
 		rp.front.reset()

@@ -10,6 +10,7 @@ import (
 	"kwmds/internal/dyngraph"
 	"kwmds/internal/gen"
 	"kwmds/internal/graph"
+	"kwmds/internal/rounding"
 	"kwmds/internal/stats"
 	"kwmds/internal/testsupport"
 )
@@ -138,9 +139,12 @@ func TestReplayMatchesFreshSolver(t *testing.T) {
 
 // sameRecord fails unless the replayed solver's trajectory equals the one
 // a fresh solver's full stage recorded for the same graph: ∆, the white
-// counts, and every vertex's gray iteration and events.
+// counts, and every vertex's gray iteration and events. It builds both
+// records' spans first, as a replay would.
 func sameRecord(t *testing.T, ctx string, got, want *trajectory) {
 	t.Helper()
+	got.ready()
+	want.ready()
 	if got.maxDeg != want.maxDeg || !slices.Equal(got.white, want.white) {
 		t.Fatalf("%s: record ∆ %d, white %v; want ∆ %d, white %v", ctx, got.maxDeg, got.white, want.maxDeg, want.white)
 	}
@@ -194,6 +198,130 @@ func TestReplayMatchesFreshSolverLongChain(t *testing.T) {
 	}
 	if compactions == 0 {
 		t.Fatal("300 epochs never compacted the record's arena")
+	}
+}
+
+// TestReplayMatchesFreshSolverThresholds checks the flip thresholds the
+// solver keeps with its LP memo, which the repair and the replay's rewrite
+// patch instead of rebuilding. Along 60 epochs of serve-churn's shape on
+// one solver, after every epoch's Solve (a replay) its thresholds must
+// equal, vertex by vertex, those a fresh solver builds for the same graph
+// and variant, and the answer must be the fresh solver's. The variant
+// switches every third epoch. Every fourth epoch replays through
+// Fractional and rounds through Round over the memo Fractional returned,
+// as kwbench's churn mode does, which must keep the thresholds. Every
+// fifth epoch a standalone Round over a caller's x comes between the
+// replay and a memo-hit Solve, which must not reuse the thresholds Round
+// built; every seventh ends on such a Round, so the next epoch's repair
+// and replay meet thresholds of the caller's x.
+// Some epochs must end their run at an earlier inner iteration than their
+// parent's, where the rewrite drops the parent's later raises.
+func TestReplayMatchesFreshSolverThresholds(t *testing.T) {
+	const epochs = 60
+	g, err := gen.UnitDisk(2000, 0.045, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants := [2]rounding.Variant{rounding.Ln, rounding.LnMinusLnLn}
+	shortened := 0
+	for _, k := range []int{3, 4} {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("k%d/w%d", k, workers), func(t *testing.T) {
+				c := newChurn(g, 32, int64(10*k+workers))
+				s := New()
+				opt := Options{K: k, Workers: workers}
+				if _, err := s.Solve(g, opt); err != nil {
+					t.Fatal(err)
+				}
+				callerX := make([]float64, g.N())
+				for e := 1; e <= epochs; e++ {
+					ge := c.next(t, 4)
+					opt.Seed, opt.Variant = int64(e), variants[e/3%2]
+					ctx := fmt.Sprintf("epoch %d (%v)", e, opt.Variant)
+					fresh := New()
+					want, err := fresh.Solve(ge, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					parentEnd := runEnd(s.rec.white)
+					var got Result
+					if e%4 == 0 {
+						x, err := s.Fractional(ge, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got, err = s.Round(ge, x, opt); err != nil {
+							t.Fatal(err)
+						}
+						sameX(t, ctx, x, want.X)
+						got.X, got.Objective = want.X, want.Objective
+					} else if got, err = s.Solve(ge, opt); err != nil {
+						t.Fatal(err)
+					}
+					if !s.LastLPReplayed() {
+						t.Fatalf("%s: not replayed", ctx)
+					}
+					if runEnd(s.rec.white) < parentEnd {
+						shortened++
+					}
+					testsupport.RequireBitIdenticalIn(t, ctx, got, want)
+					sameThresholds(t, ctx, s, fresh, opt.Variant)
+					if e%5 != 0 && e%7 != 0 {
+						continue
+					}
+					for v := range callerX {
+						callerX[v] = want.X[v] / 3
+					}
+					got, err = s.Round(ge, callerX, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantRound, err := New().Round(ge, callerX, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					testsupport.RequireBitIdenticalIn(t, ctx+"/Round over a caller's x", got, wantRound)
+					if e%5 != 0 {
+						continue
+					}
+					got, err = s.Solve(ge, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					testsupport.RequireBitIdenticalIn(t, ctx+"/after Round", got, want)
+					sameThresholds(t, ctx+"/after Round", s, fresh, opt.Variant)
+				}
+			})
+		}
+	}
+	if shortened == 0 {
+		t.Fatal("no epoch ended its run earlier than its parent's")
+	}
+}
+
+// runEnd returns the inner iteration after which a recorded run's white
+// set was empty, or the iteration count if it never was.
+func runEnd(white []int32) int {
+	for t, w := range white {
+		if w == 0 {
+			return t
+		}
+	}
+	return len(white)
+}
+
+// sameThresholds fails unless got keeps flip thresholds for variant that
+// equal want's, vertex by vertex.
+func sameThresholds(t *testing.T, ctx string, got, want *Solver, variant rounding.Variant) {
+	t.Helper()
+	if !got.thrOK || got.thrVar != variant {
+		t.Fatalf("%s: thresholds kept = %v for %v, want kept for %v", ctx, got.thrOK, got.thrVar, variant)
+	}
+	for v := range want.n {
+		if got.thr[v] != want.thr[v] {
+			t.Fatalf("%s: thr[%d] = %d, a fresh solver's is %d (x %v, δ⁽²⁾ %d)", ctx, v,
+				got.thr[v], want.thr[v], got.x[v], got.d2[v])
+		}
 	}
 }
 

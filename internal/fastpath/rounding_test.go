@@ -13,9 +13,11 @@ import (
 )
 
 // TestRoundingKernelMatchesReference pins the Algorithm 1 kernel — the
-// flip as a comparison of four draws at a time against x·Scale, the
-// fix-up as a walk over the unflipped bits with a four-neighbor probe,
-// the set written as packed words — to the sequential reference, for both
+// flip as a comparison of each draw's 53 bits, four vertices at a time,
+// against the vertex's threshold for x·Scale, the fix-up as a branch-free
+// probe of each unflipped vertex's first four neighbors and a scan of the
+// vertices it leaves, the set written as packed words — to the sequential
+// reference, for both
 // variants, 32 seeds and every worker count. The graphs cover serving
 // scale (serve-cold's udg-10k), a last word holding fewer than 64
 // vertices, isolated vertices (δ⁽²⁾ = 0, so Scale is 0, p = 0 for any x,
@@ -117,6 +119,43 @@ func TestRoundingKernelMatchesReference(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestThresholdDecidesAsTheDraw pins the flip's integer comparison to the
+// reference's: for a draw's 53 bits m, m < threshold(p) must equal
+// float64(m)/2⁵³ < p, the comparison rounding.flip makes for p in (0, 1),
+// and p = 0 must admit no draw and p ≥ 1 every one, as its early outs
+// decide. Each p is checked at m = threshold − 1 and m = threshold, where
+// the comparison turns: at p = 0, the smallest subnormal, 2⁻⁵³,
+// 1 − 2⁻⁵³, 1, MaxFloat64 and +Inf, and at multiples j·2⁻⁵³ one ulp
+// below, at and one ulp above, where the ceiling decides.
+func TestThresholdDecidesAsTheDraw(t *testing.T) {
+	const two53 = 1 << 53
+	ps := []float64{0, math.SmallestNonzeroFloat64, 1.0 / two53, 1 - 1.0/two53, 1, math.MaxFloat64, math.Inf(1)}
+	for _, j := range []uint64{1, 2, 3, 1000, 1<<52 - 1, 1 << 52, 1<<52 + 1, two53 - 2, two53 - 1} {
+		p := float64(j) / two53
+		ps = append(ps, math.Nextafter(p, 0), p, math.Nextafter(p, 2))
+	}
+	for _, p := range ps {
+		thr := threshold(p)
+		switch {
+		case thr > two53:
+			t.Fatalf("threshold(%v) = %d, above 2⁵³", p, thr)
+		case p == 0 && thr != 0:
+			t.Fatalf("threshold(0) = %d, want 0: p = 0 never joins", thr)
+		case p >= 1 && thr != two53:
+			t.Fatalf("threshold(%v) = %d, want 2⁵³: p ≥ 1 always joins", p, thr)
+		}
+		for _, m := range []uint64{thr - 1, thr} {
+			if m >= two53 { // below 0 or past the last draw
+				continue
+			}
+			if got, want := m < thr, float64(m)/two53 < p; got != want {
+				t.Errorf("p = %v (%#016x): m = %d < threshold %d is %v, m/2⁵³ < p is %v",
+					p, math.Float64bits(p), m, thr, got, want)
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"kwmds/internal/core"
 	"kwmds/internal/graph"
 	"kwmds/internal/rounding"
+	"kwmds/internal/stats"
 )
 
 // Algorithm selects the LP stage.
@@ -75,6 +76,9 @@ type Result struct {
 	// JoinedRandom and JoinedFixup split the set by join reason.
 	JoinedRandom int
 	JoinedFixup  int
+	// Objective is Σx over X, summed in vertex order once per LP result
+	// (0 for standalone Round).
+	Objective float64
 }
 
 // Solver executes the pipeline over reusable buffers. The zero value is
@@ -113,7 +117,19 @@ type Solver struct {
 	maxDeg   int
 	powTabL  []float64 // γ⁽²⁾^{ℓ/(ℓ+1)}, refilled per outer iteration
 	powTabM  []float64 // a⁽¹⁾^{-m/(m+1)}, refilled per inner iteration
-	scaleTab []float64 // rounding Variant.Scale(δ⁽²⁾), refilled per Round
+	scaleTab []float64 // rounding Variant.Scale(δ⁽²⁾), refilled per thr build
+
+	// The flip's tables (rounding.go): half[v] is stats.StreamHalf(v),
+	// and thr[v] is v's join threshold on a draw's 53 bits. While thrOK,
+	// thr holds the thresholds of s.x over δ⁽²⁾ under thrVar, kept exact
+	// through a repair and a replay by patchThr. A full LP stage clears
+	// thrOK, and so does a rounding of any other x, which builds thr for
+	// that x; a new graph drops the memo, so its first memo-hit rounding
+	// follows a full stage.
+	half   []uint64
+	thr    []uint64
+	thrOK  bool
+	thrVar rounding.Variant
 
 	gray    *bitset.Set // covered vertices
 	support *bitset.Set // vertices with δ̃ ≥ 1 (superset of the white set)
@@ -141,6 +157,7 @@ type Solver struct {
 	lpParent bool
 	lpAlg    Algorithm
 	lpK      int
+	lpObj    float64 // Σx of the memo, summed once per LP result
 	costs    []float64
 	rec      trajectory
 	// touched is g's lineage: the vertices whose adjacency lists differ
@@ -173,6 +190,7 @@ type Solver struct {
 	// performs no allocation, and the sweep's fork-join scratch.
 	fnBound                     bool
 	fnD1, fnD2, fnFlip, fnFixup func(w0, w1 int) int
+	fnThr                       func(w0, w1 int) int
 	fnA3Active, fnA3Count       func(w0, w1 int) int
 	fnGamma1, fnGamma1All       func(w0, w1 int) int
 	fnGamma2                    func(w0, w1 int) int
@@ -262,6 +280,16 @@ func (s *Solver) ensure(n, workers int) {
 		s.d2 = make([]int32, c)
 		s.set = make([]uint64, (c+63)/64)
 	}
+	// The flip's tables hold n entries, not the capacity class: both are
+	// live heap, and half's entries depend on v alone, so only a larger n
+	// than any before grows and extends them.
+	if len(s.half) < n {
+		s.half = append(make([]uint64, 0, n), s.half...)
+		for v := len(s.half); v < n; v++ {
+			s.half = append(s.half, stats.StreamHalf(int64(v)))
+		}
+		s.thr = make([]uint64, n)
+	}
 	s.x = s.x[:cap(s.x)]
 	s.n = n
 	s.nw = (n + 63) / 64
@@ -283,7 +311,7 @@ func (s *Solver) ensure(n, workers int) {
 	if !s.fnBound {
 		s.fnBound = true
 		s.fnD1, s.fnD2 = s.phaseD1, s.phaseD2
-		s.fnFlip, s.fnFixup = s.phaseFlip, s.phaseFixup
+		s.fnFlip, s.fnFixup, s.fnThr = s.phaseFlip, s.phaseFixup, s.phaseThr
 		s.fnA3Active, s.fnA3Count = s.phaseA3Active, s.phaseA3Count
 		s.fnGamma1, s.fnGamma1All = s.phaseGamma1, s.phaseGamma1All
 		s.fnGamma2 = s.phaseGamma2

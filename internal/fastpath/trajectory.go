@@ -30,12 +30,14 @@ type event struct{ at, val int32 }
 // rewritten span that does not grow stays where it is; a longer one moves
 // to the arena's end, and the arena is compacted into spare, in vertex
 // order, when a move finds it full. Between stages spare is scratch: the
-// full stage logs its events there, iteration by iteration, before
-// building the spans from the log.
+// full stage logs its events there, iteration by iteration, and leaves the
+// record unbuilt; the first replay builds the spans from the log (ready).
+// A solver that only ever hits its memo never holds spans or the arena.
 type trajectory struct {
 	maxDeg int     // ∆ of the recorded graph: bounds the raise indices
 	white  []int32 // white vertices left after each inner iteration
 	grayAt []int32 // per vertex: the inner iteration it turned gray in, or never
+	built  bool    // spans and ev hold the record, not only the log
 	spans  []span  // per vertex: where its events are in ev
 	ev     []event
 	dead   int // arena entries no span covers
@@ -70,9 +72,9 @@ func (r *trajectory) find(v, at int32) (int32, bool) {
 }
 
 // begin starts the full stage's record over n vertices: nothing gray, no
-// event logged.
+// event logged, and the record unbuilt.
 func (r *trajectory) begin(n, k, maxDeg int) {
-	r.maxDeg = maxDeg
+	r.maxDeg, r.built = maxDeg, false
 	r.white = growI32(r.white, k*k)
 	clear(r.white)
 	r.grayAt = growI32(r.grayAt, n)
@@ -112,12 +114,20 @@ func (r *trajectory) logGamma(t int, support *bitset.Set, gamma2 []int32) {
 	r.logEnd = append(r.logEnd, len(r.spare))
 }
 
+// ready builds the spans from the full stage's log unless they are built.
+func (r *trajectory) ready() {
+	if !r.built {
+		r.build(len(r.grayAt))
+	}
+}
+
 // build turns the full stage's log into the per-vertex spans: one count
 // pass, the span offsets, and one fill pass in log order, which is time
 // order, so every span comes out ascending. The arena keeps room for a
 // quarter of its size again of moved spans, and spare gets the same
 // capacity, so replays move and compact without allocating.
 func (r *trajectory) build(n int) {
+	r.built = true
 	log := r.spare
 	if cap(r.spans) < n {
 		r.spans = make([]span, n)

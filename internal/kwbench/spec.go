@@ -19,6 +19,7 @@
 package kwbench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -325,9 +326,14 @@ func Load(path string) (*Scenario, error) {
 }
 
 // Decode parses a scenario from raw bytes (TOML subset when toml is set,
-// strict JSON otherwise) and validates it.
+// strict JSON otherwise) and validates it. Both spellings take each key
+// once per table or object, and only as a bare lowercase key.
 func Decode(data []byte, toml bool) (*Scenario, error) {
-	if toml {
+	if !toml {
+		if err := checkJSONKeys(data); err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
+		}
+	} else {
 		doc, err := parseTOML(data)
 		if err != nil {
 			return nil, err
@@ -352,6 +358,58 @@ func Decode(data []byte, toml bool) (*Scenario, error) {
 		return nil, err
 	}
 	return &sc, nil
+}
+
+// checkJSONKeys walks the keys of a JSON document's first value and
+// refuses what encoding/json would accept silently: a key given twice in
+// one object (it keeps the last) and a key that is not bare lowercase (it
+// matches field tags without regard to case). Syntax errors are left to
+// the decode.
+func checkJSONKeys(data []byte) error {
+	type object struct {
+		keys    map[string]bool // nil for an array
+		wantKey bool
+	}
+	var open []*object
+	dec := json.NewDecoder(bytes.NewReader(data))
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return nil
+		}
+		if n := len(open); n > 0 && open[n-1].wantKey {
+			top := open[n-1]
+			if key, ok := tok.(string); ok {
+				if err := checkKey(key); err != nil {
+					return err
+				}
+				if top.keys[key] {
+					return fmt.Errorf("duplicate key %q", key)
+				}
+				top.keys[key], top.wantKey = true, false
+				continue
+			}
+			open = open[:n-1] // the object's closing brace
+		} else {
+			switch tok {
+			case json.Delim('{'):
+				open = append(open, &object{keys: map[string]bool{}, wantKey: true})
+				continue
+			case json.Delim('['):
+				open = append(open, &object{})
+				continue
+			case json.Delim(']'):
+				open = open[:len(open)-1]
+			}
+		}
+		// A value ended: its object wants the next key.
+		if len(open) == 0 {
+			return nil
+		}
+		if top := open[len(open)-1]; top.keys != nil {
+			top.wantKey = true
+		}
+	}
 }
 
 // combos expands the matrix cross product in deterministic order.
@@ -465,6 +523,9 @@ func (sc *Scenario) Validate() error {
 			return bad("bad recovery parameters n=%d radius=%v speed=%v epochs=%d",
 				r.N, r.Radius, r.Speed, r.Epochs)
 		}
+		if r.N > math.MaxInt32 {
+			return bad("recovery n = %d exceeds %d vertices", r.N, math.MaxInt32)
+		}
 		if r.Restarts < 0 || r.SnapshotEveryEpochs < 0 {
 			return bad("recovery restarts and snapshot_every_epochs must be ≥ 0")
 		}
@@ -495,6 +556,9 @@ func (sc *Scenario) Validate() error {
 		if m.N < 1 || m.Epochs < 1 || m.Radius <= 0 || m.Speed < 0 {
 			return bad("bad mobility parameters n=%d radius=%v speed=%v epochs=%d",
 				m.N, m.Radius, m.Speed, m.Epochs)
+		}
+		if m.N > math.MaxInt32 {
+			return bad("mobility n = %d exceeds %d vertices", m.N, math.MaxInt32)
 		}
 		if sc.WarmupOps >= m.Epochs {
 			return bad("warmup_ops %d consumes every one of the %d epochs", sc.WarmupOps, m.Epochs)

@@ -432,6 +432,32 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 			}
 		}
 	}
+	for _, tc := range badKeySpecs {
+		if _, err := Decode([]byte(tc.spec), tc.toml); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// badKeySpecs are specs Decode refuses for a key's value or spelling: a
+// mobility or recovery n past math.MaxInt32, which RandomWalk would size
+// a slice from (only ever decoded, never run), and JSON keys that
+// encoding/json would take silently, the last of a repeated key winning
+// and a capitalized key matching its field. FuzzScenarioSpec starts from
+// them too.
+var badKeySpecs = []struct {
+	name, spec string
+	toml       bool
+	want       string
+}{
+	{"toml recovery n", "name = \"x\"\ndriver = \"inproc-fast\"\n[matrix]\nalgos = [\"kw2\"]\n[recovery]\nn = 3000000000\nradius = 0.08\nspeed = 0.02\nepochs = 8\n", true, "recovery n = 3000000000"},
+	{"json recovery n", `{"name":"x","driver":"inproc-fast","matrix":{"algos":["kw2"]},"recovery":{"n":3000000000,"radius":0.08,"speed":0.02,"epochs":8}}`, false, "recovery n = 3000000000"},
+	{"toml mobility n", "name = \"x\"\ndriver = \"inproc-fast\"\nwarmup_ops = 1\n[mobility]\nn = 3000000000\nradius = 0.08\nspeed = 0.02\nepochs = 8\nmode = \"churn\"\n", true, "mobility n = 3000000000"},
+	{"json mobility n", `{"name":"x","driver":"inproc-fast","warmup_ops":1,"mobility":{"n":3000000000,"radius":0.08,"speed":0.02,"epochs":8,"mode":"churn"}}`, false, "mobility n = 3000000000"},
+	{"json capitalized key", `{"name":"x","driver":"inproc-fast","graphs":[{"tier":"udg-500"}],"closed":{"concurrency":1,"ops":5,"Ops":50}}`, false, `key "Ops" is not a bare lowercase key`},
+	{"json repeated key", `{"name":"x","driver":"inproc-fast","graphs":[{"tier":"udg-500"}],"closed":{"concurrency":1,"ops":5,"ops":7}}`, false, `duplicate key "ops"`},
+	{"json repeated key in an array", `{"name":"x","driver":"inproc-fast","graphs":[{"tier":"udg-500"},{"tier":"udg-1k","tier":"udg-500"}],"closed":{"concurrency":1,"ops":1}}`, false, `duplicate key "tier"`},
+	{"json repeated top-level key", `{"name":"x","driver":"inproc-fast","graphs":[{"tier":"udg-500"}],"closed":{"concurrency":1,"ops":1},"name":"y"}`, false, `duplicate key "name"`},
 }
 
 // TestLoadScenarioCorpus parses every checked-in scenario file: the corpus
@@ -494,6 +520,9 @@ func FuzzScenarioSpec(f *testing.F) {
 	}
 	f.Add([]byte(goldenSpecJSON), false)
 	f.Add([]byte(goldenSpecTOML), true)
+	for _, tc := range badKeySpecs {
+		f.Add([]byte(tc.spec), tc.toml)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, toml bool) {
 		sc, err := Decode(data, toml)
 		if err != nil {

@@ -102,8 +102,9 @@ func validate(g *graph.Graph, x []float64) error {
 
 // flip decides membership for a node: the first draw of its per-node stream
 // against p. Shared by both executions so they agree bit for bit; the
-// fastpath backend takes the same draw through stats.StreamKey and compares
-// it against the unclamped product, which decides every case alike.
+// fastpath backend compares the same draw's 53 bits (stats.StreamKey.
+// Bits53x4) against a per-vertex threshold, ⌈p·2⁵³⌉ capped at 2⁵³ for the
+// unclamped p, which decides every case alike.
 func flip(seed int64, id int, p float64) bool {
 	if p >= 1 {
 		return true

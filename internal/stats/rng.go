@@ -33,8 +33,13 @@ type StreamKey uint64
 // NewStreamKey returns the key of seed.
 func NewStreamKey(seed int64) StreamKey { return StreamKey(SplitMix64(uint64(seed))) }
 
+// StreamHalf returns the stream's half of Mix, a function of the stream
+// alone, so that a caller drawing for the same streams under many seeds
+// can tabulate it once and draw through Bits53.
+func StreamHalf(stream int64) uint64 { return SplitMix64(uint64(stream) + 0x5851f42d4c957f2d) }
+
 func (k StreamKey) mix(stream int64) uint64 {
-	return SplitMix64(uint64(k) ^ SplitMix64(uint64(stream)+0x5851f42d4c957f2d))
+	return SplitMix64(uint64(k) ^ StreamHalf(stream))
 }
 
 // NewRand returns a deterministic *rand.Rand for the given seed.
@@ -62,29 +67,35 @@ func StreamFloat64(seed int64, stream int64) float64 {
 	return NewStreamKey(seed).Float64(stream)
 }
 
-// Float64 returns StreamFloat64(seed, stream) for the key's seed. It is
-// the first lane of Float64x4, so the draw has one definition; a caller
-// drawing one value per stream of a run of streams calls Float64x4 instead.
+// Float64 returns StreamFloat64(seed, stream) for the key's seed: the
+// stream's 53 bits from Bits53 over 2⁵³, as rand.Rand.Float64 maps them,
+// so the draw has one definition.
 func (k StreamKey) Float64(stream int64) float64 {
-	u, _, _, _ := k.Float64x4(stream)
-	return u
+	return float64(k.Bits53(StreamHalf(stream))) / (1 << 53)
 }
 
-// Float64x4 returns Float64 of the four streams stream, stream+1, stream+2
-// and stream+3. The four draws share no state, so written out side by side
-// their multiply chains overlap in the core, where four calls would run
-// them one after another. Each is the first Float64 of a PCG seeded with
-// (s, SplitMix64(s)) for the stream's mix s, as NewStreamRand seeds it:
-// rand.Rand.Float64 on a 64-bit source takes the top 53 bits over 2⁵³.
-func (k StreamKey) Float64x4(stream int64) (u0, u1, u2, u3 float64) {
-	s0, s1, s2, s3 := k.mix(stream), k.mix(stream+1), k.mix(stream+2), k.mix(stream+3)
+// Bits53 returns the 53 bits that Float64 of the stream whose StreamHalf
+// is half divides by 2⁵³: the first Uint64 of a PCG seeded with
+// (s, SplitMix64(s)) for the stream's mix s, as NewStreamRand seeds it,
+// with its top 11 bits cleared, as rand.Rand.Float64 clears them on a
+// 64-bit source.
+func (k StreamKey) Bits53(half uint64) uint64 {
+	s := SplitMix64(uint64(k) ^ half)
+	var p rand.PCG
+	p.Seed(s, SplitMix64(s))
+	return p.Uint64() << 11 >> 11
+}
+
+// Bits53x4 returns Bits53 of four halves. The four draws share no state,
+// so written out side by side their multiply chains overlap in the core,
+// where four calls would run them one after another.
+func (k StreamKey) Bits53x4(h0, h1, h2, h3 uint64) (m0, m1, m2, m3 uint64) {
+	s0, s1 := SplitMix64(uint64(k)^h0), SplitMix64(uint64(k)^h1)
+	s2, s3 := SplitMix64(uint64(k)^h2), SplitMix64(uint64(k)^h3)
 	var p0, p1, p2, p3 rand.PCG
 	p0.Seed(s0, SplitMix64(s0))
 	p1.Seed(s1, SplitMix64(s1))
 	p2.Seed(s2, SplitMix64(s2))
 	p3.Seed(s3, SplitMix64(s3))
-	return unit(p0.Uint64()), unit(p1.Uint64()), unit(p2.Uint64()), unit(p3.Uint64())
+	return p0.Uint64() << 11 >> 11, p1.Uint64() << 11 >> 11, p2.Uint64() << 11 >> 11, p3.Uint64() << 11 >> 11
 }
-
-// unit maps a 64-bit draw to [0, 1) as rand.Rand.Float64 does.
-func unit(r uint64) float64 { return float64(r<<11>>11) / (1 << 53) }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -76,25 +77,47 @@ func firstStreams(n int) []int64 {
 	return out
 }
 
-// TestStreamKeyFloat64x4MatchesFloat64 pins the four-stream draw the
-// rounding kernel's flip uses: lane i of Float64x4(stream) is
-// Float64(stream+i) and the first Float64 of NewStreamRand(seed,
-// stream+i), at the seeds where sign and overflow could bite and at
-// streams up to the last group that ends at MaxInt64.
-func TestStreamKeyFloat64x4MatchesFloat64(t *testing.T) {
+// TestStreamKeyBits53MatchesFloat64 pins the split draw the rounding
+// kernel's flip compares against its thresholds: at the seeds and streams
+// of TestStreamKeyMatchesStreamFloat64, Bits53(StreamHalf(stream)) and
+// every lane of Bits53x4 over four streams' halves are Float64(stream)·2⁵³
+// exactly, and below 2⁵³.
+func TestStreamKeyBits53MatchesFloat64(t *testing.T) {
+	streams := append([]int64{math.MinInt64, -1, math.MaxInt64}, firstStreams(1000)...)
 	for _, seed := range []int64{0, -1, math.MinInt64, math.MaxInt64} {
 		key := NewStreamKey(seed)
-		for _, stream := range append([]int64{math.MaxInt64 - 3}, firstStreams(1000)...) {
-			u0, u1, u2, u3 := key.Float64x4(stream)
-			for i, got := range []float64{u0, u1, u2, u3} {
-				s := stream + int64(i)
-				if want := key.Float64(s); got != want {
-					t.Fatalf("NewStreamKey(%d).Float64x4(%d) lane %d = %v, Float64(%d) = %v", seed, stream, i, got, s, want)
-				}
-				if want := NewStreamRand(seed, s).Float64(); got != want {
-					t.Fatalf("NewStreamKey(%d).Float64x4(%d) lane %d = %v, NewStreamRand = %v", seed, stream, i, got, want)
-				}
+		check := func(what string, stream int64, got uint64) {
+			t.Helper()
+			want := key.Float64(stream) * (1 << 53)
+			if got >= 1<<53 || float64(got) != want {
+				t.Fatalf("NewStreamKey(%d).%s for stream %d = %d, want Float64·2⁵³ = %v", seed, what, stream, got, want)
+			}
+		}
+		for i, stream := range streams {
+			check("Bits53", stream, key.Bits53(StreamHalf(stream)))
+			// Each stream in each lane: the four lanes read streams i..i+3
+			// of the list, wrapping at its end.
+			q := [4]int64{}
+			for j := range q {
+				q[j] = streams[(i+j)%len(streams)]
+			}
+			m0, m1, m2, m3 := key.Bits53x4(StreamHalf(q[0]), StreamHalf(q[1]), StreamHalf(q[2]), StreamHalf(q[3]))
+			for j, m := range [4]uint64{m0, m1, m2, m3} {
+				check(fmt.Sprintf("Bits53x4 lane %d", j), q[j], m)
 			}
 		}
 	}
+}
+
+var benchSink float64
+
+// BenchmarkStreamFloat64 times one draw as rounding.Reference and the
+// simulated Algorithm 1 take it: one StreamFloat64 call per vertex, a new
+// stream each.
+func BenchmarkStreamFloat64(b *testing.B) {
+	sum := 0.0
+	for i := 0; i < b.N; i++ {
+		sum += StreamFloat64(7, int64(i))
+	}
+	benchSink = sum
 }

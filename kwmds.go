@@ -337,7 +337,7 @@ func solveOn(s *fastpath.Solver, g *Graph, opts Options, k int) (Result, []uint6
 		Size:         fres.Size,
 		WeightedCost: packedWeightedCost(opts.Weights, fres.Set, fres.Size),
 		Fractional:   fres.X,
-		LPObjective:  lp.Objective(fres.X),
+		LPObjective:  fres.Objective,
 		K:            k,
 		JoinedRandom: fres.JoinedRandom,
 		JoinedFixup:  fres.JoinedFixup,
